@@ -20,8 +20,10 @@ for arg in "$@"; do
     esac
 done
 
+# The banner goes to stderr, so `run cmd > file` captures only the output
+# of cmd itself.
 run() {
-    echo "==> $*"
+    echo "==> $*" >&2
     "$@"
 }
 
@@ -73,26 +75,18 @@ WORMCAST_FAULTS_FILE="$TDIR/f1/faults.json" \
     run cargo test "${OFFLINE[@]}" -q -p wormcast --test faults_schema
 
 # Saturation smoke: run the quick offered-vs-delivered sweep (DB/AB/QAB on
-# a 4x4x4 mesh) across job counts and shard geometries. The determinism
-# contract for the mixed steady-state sims is byte-level across --jobs AND
-# across --shards (the queue-aware arbitration tie-breaks by global channel
-# index, so the spatial partition is unobservable); then validate the schema
+# a 4x4x4 mesh) across job counts. The determinism contract for the mixed
+# steady-state sims is byte-level across --jobs; then validate the schema
 # against the produced file.
 echo "==> saturation smoke"
 run ./target/release/saturation --quick --seed 7 --jobs 1 --out "$TDIR/sat-j1"
 run ./target/release/saturation --quick --seed 7 --jobs 4 --out "$TDIR/sat-j4"
-run ./target/release/saturation --quick --seed 7 --jobs 1 --shards 4 \
-    --out "$TDIR/sat-s4"
 [ -s "$TDIR/sat-j1/saturation.json" ] || {
     echo "ci: saturation.json missing or empty" >&2
     exit 1
 }
 run cmp "$TDIR/sat-j1/saturation.json" "$TDIR/sat-j4/saturation.json" || {
     echo "ci: saturation.json differs across --jobs counts" >&2
-    exit 1
-}
-run cmp "$TDIR/sat-j1/saturation.json" "$TDIR/sat-s4/saturation.json" || {
-    echo "ci: saturation.json differs between --shards 1 and --shards 4" >&2
     exit 1
 }
 for key in '"offered":' '"delivered":' '"saturated":' '"QAB"'; do
@@ -134,68 +128,42 @@ done
 WORMCAST_SIMCHECK_FILE="$TDIR/simcheck.json" \
     run cargo test "${OFFLINE[@]}" -q -p wormcast --test simcheck_schema
 
-# Sharded-determinism smoke: the quick Fig-1-at-scale sweep must report
-# identical physics for any shard count and any job count. The `shards`
-# metadata field and the machine-dependent `wall_s` are the only fields
-# allowed to differ; strip them before comparing.
-echo "==> sharded determinism smoke"
-run ./target/release/wormcast fig1-scale --quick --seed 7 --jobs 1 --shards 1 --out "$TDIR/s1"
-run ./target/release/wormcast fig1-scale --quick --seed 7 --jobs 1 --shards 4 --out "$TDIR/s4"
-run ./target/release/wormcast fig1-scale --quick --seed 7 --jobs 2 --shards 4 --out "$TDIR/s4j2"
-for d in s1 s4 s4j2; do
-    grep -v '"wall_s"\|"shards"' "$TDIR/$d/fig1-scale.json" > "$TDIR/$d.physics.json"
+# Fig-1-at-scale smoke: the quick large-mesh sweep must report identical
+# physics for any job count. The machine-dependent `wall_s` is the only
+# field allowed to differ; strip it before comparing.
+echo "==> fig1-scale determinism smoke"
+for jobs in 1 2; do
+    run ./target/release/wormcast fig1-scale --quick --seed 7 --jobs "$jobs" --out "$TDIR/s-j$jobs"
+    grep -v '"wall_s"' "$TDIR/s-j$jobs/fig1-scale.json" > "$TDIR/s-j$jobs.physics.json"
 done
-run cmp "$TDIR/s1.physics.json" "$TDIR/s4.physics.json" || {
-    echo "ci: fig1-scale.json physics differs between --shards 1 and --shards 4" >&2
-    exit 1
-}
-run cmp "$TDIR/s4.physics.json" "$TDIR/s4j2.physics.json" || {
-    echo "ci: fig1-scale.json physics differs across --jobs counts under sharding" >&2
+run cmp "$TDIR/s-j1.physics.json" "$TDIR/s-j2.physics.json" || {
+    echo "ci: fig1-scale.json physics differs across --jobs counts" >&2
     exit 1
 }
 
 # Scheduled-scenario smoke: a handcrafted schema-v2 request carrying a load
 # ramp, link modulation and a drifting hotspot, run through the measure core
-# (`wormcast-serve --once`) at four jobs x shards geometries. Across --jobs
-# the full response stream must be byte-identical (events included). Across
-# --shards the contract is the oracle's role-level one (DESIGN.md §4.6/§4.9):
-# delivery roles — which node receives, per rep — and counts must agree,
-# while delivery times and message ids may legitimately shift under
-# cross-shard same-picosecond tie-breaking. The stream must also carry the
+# (`wormcast-serve --once`) at two job counts. The full response stream must
+# be byte-identical across --jobs (events included), and it must carry the
 # numbered schedule_phase marks the schedule plants.
 echo "==> scheduled-scenario smoke"
 cat > "$TDIR/sched-req.json" <<'EOF'
 {"v":2,"reps":2,"jobs":1,"shards":1,"outputs":{"events":true},"scenario":{"seed":7,"index":0,"topo":{"Mesh":[4,4,4]},"mode":"PathHolding","workload":{"Mixed":{"alg":"Db","src":0,"length":16,"n_unicasts":24}},"fail_stop_rate":0.0,"transient_rate":0.0,"watchdog_us":0.0,"schedule":{"ramp":{"points":[{"t_us":0.0,"rate":0.5},{"t_us":40.0,"rate":2.0}]},"modulation":{"period_us":10.0,"duty":0.5,"factor":4,"fraction":0.5,"windows":3},"hotspot":{"start":3,"stride":2,"step_us":8.0,"weight":0.5}}}}
 EOF
-for g in j1s1 j2s1 j1s4 j2s4; do
-    jobs=${g:1:1}
-    shards=${g:3:1}
-    sed "s/\"jobs\":1/\"jobs\":$jobs/;s/\"shards\":1/\"shards\":$shards/" \
-        "$TDIR/sched-req.json" > "$TDIR/sched-$g.json"
-    ./target/release/wormcast-serve --once < "$TDIR/sched-$g.json" \
-        > "$TDIR/sched-$g.out"
+for jobs in 1 2; do
+    sed "s/\"jobs\":1/\"jobs\":$jobs/" "$TDIR/sched-req.json" > "$TDIR/sched-j$jobs.json"
+    ./target/release/wormcast-serve --once < "$TDIR/sched-j$jobs.json" \
+        > "$TDIR/sched-j$jobs.out"
 done
-run cmp "$TDIR/sched-j1s1.out" "$TDIR/sched-j2s1.out" || {
+run cmp "$TDIR/sched-j1.out" "$TDIR/sched-j2.out" || {
     echo "ci: scheduled scenario differs across --jobs counts" >&2
     exit 1
 }
-run cmp "$TDIR/sched-j1s4.out" "$TDIR/sched-j2s4.out" || {
-    echo "ci: scheduled sharded scenario differs across --jobs counts" >&2
-    exit 1
-}
-for g in j1s1 j1s4; do
-    grep '"ev":"deliver"' "$TDIR/sched-$g.out" |
-        sed 's/"t_ps":[0-9]*,//;s/"msg":[0-9]*,//' | sort > "$TDIR/sched-$g.roles"
-done
-run cmp "$TDIR/sched-j1s1.roles" "$TDIR/sched-j1s4.roles" || {
-    echo "ci: scheduled delivery roles differ between --shards 1 and --shards 4" >&2
-    exit 1
-}
-grep -q '"ev":"schedule_phase"' "$TDIR/sched-j1s1.out" || {
+grep -q '"ev":"schedule_phase"' "$TDIR/sched-j1.out" || {
     echo "ci: scheduled response carries no schedule_phase marks" >&2
     exit 1
 }
-grep -q '"result":' "$TDIR/sched-j1s1.out" || {
+grep -q '"result":' "$TDIR/sched-j1.out" || {
     echo "ci: scheduled request answered without a result frame" >&2
     exit 1
 }
@@ -204,12 +172,10 @@ grep -q '"result":' "$TDIR/sched-j1s1.out" || {
 # pinned pre-schedule value.
 run cargo test "${OFFLINE[@]}" -q -p wormcast-simcheck schema
 
-# Profile smoke: run fig1 with --profile across jobs and shard geometries.
-# The report's deterministic skeleton (every line not carrying an "nd_"
-# key) must be byte-identical across all of them, the Prometheus sibling
-# must be non-empty, and the report must pass the profile schema test.
-# A sharded fig1-scale profile must surface the per-shard barrier-wait and
-# arena-occupancy series in both the JSON report and the exposition.
+# Profile smoke: run fig1 with --profile across job counts. The report's
+# deterministic skeleton (every line not carrying an "nd_" key) must be
+# byte-identical across them, the Prometheus sibling must be non-empty, and
+# the report must pass the profile schema test.
 echo "==> profile smoke"
 run ./target/release/fig1 --quick --seed 7 --jobs 1 \
     --profile "$TDIR/prof-j1.json"
@@ -230,29 +196,6 @@ run cmp "$TDIR/prof-j1.skeleton.json" "$TDIR/prof-j4.skeleton.json" || {
     echo "ci: profile skeleton differs across --jobs counts" >&2
     exit 1
 }
-run ./target/release/wormcast fig1-scale --quick --seed 7 --jobs 1 --shards 1 \
-    --profile "$TDIR/prof-s1.json"
-run ./target/release/wormcast fig1-scale --quick --seed 7 --jobs 1 --shards 4 \
-    --profile "$TDIR/prof-s4.json"
-for p in prof-s1 prof-s4; do
-    grep -v '"nd_' "$TDIR/$p-fig1-scale.json" > "$TDIR/$p.skeleton.json"
-done
-run cmp "$TDIR/prof-s1.skeleton.json" "$TDIR/prof-s4.skeleton.json" || {
-    echo "ci: profile skeleton differs across --shards counts" >&2
-    exit 1
-}
-for needle in 'shard_barrier_wait_ns{shard=\\"' 'shard_arena_msgs_highwater'; do
-    grep -q "$needle" "$TDIR/prof-s4-fig1-scale.json" || {
-        echo "ci: sharded profile JSON lacks $needle" >&2
-        exit 1
-    }
-done
-for needle in 'shard_barrier_wait_ns{shard="' 'shard_arena_msgs_highwater'; do
-    grep -q "$needle" "$TDIR/prof-s4-fig1-scale.prom" || {
-        echo "ci: sharded profile exposition lacks $needle" >&2
-        exit 1
-    }
-done
 WORMCAST_PROFILE_FILE="$TDIR/prof-j1.json" \
     run cargo test "${OFFLINE[@]}" -q -p wormcast --test profile_schema
 
@@ -344,15 +287,6 @@ echo "==> engine bench smoke"
 CRITERION_OUT_JSON="$TDIR/BENCH_engine.json" \
     run cargo bench "${OFFLINE[@]}" -p wormcast-bench --bench engine
 WORMCAST_BENCH_JSON="$TDIR/BENCH_engine.json" \
-    run cargo test "${OFFLINE[@]}" -q -p wormcast --test bench_report
-
-# Sharded-engine bench smoke: generate a fresh engine_parallel report and
-# validate its schema/coverage (no cross-count ordering is asserted — shard
-# scaling is a property of the host's core count; see benches/engine_parallel.rs).
-echo "==> engine_parallel bench smoke"
-CRITERION_OUT_JSON="$TDIR/BENCH_engine_parallel.json" \
-    run cargo bench "${OFFLINE[@]}" -p wormcast-bench --bench engine_parallel
-WORMCAST_BENCH_PARALLEL_JSON="$TDIR/BENCH_engine_parallel.json" \
     run cargo test "${OFFLINE[@]}" -q -p wormcast --test bench_report
 
 # Serve bench smoke: generate a fresh serve-layer report and validate its

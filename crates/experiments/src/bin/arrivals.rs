@@ -8,7 +8,7 @@
 use wormcast_experiments::{arrivals, telemetry, CommonOpts, Experiment, ProfileSession};
 
 fn main() {
-    let opts = CommonOpts::parse();
+    let opts = CommonOpts::parse_strict("arrivals");
     let mut prof = ProfileSession::begin(&opts, "arrivals");
     let mut params = arrivals::ArrivalParams::default();
     if let Some(l) = opts.run.length {
@@ -17,7 +17,6 @@ fn main() {
     if let Some(s) = opts.run.seed {
         params.source = s as u32;
     }
-    opts.enforce_shards(params.shape[2], "the arrivals mesh");
     let spec = opts.telemetry_spec();
     let t0 = std::time::Instant::now();
     let runner = opts.runner();

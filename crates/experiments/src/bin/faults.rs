@@ -8,7 +8,7 @@
 //! (default `0,0.005,0.01,0.02,0.05`; include 0 to keep the fault-free
 //! baseline column). `--out DIR` writes `DIR/faults.json`.
 
-use wormcast_experiments::{faults, telemetry, CommonOpts, Experiment, ProfileSession};
+use wormcast_experiments::{cli, faults, telemetry, CommonOpts, Experiment, ProfileSession};
 
 fn main() {
     let opts = CommonOpts::parse();
@@ -28,8 +28,9 @@ fn main() {
     if let Some(l) = opts.run.length {
         params.length = l;
     }
-    apply_rest(&mut params, &opts.rest);
-    opts.enforce_shards(params.side, "the faults mesh (see --side)");
+    if let Err(e) = apply_rest(&mut params, &opts.rest) {
+        cli::usage_exit("faults", "[--rates CSV] [--side N] ", &e);
+    }
     let spec = opts.telemetry_spec();
     let t0 = std::time::Instant::now();
     let runner = opts.runner();
@@ -75,30 +76,32 @@ fn main() {
 
 /// Parse the binary-specific flags (`--rates CSV`, `--side N`) out of the
 /// leftover arguments.
-fn apply_rest(params: &mut faults::FaultsParams, rest: &[String]) {
+fn apply_rest(params: &mut faults::FaultsParams, rest: &[String]) -> Result<(), String> {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--rates" => {
-                let v = it.next().expect("--rates needs a comma-separated list");
+                let v = it.next().ok_or("--rates needs a comma-separated list")?;
                 params.rates = v
                     .split(',')
                     .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().expect("--rates entries must be numbers"))
-                    .collect();
-                assert!(
-                    !params.rates.is_empty(),
-                    "--rates must list at least one rate"
-                );
+                    .map(|s| {
+                        s.parse()
+                            .map_err(|_| format!("--rates entry '{s}' is not a number"))
+                    })
+                    .collect::<Result<_, _>>()?;
+                if params.rates.is_empty() {
+                    return Err("--rates must list at least one rate".into());
+                }
             }
             "--side" => {
-                params.side = it
-                    .next()
-                    .expect("--side needs a mesh side length")
+                let v = it.next().ok_or("--side needs a mesh side length")?;
+                params.side = v
                     .parse()
-                    .expect("--side must be an integer");
+                    .map_err(|_| format!("--side '{v}' is not an integer"))?;
             }
-            other => panic!("unknown argument '{other}' (try --rates CSV or --side N)"),
+            other => return Err(format!("unknown argument '{other}'")),
         }
     }
+    Ok(())
 }

@@ -7,7 +7,7 @@
 use wormcast_experiments::{fig1, telemetry, CommonOpts, Experiment, ProfileSession};
 
 fn main() {
-    let opts = CommonOpts::parse();
+    let opts = CommonOpts::parse_strict("fig1");
     let mut prof = ProfileSession::begin(&opts, "fig1");
     let mut params = fig1::Fig1Params::default();
     if opts.run.quick {
@@ -23,8 +23,6 @@ fn main() {
     if let Some(l) = opts.run.length {
         params.length = l;
     }
-    let min_side = params.sides.iter().copied().min().unwrap_or(1);
-    opts.enforce_shards(min_side, "the smallest Fig. 1 mesh");
     let spec = opts.telemetry_spec();
     let t0 = std::time::Instant::now();
     let runner = opts.runner();

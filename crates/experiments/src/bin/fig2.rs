@@ -7,7 +7,7 @@
 use wormcast_experiments::{fig2, telemetry, CommonOpts, Experiment, ProfileSession};
 
 fn main() {
-    let opts = CommonOpts::parse();
+    let opts = CommonOpts::parse_strict("fig2");
     let mut prof = ProfileSession::begin(&opts, "fig2");
     let mut params = fig2::Fig2Params::default();
     if opts.run.quick {
@@ -22,8 +22,6 @@ fn main() {
     if let Some(l) = opts.run.length {
         params.length = l;
     }
-    let min_last = params.shapes.iter().map(|s| s[2]).min().unwrap_or(1);
-    opts.enforce_shards(min_last, "the smallest Fig. 2 mesh");
     let spec = opts.telemetry_spec();
     let t0 = std::time::Instant::now();
     let runner = opts.runner();

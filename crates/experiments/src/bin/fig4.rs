@@ -7,7 +7,7 @@
 use wormcast_experiments::{fig34, telemetry, CommonOpts, Experiment, ProfileSession};
 
 fn main() {
-    let opts = CommonOpts::parse();
+    let opts = CommonOpts::parse_strict("fig4");
     let mut prof = ProfileSession::begin(&opts, "fig4");
     let mut params = fig34::LoadSweepParams::fig4();
     if opts.run.quick {
@@ -24,7 +24,6 @@ fn main() {
     if let Some(l) = opts.run.length {
         params.length = l;
     }
-    opts.enforce_shards(params.shape[2], "the Fig. 4 mesh");
     let spec = opts.telemetry_spec();
     let t0 = std::time::Instant::now();
     let runner = opts.runner();

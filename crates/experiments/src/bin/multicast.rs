@@ -7,7 +7,7 @@
 use wormcast_experiments::{multicast, telemetry, CommonOpts, Experiment, ProfileSession};
 
 fn main() {
-    let opts = CommonOpts::parse();
+    let opts = CommonOpts::parse_strict("multicast");
     let mut prof = ProfileSession::begin(&opts, "multicast");
     let mut params = multicast::MulticastParams::default();
     if opts.run.quick {
@@ -20,7 +20,6 @@ fn main() {
     if let Some(l) = opts.run.length {
         params.length = l;
     }
-    opts.enforce_shards(params.shape[2], "the multicast mesh");
     let spec = opts.telemetry_spec();
     let t0 = std::time::Instant::now();
     let runner = opts.runner();

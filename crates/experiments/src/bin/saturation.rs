@@ -8,7 +8,7 @@
 //! `--loads` takes a comma-separated, strictly increasing list of offered
 //! loads in messages/ms per node. `--out DIR` writes `DIR/saturation.json`.
 
-use wormcast_experiments::{saturation, telemetry, CommonOpts, Experiment, ProfileSession};
+use wormcast_experiments::{cli, saturation, telemetry, CommonOpts, Experiment, ProfileSession};
 
 fn main() {
     let opts = CommonOpts::parse();
@@ -27,8 +27,9 @@ fn main() {
     if let Some(l) = opts.run.length {
         params.length = l;
     }
-    apply_rest(&mut params, &opts.rest);
-    opts.enforce_shards(params.shape[2], "the saturation mesh");
+    if let Err(e) = apply_rest(&mut params, &opts.rest) {
+        cli::usage_exit("saturation", "[--loads CSV] ", &e);
+    }
     let spec = opts.telemetry_spec();
     let t0 = std::time::Instant::now();
     let runner = opts.runner();
@@ -80,23 +81,26 @@ fn main() {
 
 /// Parse the binary-specific flag (`--loads CSV`) out of the leftover
 /// arguments.
-fn apply_rest(params: &mut saturation::SaturationParams, rest: &[String]) {
+fn apply_rest(params: &mut saturation::SaturationParams, rest: &[String]) -> Result<(), String> {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--loads" => {
-                let v = it.next().expect("--loads needs a comma-separated list");
+                let v = it.next().ok_or("--loads needs a comma-separated list")?;
                 params.loads = v
                     .split(',')
                     .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().expect("--loads entries must be numbers"))
-                    .collect();
-                assert!(
-                    !params.loads.is_empty(),
-                    "--loads must list at least one load"
-                );
+                    .map(|s| {
+                        s.parse()
+                            .map_err(|_| format!("--loads entry '{s}' is not a number"))
+                    })
+                    .collect::<Result<_, _>>()?;
+                if params.loads.is_empty() {
+                    return Err("--loads must list at least one load".into());
+                }
             }
-            other => panic!("unknown argument '{other}' (try --loads CSV)"),
+            other => return Err(format!("unknown argument '{other}'")),
         }
     }
+    Ok(())
 }

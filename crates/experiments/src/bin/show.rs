@@ -5,22 +5,16 @@
 //! SIDE ends with "x2d", e.g. `8x2d`).
 
 use wormcast_broadcast::{render_all, Algorithm};
-use wormcast_experiments::cli::RunOptions;
 use wormcast_topology::{Mesh, NodeId, Topology};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `show` renders schedules on one thread, but accept and validate the
-    // shared `--shards N` pair so a copy-pasted command line fails with the
-    // same actionable message the simulation binaries print.
-    let mut run = RunOptions::default();
-    if let Some(i) = args.iter().position(|a| a == "--shards") {
-        let v = args
-            .get(i + 1)
-            .expect("--shards needs a shard count")
-            .clone();
-        run.shards = Some(v.parse().expect("--shards must be an integer"));
-        args.drain(i..=i + 1);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    // `show` takes no flags: a flag copied from another binary's command
+    // line fails here instead of being misread as ALG.
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        eprintln!("error: unknown flag '{flag}'");
+        eprintln!("usage: show [ALG] [SIDE] [SRC]");
+        std::process::exit(2);
     }
     let alg: Algorithm = args
         .first()
@@ -34,11 +28,6 @@ fn main() {
         let side: u16 = side_arg.parse().expect("SIDE must be a number");
         Mesh::cube(side)
     };
-    let last_axis = *mesh.dims().last().expect("mesh has at least one axis");
-    if let Err(e) = run.validate_shards(last_axis, "the requested mesh") {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
     let src: u32 = args
         .get(2)
         .map(|s| s.parse().expect("SRC must be a node index"))

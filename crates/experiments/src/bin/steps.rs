@@ -6,11 +6,9 @@
 use wormcast_experiments::{steps, CommonOpts, ProfileSession};
 
 fn main() {
-    let opts = CommonOpts::parse();
+    let opts = CommonOpts::parse_strict("steps");
     let mut prof = ProfileSession::begin(&opts, "steps");
     let shapes = steps::default_shapes();
-    let min_last = shapes.iter().map(|s| s[2]).min().unwrap_or(1);
-    opts.enforce_shards(min_last, "the smallest step-count mesh");
     prof.phase("run");
     let rows = steps::run(&shapes);
     prof.phase("emit");

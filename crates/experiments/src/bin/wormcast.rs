@@ -3,7 +3,7 @@
 //!
 //! Usage: `wormcast [all|steps|fig1|fig1-lowts|fig1-scale|fig2|tables|fig3|fig4|arrivals|multicast|faults|saturation|simcheck|serve]...
 //!                  [--quick] [--out DIR] [--seed N] [--ts US] [--length F] [--jobs N]
-//!                  [--shards N] [--telemetry DIR] [--events PATH] [--profile PATH]
+//!                  [--schedule FILE] [--telemetry DIR] [--events PATH] [--profile PATH]
 //!                  [--trace-dump PATH]`
 //!
 //! With no selector (or `all`), runs the full suite: the §2 step identities,
@@ -21,10 +21,10 @@
 //! report covers only the driver phases.
 //!
 //! The `fig1-scale` selector (not part of `all` — a 10⁶-node mesh is not a
-//! smoke test) extends Fig. 1 into the 10⁵–10⁶-node regime on the sharded
-//! engine; `--shards N` picks the shard count per simulation (clamped per
-//! shape to its last-axis extent) and sizes the replication harness so
-//! `jobs × shards` never oversubscribes the machine.
+//! smoke test) extends Fig. 1 into the 10⁵–10⁶-node regime.
+//!
+//! A flag the common parser does not know, or an unknown selector, exits 2
+//! before any experiment runs.
 //!
 //! The `simcheck` selector (not part of `all`) runs a scenario-fuzzing
 //! campaign through the differential oracle — see the `wormcast-simcheck`
@@ -42,31 +42,28 @@
 //! and writes the trace as NDJSON to PATH, then exits.
 
 use wormcast_experiments::{
-    fig1, fig1_scale, fig2, fig34, profile, schedules, steps, telemetry, CommonOpts, Experiment,
-    LabeledFrame, ProfileSession,
+    cli, fig1, fig1_scale, fig2, fig34, profile, schedules, steps, telemetry, CommonOpts,
+    Experiment, LabeledFrame, ProfileSession,
 };
 
-/// The smallest last-axis extent any topology of `sel` partitions, with a
-/// human-readable description — `None` for selectors that size their own
-/// shard counts (fig1-scale clamps per shape) or run no engine.
-fn min_last_axis(sel: &str, quick: bool) -> Option<(u16, &'static str)> {
-    match sel {
-        "steps" => Some((4, "the 4x4x4 mesh (steps)")),
-        "fig1" | "fig1-lowts" => Some((4, "the 4x4x4 mesh (fig1)")),
-        "fig2" | "tables" => Some((4, "the 4x4x4 mesh (fig2/tables)")),
-        "fig3" => Some((8, "the 8x8x8 mesh (fig3)")),
-        "fig4" => Some((8, "the 16x16x8 mesh (fig4)")),
-        "arrivals" => Some((8, "the 8x8x8 mesh (arrivals)")),
-        "multicast" => Some((8, "the 8x8x8 mesh (multicast)")),
-        "faults" if quick => Some((4, "the 4x4x4 mesh (faults --quick)")),
-        "faults" => Some((8, "the 8x8x8 mesh (faults)")),
-        "saturation" if quick => Some((4, "the 4x4x4 mesh (saturation --quick)")),
-        "saturation" => Some((8, "the 8x8x8 mesh (saturation)")),
-        "schedules" if quick => Some((4, "the 4x4x4 mesh (schedules --quick)")),
-        "schedules" => Some((8, "the 8x8x8 mesh (schedules)")),
-        _ => None,
-    }
-}
+/// The selectors `all` runs, in order.
+const ALL: [&str; 12] = [
+    "steps",
+    "fig1",
+    "fig1-lowts",
+    "fig2",
+    "tables",
+    "fig3",
+    "fig4",
+    "arrivals",
+    "multicast",
+    "faults",
+    "saturation",
+    "schedules",
+];
+
+/// Selectors that run only when named.
+const OPT_IN: [&str; 2] = ["fig1-scale", "simcheck"];
 
 fn main() {
     // `wormcast serve ...` delegates to the sibling `wormcast-serve` binary
@@ -79,29 +76,32 @@ fn main() {
         delegate_serve(raw.collect());
     }
     let opts = CommonOpts::parse();
+    if let Some(flag) = opts.unknown_flag() {
+        cli::usage_exit(
+            "wormcast",
+            "[SELECTOR]... ",
+            &format!("unknown flag '{flag}'"),
+        );
+    }
+    if let Some(other) = opts
+        .rest
+        .iter()
+        .find(|r| *r != "all" && !ALL.contains(&r.as_str()) && !OPT_IN.contains(&r.as_str()))
+    {
+        eprintln!(
+            "unknown experiment '{other}' (steps, fig1, fig1-lowts, fig1-scale, fig2, \
+             tables, fig3, fig4, arrivals, multicast, faults, saturation, schedules, \
+             simcheck, serve, all)"
+        );
+        std::process::exit(2);
+    }
     if let Some(path) = opts.output.trace_dump.clone() {
         dump_trace(&opts, &path);
         return;
     }
     let runner = opts.runner();
     let which: Vec<String> = if opts.rest.is_empty() || opts.rest.iter().any(|r| r == "all") {
-        vec![
-            "steps",
-            "fig1",
-            "fig1-lowts",
-            "fig2",
-            "tables",
-            "fig3",
-            "fig4",
-            "arrivals",
-            "multicast",
-            "faults",
-            "saturation",
-            "schedules",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect()
+        ALL.into_iter().map(String::from).collect()
     } else {
         opts.rest.clone()
     };
@@ -142,9 +142,6 @@ fn main() {
     let spec = opts.telemetry_spec();
 
     for sel in &which {
-        if let Some((axis, what)) = min_last_axis(sel, opts.run.quick) {
-            opts.enforce_shards(axis, what);
-        }
         let to = topts(sel);
         let mut prof = ProfileSession::begin(&to, profile::selector_name(sel));
         let mut prof_frames: Vec<LabeledFrame> = Vec::new();
@@ -199,10 +196,7 @@ fn main() {
                 prof_frames = frames;
             }
             "fig1-scale" => {
-                let mut p = fig1_scale::Fig1ScaleParams {
-                    shards: opts.shard_count(),
-                    ..Default::default()
-                };
+                let mut p = fig1_scale::Fig1ScaleParams::default();
                 if opts.run.quick {
                     p.shapes = vec![[16, 16, 16], [32, 32, 32]];
                     p.runs = 2;
@@ -573,14 +567,7 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            other => {
-                eprintln!(
-                    "unknown experiment '{other}' (steps, fig1, fig1-lowts, fig1-scale, fig2, \
-                     tables, fig3, fig4, arrivals, multicast, faults, saturation, schedules, \
-                     simcheck, serve, all)"
-                );
-                std::process::exit(2);
-            }
+            other => unreachable!("selector '{other}' validated before the run"),
         }
         prof.finish(&to, &prof_frames);
         println!();

@@ -4,22 +4,31 @@
 //! argv parser:
 //!
 //! * [`RunOptions`] — how to *execute*: quick mode, seed / start-up /
-//!   length overrides, harness jobs, shards per simulation. This is the
-//!   same knob set a serve-layer `ScenarioRequest` carries, and
-//!   [`RunOptions::from_request`] bridges the two so the CLI and the
-//!   server are two frontends over one execution struct.
+//!   length overrides, harness jobs, a schedule file.
 //! * [`OutputSpec`] — where results and observability streams *land*:
 //!   the result JSON directory, telemetry report directory, NDJSON event
 //!   stream, trace dump, profile report.
 //!
-//! [`CommonOpts`] composes both plus the positional arguments, and keeps
-//! the historical flag surface (`--quick`, `--out`, `--seed`, `--ts`,
-//! `--length`, `--jobs`, `--shards`, `--telemetry`, `--events`,
-//! `--trace-dump`, `--profile`) unchanged.
+//! [`CommonOpts`] composes both plus the leftover arguments. A binary that
+//! takes no arguments of its own parses with [`CommonOpts::parse_strict`],
+//! so a leftover flag (a typo such as `--job 4`, or a retired one such as
+//! `--shards`) exits 2 with a usage line instead of being ignored.
 
-use wormcast_simcheck::ScenarioRequest;
 use wormcast_telemetry::TelemetrySpec;
 use wormcast_workload::Runner;
+
+/// The flags [`CommonOpts::parse`] takes, as a usage-line fragment.
+pub const COMMON_USAGE: &str = "[--quick] [--out DIR] [--seed N] [--ts US] [--length F] \
+     [--jobs N] [--schedule FILE] [--telemetry DIR] [--events PATH] [--trace-dump PATH] \
+     [--profile PATH]";
+
+/// Print `error: {msg}` and the usage line `{bin} {args}{COMMON_USAGE}` to
+/// stderr, then exit with status 2.
+pub fn usage_exit(bin: &str, args: &str, msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("usage: {bin} {args}{COMMON_USAGE}");
+    std::process::exit(2);
+}
 
 /// Execution knobs: everything that decides *how* an experiment runs.
 #[derive(Debug, Clone, Default)]
@@ -35,11 +44,6 @@ pub struct RunOptions {
     /// Worker threads for the replication harness (`--jobs N`; 0 or absent
     /// means one per available core). Results are identical for any value.
     pub jobs: Option<usize>,
-    /// Shards per simulation (`--shards N`; absent means 1, the ordinary
-    /// single-threaded engine). With N > 1 each replication runs the
-    /// sharded engine on N worker threads and the harness clamps `--jobs`
-    /// so `jobs × shards` never exceeds the available cores.
-    pub shards: Option<usize>,
     /// Path to a schedule JSON file (`--schedule FILE`), the same object a
     /// v2 `ScenarioRequest` embeds under `scenario.schedule`. Honoured by
     /// the schedule-aware drivers (the `schedules` experiment and serve).
@@ -47,45 +51,9 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// The replication [`Runner`] these options imply. With `--shards
-    /// N > 1` the runner is sized via [`Runner::for_shards`], keeping
-    /// `jobs × shards` within the machine; otherwise `--jobs` is honoured
-    /// verbatim.
+    /// The replication [`Runner`] these options imply.
     pub fn runner(&self) -> Runner {
-        let jobs = self.jobs.unwrap_or(0);
-        match self.shard_count() {
-            0 | 1 => Runner::new(jobs),
-            shards => Runner::for_shards(jobs, shards),
-        }
-    }
-
-    /// Shards each simulation runs with (`--shards`, default 1).
-    pub fn shard_count(&self) -> usize {
-        self.shards.unwrap_or(1)
-    }
-
-    /// Validate `--shards` against the smallest last-axis extent any
-    /// simulation in this invocation will partition. The sharded engine
-    /// slices the topology into contiguous last-axis slabs, so more shards
-    /// than the axis has layers cannot be laid out — catch that here, at
-    /// option-handling time, instead of surfacing a deep `ConfigError`
-    /// (or a panic) after setup work.
-    ///
-    /// # Errors
-    /// A one-line actionable message naming the offending topology.
-    pub fn validate_shards(&self, min_last_axis: u16, what: &str) -> Result<(), String> {
-        let shards = self.shard_count();
-        if shards == 0 {
-            return Err("--shards must be >= 1 (1 = the single-threaded engine)".into());
-        }
-        if shards > min_last_axis as usize {
-            return Err(format!(
-                "--shards {shards} exceeds the last-axis extent {min_last_axis} of {what} \
-                 (the sharded engine partitions the last axis into contiguous slabs); \
-                 pass --shards <= {min_last_axis}"
-            ));
-        }
-        Ok(())
+        Runner::new(self.jobs.unwrap_or(0))
     }
 
     /// Load and strictly decode the `--schedule FILE` schedule, if one was
@@ -102,23 +70,6 @@ impl RunOptions {
         wormcast_simcheck::schedule_from_json(&text)
             .map(Some)
             .map_err(|e| format!("--schedule {}: {e}", path.display()))
-    }
-
-    /// The execution knobs a serve-layer request carries, as CLI options:
-    /// the bridge that keeps `wormcast-serve` requests and the experiment
-    /// binaries driving one execution configuration. Scenario-level fields
-    /// (topology, workload, start-up, length) stay in the request's
-    /// `Scenario`; only the harness geometry and seed cross over.
-    pub fn from_request(req: &ScenarioRequest) -> RunOptions {
-        RunOptions {
-            quick: false,
-            seed: Some(req.scenario.seed),
-            startup_us: None,
-            length: None,
-            jobs: Some(req.jobs as usize),
-            shards: Some(req.shards.max(1) as usize),
-            schedule: None,
-        }
     }
 }
 
@@ -141,7 +92,7 @@ pub struct OutputSpec {
     /// Path the profile report is written to (`--profile PATH`); a
     /// Prometheus text exposition lands next to it with the extension
     /// `.prom`. Implies telemetry collection with the profile bit set —
-    /// replications scrape engine/shard/harness metrics into their frames.
+    /// replications scrape engine/harness metrics into their frames.
     pub profile: Option<std::path::PathBuf>,
 }
 
@@ -171,7 +122,7 @@ pub struct CommonOpts {
     pub run: RunOptions,
     /// Where outputs land.
     pub output: OutputSpec,
-    /// Remaining positional arguments.
+    /// Arguments the common parser did not recognise, in order.
     pub rest: Vec<String>,
 }
 
@@ -181,29 +132,31 @@ impl CommonOpts {
         self.run.runner()
     }
 
-    /// See [`RunOptions::shard_count`].
-    pub fn shard_count(&self) -> usize {
-        self.run.shard_count()
-    }
-
     /// See [`OutputSpec::telemetry_spec`].
     pub fn telemetry_spec(&self) -> Option<TelemetrySpec> {
         self.output.telemetry_spec()
     }
 
-    /// Enforce [`RunOptions::validate_shards`] at startup: on violation,
-    /// print the one-line error to stderr and exit with status 2 before any
-    /// setup work runs.
-    pub fn enforce_shards(&self, min_last_axis: u16, what: &str) {
-        if let Err(e) = self.run.validate_shards(min_last_axis, what) {
-            eprintln!("error: {e}");
-            std::process::exit(2);
+    /// [`CommonOpts::parse`] for a binary that takes no arguments of its
+    /// own: a leftover flag exits 2 with a usage line for `bin`.
+    pub fn parse_strict(bin: &str) -> CommonOpts {
+        let o = Self::parse();
+        if let Some(flag) = o.unknown_flag() {
+            usage_exit(bin, "", &format!("unknown flag '{flag}'"));
         }
+        o
     }
 
-    /// Parse `--quick`, `--out DIR`, `--seed N`, `--ts US`, `--length F`,
-    /// `--jobs N`, `--shards N` from the process arguments; anything else
-    /// lands in `rest`.
+    /// The first leftover argument that looks like a flag.
+    pub fn unknown_flag(&self) -> Option<&str> {
+        self.rest
+            .iter()
+            .map(String::as_str)
+            .find(|a| a.starts_with("--"))
+    }
+
+    /// Parse the flags of [`COMMON_USAGE`] from the process arguments;
+    /// anything else lands in `rest`.
     ///
     /// # Panics
     /// Panics with a usage message on malformed values — these are developer
@@ -259,14 +212,6 @@ impl CommonOpts {
                             .expect("--jobs must be an integer"),
                     );
                 }
-                "--shards" => {
-                    o.run.shards = Some(
-                        it.next()
-                            .expect("--shards needs a shard count (1 = single engine)")
-                            .parse()
-                            .expect("--shards must be an integer"),
-                    );
-                }
                 "--schedule" => {
                     let v = it.next().expect("--schedule needs a JSON file path");
                     o.run.schedule = Some(v.into());
@@ -297,7 +242,6 @@ impl CommonOpts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wormcast_simcheck::Scenario;
 
     fn parse(args: &[&str]) -> CommonOpts {
         CommonOpts::parse_from(args.iter().map(|s| s.to_string()))
@@ -373,70 +317,22 @@ mod tests {
     }
 
     #[test]
-    fn shards_compose_with_jobs_without_oversubscription() {
-        let o = parse(&[]);
-        assert_eq!(o.shard_count(), 1, "single engine by default");
-
-        let o = parse(&["--shards", "4", "--jobs", "64"]);
-        assert_eq!(o.shard_count(), 4);
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let jobs = o.runner().jobs();
-        assert!(jobs >= 1);
-        assert!(
-            jobs * 4 <= cores.max(4),
-            "jobs={jobs} x shards=4 oversubscribes {cores} cores"
+    fn leftover_flags_are_found() {
+        assert_eq!(parse(&["--quick", "all"]).unknown_flag(), None);
+        assert_eq!(
+            parse(&["--quick", "--job", "4"]).unknown_flag(),
+            Some("--job")
         );
-
-        // Without --shards, an explicit --jobs is honoured verbatim (the
-        // pre-sharding contract: results are jobs-invariant anyway).
-        let o = parse(&["--jobs", "64"]);
-        assert_eq!(o.runner().jobs(), 64);
-    }
-
-    #[test]
-    fn request_and_flags_agree_on_the_runner() {
-        // The serve request {"jobs":3,"shards":2} and the CLI
-        // `--jobs 3 --shards 2` must size the harness identically: both
-        // frontends resolve through the same RunOptions.
-        let mut req = ScenarioRequest::new(Scenario::generate(0, 0));
-        req.jobs = 3;
-        req.shards = 2;
-        let from_req = RunOptions::from_request(&req);
-        let from_cli = parse(&["--jobs", "3", "--shards", "2"]).run;
-        assert_eq!(from_req.jobs, from_cli.jobs);
-        assert_eq!(from_req.shards, from_cli.shards);
-        assert_eq!(from_req.runner().jobs(), from_cli.runner().jobs());
-        assert_eq!(from_req.shard_count(), from_cli.shard_count());
-        assert_eq!(from_req.seed, Some(req.scenario.seed));
+        let o = parse(&["--shards", "4", "--jobs", "2"]);
+        assert_eq!(o.unknown_flag(), Some("--shards"));
+        assert_eq!(o.rest, vec!["--shards", "4"]);
+        assert_eq!(o.run.jobs, Some(2));
     }
 
     #[test]
     #[should_panic(expected = "--seed must be an integer")]
     fn bad_seed_panics() {
         parse(&["--seed", "x"]);
-    }
-
-    #[test]
-    fn shards_validate_against_the_last_axis() {
-        let o = parse(&["--shards", "4"]);
-        assert!(o.run.validate_shards(4, "the 4x4x4 mesh").is_ok());
-        let e = o.run.validate_shards(2, "the 4x4x2 mesh").unwrap_err();
-        assert!(
-            e.contains("--shards 4 exceeds the last-axis extent 2 of the 4x4x2 mesh"),
-            "{e}"
-        );
-        assert!(e.contains("pass --shards <= 2"), "actionable: {e}");
-
-        let e = parse(&["--shards", "0"])
-            .run
-            .validate_shards(8, "any mesh")
-            .unwrap_err();
-        assert!(e.contains("--shards must be >= 1"), "{e}");
-
-        // The default (no --shards) always fits.
-        assert!(parse(&[]).run.validate_shards(2, "any mesh").is_ok());
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! **Fig. 1 at scale** — the paper's broadcast-latency-vs-size sweep
-//! (Fig. 1, 64–4096 nodes) extended into the 10⁵–10⁶-node regime the
-//! sharded engine exists for. Single-source broadcast, L = 100 flits,
-//! Ts = 1.5 µs, non-cubic shapes allowed; each cell additionally records
-//! the shard count it ran with and its wall-clock cost, so the sweep
-//! doubles as the engine's scaling record.
+//! (Fig. 1, 64–4096 nodes) extended into the 10⁵–10⁶-node regime.
+//! Single-source broadcast, L = 100 flits, Ts = 1.5 µs, non-cubic shapes
+//! allowed; each cell additionally records its wall-clock cost, so the
+//! sweep doubles as the engine's scaling record.
 //!
 //! The default algorithm set is DB and AB — the paper's proposed pair,
 //! whose near-flat latency curve is the claim this sweep extends; set
@@ -12,11 +11,8 @@
 //!
 //! Without a telemetry spec no frames are collected and the unobserved
 //! path keeps the large runs at full speed. With one (the binaries'
-//! `--profile`), each cell's frame carries driver-side series only — no
-//! engine event sinks cross into the sharded workers — including the
-//! scraped `engine_*` metrics and, on genuinely sharded runs, the
-//! per-shard `shard_*` runtime series (barrier wait, window widths,
-//! crossings, arena high-water).
+//! `--profile`), each replication runs through
+//! [`run_single_broadcast_observed`], exactly as in the Fig. 1 driver.
 
 use crate::experiment::{Experiment, Observation, RunOutput};
 use crate::report::{f2, Table};
@@ -28,7 +24,7 @@ use wormcast_sim::SimRng;
 use wormcast_stats::OnlineStats;
 use wormcast_telemetry::Observe;
 use wormcast_topology::{Mesh, NodeId, Topology};
-use wormcast_workload::{run_single_broadcast_sharded_observed, TelemetryMerge};
+use wormcast_workload::{run_single_broadcast_observed, TelemetryMerge};
 
 /// Parameters of the large-mesh Fig. 1 sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -46,7 +42,8 @@ pub struct Fig1ScaleParams {
     pub runs: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Shards per simulation; clamped per shape to its last-axis extent.
+    /// Ignored: every simulation runs on the single engine. Kept so
+    /// serialized parameters and code that builds them keep their shape.
     pub shards: usize,
 }
 
@@ -66,11 +63,10 @@ impl Default for Fig1ScaleParams {
 }
 
 impl Fig1ScaleParams {
-    /// The shard count shape `s` actually runs with: the configured count,
-    /// clamped to the shape's partition-axis extent (a 16-deep slab cannot
-    /// split 32 ways).
-    pub fn shards_for(&self, shape: [u16; 3]) -> usize {
-        self.shards.clamp(1, shape[2] as usize)
+    /// The shard count shape `_shape` runs with: always 1, whatever
+    /// [`Fig1ScaleParams::shards`] holds, since there is one engine.
+    pub fn shards_for(&self, _shape: [u16; 3]) -> usize {
+        1
     }
 
     fn algorithms(&self) -> Vec<Algorithm> {
@@ -91,7 +87,7 @@ pub struct Fig1ScaleCell {
     pub shape: [u16; 3],
     /// Algorithm short name.
     pub algorithm: String,
-    /// Shards each replication ran with (after per-shape clamping).
+    /// Always 1: every replication runs on the single engine.
     pub shards: usize,
     /// Mean network-level broadcast latency, µs.
     pub latency_us: f64,
@@ -107,9 +103,7 @@ impl Experiment for Fig1ScaleParams {
 
     /// Run the sweep. Flattened to replication granularity like the Fig. 1
     /// driver; simulated quantities fold in replication order and are
-    /// bit-identical for any `--jobs` count (wall-clock excepted). Size the
-    /// runner with [`wormcast_workload::Runner::for_shards`] so `jobs ×
-    /// shards` stays within the machine.
+    /// bit-identical for any `--jobs` count (wall-clock excepted).
     fn run<'a>(&self, obs: impl Into<Observation<'a>>) -> RunOutput<Fig1ScaleCell> {
         let obs = obs.into();
         let runner = obs.runner();
@@ -154,16 +148,14 @@ impl Experiment for Fig1ScaleParams {
                     SimRng::for_replication(master, (i % runs) as u64).substream("sources");
                 let source = NodeId(rng.index(mesh.num_nodes()) as u32);
                 let t0 = std::time::Instant::now();
-                let (o, frame) = run_single_broadcast_sharded_observed(
+                let (o, frame) = run_single_broadcast_observed(
                     &mesh,
                     cfg,
                     alg,
                     source,
                     self.length,
-                    self.shards_for(shape),
                     telemetry.map(|s| Observe::new(s, i as u64)),
-                )
-                .expect("shard count clamped to the shape's partition axis");
+                );
                 (o, frame, t0.elapsed().as_secs_f64())
             },
             |i, (o, frame, wall)| {
@@ -182,7 +174,7 @@ impl Experiment for Fig1ScaleParams {
                     nodes: Mesh::new(shape).num_nodes(),
                     shape: *shape,
                     algorithm: alg.name().to_string(),
-                    shards: self.shards_for(*shape),
+                    shards: 1,
                     latency_us: net.mean(),
                     mean_node_latency_us: node.mean(),
                     wall_s: secs,
@@ -203,17 +195,15 @@ impl Experiment for Fig1ScaleParams {
     }
 }
 
-/// Render the sweep in the Fig. 1 layout, extended with the shard count
-/// and per-cell wall clock.
+/// Render the sweep in the Fig. 1 layout, extended with the per-cell wall
+/// clock.
 pub fn table(cells: &[Fig1ScaleCell], params: &Fig1ScaleParams) -> Table {
     let mut t = Table::new(
         format!(
             "Fig. 1 at scale: broadcast latency (us) vs network size; L={} flits, Ts={} us",
             params.length, params.startup_us
         ),
-        &[
-            "nodes", "shape", "shards", "RD", "EDN", "DB", "AB", "wall s",
-        ],
+        &["nodes", "shape", "RD", "EDN", "DB", "AB", "wall s"],
     );
     for &shape in &params.shapes {
         let nodes = Mesh::new(&shape).num_nodes();
@@ -232,7 +222,6 @@ pub fn table(cells: &[Fig1ScaleCell], params: &Fig1ScaleParams) -> Table {
         t.push_row(vec![
             nodes.to_string(),
             format!("{}x{}x{}", shape[0], shape[1], shape[2]),
-            params.shards_for(shape).to_string(),
             get("RD"),
             get("EDN"),
             get("DB"),
@@ -312,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn produces_full_grid_with_shard_metadata() {
+    fn produces_full_grid_on_one_engine() {
         let p = Fig1ScaleParams {
             shards: 2,
             ..quick_params()
@@ -322,50 +311,10 @@ mod tests {
         for c in &cells {
             assert!(c.latency_us > 0.0);
             assert!(c.mean_node_latency_us <= c.latency_us);
-            assert_eq!(c.shards, 2);
+            assert_eq!(c.shards, 1, "the shards parameter is ignored");
             assert!(c.wall_s >= 0.0);
         }
         assert!(check_claims(&cells).is_empty());
-    }
-
-    #[test]
-    fn shard_count_is_clamped_per_shape() {
-        let p = Fig1ScaleParams {
-            shards: 16,
-            ..Default::default()
-        };
-        assert_eq!(p.shards_for([4, 4, 4]), 4);
-        assert_eq!(p.shards_for([100, 100, 100]), 16);
-        assert_eq!(Fig1ScaleParams::default().shards_for([4, 4, 4]), 1);
-    }
-
-    #[test]
-    fn sweep_is_shard_count_invariant() {
-        // The tentpole claim at the driver level: the measured physics is
-        // identical whichever shard count ran the simulation.
-        let base = quick_params().run(&Runner::sequential()).cells;
-        for shards in [2usize, 4] {
-            let p = Fig1ScaleParams {
-                shards,
-                ..quick_params()
-            };
-            let cells = p.run(&Runner::sequential()).cells;
-            assert_eq!(cells.len(), base.len());
-            for (a, b) in cells.iter().zip(&base) {
-                assert_eq!(a.algorithm, b.algorithm);
-                assert_eq!(
-                    a.latency_us.to_bits(),
-                    b.latency_us.to_bits(),
-                    "{} at N={} diverges at {shards} shards",
-                    a.algorithm,
-                    a.nodes
-                );
-                assert_eq!(
-                    a.mean_node_latency_us.to_bits(),
-                    b.mean_node_latency_us.to_bits()
-                );
-            }
-        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! | Module | Reproduces | Paper setting |
 //! |--------|------------|---------------|
 //! | [`fig1`] | Fig. 1 | broadcast latency vs network size (64–4096 nodes) |
-//! | [`fig1_scale`] | Fig. 1 extended | latency at 10⁵–10⁶ nodes on the sharded engine |
+//! | [`fig1_scale`] | Fig. 1 extended | latency at 10⁵–10⁶ nodes |
 //! | [`fig2`] | Fig. 2, Tables 1–2 | CV of arrival times vs network size |
 //! | [`fig34`] | Figs. 3 & 4 | latency vs load, 90/10 unicast/broadcast mix |
 //! | [`steps`] | §2 identities | step counts vs closed forms |

@@ -546,7 +546,7 @@ impl<T: SimTopology> Network<T> {
             // QAB: minimise local backlog — a free channel counts 0, a busy
             // one 1 + its waiting headers, dead ones sort last; ties break
             // on the raw channel index (same rule, bit for bit, as the
-            // arena and sharded engines).
+            // arena engine).
             let ch = queue_aware_pick(&next, |c| {
                 if self.failed.contains(&c) {
                     u64::MAX

@@ -170,16 +170,6 @@ pub enum ConfigError {
     EmptyMeshDimension,
     /// The requested mesh exceeds the engine's u32 node-id space.
     MeshTooLarge,
-    /// A sharded simulation needs at least one shard.
-    ZeroShards,
-    /// More shards were requested than the partition axis has layers, which
-    /// would force a zero-size slab.
-    ShardsExceedAxis {
-        /// The requested shard count.
-        shards: usize,
-        /// The extent of the partition axis (the topology's last axis).
-        axis_len: u16,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -194,12 +184,6 @@ impl fmt::Display for ConfigError {
                 write!(f, "every mesh dimension must be at least 1")
             }
             ConfigError::MeshTooLarge => write!(f, "mesh node count overflows u32 ids"),
-            ConfigError::ZeroShards => write!(f, "a sharded simulation needs at least one shard"),
-            ConfigError::ShardsExceedAxis { shards, axis_len } => write!(
-                f,
-                "{shards} shards exceed the partition axis ({axis_len} layers); \
-                 every shard needs at least one slab layer"
-            ),
         }
     }
 }

@@ -765,7 +765,7 @@ impl<T: SimTopology> Network<T> {
             // QAB: minimise local backlog — a free channel counts 0, a busy
             // one 1 + its waiting headers, dead ones sort last; ties break
             // on the raw channel index, which is what keeps the pick
-            // byte-identical across engines, --jobs and --shards. With no
+            // byte-identical across engines and --jobs. With no
             // live candidate the header stalls on the lowest-index dead
             // link and the watchdog decides its fate.
             let any_live = cands.iter().any(|c| !self.failed.contains(c.index()));

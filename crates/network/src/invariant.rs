@@ -178,12 +178,8 @@ impl InvariantChecker {
 /// The attachable sink half of [`InvariantChecker`].
 struct InvariantSink {
     state: Arc<Mutex<State>>,
-    /// Monotone clock over the events *this sink* observed. Each attached
-    /// sink watches one engine's (or one shard's) event stream in processing
-    /// order, so the backwards-clock check lives here rather than in the
-    /// shared [`State`]: a sharded run attaches one sink per shard, and the
-    /// shard clocks legitimately interleave within a synchronisation window
-    /// while each individual stream stays monotone.
+    /// Monotone clock over the events *this sink* observed: each attached
+    /// sink watches one engine's event stream in processing order.
     last_now: SimTime,
 }
 

@@ -17,7 +17,6 @@ pub mod fault;
 pub mod invariant;
 pub mod message;
 pub mod metrics;
-pub mod sharded;
 pub mod simulation;
 pub mod trace;
 
@@ -28,8 +27,7 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec};
 pub use invariant::InvariantChecker;
 pub use message::{Delivery, MessageId, MessageSpec, OpId, Route};
 pub use metrics::{Counters, CountersSink, MetricsSink, TraceSink, UtilizationSink};
-pub use sharded::{ShardStats, ShardedNetwork};
-pub use simulation::{ShardedSim, Simulation, SimulationBuilder};
+pub use simulation::{Simulation, SimulationBuilder};
 pub use trace::{Trace, TraceKind, TraceRecord};
 
 #[cfg(test)]

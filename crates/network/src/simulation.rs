@@ -22,15 +22,9 @@
 
 use crate::config::{ConfigError, NetworkConfig, NetworkConfigBuilder};
 use crate::engine::Network;
-use crate::fault::FaultPlan;
-use crate::message::{Delivery, MessageId, MessageSpec};
-use crate::metrics::{Counters, MetricsSink};
-use crate::sharded::ShardedNetwork;
-use crate::trace::TraceRecord;
 use std::ops::{Deref, DerefMut};
 use wormcast_routing::{DimensionOrdered, RoutingFunction, SimTopology};
-use wormcast_sim::SimTime;
-use wormcast_topology::{ChannelId, Mesh};
+use wormcast_topology::Mesh;
 
 /// A configured, runnable wormhole simulation over topology `T`.
 ///
@@ -94,14 +88,9 @@ impl NetworkConfigBuilder {
             cfg: self,
             dims: vec![x, y, z],
             rf: None,
-            rf_factory: None,
-            shards: 1,
         }
     }
 }
-
-/// A factory producing one routing-function instance per shard.
-type RoutingFactory = Box<dyn Fn() -> Box<dyn RoutingFunction<Mesh>>>;
 
 /// Builder for a whole [`Simulation`] over a mesh: configuration knobs plus
 /// topology and routing choice. Created by [`NetworkConfigBuilder::mesh`].
@@ -109,8 +98,6 @@ pub struct SimulationBuilder {
     cfg: NetworkConfigBuilder,
     dims: Vec<usize>,
     rf: Option<Box<dyn RoutingFunction<Mesh>>>,
-    rf_factory: Option<RoutingFactory>,
-    shards: usize,
 }
 
 impl SimulationBuilder {
@@ -151,27 +138,9 @@ impl SimulationBuilder {
     }
 
     /// The routing function adaptive messages consult (defaults to
-    /// dimension-ordered). Applies to single-engine builds; sharded builds
-    /// need one instance per shard — see [`SimulationBuilder::routing_factory`].
+    /// dimension-ordered).
     pub fn routing(mut self, rf: Box<dyn RoutingFunction<Mesh>>) -> Self {
         self.rf = Some(rf);
-        self
-    }
-
-    /// A factory for per-shard routing-function instances, used by
-    /// [`SimulationBuilder::build_sharded`] (defaults to dimension-ordered).
-    pub fn routing_factory(
-        mut self,
-        f: impl Fn() -> Box<dyn RoutingFunction<Mesh>> + 'static,
-    ) -> Self {
-        self.rf_factory = Some(Box::new(f));
-        self
-    }
-
-    /// Number of spatial shards for [`SimulationBuilder::build_sharded`];
-    /// `1` (the default) builds the plain single-threaded engine.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -199,262 +168,6 @@ impl SimulationBuilder {
         let mesh = Self::validated_mesh(&self.dims)?;
         let rf = self.rf.unwrap_or_else(|| Box::new(DimensionOrdered));
         Ok(Simulation::over(mesh, cfg, rf))
-    }
-
-    /// Validate everything — including the shard count against the partition
-    /// axis — and construct a [`ShardedSim`]. A shard count of 1 builds the
-    /// plain single-threaded engine behind the same interface, so callers
-    /// get byte-identical legacy behaviour without a second code path.
-    pub fn build_sharded(self) -> Result<ShardedSim, ConfigError> {
-        let cfg = self.cfg.build()?;
-        let mesh = Self::validated_mesh(&self.dims)?;
-        if self.shards == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
-        if self.shards == 1 {
-            let rf = match self.rf {
-                Some(rf) => rf,
-                None => match &self.rf_factory {
-                    Some(f) => f(),
-                    None => Box::new(DimensionOrdered),
-                },
-            };
-            return Ok(ShardedSim::Single {
-                sim: Simulation::over(mesh, cfg, rf),
-                pumped: Vec::new(),
-            });
-        }
-        let net = match self.rf_factory {
-            Some(f) => ShardedNetwork::new(mesh, cfg, self.shards, f),
-            None => ShardedNetwork::new(mesh, cfg, self.shards, || Box::new(DimensionOrdered)),
-        }?;
-        Ok(ShardedSim::Sharded(net))
-    }
-}
-
-/// A runnable simulation that is either the plain single-threaded engine
-/// (shard count 1 — exactly today's code path) or a [`ShardedNetwork`],
-/// behind one interface so drivers take `--shards` without branching.
-///
-/// Outputs that interleave across shards (deliveries, trace) are returned in
-/// canonical order — sorted by time then message then node — from *both*
-/// variants, so results are comparable across shard counts.
-// One ShardedSim exists per replication, so the size gap between the inline
-// Simulation and the ShardedNetwork handle is irrelevant; boxing would only
-// complicate the public variant fields.
-#[allow(clippy::large_enum_variant)]
-pub enum ShardedSim {
-    /// The single-threaded engine (plus deliveries already surfaced to a
-    /// driver, so [`ShardedSim::drain_deliveries`] reports them too).
-    Single {
-        /// The wrapped engine.
-        sim: Simulation<Mesh>,
-        /// Deliveries consumed by a driver pump, kept for draining.
-        pumped: Vec<Delivery>,
-    },
-    /// The sharded engine.
-    Sharded(ShardedNetwork<Mesh>),
-}
-
-impl ShardedSim {
-    /// Number of shards (1 for the single-engine variant).
-    pub fn num_shards(&self) -> usize {
-        match self {
-            ShardedSim::Single { .. } => 1,
-            ShardedSim::Sharded(n) => n.num_shards(),
-        }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &NetworkConfig {
-        match self {
-            ShardedSim::Single { sim, .. } => sim.config(),
-            ShardedSim::Sharded(n) => n.config(),
-        }
-    }
-
-    /// The mesh being simulated.
-    pub fn topology(&self) -> &Mesh {
-        match self {
-            ShardedSim::Single { sim, .. } => sim.topology(),
-            ShardedSim::Sharded(n) => n.topology(),
-        }
-    }
-
-    /// Request injection of `spec` at absolute time `at`.
-    pub fn inject_at(&mut self, at: SimTime, spec: MessageSpec) -> MessageId {
-        match self {
-            ShardedSim::Single { sim, .. } => sim.inject_at(at, spec),
-            ShardedSim::Sharded(n) => n.inject_at(at, spec),
-        }
-    }
-
-    /// Process all events; returns when the network is idle.
-    pub fn run_until_idle(&mut self) {
-        match self {
-            ShardedSim::Single { sim, .. } => sim.run_until_idle(),
-            ShardedSim::Sharded(n) => n.run_until_idle(),
-        }
-    }
-
-    /// Process all events, feeding every delivery to `driver` and injecting
-    /// the specs it returns at the delivery timestamp. Returns when idle.
-    pub fn run_with_driver(&mut self, mut driver: impl FnMut(&Delivery) -> Vec<MessageSpec>) {
-        match self {
-            ShardedSim::Single { sim, pumped } => {
-                while let Some(d) = sim.next_delivery() {
-                    for spec in driver(&d) {
-                        sim.inject_at(d.delivered_at, spec);
-                    }
-                    pumped.push(d);
-                }
-            }
-            ShardedSim::Sharded(n) => n.run_with_driver(driver),
-        }
-    }
-
-    /// Take all deliveries recorded so far, in canonical order
-    /// (delivered_at, message, node).
-    pub fn drain_deliveries(&mut self) -> Vec<Delivery> {
-        match self {
-            ShardedSim::Single { sim, pumped } => {
-                let mut out = std::mem::take(pumped);
-                sim.drain_deliveries_into(&mut out);
-                out.sort_by_key(|d| (d.delivered_at, d.message, d.node));
-                out
-            }
-            ShardedSim::Sharded(n) => n.drain_deliveries(),
-        }
-    }
-
-    /// Aggregate counters.
-    pub fn counters(&self) -> Counters {
-        match self {
-            ShardedSim::Single { sim, .. } => sim.counters(),
-            ShardedSim::Sharded(n) => n.counters(),
-        }
-    }
-
-    /// Engine-level runtime statistics (summed across shards when
-    /// sharded; see [`ShardedNetwork::engine_stats`] for the caveats).
-    pub fn engine_stats(&self) -> crate::engine::EngineStats {
-        match self {
-            ShardedSim::Single { sim, .. } => sim.engine_stats(),
-            ShardedSim::Sharded(n) => n.engine_stats(),
-        }
-    }
-
-    /// Per-shard runtime statistics (a single entry for the single-engine
-    /// variant, with only the wheel counters and watchdog arms populated).
-    pub fn shard_stats(&self) -> Vec<crate::sharded::ShardStats> {
-        match self {
-            ShardedSim::Single { sim, .. } => {
-                let e = sim.engine_stats();
-                vec![crate::sharded::ShardStats {
-                    arena_msgs_highwater: e.arena_msgs_highwater,
-                    wheel_events_scheduled: e.wheel_events_scheduled,
-                    wheel_bucket_scans: e.wheel_bucket_scans,
-                    watchdog_arms: e.watchdog_arms,
-                    ..Default::default()
-                }]
-            }
-            ShardedSim::Sharded(n) => n.shard_stats(),
-        }
-    }
-
-    /// Enable wall-clock barrier-wait timing (no-op for the single-engine
-    /// variant, which has no barriers).
-    pub fn set_profiling(&mut self, on: bool) {
-        match self {
-            ShardedSim::Single { .. } => {}
-            ShardedSim::Sharded(n) => n.set_profiling(on),
-        }
-    }
-
-    /// Current simulation time (the furthest shard clock when sharded).
-    pub fn now(&self) -> SimTime {
-        match self {
-            ShardedSim::Single { sim, .. } => sim.now(),
-            ShardedSim::Sharded(n) => n.now(),
-        }
-    }
-
-    /// Messages injected but not yet completed or reaped.
-    pub fn in_flight(&self) -> u64 {
-        match self {
-            ShardedSim::Single { sim, .. } => sim.in_flight(),
-            ShardedSim::Sharded(n) => n.in_flight(),
-        }
-    }
-
-    /// Start recording a bounded execution trace (per shard when sharded).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        match self {
-            ShardedSim::Single { sim, .. } => sim.enable_trace(capacity),
-            ShardedSim::Sharded(n) => n.enable_trace(capacity),
-        }
-    }
-
-    /// The trace so far, in canonical order (sorted, not engine order, so
-    /// single and sharded runs are directly comparable).
-    pub fn trace_records(&self) -> Vec<TraceRecord> {
-        match self {
-            ShardedSim::Single { sim, .. } => {
-                let mut v: Vec<TraceRecord> = sim.trace().records().copied().collect();
-                v.sort_unstable();
-                v
-            }
-            ShardedSim::Sharded(n) => n.trace_records(),
-        }
-    }
-
-    /// Trace records dropped to the ring-buffer bound.
-    pub fn trace_dropped(&self) -> u64 {
-        match self {
-            ShardedSim::Single { sim, .. } => sim.trace().dropped(),
-            ShardedSim::Sharded(n) => n.trace_dropped(),
-        }
-    }
-
-    /// Per-channel occupancy over the whole topology.
-    pub fn channel_utilization(&self) -> Vec<f64> {
-        match self {
-            ShardedSim::Single { sim, .. } => sim.channel_utilization(),
-            ShardedSim::Sharded(n) => n.channel_utilization(),
-        }
-    }
-
-    /// Permanently disable a channel before running.
-    pub fn fail_channel(&mut self, ch: ChannelId) {
-        match self {
-            ShardedSim::Single { sim, .. } => sim.fail_channel(ch),
-            ShardedSim::Sharded(n) => n.fail_channel(ch),
-        }
-    }
-
-    /// Whether a channel has been failed.
-    pub fn is_failed(&self, ch: ChannelId) -> bool {
-        match self {
-            ShardedSim::Single { sim, .. } => sim.is_failed(ch),
-            ShardedSim::Sharded(n) => n.is_failed(ch),
-        }
-    }
-
-    /// Schedule a fault plan's link events.
-    pub fn schedule_faults(&mut self, plan: &FaultPlan) {
-        match self {
-            ShardedSim::Single { sim, .. } => sim.schedule_faults(plan),
-            ShardedSim::Sharded(n) => n.schedule_faults(plan),
-        }
-    }
-
-    /// Attach observers: one sink on the single engine, one per shard on the
-    /// sharded engine (share state behind a lock to aggregate globally).
-    pub fn add_sinks(&mut self, mut make: impl FnMut() -> Box<dyn MetricsSink>) {
-        match self {
-            ShardedSim::Single { sim, .. } => sim.add_sink(make()),
-            ShardedSim::Sharded(n) => n.add_sinks(make),
-        }
     }
 }
 
@@ -514,91 +227,6 @@ mod tests {
     fn two_dimensional_meshes_via_unit_z() {
         let sim = NetworkConfig::builder().mesh(8, 8, 1).build().unwrap();
         assert_eq!(sim.topology().dims(), &[8, 8, 1]);
-    }
-
-    #[test]
-    fn shard_knob_is_validated_at_build() {
-        assert!(matches!(
-            NetworkConfig::builder()
-                .mesh(4, 4, 4)
-                .shards(0)
-                .build_sharded(),
-            Err(ConfigError::ZeroShards)
-        ));
-        // The partition axis is the last one: a 4×4×3 mesh caps shards at 3.
-        assert!(matches!(
-            NetworkConfig::builder()
-                .mesh(4, 4, 3)
-                .shards(4)
-                .build_sharded(),
-            Err(ConfigError::ShardsExceedAxis {
-                shards: 4,
-                axis_len: 3
-            })
-        ));
-        // Config errors still surface through the sharded build.
-        assert!(matches!(
-            NetworkConfig::builder()
-                .ports(0)
-                .mesh(4, 4, 4)
-                .shards(2)
-                .build_sharded(),
-            Err(ConfigError::ZeroPorts)
-        ));
-    }
-
-    #[test]
-    fn one_shard_builds_the_single_engine() {
-        let sim = NetworkConfig::builder()
-            .mesh(4, 4, 4)
-            .shards(1)
-            .build_sharded()
-            .unwrap();
-        assert!(matches!(sim, ShardedSim::Single { .. }));
-        assert_eq!(sim.num_shards(), 1);
-        let sim = NetworkConfig::builder()
-            .mesh(4, 4, 4)
-            .shards(2)
-            .build_sharded()
-            .unwrap();
-        assert!(matches!(sim, ShardedSim::Sharded(_)));
-        assert_eq!(sim.num_shards(), 2);
-    }
-
-    #[test]
-    fn unified_interface_matches_across_shard_counts() {
-        let run = |shards: usize| {
-            let mut sim = NetworkConfig::builder()
-                .mesh(4, 4, 4)
-                .shards(shards)
-                .build_sharded()
-                .unwrap();
-            let mesh = sim.topology().clone();
-            let path = dor_path(&mesh, NodeId(0), NodeId(63));
-            sim.enable_trace(1 << 14);
-            sim.inject_at(
-                SimTime::ZERO,
-                MessageSpec {
-                    src: NodeId(0),
-                    route: Route::Fixed(CodedPath::unicast(&mesh, path)),
-                    length: 16,
-                    op: OpId(0),
-                    tag: 0,
-                    charge_startup: true,
-                },
-            );
-            sim.run_until_idle();
-            (
-                sim.drain_deliveries(),
-                sim.trace_records(),
-                sim.counters(),
-                sim.now(),
-            )
-        };
-        let single = run(1);
-        for shards in [2, 4] {
-            assert_eq!(single, run(shards), "divergence at {shards} shards");
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! depth 0 and a busy one counts 1 (the holder) plus every header already
 //! waiting on it. Ties break on the raw channel index, so the choice is a
 //! pure function of locally observable state and the run stays byte-identical
-//! across `--jobs` and role-level-equal across `--shards`.
+//! across `--jobs`.
 //!
 //! The candidate substrate is [`NegativeFirst`] (Glass & Ni): all productive
 //! negative hops first, else the productive positive hops. Negative-first is

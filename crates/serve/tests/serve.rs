@@ -297,3 +297,31 @@ fn qab_requests_are_served_deterministically() {
     );
     assert_eq!(server.metric(MetricId::ServeRunsExecuted), 1);
 }
+
+#[test]
+fn shards_field_is_hashed_but_selects_nothing() {
+    // `shards` stays in the wire schema and the config hash, but every
+    // request runs on the one engine: a `"shards":4` request answers with
+    // exactly the summary and event stream of its `"shards":1` twin.
+    fn summary(frame: &str) -> &str {
+        let start = frame.find("\"summary\":").expect("frame carries a summary");
+        let end = frame[start..].find('}').expect("summary object closes");
+        &frame[start..=start + end]
+    }
+    let server = Server::new(8);
+    for alg in ["Db", "Qab"] {
+        let one = request(alg, 8, true);
+        let four = ScenarioRequest::from_json(
+            &req_json(alg, 8, true).replace("\"shards\":1", "\"shards\":4"),
+        )
+        .expect("valid request");
+        assert_eq!(four.shards, 4);
+        assert_ne!(one.config_hash(), four.config_hash(), "shards is hashed");
+        let a = server.respond(&one);
+        let b = server.respond(&four);
+        assert_eq!(b.provenance, Provenance::CacheMiss, "{alg}: own cache slot");
+        assert_eq!(summary(&a.run.frame), summary(&b.run.frame), "{alg}");
+        assert_eq!(a.run.events_ndjson, b.run.events_ndjson, "{alg}");
+        assert!(b.run.frame.contains("\"shards\":4"), "{alg}: shards echoed");
+    }
+}

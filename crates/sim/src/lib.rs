@@ -43,7 +43,6 @@ pub mod dist;
 pub mod queue;
 pub mod rng;
 pub mod schedule;
-pub mod sharded;
 pub mod time;
 pub mod wheel;
 
@@ -57,6 +56,5 @@ pub use schedule::{
     HotspotDrift, LinkModulation, LoadRamp, RampPoint, ReplayEntry, Schedule, SpeedTransition,
     TraceReplay, MAX_PHASE_MARKS,
 };
-pub use sharded::{Round, ShardedScheduler, SpinBarrier};
 pub use time::{SimDuration, SimTime, PS_PER_MS, PS_PER_US};
 pub use wheel::CalendarWheel;

@@ -52,16 +52,6 @@ impl SimRng {
         SimRng { inner }
     }
 
-    /// The substream for spatial shard `shard` of a sharded simulation.
-    ///
-    /// A thin wrapper over [`SimRng::substream`] with a canonical label, so
-    /// every component that needs per-shard randomness derives the *same*
-    /// stream for the same shard — and a different one from any hand-written
-    /// label — regardless of which worker thread drives the shard.
-    pub fn for_shard(&self, shard: usize) -> SimRng {
-        self.substream(&format!("shard/{shard}"))
-    }
-
     /// A uniformly distributed index in `[0, n)`.
     ///
     /// # Panics
@@ -222,16 +212,5 @@ mod tests {
             let u = r.unit();
             assert!((0.0..1.0).contains(&u));
         }
-    }
-
-    #[test]
-    fn shard_substreams_distinct_and_reproducible() {
-        let master = SimRng::for_replication(42, 7);
-        let mut a = master.for_shard(0);
-        let mut b = master.for_shard(1);
-        assert_ne!(a.next_u64(), b.next_u64());
-        let mut a2 = SimRng::for_replication(42, 7).for_shard(0);
-        let mut a3 = SimRng::for_replication(42, 7).for_shard(0);
-        assert_eq!(a2.next_u64(), a3.next_u64());
     }
 }

@@ -23,7 +23,7 @@
 //! Everything here is **pure data plus deterministic evaluation**: the same
 //! schedule, topology and RNG substream always materialize the same
 //! transitions and the same warped arrival times, on every platform and at
-//! every `--jobs`/`--shards` setting. All stochastic choices draw from a
+//! every `--jobs` setting. All stochastic choices draw from a
 //! caller-provided [`crate::SimRng`] substream so replications differ only
 //! through their seeds.
 

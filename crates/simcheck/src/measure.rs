@@ -2,17 +2,17 @@
 //! `simcheck --scenario FILE` CLI and the `wormcast-serve` server share.
 //!
 //! Where [`crate::run`] executes a scenario to *check* it (differential
-//! oracle, invariant sinks, sharded re-runs), this module executes it to
+//! oracle, invariant sinks), this module executes it to
 //! *measure* it: one engine run per replication, returning delivery counts,
 //! latency statistics and (optionally) the NDJSON event stream. Results are
-//! a pure function of the request — independent of `jobs`, wall clock and
-//! host — which is what lets the serve layer cache and coalesce runs by
+//! a pure function of the request — independent of `jobs`, `shards`, wall
+//! clock and host — which is what lets the serve layer cache and coalesce runs by
 //! canonical config hash.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::Serialize;
-use wormcast_network::{Network, ShardedNetwork};
+use wormcast_network::Network;
 use wormcast_routing::TorusDor;
 use wormcast_sim::SimTime;
 use wormcast_stats::summarize;
@@ -70,62 +70,46 @@ pub struct RequestRun {
     pub events: Option<EventLog>,
 }
 
-/// Measure one scenario replication on the arena engine (or the sharded
-/// engine when `shards > 1` — mesh topologies only). `events_rep` requests
-/// event capture, stamped with the given replication index.
+/// Measure one scenario replication on the arena engine. `events_rep`
+/// requests event capture, stamped with the given replication index.
 ///
 /// Engine panics (hand-written scenarios can violate preconditions the
 /// generator never does, e.g. EDN on a 2-D mesh) are caught and reported as
 /// errors so a serving process survives bad requests.
 ///
 /// # Errors
-/// Invalid scenario/shard combinations and engine panics.
-pub fn measure_scenario(
-    s: &Scenario,
-    shards: usize,
-    events_rep: Option<u64>,
-) -> Result<Measurement, String> {
+/// Invalid scenarios and engine panics.
+pub fn measure_scenario(s: &Scenario, events_rep: Option<u64>) -> Result<Measurement, String> {
     let s = s.clone();
-    catch_unwind(AssertUnwindSafe(move || {
-        measure_inner(&s, shards, events_rep)
-    }))
-    .unwrap_or_else(|payload| {
-        let msg = if let Some(m) = payload.downcast_ref::<&str>() {
-            (*m).to_string()
-        } else if let Some(m) = payload.downcast_ref::<String>() {
-            m.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        Err(format!("scenario execution panicked: {msg}"))
-    })
+    catch_unwind(AssertUnwindSafe(move || measure_inner(&s, events_rep))).unwrap_or_else(
+        |payload| {
+            let msg = if let Some(m) = payload.downcast_ref::<&str>() {
+                (*m).to_string()
+            } else if let Some(m) = payload.downcast_ref::<String>() {
+                m.clone()
+            } else {
+                "non-string panic payload".to_string()
+            };
+            Err(format!("scenario execution panicked: {msg}"))
+        },
+    )
 }
 
-fn measure_inner(
-    s: &Scenario,
-    shards: usize,
-    events_rep: Option<u64>,
-) -> Result<Measurement, String> {
+fn measure_inner(s: &Scenario, events_rep: Option<u64>) -> Result<Measurement, String> {
     match &s.topo {
         TopoSpec::Mesh(dims) => {
             if matches!(s.workload, WorkloadSpec::TorusRing { .. }) {
                 return Err("the TorusRing workload requires a Torus topology".to_string());
             }
-            measure_mesh(s, dims, shards, events_rep)
+            measure_mesh(s, dims, events_rep)
         }
-        TopoSpec::Torus(dims) => {
-            if shards > 1 {
-                return Err("sharded execution supports mesh topologies only".to_string());
-            }
-            measure_torus(s, dims, events_rep)
-        }
+        TopoSpec::Torus(dims) => measure_torus(s, dims, events_rep),
     }
 }
 
 fn measure_mesh(
     s: &Scenario,
     dims: &[u16],
-    shards: usize,
     events_rep: Option<u64>,
 ) -> Result<Measurement, String> {
     let mesh = Mesh::new(dims);
@@ -134,39 +118,11 @@ fn measure_mesh(
     let plan = fault_plan(s, &mesh);
     let (transitions, marks) = crate::run::schedule_artifacts(s, &mesh);
     let (injections, mut drivers) = mesh_workload(s, &mesh);
-    if shards > 1 {
-        let mut net = ShardedNetwork::new(mesh.clone(), cfg, shards, || routing_for(alg, &mesh))
-            .map_err(|e| e.to_string())?;
-        net.schedule_faults(&plan);
-        net.schedule_speed_transitions(&transitions);
-        net.schedule_phase_marks(&marks);
-        if events_rep.is_some() {
-            net.enable_trace(TRACE_CAP);
-        }
-        for inj in &injections {
-            net.inject_at(inj.at, inj.spec.clone());
-        }
-        for drv in drivers.iter_mut() {
-            for spec in drv.start(SimTime::ZERO) {
-                net.inject_at(SimTime::ZERO, spec);
-            }
-        }
-        net.run_with_driver(|d| {
-            drivers
-                .iter_mut()
-                .flat_map(|drv| drv.on_delivery(d))
-                .collect()
-        });
-        let deliveries = net.drain_deliveries();
-        let events = events_rep.map(|rep| events_from(net.trace_records().iter(), rep));
-        Ok(measurement(&deliveries, net.now(), events))
-    } else {
-        let mut net = Network::new(mesh.clone(), cfg, routing_for(alg, &mesh));
-        net.schedule_faults(&plan);
-        net.schedule_speed_transitions(&transitions);
-        net.schedule_phase_marks(&marks);
-        run_single(&mut net, &injections, &mut drivers, events_rep)
-    }
+    let mut net = Network::new(mesh.clone(), cfg, routing_for(alg, &mesh));
+    net.schedule_faults(&plan);
+    net.schedule_speed_transitions(&transitions);
+    net.schedule_phase_marks(&marks);
+    run_single(&mut net, &injections, &mut drivers, events_rep)
 }
 
 fn measure_torus(
@@ -185,7 +141,7 @@ fn measure_torus(
     run_single(&mut net, &[], &mut drivers, events_rep)
 }
 
-/// Drive a single (unsharded) engine to quiescence and summarize it.
+/// Drive an engine to quiescence and summarize it.
 fn run_single<T: wormcast_routing::SimTopology>(
     net: &mut Network<T>,
     injections: &[Injection],
@@ -250,18 +206,14 @@ fn measurement(
 /// `r` runs the scenario with its `index` advanced by `r`, so workload
 /// substreams decorrelate while every config field stays fixed), folded in
 /// replication order. The summary and event stream depend only on the
-/// request, never on `jobs` or scheduling.
+/// request, never on `jobs` or scheduling. `shards` selects nothing: every
+/// replication runs on the one engine.
 ///
 /// # Errors
 /// Propagates the first replication error (bad scenario, engine panic).
 pub fn measure_request(req: &ScenarioRequest) -> Result<RequestRun, String> {
     let reps = req.reps as usize;
-    let shards = req.shards.max(1) as usize;
-    let runner = if shards > 1 {
-        Runner::for_shards(req.jobs as usize, shards)
-    } else {
-        Runner::new(req.jobs as usize)
-    };
+    let runner = Runner::new(req.jobs as usize);
     let mut measurements: Vec<Measurement> = Vec::with_capacity(reps);
     let mut first_err: Option<String> = None;
     runner.run(
@@ -271,7 +223,7 @@ pub fn measure_request(req: &ScenarioRequest) -> Result<RequestRun, String> {
                 index: req.scenario.index + r as u64,
                 ..req.scenario.clone()
             };
-            measure_scenario(&s, shards, req.outputs.events.then_some(r as u64))
+            measure_scenario(&s, req.outputs.events.then_some(r as u64))
         },
         |r, out| match out {
             Ok(m) => measurements.push(m),
@@ -339,8 +291,8 @@ mod tests {
     #[test]
     fn measurement_is_deterministic() {
         let s = small_scenario();
-        let a = measure_scenario(&s, 1, None).expect("runs");
-        let b = measure_scenario(&s, 1, None).expect("runs");
+        let a = measure_scenario(&s, None).expect("runs");
+        let b = measure_scenario(&s, None).expect("runs");
         assert_eq!(a.deliveries, 15, "broadcast reaches the other 15 nodes");
         assert_eq!(a.deliveries, b.deliveries);
         assert_eq!(a.final_now_ps, b.final_now_ps);
@@ -352,7 +304,7 @@ mod tests {
     fn generated_scenarios_measure_cleanly() {
         for i in 0..8 {
             let s = Scenario::generate(2005, i);
-            let m = measure_scenario(&s, 1, None).unwrap_or_else(|e| panic!("scenario {i}: {e}"));
+            let m = measure_scenario(&s, None).unwrap_or_else(|e| panic!("scenario {i}: {e}"));
             assert!(m.final_now_ps > 0, "scenario {i} never advanced the clock");
         }
     }
@@ -360,7 +312,7 @@ mod tests {
     #[test]
     fn events_stream_validates_and_stamps_rep() {
         let s = small_scenario();
-        let m = measure_scenario(&s, 1, Some(3)).expect("runs");
+        let m = measure_scenario(&s, Some(3)).expect("runs");
         let log = m.events.expect("events requested");
         assert!(!log.is_empty());
         let nd = log.to_ndjson();
@@ -387,28 +339,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_measurement_matches_delivery_count() {
-        let s = small_scenario();
-        let single = measure_scenario(&s, 1, None).expect("single");
-        let sharded = measure_scenario(&s, 2, None).expect("sharded");
-        assert_eq!(single.deliveries, sharded.deliveries);
-        let again = measure_scenario(&s, 2, None).expect("sharded again");
-        assert_eq!(sharded.final_now_ps, again.final_now_ps);
-        assert_eq!(sharded.mean_latency_us, again.mean_latency_us);
-    }
-
-    #[test]
     fn invalid_combinations_error_instead_of_panicking() {
         let mut s = small_scenario();
         s.workload = WorkloadSpec::TorusRing { src: 0, length: 8 };
-        assert!(measure_scenario(&s, 1, None).is_err());
-        let t = Scenario {
-            topo: TopoSpec::Torus(vec![4, 4]),
-            workload: WorkloadSpec::TorusRing { src: 0, length: 8 },
-            mode: wormcast_network::ReleaseMode::AfterTailCrossing,
-            ..small_scenario()
-        };
-        assert!(measure_scenario(&t, 2, None).is_err(), "torus cannot shard");
+        assert!(measure_scenario(&s, None).is_err());
         // EDN on a 2-D mesh violates the schedule builder's precondition;
         // the panic must surface as an error, not kill the caller.
         let mut bad = small_scenario();
@@ -418,6 +352,6 @@ mod tests {
             length: 8,
         };
         bad.topo = TopoSpec::Mesh(vec![4, 4]);
-        assert!(measure_scenario(&bad, 1, None).is_err());
+        assert!(measure_scenario(&bad, None).is_err());
     }
 }

@@ -7,23 +7,13 @@
 //! aggregate counters and the final clock. [`Family::InvariantOnly`]
 //! scenarios (watchdog, transients, adaptive routing under faults) run on
 //! the active-set engine alone under the event-level invariant checker.
-//!
-//! Every mesh scenario additionally re-runs under the sharded engine
-//! ([`ShardedNetwork`]) at 2 and 4 shards where the partition axis allows.
-//! Each shard count runs twice and must reproduce itself bit-for-bit
-//! (canonical trace, deliveries, counters, clock); fault-free differential
-//! scenarios must additionally match the arena engine's delivery-role
-//! multiset and order-invariant counters. Exact cross-engine bit equality
-//! is not required of the sharded engine: it resolves same-picosecond
-//! cross-shard arbitration ties in shard-index order rather than global
-//! insertion order (DESIGN.md §4.6).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use wormcast_broadcast::{torus_ring_broadcast, Algorithm};
 use wormcast_network::{
     classic, Counters, Delivery, FaultPlan, FaultSpec, MessageSpec, Network, NetworkConfig, OpId,
-    Route, ShardedNetwork, TraceRecord,
+    Route, TraceRecord,
 };
 #[cfg(feature = "invariants")]
 use wormcast_network::{InvariantChecker, MessageId};
@@ -40,12 +30,6 @@ pub(crate) const TRACE_CAP: usize = 4_000_000;
 /// The offered-traffic window every stochastic arrival lands in, in µs —
 /// also the horizon schedule phase marks are materialized against.
 pub(crate) const ARRIVAL_WINDOW_US: f64 = 40.0;
-
-/// Shard counts every mesh scenario is re-run at (each twice, for the
-/// run-to-run determinism check). A count is skipped when it exceeds the
-/// mesh's partition-axis extent, where [`ShardedNetwork::new`] would reject
-/// it.
-const SHARD_COUNTS: [usize; 2] = [2, 4];
 
 /// Extra execution knobs, mostly for exercising simcheck itself.
 #[derive(Debug, Clone, Copy, Default)]
@@ -310,8 +294,7 @@ pub(crate) fn fault_plan(s: &Scenario, mesh: &Mesh) -> FaultPlan {
 /// filtered to physically present channels — the raw channel id space has
 /// boundary slots with no link) plus deterministic phase marks. Every
 /// engine leg of the scenario applies the same artifacts in the same order,
-/// which is what keeps the differential oracle and the sharded runs honest
-/// under schedules.
+/// which is what keeps the differential oracle honest under schedules.
 pub(crate) fn schedule_artifacts(
     s: &Scenario,
     mesh: &Mesh,
@@ -512,9 +495,10 @@ fn receivers_of<T: Topology>(topo: &T, spec: &MessageSpec) -> Vec<NodeId> {
     }
 }
 
-/// Bit-compare two run records; returns a description of the first
-/// divergence found. `la`/`lb` label the two runs in the report.
-fn compare_runs(a: &RunRecord, b: &RunRecord, la: &str, lb: &str) -> Option<String> {
+/// Bit-compare the classic oracle's run record `a` with the active-set
+/// engine's `b`; returns a description of the first divergence found.
+fn compare(a: &RunRecord, b: &RunRecord) -> Option<String> {
+    let (la, lb) = ("classic", "active-set");
     for (i, (x, y)) in a.trace.iter().zip(b.trace.iter()).enumerate() {
         if x != y {
             let lo = i.saturating_sub(3);
@@ -560,130 +544,6 @@ fn compare_runs(a: &RunRecord, b: &RunRecord, la: &str, lb: &str) -> Option<Stri
         ));
     }
     None
-}
-
-fn compare(classic: &RunRecord, arena: &RunRecord) -> Option<String> {
-    compare_runs(classic, arena, "classic", "active-set")
-}
-
-/// Role-level equivalence between the arena engine and a sharded run on a
-/// fault-free scenario: every logical delivery role — which node absorbs a
-/// copy of which operation from which source — must match as a multiset,
-/// along with every order-invariant counter and full drainage. Delivery
-/// *times*, message ids and the final clock are deliberately excluded: the
-/// sharded engine resolves same-picosecond cross-shard arbitration ties in
-/// shard-index order where the single engine uses its global insertion
-/// sequence, which can shift schedules under path holding without changing
-/// who receives what (DESIGN.md §4.6).
-fn role_divergence(arena: &RunRecord, sharded: &RunRecord, shards: usize) -> Option<String> {
-    let proj = |v: &[Delivery]| {
-        let mut p: Vec<_> = v.iter().map(|d| (d.op, d.tag, d.node, d.src)).collect();
-        p.sort_unstable();
-        p
-    };
-    let (pa, ps) = (proj(&arena.deliveries), proj(&sharded.deliveries));
-    if pa != ps {
-        let first = pa.iter().zip(ps.iter()).position(|(x, y)| x != y);
-        return Some(format!(
-            "{shards}-shard delivery roles diverge from the arena engine \
-             ({} vs {} deliveries, first difference at {first:?})",
-            pa.len(),
-            ps.len()
-        ));
-    }
-    // Adaptive route choice reacts to instantaneous channel busyness, so
-    // the reroute count is schedule-dependent and excluded.
-    let strip = |c: &Counters| {
-        let mut c = *c;
-        c.reroutes = 0;
-        c
-    };
-    if strip(&arena.counters) != strip(&sharded.counters) {
-        return Some(format!(
-            "{shards}-shard counters diverge from the arena engine:\n  arena: {:?}\n  sharded: {:?}",
-            arena.counters, sharded.counters
-        ));
-    }
-    if sharded.in_flight != arena.in_flight {
-        return Some(format!(
-            "{shards}-shard in-flight count {} != arena {}",
-            sharded.in_flight, arena.in_flight
-        ));
-    }
-    if arena.drivers_done && !sharded.drivers_done {
-        return Some(format!(
-            "{shards}-shard run left operations unfinished that the arena engine completed"
-        ));
-    }
-    None
-}
-
-/// One sharded-engine run of a mesh scenario: same workload materialization,
-/// same fault plan, per-shard invariant sinks sharing one checker. Returns
-/// the canonical run record (deliveries and trace in canonical order,
-/// summed counters, clock = max shard clock) and the checker's verdict.
-fn run_sharded(
-    s: &Scenario,
-    mesh: &Mesh,
-    cfg: NetworkConfig,
-    plan: &FaultPlan,
-    shards: usize,
-) -> (RunRecord, Vec<String>) {
-    let alg = s.workload.algorithm();
-    let sharded_cfg = cfg.with_invariant_checks(cfg!(feature = "invariants"));
-    let mut net = ShardedNetwork::new(mesh.clone(), sharded_cfg, shards, || routing_for(alg, mesh))
-        .expect("shard count pre-validated against the mesh partition axis");
-    #[cfg(feature = "invariants")]
-    let checker = InvariantChecker::new(s.watchdog_us > 0.0);
-    #[cfg(feature = "invariants")]
-    net.add_sinks(|| checker.sink());
-    match s.family() {
-        Family::Differential => {
-            for ch in plan.dead_at_start() {
-                net.fail_channel(ch);
-            }
-        }
-        Family::InvariantOnly => net.schedule_faults(plan),
-    }
-    let (transitions, marks) = schedule_artifacts(s, mesh);
-    net.schedule_speed_transitions(&transitions);
-    net.schedule_phase_marks(&marks);
-    net.enable_trace(TRACE_CAP);
-    let (injections, mut drivers) = mesh_workload(s, mesh);
-    for inj in &injections {
-        let _id = net.inject_at(inj.at, inj.spec.clone());
-        #[cfg(feature = "invariants")]
-        checker.expect_exactly_once(_id, receivers_of(mesh, &inj.spec), inj.spec.length);
-    }
-    for drv in drivers.iter_mut() {
-        for spec in drv.start(SimTime::ZERO) {
-            let _id = net.inject_at(SimTime::ZERO, spec.clone());
-            #[cfg(feature = "invariants")]
-            checker.expect_exactly_once(_id, receivers_of(mesh, &spec), spec.length);
-        }
-    }
-    // Relay specs released mid-run go through the coordinator, which does
-    // not surface their ids, so they carry no per-message expectation; the
-    // checker still holds them to exactly-once absorption and conservation.
-    net.run_with_driver(|d| {
-        drivers
-            .iter_mut()
-            .flat_map(|drv| drv.on_delivery(d))
-            .collect()
-    });
-    let rec = RunRecord {
-        trace: net.trace_records(),
-        deliveries: net.drain_deliveries(),
-        counters: net.counters(),
-        final_now: net.now(),
-        in_flight: net.in_flight(),
-        drivers_done: drivers.iter().all(|d| d.done()),
-    };
-    #[cfg(feature = "invariants")]
-    let violations = checker.finish(rec.in_flight);
-    #[cfg(not(feature = "invariants"))]
-    let violations = Vec::new();
-    (rec, violations)
 }
 
 fn execute_mesh(s: &Scenario, dims: &[u16], opts: RunOptions) -> Outcome {
@@ -741,7 +601,7 @@ fn execute_mesh(s: &Scenario, dims: &[u16], opts: RunOptions) -> Outcome {
         ));
     }
 
-    let mut mismatch = match family {
+    let mismatch = match family {
         Family::InvariantOnly => None,
         Family::Differential => {
             let mut cnet = classic::Network::new(mesh.clone(), cfg, routing_for(alg, &mesh));
@@ -755,35 +615,6 @@ fn execute_mesh(s: &Scenario, dims: &[u16], opts: RunOptions) -> Outcome {
             compare(&classic_rec, &arena_rec)
         }
     };
-
-    // Sharded-engine legs: the same scenario re-runs under the sharded
-    // engine at each admissible shard count, twice per count. Checked per
-    // count: (a) the two runs agree bit-for-bit (run-to-run determinism,
-    // the sharded engine's headline contract); (b) on fault-free
-    // scenarios, role equivalence with the arena engine. On faulty
-    // scenarios only determinism and the invariant checker apply —
-    // arbitration tie order can decide which messages park behind a dead
-    // channel, so even delivery totals are not comparable there.
-    let axis = *dims.last().expect("mesh dims are non-empty") as usize;
-    for shards in SHARD_COUNTS {
-        if shards > axis {
-            continue;
-        }
-        let (rec_a, v) = run_sharded(s, &mesh, cfg, &plan, shards);
-        let (rec_b, _) = run_sharded(s, &mesh, cfg, &plan, shards);
-        violations.extend(v.into_iter().map(|m| format!("[shards={shards}] {m}")));
-        if mismatch.is_none() {
-            mismatch = compare_runs(
-                &rec_a,
-                &rec_b,
-                &format!("{shards}-shard run A"),
-                &format!("{shards}-shard run B"),
-            );
-        }
-        if mismatch.is_none() && family == Family::Differential && !s.has_faults() {
-            mismatch = role_divergence(&arena_rec, &rec_a, shards);
-        }
-    }
 
     Outcome {
         family,

@@ -3,14 +3,16 @@
 //!
 //! A [`ScenarioRequest`] wraps a serializable [`Scenario`] (already pinned by
 //! its own `(seed, index)` pair) with the execution knobs a service needs:
-//! replication count, worker/shard geometry, and which outputs the client
-//! wants streamed back. Requests are compared and cached by their
+//! replication count, worker count, and which outputs the client wants
+//! streamed back. Requests are compared and cached by their
 //! **canonical form**: compact JSON with every object's keys sorted
 //! recursively ([`canonical_json`]), hashed with 64-bit FNV-1a
 //! ([`ScenarioRequest::config_hash`]). Only physics-bearing fields enter the
 //! hash — `v`, `scenario`, `reps` and `shards` — because `jobs` (harness
 //! parallelism) and `outputs` never change the simulation's result; two
-//! requests that differ only there share one cached run.
+//! requests that differ only there share one cached run. `shards` once
+//! chose a sharded engine that no longer exists; it is still decoded and
+//! hashed so existing requests and their cache keys stay valid.
 //!
 //! The vendored serde facade serializes but cannot deserialize, so this
 //! module also carries the hand-written `Value` decoders
@@ -58,14 +60,16 @@ pub struct ScenarioRequest {
     pub reps: u64,
     /// Harness worker threads (0 = auto; default 0). Never affects results.
     pub jobs: u64,
-    /// Shards per simulation (default 1 = the single-threaded engine).
+    /// Legacy shard count (default 1; 0 is rejected). Decoded and hashed
+    /// for wire compatibility, but it selects nothing: every request runs
+    /// on the one engine.
     pub shards: u64,
     /// Requested response streams.
     pub outputs: RequestedOutputs,
 }
 
 impl ScenarioRequest {
-    /// A request running `scenario` once, unsharded, with no event stream.
+    /// A request running `scenario` once, with no event stream.
     pub fn new(scenario: Scenario) -> Self {
         ScenarioRequest {
             v: SCHEMA_VERSION,

@@ -563,7 +563,7 @@ mod tests {
         ] {
             let mut e = Event::new(u64::MAX, kind, u64::MAX);
             assert_eq!(e.line().len(), e.line_len(), "{}", e.line());
-            e.name = Some("shard_barrier_wait_ns");
+            e.name = Some("engine_arena_msgs_highwater");
             assert_eq!(e.line().len(), e.line_len(), "{}", e.line());
         }
     }

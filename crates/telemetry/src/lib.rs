@@ -74,7 +74,7 @@ pub struct TelemetrySpec {
     pub events: bool,
     /// Byte budget for the event stream, **per replication**.
     pub event_budget: usize,
-    /// Scrape runtime metrics (engine/shard/harness counters) into the
+    /// Scrape runtime metrics (engine/harness counters) into the
     /// per-replication [`MetricsRegistry`].
     pub profile: bool,
 }
@@ -247,7 +247,7 @@ pub struct TelemetryFrame {
     pub heatmap: Option<ChannelHeatmap>,
     /// NDJSON event stream, when enabled.
     pub events: Option<EventLog>,
-    /// Runtime metrics scraped from the engine / sharded runtime / harness,
+    /// Runtime metrics scraped from the engine / harness,
     /// when profiling is enabled (empty otherwise; not in `FrameExport` —
     /// profile reports render it separately).
     pub metrics: MetricsRegistry,

@@ -9,12 +9,12 @@
 //! * `"nd_span_wall_ns": [..]` — one line, wall-clock per span (indexed by
 //!   `seq`);
 //! * `"nd_series": {..}` — one line, every series of a non-deterministic
-//!   metric id (per-shard values, wall clocks, queue depths, worker
-//!   counts), however many there are.
+//!   metric id (wall clocks, queue depths, worker counts, wheel work),
+//!   however many there are.
 //!
 //! Everything else — schema version, the span tree structure, the full
 //! metric-id catalog and the values of deterministic metrics — is byte
-//! identical across `--jobs` and `--shards` for fixed physics. Stripping
+//! identical across `--jobs` for fixed physics. Stripping
 //! the `nd_` lines (`grep -v '"nd_'`, or [`strip_nd`]) therefore yields a
 //! byte-comparable skeleton; `ci.sh` and `tests/profile_schema.rs` enforce
 //! exactly that.
@@ -198,8 +198,7 @@ impl ProfileReport {
 
 /// The deterministic skeleton of a rendered report: every line whose
 /// content carries an `nd_` key removed. Mirrors the `grep -v '"nd_'` the
-/// CI gate applies before byte-comparing reports across `--jobs` /
-/// `--shards`.
+/// CI gate applies before byte-comparing reports across `--jobs`.
 pub fn strip_nd(json: &str) -> String {
     json.lines()
         .filter(|l| !l.contains("\"nd_"))
@@ -216,7 +215,7 @@ mod tests {
     use super::*;
     use crate::span::Profiler;
 
-    fn report(shards: u32, wall: u64) -> ProfileReport {
+    fn report(workers: u64, wall: u64) -> ProfileReport {
         let mut p = Profiler::new();
         p.open("fig1");
         p.phase("setup");
@@ -228,16 +227,14 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.inc_by(SeriesKey::plain(MetricId::EngineWheelBucketScans), 42);
         m.gauge_max(SeriesKey::plain(MetricId::EngineArenaMsgsHighwater), 9);
-        for s in 0..shards {
-            m.inc_by(SeriesKey::shard(MetricId::ShardBarrierWaitNs, s), wall);
-            m.gauge_max(SeriesKey::shard(MetricId::ShardArenaMsgsHighwater, s), 5);
-        }
+        m.gauge_max(SeriesKey::plain(MetricId::HarnessWorkers), workers);
+        m.observe(SeriesKey::plain(MetricId::HarnessRepWallNs), wall);
         ProfileReport::new("fig1", spans, nd_wall, m)
     }
 
     #[test]
     fn skeleton_is_invariant_across_geometry() {
-        // Different shard cardinality and wall clocks; identical skeleton.
+        // Different worker counts and wall clocks; identical skeleton.
         let a = report(1, 10).to_json();
         let b = report(4, 999_999).to_json();
         assert_ne!(a, b, "nd content must differ");
@@ -262,7 +259,7 @@ mod tests {
         );
         let span_lines = json.lines().filter(|l| l.contains("\"seq\": ")).count();
         assert_eq!(span_lines, 5, "one line per span");
-        assert!(json.contains("shard_barrier_wait_ns{shard=\\\"1\\\"}"));
+        assert!(json.contains("\"harness_workers\": 2"));
         let wall_line = json
             .lines()
             .find(|l| l.contains("\"nd_span_wall_ns\""))
@@ -275,18 +272,13 @@ mod tests {
     }
 
     #[test]
-    fn nd_lines_carry_all_shard_series() {
+    fn nd_lines_carry_the_execution_dependent_series() {
         let json = report(4, 7).to_json();
-        for s in 0..4 {
-            assert!(
-                json.contains(&format!("shard_barrier_wait_ns{{shard=\\\"{s}\\\"}}")),
-                "missing shard {s} barrier series"
-            );
-        }
-        for line in json.lines().filter(|l| l.contains("shard_barrier")) {
+        assert!(json.contains("\"harness_rep_wall_ns_count\": 1"), "{json}");
+        for line in json.lines().filter(|l| l.contains("harness_workers")) {
             assert!(
                 line.contains("\"nd_") || line.contains("\"deterministic\": false"),
-                "shard series leaked onto a deterministic line: {line}"
+                "worker count leaked onto a deterministic line: {line}"
             );
         }
     }

@@ -1,8 +1,8 @@
 //! The runtime metrics registry: counters, gauges and log₂ histograms with
 //! a static metric-id catalog, merged exactly across replications.
 //!
-//! Simulation physics never writes here directly — the engine and the
-//! sharded runtime expose cheap plain-integer stats accessors, and the
+//! Simulation physics never writes here directly — the engine exposes a
+//! cheap plain-integer stats accessor, and the
 //! workload layer scrapes them into a per-replication registry when
 //! profiling is on. Registries then merge in replication-index order like
 //! every other telemetry aggregate; because counter merge is addition,
@@ -14,10 +14,9 @@
 //! # Determinism
 //!
 //! Each [`MetricId`] declares whether its value is *deterministic* —
-//! invariant across `--jobs` and `--shards` for fixed physics — or
-//! execution-dependent (wall-clock durations, spin/yield behaviour, and any
-//! quantity attributed per shard, whose very cardinality follows the
-//! partition geometry). Profile reports render execution-dependent series
+//! invariant across `--jobs` for fixed physics — or execution-dependent
+//! (wall-clock durations, worker counts, calendar-wheel work). Profile
+//! reports render execution-dependent series
 //! on `nd_`-marked lines so determinism comparisons can strip them; see
 //! `DESIGN.md` §4.7.
 
@@ -46,10 +45,10 @@ impl MetricKind {
 }
 
 /// The static metric catalog. Every series a profile report can carry is
-/// one of these ids, optionally labelled with a shard index.
+/// one of these ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MetricId {
-    /// Peak live-message arena occupancy of a single (unsharded) engine.
+    /// Peak live-message arena occupancy of the engine.
     EngineArenaMsgsHighwater,
     /// Events ever scheduled on the engine's calendar wheel.
     EngineWheelEventsScheduled,
@@ -61,18 +60,6 @@ pub enum MetricId {
     EngineReroutes,
     /// Messages retired as stalled by the delivery watchdog.
     EngineStalls,
-    /// Conservative windows a shard executed.
-    ShardWindowsExecuted,
-    /// Distribution of executed window widths (horizon − t₀, ps).
-    ShardWindowWidthPs,
-    /// Cross-shard transfers (handoffs, releases, injections) applied.
-    ShardCrossingsApplied,
-    /// Peak live-message map occupancy of a shard.
-    ShardArenaMsgsHighwater,
-    /// Nanoseconds a shard spent waiting at round barriers.
-    ShardBarrierWaitNs,
-    /// Barrier waits that exhausted the spin budget and yielded.
-    ShardSpinYieldTransitions,
     /// Replications executed by the harness.
     HarnessReplications,
     /// Distribution of per-replication wall-clock (ns).
@@ -97,19 +84,13 @@ pub enum MetricId {
 
 impl MetricId {
     /// Every metric id, in catalog (render) order.
-    pub const ALL: [MetricId; 22] = [
+    pub const ALL: [MetricId; 16] = [
         MetricId::EngineArenaMsgsHighwater,
         MetricId::EngineWheelEventsScheduled,
         MetricId::EngineWheelBucketScans,
         MetricId::EngineWatchdogArms,
         MetricId::EngineReroutes,
         MetricId::EngineStalls,
-        MetricId::ShardWindowsExecuted,
-        MetricId::ShardWindowWidthPs,
-        MetricId::ShardCrossingsApplied,
-        MetricId::ShardArenaMsgsHighwater,
-        MetricId::ShardBarrierWaitNs,
-        MetricId::ShardSpinYieldTransitions,
         MetricId::HarnessReplications,
         MetricId::HarnessRepWallNs,
         MetricId::HarnessQueueDepthMax,
@@ -132,12 +113,6 @@ impl MetricId {
             MetricId::EngineWatchdogArms => "engine_watchdog_arms",
             MetricId::EngineReroutes => "engine_reroutes",
             MetricId::EngineStalls => "engine_stalls",
-            MetricId::ShardWindowsExecuted => "shard_windows_executed",
-            MetricId::ShardWindowWidthPs => "shard_window_width_ps",
-            MetricId::ShardCrossingsApplied => "shard_crossings_applied",
-            MetricId::ShardArenaMsgsHighwater => "shard_arena_msgs_highwater",
-            MetricId::ShardBarrierWaitNs => "shard_barrier_wait_ns",
-            MetricId::ShardSpinYieldTransitions => "shard_spin_yield_transitions",
             MetricId::HarnessReplications => "harness_replications",
             MetricId::HarnessRepWallNs => "harness_rep_wall_ns",
             MetricId::HarnessQueueDepthMax => "harness_queue_depth_max",
@@ -155,33 +130,23 @@ impl MetricId {
     pub fn kind(self) -> MetricKind {
         match self {
             MetricId::EngineArenaMsgsHighwater
-            | MetricId::ShardArenaMsgsHighwater
             | MetricId::HarnessQueueDepthMax
             | MetricId::HarnessWorkers => MetricKind::Gauge,
-            MetricId::ShardWindowWidthPs | MetricId::HarnessRepWallNs => MetricKind::Histogram,
+            MetricId::HarnessRepWallNs => MetricKind::Histogram,
             _ => MetricKind::Counter,
         }
     }
 
-    /// Whether the merged value is invariant across `--jobs` / `--shards`
-    /// for fixed physics. Non-deterministic ids are rendered on `nd_` lines
-    /// in profile reports and excluded from determinism comparisons; every
-    /// `shard_*` id is non-deterministic because its series *cardinality*
-    /// follows the partition geometry, and the wheel counters are
-    /// non-deterministic because each shard runs its own wheel (bucket
-    /// scans and crossing reschedules track the executor geometry, not the
-    /// physics).
+    /// Whether the merged value is invariant across `--jobs` for fixed
+    /// physics. Non-deterministic ids are rendered on `nd_` lines in
+    /// profile reports and excluded from determinism comparisons; the
+    /// wheel counters count the calendar wheel's own work (bucket scans,
+    /// reschedules), which tracks the executor, not the physics.
     pub fn deterministic(self) -> bool {
         !matches!(
             self,
             MetricId::EngineWheelEventsScheduled
                 | MetricId::EngineWheelBucketScans
-                | MetricId::ShardWindowsExecuted
-                | MetricId::ShardWindowWidthPs
-                | MetricId::ShardCrossingsApplied
-                | MetricId::ShardArenaMsgsHighwater
-                | MetricId::ShardBarrierWaitNs
-                | MetricId::ShardSpinYieldTransitions
                 | MetricId::HarnessRepWallNs
                 | MetricId::HarnessQueueDepthMax
                 | MetricId::HarnessWorkers
@@ -207,16 +172,6 @@ impl MetricId {
             MetricId::EngineWatchdogArms => "Delivery-watchdog stall checks armed",
             MetricId::EngineReroutes => "In-flight adaptive re-routes around faulted channels",
             MetricId::EngineStalls => "Messages retired as stalled by the delivery watchdog",
-            MetricId::ShardWindowsExecuted => "Conservative windows executed, per shard",
-            MetricId::ShardWindowWidthPs => "Executed window width (horizon - t0), picoseconds",
-            MetricId::ShardCrossingsApplied => {
-                "Cross-shard transfers (handoff/release/inject) applied, per shard"
-            }
-            MetricId::ShardArenaMsgsHighwater => "Peak live-message occupancy, per shard",
-            MetricId::ShardBarrierWaitNs => "Time spent waiting at round barriers, ns per shard",
-            MetricId::ShardSpinYieldTransitions => {
-                "Barrier waits that exhausted the spin budget and yielded"
-            }
             MetricId::HarnessReplications => "Replications executed by the harness",
             MetricId::HarnessRepWallNs => "Per-replication wall clock, nanoseconds",
             MetricId::HarnessQueueDepthMax => "Peak reorder-buffer depth in the index-order fold",
@@ -231,35 +186,22 @@ impl MetricId {
     }
 }
 
-/// One series: a metric id plus an optional shard label.
+/// One series: a metric id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SeriesKey {
     /// The metric.
     pub id: MetricId,
-    /// Shard label, for per-shard series.
-    pub shard: Option<u32>,
 }
 
 impl SeriesKey {
-    /// An unlabelled series.
+    /// The series of `id`.
     pub fn plain(id: MetricId) -> Self {
-        SeriesKey { id, shard: None }
+        SeriesKey { id }
     }
 
-    /// A per-shard series.
-    pub fn shard(id: MetricId, shard: u32) -> Self {
-        SeriesKey {
-            id,
-            shard: Some(shard),
-        }
-    }
-
-    /// Render as `name` or `name{shard="N"}`.
+    /// Render as the metric's wire name.
     pub fn render(&self) -> String {
-        match self.shard {
-            None => self.id.name().to_string(),
-            Some(s) => format!("{}{{shard=\"{s}\"}}", self.id.name()),
-        }
+        self.id.name().to_string()
     }
 }
 
@@ -291,25 +233,6 @@ impl Default for Log2Hist {
 }
 
 impl Log2Hist {
-    /// Reconstruct a histogram from mirrored raw state — the engine layer
-    /// exports plain bucket arrays (it must not depend on this crate), and
-    /// the scrape converts them losslessly.
-    pub fn from_raw(
-        buckets: [u64; LOG2_BUCKETS],
-        count: u64,
-        sum: u128,
-        min: u64,
-        max: u64,
-    ) -> Self {
-        Log2Hist {
-            buckets,
-            count,
-            sum,
-            min,
-            max,
-        }
-    }
-
     /// Record one value.
     #[inline]
     pub fn record(&mut self, v: u64) {
@@ -404,9 +327,7 @@ impl MetricsRegistry {
         self.hists.entry(key).or_default().merge(h);
     }
 
-    /// A counter's value (0 when never incremented), summed over all
-    /// labelled series of the id when `key.shard` is `None` and the plain
-    /// series is absent.
+    /// A counter's value (0 when never incremented).
     pub fn counter(&self, key: SeriesKey) -> u64 {
         self.counters.get(&key).copied().unwrap_or(0)
     }
@@ -421,7 +342,7 @@ impl MetricsRegistry {
         self.hists.get(&key)
     }
 
-    /// Sum of a counter id over every series (all shard labels + plain).
+    /// Sum of a counter id over every series.
     pub fn counter_total(&self, id: MetricId) -> u64 {
         self.counters
             .iter()
@@ -488,14 +409,13 @@ impl MetricsRegistry {
                 }
             }
             MetricKind::Histogram => {
-                for (k, h) in self.hists.iter().filter(|(k, _)| k.id == id) {
+                for (_, h) in self.hists.iter().filter(|(k, _)| k.id == id) {
                     let name = id.name();
-                    let lbl = prom_labels(k);
-                    out.push((format!("{name}_count{lbl}"), h.count()));
-                    out.push((format!("{name}_sum{lbl}"), h.sum() as u64));
+                    out.push((format!("{name}_count"), h.count()));
+                    out.push((format!("{name}_sum"), h.sum() as u64));
                     let min = if h.count() == 0 { 0 } else { h.min() };
-                    out.push((format!("{name}_min{lbl}"), min));
-                    out.push((format!("{name}_max{lbl}"), h.max()));
+                    out.push((format!("{name}_min"), min));
+                    out.push((format!("{name}_max"), h.max()));
                 }
             }
         }
@@ -525,8 +445,8 @@ impl MetricsRegistry {
             match id.kind() {
                 MetricKind::Counter => {
                     let mut any = false;
-                    for (k, v) in self.counters.iter().filter(|(k, _)| k.id == id) {
-                        out.push_str(&format!("{name}{} {v}\n", prom_labels(k)));
+                    for (_, v) in self.counters.iter().filter(|(k, _)| k.id == id) {
+                        out.push_str(&format!("{name} {v}\n"));
                         any = true;
                     }
                     if !any {
@@ -535,8 +455,8 @@ impl MetricsRegistry {
                 }
                 MetricKind::Gauge => {
                     let mut any = false;
-                    for (k, v) in self.gauges.iter().filter(|(k, _)| k.id == id) {
-                        out.push_str(&format!("{name}{} {v}\n", prom_labels(k)));
+                    for (_, v) in self.gauges.iter().filter(|(k, _)| k.id == id) {
+                        out.push_str(&format!("{name} {v}\n"));
                         any = true;
                     }
                     if !any {
@@ -545,10 +465,8 @@ impl MetricsRegistry {
                 }
                 MetricKind::Histogram => {
                     let mut any = false;
-                    for (k, h) in self.hists.iter().filter(|(k, _)| k.id == id) {
+                    for (_, h) in self.hists.iter().filter(|(k, _)| k.id == id) {
                         any = true;
-                        let shard = k.shard.map(|s| format!("shard=\"{s}\","));
-                        let shard = shard.as_deref().unwrap_or("");
                         let mut cum = 0u64;
                         let top = h.buckets().iter().rposition(|&c| c > 0).unwrap_or(0);
                         for (i, &c) in h.buckets().iter().take(top + 1).enumerate() {
@@ -558,16 +476,11 @@ impl MetricsRegistry {
                             } else {
                                 (1u128 << i) - 1
                             };
-                            out.push_str(&format!("{name}_bucket{{{shard}le=\"{le}\"}} {cum}\n"));
+                            out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cum}\n"));
                         }
-                        out.push_str(&format!(
-                            "{name}_bucket{{{shard}le=\"+Inf\"}} {}\n",
-                            h.count()
-                        ));
-                        let labels = k.shard.map(|s| format!("{{shard=\"{s}\"}}"));
-                        let labels = labels.as_deref().unwrap_or("");
-                        out.push_str(&format!("{name}_sum{labels} {}\n", h.sum()));
-                        out.push_str(&format!("{name}_count{labels} {}\n", h.count()));
+                        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
+                        out.push_str(&format!("{name}_sum {}\n", h.sum()));
+                        out.push_str(&format!("{name}_count {}\n", h.count()));
                     }
                     if !any {
                         out.push_str(&format!("{name}_sum 0\n{name}_count 0\n"));
@@ -579,13 +492,6 @@ impl MetricsRegistry {
     }
 }
 
-fn prom_labels(k: &SeriesKey) -> String {
-    match k.shard {
-        None => String::new(),
-        Some(s) => format!("{{shard=\"{s}\"}}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,10 +500,9 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.inc_by(SeriesKey::plain(MetricId::EngineWheelBucketScans), 10);
         r.gauge_max(SeriesKey::plain(MetricId::EngineArenaMsgsHighwater), 7);
-        r.inc_by(SeriesKey::shard(MetricId::ShardBarrierWaitNs, 0), 100);
-        r.inc_by(SeriesKey::shard(MetricId::ShardBarrierWaitNs, 1), 50);
-        r.observe(SeriesKey::shard(MetricId::ShardWindowWidthPs, 0), 1024);
-        r.observe(SeriesKey::shard(MetricId::ShardWindowWidthPs, 0), 3);
+        r.inc_by(SeriesKey::plain(MetricId::EngineStalls), 100);
+        r.observe(SeriesKey::plain(MetricId::HarnessRepWallNs), 1024);
+        r.observe(SeriesKey::plain(MetricId::HarnessRepWallNs), 3);
         r
     }
 
@@ -608,7 +513,7 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(names.len(), before, "duplicate metric names");
-        assert_eq!(MetricId::ALL.len(), 22);
+        assert_eq!(MetricId::ALL.len(), 16);
     }
 
     #[test]
@@ -624,12 +529,9 @@ mod tests {
             a.gauge(SeriesKey::plain(MetricId::EngineArenaMsgsHighwater)),
             7
         );
-        assert_eq!(
-            a.counter(SeriesKey::shard(MetricId::ShardBarrierWaitNs, 1)),
-            100
-        );
+        assert_eq!(a.counter(SeriesKey::plain(MetricId::EngineStalls)), 200);
         let h = a
-            .hist(SeriesKey::shard(MetricId::ShardWindowWidthPs, 0))
+            .hist(SeriesKey::plain(MetricId::HarnessRepWallNs))
             .unwrap();
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 2 * (1024 + 3));
@@ -651,7 +553,7 @@ mod tests {
         b.gauge_max(SeriesKey::plain(MetricId::HarnessQueueDepthMax), 2);
         b.observe(SeriesKey::plain(MetricId::HarnessRepWallNs), 9_000);
         let mut c = MetricsRegistry::new();
-        c.inc_by(SeriesKey::shard(MetricId::ShardCrossingsApplied, 2), 7);
+        c.inc_by(SeriesKey::plain(MetricId::EngineStalls), 7);
         c.observe(SeriesKey::plain(MetricId::HarnessRepWallNs), 1);
 
         let mut abc = a.clone();
@@ -707,11 +609,10 @@ mod tests {
                 id.name()
             );
         }
-        assert!(prom.contains("wormcast_shard_barrier_wait_ns{shard=\"0\"} 100"));
-        assert!(prom.contains("wormcast_shard_barrier_wait_ns{shard=\"1\"} 50"));
+        assert!(prom.contains("wormcast_engine_stalls 100"));
         assert!(prom.contains("wormcast_engine_arena_msgs_highwater 7"));
-        assert!(prom.contains("wormcast_shard_window_width_ps_bucket{shard=\"0\",le=\"+Inf\"} 2"));
-        assert!(prom.contains("wormcast_shard_window_width_ps_sum{shard=\"0\"} 1027"));
+        assert!(prom.contains("wormcast_harness_rep_wall_ns_bucket{le=\"+Inf\"} 2"));
+        assert!(prom.contains("wormcast_harness_rep_wall_ns_sum 1027"));
         // Ids with no data still expose a zero sample.
         assert!(prom.contains("wormcast_trace_dropped 0"));
     }
@@ -720,9 +621,10 @@ mod tests {
     fn nd_series_lists_only_nondeterministic_ids() {
         let r = sample();
         let nd = r.nd_scalar_series();
-        assert!(nd
-            .iter()
-            .any(|(k, v)| k == "shard_barrier_wait_ns{shard=\"0\"}" && *v == 100));
+        assert!(
+            !nd.iter().any(|(k, _)| k == "engine_stalls"),
+            "stalls are physics, so they stay deterministic: {nd:?}"
+        );
         assert!(
             nd.iter()
                 .any(|(k, v)| k == "engine_wheel_bucket_scans" && *v == 10),
@@ -734,6 +636,6 @@ mod tests {
         );
         assert!(nd
             .iter()
-            .any(|(k, v)| k == "shard_window_width_ps_count{shard=\"0\"}" && *v == 2));
+            .any(|(k, v)| k == "harness_rep_wall_ns_count" && *v == 2));
     }
 }

@@ -4,8 +4,7 @@
 //!
 //! A [`Profiler`] records spans as drivers move through their phases
 //! (`setup` → `run` → `merge` → `emit`). The tree — names, depths,
-//! sequence numbers — is byte-identical across `--jobs` and `--shards`
-//! because spans are only opened from the driver's main thread along a
+//! sequence numbers — is byte-identical across `--jobs` because spans are only opened from the driver's main thread along a
 //! deterministic path; the measured `Instant` durations are returned
 //! side-by-side (indexed by sequence number) so reports can render them on
 //! `nd_`-marked lines excluded from determinism comparisons.

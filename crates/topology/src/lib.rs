@@ -24,7 +24,7 @@ pub use coord::{Coord, Sign, MAX_DIMS};
 pub use ghc::GeneralizedHypercube;
 pub use ids::{ChannelId, NodeId};
 pub use mesh::Mesh;
-pub use partition::{halves, line_nodes, mesh_corners, straight_walk, Plane, ShardMap};
+pub use partition::{halves, line_nodes, mesh_corners, straight_walk, Plane};
 pub use torus::Torus;
 
 /// Common interface over direct interconnection networks.

@@ -6,10 +6,9 @@
 //! partitions. These are the pieces of coordinate algebra they all share.
 
 use crate::coord::{Coord, Sign};
-use crate::ids::{ChannelId, NodeId};
+use crate::ids::NodeId;
 use crate::mesh::Mesh;
 use crate::Topology;
-use std::ops::Range;
 
 /// A 2D sub-mesh of a higher-dimensional mesh, obtained by fixing every
 /// dimension except two. For the paper's 3D networks, planes fix the Z
@@ -187,140 +186,6 @@ pub fn straight_walk(from: &Coord, to: &Coord) -> Vec<Coord> {
     out
 }
 
-/// A spatial partition of a topology's node-index space into contiguous
-/// slabs along its last axis, one slab per shard.
-///
-/// Meshes and tori number nodes row-major with dimension 0 fastest, so the
-/// set of nodes whose last coordinate lies in `[z0, z1)` is exactly the
-/// index range `[z0 * plane, z1 * plane)` where `plane` is the product of
-/// all lower-dimension extents. Channels are numbered
-/// `from * chans_per_node + slot`, so a contiguous node slab also owns a
-/// contiguous channel range — the sharded engine's per-shard arenas index
-/// both with a plain offset subtraction.
-///
-/// A channel is *owned* by the shard of its source node; a channel whose
-/// endpoints fall in different shards is a *boundary* channel. With slab
-/// partitioning, boundary channels are exactly the last-axis hops across a
-/// slab face (plus the last-axis wraparound links on a torus).
-///
-/// # Examples
-///
-/// ```
-/// use wormcast_topology::{Mesh, ShardMap, Topology};
-///
-/// let mesh = Mesh::new(&[4, 4, 8]);
-/// let map = ShardMap::slabs(&mesh, 4).unwrap();
-/// assert_eq!(map.num_shards(), 4);
-/// assert_eq!(map.node_range(0), 0..32);
-/// assert_eq!(map.shard_of_node(wormcast_topology::NodeId(33)), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardMap {
-    /// `starts[s]` is the first node index of shard `s`; a final sentinel
-    /// entry holds the total node count, so `starts.len() == shards + 1`.
-    starts: Vec<u32>,
-    /// Slab extents along the partition axis, `[z0, z1)` per shard.
-    axis_ranges: Vec<Range<u16>>,
-    /// The partitioned dimension (always the topology's last axis).
-    axis: usize,
-}
-
-impl ShardMap {
-    /// Partition `topo` into `shards` contiguous slabs along its last axis.
-    ///
-    /// Returns `None` when `shards` is zero or exceeds the last-axis extent
-    /// (which would force a zero-size slab). Slab thicknesses differ by at
-    /// most one: the first `axis_len % shards` shards take the extra layer.
-    pub fn slabs<T: Topology>(topo: &T, shards: usize) -> Option<ShardMap> {
-        let axis = topo.ndims() - 1;
-        let axis_len = topo.dim_size(axis) as usize;
-        if shards == 0 || shards > axis_len {
-            return None;
-        }
-        let plane = (topo.num_nodes() / axis_len) as u32;
-        let (base, extra) = (axis_len / shards, axis_len % shards);
-        let mut starts = Vec::with_capacity(shards + 1);
-        let mut axis_ranges = Vec::with_capacity(shards);
-        let mut z = 0usize;
-        for s in 0..shards {
-            starts.push(z as u32 * plane);
-            let thick = base + usize::from(s < extra);
-            axis_ranges.push(z as u16..(z + thick) as u16);
-            z += thick;
-        }
-        starts.push(topo.num_nodes() as u32);
-        Some(ShardMap {
-            starts,
-            axis_ranges,
-            axis,
-        })
-    }
-
-    /// Number of shards in the partition.
-    pub fn num_shards(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    /// The shard owning node `n`.
-    pub fn shard_of_node(&self, n: NodeId) -> usize {
-        debug_assert!(n.0 < *self.starts.last().unwrap());
-        self.starts.partition_point(|&s| s <= n.0) - 1
-    }
-
-    /// The contiguous node-index range of shard `s`.
-    pub fn node_range(&self, s: usize) -> Range<u32> {
-        self.starts[s]..self.starts[s + 1]
-    }
-
-    /// The last-axis coordinate range `[z0, z1)` of shard `s`.
-    pub fn axis_range(&self, s: usize) -> Range<u16> {
-        self.axis_ranges[s].clone()
-    }
-
-    /// The partitioned dimension index.
-    pub fn axis(&self) -> usize {
-        self.axis
-    }
-
-    /// The shard owning channel `ch` — the shard of its source node.
-    pub fn shard_of_channel<T: Topology>(&self, topo: &T, ch: ChannelId) -> usize {
-        self.shard_of_node(topo.channel_endpoints(ch).0)
-    }
-
-    /// Whether `ch` crosses a shard boundary (its endpoints fall in
-    /// different shards).
-    pub fn is_boundary<T: Topology>(&self, topo: &T, ch: ChannelId) -> bool {
-        let (from, to) = topo.channel_endpoints(ch);
-        self.shard_of_node(from) != self.shard_of_node(to)
-    }
-
-    /// All boundary channels leaving shard `s`, as `(channel, dest_shard)`,
-    /// in channel-id order. Discovered by scanning the shard's own channel
-    /// range, so two adjacent shards find the same cut from either side
-    /// (each lists its outgoing half of the opposing channel pair).
-    pub fn boundary_channels_of<T: Topology>(&self, topo: &T, s: usize) -> Vec<(ChannelId, usize)> {
-        let mut out = Vec::new();
-        for raw in self.node_range(s) {
-            let n = NodeId(raw);
-            for dim in 0..topo.ndims() {
-                for sign in [Sign::Plus, Sign::Minus] {
-                    let Some(to) = topo.neighbor(n, dim, sign) else {
-                        continue;
-                    };
-                    let dest = self.shard_of_node(to);
-                    if dest != s {
-                        let ch = topo
-                            .channel_between(n, to)
-                            .expect("neighbor implies channel");
-                        out.push((ch, dest));
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,190 +287,5 @@ mod tests {
     #[should_panic(expected = "single-dimension")]
     fn straight_walk_rejects_diagonal() {
         let _ = straight_walk(&Coord::xy(0, 0), &Coord::xy(1, 1));
-    }
-
-    #[test]
-    fn shard_map_rejects_degenerate_counts() {
-        let m = Mesh::new(&[4, 4, 3]);
-        assert!(ShardMap::slabs(&m, 0).is_none());
-        assert!(ShardMap::slabs(&m, 4).is_none()); // axis is only 3 deep
-        assert!(ShardMap::slabs(&m, 3).is_some());
-    }
-
-    #[test]
-    fn shard_map_covers_every_node_once() {
-        let m = Mesh::new(&[4, 3, 5]);
-        let map = ShardMap::slabs(&m, 3).unwrap();
-        let mut seen = vec![0u8; m.num_nodes()];
-        for s in 0..map.num_shards() {
-            for n in map.node_range(s) {
-                seen[n as usize] += 1;
-                assert_eq!(map.shard_of_node(NodeId(n)), s);
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1));
-        // 5 layers over 3 shards: thicknesses 2, 2, 1.
-        assert_eq!(map.axis_range(0), 0..2);
-        assert_eq!(map.axis_range(1), 2..4);
-        assert_eq!(map.axis_range(2), 4..5);
-    }
-
-    #[test]
-    fn shard_map_single_shard_is_whole_topology() {
-        let m = Mesh::new(&[4, 4, 4]);
-        let map = ShardMap::slabs(&m, 1).unwrap();
-        assert_eq!(map.node_range(0), 0..m.num_nodes() as u32);
-        for s in 0..1 {
-            assert!(map.boundary_channels_of(&m, s).is_empty());
-        }
-    }
-
-    #[test]
-    fn shard_map_boundary_channels_are_last_axis_faces() {
-        let m = Mesh::new(&[3, 3, 4]);
-        let map = ShardMap::slabs(&m, 2).unwrap();
-        let out0 = map.boundary_channels_of(&m, 0);
-        // One +Z channel per node on the z=1 face: 3×3 of them.
-        assert_eq!(out0.len(), 9);
-        for &(ch, dest) in &out0 {
-            assert_eq!(dest, 1);
-            assert!(map.is_boundary(&m, ch));
-            let (from, to) = m.channel_endpoints(ch);
-            assert_eq!(m.coord_of(from).get(2), 1);
-            assert_eq!(m.coord_of(to).get(2), 2);
-        }
-        // Symmetric from the far side: shard 1 sends the -Z halves back.
-        let out1 = map.boundary_channels_of(&m, 1);
-        assert_eq!(out1.len(), 9);
-        for &(ch, dest) in &out1 {
-            assert_eq!(dest, 0);
-            let (from, to) = m.channel_endpoints(ch);
-            assert_eq!(m.coord_of(from).get(2), 2);
-            assert_eq!(m.coord_of(to).get(2), 1);
-        }
-    }
-
-    #[test]
-    fn shard_map_torus_wraparound_is_boundary() {
-        use crate::Torus;
-        let t = Torus::new(&[3, 4]);
-        let map = ShardMap::slabs(&t, 2).unwrap();
-        // Shard 0 owns y∈{0,1}: its boundary cut is the y=1→2 face plus the
-        // y=0→3 wraparound, 3 channels each.
-        let out0 = map.boundary_channels_of(&t, 0);
-        assert_eq!(out0.len(), 6);
-        assert!(out0.iter().all(|&(_, d)| d == 1));
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-
-        /// Every node of an arbitrary mesh belongs to exactly one shard, the
-        /// shard node ranges tile `0..num_nodes` contiguously, and the axis
-        /// ranges tile the partition axis.
-        #[test]
-        fn slabs_cover_every_node_exactly_once(
-            x in 1u16..6, y in 1u16..6, z in 1u16..8, shards in 1usize..8,
-        ) {
-            use proptest::prelude::{prop_assert, prop_assert_eq, prop_assume};
-            let m = Mesh::new(&[x, y, z]);
-            prop_assume!(shards <= z as usize);
-            let map = ShardMap::slabs(&m, shards).expect("valid shard count");
-            prop_assert_eq!(map.num_shards(), shards);
-            let mut next = 0u32;
-            let mut next_layer = 0u16;
-            for s in 0..shards {
-                let nr = map.node_range(s);
-                prop_assert_eq!(nr.start, next, "node ranges must tile");
-                prop_assert!(nr.end > nr.start, "every shard owns a slab");
-                next = nr.end;
-                let ar = map.axis_range(s);
-                prop_assert_eq!(ar.start, next_layer, "axis ranges must tile");
-                next_layer = ar.end;
-                for n in nr {
-                    prop_assert_eq!(map.shard_of_node(NodeId(n)), s);
-                }
-            }
-            prop_assert_eq!(next as usize, m.num_nodes());
-            prop_assert_eq!(next_layer, z);
-        }
-
-        /// Boundary discovery is symmetric: shard A lists a channel into B
-        /// exactly when B lists the reverse channel into A, every listed
-        /// channel leaves the listing shard, and interior channels are never
-        /// listed.
-        #[test]
-        fn boundary_channels_are_symmetric(
-            x in 1u16..5, y in 1u16..5, z in 2u16..8, shards in 2usize..8,
-        ) {
-            use proptest::prelude::{prop_assert, prop_assert_eq, prop_assume};
-            use std::collections::BTreeSet;
-            let m = Mesh::new(&[x, y, z]);
-            prop_assume!(shards <= z as usize);
-            let map = ShardMap::slabs(&m, shards).expect("valid shard count");
-            let mut listed = BTreeSet::new();
-            for s in 0..shards {
-                for (ch, dest) in map.boundary_channels_of(&m, s) {
-                    let (from, to) = m.channel_endpoints(ch);
-                    prop_assert_eq!(map.shard_of_node(from), s);
-                    prop_assert_eq!(map.shard_of_node(to), dest);
-                    prop_assert!(s != dest, "boundary channels cross shards");
-                    prop_assert!(map.is_boundary(&m, ch));
-                    prop_assert!(listed.insert(ch.0), "channel listed twice");
-                    // The reverse hop is someone's boundary channel back.
-                    let back = m.channel_between(to, from).expect("mesh links are bidirectional");
-                    prop_assert!(
-                        map.boundary_channels_of(&m, dest).iter().any(|&(c, d)| c == back && d == s),
-                        "reverse channel missing from the far shard's list"
-                    );
-                }
-            }
-            // Completeness: every cross-shard channel was listed by its
-            // owner (enumerate physically present channels via adjacency —
-            // the dense id space has absent slots on mesh boundaries).
-            for n in 0..m.num_nodes() as u32 {
-                let n = NodeId(n);
-                for dim in 0..m.ndims() {
-                    for sign in [Sign::Plus, Sign::Minus] {
-                        let Some(to) = m.neighbor(n, dim, sign) else { continue };
-                        let ch = m.channel_between(n, to).expect("neighbor implies channel");
-                        let crosses = map.shard_of_node(n) != map.shard_of_node(to);
-                        prop_assert_eq!(map.is_boundary(&m, ch), crosses);
-                        prop_assert_eq!(
-                            listed.contains(&ch.0),
-                            crosses,
-                            "boundary listing incomplete or overfull for c{}",
-                            ch.0
-                        );
-                    }
-                }
-            }
-        }
-
-        /// One shard is the identity partition: everything in shard 0, the
-        /// full node range, and no boundary channels.
-        #[test]
-        fn single_shard_is_identity(x in 1u16..5, y in 1u16..5, z in 1u16..8) {
-            use proptest::prelude::{prop_assert, prop_assert_eq};
-            let m = Mesh::new(&[x, y, z]);
-            let map = ShardMap::slabs(&m, 1).expect("one shard always fits");
-            prop_assert_eq!(map.num_shards(), 1);
-            prop_assert_eq!(map.node_range(0), 0..m.num_nodes() as u32);
-            prop_assert_eq!(map.axis_range(0), 0..z);
-            for n in 0..m.num_nodes() as u32 {
-                prop_assert_eq!(map.shard_of_node(NodeId(n)), 0);
-            }
-            prop_assert!(map.boundary_channels_of(&m, 0).is_empty());
-            for n in 0..m.num_nodes() as u32 {
-                let n = NodeId(n);
-                for dim in 0..m.ndims() {
-                    for sign in [Sign::Plus, Sign::Minus] {
-                        let Some(to) = m.neighbor(n, dim, sign) else { continue };
-                        let ch = m.channel_between(n, to).expect("neighbor implies channel");
-                        prop_assert!(!map.is_boundary(&m, ch));
-                    }
-                }
-            }
-        }
     }
 }

@@ -245,22 +245,6 @@ impl Runner {
         Runner { jobs: 1 }
     }
 
-    /// A runner sized for replications that each drive a sharded engine
-    /// with `shards` worker threads: the product `jobs × shards` is kept
-    /// at or under the available cores, so stacking the two parallelism
-    /// axes (replications × intra-simulation shards) never oversubscribes
-    /// the machine. `jobs = 0` sizes automatically to `cores / shards`
-    /// (at least one); an explicit `jobs` is clamped to that bound.
-    pub fn for_shards(jobs: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let cap = (cores / shards).max(1);
-        let jobs = if jobs == 0 { cap } else { jobs.min(cap) };
-        Runner { jobs }
-    }
-
     /// Number of worker threads this runner uses.
     pub fn jobs(&self) -> usize {
         self.jobs
@@ -436,28 +420,6 @@ mod tests {
         assert!(Runner::default().jobs() >= 1);
         assert_eq!(Runner::sequential().jobs(), 1);
         assert_eq!(Runner::new(3).jobs(), 3);
-    }
-
-    #[test]
-    fn for_shards_never_oversubscribes() {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        for shards in [1usize, 2, 4, 8] {
-            for jobs in [0usize, 1, 3, 64] {
-                let r = Runner::for_shards(jobs, shards);
-                assert!(r.jobs() >= 1, "jobs={jobs} shards={shards}");
-                assert!(
-                    r.jobs() * shards <= cores.max(shards),
-                    "jobs={jobs} shards={shards} sized to {} on {cores} cores",
-                    r.jobs()
-                );
-                // An explicit request is never inflated.
-                if jobs > 0 {
-                    assert!(r.jobs() <= jobs);
-                }
-            }
-        }
     }
 
     #[test]

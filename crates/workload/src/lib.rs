@@ -55,10 +55,9 @@ pub use multicast::{
     MulticastScheme,
 };
 pub use patterns::DestPattern;
-pub use scrape::{scrape_engine_stats, scrape_shard_stats};
+pub use scrape::scrape_engine_stats;
 pub use single::{
     network_for, routing_for, run_averaged_broadcasts, run_single_broadcast,
-    run_single_broadcast_observed, run_single_broadcast_sharded,
-    run_single_broadcast_sharded_observed, AveragedOutcome, BroadcastOutcome,
+    run_single_broadcast_observed, AveragedOutcome, BroadcastOutcome,
 };
 pub use torus::{run_torus_broadcast, TorusOutcome};

@@ -1,5 +1,5 @@
-//! Scrapes: convert the engine layer's plain-integer stats exports
-//! ([`EngineStats`], [`ShardStats`]) into [`MetricsRegistry`] series.
+//! Scrapes: convert the engine layer's plain-integer stats export
+//! ([`EngineStats`]) into [`MetricsRegistry`] series.
 //!
 //! The simulation crates deliberately do not depend on `wormcast-telemetry`
 //! — they expose raw counters and bucket arrays, and this module (the
@@ -8,8 +8,8 @@
 //! registry, so per-replication registries merged in index order stay
 //! deterministic for any `--jobs` count.
 
-use wormcast_network::{EngineStats, ShardStats};
-use wormcast_telemetry::{Log2Hist, MetricId, MetricsRegistry, SeriesKey};
+use wormcast_network::EngineStats;
+use wormcast_telemetry::{MetricId, MetricsRegistry, SeriesKey};
 
 /// Fold one engine's counters into `m` under the `engine_*` metric ids.
 ///
@@ -34,47 +34,6 @@ pub fn scrape_engine_stats(m: &mut MetricsRegistry, e: &EngineStats) {
     );
     m.inc_by(SeriesKey::plain(MetricId::EngineReroutes), e.reroutes);
     m.inc_by(SeriesKey::plain(MetricId::EngineStalls), e.stalls);
-}
-
-/// Fold one shard's runtime stats into `m` under the `shard_*` metric ids,
-/// labelled `{shard="index"}`.
-///
-/// All `shard_*` series are non-deterministic (wall-clock and scheduling
-/// dependent) and are rendered only in the report's `nd_series` line — see
-/// `wormcast_telemetry::profile`.
-pub fn scrape_shard_stats(m: &mut MetricsRegistry, index: u32, s: &ShardStats) {
-    m.inc_by(
-        SeriesKey::shard(MetricId::ShardBarrierWaitNs, index),
-        s.barrier_wait_ns,
-    );
-    m.inc_by(
-        SeriesKey::shard(MetricId::ShardWindowsExecuted, index),
-        s.windows,
-    );
-    m.inc_by(
-        SeriesKey::shard(MetricId::ShardCrossingsApplied, index),
-        s.crossings_applied,
-    );
-    m.inc_by(
-        SeriesKey::shard(MetricId::ShardSpinYieldTransitions, index),
-        s.spin_yield_transitions,
-    );
-    m.gauge_max(
-        SeriesKey::shard(MetricId::ShardArenaMsgsHighwater, index),
-        s.arena_msgs_highwater,
-    );
-    if s.width_count > 0 {
-        m.observe_hist(
-            SeriesKey::shard(MetricId::ShardWindowWidthPs, index),
-            &Log2Hist::from_raw(
-                s.width_buckets,
-                s.width_count,
-                s.width_sum,
-                s.width_min,
-                s.width_max,
-            ),
-        );
-    }
 }
 
 #[cfg(test)]
@@ -102,37 +61,5 @@ mod tests {
         assert_eq!(m.counter_total(MetricId::EngineWheelEventsScheduled), 150);
         assert_eq!(m.counter_total(MetricId::EngineStalls), 3);
         assert_eq!(m.gauge_overall(MetricId::EngineArenaMsgsHighwater), 10);
-    }
-
-    #[test]
-    fn shard_scrape_labels_by_index_and_keeps_width_histogram() {
-        let mut m = MetricsRegistry::default();
-        let mut s = ShardStats {
-            barrier_wait_ns: 42,
-            windows: 3,
-            width_count: 3,
-            width_sum: 25,
-            width_min: 0,
-            width_max: 13,
-            ..Default::default()
-        };
-        s.width_buckets[4] = 2; // two values with bit length 4
-        s.width_buckets[0] = 1; // one zero-width window
-        scrape_shard_stats(&mut m, 1, &s);
-        assert_eq!(
-            m.counter(SeriesKey::shard(MetricId::ShardBarrierWaitNs, 1)),
-            42
-        );
-        let h = m
-            .hist(SeriesKey::shard(MetricId::ShardWindowWidthPs, 1))
-            .expect("width histogram scraped");
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.sum(), 25);
-        assert_eq!(h.max(), 13);
-        // An empty histogram is not materialized at all.
-        scrape_shard_stats(&mut m, 2, &ShardStats::default());
-        assert!(m
-            .hist(SeriesKey::shard(MetricId::ShardWindowWidthPs, 2))
-            .is_none());
     }
 }

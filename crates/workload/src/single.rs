@@ -3,10 +3,10 @@
 
 use crate::executor::BroadcastTracker;
 use crate::harness::{BroadcastRep, Runner};
-use crate::scrape::{scrape_engine_stats, scrape_shard_stats};
+use crate::scrape::scrape_engine_stats;
 use serde::{Deserialize, Serialize};
 use wormcast_broadcast::{Algorithm, RoutingKind};
-use wormcast_network::{ConfigError, NetworkConfig, OpId, ShardedNetwork, ShardedSim, Simulation};
+use wormcast_network::{NetworkConfig, OpId, Simulation};
 use wormcast_routing::{
     DimensionOrdered, PlanarWestFirst, QueueAdaptive, RoutingFunction, WestFirst,
 };
@@ -132,113 +132,6 @@ pub fn run_single_broadcast_observed(
         f
     });
     (outcome, frame)
-}
-
-/// Run one single-source broadcast of `length` flits on the sharded engine
-/// (`shards` last-axis slabs; `1` selects the ordinary single-threaded
-/// engine) and measure it — the execution path of the large-mesh Fig 1
-/// sweep, where a single simulation must use several cores. The outcome is
-/// deterministic for a given `(mesh, cfg, alg, source, length, shards)`.
-///
-/// # Errors
-/// Surfaces the shard-count validation ([`ConfigError::ZeroShards`],
-/// [`ConfigError::ShardsExceedAxis`]).
-///
-/// # Panics
-/// Panics if the network idles before the broadcast completes (a library
-/// bug, as in [`run_single_broadcast`]).
-pub fn run_single_broadcast_sharded(
-    mesh: &Mesh,
-    cfg: NetworkConfig,
-    alg: Algorithm,
-    source: NodeId,
-    length: u64,
-    shards: usize,
-) -> Result<BroadcastOutcome, ConfigError> {
-    run_single_broadcast_sharded_observed(mesh, cfg, alg, source, length, shards, None)
-        .map(|(o, _)| o)
-}
-
-/// [`run_single_broadcast_sharded`] with optional telemetry collection.
-///
-/// The sharded engine does not attach event sinks (its physics run on
-/// worker threads; see `wormcast_network::sharded`), so the returned frame
-/// carries only driver-side series: per-destination arrival latencies, the
-/// run's CV, and — when `observe.spec.profile` is set — the scraped
-/// `engine_*` metrics plus, on a genuinely sharded run, the per-shard
-/// `shard_*` runtime series (barrier wait, windows, window-width
-/// distribution, crossings, spin→yield transitions, arena high-water).
-/// Profiling also switches on the shards' barrier timing probes.
-///
-/// # Errors
-/// Surfaces the shard-count validation, as [`run_single_broadcast_sharded`].
-///
-/// # Panics
-/// Panics if the network idles before the broadcast completes.
-#[allow(clippy::type_complexity)]
-pub fn run_single_broadcast_sharded_observed(
-    mesh: &Mesh,
-    cfg: NetworkConfig,
-    alg: Algorithm,
-    source: NodeId,
-    length: u64,
-    shards: usize,
-    observe: Option<Observe<'_>>,
-) -> Result<(BroadcastOutcome, Option<TelemetryFrame>), ConfigError> {
-    let schedule = alg.schedule(mesh, source);
-    debug_assert!(schedule.validate(mesh, alg.ports()).is_ok());
-    let cfg = cfg.with_ports(alg.ports());
-    let mut sim = if shards == 1 {
-        ShardedSim::Single {
-            sim: Simulation::over(mesh.clone(), cfg, routing_for(alg, mesh)),
-            pumped: Vec::new(),
-        }
-    } else {
-        ShardedSim::Sharded(ShardedNetwork::new(mesh.clone(), cfg, shards, || {
-            routing_for(alg, mesh)
-        })?)
-    };
-    let profiling = observe.as_ref().is_some_and(|o| o.spec.profile);
-    if profiling {
-        sim.set_profiling(true);
-    }
-    let mut tracker = BroadcastTracker::new(mesh, &schedule, OpId(0), length);
-    for spec in tracker.start(SimTime::ZERO) {
-        sim.inject_at(SimTime::ZERO, spec);
-    }
-    sim.run_with_driver(|d| tracker.on_delivery(d));
-    assert!(
-        tracker.is_complete(),
-        "network idle before broadcast completion"
-    );
-    let lats = tracker.latencies_us();
-    let s = summarize(&lats);
-    let outcome = BroadcastOutcome {
-        algorithm: alg.name().to_string(),
-        source,
-        network_latency_us: tracker.network_latency_us(),
-        mean_latency_us: s.mean(),
-        sd_latency_us: s.std_dev(),
-        cv: s.cv(),
-    };
-    let frame = observe.map(|o| {
-        let c = o.collector(mesh.num_channels(), mesh.num_nodes());
-        for &l in &lats {
-            c.record_arrival_us(l);
-        }
-        c.record_op_cv(s.cv());
-        let mut f = c.finish();
-        if profiling {
-            scrape_engine_stats(&mut f.metrics, &sim.engine_stats());
-            if matches!(sim, ShardedSim::Sharded(_)) {
-                for (i, st) in sim.shard_stats().iter().enumerate() {
-                    scrape_shard_stats(&mut f.metrics, i as u32, st);
-                }
-            }
-        }
-        f
-    });
-    Ok((outcome, frame))
 }
 
 /// Aggregate of repeated single-source broadcasts from uniformly random
@@ -376,31 +269,6 @@ mod tests {
         assert!(ab.cv < edn.cv, "AB {} < EDN {}", ab.cv, edn.cv);
         assert!(ab.cv < rd.cv, "AB {} < RD {}", ab.cv, rd.cv);
         assert!(ab.cv < db.cv, "AB {} < DB {}", ab.cv, db.cv);
-    }
-
-    #[test]
-    fn sharded_broadcast_matches_single_engine_outcome() {
-        // A single-source broadcast on an idle network is tie-free, so the
-        // sharded engine must reproduce the single engine's measured
-        // latencies bit-for-bit at every admissible shard count.
-        let m = Mesh::cube(8);
-        let src = NodeId(77);
-        for alg in [Algorithm::Db, Algorithm::Ab, Algorithm::Qab] {
-            let base = run_single_broadcast(&m, cfg(), alg, src, 100);
-            for shards in [1usize, 2, 4] {
-                let o = run_single_broadcast_sharded(&m, cfg(), alg, src, 100, shards)
-                    .expect("valid shard count");
-                assert_eq!(
-                    o.network_latency_us.to_bits(),
-                    base.network_latency_us.to_bits(),
-                    "{alg} shards={shards}"
-                );
-                assert_eq!(o.mean_latency_us.to_bits(), base.mean_latency_us.to_bits());
-                assert_eq!(o.cv.to_bits(), base.cv.to_bits());
-            }
-        }
-        // Oversharding surfaces the config error instead of panicking.
-        assert!(run_single_broadcast_sharded(&m, cfg(), Algorithm::Db, src, 100, 16).is_err());
     }
 
     #[test]

@@ -84,40 +84,6 @@ fn validate(path: &Path) {
     );
 }
 
-/// The sharded-scaling report: same schema, different contract. Shard
-/// scaling is a property of the generating machine's core count — a
-/// single-core host measures barrier overhead, not speedup — so this
-/// validates shape and coverage (the un-sharded baseline plus the full
-/// 1/2/4/8 shard ladder at the 64×64×64 flood), never a cross-count
-/// ordering. Every sharded row must additionally carry the measured
-/// barrier wait in its `extra` object — the observability PR's contract
-/// that synchronization cost is reported, not inferred.
-fn validate_parallel(path: &Path) {
-    let records = parse_report(path);
-    for r in &records {
-        assert!(r.mean_ns > 0.0, "{}: non-positive mean", r.id);
-        assert!(r.samples > 0, "{}: no samples", r.id);
-    }
-    let has = |needle: &str| records.iter().any(|r| r.id.contains(needle));
-    assert!(
-        has("engine_parallel/mesh64_flood_single_engine"),
-        "report carries the un-sharded baseline"
-    );
-    let text = std::fs::read_to_string(path).expect("re-read report");
-    for shards in [1, 2, 4, 8] {
-        let id = format!("engine_parallel/mesh64_flood_sharded/{shards}");
-        assert!(has(&id), "report carries the {shards}-shard measurement");
-        let line = text
-            .lines()
-            .find(|l| l.contains(&id))
-            .expect("row line exists");
-        let wait: f64 = field(line, "barrier_wait_ns")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("{id}: row lacks a measured barrier_wait_ns extra"));
-        assert!(wait >= 0.0, "{id}: negative barrier wait ({wait})");
-    }
-}
-
 /// The telemetry-overhead report: the `off` row is the exact unobserved
 /// code path, so with instrumentation compiled in it must stay within
 /// noise of (never meaningfully above) every observed configuration, and
@@ -194,13 +160,6 @@ fn committed_engine_bench_report_is_valid() {
 }
 
 #[test]
-fn committed_parallel_bench_report_is_valid() {
-    validate_parallel(
-        &Path::new(env!("CARGO_MANIFEST_DIR")).join("results/BENCH_engine_parallel.json"),
-    );
-}
-
-#[test]
 fn committed_telemetry_bench_report_is_valid() {
     validate_telemetry(&Path::new(env!("CARGO_MANIFEST_DIR")).join("results/BENCH_telemetry.json"));
 }
@@ -224,13 +183,5 @@ fn env_provided_bench_report_is_valid() {
     // plain `cargo test` run.
     if let Ok(path) = std::env::var("WORMCAST_BENCH_JSON") {
         validate(Path::new(&path));
-    }
-}
-
-#[test]
-fn env_provided_parallel_bench_report_is_valid() {
-    // Set by ci.sh's engine_parallel bench smoke; absent otherwise.
-    if let Ok(path) = std::env::var("WORMCAST_BENCH_PARALLEL_JSON") {
-        validate_parallel(Path::new(&path));
     }
 }

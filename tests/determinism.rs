@@ -250,33 +250,3 @@ fn qab_scheduled_scenario_is_byte_identical_across_job_counts() {
     // The scenario must actually deliver traffic (the ramp offered work).
     assert!(sequential.contains("\"algorithm\": \"QAB\""));
 }
-
-#[test]
-fn qab_broadcast_is_role_equal_across_shard_counts() {
-    // The sharded engine partitions the mesh along the last axis; QAB's
-    // queue-aware arbitration reads per-channel backlog that the shards
-    // maintain locally and tie-breaks by *global* channel index, so a
-    // single-source broadcast must measure identically at every admissible
-    // shard count — the delivery-role equality the --shards gate relies on.
-    use wormcast::workload::{run_single_broadcast, run_single_broadcast_sharded};
-    let mesh = wormcast::topology::Mesh::cube(8);
-    let cfg = NetworkConfig::builder().startup_us(1.5).build().unwrap();
-    for src in [NodeId(0), NodeId(77), NodeId(511)] {
-        let base = run_single_broadcast(&mesh, cfg, Algorithm::Qab, src, 100);
-        for shards in [1usize, 4] {
-            let o = run_single_broadcast_sharded(&mesh, cfg, Algorithm::Qab, src, 100, shards)
-                .expect("valid shard count");
-            assert_eq!(
-                o.network_latency_us.to_bits(),
-                base.network_latency_us.to_bits(),
-                "src {src:?} shards={shards}"
-            );
-            assert_eq!(
-                o.mean_latency_us.to_bits(),
-                base.mean_latency_us.to_bits(),
-                "src {src:?} shards={shards}"
-            );
-            assert_eq!(o.cv.to_bits(), base.cv.to_bits(), "src {src:?}");
-        }
-    }
-}

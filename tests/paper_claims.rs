@@ -354,11 +354,11 @@ fn snapshot_fig1_latency_orderings() {
 
 #[test]
 fn snapshot_fig1_scale_reaches_the_large_regime() {
-    // The sharded-engine sweep: the committed fig1-scale.json must carry at
+    // The large-mesh sweep: the committed fig1-scale.json must carry at
     // least one mesh at or beyond 262,144 nodes (64×64×64), every cell a
     // positive latency, and DB/AB must stay near-flat across the whole size
     // range — the paper's scalability claim, extended to the 10⁵–10⁶-node
-    // regime the sweep exists for.
+    // regime the sweep exists for. Every cell ran on the single engine.
     let objs = snapshots::objects("fig1-scale.json");
     let mut sizes: Vec<u64> = objs
         .iter()
@@ -372,7 +372,7 @@ fn snapshot_fig1_scale_reaches_the_large_regime() {
     );
     for o in &objs {
         assert!(snapshots::num(o, "latency_us") > 0.0, "{o}");
-        assert!(snapshots::num(o, "shards") >= 1.0, "{o}");
+        assert_eq!(snapshots::num(o, "shards"), 1.0, "{o}");
     }
     let (first, last) = (sizes[0], *sizes.last().unwrap());
     assert!(last >= first * 8, "size range too narrow: {sizes:?}");

@@ -1,11 +1,11 @@
 //! Schema and determinism validation for the `--profile` report.
 //!
 //! Contract (documented in DESIGN.md §4.7): the report is hand-rendered so
-//! that every execution-dependent datum (span wall clocks, per-shard
-//! series, harness wall clocks and queue depths) lands on a line whose
+//! that every execution-dependent datum (span wall clocks, harness wall
+//! clocks and queue depths, calendar-wheel work) lands on a line whose
 //! first key starts with `nd_`. Stripping those lines (`strip_nd`, or
 //! `grep -v '"nd_'` in `ci.sh`) yields a byte-comparable skeleton that
-//! must be identical across `--jobs` and `--shards` for fixed physics.
+//! must be identical across `--jobs` for fixed physics.
 //! These tests enforce the contract in-process; `ci.sh` re-runs the
 //! env-gated test below against a report freshly produced by the release
 //! `fig1` binary (path handed over via `WORMCAST_PROFILE_FILE`).
@@ -15,7 +15,6 @@ use wormcast::prelude::*;
 use wormcast::telemetry::{
     strip_nd, MetricId, MetricsRegistry, ProfileReport, Profiler, PROFILE_SCHEMA,
 };
-use wormcast::workload::run_single_broadcast_sharded_observed;
 
 /// Build a profile report the way the drivers do: run fig1 under `jobs`
 /// workers with metric scraping on, merge every cell frame's registry in
@@ -46,37 +45,6 @@ fn fig1_report(jobs: usize) -> ProfileReport {
     p.phase("emit");
     let (spans, nd_wall) = p.finish();
     ProfileReport::new("fig1", spans, nd_wall, metrics)
-}
-
-/// One sharded broadcast's scraped registry, wrapped in the driver spans.
-fn sharded_report(shards: usize) -> ProfileReport {
-    let mesh = Mesh::cube(8);
-    let cfg = NetworkConfig::paper_default();
-    let spec = TelemetrySpec {
-        profile: true,
-        ..TelemetrySpec::default()
-    };
-    let observe = Observe::new(&spec, 0);
-    let (outcome, frame) = run_single_broadcast_sharded_observed(
-        &mesh,
-        cfg,
-        Algorithm::Db,
-        NodeId(0),
-        100,
-        shards,
-        Some(observe),
-    )
-    .expect("valid config");
-    assert!(outcome.network_latency_us > 0.0);
-    let frame = frame.expect("observed run returns a frame");
-    let mut p = Profiler::new();
-    p.open("fig1-scale");
-    p.phase("setup");
-    p.phase("run");
-    p.phase("merge");
-    p.phase("emit");
-    let (spans, nd_wall) = p.finish();
-    ProfileReport::new("fig1-scale", spans, nd_wall, frame.metrics)
 }
 
 /// Validate the line-level report layout shared by every producer. The
@@ -132,44 +100,6 @@ fn fig1_report_skeleton_is_byte_identical_across_job_counts() {
         strip_nd(&a),
         strip_nd(&b),
         "profile skeleton depends on --jobs"
-    );
-}
-
-#[test]
-fn sharded_report_skeleton_is_byte_identical_across_shard_counts() {
-    let a = sharded_report(1).to_json();
-    let b = sharded_report(4).to_json();
-    validate_report_json(&a, "shards=1");
-    validate_report_json(&b, "shards=4");
-    assert_eq!(
-        strip_nd(&a),
-        strip_nd(&b),
-        "profile skeleton depends on --shards"
-    );
-}
-
-#[test]
-fn sharded_report_carries_per_shard_series_in_json_and_prom() {
-    let r = sharded_report(4);
-    let json = r.to_json();
-    let prom = r.to_prom();
-    for s in 0..4 {
-        assert!(
-            json.contains(&format!("shard_barrier_wait_ns{{shard=\\\"{s}\\\"}}")),
-            "JSON nd series missing shard {s} barrier wait"
-        );
-        assert!(
-            prom.contains(&format!("shard_barrier_wait_ns{{shard=\"{s}\"}}")),
-            "prom exposition missing shard {s} barrier wait"
-        );
-    }
-    assert!(
-        prom.contains("shard_arena_msgs_highwater"),
-        "prom exposition missing the shard arena high-water gauge"
-    );
-    assert!(
-        prom.contains("engine_arena_msgs_highwater"),
-        "prom exposition missing the engine arena high-water gauge"
     );
 }
 

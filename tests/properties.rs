@@ -5,7 +5,6 @@ use proptest::prelude::*;
 use wormcast::prelude::*;
 use wormcast::routing::{is_dor_legal, DimensionOrdered, PlanarWestFirst, WestFirst};
 use wormcast::topology::straight_walk;
-use wormcast::workload::run_single_broadcast_sharded;
 
 /// Strategy: a modest 3D mesh (2..=6 per dimension; the paper's algorithms
 /// need at least a 2x2 plane and two Z planes) plus a node in it.
@@ -132,23 +131,6 @@ proptest! {
             prop_assert!(o.mean_latency_us <= o.network_latency_us);
             prop_assert!(o.cv >= 0.0);
         }
-    }
-
-    /// Metamorphic: a QAB broadcast measures identically however the mesh
-    /// is sharded — the queue-aware arbitration tie-breaks by *global*
-    /// channel index, so the spatial partition must never leak into the
-    /// outcome (the `--shards` role-equality gate, as a property).
-    #[test]
-    fn qab_broadcast_shard_count_is_unobservable((mesh, src) in mesh3d_and_node(), shards in 2usize..=4) {
-        prop_assume!(usize::from(mesh.dim_size(mesh.ndims() - 1)) >= shards);
-        let cfg = NetworkConfig::paper_default();
-        let base = run_single_broadcast(&mesh, cfg, Algorithm::Qab, src, 16);
-        let sharded = run_single_broadcast_sharded(&mesh, cfg, Algorithm::Qab, src, 16, shards)
-            .expect("admissible shard count");
-        prop_assert_eq!(sharded.network_latency_us.to_bits(), base.network_latency_us.to_bits(),
-            "{:?} from {src} at {shards} shards", mesh.dims());
-        prop_assert_eq!(sharded.mean_latency_us.to_bits(), base.mean_latency_us.to_bits());
-        prop_assert_eq!(sharded.cv.to_bits(), base.cv.to_bits());
     }
 
     /// Node/coordinate indexing round-trips on random meshes.
