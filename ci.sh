@@ -34,29 +34,38 @@ run cargo test "${OFFLINE[@]}" --workspace -q
 
 # Telemetry smoke: run a small fig1 with telemetry + events enabled, check
 # the export exists, and validate the NDJSON stream against the schema test
-# (every line parses, t_ps monotone per message).
+# (every line parses, t_ps monotone per message). The selector name lands
+# in the --events path: events.ndjson -> events-fig1.ndjson.
 TDIR="$(mktemp -d)"
 trap 'rm -rf "$TDIR"' EXIT
-run ./target/release/fig1 --quick --jobs 2 --seed 7 \
-    --telemetry "$TDIR" --events "$TDIR/fig1.events.ndjson"
+run ./target/release/wormcast fig1 --quick --jobs 2 --seed 7 \
+    --telemetry "$TDIR" --events "$TDIR/events.ndjson"
 [ -s "$TDIR/fig1.telemetry.json" ] || {
     echo "ci: fig1.telemetry.json missing or empty" >&2
     exit 1
 }
-[ -s "$TDIR/fig1.events.ndjson" ] || {
-    echo "ci: fig1.events.ndjson missing or empty" >&2
+[ -s "$TDIR/events-fig1.ndjson" ] || {
+    echo "ci: events-fig1.ndjson missing or empty" >&2
     exit 1
 }
 echo "==> validating NDJSON event stream schema"
-WORMCAST_EVENTS_FILE="$TDIR/fig1.events.ndjson" \
+WORMCAST_EVENTS_FILE="$TDIR/events-fig1.ndjson" \
     run cargo test "${OFFLINE[@]}" -q -p wormcast --test telemetry_schema
+
+# Results reproduction: the full suite must reproduce every committed
+# results/*.json byte for byte.
+echo "==> results reproduction"
+run ./target/release/wormcast all --jobs 2 --out "$TDIR/all"
+for f in "$TDIR"/all/*.json; do
+    run cmp "$f" "results/${f##*/}"
+done
 
 # Fault-injection smoke: run the quick fault sweep twice at different job
 # counts, demand byte-identical JSON (the determinism contract covers the
 # fault plans), then validate the schema against the produced file.
 echo "==> fault-injection smoke"
-run ./target/release/faults --quick --seed 7 --jobs 1 --out "$TDIR/f1"
-run ./target/release/faults --quick --seed 7 --jobs 4 --out "$TDIR/f4"
+run ./target/release/wormcast faults --quick --seed 7 --jobs 1 --out "$TDIR/f1"
+run ./target/release/wormcast faults --quick --seed 7 --jobs 4 --out "$TDIR/f4"
 [ -s "$TDIR/f1/faults.json" ] || {
     echo "ci: faults.json missing or empty" >&2
     exit 1
@@ -79,8 +88,8 @@ WORMCAST_FAULTS_FILE="$TDIR/f1/faults.json" \
 # steady-state sims is byte-level across --jobs; then validate the schema
 # against the produced file.
 echo "==> saturation smoke"
-run ./target/release/saturation --quick --seed 7 --jobs 1 --out "$TDIR/sat-j1"
-run ./target/release/saturation --quick --seed 7 --jobs 4 --out "$TDIR/sat-j4"
+run ./target/release/wormcast saturation --quick --seed 7 --jobs 1 --out "$TDIR/sat-j1"
+run ./target/release/wormcast saturation --quick --seed 7 --jobs 4 --out "$TDIR/sat-j4"
 [ -s "$TDIR/sat-j1/saturation.json" ] || {
     echo "ci: saturation.json missing or empty" >&2
     exit 1
@@ -172,16 +181,17 @@ grep -q '"result":' "$TDIR/sched-j1.out" || {
 # pinned pre-schedule value.
 run cargo test "${OFFLINE[@]}" -q -p wormcast-simcheck schema
 
-# Profile smoke: run fig1 with --profile across job counts. The report's
+# Profile smoke: run fig1 with --profile across job counts (the selector
+# name lands in the path: prof-j1.json -> prof-j1-fig1.json). The report's
 # deterministic skeleton (every line not carrying an "nd_" key) must be
 # byte-identical across them, the Prometheus sibling must be non-empty, and
 # the report must pass the profile schema test.
 echo "==> profile smoke"
-run ./target/release/fig1 --quick --seed 7 --jobs 1 \
+run ./target/release/wormcast fig1 --quick --seed 7 --jobs 1 \
     --profile "$TDIR/prof-j1.json"
-run ./target/release/fig1 --quick --seed 7 --jobs 4 \
+run ./target/release/wormcast fig1 --quick --seed 7 --jobs 4 \
     --profile "$TDIR/prof-j4.json"
-for p in prof-j1 prof-j4; do
+for p in prof-j1-fig1 prof-j4-fig1; do
     [ -s "$TDIR/$p.json" ] || {
         echo "ci: $p.json missing or empty" >&2
         exit 1
@@ -192,11 +202,11 @@ for p in prof-j1 prof-j4; do
     }
     grep -v '"nd_' "$TDIR/$p.json" > "$TDIR/$p.skeleton.json"
 done
-run cmp "$TDIR/prof-j1.skeleton.json" "$TDIR/prof-j4.skeleton.json" || {
+run cmp "$TDIR/prof-j1-fig1.skeleton.json" "$TDIR/prof-j4-fig1.skeleton.json" || {
     echo "ci: profile skeleton differs across --jobs counts" >&2
     exit 1
 }
-WORMCAST_PROFILE_FILE="$TDIR/prof-j1.json" \
+WORMCAST_PROFILE_FILE="$TDIR/prof-j1-fig1.json" \
     run cargo test "${OFFLINE[@]}" -q -p wormcast --test profile_schema
 
 # Serve smoke: start the service on an ephemeral port, submit one generated

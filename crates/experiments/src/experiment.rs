@@ -18,7 +18,7 @@
 //! ```
 //!
 //! With telemetry, pass `(&runner, &spec)` (or `(&runner, Option<&spec>)`
-//! when the spec is itself optional, as in the binaries' `--telemetry`
+//! when the spec is itself optional, as in the driver's `--telemetry`
 //! flag):
 //!
 //! ```

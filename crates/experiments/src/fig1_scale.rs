@@ -10,7 +10,7 @@
 //! is N−1 unicast messages, which dominates the run time at 10⁶ nodes).
 //!
 //! Without a telemetry spec no frames are collected and the unobserved
-//! path keeps the large runs at full speed. With one (the binaries'
+//! path keeps the large runs at full speed. With one (the driver's
 //! `--profile`), each replication runs through
 //! [`run_single_broadcast_observed`], exactly as in the Fig. 1 driver.
 

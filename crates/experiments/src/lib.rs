@@ -13,6 +13,7 @@
 //! | [`arrivals`] | §3.2 widened | per-destination arrival percentiles & histograms |
 //! | [`faults`] | beyond the paper | delivery ratio vs link fault rate |
 //! | [`saturation`] | beyond the paper | offered vs delivered load for DB/AB/QAB |
+//! | [`schedules`] | beyond the paper | delivered load vs time under a load ramp |
 //!
 //! Each experiment's parameter struct implements the [`Experiment`] trait:
 //! `params.run(&runner)` produces the result cells, and
@@ -20,9 +21,9 @@
 //! frames (see [`Observation`] for the accepted shorthands). Modules also
 //! expose `table` (render the paper's layout) and, where the paper makes
 //! qualitative claims, `check_claims` (verify the shape of the result
-//! programmatically). Binaries `fig1`, `fig2`, `fig3`, `fig4`, `steps`,
-//! `faults` and the umbrella `wormcast` print the tables and optionally
-//! persist JSON via `--out DIR`.
+//! programmatically). [`suite`] holds one row per selector of `wormcast`,
+//! the only experiment driver binary: `wormcast <selector>` prints the
+//! tables and persists JSON via `--out DIR`. `show` renders a schedule.
 
 #![warn(missing_docs)]
 
@@ -40,6 +41,7 @@ pub mod report;
 pub mod saturation;
 pub mod schedules;
 pub mod steps;
+pub mod suite;
 pub mod telemetry;
 
 pub use cli::CommonOpts;

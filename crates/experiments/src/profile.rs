@@ -52,11 +52,6 @@ impl ProfileSession {
         }
     }
 
-    /// Whether `--profile` was given.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Move to the next driver phase (closes the current one).
     pub fn phase(&mut self, name: &'static str) {
         if self.enabled {
@@ -104,8 +99,8 @@ impl ProfileSession {
 
 /// Write `report` to the `--profile` destination (JSON + sibling `.prom`)
 /// and append its driver-level events to the `--events` stream if one was
-/// written. Shared by [`ProfileSession::finish`] and the umbrella binary's
-/// hand-rolled paths (trace dump, simcheck).
+/// written. Shared by [`ProfileSession::finish`] and the driver's trace
+/// dump.
 ///
 /// # Panics
 /// Panics on I/O errors — these are developer tools.
@@ -124,41 +119,19 @@ pub fn write_report(opts: &CommonOpts, report: &ProfileReport) {
     }
 }
 
-/// Map a `wormcast` umbrella selector to the static span name its profile
-/// session roots at (span names are `&'static str` by construction).
-pub fn selector_name(sel: &str) -> &'static str {
-    match sel {
-        "steps" => "steps",
-        "fig1" => "fig1",
-        "fig1-lowts" => "fig1-lowts",
-        "fig1-scale" => "fig1-scale",
-        "fig2" => "fig2",
-        "tables" => "tables",
-        "fig3" => "fig3",
-        "fig4" => "fig4",
-        "arrivals" => "arrivals",
-        "multicast" => "multicast",
-        "faults" => "faults",
-        "saturation" => "saturation",
-        "simcheck" => "simcheck",
-        _ => "experiment",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use wormcast_telemetry::{strip_nd, TelemetryFrame};
 
     fn opts(args: &[&str]) -> CommonOpts {
-        CommonOpts::parse_from(args.iter().map(|s| s.to_string()))
+        CommonOpts::parse_from(args.iter().map(|s| s.to_string())).expect("valid flags")
     }
 
     #[test]
     fn disabled_session_writes_nothing() {
         let o = opts(&[]);
         let mut s = ProfileSession::begin(&o, "fig1");
-        assert!(!s.enabled());
         s.phase("run");
         s.finish(&o, &[]); // no --profile path: must not touch the fs
     }
@@ -195,27 +168,5 @@ mod tests {
             "skeleton invariant to frame count"
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn selector_names_cover_the_dispatcher() {
-        for sel in [
-            "steps",
-            "fig1",
-            "fig1-lowts",
-            "fig1-scale",
-            "fig2",
-            "tables",
-            "fig3",
-            "fig4",
-            "arrivals",
-            "multicast",
-            "faults",
-            "saturation",
-            "simcheck",
-        ] {
-            assert_eq!(selector_name(sel), sel);
-        }
-        assert_eq!(selector_name("mystery"), "experiment");
     }
 }

@@ -1,7 +1,6 @@
 //! Plain-text table rendering and JSON persistence for experiment results.
 
 use serde::Serialize;
-use std::io::Write;
 use std::path::Path;
 
 /// A rendered results table: a title, column headers and string rows.
@@ -71,16 +70,19 @@ impl Table {
     }
 }
 
+/// Render any serializable result as pretty-printed JSON with a trailing
+/// newline: the bytes [`write_json`] writes.
+pub fn to_json<T: Serialize>(value: &T) -> String {
+    serde_json::to_string_pretty(value).expect("serializable results") + "\n"
+}
+
 /// Write any serializable result to a JSON file (pretty-printed), creating
 /// parent directories as needed.
 pub fn write_json<T: Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
-    let mut f = std::fs::File::create(path)?;
-    let s = serde_json::to_string_pretty(value).expect("serializable results");
-    f.write_all(s.as_bytes())?;
-    f.write_all(b"\n")
+    std::fs::write(path, to_json(value))
 }
 
 /// Format a float with 4 significant decimals.

@@ -1,4 +1,4 @@
-//! Telemetry plumbing shared by the experiment binaries.
+//! Telemetry plumbing shared by the experiment selectors.
 //!
 //! Figure result JSON (`--out`) is left completely untouched by telemetry —
 //! it must stay byte-identical to pre-telemetry runs and across `--jobs`
@@ -15,7 +15,6 @@
 use crate::cli::CommonOpts;
 use crate::report::write_json;
 use serde::Serialize;
-use std::time::Duration;
 use wormcast_network::Trace;
 use wormcast_telemetry::{FrameExport, RunManifest, TelemetryFrame};
 
@@ -55,28 +54,6 @@ impl TelemetryReport {
             cells: frames.iter().map(|f| f.frame.export(&f.label)).collect(),
         }
     }
-}
-
-/// Fill the run-shaped manifest fields from the CLI options (seed and
-/// length must be resolved by the caller, which knows the experiment's
-/// defaults) and stamp the wall-clock duration.
-pub fn manifest(
-    experiment: &str,
-    opts: &CommonOpts,
-    seed: u64,
-    length: u64,
-    startup_us: f64,
-    runs: usize,
-    wall: Duration,
-) -> RunManifest {
-    let mut m = RunManifest::new(experiment);
-    m.master_seed = seed;
-    m.jobs = opts.runner().jobs() as u64;
-    m.length_flits = length;
-    m.startup_us = startup_us;
-    m.runs = runs as u64;
-    m.wall_ms = wall.as_secs_f64() * 1e3;
-    m
 }
 
 /// Concatenate every cell's retained events as one NDJSON string, in cell

@@ -1,98 +1,101 @@
-//! Every experiment entry point rejects a flag it does not know — a typo
-//! such as `--job 4`, or the retired `--shards 4` — before any simulation
-//! setup, with exit status 2 and a stderr message naming the flag. These
-//! runs are cheap precisely because the check precedes the expensive work.
+//! Every selector of the `wormcast` driver rejects a flag it does not take
+//! — a typo such as `--job 4`, the retired `--shards 4`, a malformed common
+//! value, or another selector's own flag — before any simulation setup,
+//! with exit status 2, a stderr message naming the flag and a usage line.
+//! These runs are cheap precisely because the check precedes the expensive
+//! work (`--quick` bounds them should the check ever regress).
 
-use std::process::Command;
+use std::process::{Command, Output};
+use wormcast_experiments::suite::SUITE;
 
-/// Each binary with the arguments it needs to reach option handling.
-const BINARIES: [(&str, &[&str]); 12] = [
-    (env!("CARGO_BIN_EXE_arrivals"), &[]),
-    (env!("CARGO_BIN_EXE_faults"), &["--quick"]),
-    (env!("CARGO_BIN_EXE_fig1"), &["--quick"]),
-    (env!("CARGO_BIN_EXE_fig2"), &["--quick"]),
-    (env!("CARGO_BIN_EXE_fig3"), &["--quick"]),
-    (env!("CARGO_BIN_EXE_fig4"), &["--quick"]),
-    (env!("CARGO_BIN_EXE_multicast"), &["--quick"]),
-    (env!("CARGO_BIN_EXE_saturation"), &["--quick"]),
-    (env!("CARGO_BIN_EXE_show"), &["DB", "4", "0"]),
-    (env!("CARGO_BIN_EXE_steps"), &[]),
-    (env!("CARGO_BIN_EXE_tables"), &["--quick"]),
-    (env!("CARGO_BIN_EXE_wormcast"), &["steps"]),
-];
+const WORMCAST: &str = env!("CARGO_BIN_EXE_wormcast");
 
-fn expect_rejection(bin: &str, args: &[&str], flag: &str) {
-    let out = Command::new(bin)
-        .args(args)
-        .args([flag, "4"])
-        .output()
-        .expect("spawn experiment binary");
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "{bin} {args:?} {flag} 4 should exit 2, stdout: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
+fn run(bin: &str, args: &[&str]) -> Output {
+    let out = Command::new(bin).args(args).output();
+    out.expect("spawn experiment binary")
+}
+
+fn expect_rejection(bin: &str, args: &[&str], needle: &str) {
+    let out = run(bin, args);
     let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
     assert!(
-        stderr.contains(&format!("'{flag}'")),
-        "{bin} {args:?} stderr should name {flag}, got: {stderr}"
-    );
-    assert!(
-        stderr.contains("usage:"),
-        "{bin} {args:?} stderr should print a usage line, got: {stderr}"
+        stderr.contains("error: ") && stderr.contains(needle) && stderr.contains("usage:"),
+        "{bin} {args:?} stderr should name {needle} and print a usage line, got: {stderr}"
     );
 }
 
 #[test]
-fn every_binary_rejects_the_retired_shards_flag() {
-    for (bin, args) in BINARIES {
-        expect_rejection(bin, args, "--shards");
+fn every_selector_rejects_unknown_flags_and_malformed_values() {
+    for spec in SUITE {
+        for (args, needle) in [
+            (&["--shards", "4"][..], "unknown flag '--shards'"),
+            (&["--job", "4"], "unknown flag '--job'"),
+            (&["--seed", "x"], "--seed must be a number, got 'x'"),
+            (&["--ts", "abc"], "--ts must be a number, got 'abc'"),
+            (&["--jobs"], "--jobs needs a worker count"),
+        ] {
+            let argv: Vec<&str> = [spec.name, "--quick"].iter().chain(args).copied().collect();
+            expect_rejection(WORMCAST, &argv, needle);
+        }
+    }
+    let show = env!("CARGO_BIN_EXE_show");
+    expect_rejection(show, &["DB", "4", "0", "--shards", "4"], "'--shards'");
+    expect_rejection(show, &["DB", "4", "0", "--job", "4"], "'--job'");
+}
+
+#[test]
+fn every_selector_rejects_another_selectors_flag() {
+    for spec in SUITE {
+        for other in SUITE.iter().filter(|o| o.name != spec.name) {
+            for (flag, _) in other.flags {
+                let needle = format!("'{flag}' belongs to selector '{}'", other.name);
+                expect_rejection(WORMCAST, &[spec.name, "--quick", flag, "1"], &needle);
+            }
+        }
     }
 }
 
 #[test]
-fn every_binary_rejects_a_misspelt_jobs_flag() {
-    for (bin, args) in BINARIES {
-        expect_rejection(bin, args, "--job");
-    }
-}
-
-#[test]
-fn umbrella_rejects_a_flag_before_running_an_earlier_selector() {
+fn rejection_precedes_every_selector() {
     // `wormcast all --shards 4` must not run the suite and then complain.
-    expect_rejection(env!("CARGO_BIN_EXE_wormcast"), &["all"], "--shards");
-    expect_rejection(env!("CARGO_BIN_EXE_wormcast"), &[], "--shards");
-}
-
-#[test]
-fn malformed_binary_specific_values_exit_2() {
-    for (bin, args) in [
-        (env!("CARGO_BIN_EXE_faults"), ["--rates", "x"]),
-        (env!("CARGO_BIN_EXE_faults"), ["--side", "x"]),
-        (env!("CARGO_BIN_EXE_saturation"), ["--loads", "x"]),
+    expect_rejection(WORMCAST, &["all", "--shards", "4"], "'--shards'");
+    expect_rejection(WORMCAST, &["--shards", "4"], "'--shards'");
+    expect_rejection(WORMCAST, &["steps", "fig5"], "unknown experiment 'fig5'");
+    for args in [
+        ["faults", "--rates", "x"],
+        ["faults", "--side", "x"],
+        ["faults", "--rates", ""],
+        ["saturation", "--loads", "x"],
+        ["schedules", "--schedule", "/nonexistent/schedule.json"],
     ] {
-        let out = Command::new(bin)
-            .args(args)
-            .output()
-            .expect("spawn experiment binary");
-        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(args[0]), "{bin} {args:?}: {stderr}");
+        expect_rejection(WORMCAST, &args, args[1]);
     }
 }
 
 #[test]
-fn known_flags_are_accepted() {
-    // Control: the same check lets the common flags through (steps does not
-    // simulate, so this is instant).
-    let out = Command::new(env!("CARGO_BIN_EXE_steps"))
-        .args(["--jobs", "2", "--seed", "7"])
-        .output()
-        .expect("spawn steps");
-    assert!(
-        out.status.success(),
-        "steps --jobs 2 should run, stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+fn profile_reports_root_at_their_selector_name() {
+    let dir = std::env::temp_dir().join(format!("wormcast-prof-root-{}", std::process::id()));
+    let prof = dir.join("prof.json");
+    let prof = prof.to_str().expect("utf-8 temp path");
+    // Also the control for the rejection tests: the common flags pass.
+    let args = [
+        "steps",
+        "schedules",
+        "--quick",
+        "--jobs",
+        "2",
+        "--seed",
+        "7",
+    ];
+    let out = run(WORMCAST, &[&args[..], &["--profile", prof]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    for sel in ["steps", "schedules"] {
+        let report = std::fs::read_to_string(dir.join(format!("prof-{sel}.json")))
+            .unwrap_or_else(|e| panic!("{sel} profile report: {e}"));
+        let root = format!("\"experiment\": \"{sel}\"");
+        assert!(report.contains(&root), "{sel} report must root at {sel}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,5 +1,5 @@
 //! Whole-campaign driver shared by the `simcheck` binary and the
-//! experiments umbrella's `simcheck` selector.
+//! `wormcast` driver's `simcheck` selector.
 
 use std::time::Instant;
 

@@ -215,17 +215,7 @@ fn main() {
         }
         None => print!("{json}"),
     }
-    println!(
-        "simcheck: {} scenarios ({} differential, {} invariant-only, {} skipped): \
-         {} violations, {} mismatches, {} panics",
-        report.count,
-        report.differential,
-        report.invariant_only,
-        report.skipped,
-        report.violations,
-        report.mismatches,
-        report.panics
-    );
+    println!("{}", report.summary());
     if !report.is_clean() {
         std::process::exit(1);
     }

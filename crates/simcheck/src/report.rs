@@ -67,6 +67,22 @@ impl Report {
         self.violations == 0 && self.mismatches == 0 && self.panics == 0
     }
 
+    /// The one-line tally both the `simcheck` binary and the `wormcast`
+    /// selector print.
+    pub fn summary(&self) -> String {
+        format!(
+            "simcheck: {} scenarios ({} differential, {} invariant-only, {} skipped): \
+             {} violations, {} mismatches, {} panics",
+            self.count,
+            self.differential,
+            self.invariant_only,
+            self.skipped,
+            self.violations,
+            self.mismatches,
+            self.panics
+        )
+    }
+
     /// Render the report as deterministic pretty-printed JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512);
