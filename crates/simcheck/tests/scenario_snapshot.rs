@@ -8,15 +8,27 @@
 //! the committed file instead of silently shifting every campaign and
 //! cache key.
 //!
+//! A second file pins what the serve layer *answers* for the same
+//! scenarios: the `MeasureSummary` of `measure_request` (or its error
+//! string) plus the event count, so a refactor of the measurement path that
+//! shifts the physics shows up as a diff too.
+//!
 //! To intentionally re-pin after a deliberate grammar change:
 //! `WORMCAST_UPDATE_SNAPSHOTS=1 cargo test -p wormcast-simcheck --test
-//! scenario_snapshot` and commit the rewritten file.
+//! scenario_snapshot` and commit the rewritten files.
 
-use wormcast_simcheck::{canonical_json, scenario_from_json, Scenario};
+use wormcast_simcheck::{
+    canonical_json, measure_request, scenario_from_json, Scenario, ScenarioRequest,
+};
 
 const SNAPSHOT: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/snapshots/scenario_seed0.ndjson"
+);
+
+const MEASURE_SNAPSHOT: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/snapshots/measure_seed0.ndjson"
 );
 
 fn current() -> String {
@@ -42,6 +54,55 @@ fn generator_matches_pinned_snapshot() {
         assert_eq!(
             p, n,
             "Scenario::generate(0, {i}) drifted from the pinned snapshot \
+             (rerun with WORMCAST_UPDATE_SNAPSHOTS=1 only if the change is deliberate)"
+        );
+    }
+    assert_eq!(
+        pinned.lines().count(),
+        now.lines().count(),
+        "snapshot line count changed"
+    );
+}
+
+/// One line per scenario: the request's summary and event count, or the
+/// error a rejected scenario answers with.
+fn current_measurements() -> String {
+    let mut s = String::new();
+    for i in 0..32 {
+        let mut req = ScenarioRequest::new(Scenario::generate(0, i));
+        req.jobs = 1;
+        req.outputs.events = true;
+        let line = match measure_request(&req) {
+            Ok(run) => format!(
+                "{{\"index\":{i},\"summary\":{},\"events\":{}}}",
+                serde_json::to_string(&run.summary).expect("summary serializes"),
+                run.events.map_or(0, |log| log.len())
+            ),
+            Err(e) => format!(
+                "{{\"index\":{i},\"error\":{}}}",
+                serde_json::to_string(&e).expect("error serializes")
+            ),
+        };
+        s.push_str(&line);
+        s.push('\n');
+    }
+    s
+}
+
+#[test]
+fn measurements_match_pinned_snapshot() {
+    let now = current_measurements();
+    if std::env::var_os("WORMCAST_UPDATE_SNAPSHOTS").is_some() {
+        std::fs::write(MEASURE_SNAPSHOT, &now).expect("write snapshot");
+        eprintln!("rewrote {MEASURE_SNAPSHOT}");
+        return;
+    }
+    let pinned = std::fs::read_to_string(MEASURE_SNAPSHOT)
+        .expect("snapshot file missing — run with WORMCAST_UPDATE_SNAPSHOTS=1 to create it");
+    for (i, (p, n)) in pinned.lines().zip(now.lines()).enumerate() {
+        assert_eq!(
+            p, n,
+            "measure_request for Scenario::generate(0, {i}) drifted from the pinned snapshot \
              (rerun with WORMCAST_UPDATE_SNAPSHOTS=1 only if the change is deliberate)"
         );
     }
