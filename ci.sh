@@ -118,7 +118,8 @@ run cargo test "${OFFLINE[@]}" -q -p wormcast-workload --test differential
 # Simcheck smoke: a time-boxed fuzzing campaign through the differential
 # oracle and the invariant checker. Fixed seed, ~200 scenarios (or 60 s,
 # whichever bites first), zero findings required; two runs must agree byte
-# for byte, and the report must pass the schema test.
+# for byte and reproduce the committed results/simcheck.json, and the
+# report must pass the schema test.
 echo "==> simcheck smoke"
 run ./target/release/simcheck --seed 2005 --count 200 --time-budget 60 \
     --out "$TDIR/simcheck.json"
@@ -126,6 +127,10 @@ run ./target/release/simcheck --seed 2005 --count 200 --time-budget 60 \
     --out "$TDIR/simcheck2.json"
 run cmp "$TDIR/simcheck.json" "$TDIR/simcheck2.json" || {
     echo "ci: simcheck.json differs across reruns" >&2
+    exit 1
+}
+run cmp "$TDIR/simcheck.json" results/simcheck.json || {
+    echo "ci: simcheck.json no longer reproduces results/simcheck.json" >&2
     exit 1
 }
 for key in '"violations": 0' '"mismatches": 0' '"panics": 0'; do

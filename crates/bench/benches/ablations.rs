@@ -15,9 +15,10 @@ use wormcast_broadcast::Algorithm;
 use wormcast_network::OpId;
 use wormcast_network::{Network, NetworkConfig, ReleaseMode};
 use wormcast_routing::{OddEven, WestFirst};
-use wormcast_sim::SimTime;
 use wormcast_topology::{Mesh, NodeId};
-use wormcast_workload::{run_mixed_traffic, run_single_broadcast, BroadcastTracker, MixedConfig};
+use wormcast_workload::{
+    drive, run_mixed_traffic, run_single_broadcast, BroadcastTracker, MixedConfig,
+};
 
 /// Ts sweep: the RD-vs-DB gap tracks the start-up latency (Fig. 1 text).
 fn ablate_startup(c: &mut Criterion) {
@@ -85,17 +86,8 @@ fn ablate_rd_ports(c: &mut Criterion) {
                 cfg,
                 Box::new(wormcast_routing::DimensionOrdered),
             );
-            let mut tracker = BroadcastTracker::new(&mesh, &schedule, OpId(0), 100);
-            for spec in tracker.start(SimTime::ZERO) {
-                net.inject_at(SimTime::ZERO, spec);
-            }
-            while !tracker.is_complete() {
-                let d = net.next_delivery().expect("broadcast completes");
-                for spec in tracker.on_delivery(&d) {
-                    net.inject_at(d.delivered_at, spec);
-                }
-            }
-            tracker.network_latency_us()
+            let tracker = BroadcastTracker::new(&mesh, &schedule, OpId(0), 100);
+            drive(&mut net, tracker).network_latency_us()
         };
         let lat = run();
         println!("--- RD with {ports} port(s): {lat:.2} us");
@@ -122,17 +114,8 @@ fn ablate_ab_turn_model(c: &mut Criterion) {
                 Box::new(OddEven)
             };
             let mut net = Network::new(mesh.clone(), cfg, rf);
-            let mut tracker = BroadcastTracker::new(&mesh, &schedule, OpId(0), 100);
-            for spec in tracker.start(SimTime::ZERO) {
-                net.inject_at(SimTime::ZERO, spec);
-            }
-            while !tracker.is_complete() {
-                let d = net.next_delivery().expect("broadcast completes");
-                for spec in tracker.on_delivery(&d) {
-                    net.inject_at(d.delivered_at, spec);
-                }
-            }
-            tracker.network_latency_us()
+            let tracker = BroadcastTracker::new(&mesh, &schedule, OpId(0), 100);
+            drive(&mut net, tracker).network_latency_us()
         };
         println!("--- AB on {name}: {:.2} us", run());
         group.bench_function(name, |b| b.iter(&run));

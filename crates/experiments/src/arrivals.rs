@@ -18,7 +18,7 @@ use wormcast_sim::SimTime;
 use wormcast_stats::{Histogram, Quantiles};
 use wormcast_telemetry::{Observe, TelemetryFrame};
 use wormcast_topology::{Mesh, NodeId, Topology};
-use wormcast_workload::{network_for, BroadcastTracker};
+use wormcast_workload::{attach_collector, network_for, BroadcastTracker, Fed, Ops};
 
 /// Parameters for the arrival-profile experiment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -113,25 +113,22 @@ fn profile_one(
 ) -> (ArrivalProfile, Option<TelemetryFrame>) {
     let schedule = alg.schedule(mesh, source);
     let mut net = network_for(alg, mesh.clone(), cfg);
-    let collector = observe.map(|o| o.collector(mesh.num_channels(), mesh.num_nodes()));
-    if let Some(c) = &collector {
-        net.add_sink(c.sink());
-    }
-    let mut tracker = BroadcastTracker::new(mesh, &schedule, OpId(0), params.length);
-    for spec in tracker.start(SimTime::ZERO) {
-        net.inject_at(SimTime::ZERO, spec);
-    }
+    let collector = attach_collector(&mut net, observe);
+    let mut ops = Ops::default();
+    let tracker = BroadcastTracker::new(mesh, &schedule, OpId(0), params.length);
+    ops.launch(&mut net, SimTime::ZERO, tracker);
     let mut step_of: HashMap<NodeId, u32> = HashMap::new();
-    while !tracker.is_complete() {
-        let d = net.next_delivery().expect("broadcast completes");
-        if d.op == OpId(0) {
+    let mut finished = None;
+    while finished.is_none() {
+        let stepped = ops.step(&mut net, |d, fed| {
             step_of.insert(d.node, d.tag);
-        }
-        for spec in tracker.on_delivery(&d) {
-            net.inject_at(d.delivered_at, spec);
-        }
+            if let Fed::Completed(t) = fed {
+                finished = Some(t);
+            }
+        });
+        assert!(stepped, "broadcast completes");
     }
-    let lats = tracker.latencies_us();
+    let lats = finished.expect("completed").latencies_us();
     let frame = collector.map(|c| {
         for &l in &lats {
             c.record_arrival_us(l);

@@ -87,12 +87,11 @@ fn delegate_serve(args: Vec<String>) -> ! {
 fn dump_trace(opts: &CommonOpts, path: &std::path::Path) {
     use wormcast_broadcast::Algorithm;
     use wormcast_network::{NetworkConfig, OpId};
-    use wormcast_sim::SimTime;
     use wormcast_telemetry::{
         MetricId, MetricsRegistry, ProfileReport, Profiler, RunManifest, SeriesKey,
     };
     use wormcast_topology::{Mesh, NodeId, Topology};
-    use wormcast_workload::{network_for, scrape_engine_stats, BroadcastTracker};
+    use wormcast_workload::{drive, network_for, scrape_engine_stats, BroadcastTracker};
 
     let mut profiler = Profiler::new();
     profiler.open("trace-dump");
@@ -113,16 +112,11 @@ fn dump_trace(opts: &CommonOpts, path: &std::path::Path) {
     let mut net = network_for(alg, mesh.clone(), cfg);
     net.enable_trace(65_536);
     profiler.phase("run");
-    let mut tracker = BroadcastTracker::new(&mesh, &schedule, OpId(0), length);
-    for spec in tracker.start(SimTime::ZERO) {
-        net.inject_at(SimTime::ZERO, spec);
-    }
-    while !tracker.is_complete() {
-        let d = net.next_delivery().expect("broadcast completes");
-        for spec in tracker.on_delivery(&d) {
-            net.inject_at(d.delivered_at, spec);
-        }
-    }
+    let tracker = drive(
+        &mut net,
+        BroadcastTracker::new(&mesh, &schedule, OpId(0), length),
+    );
+    assert!(tracker.is_complete(), "broadcast completes");
     profiler.phase("emit");
     let wall = t0.elapsed();
     telemetry::warn_if_trace_dropped(net.trace(), "wormcast --trace-dump");

@@ -111,7 +111,9 @@ impl CommonOpts {
     /// arguments after the program name); anything else lands in `rest`.
     ///
     /// # Errors
-    /// A one-line message for a flag whose value is missing or malformed.
+    /// A one-line message for a flag whose value is missing or malformed,
+    /// including a `--ts` that is negative or not finite and a zero
+    /// `--length`.
     pub fn parse_from(args: impl Iterator<Item = String>) -> Result<CommonOpts, String> {
         let (mut o, mut it) = (CommonOpts::default(), args);
         while let Some(a) = it.next() {
@@ -120,8 +122,20 @@ impl CommonOpts {
                 "--quick" => o.run.quick = true,
                 "--out" => o.output.out_dir = Some(value("a directory")?.into()),
                 "--seed" => o.run.seed = Some(number(&a, value("an integer")?)?),
-                "--ts" => o.run.startup_us = Some(number(&a, value("a value in us")?)?),
-                "--length" => o.run.length = Some(number(&a, value("a flit count")?)?),
+                "--ts" => {
+                    let ts: f64 = number(&a, value("a value in us")?)?;
+                    if !(ts.is_finite() && ts >= 0.0) {
+                        return Err(format!("--ts must be a finite time >= 0 us, got '{ts}'"));
+                    }
+                    o.run.startup_us = Some(ts);
+                }
+                "--length" => {
+                    let flits: u64 = number(&a, value("a flit count")?)?;
+                    if flits == 0 {
+                        return Err("--length must be at least 1 flit, got '0'".to_string());
+                    }
+                    o.run.length = Some(flits);
+                }
                 "--jobs" => o.run.jobs = Some(number(&a, value("a worker count")?)?),
                 "--telemetry" => o.output.telemetry = Some(value("a directory")?.into()),
                 "--events" => o.output.events = Some(value("a file path")?.into()),
@@ -238,6 +252,19 @@ mod tests {
         for (args, msg) in [
             (&["--seed", "x"][..], "--seed must be a number, got 'x'"),
             (&["--ts", "abc"], "--ts must be a number, got 'abc'"),
+            (
+                &["--ts", "-1"],
+                "--ts must be a finite time >= 0 us, got '-1'",
+            ),
+            (
+                &["--ts", "nan"],
+                "--ts must be a finite time >= 0 us, got 'NaN'",
+            ),
+            (
+                &["--ts", "inf"],
+                "--ts must be a finite time >= 0 us, got 'inf'",
+            ),
+            (&["--length", "0"], "--length must be at least 1 flit"),
             (&["--jobs"], "--jobs needs a worker count"),
             (&["--quick", "--out"], "--out needs a directory"),
         ] {

@@ -25,7 +25,7 @@ use wormcast_routing::{dor_path, CodedPath};
 use wormcast_sim::{LoadRamp, Schedule, SimRng, SimTime};
 use wormcast_telemetry::{Observe, TelemetryFrame};
 use wormcast_topology::{ChannelId, Mesh, NodeId, Topology};
-use wormcast_workload::{network_for, BroadcastTracker};
+use wormcast_workload::{attach_collector, network_for, BroadcastTracker, Fed, Ops};
 
 /// Parameters of a scheduled-traffic run.
 #[derive(Debug, Clone)]
@@ -214,11 +214,7 @@ impl SchedulesParams {
             .build()
             .expect("SchedulesParams start-up latency must be a valid duration");
         let mut net = network_for(alg, mesh.clone(), cfg);
-        let collector = observe.map(|o| {
-            let c = o.collector(mesh.num_channels(), mesh.num_nodes());
-            net.add_sink(c.sink());
-            c
-        });
+        let collector = attach_collector(&mut net, observe);
 
         // Replication substreams are algorithm-independent: every algorithm
         // faces the exact same offered traffic (common random numbers).
@@ -241,7 +237,7 @@ impl SchedulesParams {
         // unicast destinations, plus the replayed trace.
         let mut offered = vec![0u64; self.bins];
         let mut delivered = vec![0u64; self.bins];
-        let mut trackers: HashMap<OpId, BroadcastTracker> = HashMap::new();
+        let mut ops = Ops::default();
         let n_msgs = (self.messages_per_node * nodes as f64).round() as u64;
         for next_op in 0..n_msgs {
             let at_us = self
@@ -253,11 +249,8 @@ impl SchedulesParams {
             offered[self.bin_of(at)] += 1;
             if kind_rng.chance(self.broadcast_fraction) {
                 let schedule = alg.schedule(&mesh, src);
-                let mut tracker = BroadcastTracker::new(&mesh, &schedule, op, self.length);
-                for spec in tracker.start(at) {
-                    net.inject_at(at, spec);
-                }
-                trackers.insert(op, tracker);
+                let tracker = BroadcastTracker::new(&mesh, &schedule, op, self.length);
+                ops.launch(&mut net, at, tracker);
             } else {
                 let mut dst = NodeId(dest_rng.index(nodes) as u32);
                 if let Some(h) = &self.schedule.hotspot {
@@ -307,31 +300,25 @@ impl SchedulesParams {
             }
         }
 
-        let mut deliveries: Vec<wormcast_network::Delivery> = Vec::new();
-        while net.step() {
-            deliveries.clear();
-            net.drain_deliveries_into(&mut deliveries);
-            for d in &deliveries {
-                if let Some(tracker) = trackers.get_mut(&d.op) {
-                    for spec in tracker.on_delivery(d) {
-                        net.inject_at(d.delivered_at, spec);
-                    }
-                    if tracker.is_complete() {
-                        delivered[self.bin_of(d.delivered_at)] += 1;
-                        if let Some(c) = &collector {
-                            c.record_arrival_us(d.delivered_at.as_us());
-                        }
-                        trackers.remove(&d.op);
-                    }
-                } else {
-                    delivered[self.bin_of(d.delivered_at)] += 1;
+        // A broadcast counts as delivered once, when its last destination
+        // receives; its arrival latency feeds the frame.
+        while ops.step(&mut net, |d, fed| match fed {
+            Fed::Completed(tracker) => {
+                delivered[self.bin_of(d.delivered_at)] += 1;
+                if let Some(c) = &collector {
+                    let t0 = tracker
+                        .started_at()
+                        .expect("launched operations have started");
+                    c.record_arrival_us(d.delivered_at.since(t0).as_us());
                 }
             }
-        }
+            Fed::Advanced => {}
+            Fed::Unowned => delivered[self.bin_of(d.delivered_at)] += 1,
+        }) {}
         assert!(
-            trackers.is_empty(),
+            ops.is_empty(),
             "schedules: {} broadcasts incomplete at quiescence",
-            trackers.len()
+            ops.len()
         );
         let frame = collector.map(|c| {
             drop(net);
@@ -506,6 +493,46 @@ mod tests {
         let sampled = (p.messages_per_node * nodes as f64).round() as u64;
         let offered: u64 = bins_of(&cells, "RD").iter().map(|c| c.offered).sum();
         assert_eq!(offered, (sampled + 1) * p.runs);
+    }
+
+    #[test]
+    fn observed_arrivals_are_latencies_not_completion_times() {
+        // One broadcast per replication on an otherwise idle mesh, launched
+        // somewhere in a long window: the frame's arrival must be its
+        // start -> last-delivery latency, which no idle broadcast from any
+        // source exceeds — not the absolute completion time.
+        let p = SchedulesParams {
+            schedule: Schedule::default(),
+            window_us: 1000.0,
+            horizon_us: 1000.0,
+            messages_per_node: 1.0 / 64.0,
+            broadcast_fraction: 1.0,
+            ..SchedulesParams::quick()
+        };
+        let mesh = Mesh::new(&p.shape);
+        let cfg = NetworkConfig::builder()
+            .startup_us(p.startup_us)
+            .build()
+            .expect("default start-up is valid");
+        let spec = wormcast_telemetry::TelemetrySpec::default();
+        for alg in [Algorithm::Rd, Algorithm::Db] {
+            let longest = (0..mesh.num_nodes() as u32)
+                .map(|src| {
+                    wormcast_workload::run_single_broadcast(&mesh, cfg, alg, NodeId(src), p.length)
+                        .network_latency_us
+                })
+                .fold(0.0, f64::max);
+            for rep in 0..4 {
+                let (_, frame) = p.run_one(alg, rep, Some(Observe::new(&spec, rep)));
+                let arrivals = frame.expect("observed run has a frame").arrivals.export();
+                assert_eq!(arrivals.count, 1, "{alg} rep {rep}: one broadcast");
+                assert!(
+                    arrivals.max_us <= longest + 1e-9,
+                    "{alg} rep {rep}: arrival {} us exceeds the longest broadcast {longest} us",
+                    arrivals.max_us
+                );
+            }
+        }
     }
 
     #[test]

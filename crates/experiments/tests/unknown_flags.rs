@@ -33,6 +33,9 @@ fn every_selector_rejects_unknown_flags_and_malformed_values() {
             (&["--job", "4"], "unknown flag '--job'"),
             (&["--seed", "x"], "--seed must be a number, got 'x'"),
             (&["--ts", "abc"], "--ts must be a number, got 'abc'"),
+            (&["--ts", "-1"], "--ts must be a finite time >= 0 us"),
+            (&["--ts", "nan"], "--ts must be a finite time >= 0 us"),
+            (&["--length", "0"], "--length must be at least 1 flit"),
             (&["--jobs"], "--jobs needs a worker count"),
         ] {
             let argv: Vec<&str> = [spec.name, "--quick"].iter().chain(args).copied().collect();
@@ -62,6 +65,11 @@ fn rejection_precedes_every_selector() {
     expect_rejection(WORMCAST, &["all", "--shards", "4"], "'--shards'");
     expect_rejection(WORMCAST, &["--shards", "4"], "'--shards'");
     expect_rejection(WORMCAST, &["steps", "fig5"], "unknown experiment 'fig5'");
+    expect_rejection(
+        WORMCAST,
+        &["--trace-dump", "unwritten.ndjson", "--length", "0"],
+        "--length must be at least 1 flit",
+    );
     for args in [
         ["faults", "--rates", "x"],
         ["faults", "--side", "x"],

@@ -691,36 +691,6 @@ mod trace_and_faults {
     }
 
     #[test]
-    fn broadcast_over_failed_link_stalls_that_branch_only() {
-        // Fault-tolerance motivation (the paper cites fault signalling as a
-        // broadcast use): a DB broadcast with one dead row link delivers to
-        // everyone except the nodes behind the dead link.
-        use wormcast_broadcast::Algorithm;
-        let mesh = Mesh::cube(4);
-        let cfg = NetworkConfig::paper_default().with_ports(6);
-        let mut net = Network::new(mesh.clone(), cfg, Box::new(DimensionOrdered));
-        // Fail one +X row link in plane 2.
-        let a = mesh.node_at(&Coord::xyz(0, 1, 2));
-        let b = mesh.node_at(&Coord::xyz(1, 1, 2));
-        net.fail_channel(mesh.channel_between(a, b).unwrap());
-        let src = mesh.node_at(&Coord::xyz(3, 3, 0));
-        let schedule = Algorithm::Db.schedule(&mesh, src);
-        let mut tracker = wormcast_workload_test_shim::Tracker::new(&mesh, &schedule, 16);
-        for spec in tracker.start() {
-            net.inject_at(SimTime::ZERO, spec);
-        }
-        while let Some(d) = net.next_delivery() {
-            for spec in tracker.on_delivery(&d) {
-                net.inject_at(d.delivered_at, spec);
-            }
-        }
-        // Some (not all) nodes were reached; the dead branch stalled.
-        assert!(tracker.received() > 0);
-        assert!(tracker.received() < 63);
-        assert!(net.in_flight() > 0, "the faulted branch is still stuck");
-    }
-
-    #[test]
     fn watchdog_reaps_unreachable_destination() {
         // The acceptance test for the delivery watchdog: a broadcast whose
         // destination sits behind a dead link is *detected* (recorded as
@@ -910,60 +880,6 @@ mod trace_and_faults {
         assert_eq!(c.link_failures, 1);
         assert!(c.reroutes >= 1, "the dodge around the dead link is counted");
         assert_eq!(c.stalled, 0);
-    }
-
-    /// Minimal re-implementation of the workload executor for this test
-    /// (the network crate cannot depend on wormcast-workload).
-    mod wormcast_workload_test_shim {
-        use crate::{Delivery, MessageSpec, OpId, Route};
-        use std::collections::HashMap;
-        use wormcast_broadcast::{BroadcastSchedule, RoutePlan};
-        use wormcast_topology::{Mesh, NodeId};
-
-        pub struct Tracker {
-            pending: HashMap<NodeId, Vec<MessageSpec>>,
-            source: NodeId,
-            received: usize,
-        }
-
-        impl Tracker {
-            pub fn new(mesh: &Mesh, s: &BroadcastSchedule, length: u64) -> Self {
-                let _ = mesh;
-                let mut pending: HashMap<NodeId, Vec<MessageSpec>> = HashMap::new();
-                for m in &s.messages {
-                    let (src, route) = match &m.plan {
-                        RoutePlan::Coded(cp) => (cp.src(), Route::Fixed(cp.clone())),
-                        RoutePlan::Adaptive { src, dst } => (*src, Route::Adaptive { dst: *dst }),
-                    };
-                    pending.entry(src).or_default().push(MessageSpec {
-                        src,
-                        route,
-                        length,
-                        op: OpId(0),
-                        tag: m.step,
-                        charge_startup: m.charge_startup,
-                    });
-                }
-                Tracker {
-                    pending,
-                    source: s.source,
-                    received: 0,
-                }
-            }
-
-            pub fn start(&mut self) -> Vec<MessageSpec> {
-                self.pending.remove(&self.source).unwrap_or_default()
-            }
-
-            pub fn on_delivery(&mut self, d: &Delivery) -> Vec<MessageSpec> {
-                self.received += 1;
-                self.pending.remove(&d.node).unwrap_or_default()
-            }
-
-            pub fn received(&self) -> usize {
-                self.received
-            }
-        }
     }
 }
 

@@ -13,15 +13,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::Serialize;
 use wormcast_network::Network;
-use wormcast_routing::TorusDor;
+use wormcast_routing::{SimTopology, TorusDor};
 use wormcast_sim::SimTime;
 use wormcast_stats::summarize;
 use wormcast_telemetry::events::trace_event;
 use wormcast_telemetry::EventLog;
 use wormcast_topology::{Mesh, NodeId, Topology, Torus};
-use wormcast_workload::{routing_for, Runner};
+use wormcast_workload::{routing_for, BroadcastTracker, Ops, Runner};
 
-use crate::run::{base_cfg, fault_plan, mesh_workload, Driver, Injection, RingDriver, TRACE_CAP};
+use crate::run::{base_cfg, fault_plan, mesh_workload, ring_tracker, Injection, TRACE_CAP};
 use crate::scenario::{Scenario, TopoSpec, WorkloadSpec};
 use crate::schema::ScenarioRequest;
 use wormcast_broadcast::Algorithm;
@@ -117,12 +117,12 @@ fn measure_mesh(
     let cfg = base_cfg(s, alg);
     let plan = fault_plan(s, &mesh);
     let (transitions, marks) = crate::run::schedule_artifacts(s, &mesh);
-    let (injections, mut drivers) = mesh_workload(s, &mesh);
+    let (injections, trackers) = mesh_workload(s, &mesh);
     let mut net = Network::new(mesh.clone(), cfg, routing_for(alg, &mesh));
     net.schedule_faults(&plan);
     net.schedule_speed_transitions(&transitions);
     net.schedule_phase_marks(&marks);
-    run_single(&mut net, &injections, &mut drivers, events_rep)
+    run_single(&mut net, &injections, trackers, events_rep)
 }
 
 fn measure_torus(
@@ -137,15 +137,15 @@ fn measure_torus(
     let src = NodeId(src % torus.num_nodes() as u32);
     let cfg = base_cfg(s, Algorithm::Db);
     let mut net: Network<Torus> = Network::new(torus.clone(), cfg, Box::new(TorusDor));
-    let mut drivers: Vec<Box<dyn Driver>> = vec![Box::new(RingDriver::new(&torus, src, length))];
-    run_single(&mut net, &[], &mut drivers, events_rep)
+    let trackers = vec![ring_tracker(&torus, src, length)];
+    run_single(&mut net, &[], trackers, events_rep)
 }
 
 /// Drive an engine to quiescence and summarize it.
-fn run_single<T: wormcast_routing::SimTopology>(
+fn run_single<T: SimTopology>(
     net: &mut Network<T>,
     injections: &[Injection],
-    drivers: &mut [Box<dyn Driver>],
+    trackers: Vec<BroadcastTracker>,
     events_rep: Option<u64>,
 ) -> Result<Measurement, String> {
     if events_rep.is_some() {
@@ -154,20 +154,12 @@ fn run_single<T: wormcast_routing::SimTopology>(
     for inj in injections {
         net.inject_at(inj.at, inj.spec.clone());
     }
-    for drv in drivers.iter_mut() {
-        for spec in drv.start(SimTime::ZERO) {
-            net.inject_at(SimTime::ZERO, spec);
-        }
+    let mut ops = Ops::default();
+    for t in trackers {
+        ops.launch(net, SimTime::ZERO, t);
     }
     let mut deliveries = Vec::new();
-    while let Some(del) = net.next_delivery() {
-        for drv in drivers.iter_mut() {
-            for spec in drv.on_delivery(&del) {
-                net.inject_at(del.delivered_at, spec);
-            }
-        }
-        deliveries.push(del);
-    }
+    while ops.step(net, |d, _| deliveries.push(*d)) {}
     let events = events_rep.map(|rep| events_from(net.trace().records(), rep));
     Ok(measurement(&deliveries, net.now(), events))
 }

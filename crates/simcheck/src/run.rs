@@ -79,124 +79,41 @@ struct RunRecord {
     counters: Counters,
     final_now: SimTime,
     in_flight: u64,
-    drivers_done: bool,
+    ops_done: bool,
 }
 
-/// A schedule executor the drive loop can pump (broadcast tracker, subset
-/// tracker, torus ring tracker) — one per concurrent operation.
-pub(crate) trait Driver {
-    fn start(&mut self, now: SimTime) -> Vec<MessageSpec>;
-    fn on_delivery(&mut self, d: &Delivery) -> Vec<MessageSpec>;
-    fn done(&self) -> bool;
-}
-
-/// [`BroadcastTracker`] with an explicit completion target, so multicast
-/// subset deliveries (which never cover the whole mesh) still report done.
-struct MeshDriver {
-    inner: BroadcastTracker,
-    expected: usize,
-}
-
-impl Driver for MeshDriver {
-    fn start(&mut self, now: SimTime) -> Vec<MessageSpec> {
-        self.inner.start(now)
-    }
-    fn on_delivery(&mut self, d: &Delivery) -> Vec<MessageSpec> {
-        self.inner.on_delivery(d)
-    }
-    fn done(&self) -> bool {
-        self.inner.received() >= self.expected
-    }
-}
-
-/// Executor for the torus ring broadcast's `ExtSchedule` (the workload
-/// crate's equivalent is private).
-pub(crate) struct RingDriver {
-    pending: std::collections::HashMap<NodeId, Vec<MessageSpec>>,
-    seen: Vec<bool>,
-    source: NodeId,
-    received: usize,
-    expected: usize,
-}
-
-impl RingDriver {
-    pub(crate) fn new(torus: &Torus, source: NodeId, length: u64) -> Self {
-        let schedule = torus_ring_broadcast(torus, source);
-        let mut order: Vec<(u32, NodeId, MessageSpec)> = schedule
-            .messages
-            .iter()
-            .map(|m| {
-                let src = m.path.src();
-                (
-                    m.step,
-                    src,
-                    MessageSpec {
-                        src,
-                        route: Route::Fixed(m.path.clone()),
-                        length,
-                        op: OpId(0),
-                        tag: m.step,
-                        charge_startup: true,
-                    },
-                )
-            })
-            .collect();
-        order.sort_by_key(|(step, _, _)| *step);
-        let mut pending: std::collections::HashMap<NodeId, Vec<MessageSpec>> = Default::default();
-        for (_, src, spec) in order {
-            pending.entry(src).or_default().push(spec);
-        }
-        RingDriver {
-            pending,
-            seen: vec![false; torus.num_nodes()],
-            source,
-            received: 0,
-            expected: torus.num_nodes() - 1,
-        }
-    }
-}
-
-impl Driver for RingDriver {
-    fn start(&mut self, _now: SimTime) -> Vec<MessageSpec> {
-        self.pending.remove(&self.source).unwrap_or_default()
-    }
-    fn on_delivery(&mut self, d: &Delivery) -> Vec<MessageSpec> {
-        assert!(
-            !self.seen[d.node.index()],
-            "node {} received the ring broadcast twice",
-            d.node
-        );
-        self.seen[d.node.index()] = true;
-        self.received += 1;
-        self.pending.remove(&d.node).unwrap_or_default()
-    }
-    fn done(&self) -> bool {
-        self.received >= self.expected
-    }
+/// The torus ring broadcast from `source` as an operation tracker.
+pub(crate) fn ring_tracker(torus: &Torus, source: NodeId, length: u64) -> BroadcastTracker {
+    let schedule = torus_ring_broadcast(torus, source);
+    BroadcastTracker::ext(torus, &schedule, OpId(0), length)
 }
 
 /// Drive an engine until idle: pre-fail dead channels are applied by the
-/// caller; injections land at their scheduled times; drivers release relay
+/// caller; injections land at their scheduled times; trackers release relay
 /// messages as their copies arrive. `$on_inject` sees every message id the
 /// engine hands back (used to register invariant expectations).
+///
+/// A macro rather than `wormcast_workload::Ops`, because it must also drive
+/// the `classic` oracle, which is a different (and deliberately frozen)
+/// engine type.
 macro_rules! drive {
-    ($net:expr, $injections:expr, $drivers:expr, $on_inject:expr) => {{
+    ($net:expr, $injections:expr, $trackers:expr, $on_inject:expr) => {{
         let net = $net;
         net.enable_trace(TRACE_CAP);
         for inj in $injections.iter() {
             let id = net.inject_at(inj.at, inj.spec.clone());
             $on_inject(id, &inj.spec);
         }
-        for drv in $drivers.iter_mut() {
-            for spec in drv.start(SimTime::ZERO) {
+        for t in $trackers.iter_mut() {
+            for spec in t.start(SimTime::ZERO) {
                 let id = net.inject_at(SimTime::ZERO, spec.clone());
                 $on_inject(id, &spec);
             }
         }
         let mut deliveries = Vec::new();
         while let Some(del) = net.next_delivery() {
-            for drv in $drivers.iter_mut() {
-                for spec in drv.on_delivery(&del) {
+            for t in $trackers.iter_mut() {
+                for spec in t.on_delivery(&del) {
                     let id = net.inject_at(del.delivered_at, spec.clone());
                     $on_inject(id, &spec);
                 }
@@ -209,7 +126,7 @@ macro_rules! drive {
             counters: net.counters(),
             final_now: net.now(),
             in_flight: net.in_flight(),
-            drivers_done: $drivers.iter().all(|d| d.done()),
+            ops_done: $trackers.iter().all(|t| t.is_complete()),
         }
     }};
 }
@@ -389,27 +306,20 @@ fn replay_plan(s: &Scenario, mesh: &Mesh) -> Vec<Injection> {
         .collect()
 }
 
-/// Materialize injections and drivers for a mesh scenario. Node indices are
+/// Materialize injections and operation trackers for a mesh scenario. Node indices are
 /// taken modulo the (possibly shrunk) mesh size.
 ///
 /// # Panics
 /// Panics on a [`WorkloadSpec::TorusRing`] workload — mesh scenarios never
 /// carry one (callers handling hand-written scenarios must check first).
-pub(crate) fn mesh_workload(s: &Scenario, mesh: &Mesh) -> (Vec<Injection>, Vec<Box<dyn Driver>>) {
+pub(crate) fn mesh_workload(s: &Scenario, mesh: &Mesh) -> (Vec<Injection>, Vec<BroadcastTracker>) {
     let nodes = mesh.num_nodes();
     let clamp = |raw: u32| NodeId(raw % nodes as u32);
-    let (mut injections, drivers): (Vec<Injection>, Vec<Box<dyn Driver>>) = match s.workload {
+    let (mut injections, trackers) = match s.workload {
         WorkloadSpec::Single { alg, src, length } => {
-            let src = clamp(src);
-            let schedule = alg.schedule(mesh, src);
+            let schedule = alg.schedule(mesh, clamp(src));
             let t = BroadcastTracker::new(mesh, &schedule, OpId(0), length);
-            (
-                Vec::new(),
-                vec![Box::new(MeshDriver {
-                    inner: t,
-                    expected: nodes - 1,
-                })],
-            )
+            (Vec::new(), vec![t])
         }
         WorkloadSpec::Unicasts { alg, n, max_len } => {
             (unicast_plan(s, mesh, alg, n, max_len), Vec::new())
@@ -420,16 +330,9 @@ pub(crate) fn mesh_workload(s: &Scenario, mesh: &Mesh) -> (Vec<Injection>, Vec<B
             length,
             n_unicasts,
         } => {
-            let src = clamp(src);
-            let schedule = alg.schedule(mesh, src);
+            let schedule = alg.schedule(mesh, clamp(src));
             let t = BroadcastTracker::new(mesh, &schedule, OpId(0), length);
-            (
-                unicast_plan(s, mesh, alg, n_unicasts, 32),
-                vec![Box::new(MeshDriver {
-                    inner: t,
-                    expected: nodes - 1,
-                })],
-            )
+            (unicast_plan(s, mesh, alg, n_unicasts, 32), vec![t])
         }
         WorkloadSpec::Multicast {
             scheme,
@@ -444,14 +347,8 @@ pub(crate) fn mesh_workload(s: &Scenario, mesh: &Mesh) -> (Vec<Injection>, Vec<B
                 .next_u64();
             let dests = random_destinations(mesh, src, m, dest_seed);
             let schedule = scheme.schedule(mesh, src, &dests);
-            let t = BroadcastTracker::new(mesh, &schedule, OpId(0), length);
-            (
-                Vec::new(),
-                vec![Box::new(MeshDriver {
-                    inner: t,
-                    expected: m,
-                })],
-            )
+            let t = BroadcastTracker::multicast(mesh, &schedule, &dests, OpId(0), length);
+            (Vec::new(), vec![t])
         }
         WorkloadSpec::Contended {
             alg,
@@ -467,23 +364,20 @@ pub(crate) fn mesh_workload(s: &Scenario, mesh: &Mesh) -> (Vec<Injection>, Vec<B
                     sources.push(c);
                 }
             }
-            let drivers = sources
+            let trackers = sources
                 .iter()
                 .enumerate()
                 .map(|(op, &src)| {
                     let schedule = alg.schedule(mesh, src);
-                    Box::new(MeshDriver {
-                        inner: BroadcastTracker::new(mesh, &schedule, OpId(op as u64), length),
-                        expected: nodes - 1,
-                    }) as Box<dyn Driver>
+                    BroadcastTracker::new(mesh, &schedule, OpId(op as u64), length)
                 })
                 .collect();
-            (Vec::new(), drivers)
+            (Vec::new(), trackers)
         }
         WorkloadSpec::TorusRing { .. } => unreachable!("torus workload on a mesh scenario"),
     };
     injections.extend(replay_plan(s, mesh));
-    (injections, drivers)
+    (injections, trackers)
 }
 
 /// Receivers a spec's route must deliver to — the exactly-once expectation.
@@ -586,18 +480,18 @@ fn execute_mesh(s: &Scenario, dims: &[u16], opts: RunOptions) -> Outcome {
     };
     #[cfg(not(feature = "invariants"))]
     let on_inject = |_id, _spec: &MessageSpec| {};
-    let (injections, mut drivers) = mesh_workload(s, &mesh);
-    let arena_rec = drive!(&mut net, injections, drivers, on_inject);
+    let (injections, mut trackers) = mesh_workload(s, &mesh);
+    let arena_rec = drive!(&mut net, injections, trackers, on_inject);
 
     #[cfg(feature = "invariants")]
     let mut violations = checker.finish(arena_rec.in_flight);
     #[cfg(not(feature = "invariants"))]
     let mut violations: Vec<String> = Vec::new();
-    let completed = arena_rec.drivers_done && arena_rec.in_flight == 0;
+    let completed = arena_rec.ops_done && arena_rec.in_flight == 0;
     if !s.has_faults() && !completed {
         violations.push(format!(
             "fault-free scenario did not complete: in_flight={}, operations done={}",
-            arena_rec.in_flight, arena_rec.drivers_done
+            arena_rec.in_flight, arena_rec.ops_done
         ));
     }
 
@@ -610,8 +504,8 @@ fn execute_mesh(s: &Scenario, dims: &[u16], opts: RunOptions) -> Outcome {
             }
             cnet.schedule_speed_transitions(&transitions);
             cnet.schedule_phase_marks(&marks);
-            let (cinjections, mut cdrivers) = mesh_workload(s, &mesh);
-            let classic_rec = drive!(&mut cnet, cinjections, cdrivers, |_, _: &MessageSpec| {});
+            let (cinjections, mut ctrackers) = mesh_workload(s, &mesh);
+            let classic_rec = drive!(&mut cnet, cinjections, ctrackers, |_, _: &MessageSpec| {});
             compare(&classic_rec, &arena_rec)
         }
     };
@@ -652,27 +546,27 @@ fn execute_torus(s: &Scenario, dims: &[u16], opts: RunOptions) -> Outcome {
     };
     #[cfg(not(feature = "invariants"))]
     let on_inject = |_id, _spec: &MessageSpec| {};
-    let mut drivers: Vec<Box<dyn Driver>> = vec![Box::new(RingDriver::new(&torus, src, length))];
-    let arena_rec = drive!(&mut net, Vec::<Injection>::new(), drivers, on_inject);
+    let mut trackers = [ring_tracker(&torus, src, length)];
+    let arena_rec = drive!(&mut net, Vec::<Injection>::new(), trackers, on_inject);
 
     #[cfg(feature = "invariants")]
     let mut violations = checker.finish(arena_rec.in_flight);
     #[cfg(not(feature = "invariants"))]
     let mut violations: Vec<String> = Vec::new();
-    if !(arena_rec.drivers_done && arena_rec.in_flight == 0) {
+    if !(arena_rec.ops_done && arena_rec.in_flight == 0) {
         violations.push(format!(
             "fault-free torus scenario did not complete: in_flight={}, operations done={}",
-            arena_rec.in_flight, arena_rec.drivers_done
+            arena_rec.in_flight, arena_rec.ops_done
         ));
     }
 
     let mut cnet: classic::Network<Torus> =
         classic::Network::new(torus.clone(), cfg, Box::new(TorusDor));
-    let mut cdrivers: Vec<Box<dyn Driver>> = vec![Box::new(RingDriver::new(&torus, src, length))];
+    let mut ctrackers = [ring_tracker(&torus, src, length)];
     let classic_rec = drive!(
         &mut cnet,
         Vec::<Injection>::new(),
-        cdrivers,
+        ctrackers,
         |_, _: &MessageSpec| {}
     );
     let mismatch = compare(&classic_rec, &arena_rec);

@@ -10,10 +10,9 @@
 //! uniformly random sources, and each completed operation contributes one
 //! CV observation.
 
-use crate::executor::BroadcastTracker;
-use crate::single::network_for;
+use crate::executor::{BroadcastTracker, Fed, Ops};
+use crate::single::{attach_collector, network_for};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use wormcast_broadcast::Algorithm;
 use wormcast_network::{NetworkConfig, OpId};
 use wormcast_sim::{DurationDist, Exponential, SimRng, SimTime};
@@ -55,29 +54,6 @@ pub fn run_contended_broadcasts(
     broadcast_rate_per_node_per_ms: f64,
     seed: u64,
 ) -> ContendedOutcome {
-    run_contended_broadcasts_from(
-        mesh,
-        cfg,
-        alg,
-        length,
-        runs,
-        broadcast_rate_per_node_per_ms,
-        &SimRng::new(seed),
-    )
-}
-
-/// [`run_contended_broadcasts`] drawing from an explicit root stream — the
-/// entry point for harness replications, which pass their
-/// [`wormcast_sim::SimRng::for_replication`] stream.
-pub fn run_contended_broadcasts_from(
-    mesh: &Mesh,
-    cfg: NetworkConfig,
-    alg: Algorithm,
-    length: u64,
-    runs: usize,
-    broadcast_rate_per_node_per_ms: f64,
-    root: &SimRng,
-) -> ContendedOutcome {
     run_contended_broadcasts_observed(
         mesh,
         cfg,
@@ -85,13 +61,15 @@ pub fn run_contended_broadcasts_from(
         length,
         runs,
         broadcast_rate_per_node_per_ms,
-        root,
+        &SimRng::new(seed),
         None,
     )
     .0
 }
 
-/// [`run_contended_broadcasts_from`] with optional telemetry collection.
+/// [`run_contended_broadcasts`] drawing from an explicit root stream (the
+/// harness passes its [`wormcast_sim::SimRng::for_replication`] stream),
+/// with optional telemetry collection.
 ///
 /// With `observe = None` this is the exact unobserved code path. With
 /// `Some`, the attached sink decomposes engine phases, and the driver feeds
@@ -120,19 +98,13 @@ pub fn run_contended_broadcasts_observed(
     let inter =
         Exponential::with_rate_per_ms(broadcast_rate_per_node_per_ms * mesh.num_nodes() as f64);
     let mut net = network_for(alg, mesh.clone(), cfg);
-    let collector = observe.map(|o| {
-        let c = o.collector(mesh.num_channels(), mesh.num_nodes());
-        net.add_sink(c.sink());
-        c
-    });
-    let mut trackers: HashMap<OpId, BroadcastTracker> = HashMap::new();
+    let collector = attach_collector(&mut net, observe);
+    let mut ops = Ops::default();
     let mut cvs = Vec::new();
     let mut means = Vec::new();
     let mut maxes = Vec::new();
     let mut next_launch = SimTime::ZERO;
     let mut launched: u64 = 0;
-    // Reused delivery buffer: drained into, never reallocated per step.
-    let mut deliveries: Vec<wormcast_network::Delivery> = Vec::new();
     // Launch enough operations that `runs` of them complete under load;
     // trailing operations keep the network busy while the measured ones
     // finish.
@@ -144,45 +116,35 @@ pub fn run_contended_broadcasts_observed(
             let op = OpId(launched);
             launched += 1;
             let schedule = alg.schedule(mesh, src);
-            let mut tracker = BroadcastTracker::new(mesh, &schedule, op, length);
-            for spec in tracker.start(next_launch) {
-                net.inject_at(next_launch, spec);
-            }
-            trackers.insert(op, tracker);
+            let tracker = BroadcastTracker::new(mesh, &schedule, op, length);
+            ops.launch(&mut net, next_launch, tracker);
             next_launch += inter.sample(&mut arr_rng);
             continue;
         }
-        if !net.step() {
+        let stepped = ops.step(&mut net, |_, fed| {
+            let Fed::Completed(tracker) = fed else {
+                return;
+            };
+            if cvs.len() < runs {
+                let lats = tracker.latencies_us();
+                let s = summarize(&lats);
+                cvs.push(s.cv());
+                means.push(s.mean());
+                maxes.push(s.max());
+                if let Some(c) = &collector {
+                    for &l in &lats {
+                        c.record_arrival_us(l);
+                    }
+                    c.record_op_cv(s.cv());
+                }
+            }
+        });
+        if !stepped {
             assert!(
                 launched >= quota,
                 "network idle with work outstanding (deadlock?)"
             );
             break;
-        }
-        deliveries.clear();
-        net.drain_deliveries_into(&mut deliveries);
-        for d in &deliveries {
-            if let Some(tracker) = trackers.get_mut(&d.op) {
-                for spec in tracker.on_delivery(d) {
-                    net.inject_at(d.delivered_at, spec);
-                }
-                if tracker.is_complete() {
-                    let lats = tracker.latencies_us();
-                    let s = summarize(&lats);
-                    if cvs.len() < runs {
-                        cvs.push(s.cv());
-                        means.push(s.mean());
-                        maxes.push(s.max());
-                        if let Some(c) = &collector {
-                            for &l in &lats {
-                                c.record_arrival_us(l);
-                            }
-                            c.record_op_cv(s.cv());
-                        }
-                    }
-                    trackers.remove(&d.op);
-                }
-            }
         }
     }
     let outcome = ContendedOutcome {

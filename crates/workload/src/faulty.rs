@@ -29,9 +29,9 @@
 //! are byte-identical across `--jobs` counts, and a zero fault rate
 //! reproduces the fault-free code path event for event.
 
-use crate::executor::BroadcastTracker;
+use crate::executor::{drive, BroadcastTracker};
 use crate::harness::{RepContext, Replication};
-use crate::single::network_for;
+use crate::single::{attach_collector, network_for};
 use serde::{Deserialize, Serialize};
 use wormcast_broadcast::{Algorithm, BroadcastSchedule, RoutePlan, RoutingKind, ScheduledMessage};
 use wormcast_network::{FaultPlan, FaultSpec, NetworkConfig, OpId};
@@ -39,7 +39,7 @@ use wormcast_routing::{
     negative_first_path_avoiding, planar_west_first_path_avoiding, west_first_path_avoiding,
     CodedPath, NegativeFirst, Path, RoutingFunction,
 };
-use wormcast_sim::{SimDuration, SimRng, SimTime};
+use wormcast_sim::{SimDuration, SimRng};
 use wormcast_stats::summarize;
 use wormcast_telemetry::{Observe, TelemetryFrame};
 use wormcast_topology::{ChannelId, Mesh, NodeId, Topology};
@@ -295,25 +295,14 @@ pub fn run_faulty_broadcast_observed(
         cfg.with_watchdog(default_watchdog(&cfg, mesh, length))
     };
     let mut net = network_for(alg, mesh.clone(), cfg);
-    let collector = observe.map(|o| {
-        let c = o.collector(mesh.num_channels(), mesh.num_nodes());
-        net.add_sink(c.sink());
-        c
-    });
+    let collector = attach_collector(&mut net, observe);
     net.schedule_faults(&plan);
-    let mut tracker = BroadcastTracker::new(mesh, &degraded.schedule, OpId(0), length);
-    for s in tracker.start(SimTime::ZERO) {
-        net.inject_at(SimTime::ZERO, s);
-    }
-    while !tracker.is_complete() {
-        let Some(d) = net.next_delivery() else {
-            break; // stalls reaped; remaining destinations stay unreached
-        };
-        let now = d.delivered_at;
-        for s in tracker.on_delivery(&d) {
-            net.inject_at(now, s);
-        }
-    }
+    // Stops early when stalls are reaped: the remaining destinations stay
+    // unreached.
+    let tracker = drive(
+        &mut net,
+        BroadcastTracker::new(mesh, &degraded.schedule, OpId(0), length),
+    );
     // Drain tails (and any remaining watchdog checks) for final accounting.
     net.run_until_idle();
     let lats = tracker.delivered_latencies_us();
@@ -413,6 +402,33 @@ mod tests {
 
     fn cfg() -> NetworkConfig {
         NetworkConfig::paper_default()
+    }
+
+    #[test]
+    fn broadcast_over_failed_link_stalls_that_branch_only() {
+        // Fault-tolerance motivation (the paper cites fault signalling as a
+        // broadcast use): a DB broadcast with one dead row link delivers to
+        // everyone except the nodes behind the dead link.
+        let mesh = Mesh::cube(4);
+        let mut net = wormcast_network::Network::new(
+            mesh.clone(),
+            cfg().with_ports(6),
+            Box::new(wormcast_routing::DimensionOrdered),
+        );
+        // Fail one +X row link in plane 2.
+        let a = mesh.node_at(&Coord::xyz(0, 1, 2));
+        let b = mesh.node_at(&Coord::xyz(1, 1, 2));
+        net.fail_channel(mesh.channel_between(a, b).unwrap());
+        let src = mesh.node_at(&Coord::xyz(3, 3, 0));
+        let schedule = Algorithm::Db.schedule(&mesh, src);
+        let tracker = drive(
+            &mut net,
+            BroadcastTracker::new(&mesh, &schedule, OpId(0), 16),
+        );
+        // Some (not all) nodes were reached; the dead branch stalled.
+        assert!(tracker.received() > 0);
+        assert!(tracker.received() < 63);
+        assert!(net.in_flight() > 0, "the faulted branch is still stuck");
     }
 
     #[test]

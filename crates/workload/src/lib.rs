@@ -2,8 +2,11 @@
 //!
 //! The drivers that put messages into the simulated network:
 //!
-//! * [`executor`] — [`BroadcastTracker`]: executes a [`wormcast_broadcast`]
-//!   schedule asynchronously (relays fire as their copies arrive);
+//! * [`executor`] — the only code that executes broadcast operations: one
+//!   [`BroadcastTracker`] type (full broadcast, multicast subset, or an
+//!   extension schedule over any topology; relays fire as their copies
+//!   arrive) and one delivery loop, [`Ops`] (`launch` / `step`), with
+//!   [`drive`] as its closed-loop form;
 //! * [`single`] — single-source broadcast experiments on an idle network
 //!   (the setting of the paper's Figs. 1–2 and Tables 1–2);
 //! * [`contended`] — broadcasts under concurrent broadcast load, the
@@ -35,10 +38,9 @@ pub mod single;
 pub mod torus;
 
 pub use contended::{
-    run_contended_broadcasts, run_contended_broadcasts_from, run_contended_broadcasts_observed,
-    ContendedOutcome,
+    run_contended_broadcasts, run_contended_broadcasts_observed, ContendedOutcome,
 };
-pub use executor::BroadcastTracker;
+pub use executor::{drive, BroadcastTracker, Fed, Ops};
 pub use faulty::{
     degrade_schedule, run_faulty_broadcast, run_faulty_broadcast_observed, DegradedSchedule,
     FaultRep, FaultyOutcome,
@@ -46,10 +48,7 @@ pub use faulty::{
 pub use harness::{
     take_probe, BroadcastRep, RepContext, Replication, RunProbe, Runner, TelemetryMerge,
 };
-pub use mixed::{
-    run_mixed_traffic, run_mixed_traffic_from, run_mixed_traffic_observed, MixedConfig,
-    MixedOutcome,
-};
+pub use mixed::{run_mixed_traffic, run_mixed_traffic_observed, MixedConfig, MixedOutcome};
 pub use multicast::{
     random_destinations, run_single_multicast, run_single_multicast_observed, MulticastOutcome,
     MulticastScheme,
@@ -57,7 +56,7 @@ pub use multicast::{
 pub use patterns::DestPattern;
 pub use scrape::scrape_engine_stats;
 pub use single::{
-    network_for, routing_for, run_averaged_broadcasts, run_single_broadcast,
+    attach_collector, network_for, routing_for, run_averaged_broadcasts, run_single_broadcast,
     run_single_broadcast_observed, AveragedOutcome, BroadcastOutcome,
 };
 pub use torus::{run_torus_broadcast, TorusOutcome};

@@ -7,11 +7,10 @@
 //! batch-means method (21 batches, the first discarded) exactly as described
 //! for Figs. 3 and 4.
 
-use crate::executor::BroadcastTracker;
+use crate::executor::{BroadcastTracker, Fed, Ops};
 use crate::patterns::DestPattern;
-use crate::single::network_for;
+use crate::single::{attach_collector, network_for};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use wormcast_broadcast::Algorithm;
 use wormcast_network::{MessageSpec, NetworkConfig, OpId, Route, Simulation};
 use wormcast_routing::{dor_path, CodedPath};
@@ -92,21 +91,12 @@ pub struct MixedOutcome {
 
 /// Run the mixed unicast/broadcast workload at one load point.
 pub fn run_mixed_traffic(mesh: &Mesh, cfg: NetworkConfig, mc: &MixedConfig) -> MixedOutcome {
-    run_mixed_traffic_from(mesh, cfg, mc, &SimRng::new(mc.seed))
+    run_mixed_traffic_observed(mesh, cfg, mc, &SimRng::new(mc.seed), None).0
 }
 
 /// [`run_mixed_traffic`] drawing from an explicit root stream (`mc.seed` is
-/// ignored) — the entry point for harness replications.
-pub fn run_mixed_traffic_from(
-    mesh: &Mesh,
-    cfg: NetworkConfig,
-    mc: &MixedConfig,
-    root: &SimRng,
-) -> MixedOutcome {
-    run_mixed_traffic_observed(mesh, cfg, mc, root, None).0
-}
-
-/// [`run_mixed_traffic_from`] with optional telemetry collection.
+/// ignored; harness replications pass their own stream), with optional
+/// telemetry collection.
 ///
 /// With `observe = None` this is the exact unobserved code path. With
 /// `Some`, the attached sink decomposes engine phases across the whole
@@ -125,11 +115,7 @@ pub fn run_mixed_traffic_observed(
         "broadcast fraction must be a probability"
     );
     let mut net = network_for(mc.algorithm, mesh.clone(), cfg);
-    let collector = observe.map(|o| {
-        let c = o.collector(mesh.num_channels(), mesh.num_nodes());
-        net.add_sink(c.sink());
-        c
-    });
+    let collector = attach_collector(&mut net, observe);
     // Unicasts ride the algorithm's substrate: fixed DOR for the
     // dimension-ordered algorithms, the network's adaptive routing function
     // (west-first for AB, queue-aware negative-first for QAB) otherwise.
@@ -150,21 +136,16 @@ pub fn run_mixed_traffic_observed(
 
     let mut batch = BatchMeans::new(mc.batch_size, 1);
     let mut unicast_stats = OnlineStats::new();
-    let mut trackers: HashMap<OpId, BroadcastTracker> = HashMap::new();
-    let mut bcast_started: HashMap<OpId, SimTime> = HashMap::new();
+    let mut ops = Ops::default();
     let mut broadcasts_completed = 0u64;
     let mut unicasts_delivered = 0u64;
     let mut next_op = 0u64;
     let horizon = SimTime::from_ms(mc.max_sim_ms);
     let mut next_arrival = SimTime::ZERO + interarrival.sample(&mut arrivals_rng);
     let target_batches = mc.batches;
-    // Reused across steps: the engine appends into this buffer instead of
-    // allocating a fresh Vec per polling iteration.
-    let mut deliveries: Vec<wormcast_network::Delivery> = Vec::new();
 
     let inject_arrival = |net: &mut Simulation,
-                          trackers: &mut HashMap<OpId, BroadcastTracker>,
-                          bcast_started: &mut HashMap<OpId, SimTime>,
+                          ops: &mut Ops,
                           next_op: &mut u64,
                           at: SimTime,
                           source_rng: &mut SimRng,
@@ -175,12 +156,11 @@ pub fn run_mixed_traffic_observed(
         *next_op += 1;
         if kind_rng.chance(mc.broadcast_fraction) {
             let schedule = mc.algorithm.schedule(mesh, src);
-            let mut tracker = BroadcastTracker::new(mesh, &schedule, op, mc.length);
-            for spec in tracker.start(at) {
-                net.inject_at(at, spec);
-            }
-            bcast_started.insert(op, at);
-            trackers.insert(op, tracker);
+            ops.launch(
+                net,
+                at,
+                BroadcastTracker::new(mesh, &schedule, op, mc.length),
+            );
         } else {
             // Unicast to a destination drawn from the configured pattern.
             let dst = mc.pattern.pick(mesh, src, dest_rng);
@@ -217,8 +197,7 @@ pub fn run_mixed_traffic_observed(
         {
             inject_arrival(
                 &mut net,
-                &mut trackers,
-                &mut bcast_started,
+                &mut ops,
                 &mut next_op,
                 next_arrival,
                 &mut source_rng,
@@ -227,36 +206,31 @@ pub fn run_mixed_traffic_observed(
             );
             next_arrival += interarrival.sample(&mut arrivals_rng);
         }
-        if !net.step() {
-            // Queue empty and no more arrivals fit the horizon: saturated or
-            // done.
-            break;
-        }
-        deliveries.clear();
-        net.drain_deliveries_into(&mut deliveries);
-        for d in &deliveries {
-            if let Some(tracker) = trackers.get_mut(&d.op) {
-                let follow = tracker.on_delivery(d);
-                for spec in follow {
-                    net.inject_at(d.delivered_at, spec);
+        let stepped = ops.step(&mut net, |d, fed| match fed {
+            Fed::Completed(tracker) => {
+                let t0 = tracker
+                    .started_at()
+                    .expect("launched operations have started");
+                let latency = d.delivered_at.since(t0);
+                batch.push(latency.as_ms());
+                if let Some(c) = &collector {
+                    c.record_arrival_us(latency.as_us());
                 }
-                if tracker.is_complete() {
-                    let t0 = bcast_started[&d.op];
-                    batch.push(d.delivered_at.since(t0).as_ms());
-                    if let Some(c) = &collector {
-                        c.record_arrival_us(d.delivered_at.since(t0).as_us());
-                    }
-                    broadcasts_completed += 1;
-                    trackers.remove(&d.op);
-                    bcast_started.remove(&d.op);
-                }
-            } else {
-                // Unicast delivery: reported separately; the batch-means
-                // statistic tracks broadcast operations, the paper's object
-                // of study.
+                broadcasts_completed += 1;
+            }
+            Fed::Advanced => {}
+            // Unicast delivery: reported separately; the batch-means
+            // statistic tracks broadcast operations, the paper's object of
+            // study.
+            Fed::Unowned => {
                 unicast_stats.push(d.latency().as_ms());
                 unicasts_delivered += 1;
             }
+        });
+        if !stepped {
+            // Queue empty and no more arrivals fit the horizon: saturated or
+            // done.
+            break;
         }
     }
 

@@ -1,8 +1,8 @@
 //! Executing multicast schedules — destination-subset delivery on the
 //! simulated network (the paper's named future direction).
 
-use crate::executor::BroadcastTracker;
-use crate::single::network_for;
+use crate::executor::{BroadcastTracker, Fed, Ops};
+use crate::single::{attach_collector, network_for};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use wormcast_broadcast::{Algorithm, BroadcastSchedule};
@@ -105,25 +105,24 @@ pub fn run_single_multicast_observed(
         _ => Algorithm::Db,
     };
     let mut net = network_for(alg, mesh.clone(), cfg);
-    let collector = observe.map(|o| {
-        let c = o.collector(mesh.num_channels(), mesh.num_nodes());
-        net.add_sink(c.sink());
-        c
-    });
-    let mut tracker = MulticastTracker::new(mesh, &schedule, dests, length);
-    for spec in tracker.inner.start(SimTime::ZERO) {
-        net.inject_at(SimTime::ZERO, spec);
+    let collector = attach_collector(&mut net, observe);
+    let tracker = BroadcastTracker::multicast(mesh, &schedule, dests, OpId(0), length);
+    let mut done = tracker.is_complete();
+    let mut ops = Ops::default();
+    ops.launch(&mut net, SimTime::ZERO, tracker);
+    // Destination latencies in delivery order: the CV is a Welford
+    // statistic, so the order it is fed in is part of the result.
+    let want: HashSet<NodeId> = dests.iter().copied().filter(|&d| d != source).collect();
+    let mut lats = Vec::new();
+    while !done {
+        let stepped = ops.step(&mut net, |d, fed| {
+            if want.contains(&d.node) {
+                lats.push(d.delivered_at.since(SimTime::ZERO).as_us());
+            }
+            done |= matches!(fed, Fed::Completed(_));
+        });
+        assert!(stepped, "network idle before multicast completion");
     }
-    while !tracker.complete() {
-        let d = net
-            .next_delivery()
-            .expect("network idle before multicast completion");
-        for spec in tracker.inner.on_delivery(&d) {
-            net.inject_at(d.delivered_at, spec);
-        }
-        tracker.observe(&d);
-    }
-    let lats = tracker.dest_latencies_us();
     let s = summarize(&lats);
     let outcome = MulticastOutcome {
         scheme: scheme.name().to_string(),
@@ -142,49 +141,6 @@ pub fn run_single_multicast_observed(
         c.finish()
     });
     (outcome, frame)
-}
-
-/// Wraps [`BroadcastTracker`] with destination-subset completion tracking
-/// (the underlying tracker expects full coverage; multicast completes when
-/// all *destinations* have received).
-struct MulticastTracker {
-    inner: BroadcastTracker,
-    want: HashSet<NodeId>,
-    arrived: Vec<(NodeId, SimTime)>,
-    t0: SimTime,
-}
-
-impl MulticastTracker {
-    fn new(mesh: &Mesh, schedule: &BroadcastSchedule, dests: &[NodeId], length: u64) -> Self {
-        let want: HashSet<NodeId> = dests
-            .iter()
-            .copied()
-            .filter(|&d| d != schedule.source)
-            .collect();
-        MulticastTracker {
-            inner: BroadcastTracker::new(mesh, schedule, OpId(0), length),
-            want,
-            arrived: Vec::new(),
-            t0: SimTime::ZERO,
-        }
-    }
-
-    fn observe(&mut self, d: &wormcast_network::Delivery) {
-        if d.op == OpId(0) && self.want.contains(&d.node) {
-            self.arrived.push((d.node, d.delivered_at));
-        }
-    }
-
-    fn complete(&self) -> bool {
-        self.arrived.len() == self.want.len()
-    }
-
-    fn dest_latencies_us(&self) -> Vec<f64> {
-        self.arrived
-            .iter()
-            .map(|&(_, t)| t.since(self.t0).as_us())
-            .collect()
-    }
 }
 
 /// Pick `m` distinct uniform destinations (≠ source).

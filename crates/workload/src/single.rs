@@ -1,18 +1,17 @@
 //! Single-source broadcast experiments (the setting of Figs. 1 and 2 and
 //! Tables 1–2: one node broadcasts on an otherwise idle network).
 
-use crate::executor::BroadcastTracker;
+use crate::executor::{drive, BroadcastTracker};
 use crate::harness::{BroadcastRep, Runner};
 use crate::scrape::scrape_engine_stats;
 use serde::{Deserialize, Serialize};
 use wormcast_broadcast::{Algorithm, RoutingKind};
-use wormcast_network::{NetworkConfig, OpId, Simulation};
+use wormcast_network::{Network, NetworkConfig, OpId, Simulation};
 use wormcast_routing::{
-    DimensionOrdered, PlanarWestFirst, QueueAdaptive, RoutingFunction, WestFirst,
+    DimensionOrdered, PlanarWestFirst, QueueAdaptive, RoutingFunction, SimTopology, WestFirst,
 };
-use wormcast_sim::SimTime;
 use wormcast_stats::{summarize, OnlineStats};
-use wormcast_telemetry::{Observe, TelemetryFrame};
+use wormcast_telemetry::{Collector, Observe, TelemetryFrame};
 use wormcast_topology::{Mesh, NodeId, Topology};
 
 /// Measured outcome of one single-source broadcast.
@@ -54,6 +53,21 @@ pub fn network_for(alg: Algorithm, mesh: Mesh, cfg: NetworkConfig) -> Simulation
     Simulation::over(mesh, cfg.with_ports(alg.ports()), rf)
 }
 
+/// Attach a telemetry collector to `net` when `observe` asks for one. With
+/// `None` nothing is attached, so the engine's event fan-out iterates an
+/// empty list and the run is the exact unobserved code path.
+pub fn attach_collector<T: SimTopology>(
+    net: &mut Network<T>,
+    observe: Option<Observe<'_>>,
+) -> Option<Collector> {
+    observe.map(|o| {
+        let topo = net.topology();
+        let c = o.collector(topo.num_channels(), topo.num_nodes());
+        net.add_sink(c.sink());
+        c
+    })
+}
+
 /// Run one single-source broadcast of `length` flits from `source` on an
 /// idle network and measure it.
 ///
@@ -90,24 +104,15 @@ pub fn run_single_broadcast_observed(
     debug_assert!(schedule.validate(mesh, alg.ports()).is_ok());
     let mut net = network_for(alg, mesh.clone(), cfg);
     let profiling = observe.as_ref().is_some_and(|o| o.spec.profile);
-    let collector = observe.map(|o| {
-        let c = o.collector(mesh.num_channels(), mesh.num_nodes());
-        net.add_sink(c.sink());
-        c
-    });
-    let mut tracker = BroadcastTracker::new(mesh, &schedule, OpId(0), length);
-    for spec in tracker.start(SimTime::ZERO) {
-        net.inject_at(SimTime::ZERO, spec);
-    }
-    while !tracker.is_complete() {
-        let d = net
-            .next_delivery()
-            .expect("network idle before broadcast completion");
-        let now = d.delivered_at;
-        for spec in tracker.on_delivery(&d) {
-            net.inject_at(now, spec);
-        }
-    }
+    let collector = attach_collector(&mut net, observe);
+    let tracker = drive(
+        &mut net,
+        BroadcastTracker::new(mesh, &schedule, OpId(0), length),
+    );
+    assert!(
+        tracker.is_complete(),
+        "network idle before broadcast completion"
+    );
     let lats = tracker.latencies_us();
     let s = summarize(&lats);
     let outcome = BroadcastOutcome {

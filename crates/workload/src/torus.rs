@@ -7,13 +7,12 @@
 //! tori break the cycles with dateline virtual channels instead, which this
 //! engine does not model (documented in DESIGN.md).
 
+use crate::executor::{drive, BroadcastTracker};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use wormcast_broadcast::{torus_ring_broadcast, ExtSchedule};
-use wormcast_network::{MessageSpec, NetworkConfig, OpId, ReleaseMode, Route, Simulation};
-use wormcast_sim::SimTime;
+use wormcast_broadcast::torus_ring_broadcast;
+use wormcast_network::{NetworkConfig, OpId, ReleaseMode, Simulation};
 use wormcast_stats::summarize;
-use wormcast_topology::{NodeId, Topology, Torus};
+use wormcast_topology::{NodeId, Torus};
 
 /// Measured outcome of one simulated torus broadcast.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -53,18 +52,14 @@ pub fn run_torus_broadcast(
 
     let mut net: Simulation<Torus> =
         Simulation::over(torus.clone(), cfg, Box::new(wormcast_routing::TorusDor));
-    let mut tracker = ExtTracker::new(torus, &schedule, length);
-    for spec in tracker.start(SimTime::ZERO) {
-        net.inject_at(SimTime::ZERO, spec);
-    }
-    while !tracker.is_complete() {
-        let d = net
-            .next_delivery()
-            .expect("torus network stalled before completion");
-        for spec in tracker.on_delivery(&d) {
-            net.inject_at(d.delivered_at, spec);
-        }
-    }
+    let tracker = drive(
+        &mut net,
+        BroadcastTracker::ext(torus, &schedule, OpId(0), length),
+    );
+    assert!(
+        tracker.is_complete(),
+        "torus network stalled before completion"
+    );
     let lats = tracker.latencies_us();
     let s = summarize(&lats);
     TorusOutcome {
@@ -72,79 +67,6 @@ pub fn run_torus_broadcast(
         mean_latency_us: s.mean(),
         cv: s.cv(),
         analytic_latency_us: analytic,
-    }
-}
-
-/// Executor for [`ExtSchedule`]s over any topology (the extension analogue
-/// of [`crate::BroadcastTracker`]).
-struct ExtTracker {
-    pending: HashMap<NodeId, Vec<MessageSpec>>,
-    arrivals: Vec<Option<SimTime>>,
-    source: NodeId,
-    received: usize,
-    expected: usize,
-    t0: SimTime,
-}
-
-impl ExtTracker {
-    fn new<T: Topology>(topo: &T, schedule: &ExtSchedule, length: u64) -> Self {
-        let mut pending: HashMap<NodeId, Vec<MessageSpec>> = HashMap::new();
-        let mut order: Vec<(u32, NodeId, MessageSpec)> = schedule
-            .messages
-            .iter()
-            .map(|m| {
-                let src = m.path.src();
-                (
-                    m.step,
-                    src,
-                    MessageSpec {
-                        src,
-                        route: Route::Fixed(m.path.clone()),
-                        length,
-                        op: OpId(0),
-                        tag: m.step,
-                        charge_startup: true,
-                    },
-                )
-            })
-            .collect();
-        order.sort_by_key(|(step, _, _)| *step);
-        for (_, src, spec) in order {
-            pending.entry(src).or_default().push(spec);
-        }
-        ExtTracker {
-            pending,
-            arrivals: vec![None; topo.num_nodes()],
-            source: schedule.source,
-            received: 0,
-            expected: topo.num_nodes() - 1,
-            t0: SimTime::ZERO,
-        }
-    }
-
-    fn start(&mut self, now: SimTime) -> Vec<MessageSpec> {
-        self.t0 = now;
-        self.pending.remove(&self.source).unwrap_or_default()
-    }
-
-    fn on_delivery(&mut self, d: &wormcast_network::Delivery) -> Vec<MessageSpec> {
-        let slot = &mut self.arrivals[d.node.index()];
-        assert!(slot.is_none(), "node {} received twice", d.node);
-        *slot = Some(d.delivered_at);
-        self.received += 1;
-        self.pending.remove(&d.node).unwrap_or_default()
-    }
-
-    fn is_complete(&self) -> bool {
-        self.received == self.expected
-    }
-
-    fn latencies_us(&self) -> Vec<f64> {
-        self.arrivals
-            .iter()
-            .flatten()
-            .map(|t| t.since(self.t0).as_us())
-            .collect()
     }
 }
 

@@ -115,7 +115,7 @@ fn fault_injection_reroutes_adaptive_broadcast_legs() {
     // AB's step-1 legs are adaptive: failing one channel on the default DOR
     // path of a leg must not stop the broadcast when a legal detour exists.
     use wormcast::routing::PlanarWestFirst;
-    use wormcast::workload::BroadcastTracker;
+    use wormcast::workload::{drive, BroadcastTracker};
     let mesh = Mesh::cube(4);
     let cfg = NetworkConfig::builder()
         .ports(6)
@@ -130,16 +130,12 @@ fn fault_injection_reroutes_adaptive_broadcast_legs() {
     net.fail_channel(mesh.channel_between(a, b).unwrap());
     let src = mesh.node_at(&Coord::xyz(2, 1, 1));
     let schedule = Algorithm::Ab.schedule(&mesh, src);
-    let mut tracker = BroadcastTracker::new(&mesh, &schedule, OpId(0), 16);
-    for spec in tracker.start(SimTime::ZERO) {
-        net.inject_at(SimTime::ZERO, spec);
-    }
-    while !tracker.is_complete() {
-        let Some(d) = net.next_delivery() else {
-            panic!("AB broadcast stalled despite available detours");
-        };
-        for spec in tracker.on_delivery(&d) {
-            net.inject_at(d.delivered_at, spec);
-        }
-    }
+    let tracker = drive(
+        &mut net,
+        BroadcastTracker::new(&mesh, &schedule, OpId(0), 16),
+    );
+    assert!(
+        tracker.is_complete(),
+        "AB broadcast stalled despite available detours"
+    );
 }
