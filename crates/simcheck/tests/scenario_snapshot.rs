@@ -13,10 +13,16 @@
 //! string) plus the event count, so a refactor of the measurement path that
 //! shifts the physics shows up as a diff too.
 //!
+//! A third file pins the bytes of that event stream: per scenario, the
+//! line count and 64-bit FNV-1a digest of `run.events.to_ndjson()`, so a
+//! refactor of the event record or its NDJSON writer that shifts a single
+//! byte shows up even when the event count does not move.
+//!
 //! To intentionally re-pin after a deliberate grammar change:
 //! `WORMCAST_UPDATE_SNAPSHOTS=1 cargo test -p wormcast-simcheck --test
 //! scenario_snapshot` and commit the rewritten files.
 
+use wormcast_simcheck::schema::fnv1a64;
 use wormcast_simcheck::{
     canonical_json, measure_request, scenario_from_json, Scenario, ScenarioRequest,
 };
@@ -29,6 +35,11 @@ const SNAPSHOT: &str = concat!(
 const MEASURE_SNAPSHOT: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/snapshots/measure_seed0.ndjson"
+);
+
+const EVENTS_SNAPSHOT: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/snapshots/measure_events_seed0.ndjson"
 );
 
 fn current() -> String {
@@ -103,6 +114,59 @@ fn measurements_match_pinned_snapshot() {
         assert_eq!(
             p, n,
             "measure_request for Scenario::generate(0, {i}) drifted from the pinned snapshot \
+             (rerun with WORMCAST_UPDATE_SNAPSHOTS=1 only if the change is deliberate)"
+        );
+    }
+    assert_eq!(
+        pinned.lines().count(),
+        now.lines().count(),
+        "snapshot line count changed"
+    );
+}
+
+/// One line per scenario: the line count and FNV-1a-64 digest of the
+/// request's NDJSON event stream, or the error a rejected scenario answers
+/// with.
+fn current_event_digests() -> String {
+    let mut s = String::new();
+    for i in 0..32 {
+        let mut req = ScenarioRequest::new(Scenario::generate(0, i));
+        req.jobs = 1;
+        req.outputs.events = true;
+        let line = match measure_request(&req) {
+            Ok(run) => {
+                let nd = run.events.map(|log| log.to_ndjson()).unwrap_or_default();
+                format!(
+                    "{{\"index\":{i},\"lines\":{},\"fnv1a64\":\"{:016x}\"}}",
+                    nd.lines().count(),
+                    fnv1a64(nd.as_bytes())
+                )
+            }
+            Err(e) => format!(
+                "{{\"index\":{i},\"error\":{}}}",
+                serde_json::to_string(&e).expect("error serializes")
+            ),
+        };
+        s.push_str(&line);
+        s.push('\n');
+    }
+    s
+}
+
+#[test]
+fn event_streams_match_pinned_snapshot() {
+    let now = current_event_digests();
+    if std::env::var_os("WORMCAST_UPDATE_SNAPSHOTS").is_some() {
+        std::fs::write(EVENTS_SNAPSHOT, &now).expect("write snapshot");
+        eprintln!("rewrote {EVENTS_SNAPSHOT}");
+        return;
+    }
+    let pinned = std::fs::read_to_string(EVENTS_SNAPSHOT)
+        .expect("snapshot file missing — run with WORMCAST_UPDATE_SNAPSHOTS=1 to create it");
+    for (i, (p, n)) in pinned.lines().zip(now.lines()).enumerate() {
+        assert_eq!(
+            p, n,
+            "event stream for Scenario::generate(0, {i}) drifted from the pinned snapshot \
              (rerun with WORMCAST_UPDATE_SNAPSHOTS=1 only if the change is deliberate)"
         );
     }
