@@ -52,6 +52,13 @@ echo "==> validating NDJSON event stream schema"
 WORMCAST_EVENTS_FILE="$TDIR/events-fig1.ndjson" \
     run cargo test "${OFFLINE[@]}" -q -p wormcast --test telemetry_schema
 
+# Trace dump smoke: the engine's trace ring renders through the same event
+# writer as the stream above, so its dump must pass the same validator.
+echo "==> validating trace dump schema"
+run ./target/release/wormcast --trace-dump "$TDIR/trace.ndjson" --length 8
+WORMCAST_EVENTS_FILE="$TDIR/trace.ndjson" \
+    run cargo test "${OFFLINE[@]}" -q -p wormcast --test telemetry_schema
+
 # Results reproduction: the full suite must reproduce every committed
 # results/*.json byte for byte.
 echo "==> results reproduction"

@@ -16,6 +16,9 @@
 //! selector-owned flags; anything it rejects exits 2 with a usage line
 //! before any experiment runs.
 //!
+//! An output that cannot be written (`--out /dev/null/x`) prints
+//! `error: cannot write <path>: <reason>` and exits 1.
+//!
 //! `--telemetry DIR` writes one `<sel>.telemetry.json` per selector;
 //! `--events PATH` and `--profile PATH` write one NDJSON stream and one
 //! profile report (JSON + sibling `.prom`) per selector, the selector name
@@ -26,7 +29,7 @@
 //! 8×8×8 mesh (honouring `--length`, `--ts` and `--seed`) with the engine's
 //! bounded trace enabled, writes the trace as NDJSON to PATH, and exits.
 
-use wormcast_experiments::{cli, profile, suite, telemetry, CommonOpts};
+use wormcast_experiments::{cannot_write, cli, profile, suite, telemetry, CommonOpts};
 
 fn main() {
     // `wormcast serve ...` delegates to the sibling `wormcast-serve` binary
@@ -41,12 +44,19 @@ fn main() {
     let fail = |msg: String| -> ! { cli::usage_exit("wormcast", &suite::usage_args(), &msg) };
     let opts = CommonOpts::parse_from(raw).unwrap_or_else(|e| fail(e));
     let plans = suite::select(&opts).unwrap_or_else(|e| fail(e));
+    let unwritable = |e: String| -> ! {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    };
     if let Some(path) = &opts.output.trace_dump {
-        dump_trace(&opts, path);
+        dump_trace(&opts, path).unwrap_or_else(|e| unwritable(e));
         return;
     }
     for (spec, plan) in plans {
-        if !plan.execute(spec.name, &opts) {
+        if !plan
+            .execute(spec.name, &opts)
+            .unwrap_or_else(|e| unwritable(e))
+        {
             std::process::exit(1);
         }
     }
@@ -81,10 +91,10 @@ fn delegate_serve(args: Vec<String>) -> ! {
 
 /// `--trace-dump PATH`: run one DB broadcast on an 8×8×8 mesh with the
 /// engine's bounded trace ring enabled (64 Ki records) and dump the trace as
-/// NDJSON, reusing the telemetry event exporter's line format. `--telemetry
+/// NDJSON through the same writer as the `--events` stream. `--telemetry
 /// DIR` additionally writes a manifest with the trace ring's drop count
 /// stamped, and `--profile PATH` a profile report over the engine counters.
-fn dump_trace(opts: &CommonOpts, path: &std::path::Path) {
+fn dump_trace(opts: &CommonOpts, path: &std::path::Path) -> Result<(), String> {
     use wormcast_broadcast::Algorithm;
     use wormcast_network::{NetworkConfig, OpId};
     use wormcast_telemetry::{
@@ -121,8 +131,8 @@ fn dump_trace(opts: &CommonOpts, path: &std::path::Path) {
     let wall = t0.elapsed();
     telemetry::warn_if_trace_dropped(net.trace(), "wormcast --trace-dump");
     let trace_dropped = net.trace().dropped();
-    let ndjson = wormcast_telemetry::events::trace_to_ndjson(net.trace());
-    telemetry::write_ndjson(path, &ndjson, false).expect("write trace dump");
+    let ndjson = wormcast_telemetry::events::to_ndjson(net.trace().records());
+    telemetry::write_ndjson(path, &ndjson, false).map_err(cannot_write(path))?;
     println!("wrote {}", path.display());
     if let Some(dir) = &opts.output.telemetry {
         let mut m = RunManifest::new("trace-dump");
@@ -137,7 +147,7 @@ fn dump_trace(opts: &CommonOpts, path: &std::path::Path) {
         m.trace_dropped = trace_dropped;
         let report = telemetry::TelemetryReport::new(m, &[]);
         let mpath = dir.join("trace-dump.telemetry.json");
-        wormcast_experiments::write_json(&mpath, &report).expect("write telemetry report");
+        wormcast_experiments::write_json(&mpath, &report).map_err(cannot_write(&mpath))?;
         println!("wrote {}", mpath.display());
     }
     if opts.output.profile.is_some() {
@@ -146,6 +156,7 @@ fn dump_trace(opts: &CommonOpts, path: &std::path::Path) {
         metrics.inc_by(SeriesKey::plain(MetricId::TraceDropped), trace_dropped);
         let (spans, nd_wall) = profiler.finish();
         let report = ProfileReport::new("trace-dump", spans, nd_wall, metrics);
-        profile::write_report(opts, &report);
+        profile::write_report(opts, &report)?;
     }
+    Ok(())
 }

@@ -89,7 +89,6 @@ impl OutputSpec {
         Some(TelemetrySpec {
             events: self.events.is_some(),
             profile: self.profile.is_some(),
-            ..TelemetrySpec::default()
         })
     }
 }
@@ -198,7 +197,7 @@ mod tests {
 
         let o = parse(&["--telemetry", "t-out"]);
         let spec = o.output.telemetry_spec().expect("spec on");
-        assert!(spec.phases && spec.heatmap && !spec.events);
+        assert!(!spec.events && !spec.profile);
         assert_eq!(o.output.telemetry.unwrap().to_str().unwrap(), "t-out");
 
         let o = parse(&["--events", "ev.ndjson"]);

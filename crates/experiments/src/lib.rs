@@ -47,5 +47,5 @@ pub mod telemetry;
 pub use cli::CommonOpts;
 pub use experiment::{Experiment, Observation, RunOutput};
 pub use profile::ProfileSession;
-pub use report::{write_json, Table};
+pub use report::{cannot_write, write_json, Table};
 pub use telemetry::{LabeledFrame, TelemetryReport};

@@ -18,6 +18,7 @@
 //!   stream.
 
 use crate::cli::CommonOpts;
+use crate::report::cannot_write;
 use crate::telemetry::{write_ndjson, LabeledFrame};
 use wormcast_telemetry::{MetricId, MetricsRegistry, ProfileReport, Profiler, SeriesKey};
 use wormcast_workload::take_probe;
@@ -63,11 +64,11 @@ impl ProfileSession {
     /// fold in the harness probe and the event drop count, and write the
     /// report (+ `.prom`, + event-stream append) per `opts`.
     ///
-    /// # Panics
-    /// Panics on I/O errors — these are developer tools.
-    pub fn finish(self, opts: &CommonOpts, frames: &[LabeledFrame]) {
+    /// # Errors
+    /// Returns the first output that could not be written.
+    pub fn finish(self, opts: &CommonOpts, frames: &[LabeledFrame]) -> Result<(), String> {
         if !self.enabled {
-            return;
+            return Ok(());
         }
         let mut metrics = MetricsRegistry::new();
         for f in frames {
@@ -93,7 +94,7 @@ impl ProfileSession {
         metrics.inc_by(SeriesKey::plain(MetricId::EventsDropped), events_dropped);
         let (spans, wall) = self.profiler.finish();
         let report = ProfileReport::new(self.experiment, spans, wall, metrics);
-        write_report(opts, &report);
+        write_report(opts, &report)
     }
 }
 
@@ -102,21 +103,24 @@ impl ProfileSession {
 /// written. Shared by [`ProfileSession::finish`] and the driver's trace
 /// dump.
 ///
-/// # Panics
-/// Panics on I/O errors — these are developer tools.
-pub fn write_report(opts: &CommonOpts, report: &ProfileReport) {
+/// # Errors
+/// Returns the first output that could not be written; a failure of the
+/// `.prom` sibling is reported under the report's own path.
+pub fn write_report(opts: &CommonOpts, report: &ProfileReport) -> Result<(), String> {
     let Some(json_path) = &opts.output.profile else {
-        return;
+        return Ok(());
     };
     let prom_path = json_path.with_extension("prom");
     report
         .write(json_path, &prom_path)
-        .expect("write profile report");
+        .map_err(cannot_write(json_path))?;
     println!("wrote {}", json_path.display());
     println!("wrote {}", prom_path.display());
     if let Some(events_path) = &opts.output.events {
-        write_ndjson(events_path, &report.events_ndjson(), true).expect("append profile events");
+        write_ndjson(events_path, &report.events_ndjson(), true)
+            .map_err(cannot_write(events_path))?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -133,7 +137,7 @@ mod tests {
         let o = opts(&[]);
         let mut s = ProfileSession::begin(&o, "fig1");
         s.phase("run");
-        s.finish(&o, &[]); // no --profile path: must not touch the fs
+        s.finish(&o, &[]).expect("nothing to write"); // no --profile path: must not touch the fs
     }
 
     #[test]
@@ -146,7 +150,7 @@ mod tests {
             s.phase("run");
             s.phase("merge");
             s.phase("emit");
-            s.finish(&o, frames);
+            s.finish(&o, frames).expect("write profile report");
             let json = std::fs::read_to_string(&path).expect("report written");
             assert!(
                 path.with_extension("prom").exists(),

@@ -85,6 +85,13 @@ pub fn write_json<T: Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
     std::fs::write(path, to_json(value))
 }
 
+/// `map_err` adapter for an output that could not be written: the error
+/// reads `cannot write <path>: <reason>`, which the driver prints before
+/// exiting 1.
+pub fn cannot_write(path: &Path) -> impl FnOnce(std::io::Error) -> String + '_ {
+    move |e| format!("cannot write {}: {e}", path.display())
+}
+
 /// Format a float with 4 significant decimals.
 pub fn f4(x: f64) -> String {
     format!("{x:.4}")

@@ -11,7 +11,7 @@
 use crate::cli::{CommonOpts, RunOptions};
 use crate::experiment::{Experiment, Observation};
 use crate::profile::ProfileSession;
-use crate::report::to_json;
+use crate::report::{cannot_write, to_json};
 use crate::telemetry::{self, LabeledFrame};
 use crate::{arrivals, faults, fig1, fig1_scale, fig2, fig34, multicast, saturation};
 use crate::{schedules, steps};
@@ -214,9 +214,9 @@ impl Plan {
     /// outputs `opts` asks for. Returns false when the run must fail the
     /// process.
     ///
-    /// # Panics
-    /// Panics on I/O errors — these are developer tools.
-    pub fn execute(self, name: &'static str, opts: &CommonOpts) -> bool {
+    /// # Errors
+    /// Returns the first output that could not be written.
+    pub fn execute(self, name: &'static str, opts: &CommonOpts) -> Result<bool, String> {
         let opts = per_selector(opts, name);
         let mut prof = ProfileSession::begin(&opts, name);
         let (runner, spec) = (opts.run.runner(), opts.output.telemetry_spec());
@@ -226,8 +226,9 @@ impl Plan {
         prof.phase("emit");
         if let Some(dir) = &opts.output.out_dir {
             let path = dir.join(format!("{name}.json"));
-            std::fs::create_dir_all(dir).expect("create results directory");
-            std::fs::write(&path, &ran.json).expect("write results");
+            std::fs::create_dir_all(dir)
+                .and_then(|()| std::fs::write(&path, &ran.json))
+                .map_err(cannot_write(&path))?;
             println!("wrote {}", path.display());
         }
         if let (Some(algorithms), Some(_)) = (ran.algorithms, &spec) {
@@ -239,11 +240,11 @@ impl Plan {
             m.jobs = runner.jobs() as u64;
             m.wall_ms = wall.as_secs_f64() * 1e3;
             (m.algorithms, m.topologies) = (algorithms, self.topologies);
-            telemetry::write_outputs(&opts, name, m, &ran.frames);
+            telemetry::write_outputs(&opts, name, m, &ran.frames)?;
         }
-        prof.finish(&opts, &ran.frames);
+        prof.finish(&opts, &ran.frames)?;
         println!();
-        ran.clean
+        Ok(ran.clean)
     }
 }
 

@@ -13,7 +13,7 @@
 //! export; determinism tests zero it before comparing.
 
 use crate::cli::CommonOpts;
-use crate::report::write_json;
+use crate::report::{cannot_write, write_json};
 use serde::Serialize;
 use wormcast_network::Trace;
 use wormcast_telemetry::{FrameExport, RunManifest, TelemetryFrame};
@@ -82,14 +82,14 @@ pub use wormcast_telemetry::events::write_ndjson;
 /// so truncation is machine-readable in the export, not just a stderr
 /// warning. Prints one line per file written.
 ///
-/// # Panics
-/// Panics on I/O errors — these are developer tools.
+/// # Errors
+/// Returns the first output that could not be written.
 pub fn write_outputs(
     opts: &CommonOpts,
     name: &str,
     mut manifest: RunManifest,
     frames: &[LabeledFrame],
-) {
+) -> Result<(), String> {
     manifest.events_dropped = frames
         .iter()
         .filter_map(|f| f.frame.events.as_ref())
@@ -99,13 +99,13 @@ pub fn write_outputs(
     if let Some(dir) = &opts.output.telemetry {
         let path = dir.join(format!("{name}.telemetry.json"));
         let report = TelemetryReport::new(manifest, frames);
-        write_json(&path, &report).expect("write telemetry report");
+        write_json(&path, &report).map_err(cannot_write(&path))?;
         println!("wrote {}", path.display());
     }
     if let Some(path) = &opts.output.events {
         let (ndjson, dropped) = events_ndjson(frames);
         debug_assert_eq!(dropped, events_dropped);
-        write_ndjson(path, &ndjson, false).expect("write events");
+        write_ndjson(path, &ndjson, false).map_err(cannot_write(path))?;
         println!("wrote {}", path.display());
         if dropped > 0 {
             eprintln!(
@@ -113,6 +113,7 @@ pub fn write_outputs(
             );
         }
     }
+    Ok(())
 }
 
 /// Satellite of the observability PR: the trace ring has always counted the

@@ -28,7 +28,7 @@ pub use invariant::InvariantChecker;
 pub use message::{Delivery, MessageId, MessageSpec, OpId, Route};
 pub use metrics::{Counters, CountersSink, MetricsSink, TraceSink, UtilizationSink};
 pub use simulation::{Simulation, SimulationBuilder};
-pub use trace::{Trace, TraceKind, TraceRecord};
+pub use trace::{Event, EventKind, Trace};
 
 #[cfg(test)]
 mod tests;

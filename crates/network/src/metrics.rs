@@ -14,9 +14,16 @@
 //! engine keeps one of each built in, preserving the long-standing accessors
 //! `Network::counters` / `channel_utilization` / `trace`; additional custom
 //! sinks attach with [`crate::engine::Network::add_sink`].
+//!
+//! [`TraceSink`] records the engine's one event record,
+//! [`crate::trace::Event`] — the same record the telemetry collector logs —
+//! into the ring of [`crate::trace::Trace`], which keeps the newest. It
+//! keeps a fixed subset of callbacks and fields (see its `MetricsSink`
+//! impl), so trace dumps stay byte-stable and arena-vs-classic traces stay
+//! comparable.
 
 use crate::message::MessageId;
-use crate::trace::{Trace, TraceKind, TraceRecord};
+use crate::trace::{Event, EventKind, Trace};
 use wormcast_sim::{SimDuration, SimTime};
 use wormcast_topology::{ChannelId, NodeId};
 
@@ -176,71 +183,65 @@ impl TraceSink {
         &self.trace
     }
 
+    /// Record one event, stamped `rep: 0` (the trace describes a single
+    /// run). Checks `is_enabled` first, so a disabled trace builds nothing.
     fn push(
         &mut self,
-        time: SimTime,
-        kind: TraceKind,
-        m: MessageId,
+        now: SimTime,
+        kind: EventKind,
+        msg: Option<MessageId>,
         node: Option<NodeId>,
         ch: Option<ChannelId>,
+        q: Option<u64>,
     ) {
         if self.trace.is_enabled() {
-            self.trace.push(TraceRecord {
-                time,
-                kind,
-                message: m,
-                node,
-                channel: ch,
+            self.trace.push(Event {
+                msg: msg.map(|m| m.0),
+                node: node.map(|n| n.0),
+                ch: ch.map(|c| c.0),
+                q,
+                ..Event::new(now.as_ps(), kind, 0)
             });
         }
     }
 }
 
+/// The trace records the callbacks and fields below and nothing more: no
+/// `link_down`, `link_up`, `reroute` or `stalled` (the `classic` oracle
+/// never emits the last two, so arena-vs-classic traces stay equal under
+/// faults), no `q` on `channel_wait` and no `flits` on `deliver`, so trace
+/// dumps stay byte-stable.
 impl MetricsSink for TraceSink {
     fn on_inject(&mut self, now: SimTime, m: MessageId, src: NodeId) {
-        self.push(now, TraceKind::Inject, m, Some(src), None);
+        self.push(now, EventKind::Inject, Some(m), Some(src), None, None);
     }
     fn on_port_grant(&mut self, now: SimTime, m: MessageId, node: NodeId) {
-        self.push(now, TraceKind::PortGrant, m, Some(node), None);
+        self.push(now, EventKind::PortGrant, Some(m), Some(node), None, None);
     }
     fn on_startup_done(&mut self, now: SimTime, m: MessageId, node: NodeId) {
-        self.push(now, TraceKind::StartupDone, m, Some(node), None);
+        self.push(now, EventKind::StartupDone, Some(m), Some(node), None, None);
     }
     fn on_header_hop(&mut self, now: SimTime, m: MessageId, at: NodeId, ch: ChannelId) {
-        self.push(now, TraceKind::HeaderArrive, m, Some(at), Some(ch));
+        self.push(now, EventKind::Header, Some(m), Some(at), Some(ch), None);
     }
     fn on_channel_wait(&mut self, now: SimTime, m: MessageId, ch: ChannelId, _queue_len: usize) {
-        self.push(now, TraceKind::ChannelWait, m, None, Some(ch));
+        self.push(now, EventKind::ChannelWait, Some(m), None, Some(ch), None);
     }
     fn on_channel_grant(&mut self, now: SimTime, m: MessageId, ch: ChannelId) {
-        self.push(now, TraceKind::ChannelGrant, m, None, Some(ch));
+        self.push(now, EventKind::ChannelGrant, Some(m), None, Some(ch), None);
     }
     fn on_channel_release(&mut self, now: SimTime, ch: ChannelId) {
-        // Occupant unknown here in facility mode; attribute to no message.
-        self.push(
-            now,
-            TraceKind::ChannelRelease,
-            MessageId(u64::MAX),
-            None,
-            Some(ch),
-        );
+        self.push(now, EventKind::ChannelRelease, None, None, Some(ch), None);
     }
     fn on_deliver(&mut self, now: SimTime, m: MessageId, node: NodeId, _flits: u64) {
-        self.push(now, TraceKind::Deliver, m, Some(node), None);
+        self.push(now, EventKind::Deliver, Some(m), Some(node), None, None);
     }
     fn on_complete(&mut self, now: SimTime, m: MessageId, node: NodeId) {
-        self.push(now, TraceKind::Complete, m, Some(node), None);
+        self.push(now, EventKind::Complete, Some(m), Some(node), None, None);
     }
     fn on_schedule_phase(&mut self, now: SimTime, phase: u32) {
-        // No message is involved; the phase number rides in the message slot
-        // (same convention as ChannelRelease's unknown-occupant sentinel).
-        self.push(
-            now,
-            TraceKind::SchedulePhase,
-            MessageId(phase as u64),
-            None,
-            None,
-        );
+        let q = Some(phase as u64);
+        self.push(now, EventKind::SchedulePhase, None, None, None, q);
     }
 }
 

@@ -512,7 +512,7 @@ fn facility_mode_conserves_messages() {
 
 mod trace_and_faults {
     use super::*;
-    use crate::TraceKind;
+    use crate::{EventKind, MessageId};
     use wormcast_routing::WestFirst;
 
     #[test]
@@ -530,26 +530,26 @@ mod trace_and_faults {
         let id = net.inject_at(SimTime::ZERO, spec);
         net.run_until_idle();
         let recs = net.trace().of_message(id);
-        let kinds: Vec<TraceKind> = recs.iter().map(|r| r.kind).collect();
+        let kinds: Vec<EventKind> = recs.iter().map(|r| r.kind).collect();
         assert_eq!(
             kinds,
             vec![
-                TraceKind::Inject,
-                TraceKind::PortGrant,
-                TraceKind::StartupDone,
-                TraceKind::ChannelGrant,
-                TraceKind::HeaderArrive,
-                TraceKind::ChannelGrant,
-                TraceKind::HeaderArrive,
-                TraceKind::ChannelGrant,
-                TraceKind::HeaderArrive,
-                TraceKind::Deliver,
-                TraceKind::Complete,
+                EventKind::Inject,
+                EventKind::PortGrant,
+                EventKind::StartupDone,
+                EventKind::ChannelGrant,
+                EventKind::Header,
+                EventKind::ChannelGrant,
+                EventKind::Header,
+                EventKind::ChannelGrant,
+                EventKind::Header,
+                EventKind::Deliver,
+                EventKind::Complete,
             ],
             "3-hop unicast lifecycle"
         );
         // Timestamps are monotone.
-        assert!(recs.windows(2).all(|w| w[0].time <= w[1].time));
+        assert!(recs.windows(2).all(|w| w[0].t_ps <= w[1].t_ps));
     }
 
     #[test]
@@ -585,15 +585,41 @@ mod trace_and_faults {
         net.inject_at(SimTime::ZERO, a);
         let id_b = net.inject_at(SimTime::from_us(0.1), b);
         net.run_until_idle();
-        let kinds: Vec<TraceKind> = net
+        let kinds: Vec<EventKind> = net
             .trace()
             .of_message(id_b)
             .iter()
             .map(|r| r.kind)
             .collect();
         assert!(
-            kinds.contains(&TraceKind::ChannelWait),
+            kinds.contains(&EventKind::ChannelWait),
             "B queued: {kinds:?}"
+        );
+    }
+
+    #[test]
+    fn schedule_phase_marks_belong_to_no_message() {
+        let mut net = net2d(4);
+        net.enable_trace(512);
+        let a = unicast_spec(&net, NodeId(0), NodeId(3), 16, 0);
+        let b = unicast_spec(&net, NodeId(4), NodeId(7), 16, 1);
+        net.inject_at(SimTime::ZERO, a);
+        let id_b = net.inject_at(SimTime::ZERO, b);
+        assert_eq!(id_b, MessageId(1));
+        net.schedule_phase_marks(&[(SimTime::from_us(0.1), 1)]);
+        net.run_until_idle();
+        let marks: Vec<_> = net
+            .trace()
+            .records()
+            .filter(|e| e.kind == EventKind::SchedulePhase)
+            .collect();
+        assert_eq!(marks.len(), 1, "the phase mark is traced");
+        assert_eq!((marks[0].msg, marks[0].q), (None, Some(1)));
+        let of_b = net.trace().of_message(id_b);
+        assert!(!of_b.is_empty());
+        assert!(
+            of_b.iter().all(|e| e.kind != EventKind::SchedulePhase),
+            "phase 1's mark is not message 1's record: {of_b:?}"
         );
     }
 

@@ -12,8 +12,8 @@
 
 use wormcast_network::classic;
 use wormcast_network::{
-    FaultEvent, FaultKind, FaultPlan, MessageSpec, Network, NetworkConfig, OpId, ReleaseMode,
-    Route, TraceRecord,
+    Event, FaultEvent, FaultKind, FaultPlan, MessageSpec, Network, NetworkConfig, OpId,
+    ReleaseMode, Route,
 };
 use wormcast_routing::{dor_path, CodedPath, DimensionOrdered};
 use wormcast_sim::{SimTime, SpeedTransition};
@@ -100,8 +100,8 @@ fn same_cycle_restore_does_not_trip_watchdog() {
 
     assert_eq!(arena.drain_deliveries(), oracle.drain_deliveries());
     assert_eq!(arena.counters(), oracle.counters());
-    let at: Vec<TraceRecord> = arena.trace().records().copied().collect();
-    let ot: Vec<TraceRecord> = oracle.trace().records().copied().collect();
+    let at: Vec<Event> = arena.trace().records().copied().collect();
+    let ot: Vec<Event> = oracle.trace().records().copied().collect();
     assert_eq!(at, ot, "trace divergence between arena and oracle");
     // Final clocks are NOT compared: the arena's re-armed probe fires once
     // more (harmlessly, after completion) at 0.8 µs; the oracle has no
@@ -202,8 +202,8 @@ fn speed_transitions_and_phase_marks_match_across_engines() {
 
     assert_eq!(arena.drain_deliveries(), oracle.drain_deliveries());
     assert_eq!(arena.counters(), oracle.counters());
-    let at: Vec<TraceRecord> = arena.trace().records().copied().collect();
-    let ot: Vec<TraceRecord> = oracle.trace().records().copied().collect();
+    let at: Vec<Event> = arena.trace().records().copied().collect();
+    let ot: Vec<Event> = oracle.trace().records().copied().collect();
     assert_eq!(at, ot, "trace divergence between arena and oracle");
     assert_eq!(arena.now(), oracle.now());
 }

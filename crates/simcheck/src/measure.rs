@@ -16,8 +16,7 @@ use wormcast_network::Network;
 use wormcast_routing::{SimTopology, TorusDor};
 use wormcast_sim::SimTime;
 use wormcast_stats::summarize;
-use wormcast_telemetry::events::trace_event;
-use wormcast_telemetry::EventLog;
+use wormcast_telemetry::{Event, EventLog};
 use wormcast_topology::{Mesh, NodeId, Topology, Torus};
 use wormcast_workload::{routing_for, BroadcastTracker, Ops, Runner};
 
@@ -164,15 +163,10 @@ fn run_single<T: SimTopology>(
     Ok(measurement(&deliveries, net.now(), events))
 }
 
-fn events_from<'a>(
-    records: impl Iterator<Item = &'a wormcast_network::TraceRecord>,
-    rep: u64,
-) -> EventLog {
+fn events_from<'a>(records: impl Iterator<Item = &'a Event>, rep: u64) -> EventLog {
     let mut log = EventLog::default();
-    for r in records {
-        let mut e = trace_event(r);
-        e.rep = rep;
-        log.push(e);
+    for e in records {
+        log.push(Event { rep, ..*e });
     }
     log
 }

@@ -12,8 +12,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use wormcast_broadcast::{torus_ring_broadcast, Algorithm};
 use wormcast_network::{
-    classic, Counters, Delivery, FaultPlan, FaultSpec, MessageSpec, Network, NetworkConfig, OpId,
-    Route, TraceRecord,
+    classic, Counters, Delivery, Event, FaultPlan, FaultSpec, MessageSpec, Network, NetworkConfig,
+    OpId, Route,
 };
 #[cfg(feature = "invariants")]
 use wormcast_network::{InvariantChecker, MessageId};
@@ -74,7 +74,7 @@ pub(crate) struct Injection {
 
 /// Everything an engine run can be observed to do.
 struct RunRecord {
-    trace: Vec<TraceRecord>,
+    trace: Vec<Event>,
     deliveries: Vec<Delivery>,
     counters: Counters,
     final_now: SimTime,

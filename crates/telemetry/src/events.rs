@@ -1,223 +1,24 @@
 //! Streaming NDJSON event export.
 //!
-//! Every `MetricsSink` callback can be captured as one [`Event`] — a flat
-//! record of small integers — and serialized lazily: the [`EventLog`] stores
+//! Every `MetricsSink` callback can be captured as one [`Event`] — the
+//! engine's one event record, defined in `wormcast_network::trace` and
+//! re-exported here — and serialized lazily: the [`EventLog`] stores
 //! events in memory as packed structs and only renders JSON when written
 //! out, but it enforces its byte budget *eagerly* by computing the exact
 //! serialized line length arithmetically (digit counting), so a bounded log
 //! never buffers more than it will emit. Once the budget is exhausted,
 //! further events are counted in [`EventLog::dropped`] rather than stored.
-//!
-//! The line schema is fixed and order-stable:
-//!
-//! ```json
-//! {"t_ps":1500000,"ev":"deliver","rep":3,"msg":0,"node":12,"flits":100}
-//! ```
-//!
-//! Keys appear in the order `t_ps, ev, rep, msg, node, ch, q, flits, name`;
-//! absent fields are omitted entirely (never `null`). All values are
-//! unsigned integers except `ev`, which is one of the [`EventKind`] names,
-//! and `name`, a static label used by profiling events. Because
+//! The log is the first-fit retention policy over that record: it keeps the
+//! *oldest* events that fit, where the engine's trace ring keeps the
+//! *newest*; both render through the one writer, [`to_ndjson`], whose line
+//! schema `wormcast_network::trace` documents. Because
 //! the vendored serde facade has no deserializer, this module also ships a
 //! minimal flat-object parser ([`parse_line`]) and a whole-file validator
 //! ([`validate_ndjson`]) used by the schema tests and CI.
 
 use crate::TELEMETRY_EVENT_BUDGET_DEFAULT;
 use std::collections::HashMap;
-use std::fmt::Write as _;
-use wormcast_network::trace::{Trace, TraceKind, TraceRecord};
-
-/// What a line records; mirrors the `MetricsSink` callbacks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// Injection requested.
-    Inject,
-    /// Injection port granted.
-    PortGrant,
-    /// Start-up latency elapsed.
-    StartupDone,
-    /// Header finished crossing a channel.
-    Header,
-    /// Header joined a busy channel's FIFO.
-    ChannelWait,
-    /// Channel granted.
-    ChannelGrant,
-    /// Channel released.
-    ChannelRelease,
-    /// Payload copy absorbed.
-    Deliver,
-    /// Message complete.
-    Complete,
-    /// A link went down (fault injection).
-    LinkDown,
-    /// A link came back up (end of a transient outage).
-    LinkUp,
-    /// An adaptive header steered around a faulted channel.
-    Reroute,
-    /// The delivery watchdog retired a stalled message.
-    Stalled,
-    /// The simcheck invariant checker recorded a violation (the line only
-    /// locates it; the violation text lives in the simcheck report).
-    InvariantViolation,
-    /// A profiling phase span opened (`name` carries the span name, `q`
-    /// its pre-order sequence number).
-    SpanOpen,
-    /// A profiling phase span closed.
-    SpanClose,
-    /// A deterministic metric's final value (`name` carries the metric id,
-    /// `q` the value).
-    MetricSnapshot,
-    /// A serve request was answered from the completed-result cache (`q`
-    /// carries the request's config hash).
-    CacheHit,
-    /// A serve request missed the cache and started a fresh engine run
-    /// (`q` carries the request's config hash).
-    CacheMiss,
-    /// A serve request joined an identical in-flight run instead of
-    /// starting its own (`q` carries the request's config hash).
-    Coalesced,
-    /// A scenario-schedule phase boundary was crossed (`q` carries the
-    /// phase number).
-    SchedulePhase,
-}
-
-impl EventKind {
-    /// Stable wire name for the `ev` field.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::Inject => "inject",
-            EventKind::PortGrant => "port_grant",
-            EventKind::StartupDone => "startup_done",
-            EventKind::Header => "header",
-            EventKind::ChannelWait => "channel_wait",
-            EventKind::ChannelGrant => "channel_grant",
-            EventKind::ChannelRelease => "channel_release",
-            EventKind::Deliver => "deliver",
-            EventKind::Complete => "complete",
-            EventKind::LinkDown => "link_down",
-            EventKind::LinkUp => "link_up",
-            EventKind::Reroute => "reroute",
-            EventKind::Stalled => "stalled",
-            EventKind::InvariantViolation => "invariant_violation",
-            EventKind::SpanOpen => "span_open",
-            EventKind::SpanClose => "span_close",
-            EventKind::MetricSnapshot => "metric_snapshot",
-            EventKind::CacheHit => "cache_hit",
-            EventKind::CacheMiss => "cache_miss",
-            EventKind::Coalesced => "coalesced",
-            EventKind::SchedulePhase => "schedule_phase",
-        }
-    }
-}
-
-/// One observable engine event, packed for lazy serialization.
-#[derive(Debug, Clone, Copy)]
-pub struct Event {
-    /// Simulation time in picoseconds.
-    pub t_ps: u64,
-    /// What happened.
-    pub kind: EventKind,
-    /// Replication index the event came from.
-    pub rep: u64,
-    /// Message involved, if any.
-    pub msg: Option<u64>,
-    /// Node involved, if any.
-    pub node: Option<u32>,
-    /// Channel involved, if any.
-    pub ch: Option<u32>,
-    /// FIFO depth (for `channel_wait`) or undelivered destination count
-    /// (for `stalled`), if any.
-    pub q: Option<u64>,
-    /// Payload flits (for `deliver`), if any.
-    pub flits: Option<u64>,
-    /// Static label (span name or metric id) for profiling events, if any.
-    pub name: Option<&'static str>,
-}
-
-impl Event {
-    /// A minimal event with all optional fields absent.
-    pub fn new(t_ps: u64, kind: EventKind, rep: u64) -> Self {
-        Event {
-            t_ps,
-            kind,
-            rep,
-            msg: None,
-            node: None,
-            ch: None,
-            q: None,
-            flits: None,
-            name: None,
-        }
-    }
-
-    /// Render the NDJSON line, **without** the trailing newline.
-    pub fn line(&self) -> String {
-        let mut s = String::with_capacity(self.line_len());
-        let _ = write!(
-            s,
-            "{{\"t_ps\":{},\"ev\":\"{}\",\"rep\":{}",
-            self.t_ps,
-            self.kind.name(),
-            self.rep
-        );
-        if let Some(m) = self.msg {
-            let _ = write!(s, ",\"msg\":{m}");
-        }
-        if let Some(n) = self.node {
-            let _ = write!(s, ",\"node\":{n}");
-        }
-        if let Some(c) = self.ch {
-            let _ = write!(s, ",\"ch\":{c}");
-        }
-        if let Some(q) = self.q {
-            let _ = write!(s, ",\"q\":{q}");
-        }
-        if let Some(f) = self.flits {
-            let _ = write!(s, ",\"flits\":{f}");
-        }
-        if let Some(name) = self.name {
-            let _ = write!(s, ",\"name\":\"{name}\"");
-        }
-        s.push('}');
-        s
-    }
-
-    /// Exact byte length of [`Event::line`], computed without allocating.
-    pub fn line_len(&self) -> usize {
-        let mut n = 8 + digits(self.t_ps); // {"t_ps":N
-        n += 8 + self.kind.name().len(); // ,"ev":"K"
-        n += 7 + digits(self.rep); // ,"rep":N
-        if let Some(m) = self.msg {
-            n += 7 + digits(m); // ,"msg":N
-        }
-        if let Some(node) = self.node {
-            n += 8 + digits(node as u64); // ,"node":N
-        }
-        if let Some(c) = self.ch {
-            n += 6 + digits(c as u64); // ,"ch":N
-        }
-        if let Some(q) = self.q {
-            n += 5 + digits(q); // ,"q":N
-        }
-        if let Some(f) = self.flits {
-            n += 9 + digits(f); // ,"flits":N
-        }
-        if let Some(name) = self.name {
-            n += 10 + name.len(); // ,"name":"S"
-        }
-        n + 1 // }
-    }
-}
-
-/// Decimal digit count of `v`.
-#[inline]
-fn digits(v: u64) -> usize {
-    if v == 0 {
-        1
-    } else {
-        (v.ilog10() + 1) as usize
-    }
-}
+pub use wormcast_network::trace::{to_ndjson, Event, EventKind};
 
 /// A byte-budgeted, lazily-serialized event buffer.
 #[derive(Debug, Clone)]
@@ -295,51 +96,8 @@ impl EventLog {
     /// Render the whole log as NDJSON (one line per event, each
     /// newline-terminated).
     pub fn to_ndjson(&self) -> String {
-        let mut s = String::with_capacity(self.bytes_used);
-        for e in &self.events {
-            s.push_str(&e.line());
-            s.push('\n');
-        }
-        s
+        to_ndjson(&self.events)
     }
-}
-
-/// Convert one engine trace record to an [`Event`] (rep is always 0: the
-/// bounded trace describes a single run).
-pub fn trace_event(r: &TraceRecord) -> Event {
-    let kind = match r.kind {
-        TraceKind::Inject => EventKind::Inject,
-        TraceKind::PortGrant => EventKind::PortGrant,
-        TraceKind::StartupDone => EventKind::StartupDone,
-        TraceKind::ChannelGrant => EventKind::ChannelGrant,
-        TraceKind::ChannelWait => EventKind::ChannelWait,
-        TraceKind::HeaderArrive => EventKind::Header,
-        TraceKind::Deliver => EventKind::Deliver,
-        TraceKind::Complete => EventKind::Complete,
-        TraceKind::ChannelRelease => EventKind::ChannelRelease,
-        TraceKind::SchedulePhase => EventKind::SchedulePhase,
-    };
-    let mut e = Event::new(r.time.as_ps(), kind, 0);
-    if r.kind == TraceKind::SchedulePhase {
-        // The phase number rides in the trace record's `message` slot; on
-        // the wire it belongs in `q` so `msg` keeps message-id semantics.
-        e.q = Some(r.message.0);
-    } else if r.message.0 != u64::MAX {
-        e.msg = Some(r.message.0);
-    }
-    e.node = r.node.map(|n| n.0);
-    e.ch = r.channel.map(|c| c.0);
-    e
-}
-
-/// Render a bounded engine trace as NDJSON, reusing the event schema.
-pub fn trace_to_ndjson(trace: &Trace) -> String {
-    let mut s = String::new();
-    for r in trace.records() {
-        s.push_str(&trace_event(r).line());
-        s.push('\n');
-    }
-    s
 }
 
 /// The one NDJSON writer every export path goes through — the experiment
@@ -530,45 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn line_len_matches_rendered_length() {
-        let mut e = Event::new(0, EventKind::Inject, 0);
-        assert_eq!(e.line().len(), e.line_len(), "{}", e.line());
-        e.msg = Some(10);
-        e.node = Some(9);
-        assert_eq!(e.line().len(), e.line_len(), "{}", e.line());
-        let f = full_event();
-        assert_eq!(f.line().len(), f.line_len(), "{}", f.line());
-        for kind in [
-            EventKind::Inject,
-            EventKind::PortGrant,
-            EventKind::StartupDone,
-            EventKind::Header,
-            EventKind::ChannelWait,
-            EventKind::ChannelGrant,
-            EventKind::ChannelRelease,
-            EventKind::Deliver,
-            EventKind::Complete,
-            EventKind::LinkDown,
-            EventKind::LinkUp,
-            EventKind::Reroute,
-            EventKind::Stalled,
-            EventKind::InvariantViolation,
-            EventKind::SpanOpen,
-            EventKind::SpanClose,
-            EventKind::MetricSnapshot,
-            EventKind::CacheHit,
-            EventKind::CacheMiss,
-            EventKind::Coalesced,
-            EventKind::SchedulePhase,
-        ] {
-            let mut e = Event::new(u64::MAX, kind, u64::MAX);
-            assert_eq!(e.line().len(), e.line_len(), "{}", e.line());
-            e.name = Some("engine_arena_msgs_highwater");
-            assert_eq!(e.line().len(), e.line_len(), "{}", e.line());
-        }
-    }
-
-    #[test]
     fn budget_bounds_bytes_and_counts_drops() {
         let e = Event::new(1, EventKind::Inject, 0);
         let cost = e.line_len() + 1;
@@ -639,30 +358,26 @@ mod tests {
     }
 
     #[test]
-    fn trace_round_trips_through_exporter() {
-        use wormcast_network::message::MessageId;
+    fn trace_sink_output_validates() {
+        use wormcast_network::{MessageId, MetricsSink, TraceSink};
         use wormcast_sim::SimTime;
-        use wormcast_topology::NodeId;
-        let mut t = Trace::default();
-        t.enable(8);
-        t.push(TraceRecord {
-            time: SimTime::from_ps(5),
-            kind: TraceKind::Inject,
-            message: MessageId(0),
-            node: Some(NodeId(3)),
-            channel: None,
-        });
-        t.push(TraceRecord {
-            time: SimTime::from_ps(9),
-            kind: TraceKind::ChannelRelease,
-            message: MessageId(u64::MAX),
-            node: None,
-            channel: None,
-        });
-        let nd = trace_to_ndjson(&t);
+        use wormcast_topology::{ChannelId, NodeId};
+        let mut sink = TraceSink::default();
+        sink.enable(8);
+        sink.on_inject(SimTime::from_ps(5), MessageId(0), NodeId(3));
+        sink.on_channel_release(SimTime::from_ps(9), ChannelId(2));
+        sink.on_schedule_phase(SimTime::from_ps(9), 4);
+        let nd = to_ndjson(sink.trace().records());
         let stats = validate_ndjson(&nd).expect("trace NDJSON should validate");
-        assert_eq!(stats.lines, 2);
-        assert!(nd.lines().nth(1).unwrap().contains("channel_release"));
-        assert!(!nd.lines().nth(1).unwrap().contains("msg"));
+        assert_eq!(stats.lines, 3);
+        assert_eq!(stats.messages, 1);
+        assert_eq!(
+            nd.lines().nth(1),
+            Some("{\"t_ps\":9,\"ev\":\"channel_release\",\"rep\":0,\"ch\":2}")
+        );
+        assert_eq!(
+            nd.lines().nth(2),
+            Some("{\"t_ps\":9,\"ev\":\"schedule_phase\",\"rep\":0,\"q\":4}")
+        );
     }
 }

@@ -62,44 +62,27 @@ pub use span::{Profiler, SpanNode};
 /// Default NDJSON byte budget per replication frame (8 MiB).
 pub const TELEMETRY_EVENT_BUDGET_DEFAULT: usize = 8 << 20;
 
-/// What to collect. Constructed once per experiment run from the CLI flags
-/// and shared (by reference) with every replication.
-#[derive(Debug, Clone)]
+/// What to collect beyond the per-phase latency histograms and the
+/// contention heatmap, which every observed run records. Constructed once
+/// per experiment run from the CLI flags and shared (by reference) with
+/// every replication. The default records neither.
+#[derive(Debug, Clone, Default)]
 pub struct TelemetrySpec {
-    /// Record per-phase latency histograms.
-    pub phases: bool,
-    /// Record the per-channel/per-node contention heatmap.
-    pub heatmap: bool,
-    /// Record the NDJSON event stream.
+    /// Record the NDJSON event stream, up to
+    /// [`TELEMETRY_EVENT_BUDGET_DEFAULT`] bytes per replication.
     pub events: bool,
-    /// Byte budget for the event stream, **per replication**.
-    pub event_budget: usize,
     /// Scrape runtime metrics (engine/harness counters) into the
     /// per-replication [`MetricsRegistry`].
     pub profile: bool,
 }
 
-impl Default for TelemetrySpec {
-    /// Histograms + heatmap, no event stream, no runtime metrics.
-    fn default() -> Self {
-        TelemetrySpec {
-            phases: true,
-            heatmap: true,
-            events: false,
-            event_budget: TELEMETRY_EVENT_BUDGET_DEFAULT,
-            profile: false,
-        }
-    }
-}
-
 impl TelemetrySpec {
-    /// Everything on: histograms, heatmap, the NDJSON event stream and
-    /// runtime metrics.
+    /// Everything on: the NDJSON event stream and runtime metrics (on top
+    /// of the histograms and heatmap every observed run records).
     pub fn full() -> Self {
         TelemetrySpec {
             events: true,
             profile: true,
-            ..TelemetrySpec::default()
         }
     }
 }
@@ -243,7 +226,8 @@ pub struct TelemetryFrame {
     pub op_cv: CvAccumulator,
     /// Reliability counters (nonzero only under fault injection).
     pub reliability: ReliabilityCounters,
-    /// Contention heatmap, when enabled.
+    /// Contention heatmap (every [`Collector`] records one; `None` only in
+    /// a frame no collector filled).
     pub heatmap: Option<ChannelHeatmap>,
     /// NDJSON event stream, when enabled.
     pub events: Option<EventLog>,
@@ -336,7 +320,7 @@ pub struct FrameExport {
     pub events_retained: u64,
     /// Events dropped by the byte budget.
     pub events_dropped: u64,
-    /// Contention heatmap, when enabled.
+    /// Contention heatmap (`null` only for a frame no collector filled).
     pub heatmap: Option<HeatmapExport>,
 }
 
@@ -351,8 +335,6 @@ pub struct FrameExport {
 #[derive(Debug)]
 pub struct Collector {
     shared: Arc<Mutex<TelemetryFrame>>,
-    phases: bool,
-    events: bool,
     rep: u64,
 }
 
@@ -361,16 +343,12 @@ impl Collector {
     /// channel and node counts.
     pub fn new(spec: &TelemetrySpec, rep: u64, num_channels: usize, num_nodes: usize) -> Self {
         let frame = TelemetryFrame {
-            heatmap: spec
-                .heatmap
-                .then(|| ChannelHeatmap::new(num_channels, num_nodes)),
-            events: spec.events.then(|| EventLog::new(spec.event_budget)),
+            heatmap: Some(ChannelHeatmap::new(num_channels, num_nodes)),
+            events: spec.events.then(EventLog::default),
             ..TelemetryFrame::default()
         };
         Collector {
             shared: Arc::new(Mutex::new(frame)),
-            phases: spec.phases,
-            events: spec.events,
             rep,
         }
     }
@@ -379,8 +357,6 @@ impl Collector {
     pub fn sink(&self) -> Box<dyn MetricsSink> {
         Box::new(CollectorSink {
             shared: Arc::clone(&self.shared),
-            phases: self.phases,
-            events: self.events,
             rep: self.rep,
         })
     }
@@ -410,8 +386,6 @@ impl Collector {
 /// The `MetricsSink` handle a [`Collector`] attaches to a network.
 struct CollectorSink {
     shared: Arc<Mutex<TelemetryFrame>>,
-    phases: bool,
-    events: bool,
     rep: u64,
 }
 
@@ -421,123 +395,111 @@ impl CollectorSink {
     }
 }
 
-fn push_event(f: &mut TelemetryFrame, e: Event) {
-    if let Some(log) = &mut f.events {
-        log.push(e);
-    }
-}
-
 impl MetricsSink for CollectorSink {
     fn on_inject(&mut self, now: SimTime, m: MessageId, src: NodeId) {
         let mut guard = self.shared.lock().unwrap();
         let f = &mut *guard;
-        if self.phases {
-            f.inflight.insert(
-                m.0,
-                MsgState {
-                    inject_ps: now.as_ps(),
-                    grant_ps: now.as_ps(),
-                    wait_since: None,
-                },
-            );
-        }
-        if self.events {
-            let mut e = self.event(now, EventKind::Inject);
-            e.msg = Some(m.0);
-            e.node = Some(src.0);
-            push_event(f, e);
+        f.inflight.insert(
+            m.0,
+            MsgState {
+                inject_ps: now.as_ps(),
+                grant_ps: now.as_ps(),
+                wait_since: None,
+            },
+        );
+        if let Some(log) = &mut f.events {
+            log.push(Event {
+                msg: Some(m.0),
+                node: Some(src.0),
+                ..self.event(now, EventKind::Inject)
+            });
         }
     }
 
     fn on_port_grant(&mut self, now: SimTime, m: MessageId, node: NodeId) {
         let mut guard = self.shared.lock().unwrap();
         let f = &mut *guard;
-        if self.phases {
-            if let Some(st) = f.inflight.get_mut(&m.0) {
-                st.grant_ps = now.as_ps();
-                let wait = now.as_ps() - st.inject_ps;
-                f.phases.port_wait.record_ps(wait);
-            }
+        if let Some(st) = f.inflight.get_mut(&m.0) {
+            st.grant_ps = now.as_ps();
+            let wait = now.as_ps() - st.inject_ps;
+            f.phases.port_wait.record_ps(wait);
         }
         if let Some(h) = &mut f.heatmap {
             h.on_port_grant(node.index());
         }
-        if self.events {
-            let mut e = self.event(now, EventKind::PortGrant);
-            e.msg = Some(m.0);
-            e.node = Some(node.0);
-            push_event(f, e);
+        if let Some(log) = &mut f.events {
+            log.push(Event {
+                msg: Some(m.0),
+                node: Some(node.0),
+                ..self.event(now, EventKind::PortGrant)
+            });
         }
     }
 
     fn on_startup_done(&mut self, now: SimTime, m: MessageId, node: NodeId) {
         let mut guard = self.shared.lock().unwrap();
         let f = &mut *guard;
-        if self.phases {
-            if let Some(st) = f.inflight.get(&m.0) {
-                let startup = now.as_ps() - st.grant_ps;
-                f.phases.startup.record_ps(startup);
-            }
+        if let Some(st) = f.inflight.get(&m.0) {
+            let startup = now.as_ps() - st.grant_ps;
+            f.phases.startup.record_ps(startup);
         }
-        if self.events {
-            let mut e = self.event(now, EventKind::StartupDone);
-            e.msg = Some(m.0);
-            e.node = Some(node.0);
-            push_event(f, e);
+        if let Some(log) = &mut f.events {
+            log.push(Event {
+                msg: Some(m.0),
+                node: Some(node.0),
+                ..self.event(now, EventKind::StartupDone)
+            });
         }
     }
 
     fn on_header_hop(&mut self, now: SimTime, m: MessageId, at: NodeId, ch: ChannelId) {
-        if !self.events {
-            return;
+        if let Some(log) = &mut self.shared.lock().unwrap().events {
+            log.push(Event {
+                msg: Some(m.0),
+                node: Some(at.0),
+                ch: Some(ch.0),
+                ..self.event(now, EventKind::Header)
+            });
         }
-        let mut guard = self.shared.lock().unwrap();
-        let mut e = self.event(now, EventKind::Header);
-        e.msg = Some(m.0);
-        e.node = Some(at.0);
-        e.ch = Some(ch.0);
-        push_event(&mut guard, e);
     }
 
     fn on_channel_wait(&mut self, now: SimTime, m: MessageId, ch: ChannelId, queue_len: usize) {
         let mut guard = self.shared.lock().unwrap();
         let f = &mut *guard;
-        if self.phases {
-            if let Some(st) = f.inflight.get_mut(&m.0) {
-                st.wait_since = Some(now.as_ps());
-            }
+        if let Some(st) = f.inflight.get_mut(&m.0) {
+            st.wait_since = Some(now.as_ps());
         }
         if let Some(h) = &mut f.heatmap {
             h.on_wait(ch.index(), queue_len);
         }
-        if self.events {
-            let mut e = self.event(now, EventKind::ChannelWait);
-            e.msg = Some(m.0);
-            e.ch = Some(ch.0);
-            e.q = Some(queue_len as u64);
-            push_event(f, e);
+        if let Some(log) = &mut f.events {
+            log.push(Event {
+                msg: Some(m.0),
+                ch: Some(ch.0),
+                q: Some(queue_len as u64),
+                ..self.event(now, EventKind::ChannelWait)
+            });
         }
     }
 
     fn on_channel_grant(&mut self, now: SimTime, m: MessageId, ch: ChannelId) {
         let mut guard = self.shared.lock().unwrap();
         let f = &mut *guard;
-        if self.phases {
-            if let Some(st) = f.inflight.get_mut(&m.0) {
-                if let Some(since) = st.wait_since.take() {
-                    let wait = now.as_ps() - since;
-                    f.phases.channel_wait.record_ps(wait);
-                }
+        if let Some(st) = f.inflight.get_mut(&m.0) {
+            if let Some(since) = st.wait_since.take() {
+                let wait = now.as_ps() - since;
+                f.phases.channel_wait.record_ps(wait);
             }
         }
         if let Some(h) = &mut f.heatmap {
             h.on_grant(ch.index(), now.as_ps());
         }
-        if self.events {
-            let mut e = self.event(now, EventKind::ChannelGrant);
-            e.msg = Some(m.0);
-            e.ch = Some(ch.0);
-            push_event(f, e);
+        if let Some(log) = &mut f.events {
+            log.push(Event {
+                msg: Some(m.0),
+                ch: Some(ch.0),
+                ..self.event(now, EventKind::ChannelGrant)
+            });
         }
     }
 
@@ -547,48 +509,47 @@ impl MetricsSink for CollectorSink {
         if let Some(h) = &mut f.heatmap {
             h.on_release(ch.index(), now.as_ps());
         }
-        if self.events {
-            let mut e = self.event(now, EventKind::ChannelRelease);
-            e.ch = Some(ch.0);
-            push_event(f, e);
+        if let Some(log) = &mut f.events {
+            log.push(Event {
+                ch: Some(ch.0),
+                ..self.event(now, EventKind::ChannelRelease)
+            });
         }
     }
 
     fn on_deliver(&mut self, now: SimTime, m: MessageId, node: NodeId, flits: u64) {
         let mut guard = self.shared.lock().unwrap();
         let f = &mut *guard;
-        if self.phases {
-            if let Some(st) = f.inflight.get(&m.0) {
-                let lat = now.as_ps() - st.inject_ps;
-                f.phases.delivery.record_ps(lat);
-            }
+        if let Some(st) = f.inflight.get(&m.0) {
+            let lat = now.as_ps() - st.inject_ps;
+            f.phases.delivery.record_ps(lat);
         }
         if let Some(h) = &mut f.heatmap {
             h.on_deliver(node.index());
         }
-        if self.events {
-            let mut e = self.event(now, EventKind::Deliver);
-            e.msg = Some(m.0);
-            e.node = Some(node.0);
-            e.flits = Some(flits);
-            push_event(f, e);
+        if let Some(log) = &mut f.events {
+            log.push(Event {
+                msg: Some(m.0),
+                node: Some(node.0),
+                flits: Some(flits),
+                ..self.event(now, EventKind::Deliver)
+            });
         }
     }
 
     fn on_complete(&mut self, now: SimTime, m: MessageId, node: NodeId) {
         let mut guard = self.shared.lock().unwrap();
         let f = &mut *guard;
-        if self.phases {
-            if let Some(st) = f.inflight.remove(&m.0) {
-                let lat = now.as_ps() - st.inject_ps;
-                f.phases.completion.record_ps(lat);
-            }
+        if let Some(st) = f.inflight.remove(&m.0) {
+            let lat = now.as_ps() - st.inject_ps;
+            f.phases.completion.record_ps(lat);
         }
-        if self.events {
-            let mut e = self.event(now, EventKind::Complete);
-            e.msg = Some(m.0);
-            e.node = Some(node.0);
-            push_event(f, e);
+        if let Some(log) = &mut f.events {
+            log.push(Event {
+                msg: Some(m.0),
+                node: Some(node.0),
+                ..self.event(now, EventKind::Complete)
+            });
         }
     }
 
@@ -596,10 +557,11 @@ impl MetricsSink for CollectorSink {
         let mut guard = self.shared.lock().unwrap();
         let f = &mut *guard;
         f.reliability.link_failures += 1;
-        if self.events {
-            let mut e = self.event(now, EventKind::LinkDown);
-            e.ch = Some(ch.0);
-            push_event(f, e);
+        if let Some(log) = &mut f.events {
+            log.push(Event {
+                ch: Some(ch.0),
+                ..self.event(now, EventKind::LinkDown)
+            });
         }
     }
 
@@ -607,10 +569,11 @@ impl MetricsSink for CollectorSink {
         let mut guard = self.shared.lock().unwrap();
         let f = &mut *guard;
         f.reliability.link_restores += 1;
-        if self.events {
-            let mut e = self.event(now, EventKind::LinkUp);
-            e.ch = Some(ch.0);
-            push_event(f, e);
+        if let Some(log) = &mut f.events {
+            log.push(Event {
+                ch: Some(ch.0),
+                ..self.event(now, EventKind::LinkUp)
+            });
         }
     }
 
@@ -618,11 +581,12 @@ impl MetricsSink for CollectorSink {
         let mut guard = self.shared.lock().unwrap();
         let f = &mut *guard;
         f.reliability.reroutes += 1;
-        if self.events {
-            let mut e = self.event(now, EventKind::Reroute);
-            e.msg = Some(m.0);
-            e.node = Some(at.0);
-            push_event(f, e);
+        if let Some(log) = &mut f.events {
+            log.push(Event {
+                msg: Some(m.0),
+                node: Some(at.0),
+                ..self.event(now, EventKind::Reroute)
+            });
         }
     }
 
@@ -631,28 +595,26 @@ impl MetricsSink for CollectorSink {
         let f = &mut *guard;
         f.reliability.stalled += 1;
         f.reliability.undelivered += undelivered;
-        if self.phases {
-            // A stalled message never completes; drop its scratch state so
-            // merged frames don't leak per-message state across operations.
-            f.inflight.remove(&m.0);
-        }
-        if self.events {
-            let mut e = self.event(now, EventKind::Stalled);
-            e.msg = Some(m.0);
-            e.node = Some(at.0);
-            e.q = Some(undelivered);
-            push_event(f, e);
+        // A stalled message never completes; drop its scratch state so
+        // merged frames don't leak per-message state across operations.
+        f.inflight.remove(&m.0);
+        if let Some(log) = &mut f.events {
+            log.push(Event {
+                msg: Some(m.0),
+                node: Some(at.0),
+                q: Some(undelivered),
+                ..self.event(now, EventKind::Stalled)
+            });
         }
     }
 
     fn on_schedule_phase(&mut self, now: SimTime, phase: u32) {
-        if !self.events {
-            return;
+        if let Some(log) = &mut self.shared.lock().unwrap().events {
+            log.push(Event {
+                q: Some(phase as u64),
+                ..self.event(now, EventKind::SchedulePhase)
+            });
         }
-        let mut guard = self.shared.lock().unwrap();
-        let mut e = self.event(now, EventKind::SchedulePhase);
-        e.q = Some(phase as u64);
-        push_event(&mut guard, e);
     }
 }
 
@@ -774,20 +736,13 @@ mod tests {
     }
 
     #[test]
-    fn disabled_spec_sections_stay_empty() {
-        let spec = TelemetrySpec {
-            phases: true,
-            heatmap: false,
-            events: false,
-            event_budget: 0,
-            profile: false,
-        };
-        let c = Collector::new(&spec, 0, 4, 2);
+    fn default_spec_records_phases_and_heatmap_but_no_events() {
+        let c = Collector::new(&TelemetrySpec::default(), 0, 4, 2);
         let mut s = c.sink();
         drive(s.as_mut());
         drop(s);
         let f = c.finish();
-        assert!(f.heatmap.is_none());
+        assert_eq!(f.heatmap.expect("heatmap always on").max_queue_depth(), 2);
         assert!(f.events.is_none());
         assert_eq!(f.phases.completion.count(), 1);
     }

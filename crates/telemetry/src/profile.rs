@@ -19,7 +19,7 @@
 //! byte-comparable skeleton; `ci.sh` and `tests/profile_schema.rs` enforce
 //! exactly that.
 
-use crate::events::{Event, EventKind};
+use crate::events::{to_ndjson, Event, EventKind};
 use crate::registry::{MetricId, MetricKind, MetricsRegistry, SeriesKey};
 use crate::span::SpanNode;
 use std::io::Write as _;
@@ -142,15 +142,12 @@ impl ProfileReport {
     /// Timestamps are a deterministic sequence counter (not wall clock), so
     /// appending these lines to an event stream keeps it schema-valid.
     pub fn events_ndjson(&self) -> String {
-        let mut out = String::new();
-        let mut t = 0u64;
+        let mut events = Vec::new();
         let mut emit = |kind: EventKind, name: &'static str, q: Option<u64>| {
-            let mut e = Event::new(t, kind, PROFILE_EVENT_REP);
+            let mut e = Event::new(events.len() as u64, kind, PROFILE_EVENT_REP);
             e.name = Some(name);
             e.q = q;
-            out.push_str(&e.line());
-            out.push('\n');
-            t += 1;
+            events.push(e);
         };
         // Reconstruct open/close order from the pre-order + depth encoding.
         let mut open: Vec<&SpanNode> = Vec::new();
@@ -176,7 +173,7 @@ impl ProfileReport {
             };
             emit(EventKind::MetricSnapshot, id.name(), Some(value));
         }
-        out
+        to_ndjson(&events)
     }
 
     /// Write the JSON report to `json_path` and the Prometheus exposition

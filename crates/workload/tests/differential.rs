@@ -13,7 +13,7 @@
 
 use wormcast_broadcast::Algorithm;
 use wormcast_network::{
-    classic, Delivery, MessageSpec, Network, NetworkConfig, OpId, ReleaseMode, Route, TraceRecord,
+    classic, Delivery, Event, MessageSpec, Network, NetworkConfig, OpId, ReleaseMode, Route,
 };
 use wormcast_routing::{dor_path, CodedPath};
 use wormcast_sim::{SimRng, SimTime};
@@ -25,7 +25,7 @@ use wormcast_workload::{
 /// Everything an engine run can be observed to do.
 #[derive(Debug, PartialEq)]
 struct Record {
-    trace: Vec<TraceRecord>,
+    trace: Vec<Event>,
     deliveries: Vec<Delivery>,
     counters: wormcast_network::Counters,
     final_now: SimTime,

@@ -76,7 +76,7 @@ fn main() {
         .trace()
         .of_message(id)
         .iter()
-        .filter(|r| matches!(r.kind, TraceKind::HeaderArrive))
+        .filter(|e| e.kind == EventKind::Header)
         .count();
     println!(
         "west-first adaptive unicast  (0,4) -> (7,5): {} in {hops} hops{}",

@@ -65,8 +65,9 @@ pub mod prelude {
     };
     pub use wormcast_experiments::{Experiment, Observation, RunOutput};
     pub use wormcast_network::{
-        ConfigError, Delivery, FaultPlan, FaultSpec, MessageSpec, Network, NetworkConfig,
-        NetworkConfigBuilder, OpId, ReleaseMode, Route, Simulation, SimulationBuilder, TraceKind,
+        ConfigError, Delivery, EventKind, FaultPlan, FaultSpec, MessageSpec, Network,
+        NetworkConfig, NetworkConfigBuilder, OpId, ReleaseMode, Route, Simulation,
+        SimulationBuilder,
     };
     pub use wormcast_routing::{
         dor_path, CodedPath, ControlField, DimensionOrdered, Path, RoutingFunction, WestFirst,
