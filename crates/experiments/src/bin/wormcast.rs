@@ -53,11 +53,10 @@ fn main() {
         return;
     }
     for (spec, plan) in plans {
-        if !plan
-            .execute(spec.name, &opts)
-            .unwrap_or_else(|e| unwritable(e))
-        {
-            std::process::exit(1);
+        match plan.execute(spec.name, &opts) {
+            Ok(true) => {}
+            Ok(false) => std::process::exit(1),
+            Err(e) => unwritable(e),
         }
     }
 }

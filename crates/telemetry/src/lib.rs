@@ -59,7 +59,8 @@ pub use profile::{strip_nd, ProfileReport, PROFILE_SCHEMA};
 pub use registry::{Log2Hist, MetricId, MetricKind, MetricsRegistry, SeriesKey};
 pub use span::{Profiler, SpanNode};
 
-/// Default NDJSON byte budget per replication frame (8 MiB).
+/// NDJSON byte budget of a collector's event log, per replication frame
+/// (8 MiB).
 pub const TELEMETRY_EVENT_BUDGET_DEFAULT: usize = 8 << 20;
 
 /// What to collect beyond the per-phase latency histograms and the
