@@ -250,3 +250,223 @@ fn qab_scheduled_scenario_is_byte_identical_across_job_counts() {
     // The scenario must actually deliver traffic (the ramp offered work).
     assert!(sequential.contains("\"algorithm\": \"QAB\""));
 }
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Events on, runtime metrics off: every frame field is then a pure
+/// function of the params, so the export can be pinned.
+const PINNED_SPEC: TelemetrySpec = TelemetrySpec {
+    events: true,
+    profile: false,
+};
+
+/// An experiment's three outputs under [`PINNED_SPEC`] on `jobs` workers:
+/// the cells JSON, the telemetry export (`wall_ms` zeroed) and the NDJSON
+/// event stream. `scrub` clears machine-dependent cell fields first.
+fn pinned_outputs<P>(name: &str, params: &P, jobs: usize, scrub: fn(&mut P::Cell)) -> [String; 3]
+where
+    P: Experiment,
+    P::Cell: serde::Serialize,
+{
+    let (mut cells, frames) = params.run((&Runner::new(jobs), &PINNED_SPEC)).into_parts();
+    cells.iter_mut().for_each(scrub);
+    [
+        to_json(&cells),
+        telemetry_json(name, &frames),
+        events_ndjson(&frames).0,
+    ]
+}
+
+/// One row of the pin table: the experiment's name, its run on `jobs`
+/// workers, and the pinned `(lines, FNV-1a-64)` of each of its outputs in
+/// [`pinned_outputs`] order.
+type PinRow = (&'static str, fn(usize) -> [String; 3], [(usize, u64); 3]);
+
+#[test]
+fn grid_outputs_are_pinned() {
+    use wormcast::experiments::{
+        arrivals, faults, fig1_scale, fig34, multicast, saturation, schedules,
+    };
+    fn keep<C>(_: &mut C) {}
+    // Sides, shapes and loads are listed out of sorted order, so the pins
+    // also cover how each experiment sorts its cells and frames.
+    let table: [PinRow; 9] = [
+        (
+            "fig1",
+            |jobs| {
+                let p = fig1::Fig1Params {
+                    sides: vec![4, 3],
+                    length: 32,
+                    runs: 3,
+                    ..Default::default()
+                };
+                pinned_outputs("fig1", &p, jobs, keep)
+            },
+            [
+                (58, 0x9cf5_6ecd_f697_7d23),
+                (6943, 0x57e2_1b7d_236b_bc2d),
+                (8266, 0xc748_e46d_0b1b_0b3b),
+            ],
+        ),
+        (
+            "fig1-scale",
+            |jobs| {
+                let p = fig1_scale::Fig1ScaleParams {
+                    shapes: vec![[4, 4, 4], [4, 4, 2]],
+                    length: 32,
+                    runs: 2,
+                    ..Default::default()
+                };
+                pinned_outputs("fig1-scale", &p, jobs, |c| c.wall_s = 0.0)
+            },
+            [
+                (54, 0x6a16_ccce_403b_ef7c),
+                (3180, 0x0932_e652_e49d_562b),
+                (2413, 0xcd2e_982c_cf59_57b6),
+            ],
+        ),
+        (
+            "fig2",
+            |jobs| {
+                let p = fig2::Fig2Params {
+                    shapes: vec![[4, 4, 4], [4, 2, 2]],
+                    length: 32,
+                    runs: 3,
+                    broadcast_rate_per_node_per_ms: 1.0,
+                    ..Default::default()
+                };
+                pinned_outputs("fig2", &p, jobs, keep)
+            },
+            [
+                (82, 0xc033_eef4_81a0_77fd),
+                (7179, 0x9589_f5a7_5364_9575),
+                (7883, 0x5603_6f38_24c4_0f78),
+            ],
+        ),
+        (
+            "fig3",
+            |jobs| {
+                let p = fig34::LoadSweepParams {
+                    shape: [4, 4, 4],
+                    loads: vec![4.0, 1.0],
+                    batch_size: 4,
+                    batches: 2,
+                    max_sim_ms: 20.0,
+                    ..fig34::LoadSweepParams::fig3()
+                };
+                pinned_outputs("fig3", &p, jobs, keep)
+            },
+            [
+                (106, 0x7b31_43c8_f503_5889),
+                (17246, 0x1dd1_7813_9765_9d7c),
+                (66014, 0x2ee3_c1a3_459a_7d9b),
+            ],
+        ),
+        (
+            "saturation",
+            |jobs| {
+                let p = saturation::SaturationParams {
+                    loads: vec![0.5, 10.0],
+                    batch_size: 4,
+                    batches: 2,
+                    max_sim_ms: 20.0,
+                    ..saturation::SaturationParams::quick()
+                };
+                pinned_outputs("saturation", &p, jobs, keep)
+            },
+            [
+                (56, 0x4af0_a63d_8e27_0e40),
+                (12419, 0x5c23_d18f_ac7e_7c62),
+                (41928, 0x6524_32f0_0535_20b3),
+            ],
+        ),
+        (
+            "multicast",
+            |jobs| {
+                let p = multicast::MulticastParams {
+                    shape: [4, 4, 4],
+                    set_sizes: vec![5, 63],
+                    runs: 2,
+                    ..Default::default()
+                };
+                pinned_outputs("multicast", &p, jobs, keep)
+            },
+            [
+                (44, 0xe33e_702a_8454_e077),
+                (4201, 0xa430_efb2_eb53_a28c),
+                (3648, 0x28c1_8f52_a217_dcd3),
+            ],
+        ),
+        (
+            "faults",
+            |jobs| {
+                let p = faults::FaultsParams {
+                    side: 4,
+                    rates: vec![0.0, 0.05],
+                    length: 32,
+                    runs: 2,
+                    ..Default::default()
+                };
+                pinned_outputs("faults", &p, jobs, keep)
+            },
+            [
+                (132, 0xc2d3_f93c_f585_3327),
+                (9742, 0x5248_bf63_e96e_28ab),
+                (8437, 0x3e30_5760_f0e3_71be),
+            ],
+        ),
+        (
+            "arrivals",
+            |jobs| {
+                let p = arrivals::ArrivalParams {
+                    shape: [4, 4, 4],
+                    length: 32,
+                    ..Default::default()
+                };
+                pinned_outputs("arrivals", &p, jobs, keep)
+            },
+            [
+                (114, 0xc653_f4e4_cd09_523a),
+                (3596, 0xcdd4_56f6_6023_8322),
+                (1929, 0x9bab_c7f3_7964_c0dc),
+            ],
+        ),
+        (
+            "schedules",
+            |jobs| {
+                let p = schedules::SchedulesParams {
+                    runs: 2,
+                    ..schedules::SchedulesParams::quick()
+                };
+                pinned_outputs("schedules", &p, jobs, keep)
+            },
+            [
+                (322, 0x8b25_6e4e_f0c2_c69d),
+                (13623, 0xee16_9c89_8ce0_f515),
+                (21123, 0x75ea_86fc_baf5_971c),
+            ],
+        ),
+    ];
+    let what = ["cells JSON", "telemetry export", "event stream"];
+    let mut drift = Vec::new();
+    for (name, run, pins) in table {
+        let outputs = run(1);
+        assert_eq!(outputs, run(3), "{name}: outputs depend on --jobs");
+        for ((text, &(lines, digest)), what) in outputs.iter().zip(&pins).zip(what) {
+            let got = (text.lines().count(), fnv1a64(text.as_bytes()));
+            if got != (lines, digest) {
+                drift.push(format!("{name} {what}: ({}, {:#018x})", got.0, got.1));
+            }
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "pinned outputs drifted:\n{}",
+        drift.join("\n")
+    );
+}
