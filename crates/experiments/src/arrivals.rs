@@ -7,9 +7,8 @@
 //! percentile of the network is reached. This is the "erratic variation of
 //! the message arrival times" of the paper's introduction, made visible.
 
-use crate::experiment::{Experiment, Observation, RunOutput};
+use crate::experiment::{grid, Experiment, Observation, RunOutput};
 use crate::report::{f2, Table};
-use crate::telemetry::LabeledFrame;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use wormcast_broadcast::Algorithm;
@@ -68,38 +67,24 @@ pub struct ArrivalProfile {
 impl Experiment for ArrivalParams {
     type Cell = ArrivalProfile;
 
-    /// Run one broadcast per algorithm (one harness task each, folded in
-    /// algorithm order) and profile the arrivals.
-    ///
-    /// With telemetry, one frame per algorithm's single broadcast comes
-    /// back labelled with the algorithm's short name, in the same
-    /// (algorithm) order as the profiles. The algorithm's index stamps its
-    /// events' `rep` field.
+    /// Run one broadcast per algorithm (one [`grid`] cell each, in
+    /// algorithm order) and profile the arrivals. Frames are labelled with
+    /// the algorithm's short name.
     fn run<'a>(&self, obs: impl Into<Observation<'a>>) -> RunOutput<ArrivalProfile> {
-        let obs = obs.into();
-        let (runner, telemetry) = (obs.runner(), obs.telemetry());
         let mesh = Mesh::new(&self.shape);
         let cfg = NetworkConfig::paper_default();
         let source = NodeId(self.source % mesh.num_nodes() as u32);
-        let mut profiles = Vec::with_capacity(Algorithm::PAPER.len());
-        let mut frames = Vec::new();
-        runner.run(
-            Algorithm::PAPER.len(),
-            |i| {
-                let observe = telemetry.map(|spec| Observe::new(spec, i as u64));
-                profile_one(&mesh, cfg, Algorithm::PAPER[i], source, self, observe)
-            },
-            |i, (p, frame)| {
-                if let Some(frame) = frame {
-                    frames.push(LabeledFrame::new(Algorithm::PAPER[i].name(), frame));
-                }
-                profiles.push(p);
-            },
+        let rows = grid(
+            obs,
+            &Algorithm::PAPER,
+            1,
+            |&alg, _, observe| profile_one(&mesh, cfg, alg, source, self, observe),
+            |profile: &mut Option<ArrivalProfile>, p| *profile = Some(p),
         );
-        RunOutput {
-            cells: profiles,
-            frames,
-        }
+        let rows = rows
+            .into_iter()
+            .map(|(p, _, frame)| (p.expect("one run per algorithm"), frame));
+        RunOutput::labeled(rows, |p| p.algorithm.clone())
     }
 }
 

@@ -1,11 +1,11 @@
-//! The unified experiment entry point.
+//! The unified experiment entry point and the replicated grid every
+//! experiment runs on.
 //!
-//! Every experiment module used to expose a `run(params, runner)` /
-//! `run_observed(params, runner, telemetry)` pair; the pairs differed only
-//! in their cell type. [`Experiment::run`] collapses them: the parameter
-//! struct *is* the experiment, an [`Observation`] says how to watch it
-//! (which harness workers, whether telemetry frames are collected), and the
-//! returned [`RunOutput`] carries the result cells alongside any frames.
+//! The parameter struct *is* the experiment: [`Experiment::run`] takes an
+//! [`Observation`] (which harness workers, whether telemetry frames are
+//! collected) and returns a [`RunOutput`], the result cells alongside any
+//! frames. Inside, every experiment is a grid of cells × replications
+//! folded through one function, [`grid`].
 //!
 //! ```
 //! use wormcast_experiments::{Experiment, fig1::Fig1Params};
@@ -33,8 +33,8 @@
 //! ```
 
 use crate::telemetry::LabeledFrame;
-use wormcast_telemetry::TelemetrySpec;
-use wormcast_workload::Runner;
+use wormcast_telemetry::{Observe, TelemetryFrame, TelemetrySpec};
+use wormcast_workload::{Runner, TelemetryMerge};
 
 /// How an [`Experiment`] run is observed: the harness workers that execute
 /// it, plus an optional telemetry spec. Build one implicitly via the `From`
@@ -103,24 +103,79 @@ pub struct RunOutput<C> {
 }
 
 impl<C> RunOutput<C> {
-    /// Split into `(cells, frames)` — the old `run_observed` return shape.
+    /// Collect `(cell, frame)` rows, in order, labelling each frame present
+    /// with `label(&cell)`.
+    pub fn labeled(
+        rows: impl IntoIterator<Item = (C, Option<TelemetryFrame>)>,
+        label: impl Fn(&C) -> String,
+    ) -> Self {
+        let mut out = RunOutput {
+            cells: Vec::new(),
+            frames: Vec::new(),
+        };
+        for (cell, frame) in rows {
+            if let Some(frame) = frame {
+                out.frames.push(LabeledFrame::new(label(&cell), frame));
+            }
+            out.cells.push(cell);
+        }
+        out
+    }
+
+    /// Split into `(cells, frames)`.
     pub fn into_parts(self) -> (Vec<C>, Vec<LabeledFrame>) {
         (self.cells, self.frames)
     }
 }
 
-impl<C> From<RunOutput<C>> for (Vec<C>, Vec<LabeledFrame>) {
-    fn from(out: RunOutput<C>) -> Self {
-        out.into_parts()
-    }
+/// Run `runs` replications of every cell of `plan` on `obs`'s workers and
+/// fold each cell's outputs into one accumulator.
+///
+/// Task `c * runs + r` is replication `r` of cell `plan[c]`: it runs
+/// `task(&plan[c], r, observe)`, where `observe` (present when `obs` carries
+/// a telemetry spec) stamps the task index as the events' `rep`, so
+/// `(rep, msg)` pairs are unique across the whole export. Outputs fold
+/// strictly in task order: `fold` into the cell's accumulator (starting
+/// from `A::default()`) and the frame into the cell's merged frame. Memory
+/// stays O(cells) however many replications run, and the result is
+/// bit-identical for any worker count.
+///
+/// Returns, in plan order, each cell's accumulator, its key and its merged
+/// frame (`None` without telemetry).
+pub fn grid<'p, 'a, K: Sync, T: Send, A: Default>(
+    obs: impl Into<Observation<'a>>,
+    plan: &'p [K],
+    runs: usize,
+    task: impl Fn(&K, usize, Option<Observe<'a>>) -> (T, Option<TelemetryFrame>) + Sync,
+    mut fold: impl FnMut(&mut A, T),
+) -> Vec<(A, &'p K, Option<TelemetryFrame>)> {
+    let obs = obs.into();
+    let telemetry = obs.telemetry();
+    let mut acc: Vec<(A, TelemetryMerge)> = plan.iter().map(|_| Default::default()).collect();
+    obs.runner().run(
+        plan.len() * runs,
+        |i| {
+            let observe = telemetry.map(|spec| Observe::new(spec, i as u64));
+            task(&plan[i / runs], i % runs, observe)
+        },
+        |i, (out, frame)| {
+            let (a, merge) = &mut acc[i / runs];
+            fold(a, out);
+            merge.absorb(frame);
+        },
+    );
+    acc.into_iter()
+        .zip(plan)
+        .map(|((a, merge), key)| (a, key, merge.finish()))
+        .collect()
 }
 
 /// An experiment of the evaluation section: a parameter struct that can run
 /// itself on a replication harness and report its result grid.
 ///
-/// Implementations guarantee the same determinism contract as the old free
-/// functions: cells fold in a `--jobs`-independent order, so the output is
-/// bit-identical for any worker count, observed or not.
+/// Implementations run on [`grid`], so cells fold in a `--jobs`-independent
+/// order and the output is bit-identical for any worker count, observed or
+/// not.
 pub trait Experiment {
     /// One row of the experiment's result grid.
     type Cell;
@@ -159,6 +214,64 @@ mod tests {
         let off: Observation = (&r, None).into();
         assert!(on.telemetry().is_some());
         assert!(off.telemetry().is_none());
+    }
+
+    /// A frame holding one event stamped with `observe`'s `rep`.
+    fn frame_of(observe: Observe<'_>) -> TelemetryFrame {
+        use wormcast_telemetry::{Event, EventKind, EventLog};
+        let mut log = EventLog::new(1 << 12);
+        log.push(Event::new(0, EventKind::Inject, observe.rep));
+        let mut frame = TelemetryFrame::default();
+        frame.events = Some(log);
+        frame
+    }
+
+    #[test]
+    fn grid_folds_each_cell_in_replication_order() {
+        let plan = [10usize, 20, 30];
+        let spec = TelemetrySpec::default();
+        for jobs in [1, 3] {
+            let r = Runner::new(jobs);
+            let rows = grid(
+                (&r, &spec),
+                &plan,
+                4,
+                |&k, rep, observe| (k + rep, observe.map(frame_of)),
+                |acc: &mut Vec<usize>, x| acc.push(x),
+            );
+            assert_eq!(rows.len(), plan.len());
+            for (c, (acc, &k, frame)) in rows.into_iter().enumerate() {
+                assert_eq!(k, plan[c]);
+                assert_eq!(acc, [k, k + 1, k + 2, k + 3], "jobs={jobs}");
+                // Task c * runs + r stamps rep; frames merge in that order.
+                let log = frame.expect("observed").events.expect("events on");
+                let reps: Vec<u64> = log.iter().map(|e| e.rep).collect();
+                let want: Vec<u64> = (0..4).map(|r| (c * 4 + r) as u64).collect();
+                assert_eq!(reps, want, "jobs={jobs}");
+            }
+        }
+        let r = Runner::sequential();
+        let rows = grid(
+            &r,
+            &plan,
+            2,
+            |_, _, o| ((), o.map(frame_of)),
+            |_: &mut (), _| {},
+        );
+        assert!(rows.iter().all(|(_, _, frame)| frame.is_none()));
+    }
+
+    #[test]
+    fn labeled_names_only_the_frames_present() {
+        let rows = vec![
+            (1, Some(TelemetryFrame::default())),
+            (2, None),
+            (3, Some(TelemetryFrame::default())),
+        ];
+        let out = RunOutput::labeled(rows, |c| format!("cell{c}"));
+        assert_eq!(out.cells, [1, 2, 3]);
+        let labels: Vec<&str> = out.frames.iter().map(|f| f.label.as_str()).collect();
+        assert_eq!(labels, ["cell1", "cell3"]);
     }
 
     #[test]

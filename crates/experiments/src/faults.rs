@@ -13,16 +13,14 @@
 //! accounting instead of a hang. A zero fault rate reproduces the fault-free
 //! code path event for event, which the CI smoke verifies bitwise.
 
-use crate::experiment::{Experiment, Observation, RunOutput};
+use crate::experiment::{grid, Experiment, Observation, RunOutput};
 use crate::report::{f2, f4, Table};
-use crate::telemetry::LabeledFrame;
 use serde::{Deserialize, Serialize};
 use wormcast_broadcast::Algorithm;
 use wormcast_network::{FaultSpec, NetworkConfig};
 use wormcast_stats::OnlineStats;
-use wormcast_telemetry::Observe;
 use wormcast_topology::{Mesh, Topology};
-use wormcast_workload::{FaultRep, RepContext, TelemetryMerge};
+use wormcast_workload::{FaultRep, RepContext};
 
 /// Parameters of the fault sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -86,16 +84,13 @@ pub struct FaultsCell {
 impl Experiment for FaultsParams {
     type Cell = FaultsCell;
 
-    /// Run the fault sweep.
-    ///
-    /// As in Fig. 1, the grid is flattened to replication granularity and
-    /// folded in index order, so the result is bit-identical for any
-    /// `--jobs` count. All cells share one master seed: replication r draws
-    /// the same source at every rate and for every algorithm (common random
-    /// numbers), so a rate column isolates the effect of the faults.
+    /// Run the fault sweep: a [`grid`] of (rate, alg) cells × `runs`, as in
+    /// Fig. 1. All cells share one master seed: replication r draws the
+    /// same source at every rate and for every algorithm (common random
+    /// numbers), so a rate column isolates the effect of the faults. Cells
+    /// and their frames (labelled `"<rate>/<alg>"`) are sorted by rate,
+    /// then algorithm.
     fn run<'a>(&self, obs: impl Into<Observation<'a>>) -> RunOutput<FaultsCell> {
-        let obs = obs.into();
-        let (runner, telemetry) = (obs.runner(), obs.telemetry());
         let cfg = NetworkConfig::builder()
             .startup_us(self.startup_us)
             .build()
@@ -128,17 +123,14 @@ impl Experiment for FaultsParams {
             reroutes: u64,
             link_failures: u64,
         }
-        let mut acc: Vec<Acc> = plan.iter().map(|_| Acc::default()).collect();
-        let mut merges: Vec<TelemetryMerge> = plan.iter().map(|_| TelemetryMerge::new()).collect();
-        runner.run(
-            plan.len() * runs,
-            |i| {
-                let (_, _, spec) = &plan[i / runs];
-                let observe = telemetry.map(|spec| Observe::new(spec, i as u64));
-                spec.replicate_observed(&mut RepContext::new(self.seed, i % runs), observe)
+        let rows = grid(
+            obs,
+            &plan,
+            runs,
+            |(_, _, spec), r, observe| {
+                spec.replicate_observed(&mut RepContext::new(self.seed, r), observe)
             },
-            |i, (o, frame)| {
-                let a = &mut acc[i / runs];
+            |a: &mut Acc, o| {
                 a.ratio.push(o.delivery_ratio);
                 a.latency.push(o.max_delivered_latency_us);
                 a.node_latency.push(o.mean_delivered_latency_us);
@@ -146,46 +138,30 @@ impl Experiment for FaultsParams {
                 a.undelivered += o.undelivered;
                 a.reroutes += o.reroutes;
                 a.link_failures += o.link_failures;
-                merges[i / runs].absorb(frame);
             },
         );
-        let mut rows: Vec<(usize, FaultsCell, TelemetryMerge)> = plan
-            .iter()
-            .zip(&acc)
-            .zip(merges)
-            .map(|(((ri, rate, spec), a), merge)| {
-                (
-                    *ri,
-                    FaultsCell {
-                        nodes: spec.mesh.num_nodes(),
-                        rate: *rate,
-                        algorithm: spec.alg.name().to_string(),
-                        runs,
-                        delivery_ratio: a.ratio.mean(),
-                        stalled: a.stalled,
-                        undelivered: a.undelivered,
-                        reroutes: a.reroutes,
-                        link_failures: a.link_failures,
-                        latency_us: a.latency.mean(),
-                        mean_node_latency_us: a.node_latency.mean(),
-                    },
-                    merge,
-                )
+        let mut rows: Vec<_> = rows
+            .into_iter()
+            .map(|(a, (ri, rate, spec), frame)| {
+                let cell = FaultsCell {
+                    nodes: spec.mesh.num_nodes(),
+                    rate: *rate,
+                    algorithm: spec.alg.name().to_string(),
+                    runs,
+                    delivery_ratio: a.ratio.mean(),
+                    stalled: a.stalled,
+                    undelivered: a.undelivered,
+                    reroutes: a.reroutes,
+                    link_failures: a.link_failures,
+                    latency_us: a.latency.mean(),
+                    mean_node_latency_us: a.node_latency.mean(),
+                };
+                (*ri, cell, frame)
             })
             .collect();
         rows.sort_by_key(|(ri, c, _)| (*ri, c.algorithm.clone()));
-        let mut cells = Vec::with_capacity(rows.len());
-        let mut frames = Vec::new();
-        for (_, cell, merge) in rows {
-            if let Some(frame) = merge.finish() {
-                frames.push(LabeledFrame::new(
-                    format!("{}/{}", cell.rate, cell.algorithm),
-                    frame,
-                ));
-            }
-            cells.push(cell);
-        }
-        RunOutput { cells, frames }
+        let rows = rows.into_iter().map(|(_, cell, frame)| (cell, frame));
+        RunOutput::labeled(rows, |c| format!("{}/{}", c.rate, c.algorithm))
     }
 }
 
@@ -348,7 +324,7 @@ mod tests {
     fn rate_zero_matches_fault_free_fig1_path() {
         // The rate-0 column must reproduce the fault-free replication
         // bitwise: same sources, full delivery, identical latency fold.
-        use wormcast_workload::{BroadcastRep, FaultyOutcome};
+        use wormcast_workload::BroadcastRep;
         let p = quick_params();
         let cells = p.run(&Runner::sequential()).cells;
         let cfg = NetworkConfig::builder()
@@ -362,10 +338,13 @@ mod tests {
                 alg,
                 length: p.length,
             };
+            let ctx = |i| RepContext::new(p.seed, i);
             let mut latency = OnlineStats::new();
-            Runner::sequential().replicate(&clean, p.runs, p.seed, |_, o| {
-                latency.push(o.network_latency_us);
-            });
+            Runner::sequential().run(
+                p.runs,
+                |i| clean.replicate_observed(&mut ctx(i), None).0,
+                |_, o| latency.push(o.network_latency_us),
+            );
             let cell = cells
                 .iter()
                 .find(|c| c.rate == 0.0 && c.algorithm == alg.name())
@@ -383,9 +362,11 @@ mod tests {
                 length: p.length,
                 faults: FaultSpec::fail_stop(0.05),
             };
-            Runner::sequential().replicate(&faulted, p.runs, p.seed, |_, o: FaultyOutcome| {
-                assert_eq!(o.received + o.undelivered, o.expected);
-            });
+            Runner::sequential().run(
+                p.runs,
+                |i| faulted.replicate_observed(&mut ctx(i), None).0,
+                |_, o| assert_eq!(o.received + o.undelivered, o.expected),
+            );
         }
     }
 

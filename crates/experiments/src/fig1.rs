@@ -3,16 +3,14 @@
 //! start-up latency Ts = 1.5 µs (with the Ts = 0.15 µs variant of §3.1
 //! available as a parameter), network sizes 64–4096 nodes.
 
-use crate::experiment::{Experiment, Observation, RunOutput};
+use crate::experiment::{grid, Experiment, Observation, RunOutput};
 use crate::report::{f2, Table};
-use crate::telemetry::LabeledFrame;
 use serde::{Deserialize, Serialize};
 use wormcast_broadcast::Algorithm;
 use wormcast_network::NetworkConfig;
 use wormcast_stats::OnlineStats;
-use wormcast_telemetry::Observe;
 use wormcast_topology::{Mesh, Topology};
-use wormcast_workload::{BroadcastRep, RepContext, TelemetryMerge};
+use wormcast_workload::{BroadcastRep, RepContext};
 
 /// Parameters of the Fig. 1 sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -60,23 +58,12 @@ pub struct Fig1Cell {
 impl Experiment for Fig1Params {
     type Cell = Fig1Cell;
 
-    /// Run the Fig. 1 experiment.
-    ///
-    /// The grid is flattened to replication granularity — every (side, alg,
-    /// rep) triple is one independent harness task — so worker threads stay
-    /// balanced even when the 4096-node cells dwarf the 64-node ones.
-    /// Per-cell aggregates fold in replication order, so the result is
-    /// bit-identical for any `--jobs` count.
-    ///
-    /// With telemetry, every replication attaches a collector sink and the
-    /// per-cell frames (merged in replication order) come back labelled
-    /// `"<nodes>/<alg>"`, sorted by the same `(nodes, algorithm)` key as the
-    /// cells so frame *k* describes cell *k*. Events are stamped with the
-    /// global task index as `rep`, so `(rep, msg)` pairs are unique across
-    /// the whole export.
+    /// Run the Fig. 1 experiment: a [`grid`] of (side, alg) cells × `runs`
+    /// broadcasts, each replication its own task, so worker threads stay
+    /// balanced even when the 4096-node cells dwarf the 64-node ones. Cells
+    /// and their frames (labelled `"<nodes>/<alg>"`) are sorted by
+    /// `(nodes, algorithm)`.
     fn run<'a>(&self, obs: impl Into<Observation<'a>>) -> RunOutput<Fig1Cell> {
-        let obs = obs.into();
-        let (runner, telemetry) = (obs.runner(), obs.telemetry());
         let cfg = NetworkConfig::builder()
             .startup_us(self.startup_us)
             .build()
@@ -99,56 +86,33 @@ impl Experiment for Fig1Params {
                 })
             })
             .collect();
-        let runs = self.runs.max(1);
-        let mut acc: Vec<(OnlineStats, OnlineStats)> = plan
-            .iter()
-            .map(|_| (OnlineStats::new(), OnlineStats::new()))
-            .collect();
-        let mut merges: Vec<TelemetryMerge> = plan.iter().map(|_| TelemetryMerge::new()).collect();
-        runner.run(
-            plan.len() * runs,
-            |i| {
-                let (_, master, spec) = &plan[i / runs];
-                let observe = telemetry.map(|spec| Observe::new(spec, i as u64));
-                spec.replicate_observed(&mut RepContext::new(*master, i % runs), observe)
+        let rows = grid(
+            obs,
+            &plan,
+            self.runs.max(1),
+            |(_, master, spec), r, observe| {
+                spec.replicate_observed(&mut RepContext::new(*master, r), observe)
             },
-            |i, (o, frame)| {
-                let (net, node) = &mut acc[i / runs];
+            |(net, node): &mut (OnlineStats, OnlineStats), o| {
                 net.push(o.network_latency_us);
                 node.push(o.mean_latency_us);
-                merges[i / runs].absorb(frame);
             },
         );
-        let mut rows: Vec<(Fig1Cell, TelemetryMerge)> = plan
-            .iter()
-            .zip(&acc)
-            .zip(merges)
-            .map(|(((side, _, spec), (net, node)), merge)| {
-                (
-                    Fig1Cell {
-                        nodes: spec.mesh.num_nodes(),
-                        side: *side,
-                        algorithm: spec.alg.name().to_string(),
-                        latency_us: net.mean(),
-                        mean_node_latency_us: node.mean(),
-                    },
-                    merge,
-                )
+        let mut rows: Vec<_> = rows
+            .into_iter()
+            .map(|((net, node), (side, _, spec), frame)| {
+                let cell = Fig1Cell {
+                    nodes: spec.mesh.num_nodes(),
+                    side: *side,
+                    algorithm: spec.alg.name().to_string(),
+                    latency_us: net.mean(),
+                    mean_node_latency_us: node.mean(),
+                };
+                (cell, frame)
             })
             .collect();
         rows.sort_by_key(|(c, _)| (c.nodes, c.algorithm.clone()));
-        let mut cells = Vec::with_capacity(rows.len());
-        let mut frames = Vec::new();
-        for (cell, merge) in rows {
-            if let Some(frame) = merge.finish() {
-                frames.push(LabeledFrame::new(
-                    format!("{}/{}", cell.nodes, cell.algorithm),
-                    frame,
-                ));
-            }
-            cells.push(cell);
-        }
-        RunOutput { cells, frames }
+        RunOutput::labeled(rows, |c| format!("{}/{}", c.nodes, c.algorithm))
     }
 }
 

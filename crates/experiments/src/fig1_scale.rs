@@ -14,17 +14,15 @@
 //! `--profile`), each replication runs through
 //! [`run_single_broadcast_observed`], exactly as in the Fig. 1 driver.
 
-use crate::experiment::{Experiment, Observation, RunOutput};
+use crate::experiment::{grid, Experiment, Observation, RunOutput};
 use crate::report::{f2, Table};
-use crate::telemetry::LabeledFrame;
 use serde::{Deserialize, Serialize};
 use wormcast_broadcast::Algorithm;
 use wormcast_network::NetworkConfig;
 use wormcast_sim::SimRng;
 use wormcast_stats::OnlineStats;
-use wormcast_telemetry::Observe;
 use wormcast_topology::{Mesh, NodeId, Topology};
-use wormcast_workload::{run_single_broadcast_observed, TelemetryMerge};
+use wormcast_workload::run_single_broadcast_observed;
 
 /// Parameters of the large-mesh Fig. 1 sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -101,13 +99,10 @@ pub struct Fig1ScaleCell {
 impl Experiment for Fig1ScaleParams {
     type Cell = Fig1ScaleCell;
 
-    /// Run the sweep. Flattened to replication granularity like the Fig. 1
-    /// driver; simulated quantities fold in replication order and are
-    /// bit-identical for any `--jobs` count (wall-clock excepted).
+    /// Run the sweep: a [`grid`] of (shape, alg) cells × `runs` broadcasts,
+    /// as in the Fig. 1 driver (`wall_s` is the only field that varies
+    /// between runs). Frames are labelled `"<W>x<H>x<D>/<alg>"`.
     fn run<'a>(&self, obs: impl Into<Observation<'a>>) -> RunOutput<Fig1ScaleCell> {
-        let obs = obs.into();
-        let runner = obs.runner();
-        let telemetry = obs.telemetry();
         let cfg = NetworkConfig::builder()
             .startup_us(self.startup_us)
             .build()
@@ -127,71 +122,45 @@ impl Experiment for Fig1ScaleParams {
                     .map(move |alg| (shape, master, alg))
             })
             .collect();
-        let runs = self.runs.max(1);
-        let mut acc: Vec<(OnlineStats, OnlineStats, f64, TelemetryMerge)> = plan
-            .iter()
-            .map(|_| {
-                (
-                    OnlineStats::new(),
-                    OnlineStats::new(),
-                    0.0,
-                    TelemetryMerge::new(),
-                )
-            })
-            .collect();
-        runner.run(
-            plan.len() * runs,
-            |i| {
-                let (shape, master, alg) = plan[i / runs];
+        let rows = grid(
+            obs,
+            &plan,
+            self.runs.max(1),
+            |&(shape, master, alg), r, observe| {
                 let mesh = Mesh::new(&shape);
-                let mut rng =
-                    SimRng::for_replication(master, (i % runs) as u64).substream("sources");
+                let mut rng = SimRng::for_replication(master, r as u64).substream("sources");
                 let source = NodeId(rng.index(mesh.num_nodes()) as u32);
                 let t0 = std::time::Instant::now();
-                let (o, frame) = run_single_broadcast_observed(
-                    &mesh,
-                    cfg,
-                    alg,
-                    source,
-                    self.length,
-                    telemetry.map(|s| Observe::new(s, i as u64)),
-                );
-                (o, frame, t0.elapsed().as_secs_f64())
+                let (o, frame) =
+                    run_single_broadcast_observed(&mesh, cfg, alg, source, self.length, observe);
+                ((o, t0.elapsed().as_secs_f64()), frame)
             },
-            |i, (o, frame, wall)| {
-                let (net, node, secs, merge) = &mut acc[i / runs];
+            |(net, node, secs): &mut (OnlineStats, OnlineStats, f64), (o, wall)| {
                 net.push(o.network_latency_us);
                 node.push(o.mean_latency_us);
                 *secs += wall;
-                merge.absorb(frame);
             },
         );
-        let mut cells: Vec<(Fig1ScaleCell, Option<LabeledFrame>)> = plan
-            .iter()
-            .zip(acc)
-            .map(|((shape, _, alg), (net, node, secs, merge))| {
+        let mut rows: Vec<_> = rows
+            .into_iter()
+            .map(|((net, node, secs), &(shape, _, alg), frame)| {
                 let cell = Fig1ScaleCell {
-                    nodes: Mesh::new(shape).num_nodes(),
-                    shape: *shape,
+                    nodes: Mesh::new(&shape).num_nodes(),
+                    shape,
                     algorithm: alg.name().to_string(),
                     shards: 1,
                     latency_us: net.mean(),
                     mean_node_latency_us: node.mean(),
                     wall_s: secs,
                 };
-                let frame = merge.finish().map(|f| {
-                    let label = format!("{}x{}x{}/{}", shape[0], shape[1], shape[2], alg.name());
-                    LabeledFrame::new(label, f)
-                });
                 (cell, frame)
             })
             .collect();
-        cells.sort_by_key(|(c, _)| (c.nodes, c.algorithm.clone()));
-        let (cells, frames): (Vec<_>, Vec<_>) = cells.into_iter().unzip();
-        RunOutput {
-            cells,
-            frames: frames.into_iter().flatten().collect(),
-        }
+        rows.sort_by_key(|(c, _)| (c.nodes, c.algorithm.clone()));
+        RunOutput::labeled(rows, |c| {
+            let [x, y, z] = c.shape;
+            format!("{x}x{y}x{z}/{}", c.algorithm)
+        })
     }
 }
 

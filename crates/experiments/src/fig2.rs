@@ -16,15 +16,13 @@
 //! `broadcast_rate_per_node_per_ms` high for strong contention or low to
 //! approach the idle-network limit.
 
-use crate::experiment::{Experiment, Observation, RunOutput};
+use crate::experiment::{grid, Experiment, Observation, RunOutput};
 use crate::report::{f2, f4, Table};
-use crate::telemetry::LabeledFrame;
 use serde::{Deserialize, Serialize};
 use wormcast_broadcast::Algorithm;
 use wormcast_network::NetworkConfig;
 use wormcast_sim::SimRng;
-use wormcast_telemetry::{Observe, TelemetryFrame};
-use wormcast_topology::{Mesh, Topology};
+use wormcast_topology::Mesh;
 use wormcast_workload::run_contended_broadcasts_observed;
 
 /// Parameters of the Fig. 2 / Tables 1–2 sweep.
@@ -74,44 +72,32 @@ pub struct Fig2Cell {
 impl Experiment for Fig2Params {
     type Cell = Fig2Cell;
 
-    /// Run the Fig. 2 experiment.
-    ///
-    /// Each (shape, alg) cell is one steady-state simulation and therefore
-    /// one harness task (the contended runs inside a cell overlap in one
-    /// shared network and cannot be split). Algorithms at the same shape
+    /// Run the Fig. 2 experiment: one [`grid`] cell, and one task, per
+    /// (shape, alg), since the contended runs inside a cell overlap in one
+    /// shared network and cannot be split. Algorithms at the same shape
     /// draw from the same replication stream, so all four see the same
-    /// operation arrivals and sources (common random numbers). Cells fold
-    /// in index order — the result is bit-identical for any `--jobs` count.
+    /// operation arrivals and sources (common random numbers).
     ///
-    /// With telemetry, each cell's single-simulation frame needs no merging
-    /// — it comes back labelled `"<W>x<H>x<D>/<alg>"`, sorted by the same
-    /// `(nodes, algorithm)` key as the cells. The cell's task index stamps
-    /// its events' `rep` field, and the frame's `op_cv` accumulator tracks
-    /// exactly the per-operation CVs the driver averages into
-    /// [`Fig2Cell::cv`].
+    /// Cells and their frames (labelled `"<W>x<H>x<D>/<alg>"`) are sorted
+    /// by `(nodes, algorithm)`. A frame's `op_cv` accumulator tracks exactly
+    /// the per-operation CVs the driver averages into [`Fig2Cell::cv`].
     fn run<'a>(&self, obs: impl Into<Observation<'a>>) -> RunOutput<Fig2Cell> {
-        let obs = obs.into();
-        let (runner, telemetry) = (obs.runner(), obs.telemetry());
         let cfg = NetworkConfig::builder()
             .startup_us(self.startup_us)
             .build()
             .expect("Fig2Params start-up latency must be a valid duration");
-        let plan: Vec<([u16; 3], Algorithm)> = self
-            .shapes
-            .iter()
-            .flat_map(|&shape| Algorithm::PAPER.iter().map(move |&alg| (shape, alg)))
+        let plan: Vec<(u64, [u16; 3], Algorithm)> = (0u64..)
+            .zip(&self.shapes)
+            .flat_map(|(s, &shape)| Algorithm::PAPER.iter().map(move |&alg| (s, shape, alg)))
             .collect();
-        let algs = Algorithm::PAPER.len();
-        let mut rows: Vec<(Fig2Cell, Option<TelemetryFrame>)> = Vec::with_capacity(plan.len());
-        runner.run(
-            plan.len(),
-            |i| {
-                let (shape, alg) = plan[i];
-                let mesh = Mesh::new(&shape);
-                let root = SimRng::for_replication(self.seed, (i / algs) as u64);
-                let observe = telemetry.map(|spec| Observe::new(spec, i as u64));
+        let rows = grid(
+            obs,
+            &plan,
+            1,
+            |&(s, shape, alg), _, observe| {
+                let root = SimRng::for_replication(self.seed, s);
                 let (o, frame) = run_contended_broadcasts_observed(
-                    &mesh,
+                    &Mesh::new(&shape),
                     cfg,
                     alg,
                     self.length,
@@ -120,34 +106,27 @@ impl Experiment for Fig2Params {
                     &root,
                     observe,
                 );
-                (
-                    Fig2Cell {
-                        shape,
-                        nodes: mesh.num_nodes(),
-                        algorithm: alg.name().to_string(),
-                        cv: o.cv,
-                    },
-                    frame,
-                )
+                (o.cv, frame)
             },
-            |_, row| rows.push(row),
+            |cv: &mut f64, x| *cv = x,
         );
+        let mut rows: Vec<_> = rows
+            .into_iter()
+            .map(|(cv, &(_, shape, alg), frame)| {
+                let cell = Fig2Cell {
+                    shape,
+                    nodes: shape.iter().map(|&d| d as usize).product(),
+                    algorithm: alg.name().to_string(),
+                    cv,
+                };
+                (cell, frame)
+            })
+            .collect();
         rows.sort_by_key(|(c, _)| (c.nodes, c.algorithm.clone()));
-        let mut cells = Vec::with_capacity(rows.len());
-        let mut frames = Vec::new();
-        for (cell, frame) in rows {
-            if let Some(frame) = frame {
-                frames.push(LabeledFrame::new(
-                    format!(
-                        "{}x{}x{}/{}",
-                        cell.shape[0], cell.shape[1], cell.shape[2], cell.algorithm
-                    ),
-                    frame,
-                ));
-            }
-            cells.push(cell);
-        }
-        RunOutput { cells, frames }
+        RunOutput::labeled(rows, |c| {
+            let [x, y, z] = c.shape;
+            format!("{x}x{y}x{z}/{}", c.algorithm)
+        })
     }
 }
 

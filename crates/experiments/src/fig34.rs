@@ -11,14 +11,12 @@
 //! which places the sweep in the congestion region where the published
 //! curves visibly live. See EXPERIMENTS.md for the calibration evidence.
 
-use crate::experiment::{Experiment, Observation, RunOutput};
+use crate::experiment::{grid, Experiment, Observation, RunOutput};
 use crate::report::Table;
-use crate::telemetry::LabeledFrame;
 use serde::{Deserialize, Serialize};
 use wormcast_broadcast::Algorithm;
 use wormcast_network::{NetworkConfig, ReleaseMode};
 use wormcast_sim::SimRng;
-use wormcast_telemetry::{Observe, TelemetryFrame};
 use wormcast_topology::Mesh;
 use wormcast_workload::{run_mixed_traffic_observed, MixedConfig, MixedOutcome};
 
@@ -87,82 +85,61 @@ pub struct SweepCell {
 impl Experiment for LoadSweepParams {
     type Cell = SweepCell;
 
-    /// Run a load sweep for all four algorithms.
-    ///
-    /// Each (alg, load) point is one steady-state simulation and therefore
-    /// one harness task. Algorithms at the same load draw from the same
-    /// replication stream (common random numbers across the four curves).
-    /// Cells fold in index order — the result is bit-identical for any
-    /// `--jobs` count.
-    ///
-    /// With telemetry, each point's frame comes back labelled
-    /// `"<alg>@<load>"`, sorted by the same `(algorithm, load)` key as the
-    /// cells. The point's task index stamps its events' `rep` field.
+    /// Run a load sweep for all four algorithms: one [`grid`] cell, and one
+    /// steady-state simulation, per (alg, load) point. Algorithms at the
+    /// same load draw from the same replication stream (common random
+    /// numbers across the four curves). Cells and their frames (labelled
+    /// `"<alg>@<load>"`) are sorted by `(algorithm, load)`.
     fn run<'a>(&self, obs: impl Into<Observation<'a>>) -> RunOutput<SweepCell> {
-        let obs = obs.into();
-        let (runner, telemetry) = (obs.runner(), obs.telemetry());
         let cfg = NetworkConfig::builder()
             .startup_us(self.startup_us)
             .release(self.release)
             .build()
             .expect("LoadSweepParams start-up latency must be a valid duration");
-        let plan: Vec<(Algorithm, usize, f64)> = Algorithm::PAPER
+        let plan: Vec<(Algorithm, u64, f64)> = Algorithm::PAPER
             .iter()
             .flat_map(|&alg| {
-                self.loads
-                    .iter()
-                    .enumerate()
+                (0u64..)
+                    .zip(&self.loads)
                     .map(move |(i, &load)| (alg, i, load))
             })
             .collect();
-        let mut rows: Vec<(SweepCell, Option<TelemetryFrame>)> = Vec::with_capacity(plan.len());
-        runner.run(
-            plan.len(),
-            |t| {
-                let (alg, i, load) = plan[t];
-                let mesh = Mesh::new(&self.shape);
+        let mesh = Mesh::new(&self.shape);
+        let rows = grid(
+            obs,
+            &plan,
+            1,
+            |&(alg, i, load), _, observe| {
                 let mc = MixedConfig {
-                    algorithm: alg,
-                    load_per_node_per_ms: load,
-                    broadcast_fraction: 0.1,
                     length: self.length,
                     batch_size: self.batch_size,
                     batches: self.batches,
-                    seed: self.seed,
                     max_sim_ms: self.max_sim_ms,
-                    max_arrivals: 150_000,
-                    pattern: wormcast_workload::DestPattern::Uniform,
+                    ..MixedConfig::paper(alg, load, self.seed)
                 };
-                let root = SimRng::for_replication(self.seed, i as u64);
-                let observe = telemetry.map(|spec| Observe::new(spec, t as u64));
-                let (outcome, frame) = run_mixed_traffic_observed(&mesh, cfg, &mc, &root, observe);
-                (
-                    SweepCell {
-                        algorithm: alg.name().to_string(),
-                        outcome,
-                    },
-                    frame,
-                )
+                let root = SimRng::for_replication(self.seed, i);
+                run_mixed_traffic_observed(&mesh, cfg, &mc, &root, observe)
             },
-            |_, row| rows.push(row),
+            |point: &mut Option<MixedOutcome>, o| *point = Some(o),
         );
+        let mut rows: Vec<_> = rows
+            .into_iter()
+            .map(|(point, &(alg, _, _), frame)| {
+                let cell = SweepCell {
+                    algorithm: alg.name().to_string(),
+                    outcome: point.expect("one run per point"),
+                };
+                (cell, frame)
+            })
+            .collect();
         rows.sort_by(|(a, _), (b, _)| {
             (a.algorithm.clone(), a.outcome.load_per_node_per_ms)
                 .partial_cmp(&(b.algorithm.clone(), b.outcome.load_per_node_per_ms))
                 .unwrap()
         });
-        let mut cells = Vec::with_capacity(rows.len());
-        let mut frames = Vec::new();
-        for (cell, frame) in rows {
-            if let Some(frame) = frame {
-                frames.push(LabeledFrame::new(
-                    format!("{}@{}", cell.algorithm, cell.outcome.load_per_node_per_ms),
-                    frame,
-                ));
-            }
-            cells.push(cell);
-        }
-        RunOutput { cells, frames }
+        RunOutput::labeled(rows, |c| {
+            format!("{}@{}", c.algorithm, c.outcome.load_per_node_per_ms)
+        })
     }
 }
 

@@ -6,17 +6,13 @@
 //! (unicast recursive doubling), CM (coded-path, DB-style backbone) and SP
 //! (single chained path), on an 8×8×8 mesh with 32-flit messages.
 
-use crate::experiment::{Experiment, Observation, RunOutput};
+use crate::experiment::{grid, Experiment, Observation, RunOutput};
 use crate::report::{f2, f4, Table};
-use crate::telemetry::LabeledFrame;
 use serde::{Deserialize, Serialize};
 use wormcast_network::NetworkConfig;
 use wormcast_stats::OnlineStats;
-use wormcast_telemetry::Observe;
 use wormcast_topology::{Mesh, NodeId, Topology};
-use wormcast_workload::{
-    random_destinations, run_single_multicast_observed, MulticastScheme, TelemetryMerge,
-};
+use wormcast_workload::{random_destinations, run_single_multicast_observed, MulticastScheme};
 
 /// Parameters of the multicast density sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -63,65 +59,46 @@ pub struct MulticastCell {
 impl Experiment for MulticastParams {
     type Cell = MulticastCell;
 
-    /// Run the multicast density sweep.
-    ///
-    /// Flattened to replication granularity: every (scheme, set size, rep)
-    /// triple is one harness task; per-cell streaming aggregates fold in
-    /// replication order, so the result is bit-identical for any `--jobs`
-    /// count. Schemes share per-rep seeds (common random sets and sources).
-    ///
-    /// With telemetry, per-cell frames (merged in replication order) come
-    /// back labelled `"<scheme>/<set size>"`, in the same plan order as the
-    /// cells. Events are stamped with the global task index as `rep`.
+    /// Run the multicast density sweep: a [`grid`] of (scheme, set size)
+    /// cells × `runs`, in plan order; frames are labelled
+    /// `"<scheme>/<set size>"`. Schemes share per-rep seeds (common random
+    /// sets and sources).
     fn run<'a>(&self, obs: impl Into<Observation<'a>>) -> RunOutput<MulticastCell> {
-        let obs = obs.into();
-        let (runner, telemetry) = (obs.runner(), obs.telemetry());
         let mesh = Mesh::new(&self.shape);
         let cfg = NetworkConfig::paper_default();
         let plan: Vec<(MulticastScheme, usize)> = MulticastScheme::ALL
             .iter()
             .flat_map(|&scheme| self.set_sizes.iter().map(move |&m| (scheme, m)))
             .collect();
-        let runs = self.runs.max(1);
-        let mut acc: Vec<(OnlineStats, OnlineStats, OnlineStats)> = plan
-            .iter()
-            .map(|_| (OnlineStats::new(), OnlineStats::new(), OnlineStats::new()))
-            .collect();
-        let mut merges: Vec<TelemetryMerge> = plan.iter().map(|_| TelemetryMerge::new()).collect();
-        runner.run(
-            plan.len() * runs,
-            |i| {
-                let (scheme, m) = plan[i / runs];
-                let r = i % runs;
+        let rows = grid(
+            obs,
+            &plan,
+            self.runs.max(1),
+            |&(scheme, m), r, observe| {
                 let seed = self.seed ^ ((m as u64) << 24) ^ (r as u64);
                 let src = NodeId((seed % mesh.num_nodes() as u64) as u32);
                 let dests = random_destinations(&mesh, src, m, seed);
-                let observe = telemetry.map(|spec| Observe::new(spec, i as u64));
                 run_single_multicast_observed(&mesh, cfg, scheme, src, &dests, self.length, observe)
             },
-            |i, (o, frame)| {
-                let (lats, cvs, over) = &mut acc[i / runs];
+            |(lats, cvs, over): &mut (OnlineStats, OnlineStats, OnlineStats), o| {
                 lats.push(o.latency_us);
                 cvs.push(o.cv);
                 over.push(o.overhead_copies as f64);
-                merges[i / runs].absorb(frame);
             },
         );
-        let mut cells = Vec::with_capacity(plan.len());
-        let mut frames = Vec::new();
-        for ((&(scheme, m), (lats, cvs, over)), merge) in plan.iter().zip(&acc).zip(merges) {
-            if let Some(frame) = merge.finish() {
-                frames.push(LabeledFrame::new(format!("{}/{m}", scheme.name()), frame));
-            }
-            cells.push(MulticastCell {
-                scheme: scheme.name().to_string(),
-                set_size: m,
-                latency_us: lats.mean(),
-                cv: cvs.mean(),
-                overhead: over.mean(),
+        let rows = rows
+            .into_iter()
+            .map(|((lats, cvs, over), &(scheme, m), frame)| {
+                let cell = MulticastCell {
+                    scheme: scheme.name().to_string(),
+                    set_size: m,
+                    latency_us: lats.mean(),
+                    cv: cvs.mean(),
+                    overhead: over.mean(),
+                };
+                (cell, frame)
             });
-        }
-        RunOutput { cells, frames }
+        RunOutput::labeled(rows, |c| format!("{}/{}", c.scheme, c.set_size))
     }
 }
 

@@ -13,16 +13,14 @@
 //! algorithm effect, not sampling noise. Cells fold in plan-index order, so
 //! the result is bit-identical for any `--jobs` count.
 
-use crate::experiment::{Experiment, Observation, RunOutput};
+use crate::experiment::{grid, Experiment, Observation, RunOutput};
 use crate::report::Table;
-use crate::telemetry::LabeledFrame;
 use serde::{Deserialize, Serialize};
 use wormcast_broadcast::Algorithm;
 use wormcast_network::{NetworkConfig, ReleaseMode};
 use wormcast_sim::SimRng;
-use wormcast_telemetry::{Observe, TelemetryFrame};
 use wormcast_topology::{Mesh, Topology};
-use wormcast_workload::{run_mixed_traffic_observed, MixedConfig};
+use wormcast_workload::{run_mixed_traffic_observed, MixedConfig, MixedOutcome};
 
 /// The algorithms the saturation lab compares: the oblivious reference and
 /// the two adaptive contenders.
@@ -117,78 +115,58 @@ pub struct SaturationCell {
 impl Experiment for SaturationParams {
     type Cell = SaturationCell;
 
-    /// Run the sweep: one steady-state simulation per (algorithm, load)
-    /// point, one harness task each. The replication stream is keyed by the
-    /// load index alone, so the three algorithms see identical arrival
-    /// processes at each axis point (CRN), and cells fold in plan-index
-    /// order for `--jobs` invariance.
+    /// Run the sweep: one [`grid`] cell, and one steady-state simulation,
+    /// per (algorithm, load) point, in plan order; frames are labelled
+    /// `"<alg>@<load>"`. The replication stream is keyed by the load index
+    /// alone, so the three algorithms see identical arrival processes at
+    /// each axis point (CRN).
     fn run<'a>(&self, obs: impl Into<Observation<'a>>) -> RunOutput<SaturationCell> {
-        let obs = obs.into();
-        let (runner, telemetry) = (obs.runner(), obs.telemetry());
         let cfg = NetworkConfig::builder()
             .startup_us(self.startup_us)
             .release(self.release)
             .build()
             .expect("SaturationParams start-up latency must be a valid duration");
-        let plan: Vec<(Algorithm, usize, f64)> = ALGORITHMS
+        let plan: Vec<(Algorithm, u64, f64)> = ALGORITHMS
             .iter()
             .flat_map(|&alg| {
-                self.loads
-                    .iter()
-                    .enumerate()
+                (0u64..)
+                    .zip(&self.loads)
                     .map(move |(i, &load)| (alg, i, load))
             })
             .collect();
-        let nodes = Mesh::new(&self.shape).num_nodes() as f64;
-        let mut rows: Vec<(SaturationCell, Option<TelemetryFrame>)> =
-            Vec::with_capacity(plan.len());
-        runner.run(
-            plan.len(),
-            |t| {
-                let (alg, i, load) = plan[t];
-                let mesh = Mesh::new(&self.shape);
+        let mesh = Mesh::new(&self.shape);
+        let nodes = mesh.num_nodes() as f64;
+        let rows = grid(
+            obs,
+            &plan,
+            1,
+            |&(alg, i, load), _, observe| {
                 let mc = MixedConfig {
-                    algorithm: alg,
-                    load_per_node_per_ms: load,
-                    broadcast_fraction: 0.1,
                     length: self.length,
                     batch_size: self.batch_size,
                     batches: self.batches,
-                    seed: self.seed,
                     max_sim_ms: self.max_sim_ms,
-                    max_arrivals: 150_000,
-                    pattern: wormcast_workload::DestPattern::Uniform,
+                    ..MixedConfig::paper(alg, load, self.seed)
                 };
-                let root = SimRng::for_replication(self.seed, i as u64);
-                let observe = telemetry.map(|spec| Observe::new(spec, t as u64));
-                let (o, frame) = run_mixed_traffic_observed(&mesh, cfg, &mc, &root, observe);
-                (
-                    SaturationCell {
-                        algorithm: alg.name().to_string(),
-                        offered: load,
-                        delivered: o.throughput_msgs_per_ms / nodes,
-                        mean_latency_ms: o.mean_latency_ms,
-                        saturated: o.saturated,
-                        broadcasts_completed: o.broadcasts_completed,
-                        unicasts_delivered: o.unicasts_delivered,
-                    },
-                    frame,
-                )
+                let root = SimRng::for_replication(self.seed, i);
+                run_mixed_traffic_observed(&mesh, cfg, &mc, &root, observe)
             },
-            |_, row| rows.push(row),
+            |point: &mut Option<MixedOutcome>, o| *point = Some(o),
         );
-        let mut cells = Vec::with_capacity(rows.len());
-        let mut frames = Vec::new();
-        for (cell, frame) in rows {
-            if let Some(frame) = frame {
-                frames.push(LabeledFrame::new(
-                    format!("{}@{}", cell.algorithm, cell.offered),
-                    frame,
-                ));
-            }
-            cells.push(cell);
-        }
-        RunOutput { cells, frames }
+        let rows = rows.into_iter().map(|(point, &(alg, _, load), frame)| {
+            let o = point.expect("one run per point");
+            let cell = SaturationCell {
+                algorithm: alg.name().to_string(),
+                offered: load,
+                delivered: o.throughput_msgs_per_ms / nodes,
+                mean_latency_ms: o.mean_latency_ms,
+                saturated: o.saturated,
+                broadcasts_completed: o.broadcasts_completed,
+                unicasts_delivered: o.unicasts_delivered,
+            };
+            (cell, frame)
+        });
+        RunOutput::labeled(rows, |c| format!("{}@{}", c.algorithm, c.offered))
     }
 }
 

@@ -14,7 +14,7 @@
 //! across algorithms (common random numbers), and every offered message
 //! must be delivered.
 
-use crate::experiment::{Experiment, Observation, RunOutput};
+use crate::experiment::{grid, Experiment, Observation, RunOutput};
 use crate::report::Table;
 use crate::telemetry::LabeledFrame;
 use serde::{Deserialize, Serialize};
@@ -124,60 +124,52 @@ impl Experiment for SchedulesParams {
 
     /// Run the scheduled workload for every configured algorithm.
     ///
-    /// Each (algorithm, replication) pair is one harness task; arrival
-    /// draws use replication substreams shared across algorithms (common
-    /// random numbers), so the offered curve is identical for every
-    /// algorithm. Cells fold in index order — bit-identical for any
-    /// `--jobs` count.
+    /// Each (algorithm, replication) pair is one [`grid`] cell, so each
+    /// replication keeps its own frame, labelled `"<alg>#<r>"`; the bins
+    /// are summed per algorithm afterwards. Arrival draws use replication
+    /// substreams shared across algorithms (common random numbers), so the
+    /// offered curve is identical for every algorithm.
     fn run<'a>(&self, obs: impl Into<Observation<'a>>) -> RunOutput<ScheduleCell> {
         assert!(self.bins > 0, "schedules: bins must be positive");
         assert!(
             self.horizon_us >= self.window_us,
             "schedules: horizon must cover the arrival window"
         );
-        let obs = obs.into();
-        let (runner, telemetry) = (obs.runner(), obs.telemetry());
-        let plan: Vec<(Algorithm, u64)> = self
-            .algorithms
-            .iter()
-            .flat_map(|&alg| (0..self.runs).map(move |r| (alg, r)))
+        let plan: Vec<(usize, Algorithm, u64)> = (0..)
+            .zip(&self.algorithms)
+            .flat_map(|(ai, &alg)| (0..self.runs).map(move |r| (ai, alg, r)))
             .collect();
-        let mut rows: Vec<(usize, RepCounts, Option<TelemetryFrame>)> =
-            Vec::with_capacity(plan.len());
-        runner.run(
-            plan.len(),
-            |t| {
-                let (alg, rep) = plan[t];
-                let observe = telemetry.map(|spec| Observe::new(spec, t as u64));
-                let (counts, frame) = self.run_one(alg, rep, observe);
-                (t, counts, frame)
-            },
-            |_, (t, counts, frame)| rows.push((t, counts, frame)),
+        let rows = grid(
+            obs,
+            &plan,
+            1,
+            |&(_, alg, rep), _, observe| self.run_one(alg, rep, observe),
+            |counts: &mut Option<RepCounts>, c| *counts = Some(c),
         );
-        rows.sort_by_key(|(t, _, _)| *t);
+        let mut sums = vec![(vec![0u64; self.bins], vec![0u64; self.bins]); self.algorithms.len()];
+        let mut frames = Vec::new();
+        for (counts, &(ai, alg, r), frame) in rows {
+            let counts = counts.expect("one run per replication");
+            let (offered, delivered) = &mut sums[ai];
+            for b in 0..self.bins {
+                offered[b] += counts.offered[b];
+                delivered[b] += counts.delivered[b];
+            }
+            if let Some(frame) = frame {
+                frames.push(LabeledFrame::new(format!("{}#{r}", alg.name()), frame));
+            }
+        }
 
         let nodes = (self.shape[0] as u64 * self.shape[1] as u64 * self.shape[2] as u64) as f64;
         let bin_ms = self.horizon_us / self.bins as f64 / 1000.0;
         let per_rate = |count: u64| count as f64 / self.runs as f64 / nodes / bin_ms;
-        let mut cells = Vec::with_capacity(self.algorithms.len() * self.bins);
-        let mut frames = Vec::new();
-        for (ai, &alg) in self.algorithms.iter().enumerate() {
-            let mut offered = vec![0u64; self.bins];
-            let mut delivered = vec![0u64; self.bins];
-            for r in 0..self.runs as usize {
-                let (t, counts, frame) = &mut rows[ai * self.runs as usize + r];
-                debug_assert_eq!(plan[*t].0, alg);
-                for b in 0..self.bins {
-                    offered[b] += counts.offered[b];
-                    delivered[b] += counts.delivered[b];
-                }
-                if let Some(frame) = frame.take() {
-                    frames.push(LabeledFrame::new(format!("{}#{r}", alg.name()), frame));
-                }
-            }
-            for b in 0..self.bins {
-                let w = self.horizon_us / self.bins as f64;
-                cells.push(ScheduleCell {
+        let w = self.horizon_us / self.bins as f64;
+        let cells = self
+            .algorithms
+            .iter()
+            .zip(sums)
+            .flat_map(|(alg, (offered, delivered))| {
+                (0..self.bins).map(move |b| ScheduleCell {
                     algorithm: alg.name().to_string(),
                     bin: b,
                     t_start_us: b as f64 * w,
@@ -186,9 +178,9 @@ impl Experiment for SchedulesParams {
                     delivered: delivered[b],
                     offered_per_node_per_ms: per_rate(offered[b]),
                     delivered_per_node_per_ms: per_rate(delivered[b]),
-                });
-            }
-        }
+                })
+            })
+            .collect();
         RunOutput { cells, frames }
     }
 }

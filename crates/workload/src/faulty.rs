@@ -30,7 +30,7 @@
 //! reproduces the fault-free code path event for event.
 
 use crate::executor::{drive, BroadcastTracker};
-use crate::harness::{RepContext, Replication};
+use crate::harness::RepContext;
 use crate::single::{attach_collector, network_for};
 use serde::{Deserialize, Serialize};
 use wormcast_broadcast::{Algorithm, BroadcastSchedule, RoutePlan, RoutingKind, ScheduledMessage};
@@ -386,18 +386,10 @@ impl FaultRep {
     }
 }
 
-impl Replication for FaultRep {
-    type Output = FaultyOutcome;
-    fn replicate(&self, ctx: &mut RepContext) -> FaultyOutcome {
-        self.replicate_observed(ctx, None).0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::harness::{BroadcastRep, Runner};
-    use crate::single::BroadcastOutcome;
     use wormcast_topology::Coord;
 
     fn cfg() -> NetworkConfig {
@@ -452,8 +444,17 @@ mod tests {
             };
             let mut fo = Vec::new();
             let mut co = Vec::new();
-            Runner::sequential().replicate(&faulty, 3, 7, |_, o: FaultyOutcome| fo.push(o));
-            Runner::sequential().replicate(&clean, 3, 7, |_, o: BroadcastOutcome| co.push(o));
+            let ctx = |i| RepContext::new(7, i);
+            Runner::sequential().run(
+                3,
+                |i| faulty.replicate_observed(&mut ctx(i), None).0,
+                |_, o| fo.push(o),
+            );
+            Runner::sequential().run(
+                3,
+                |i| clean.replicate_observed(&mut ctx(i), None).0,
+                |_, o| co.push(o),
+            );
             for (f, c) in fo.iter().zip(&co) {
                 assert_eq!(f.source, c.source, "{alg}: same source draw");
                 assert_eq!(f.delivery_ratio, 1.0);
@@ -478,15 +479,19 @@ mod tests {
         };
         let run_with = |jobs: usize| {
             let mut out = Vec::new();
-            Runner::new(jobs).replicate(&spec, 6, 99, |_, o: FaultyOutcome| {
-                out.push((
-                    o.source,
-                    o.delivery_ratio.to_bits(),
-                    o.mean_delivered_latency_us.to_bits(),
-                    o.stalled,
-                    o.reroutes,
-                ))
-            });
+            Runner::new(jobs).run(
+                6,
+                |i| spec.replicate_observed(&mut RepContext::new(99, i), None).0,
+                |_, o| {
+                    out.push((
+                        o.source,
+                        o.delivery_ratio.to_bits(),
+                        o.mean_delivered_latency_us.to_bits(),
+                        o.stalled,
+                        o.reroutes,
+                    ))
+                },
+            );
             out
         };
         assert_eq!(run_with(1), run_with(4));
@@ -634,11 +639,15 @@ mod tests {
                 faults: FaultSpec::fail_stop(0.08),
             };
             let mut seen = 0;
-            Runner::sequential().replicate(&spec, 4, 11, |_, o: FaultyOutcome| {
-                seen += 1;
-                assert_eq!(o.received + o.undelivered, o.expected, "{alg}");
-                assert!(o.delivery_ratio >= 0.0 && o.delivery_ratio <= 1.0);
-            });
+            Runner::sequential().run(
+                4,
+                |i| spec.replicate_observed(&mut RepContext::new(11, i), None).0,
+                |_, o| {
+                    seen += 1;
+                    assert_eq!(o.received + o.undelivered, o.expected, "{alg}");
+                    assert!(o.delivery_ratio >= 0.0 && o.delivery_ratio <= 1.0);
+                },
+            );
             assert_eq!(seen, 4);
         }
     }

@@ -1,22 +1,22 @@
 //! The replication harness: run independent replications of an experiment
 //! across worker threads, deterministically.
 //!
-//! Every experiment in this workspace has the same outer shape: a list of
-//! independent simulation tasks (replications of a spec, or cells of a
-//! parameter grid), each a pure function of its index, whose outputs fold
-//! into streaming statistics. This module provides that shape once:
+//! Every experiment in this workspace has the same outer shape: a grid of
+//! independent simulation tasks (cells × replications), each a pure
+//! function of its index, whose outputs fold into streaming statistics.
+//! This module provides the pieces of that shape; the experiments crate's
+//! `grid` function assembles them:
 //!
 //! * [`Runner`] — executes `task(0..count)` across `--jobs` worker threads
 //!   (`std::thread::scope`, no extra dependencies) and folds results **in
 //!   index order**, so the folded outcome is bit-identical no matter how
 //!   many workers run or how they interleave.
-//! * [`Replication`] — a spec that builds its network + schedule + workload
-//!   from a [`RepContext`] carrying the replication's private RNG stream
+//! * [`RepContext`] — a replication's index and its private RNG stream
 //!   ([`SimRng::for_replication`]: ChaCha stream = f(master seed, index)).
 //! * [`BroadcastRep`] — the paper's standard replication (one single-source
-//!   broadcast from a randomly drawn source), used by
-//!   [`crate::single::run_averaged_broadcasts`] and the Fig. 1/Table 1–2
-//!   drivers.
+//!   broadcast from a randomly drawn source), run by the Fig. 1 driver.
+//! * [`TelemetryMerge`] — merges a cell's per-replication telemetry frames
+//!   in fold order.
 //!
 //! Determinism argument: each task output depends only on `(spec, master
 //! seed, index)` — never on thread identity, scheduling, or shared mutable
@@ -98,27 +98,6 @@ impl RepContext {
     }
 }
 
-/// An experiment spec that can run one replication of itself.
-///
-/// Implementations build the network, schedule, and workload from `self`
-/// plus the context, and must not read any other mutable state — that is
-/// what makes replications order-independent and the harness deterministic.
-pub trait Replication: Sync {
-    /// Result of one replication.
-    type Output: Send;
-
-    /// Run replication `ctx.index`.
-    fn replicate(&self, ctx: &mut RepContext) -> Self::Output;
-}
-
-/// Closures are specs too: `|ctx| ...` runs as a replication.
-impl<T: Send, F: Fn(&mut RepContext) -> T + Sync> Replication for F {
-    type Output = T;
-    fn replicate(&self, ctx: &mut RepContext) -> T {
-        self(ctx)
-    }
-}
-
 /// One replication of the paper's standard experiment: a single-source
 /// broadcast of `length` flits from a uniformly drawn source on an idle
 /// network configured for `alg`.
@@ -137,9 +116,8 @@ pub struct BroadcastRep {
 impl BroadcastRep {
     /// Run replication `ctx.index` with optional telemetry collection.
     ///
-    /// With `observe = None` this is exactly [`Replication::replicate`]
-    /// (no sink attached, identical code path); with `Some`, the returned
-    /// frame carries the replication's phase histograms, heatmap and event
+    /// With `observe = None` no sink is attached and no frame returned;
+    /// with `Some`, the returned frame carries the replication's phase histograms, heatmap and event
     /// stream. Callers choose `observe.rep` — stamp it with an identifier
     /// unique across the *whole* experiment (e.g. the global task index),
     /// not the per-cell replication index, so `(rep, msg)` pairs stay
@@ -170,13 +148,6 @@ impl BroadcastRep {
             );
         }
         (outcome, frame)
-    }
-}
-
-impl Replication for BroadcastRep {
-    type Output = BroadcastOutcome;
-    fn replicate(&self, ctx: &mut RepContext) -> BroadcastOutcome {
-        self.replicate_observed(ctx, None).0
     }
 }
 
@@ -315,26 +286,6 @@ impl Runner {
             update_probe(count as u64, max_depth as u64, jobs as u64);
         });
     }
-
-    /// Run `reps` replications of `spec` under `master_seed` and fold the
-    /// outputs in replication order.
-    ///
-    /// Replication `i` draws from the RNG stream
-    /// `SimRng::for_replication(master_seed, i)`, so its result is a pure
-    /// function of `(spec, master_seed, i)` — independent of `jobs`.
-    pub fn replicate<R: Replication>(
-        &self,
-        spec: &R,
-        reps: usize,
-        master_seed: u64,
-        fold: impl FnMut(usize, R::Output),
-    ) {
-        self.run(
-            reps,
-            |i| spec.replicate(&mut RepContext::new(master_seed, i)),
-            fold,
-        );
-    }
 }
 
 #[cfg(test)]
@@ -368,21 +319,26 @@ mod tests {
         let spec = BroadcastRep {
             mesh: Mesh::cube(4),
             cfg: NetworkConfig::paper_default(),
-            alg: Algorithm::Db,
+            alg: Algorithm::Ab,
             length: 32,
         };
         let run_with = |jobs: usize| {
-            let mut stats = OnlineStats::new();
+            let mut stats = [OnlineStats::new(), OnlineStats::new(), OnlineStats::new()];
             let mut sources = Vec::new();
-            Runner::new(jobs).replicate(&spec, 6, 99, |_, o: BroadcastOutcome| {
-                stats.push(o.network_latency_us);
-                sources.push(o.source);
-            });
-            (stats.mean(), sources)
+            Runner::new(jobs).run(
+                6,
+                |i| spec.replicate_observed(&mut RepContext::new(99, i), None).0,
+                |_, o: BroadcastOutcome| {
+                    let xs = [o.network_latency_us, o.mean_latency_us, o.cv];
+                    stats.iter_mut().zip(xs).for_each(|(s, x)| s.push(x));
+                    sources.push(o.source);
+                },
+            );
+            (stats.map(|s| s.mean().to_bits()), sources)
         };
         let (m1, s1) = run_with(1);
         let (m4, s4) = run_with(4);
-        assert_eq!(m1.to_bits(), m4.to_bits(), "bit-identical fold");
+        assert_eq!(m1, m4, "bit-identical fold");
         assert_eq!(s1, s4, "same sources in the same order");
     }
 
@@ -391,15 +347,6 @@ mod tests {
         let mut called = false;
         Runner::new(4).run(0, |_| 1, |_, _| called = true);
         assert!(!called);
-    }
-
-    #[test]
-    fn closure_specs_work() {
-        let mut got = Vec::new();
-        Runner::sequential().replicate(&|ctx: &mut RepContext| ctx.index * 10, 3, 0, |_, v| {
-            got.push(v)
-        });
-        assert_eq!(got, vec![0, 10, 20]);
     }
 
     #[test]

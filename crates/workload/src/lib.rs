@@ -21,7 +21,7 @@
 //! * [`torus`] — the k-ary n-cube ring broadcast executed on the real
 //!   engine (`Network<Torus>`);
 //! * [`harness`] — the replication harness: [`harness::Runner`] executes
-//!   independent replications across worker threads and folds the results
+//!   independent tasks across worker threads and folds the results
 //!   deterministically (same bits for any `--jobs`).
 
 #![warn(missing_docs)]
@@ -45,9 +45,7 @@ pub use faulty::{
     degrade_schedule, run_faulty_broadcast, run_faulty_broadcast_observed, DegradedSchedule,
     FaultRep, FaultyOutcome,
 };
-pub use harness::{
-    take_probe, BroadcastRep, RepContext, Replication, RunProbe, Runner, TelemetryMerge,
-};
+pub use harness::{take_probe, BroadcastRep, RepContext, RunProbe, Runner, TelemetryMerge};
 pub use mixed::{run_mixed_traffic, run_mixed_traffic_observed, MixedConfig, MixedOutcome};
 pub use multicast::{
     random_destinations, run_single_multicast, run_single_multicast_observed, MulticastOutcome,
@@ -56,7 +54,7 @@ pub use multicast::{
 pub use patterns::DestPattern;
 pub use scrape::scrape_engine_stats;
 pub use single::{
-    attach_collector, network_for, routing_for, run_averaged_broadcasts, run_single_broadcast,
-    run_single_broadcast_observed, AveragedOutcome, BroadcastOutcome,
+    attach_collector, network_for, routing_for, run_single_broadcast,
+    run_single_broadcast_observed, BroadcastOutcome,
 };
 pub use torus::{run_torus_broadcast, TorusOutcome};

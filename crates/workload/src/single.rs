@@ -2,7 +2,6 @@
 //! Tables 1–2: one node broadcasts on an otherwise idle network).
 
 use crate::executor::{drive, BroadcastTracker};
-use crate::harness::{BroadcastRep, Runner};
 use crate::scrape::scrape_engine_stats;
 use serde::{Deserialize, Serialize};
 use wormcast_broadcast::{Algorithm, RoutingKind};
@@ -10,7 +9,7 @@ use wormcast_network::{Network, NetworkConfig, OpId, Simulation};
 use wormcast_routing::{
     DimensionOrdered, PlanarWestFirst, QueueAdaptive, RoutingFunction, SimTopology, WestFirst,
 };
-use wormcast_stats::{summarize, OnlineStats};
+use wormcast_stats::summarize;
 use wormcast_telemetry::{Collector, Observe, TelemetryFrame};
 use wormcast_topology::{Mesh, NodeId, Topology};
 
@@ -139,60 +138,6 @@ pub fn run_single_broadcast_observed(
     (outcome, frame)
 }
 
-/// Aggregate of repeated single-source broadcasts from uniformly random
-/// sources (the paper averages over "at least 40 experiments").
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AveragedOutcome {
-    /// Algorithm short name.
-    pub algorithm: String,
-    /// Number of experiments averaged.
-    pub runs: usize,
-    /// Mean network-level latency, µs.
-    pub network_latency_us: f64,
-    /// Mean of per-run mean arrival latencies, µs.
-    pub mean_latency_us: f64,
-    /// Mean coefficient of variation.
-    pub cv: f64,
-}
-
-/// Run `runs` broadcast replications from uniformly random sources (one
-/// RNG stream per replication — see [`crate::harness`]) and average.
-///
-/// Replications execute on `runner`'s worker threads; the averaged result
-/// is bit-identical for any job count.
-pub fn run_averaged_broadcasts(
-    mesh: &Mesh,
-    cfg: NetworkConfig,
-    alg: Algorithm,
-    length: u64,
-    runs: usize,
-    seed: u64,
-    runner: &Runner,
-) -> AveragedOutcome {
-    assert!(runs > 0, "need at least one run");
-    let spec = BroadcastRep {
-        mesh: mesh.clone(),
-        cfg,
-        alg,
-        length,
-    };
-    let mut net_lat = OnlineStats::new();
-    let mut mean_lat = OnlineStats::new();
-    let mut cvs = OnlineStats::new();
-    runner.replicate(&spec, runs, seed, |_, o: BroadcastOutcome| {
-        net_lat.push(o.network_latency_us);
-        mean_lat.push(o.mean_latency_us);
-        cvs.push(o.cv);
-    });
-    AveragedOutcome {
-        algorithm: alg.name().to_string(),
-        runs,
-        network_latency_us: net_lat.mean(),
-        mean_latency_us: mean_lat.mean(),
-        cv: cvs.mean(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,29 +219,6 @@ mod tests {
         assert!(ab.cv < edn.cv, "AB {} < EDN {}", ab.cv, edn.cv);
         assert!(ab.cv < rd.cv, "AB {} < RD {}", ab.cv, rd.cv);
         assert!(ab.cv < db.cv, "AB {} < DB {}", ab.cv, db.cv);
-    }
-
-    #[test]
-    fn averaged_runs_are_deterministic_given_seed() {
-        let m = Mesh::cube(4);
-        let r = Runner::sequential();
-        let a = run_averaged_broadcasts(&m, cfg(), Algorithm::Db, 64, 5, 42, &r);
-        let b = run_averaged_broadcasts(&m, cfg(), Algorithm::Db, 64, 5, 42, &r);
-        assert_eq!(a.network_latency_us, b.network_latency_us);
-        assert_eq!(a.cv, b.cv);
-    }
-
-    #[test]
-    fn averaged_runs_are_job_count_invariant() {
-        let m = Mesh::cube(4);
-        let a = run_averaged_broadcasts(&m, cfg(), Algorithm::Ab, 64, 6, 42, &Runner::new(1));
-        let b = run_averaged_broadcasts(&m, cfg(), Algorithm::Ab, 64, 6, 42, &Runner::new(4));
-        assert_eq!(
-            a.network_latency_us.to_bits(),
-            b.network_latency_us.to_bits()
-        );
-        assert_eq!(a.mean_latency_us.to_bits(), b.mean_latency_us.to_bits());
-        assert_eq!(a.cv.to_bits(), b.cv.to_bits());
     }
 
     #[test]

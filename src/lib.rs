@@ -81,9 +81,8 @@ pub mod prelude {
         Coord, GeneralizedHypercube, Mesh, NodeId, Plane, Sign, Topology, Torus,
     };
     pub use wormcast_workload::{
-        random_destinations, run_averaged_broadcasts, run_contended_broadcasts,
-        run_faulty_broadcast, run_mixed_traffic, run_single_broadcast, run_single_multicast,
-        run_torus_broadcast, BroadcastRep, BroadcastTracker, FaultRep, MixedConfig,
-        MulticastScheme, RepContext, Replication, Runner,
+        random_destinations, run_contended_broadcasts, run_faulty_broadcast, run_mixed_traffic,
+        run_single_broadcast, run_single_multicast, run_torus_broadcast, BroadcastRep,
+        BroadcastTracker, FaultRep, MixedConfig, MulticastScheme, RepContext, Runner,
     };
 }
