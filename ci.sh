@@ -31,6 +31,10 @@ run cargo fmt --all --check
 run cargo clippy "${OFFLINE[@]}" --workspace --all-targets -- -D warnings
 run cargo build "${OFFLINE[@]}" --release --workspace
 run cargo test "${OFFLINE[@]}" --workspace -q
+# perfbench is a workspace of its own, so the build and tests above never
+# compile it. Its tests catch an API break, or product cells drifting from
+# its traced mirror, before the benchmark runs.
+run cargo test "${OFFLINE[@]}" --release --manifest-path perfbench/Cargo.toml -q
 
 # Telemetry smoke: run a small fig1 with telemetry + events enabled, check
 # the export exists, and validate the NDJSON stream against the schema test

@@ -424,11 +424,17 @@ fn faults(o: &RunOptions, flags: &Flags<'_>) -> Result<Plan, String> {
     let common = override_all(o, &mut p.seed, &mut p.startup_us, &mut p.length);
     for &(flag, v) in flags {
         match flag {
-            "--rates" => p.rates = csv(flag, v)?,
+            "--rates" => {
+                let rate = |x: f64| (0.0..=1.0).contains(&x);
+                p.rates = csv(flag, v, "a fault rate in [0, 1]", rate)?;
+            }
+            // The smallest mesh every algorithm's schedule covers.
             _ => {
                 p.side = v
                     .parse()
-                    .map_err(|_| format!("{flag} '{v}' is not an integer"))?
+                    .ok()
+                    .filter(|&side| side >= 2)
+                    .ok_or(format!("{flag} must be a mesh side >= 2, got '{v}'"))?
             }
         }
     }
@@ -450,7 +456,8 @@ fn saturation(o: &RunOptions, flags: &Flags<'_>) -> Result<Plan, String> {
     };
     let common = override_all(o, &mut p.seed, &mut p.startup_us, &mut p.length);
     for &(flag, v) in flags {
-        p.loads = csv(flag, v)?;
+        let load = |x: f64| x.is_finite() && x > 0.0;
+        p.loads = csv(flag, v, "a finite load > 0", load)?;
     }
     let (runs, topologies) = (p.batches, vec![cube(p.shape)]);
     let alg = |c: &saturation::SaturationCell| c.algorithm.clone();
@@ -504,11 +511,14 @@ fn simcheck(o: &RunOptions) -> Plan {
     Plan::new(common, count as usize, Vec::new(), run)
 }
 
-/// Parse a selector flag's comma-separated list of numbers.
-fn csv(flag: &str, v: &str) -> Result<Vec<f64>, String> {
+/// Parse a selector flag's comma-separated list of numbers, each of which
+/// must pass `ok` (`what` names the values it accepts).
+fn csv(flag: &str, v: &str, what: &str, ok: impl Fn(f64) -> bool) -> Result<Vec<f64>, String> {
     let parse = |s: &str| {
         s.parse()
-            .map_err(|_| format!("{flag} entry '{s}' is not a number"))
+            .ok()
+            .filter(|&x| ok(x))
+            .ok_or(format!("{flag} entry '{s}' must be {what}"))
     };
     let xs = v
         .split(',')

@@ -73,11 +73,44 @@ fn rejection_precedes_every_selector() {
     for args in [
         ["faults", "--rates", "x"],
         ["faults", "--side", "x"],
+        ["faults", "--side", "0"],
+        ["faults", "--side", "1"],
         ["faults", "--rates", ""],
+        ["faults", "--rates", "nan"],
+        ["faults", "--rates", "-0.5"],
+        ["faults", "--rates", "0,2"],
         ["saturation", "--loads", "x"],
+        ["saturation", "--loads", "0"],
+        ["saturation", "--loads", "-1"],
+        ["saturation", "--loads", "nan"],
+        ["saturation", "--loads", "2,inf"],
         ["schedules", "--schedule", "/nonexistent/schedule.json"],
     ] {
         expect_rejection(WORMCAST, &args, args[1]);
+    }
+}
+
+#[test]
+fn show_rejects_bad_positional_arguments() {
+    let show = env!("CARGO_BIN_EXE_show");
+    for (args, needle) in [
+        (&["XX"][..], "unknown algorithm 'XX'"),
+        (&["DB", "x"], "SIDE must be a mesh side >= 2, got 'x'"),
+        (&["DB", "0"], "SIDE must be a mesh side >= 2, got '0'"),
+        (&["DB", "1"], "SIDE must be a mesh side >= 2, got '1'"),
+        (&["DB", "1x2d"], "SIDE must be a mesh side >= 2, got '1x2d'"),
+        (&["DB", "4", "y"], "SRC must be a node index, got 'y'"),
+        (&["EDN", "4x2d"], "EDN is defined for 3D meshes only"),
+    ] {
+        expect_rejection(show, args, needle);
+    }
+    // The smallest accepted meshes render for every algorithm.
+    let cubes = ["RD", "EDN", "DB", "AB", "QAB"].map(|alg| [alg, "2"]);
+    let planes = ["RD", "DB", "AB", "QAB"].map(|alg| [alg, "2x2d"]);
+    for args in cubes.iter().chain(&planes) {
+        let out = run(show, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "show {args:?}: {stderr}");
     }
 }
 
