@@ -11,112 +11,25 @@
 //! step, so an n-dimensional torus broadcasts in exactly **n steps** —
 //! dimension by dimension, every holder covering its ring. (On real
 //! wormhole hardware ring paths need an extra virtual channel to stay
-//! deadlock-free, the classic dateline argument; the schedule itself is
-//! topology-level and the simulator in this workspace is mesh-only, so the
-//! torus and GHC schedules come with their own validator and an analytic
-//! zero-load latency model instead of a flit simulation.)
+//! deadlock-free, the classic dateline argument; the engine runs them under
+//! facility queueing instead, see `wormcast_workload::torus`.)
 //!
 //! The generalized hypercube broadcasts in **n steps** too: each dimension
 //! is a complete graph, so a holder covers its whole dimension-d row with
 //! `k_d − 1` single-hop unicasts in one step (multiport permitting).
+//!
+//! Both are ordinary [`BroadcastSchedule`]s: topology-free coded paths, so
+//! [`BroadcastSchedule::validate`], [`BroadcastSchedule::analytic_latency`]
+//! and the workload executor take them over their own topology.
 
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use crate::schedule::{BroadcastSchedule, RoutePlan, ScheduledMessage};
 use wormcast_routing::{CodedPath, Path};
-use wormcast_sim::SimDuration;
 use wormcast_topology::{GeneralizedHypercube, NodeId, Topology, Torus};
-
-/// One step-tagged coded path of a topology-level broadcast schedule.
-#[derive(Debug, Clone)]
-pub struct ExtMessage {
-    /// 1-based message-passing step.
-    pub step: u32,
-    /// The multidestination path.
-    pub path: CodedPath,
-}
-
-/// A broadcast schedule over an arbitrary [`Topology`] (torus / GHC
-/// extensions), with its own validator.
-#[derive(Debug, Clone)]
-pub struct ExtSchedule {
-    /// The broadcast source.
-    pub source: NodeId,
-    /// All messages.
-    pub messages: Vec<ExtMessage>,
-    /// Scheme name.
-    pub algorithm: &'static str,
-}
-
-/// Validation error for extension schedules.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ExtError {
-    /// A node receives more than once.
-    Duplicate(NodeId),
-    /// A node never receives.
-    Missed(NodeId),
-    /// A sender does not hold the payload before its step.
-    Causality(NodeId),
-}
-
-impl ExtSchedule {
-    /// Total message-passing steps.
-    pub fn steps(&self) -> u32 {
-        self.messages.iter().map(|m| m.step).max().unwrap_or(0)
-    }
-
-    /// Exactly-once coverage plus sender causality over any topology.
-    pub fn validate<T: Topology>(&self, topo: &T) -> Result<(), ExtError> {
-        let mut got: HashMap<NodeId, u32> = HashMap::new();
-        for m in &self.messages {
-            for r in m.path.receivers(topo) {
-                if r == self.source || got.insert(r, m.step).is_some() {
-                    return Err(ExtError::Duplicate(r));
-                }
-            }
-        }
-        for n in (0..topo.num_nodes() as u32).map(NodeId) {
-            if n != self.source && !got.contains_key(&n) {
-                return Err(ExtError::Missed(n));
-            }
-        }
-        for m in &self.messages {
-            let s = m.path.src();
-            if s != self.source && got.get(&s).is_none_or(|&g| g >= m.step) {
-                return Err(ExtError::Causality(s));
-            }
-        }
-        Ok(())
-    }
-
-    /// Zero-load latency of the schedule under the wormhole cost model:
-    /// along the critical path, each step costs `Ts + hops·hop_time + L·β`
-    /// with `hops` the step's longest path.
-    pub fn analytic_latency(
-        &self,
-        startup: SimDuration,
-        hop_time: SimDuration,
-        flit_time: SimDuration,
-        length: u64,
-    ) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for step in 1..=self.steps() {
-            let hops = self
-                .messages
-                .iter()
-                .filter(|m| m.step == step)
-                .map(|m| m.path.path.len() as u64)
-                .max()
-                .unwrap_or(0);
-            total += startup + hop_time.times(hops) + flit_time.times(length);
-        }
-        total
-    }
-}
 
 /// Ring-based coded-path broadcast on a torus: one step per dimension; in
 /// step `d+1` every current holder covers its whole dimension-`d` ring with
 /// a single wraparound gather-all path.
-pub fn torus_ring_broadcast(torus: &Torus, source: NodeId) -> ExtSchedule {
+pub fn torus_ring_broadcast(torus: &Torus, source: NodeId) -> BroadcastSchedule {
     let mut messages = Vec::new();
     let mut holders = vec![source];
     for dim in 0..torus.ndims() {
@@ -130,14 +43,14 @@ pub fn torus_ring_broadcast(torus: &Torus, source: NodeId) -> ExtSchedule {
                 .collect();
             next.extend(nodes.iter().copied());
             let path = Path::through(torus, &nodes);
-            messages.push(ExtMessage {
-                step: dim as u32 + 1,
-                path: CodedPath::gather_all(torus, path),
-            });
+            messages.push(ScheduledMessage::step_message(
+                dim as u32 + 1,
+                RoutePlan::Coded(CodedPath::gather_all(torus, path)),
+            ));
         }
         holders = next;
     }
-    ExtSchedule {
+    BroadcastSchedule {
         source,
         messages,
         algorithm: "torus-ring",
@@ -147,7 +60,7 @@ pub fn torus_ring_broadcast(torus: &Torus, source: NodeId) -> ExtSchedule {
 /// Complete-graph broadcast on a generalized hypercube: one step per
 /// dimension; each holder unicasts to every other position of its current
 /// dimension (single-hop links).
-pub fn ghc_broadcast(ghc: &GeneralizedHypercube, source: NodeId) -> ExtSchedule {
+pub fn ghc_broadcast(ghc: &GeneralizedHypercube, source: NodeId) -> BroadcastSchedule {
     let mut messages = Vec::new();
     let mut holders = vec![source];
     for dim in 0..ghc.ndims() {
@@ -163,15 +76,15 @@ pub fn ghc_broadcast(ghc: &GeneralizedHypercube, source: NodeId) -> ExtSchedule 
                 let dst = ghc.node_at(&hc.with(dim, pos));
                 next.push(dst);
                 let path = Path::through(ghc, &[h, dst]);
-                messages.push(ExtMessage {
-                    step: dim as u32 + 1,
-                    path: CodedPath::unicast(ghc, path),
-                });
+                messages.push(ScheduledMessage::step_message(
+                    dim as u32 + 1,
+                    RoutePlan::Coded(CodedPath::unicast(ghc, path)),
+                ));
             }
         }
         holders = next;
     }
-    ExtSchedule {
+    BroadcastSchedule {
         source,
         messages,
         algorithm: "ghc-fan",
@@ -181,15 +94,24 @@ pub fn ghc_broadcast(ghc: &GeneralizedHypercube, source: NodeId) -> ExtSchedule 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::ScheduleError;
+    use wormcast_sim::SimDuration;
     use wormcast_topology::Coord;
 
+    fn coded(m: &ScheduledMessage) -> &CodedPath {
+        match &m.plan {
+            RoutePlan::Coded(cp) => cp,
+            RoutePlan::Adaptive { .. } => panic!("extension schedules are coded"),
+        }
+    }
+
     #[test]
-    fn torus_ring_covers_in_ndims_steps() {
+    fn torus_ring_covers_in_ndims_steps_with_one_port() {
         for dims in [[4u16, 4, 4], [8, 8, 8], [3, 5, 7]] {
             let t = Torus::new(&dims);
             for src in [0u32, 17] {
                 let s = torus_ring_broadcast(&t, NodeId(src));
-                s.validate(&t)
+                s.validate(&t, 1)
                     .unwrap_or_else(|e| panic!("{dims:?} src {src}: {e:?}"));
                 assert_eq!(s.steps(), 3);
             }
@@ -200,7 +122,7 @@ mod tests {
     fn torus_2d() {
         let t = Torus::kary_ncube(6, 2);
         let s = torus_ring_broadcast(&t, NodeId(13));
-        s.validate(&t).unwrap();
+        s.validate(&t, 1).unwrap();
         assert_eq!(s.steps(), 2);
     }
 
@@ -209,7 +131,7 @@ mod tests {
         let t = Torus::kary_ncube(4, 1);
         let s = torus_ring_broadcast(&t, NodeId(2));
         assert_eq!(s.messages.len(), 1);
-        let nodes = s.messages[0].path.path.nodes(&t);
+        let nodes = coded(&s.messages[0]).path.nodes(&t);
         // From node 2: 2 -> 3 -> 0 -> 1 (wrapping).
         let xs: Vec<u16> = nodes.iter().map(|&n| t.coord_of(n).get(0)).collect();
         assert_eq!(xs, vec![2, 3, 0, 1]);
@@ -232,19 +154,28 @@ mod tests {
         let ts = SimDuration::from_us(1.5);
         let hop = SimDuration::from_us(0.006);
         let flit = SimDuration::from_us(0.003);
-        let lat = s.analytic_latency(ts, hop, flit, 100);
+        let lat = s.analytic_latency(&t, ts, hop, flit, 100);
         // 3 steps x (1.5 + 7*0.006 + 0.3) us.
         assert_eq!(lat.as_ps(), 3 * (1_500_000 + 42_000 + 300_000));
     }
 
     #[test]
-    fn ghc_covers_in_ndims_steps() {
+    fn ghc_covers_in_ndims_steps_with_max_radix_minus_one_ports() {
         let g = GeneralizedHypercube::new(&[4, 3, 5]);
         for src in [0u32, 29] {
             let s = ghc_broadcast(&g, NodeId(src));
-            s.validate(&g).unwrap();
+            s.validate(&g, 4).unwrap();
             assert_eq!(s.steps(), 3);
             assert_eq!(s.messages.len(), g.num_nodes() - 1);
+            // The radix-5 dimension fans out to four peers in step 3.
+            assert!(matches!(
+                s.validate(&g, 3),
+                Err(ScheduleError::FanoutExceeded {
+                    step: 3,
+                    sends: 4,
+                    ..
+                })
+            ));
         }
     }
 
@@ -256,7 +187,7 @@ mod tests {
         let s = ghc_broadcast(&g, NodeId(0));
         assert_eq!(s.steps(), 5);
         assert_eq!(s.messages.len(), 31);
-        s.validate(&g).unwrap();
+        s.validate(&g, 1).unwrap();
     }
 
     #[test]
@@ -264,7 +195,7 @@ mod tests {
         let t = Torus::kary_ncube(4, 2);
         let mut s = torus_ring_broadcast(&t, NodeId(0));
         s.messages.pop();
-        assert!(matches!(s.validate(&t), Err(ExtError::Missed(_))));
+        assert!(matches!(s.validate(&t, 1), Err(ScheduleError::Missed(_))));
     }
 
     #[test]
@@ -273,7 +204,10 @@ mod tests {
         let mut s = torus_ring_broadcast(&t, NodeId(0));
         let dup = s.messages[0].clone();
         s.messages.push(dup);
-        assert!(matches!(s.validate(&t), Err(ExtError::Duplicate(_))));
+        assert!(matches!(
+            s.validate(&t, 2),
+            Err(ScheduleError::DuplicateDelivery(_))
+        ));
     }
 
     #[test]
@@ -286,21 +220,29 @@ mod tests {
         // Remove target's original delivery so the extra message is not a
         // duplicate, then add the bad-causality message.
         for m in &mut s.messages {
-            if m.path.receivers(&t).contains(&target) {
+            let cp = coded(m);
+            if cp.receivers(&t).contains(&target) {
                 // Rebuild this ring without delivering to target.
-                let nodes = m.path.path.nodes(&t);
+                let nodes = cp.path.nodes(&t);
                 let receivers: Vec<NodeId> = nodes[1..]
                     .iter()
                     .copied()
                     .filter(|&n| n != target)
                     .collect();
-                m.path = CodedPath::selective(&t, m.path.path.clone(), &receivers);
+                let ring = CodedPath::selective(&t, cp.path.clone(), &receivers);
+                m.plan = RoutePlan::Coded(ring);
             }
         }
-        s.messages.push(ExtMessage {
-            step: 1,
-            path: CodedPath::unicast(&t, Path::through(&t, &[sender, target])),
-        });
-        assert!(matches!(s.validate(&t), Err(ExtError::Causality(_))));
+        s.messages.push(ScheduledMessage::step_message(
+            1,
+            RoutePlan::Coded(CodedPath::unicast(&t, Path::through(&t, &[sender, target]))),
+        ));
+        assert_eq!(
+            s.validate(&t, 2),
+            Err(ScheduleError::SenderWithoutPayload {
+                node: sender,
+                step: 1
+            })
+        );
     }
 }

@@ -20,7 +20,8 @@
 //!
 //! The paper's future-directions topologies are covered by [`extensions`]:
 //! ring-based coded-path broadcast on the k-ary n-cube and complete-graph
-//! fan broadcast on the generalized hypercube.
+//! fan broadcast on the generalized hypercube, as ordinary
+//! [`BroadcastSchedule`]s checked by the same validator.
 
 #![warn(missing_docs)]
 
@@ -39,7 +40,7 @@ pub use ab::{ab_schedule, ab_steps};
 pub use algorithm::{Algorithm, RoutingKind};
 pub use db::{db_schedule, db_steps};
 pub use edn::{edn_schedule, edn_steps};
-pub use extensions::{ghc_broadcast, torus_ring_broadcast, ExtError, ExtMessage, ExtSchedule};
+pub use extensions::{ghc_broadcast, torus_ring_broadcast};
 pub use multicast::{cpr_multicast, sp_multicast, um_multicast, um_steps, validate_multicast};
 pub use qab::{qab_schedule, qab_steps};
 pub use rd::{rd_schedule, rd_steps};

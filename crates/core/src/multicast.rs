@@ -22,7 +22,7 @@
 //! All three produce validated schedules executable by the standard
 //! `wormcast-workload` executor.
 
-use crate::schedule::{BroadcastSchedule, RoutePlan, ScheduledMessage};
+use crate::schedule::{BroadcastSchedule, RoutePlan, ScheduleError, ScheduledMessage};
 use std::collections::BTreeSet;
 use wormcast_routing::{dor_path, CodedPath, Path};
 use wormcast_topology::{Coord, Mesh, NodeId, Topology};
@@ -267,43 +267,25 @@ pub fn sp_multicast(mesh: &Mesh, source: NodeId, dests: &[NodeId]) -> BroadcastS
     }
 }
 
-/// Check a multicast schedule: every destination receives ≥ once, nothing
-/// delivers to the source, senders are causal, and only destinations or
-/// backbone anchors receive copies.
+/// Check a multicast schedule with [`BroadcastSchedule::validate`]'s
+/// checker, the destination subset as the wanted set: every destination
+/// receives exactly once, no node receives twice, nothing delivers to the
+/// source, senders are causal and steps are numbered from 1. No port budget
+/// applies (CM fans out to every populated row of a plane in one step).
 ///
-/// Returns the set of non-destination nodes that received relay copies
-/// (backbone overhead), or an error string.
+/// Returns the non-destination nodes that received relay copies (backbone
+/// overhead), in node order.
 pub fn validate_multicast(
     mesh: &Mesh,
     schedule: &BroadcastSchedule,
     dests: &[NodeId],
-) -> Result<Vec<NodeId>, String> {
+) -> Result<Vec<NodeId>, ScheduleError> {
     let want: BTreeSet<NodeId> = normalize(schedule.source, dests).into_iter().collect();
-    let mut got: std::collections::BTreeMap<NodeId, u32> = Default::default();
-    for m in &schedule.messages {
-        for r in m.plan.receivers(mesh) {
-            if r == schedule.source {
-                return Err("delivers to source".into());
-            }
-            let e = got.entry(r).or_insert(u32::MAX);
-            *e = (*e).min(m.step);
-        }
-    }
-    for &d in &want {
-        if !got.contains_key(&d) {
-            return Err(format!("destination {d} missed"));
-        }
-    }
-    for m in &schedule.messages {
-        let s = m.plan.src();
-        if s != schedule.source {
-            match got.get(&s) {
-                Some(&g) if g < m.step || (g == m.step && !m.charge_startup) => {}
-                _ => return Err(format!("sender {s} lacks payload at step {}", m.step)),
-            }
-        }
-    }
-    Ok(got.keys().filter(|n| !want.contains(n)).copied().collect())
+    let delivered = schedule.check(mesh, |n| want.contains(&n), None)?;
+    Ok((0..mesh.num_nodes() as u32)
+        .map(NodeId)
+        .filter(|n| delivered[n.index()].is_some() && !want.contains(n))
+        .collect())
 }
 
 fn compress(messages: &mut [ScheduledMessage]) {
@@ -367,7 +349,7 @@ mod tests {
         for m in [1usize, 5, 40, 200] {
             let dests = random_dests(&mesh, src, m, m as u64 ^ 0xC0);
             let s = cpr_multicast(&mesh, src, &dests);
-            validate_multicast(&mesh, &s, &dests).unwrap_or_else(|e| panic!("m={m}: {e}"));
+            validate_multicast(&mesh, &s, &dests).unwrap_or_else(|e| panic!("m={m}: {e:?}"));
             assert!(s.steps() <= 3, "CM is a 3-step scheme, got {}", s.steps());
         }
     }
@@ -425,6 +407,25 @@ mod tests {
     fn empty_destination_set_rejected() {
         let mesh = Mesh::cube(4);
         let _ = um_multicast(&mesh, NodeId(0), &[NodeId(0)]);
+    }
+
+    #[test]
+    fn double_delivery_is_rejected() {
+        let mesh = Mesh::cube(4);
+        let src = NodeId(0);
+        let dests = [NodeId(5), NodeId(42)];
+        let mut s = um_multicast(&mesh, src, &dests);
+        validate_multicast(&mesh, &s, &dests).unwrap();
+        // A second copy for NodeId(42) in the last step: the executor would
+        // panic on it, so the validator must refuse it.
+        s.messages.push(ScheduledMessage::step_message(
+            s.steps(),
+            RoutePlan::Coded(CodedPath::unicast(&mesh, dor_path(&mesh, src, NodeId(42)))),
+        ));
+        assert_eq!(
+            validate_multicast(&mesh, &s, &dests),
+            Err(ScheduleError::DuplicateDelivery(NodeId(42)))
+        );
     }
 
     #[test]

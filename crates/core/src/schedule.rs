@@ -10,9 +10,10 @@
 //! network simulation.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use wormcast_routing::CodedPath;
-use wormcast_topology::{Mesh, NodeId, Topology};
+use wormcast_sim::SimDuration;
+use wormcast_topology::{NodeId, Topology};
 
 /// The routing plan of one scheduled message.
 #[derive(Debug, Clone)]
@@ -38,10 +39,19 @@ impl RoutePlan {
     }
 
     /// The nodes that receive a copy from this message.
-    pub fn receivers(&self, mesh: &Mesh) -> Vec<NodeId> {
+    pub fn receivers<T: Topology>(&self, topo: &T) -> Vec<NodeId> {
         match self {
-            RoutePlan::Coded(cp) => cp.receivers(mesh),
+            RoutePlan::Coded(cp) => cp.receivers(topo),
             RoutePlan::Adaptive { dst, .. } => vec![*dst],
+        }
+    }
+
+    /// Channels the message crosses: the coded path's length, or the
+    /// minimal distance of an adaptive leg.
+    pub fn hops<T: Topology>(&self, topo: &T) -> usize {
+        match self {
+            RoutePlan::Coded(cp) => cp.path.len(),
+            RoutePlan::Adaptive { src, dst } => topo.distance(*src, *dst) as usize,
         }
     }
 }
@@ -92,7 +102,8 @@ pub struct BroadcastSchedule {
     pub algorithm: &'static str,
 }
 
-/// A validation failure found by [`BroadcastSchedule::validate`].
+/// A validation failure found by [`BroadcastSchedule::validate`] or
+/// [`validate_multicast`](crate::validate_multicast).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ScheduleError {
     /// A node would receive the payload more than once.
@@ -135,26 +146,41 @@ impl BroadcastSchedule {
 
     /// Sum of path lengths (channel crossings) over all messages — the
     /// schedule's total channel demand.
-    pub fn total_channel_demand(&self, mesh: &Mesh) -> usize {
-        self.messages
-            .iter()
-            .map(|m| match &m.plan {
-                RoutePlan::Coded(cp) => cp.path.len(),
-                RoutePlan::Adaptive { src, dst } => mesh.distance(*src, *dst) as usize,
-            })
-            .sum()
+    pub fn total_channel_demand<T: Topology>(&self, topo: &T) -> usize {
+        self.messages.iter().map(|m| m.plan.hops(topo)).sum()
     }
 
     /// The longest single path used, in hops.
-    pub fn max_path_len(&self, mesh: &Mesh) -> usize {
+    pub fn max_path_len<T: Topology>(&self, topo: &T) -> usize {
         self.messages
             .iter()
-            .map(|m| match &m.plan {
-                RoutePlan::Coded(cp) => cp.path.len(),
-                RoutePlan::Adaptive { src, dst } => mesh.distance(*src, *dst) as usize,
-            })
+            .map(|m| m.plan.hops(topo))
             .max()
             .unwrap_or(0)
+    }
+
+    /// Zero-load latency of the schedule under the wormhole cost model:
+    /// along the critical path, each step costs `Ts + hops·hop_time + L·β`
+    /// with `hops` the step's longest path.
+    pub fn analytic_latency<T: Topology>(
+        &self,
+        topo: &T,
+        startup: SimDuration,
+        hop_time: SimDuration,
+        flit_time: SimDuration,
+        length: u64,
+    ) -> SimDuration {
+        let steps = self.steps() as usize;
+        let mut longest = vec![0u64; steps + 1];
+        for m in &self.messages {
+            let hops = &mut longest[m.step as usize];
+            *hops = (*hops).max(m.plan.hops(topo) as u64);
+        }
+        let mut total = SimDuration::ZERO;
+        for &hops in &longest[1..] {
+            total += startup + hop_time.times(hops) + flit_time.times(length);
+        }
+        total
     }
 
     /// Check the schedule's correctness invariants:
@@ -165,7 +191,21 @@ impl BroadcastSchedule {
     ///    from step 1, relays from the step after their delivery);
     /// 3. step numbers are contiguous from 1;
     /// 4. no node sends more than `ports` messages in a single step.
-    pub fn validate(&self, mesh: &Mesh, ports: usize) -> Result<(), ScheduleError> {
+    pub fn validate<T: Topology>(&self, topo: &T, ports: usize) -> Result<(), ScheduleError> {
+        self.check(topo, |_| true, Some(ports)).map(drop)
+    }
+
+    /// The one checker behind [`BroadcastSchedule::validate`] and
+    /// [`validate_multicast`](crate::validate_multicast): invariants 1–3 of
+    /// `validate` with coverage demanded only of the nodes `wanted` accepts
+    /// (the source never is), plus invariant 4 when `ports` is given.
+    /// Returns every node's delivery step.
+    pub(crate) fn check<T: Topology>(
+        &self,
+        topo: &T,
+        wanted: impl Fn(NodeId) -> bool,
+        ports: Option<usize>,
+    ) -> Result<Vec<Option<u32>>, ScheduleError> {
         // Step numbering.
         let steps = self.steps();
         if steps == 0 {
@@ -182,20 +222,20 @@ impl BroadcastSchedule {
             return Err(ScheduleError::BadStepNumbering);
         }
 
-        // Exactly-once coverage; record delivery step per node.
-        let mut delivered_step: HashMap<NodeId, u32> = HashMap::new();
+        // Exactly-once delivery; record delivery step per node.
+        let mut delivered: Vec<Option<u32>> = vec![None; topo.num_nodes()];
         for m in &self.messages {
-            for r in m.plan.receivers(mesh) {
+            for r in m.plan.receivers(topo) {
                 if r == self.source {
                     return Err(ScheduleError::DeliversToSource);
                 }
-                if delivered_step.insert(r, m.step).is_some() {
+                if delivered[r.index()].replace(m.step).is_some() {
                     return Err(ScheduleError::DuplicateDelivery(r));
                 }
             }
         }
-        for n in (0..mesh.num_nodes() as u32).map(NodeId) {
-            if n != self.source && !delivered_step.contains_key(&n) {
+        for (n, got) in (0..topo.num_nodes() as u32).map(NodeId).zip(&delivered) {
+            if n != self.source && got.is_none() && wanted(n) {
                 return Err(ScheduleError::Missed(n));
             }
         }
@@ -207,8 +247,8 @@ impl BroadcastSchedule {
         for m in &self.messages {
             let s = m.plan.src();
             if s != self.source {
-                let ok = match delivered_step.get(&s) {
-                    Some(&got) => got < m.step || (got == m.step && !m.charge_startup),
+                let ok = match delivered[s.index()] {
+                    Some(got) => got < m.step || (got == m.step && !m.charge_startup),
                     None => false,
                 };
                 if !ok {
@@ -220,12 +260,14 @@ impl BroadcastSchedule {
             }
             *fanout.entry((s, m.step)).or_insert(0) += 1;
         }
-        for ((node, step), sends) in fanout {
-            if sends > ports {
-                return Err(ScheduleError::FanoutExceeded { node, step, sends });
+        if let Some(ports) = ports {
+            for ((node, step), sends) in fanout {
+                if sends > ports {
+                    return Err(ScheduleError::FanoutExceeded { node, step, sends });
+                }
             }
         }
-        Ok(())
+        Ok(delivered)
     }
 }
 
@@ -233,7 +275,7 @@ impl BroadcastSchedule {
 mod tests {
     use super::*;
     use wormcast_routing::{dor_path, CodedPath, Path};
-    use wormcast_topology::Coord;
+    use wormcast_topology::{Coord, Mesh};
 
     fn unicast(m: &Mesh, step: u32, src: NodeId, dst: NodeId) -> ScheduledMessage {
         ScheduledMessage::step_message(

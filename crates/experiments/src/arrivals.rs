@@ -17,7 +17,9 @@ use wormcast_sim::SimTime;
 use wormcast_stats::{Histogram, Quantiles};
 use wormcast_telemetry::{Observe, TelemetryFrame};
 use wormcast_topology::{Mesh, NodeId, Topology};
-use wormcast_workload::{attach_collector, network_for, BroadcastTracker, Fed, Ops};
+use wormcast_workload::{
+    attach_collector, finish_collector, network_for, BroadcastTracker, Fed, Ops,
+};
 
 /// Parameters for the arrival-profile experiment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -114,13 +116,12 @@ fn profile_one(
         assert!(stepped, "broadcast completes");
     }
     let lats = finished.expect("completed").latencies_us();
-    let frame = collector.map(|c| {
+    if let Some(c) = &collector {
         for &l in &lats {
             c.record_arrival_us(l);
         }
-        drop(net);
-        c.finish()
-    });
+    }
+    let frame = finish_collector(net, collector);
     let q = Quantiles::new(lats.clone());
     let mut hist = Histogram::new(0.0, q.max() * 1.0001, params.bins);
     for &l in &lats {

@@ -23,7 +23,7 @@ use wormcast_workload::{run_mixed_traffic_observed, MixedConfig, MixedOutcome};
 /// Parameters of a load-sweep experiment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LoadSweepParams {
-    /// Mesh shape (Fig. 3: [8,8,8]; Fig. 4: [16,16,8]).
+    /// Mesh shape (Fig. 3: `[8,8,8]`; Fig. 4: `[16,16,8]`).
     pub shape: [u16; 3],
     /// Offered loads, messages/ms per node (the paper's x-axis points).
     pub loads: Vec<f64>,

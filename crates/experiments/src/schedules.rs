@@ -25,7 +25,9 @@ use wormcast_routing::{dor_path, CodedPath};
 use wormcast_sim::{LoadRamp, Schedule, SimRng, SimTime};
 use wormcast_telemetry::{Observe, TelemetryFrame};
 use wormcast_topology::{ChannelId, Mesh, NodeId, Topology};
-use wormcast_workload::{attach_collector, network_for, BroadcastTracker, Fed, Ops};
+use wormcast_workload::{
+    attach_collector, finish_collector, network_for, BroadcastTracker, Fed, Ops,
+};
 
 /// Parameters of a scheduled-traffic run.
 #[derive(Debug, Clone)]
@@ -312,10 +314,7 @@ impl SchedulesParams {
             "schedules: {} broadcasts incomplete at quiescence",
             ops.len()
         );
-        let frame = collector.map(|c| {
-            drop(net);
-            c.finish()
-        });
+        let frame = finish_collector(net, collector);
         (RepCounts { offered, delivered }, frame)
     }
 }

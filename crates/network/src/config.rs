@@ -60,19 +60,16 @@ impl NetworkConfig {
     /// Start building a configuration from the paper's baseline constants.
     /// Every setter overrides one knob; [`NetworkConfigBuilder::build`]
     /// validates the combination instead of panicking deep inside the
-    /// engine, and [`NetworkConfigBuilder::mesh`] upgrades the builder into
-    /// a whole-simulation builder:
+    /// engine:
     ///
     /// ```
     /// use wormcast_network::NetworkConfig;
     /// # fn main() -> Result<(), wormcast_network::ConfigError> {
-    /// let sim = NetworkConfig::builder()
-    ///     .mesh(8, 8, 8)
+    /// let cfg = NetworkConfig::builder()
     ///     .startup_us(0.15)
     ///     .flit_us(0.003)
     ///     .build()?;
-    /// assert_eq!(sim.config().startup.as_us(), 0.15);
-    /// assert_eq!(sim.topology().dims(), &[8, 8, 8]);
+    /// assert_eq!(cfg.startup.as_us(), 0.15);
     /// # Ok(())
     /// # }
     /// ```
@@ -151,7 +148,7 @@ impl NetworkConfig {
     }
 }
 
-/// Why a configuration (or simulation) could not be built.
+/// Why a configuration could not be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
@@ -166,10 +163,6 @@ pub enum ConfigError {
     ZeroFlitTime,
     /// A node needs at least one injection port.
     ZeroPorts,
-    /// Every mesh dimension must be at least 1.
-    EmptyMeshDimension,
-    /// The requested mesh exceeds the engine's u32 node-id space.
-    MeshTooLarge,
 }
 
 impl fmt::Display for ConfigError {
@@ -180,10 +173,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroFlitTime => write!(f, "flit_time must be positive"),
             ConfigError::ZeroPorts => write!(f, "a node needs at least one injection port"),
-            ConfigError::EmptyMeshDimension => {
-                write!(f, "every mesh dimension must be at least 1")
-            }
-            ConfigError::MeshTooLarge => write!(f, "mesh node count overflows u32 ids"),
         }
     }
 }
@@ -194,8 +183,6 @@ impl std::error::Error for ConfigError {}
 /// [`NetworkConfig::builder`]. Defaults to the paper's baseline constants;
 /// [`NetworkConfigBuilder::build`] checks the combination and returns a
 /// [`ConfigError`] instead of letting a bad value panic mid-simulation.
-/// [`NetworkConfigBuilder::mesh`] turns it into a
-/// [`SimulationBuilder`](crate::simulation::SimulationBuilder).
 #[derive(Debug, Clone)]
 pub struct NetworkConfigBuilder {
     pub(crate) startup_us: f64,

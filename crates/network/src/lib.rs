@@ -27,7 +27,7 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec};
 pub use invariant::InvariantChecker;
 pub use message::{Delivery, MessageId, MessageSpec, OpId, Route};
 pub use metrics::{Counters, CountersSink, MetricsSink, TraceSink, UtilizationSink};
-pub use simulation::{Simulation, SimulationBuilder};
+pub use simulation::Simulation;
 pub use trace::{Event, EventKind, Trace};
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 //!   bit-comparing the full observable record, with the event-level
 //!   **invariant checker** (`wormcast_network::invariant`, behind the
 //!   `invariants` feature) attached to the engine run;
-//! * [`shrink`] — a greedy **shrinker** that reduces a failing scenario to
-//!   a minimal one and renders it as a ready-to-paste `#[test]`
+//! * [`shrink`](mod@shrink) — a greedy **shrinker** that reduces a failing
+//!   scenario to a minimal one and renders it as a ready-to-paste `#[test]`
 //!   ([`repro_test`]);
 //! * [`Report`] — the deterministic JSON campaign report the `simcheck`
 //!   binary writes (byte-identical across reruns of the same campaign).

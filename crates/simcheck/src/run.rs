@@ -85,7 +85,7 @@ struct RunRecord {
 /// The torus ring broadcast from `source` as an operation tracker.
 pub(crate) fn ring_tracker(torus: &Torus, source: NodeId, length: u64) -> BroadcastTracker {
     let schedule = torus_ring_broadcast(torus, source);
-    BroadcastTracker::ext(torus, &schedule, OpId(0), length)
+    BroadcastTracker::new(torus, &schedule, OpId(0), length)
 }
 
 /// Drive an engine until idle: pre-fail dead channels are applied by the

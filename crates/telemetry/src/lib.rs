@@ -337,6 +337,7 @@ pub struct FrameExport {
 pub struct Collector {
     shared: Arc<Mutex<TelemetryFrame>>,
     rep: u64,
+    profile: bool,
 }
 
 impl Collector {
@@ -351,7 +352,14 @@ impl Collector {
         Collector {
             shared: Arc::new(Mutex::new(frame)),
             rep,
+            profile: spec.profile,
         }
+    }
+
+    /// Whether the spec asks for runtime metrics (engine counters) to be
+    /// scraped into the frame.
+    pub fn profiling(&self) -> bool {
+        self.profile
     }
 
     /// A sink handle to attach with `Network::add_sink`.

@@ -11,7 +11,7 @@
 //! CV observation.
 
 use crate::executor::{BroadcastTracker, Fed, Ops};
-use crate::single::{attach_collector, network_for};
+use crate::single::{attach_collector, finish_collector, network_for};
 use serde::{Deserialize, Serialize};
 use wormcast_broadcast::Algorithm;
 use wormcast_network::{NetworkConfig, OpId};
@@ -154,11 +154,7 @@ pub fn run_contended_broadcasts_observed(
         mean_latency_us: summarize(&means).mean(),
         network_latency_us: summarize(&maxes).mean(),
     };
-    let frame = collector.map(|c| {
-        drop(net);
-        c.finish()
-    });
-    (outcome, frame)
+    (outcome, finish_collector(net, collector))
 }
 
 #[cfg(test)]

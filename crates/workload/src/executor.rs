@@ -7,9 +7,10 @@
 //! messages are injected the moment its own copy finishes arriving.
 //! Injection-port contention and start-up latency are charged by the network
 //! engine itself. The one tracker type covers a full broadcast
-//! ([`BroadcastTracker::new`]), a destination subset
-//! ([`BroadcastTracker::multicast`]) and an [`ExtSchedule`] over any
-//! topology ([`BroadcastTracker::ext`], the torus ring).
+//! ([`BroadcastTracker::new`]) and a destination subset
+//! ([`BroadcastTracker::multicast`]) over any topology: the mesh
+//! algorithms, the multicast schemes and the torus ring are all one
+//! [`BroadcastSchedule`] type.
 //!
 //! [`Ops`] is the one delivery loop: a table of live operations whose
 //! [`Ops::step`] advances the engine by one event and feeds each delivery to
@@ -18,11 +19,11 @@
 //! closed-loop form for a single operation.
 
 use std::collections::HashMap;
-use wormcast_broadcast::{BroadcastSchedule, ExtSchedule, RoutePlan};
+use wormcast_broadcast::{BroadcastSchedule, RoutePlan};
 use wormcast_network::{Delivery, MessageSpec, Network, OpId, Route};
 use wormcast_routing::SimTopology;
 use wormcast_sim::SimTime;
-use wormcast_topology::{Mesh, NodeId, Topology};
+use wormcast_topology::{NodeId, Topology};
 
 /// Tracks one in-flight broadcast operation.
 #[derive(Debug)]
@@ -44,66 +45,28 @@ pub struct BroadcastTracker {
 }
 
 impl BroadcastTracker {
-    /// Prepare the execution of `schedule` under operation id `op` with
-    /// `length`-flit messages; complete once every other node received.
-    pub fn new(mesh: &Mesh, schedule: &BroadcastSchedule, op: OpId, length: u64) -> Self {
-        let messages = schedule.messages.iter().map(|m| {
+    /// Prepare the execution of `schedule` over `topo` under operation id
+    /// `op` with `length`-flit messages; complete once every other node
+    /// received.
+    pub fn new<T: Topology>(topo: &T, schedule: &BroadcastSchedule, op: OpId, length: u64) -> Self {
+        let mut pending: HashMap<NodeId, Vec<(u32, Route, bool)>> = HashMap::new();
+        for m in &schedule.messages {
             let (src, route) = match &m.plan {
                 RoutePlan::Coded(cp) => (cp.src(), Route::Fixed(cp.clone())),
                 RoutePlan::Adaptive { src, dst } => (*src, Route::Adaptive { dst: *dst }),
             };
-            (src, (m.step, route, m.charge_startup))
-        });
-        Self::from_messages(mesh.num_nodes(), schedule.source, op, length, messages)
-    }
-
-    /// [`BroadcastTracker::new`] for a destination subset: the operation
-    /// completes once every node of `dests` (the source excepted) received,
-    /// whatever backbone copies are still in flight.
-    pub fn multicast(
-        mesh: &Mesh,
-        schedule: &BroadcastSchedule,
-        dests: &[NodeId],
-        op: OpId,
-        length: u64,
-    ) -> Self {
-        let mut tracker = Self::new(mesh, schedule, op, length);
-        let mut wanted = vec![false; mesh.num_nodes()];
-        for d in dests.iter().filter(|&&d| d != schedule.source) {
-            wanted[d.index()] = true;
-        }
-        tracker.expected = wanted.iter().filter(|&&w| w).count();
-        tracker.wanted = Some(wanted);
-        tracker
-    }
-
-    /// Prepare the execution of an extension schedule (torus ring, GHC) over
-    /// any topology; every message charges start-up.
-    pub fn ext<T: Topology>(topo: &T, schedule: &ExtSchedule, op: OpId, length: u64) -> Self {
-        let messages = schedule.messages.iter().map(|m| {
-            let route = Route::Fixed(m.path.clone());
-            (m.path.src(), (m.step, route, true))
-        });
-        Self::from_messages(topo.num_nodes(), schedule.source, op, length, messages)
-    }
-
-    fn from_messages(
-        nodes: usize,
-        source: NodeId,
-        op: OpId,
-        length: u64,
-        messages: impl Iterator<Item = (NodeId, (u32, Route, bool))>,
-    ) -> Self {
-        let mut pending: HashMap<NodeId, Vec<(u32, Route, bool)>> = HashMap::new();
-        for (src, msg) in messages {
-            pending.entry(src).or_default().push(msg);
+            pending
+                .entry(src)
+                .or_default()
+                .push((m.step, route, m.charge_startup));
         }
         for routes in pending.values_mut() {
             routes.sort_by_key(|(step, _, _)| *step);
         }
+        let nodes = topo.num_nodes();
         BroadcastTracker {
             op,
-            source,
+            source: schedule.source,
             length,
             pending,
             arrivals: vec![None; nodes],
@@ -112,6 +75,26 @@ impl BroadcastTracker {
             expected: nodes - 1,
             started_at: None,
         }
+    }
+
+    /// [`BroadcastTracker::new`] for a destination subset: the operation
+    /// completes once every node of `dests` (the source excepted) received,
+    /// whatever backbone copies are still in flight.
+    pub fn multicast<T: Topology>(
+        topo: &T,
+        schedule: &BroadcastSchedule,
+        dests: &[NodeId],
+        op: OpId,
+        length: u64,
+    ) -> Self {
+        let mut tracker = Self::new(topo, schedule, op, length);
+        let mut wanted = vec![false; topo.num_nodes()];
+        for d in dests.iter().filter(|&&d| d != schedule.source) {
+            wanted[d.index()] = true;
+        }
+        tracker.expected = wanted.iter().filter(|&&w| w).count();
+        tracker.wanted = Some(wanted);
+        tracker
     }
 
     /// The operation id this tracker answers to.
@@ -352,6 +335,7 @@ mod tests {
     use wormcast_broadcast::Algorithm;
     use wormcast_network::NetworkConfig;
     use wormcast_routing::DimensionOrdered;
+    use wormcast_topology::Mesh;
 
     #[test]
     fn multicast_completes_on_the_wanted_subset() {

@@ -31,7 +31,7 @@
 
 use crate::executor::{drive, BroadcastTracker};
 use crate::harness::RepContext;
-use crate::single::{attach_collector, network_for};
+use crate::single::{attach_collector, finish_collector, network_for};
 use serde::{Deserialize, Serialize};
 use wormcast_broadcast::{Algorithm, BroadcastSchedule, RoutePlan, RoutingKind, ScheduledMessage};
 use wormcast_network::{FaultPlan, FaultSpec, NetworkConfig, OpId};
@@ -321,15 +321,15 @@ pub fn run_faulty_broadcast_observed(
         mean_delivered_latency_us: s.mean(),
         max_delivered_latency_us: if s.count() == 0 { 0.0 } else { s.max() },
     };
-    let frame = collector.map(|col| {
+    if let Some(col) = &collector {
         for &l in &lats {
             col.record_arrival_us(l);
         }
         if s.count() > 1 {
             col.record_op_cv(s.cv());
         }
-        drop(net);
-        let mut f = col.finish();
+    }
+    let frame = finish_collector(net, collector).map(|mut f| {
         // Plan-time detours are invisible to the engine sink; fold them in
         // so the frame's reroute count matches the outcome's.
         f.reliability.reroutes += degraded.reroutes;
@@ -466,6 +466,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn profiled_frames_carry_the_engine_stall_count() {
+        use wormcast_telemetry::{MetricId, TelemetrySpec};
+        let mesh = Mesh::cube(4);
+        let spec = TelemetrySpec::full();
+        let mut stalled_runs = 0;
+        for seed in 0..32 {
+            let mut rng = SimRng::new(seed);
+            let (o, frame) = run_faulty_broadcast_observed(
+                &mesh,
+                cfg(),
+                Algorithm::Ab,
+                NodeId(seed as u32),
+                32,
+                &FaultSpec::fail_stop(0.05),
+                &mut rng,
+                Some(Observe::new(&spec, seed)),
+            );
+            let frame = frame.expect("observed runs return a frame");
+            assert_eq!(
+                frame.metrics.counter_total(MetricId::EngineStalls),
+                o.stalled,
+                "seed {seed}"
+            );
+            stalled_runs += usize::from(o.stalled > 0);
+        }
+        assert!(stalled_runs > 0, "some faulted run must stall");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The drivers that put messages into the simulated network:
 //!
 //! * [`executor`] — the only code that executes broadcast operations: one
-//!   [`BroadcastTracker`] type (full broadcast, multicast subset, or an
-//!   extension schedule over any topology; relays fire as their copies
-//!   arrive) and one delivery loop, [`Ops`] (`launch` / `step`), with
+//!   [`BroadcastTracker`] type (full broadcast or multicast subset of a
+//!   schedule over any topology; relays fire as their copies arrive) and
+//!   one delivery loop, [`Ops`] (`launch` / `step`), with
 //!   [`drive`] as its closed-loop form;
 //! * [`single`] — single-source broadcast experiments on an idle network
 //!   (the setting of the paper's Figs. 1–2 and Tables 1–2);
@@ -54,7 +54,7 @@ pub use multicast::{
 pub use patterns::DestPattern;
 pub use scrape::scrape_engine_stats;
 pub use single::{
-    attach_collector, network_for, routing_for, run_single_broadcast,
+    attach_collector, finish_collector, network_for, routing_for, run_single_broadcast,
     run_single_broadcast_observed, BroadcastOutcome,
 };
 pub use torus::{run_torus_broadcast, TorusOutcome};

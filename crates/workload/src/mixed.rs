@@ -9,7 +9,7 @@
 
 use crate::executor::{BroadcastTracker, Fed, Ops};
 use crate::patterns::DestPattern;
-use crate::single::{attach_collector, network_for};
+use crate::single::{attach_collector, finish_collector, network_for};
 use serde::{Deserialize, Serialize};
 use wormcast_broadcast::Algorithm;
 use wormcast_network::{MessageSpec, NetworkConfig, OpId, Route, Simulation};
@@ -261,11 +261,7 @@ pub fn run_mixed_traffic_observed(
         broadcasts_completed,
         unicasts_delivered,
     };
-    let frame = collector.map(|c| {
-        drop(net);
-        c.finish()
-    });
-    (outcome, frame)
+    (outcome, finish_collector(net, collector))
 }
 
 #[cfg(test)]

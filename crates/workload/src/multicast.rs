@@ -2,7 +2,7 @@
 //! simulated network (the paper's named future direction).
 
 use crate::executor::{BroadcastTracker, Fed, Ops};
-use crate::single::{attach_collector, network_for};
+use crate::single::{attach_collector, finish_collector, network_for};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use wormcast_broadcast::{Algorithm, BroadcastSchedule};
@@ -132,15 +132,13 @@ pub fn run_single_multicast_observed(
         cv: s.cv(),
         overhead_copies: extra.len(),
     };
-    let frame = collector.map(|c| {
+    if let Some(c) = &collector {
         for &l in &lats {
             c.record_arrival_us(l);
         }
         c.record_op_cv(s.cv());
-        drop(net);
-        c.finish()
-    });
-    (outcome, frame)
+    }
+    (outcome, finish_collector(net, collector))
 }
 
 /// Pick `m` distinct uniform destinations (≠ source).

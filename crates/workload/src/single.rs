@@ -67,6 +67,27 @@ pub fn attach_collector<T: SimTopology>(
     })
 }
 
+/// Tear down an observed run: drop `net`, then recover the collector's
+/// frame, with the engine's counters scraped into its metrics when the
+/// spec asks for a profile. Without a collector this only drops `net`.
+pub fn finish_collector<T: SimTopology>(
+    net: Simulation<T>,
+    collector: Option<Collector>,
+) -> Option<TelemetryFrame> {
+    let stats = collector
+        .as_ref()
+        .filter(|c| c.profiling())
+        .map(|_| net.engine_stats());
+    drop(net);
+    collector.map(|c| {
+        let mut f = c.finish();
+        if let Some(e) = stats {
+            scrape_engine_stats(&mut f.metrics, &e);
+        }
+        f
+    })
+}
+
 /// Run one single-source broadcast of `length` flits from `source` on an
 /// idle network and measure it.
 ///
@@ -102,7 +123,6 @@ pub fn run_single_broadcast_observed(
     let schedule = alg.schedule(mesh, source);
     debug_assert!(schedule.validate(mesh, alg.ports()).is_ok());
     let mut net = network_for(alg, mesh.clone(), cfg);
-    let profiling = observe.as_ref().is_some_and(|o| o.spec.profile);
     let collector = attach_collector(&mut net, observe);
     let tracker = drive(
         &mut net,
@@ -122,20 +142,13 @@ pub fn run_single_broadcast_observed(
         sd_latency_us: s.std_dev(),
         cv: s.cv(),
     };
-    let frame = collector.map(|c| {
+    if let Some(c) = &collector {
         for &l in &lats {
             c.record_arrival_us(l);
         }
         c.record_op_cv(s.cv());
-        let stats = profiling.then(|| net.engine_stats());
-        drop(net);
-        let mut f = c.finish();
-        if let Some(e) = stats {
-            scrape_engine_stats(&mut f.metrics, &e);
-        }
-        f
-    });
-    (outcome, frame)
+    }
+    (outcome, finish_collector(net, collector))
 }
 
 #[cfg(test)]

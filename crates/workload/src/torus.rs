@@ -45,16 +45,16 @@ pub fn run_torus_broadcast(
          (path-holding needs dateline virtual channels, which are not modelled)"
     );
     let schedule = torus_ring_broadcast(torus, source);
-    debug_assert!(schedule.validate(torus).is_ok());
+    debug_assert!(schedule.validate(torus, cfg.inject_ports).is_ok());
     let analytic = schedule
-        .analytic_latency(cfg.startup, cfg.hop_time(), cfg.flit_time, length)
+        .analytic_latency(torus, cfg.startup, cfg.hop_time(), cfg.flit_time, length)
         .as_us();
 
     let mut net: Simulation<Torus> =
         Simulation::over(torus.clone(), cfg, Box::new(wormcast_routing::TorusDor));
     let tracker = drive(
         &mut net,
-        BroadcastTracker::ext(torus, &schedule, OpId(0), length),
+        BroadcastTracker::new(torus, &schedule, OpId(0), length),
     );
     assert!(
         tracker.is_complete(),

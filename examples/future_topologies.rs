@@ -36,7 +36,9 @@ fn main() {
     // blocking-in-place, see DESIGN.md).
     let torus = Torus::kary_ncube(8, 3);
     let tsched = torus_ring_broadcast(&torus, NodeId(91));
-    tsched.validate(&torus).expect("torus schedule covers all");
+    tsched
+        .validate(&torus, 1)
+        .expect("torus schedule covers all");
     let tcfg = NetworkConfig::builder()
         .release(ReleaseMode::AfterTailCrossing)
         .ports(6)
@@ -54,24 +56,24 @@ fn main() {
     // Generalized hypercube with mixed radices, 512 nodes.
     let ghc = GeneralizedHypercube::new(&[8, 8, 8]);
     let gsched = ghc_broadcast(&ghc, NodeId(91));
-    gsched.validate(&ghc).expect("GHC schedule covers all");
+    gsched.validate(&ghc, 7).expect("GHC schedule covers all");
     println!(
         "{:<26} {:>6} steps  {:>9.2} us  (analytic zero-load)",
         "GHC(8,8,8), fan CPR",
         gsched.steps(),
-        gsched.analytic_latency(ts, hop, beta, L).as_us()
+        gsched.analytic_latency(&ghc, ts, hop, beta, L).as_us()
     );
 
     // Binary hypercube for comparison: the classic log2(N)-step tree
     // (coordinates support up to 6 dimensions; Q6 has 64 nodes).
     let q6 = GeneralizedHypercube::binary(6);
     let qsched = ghc_broadcast(&q6, NodeId(33));
-    qsched.validate(&q6).expect("Q6 schedule covers all");
+    qsched.validate(&q6, 1).expect("Q6 schedule covers all");
     println!(
         "{:<26} {:>6} steps  {:>9.2} us  (analytic zero-load)",
         "binary 6-cube, tree",
         qsched.steps(),
-        qsched.analytic_latency(ts, hop, beta, L).as_us()
+        qsched.analytic_latency(&q6, ts, hop, beta, L).as_us()
     );
 
     println!(

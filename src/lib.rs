@@ -61,13 +61,12 @@ pub use wormcast_workload as workload;
 /// Every example under `examples/` compiles from this import alone.
 pub mod prelude {
     pub use wormcast_broadcast::{
-        ghc_broadcast, torus_ring_broadcast, Algorithm, BroadcastSchedule, ExtSchedule, RoutingKind,
+        ghc_broadcast, torus_ring_broadcast, Algorithm, BroadcastSchedule, RoutingKind,
     };
     pub use wormcast_experiments::{Experiment, Observation, RunOutput};
     pub use wormcast_network::{
         ConfigError, Delivery, EventKind, FaultPlan, FaultSpec, MessageSpec, Network,
         NetworkConfig, NetworkConfigBuilder, OpId, ReleaseMode, Route, Simulation,
-        SimulationBuilder,
     };
     pub use wormcast_routing::{
         dor_path, CodedPath, ControlField, DimensionOrdered, Path, RoutingFunction, WestFirst,

@@ -54,7 +54,9 @@ fn ghc_broadcast_covers_mixed_radices() {
     for dims in [vec![2u16, 3, 4], vec![8, 8], vec![5, 5, 5]] {
         let g = GeneralizedHypercube::new(&dims);
         let s = ghc_broadcast(&g, NodeId(1));
-        s.validate(&g).unwrap_or_else(|e| panic!("{dims:?}: {e:?}"));
+        let ports = *dims.iter().max().unwrap() as usize - 1;
+        s.validate(&g, ports)
+            .unwrap_or_else(|e| panic!("{dims:?}: {e:?}"));
         assert_eq!(s.steps(), dims.len() as u32);
     }
 }
@@ -66,7 +68,8 @@ fn multicast_schemes_agree_on_who_receives() {
     let dests: Vec<NodeId> = vec![NodeId(0), NodeId(13), NodeId(42), NodeId(63)];
     for scheme in MulticastScheme::ALL {
         let s = scheme.schedule(&mesh, src, &dests);
-        validate_multicast(&mesh, &s, &dests).unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
+        validate_multicast(&mesh, &s, &dests)
+            .unwrap_or_else(|e| panic!("{}: {e:?}", scheme.name()));
     }
 }
 
