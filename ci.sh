@@ -39,6 +39,10 @@ run cargo test "${OFFLINE[@]}" --workspace -q
 # compile it. Its tests catch an API break, or product cells drifting from
 # its traced mirror, before the benchmark runs.
 run cargo test "${OFFLINE[@]}" --release --manifest-path perfbench/Cargo.toml -q
+# perfbench's Python tests: BENCHMARK.json and plan.json agree with run.py,
+# the references cover both named seeds, and every workload prints every
+# metric with its unit on tiny inputs.
+run python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 # Telemetry smoke: run a small fig1 with telemetry + events enabled, check
 # the export exists, and validate the NDJSON stream against the schema test

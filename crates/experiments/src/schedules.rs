@@ -25,9 +25,7 @@ use wormcast_routing::{dor_path, CodedPath};
 use wormcast_sim::{LoadRamp, Schedule, SimRng, SimTime};
 use wormcast_telemetry::{Observe, TelemetryFrame};
 use wormcast_topology::{ChannelId, Mesh, NodeId, Topology};
-use wormcast_workload::{
-    attach_collector, finish_collector, network_for, BroadcastTracker, Fed, Ops,
-};
+use wormcast_workload::{attach_collector, finish_collector, network_for, Fed, Ops, PlanCache};
 
 /// Parameters of a scheduled-traffic run.
 #[derive(Debug, Clone)]
@@ -232,6 +230,7 @@ impl SchedulesParams {
         let mut offered = vec![0u64; self.bins];
         let mut delivered = vec![0u64; self.bins];
         let mut ops = Ops::default();
+        let mut plans = PlanCache::new(alg, &mesh);
         let n_msgs = (self.messages_per_node * nodes as f64).round() as u64;
         for next_op in 0..n_msgs {
             let at_us = self
@@ -242,9 +241,7 @@ impl SchedulesParams {
             let op = OpId(next_op);
             offered[self.bin_of(at)] += 1;
             if kind_rng.chance(self.broadcast_fraction) {
-                let schedule = alg.schedule(&mesh, src);
-                let tracker = BroadcastTracker::new(&mesh, &schedule, op, self.length);
-                ops.launch(&mut net, at, tracker);
+                ops.launch(&mut net, at, plans.tracker(src, op, self.length));
             } else {
                 let mut dst = NodeId(dest_rng.index(nodes) as u32);
                 if let Some(h) = &self.schedule.hotspot {

@@ -10,7 +10,7 @@
 //! uniformly random sources, and each completed operation contributes one
 //! CV observation.
 
-use crate::executor::{BroadcastTracker, Fed, Ops};
+use crate::executor::{Fed, Ops, PlanCache};
 use crate::single::{attach_collector, finish_collector, network_for};
 use serde::{Deserialize, Serialize};
 use wormcast_broadcast::Algorithm;
@@ -100,6 +100,7 @@ pub fn run_contended_broadcasts_observed(
     let mut net = network_for(alg, mesh.clone(), cfg);
     let collector = attach_collector(&mut net, observe);
     let mut ops = Ops::default();
+    let mut plans = PlanCache::new(alg, mesh);
     let mut cvs = Vec::new();
     let mut means = Vec::new();
     let mut maxes = Vec::new();
@@ -115,9 +116,7 @@ pub fn run_contended_broadcasts_observed(
             let src = NodeId(src_rng.index(mesh.num_nodes()) as u32);
             let op = OpId(launched);
             launched += 1;
-            let schedule = alg.schedule(mesh, src);
-            let tracker = BroadcastTracker::new(mesh, &schedule, op, length);
-            ops.launch(&mut net, next_launch, tracker);
+            ops.launch(&mut net, next_launch, plans.tracker(src, op, length));
             next_launch += inter.sample(&mut arr_rng);
             continue;
         }

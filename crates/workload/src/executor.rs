@@ -12,6 +12,15 @@
 //! algorithms, the multicast schemes and the torus ring are all one
 //! [`BroadcastSchedule`] type.
 //!
+//! A tracker holds only per-operation state: arrival times, counters and a
+//! handle on a [`CompiledPlan`], the schedule's messages grouped by sending
+//! node in one flat array. A schedule depends only on (algorithm, mesh,
+//! source), so the open-loop drivers compile each source's plan once per
+//! run through a [`PlanCache`] and share it, behind an [`Arc`], across every
+//! operation from that source. A tracker that holds its plan's only handle
+//! (the one-shot constructors) moves routes out as it releases them;
+//! otherwise it clones them.
+//!
 //! [`Ops`] is the one delivery loop: a table of live operations whose
 //! [`Ops::step`] advances the engine by one event and feeds each delivery to
 //! its own operation, injecting that operation's follow-ups at the delivery
@@ -19,21 +28,123 @@
 //! closed-loop form for a single operation.
 
 use std::collections::HashMap;
-use wormcast_broadcast::{BroadcastSchedule, RoutePlan};
+use std::ops::Range;
+use std::sync::Arc;
+use wormcast_broadcast::{Algorithm, BroadcastSchedule, RoutePlan};
 use wormcast_network::{Delivery, MessageSpec, Network, OpId, Route};
 use wormcast_routing::SimTopology;
 use wormcast_sim::SimTime;
-use wormcast_topology::{NodeId, Topology};
+use wormcast_topology::{Mesh, NodeId, Topology};
+
+/// One message of a [`CompiledPlan`].
+#[derive(Debug)]
+struct PlannedSend {
+    step: u32,
+    /// `None` once a tracker holding the plan's only handle moved it out.
+    route: Option<Route>,
+    charge_startup: bool,
+}
+
+/// A broadcast schedule compiled for execution: its messages grouped by
+/// sending node in one flat array, step order within a node. Built once
+/// and shared, behind an [`Arc`], by every operation over the schedule.
+#[derive(Debug)]
+pub struct CompiledPlan {
+    source: NodeId,
+    sends: Vec<PlannedSend>,
+    /// Node `n` sends `sends[offsets[n]..offsets[n + 1]]`.
+    offsets: Vec<u32>,
+}
+
+impl CompiledPlan {
+    /// Compile `schedule` over `topo`.
+    pub fn compile<T: Topology>(topo: &T, schedule: &BroadcastSchedule) -> Self {
+        let msgs = &schedule.messages;
+        let mut order: Vec<usize> = (0..msgs.len()).collect();
+        // Stable: messages of one node and step keep their schedule order.
+        order.sort_by_key(|&i| (msgs[i].plan.src(), msgs[i].step));
+        let mut offsets = vec![0u32; topo.num_nodes() + 1];
+        for m in msgs {
+            offsets[m.plan.src().index() + 1] += 1;
+        }
+        for n in 1..offsets.len() {
+            offsets[n] += offsets[n - 1];
+        }
+        let sends = order
+            .into_iter()
+            .map(|i| {
+                let m = &msgs[i];
+                let route = match &m.plan {
+                    RoutePlan::Coded(cp) => Route::Fixed(cp.clone()),
+                    RoutePlan::Adaptive { dst, .. } => Route::Adaptive { dst: *dst },
+                };
+                PlannedSend {
+                    step: m.step,
+                    route: Some(route),
+                    charge_startup: m.charge_startup,
+                }
+            })
+            .collect();
+        CompiledPlan {
+            source: schedule.source,
+            sends,
+            offsets,
+        }
+    }
+
+    /// Nodes of the topology the plan was compiled over.
+    fn num_nodes(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The messages `node` sends once it holds the payload.
+    fn group(&self, node: NodeId) -> Range<usize> {
+        self.offsets[node.index()] as usize..self.offsets[node.index() + 1] as usize
+    }
+}
+
+/// The compiled plans of one driver call, keyed by source: a schedule
+/// depends only on (algorithm, mesh, source), and one call fixes the
+/// algorithm and the mesh. A pure function of its key, so sharing a plan
+/// cannot change what a run simulates.
+#[derive(Debug)]
+pub struct PlanCache<'m> {
+    algorithm: Algorithm,
+    mesh: &'m Mesh,
+    plans: Vec<Option<Arc<CompiledPlan>>>,
+}
+
+impl<'m> PlanCache<'m> {
+    /// An empty cache for `algorithm` on `mesh`.
+    pub fn new(algorithm: Algorithm, mesh: &'m Mesh) -> Self {
+        PlanCache {
+            algorithm,
+            mesh,
+            plans: vec![None; mesh.num_nodes()],
+        }
+    }
+
+    /// A full broadcast from `source` under operation id `op` with
+    /// `length`-flit messages, over `source`'s plan, compiled on first
+    /// use.
+    pub fn tracker(&mut self, source: NodeId, op: OpId, length: u64) -> BroadcastTracker {
+        let (algorithm, mesh) = (self.algorithm, self.mesh);
+        let plan = self.plans[source.index()].get_or_insert_with(|| {
+            Arc::new(CompiledPlan::compile(
+                mesh,
+                &algorithm.schedule(mesh, source),
+            ))
+        });
+        BroadcastTracker::over(Arc::clone(plan), op, length)
+    }
+}
 
 /// Tracks one in-flight broadcast operation.
 #[derive(Debug)]
 pub struct BroadcastTracker {
     op: OpId,
-    source: NodeId,
     length: u64,
-    /// Message specs not yet released, grouped by sending node and ordered
-    /// by step within each group.
-    pending: HashMap<NodeId, Vec<(u32, Route, bool)>>,
+    plan: Arc<CompiledPlan>,
     /// Arrival time of the payload at each node (None = not yet).
     arrivals: Vec<Option<SimTime>>,
     /// The destinations whose arrival completes a subset operation
@@ -49,26 +160,17 @@ impl BroadcastTracker {
     /// `op` with `length`-flit messages; complete once every other node
     /// received.
     pub fn new<T: Topology>(topo: &T, schedule: &BroadcastSchedule, op: OpId, length: u64) -> Self {
-        let mut pending: HashMap<NodeId, Vec<(u32, Route, bool)>> = HashMap::new();
-        for m in &schedule.messages {
-            let (src, route) = match &m.plan {
-                RoutePlan::Coded(cp) => (cp.src(), Route::Fixed(cp.clone())),
-                RoutePlan::Adaptive { src, dst } => (*src, Route::Adaptive { dst: *dst }),
-            };
-            pending
-                .entry(src)
-                .or_default()
-                .push((m.step, route, m.charge_startup));
-        }
-        for routes in pending.values_mut() {
-            routes.sort_by_key(|(step, _, _)| *step);
-        }
-        let nodes = topo.num_nodes();
+        Self::over(Arc::new(CompiledPlan::compile(topo, schedule)), op, length)
+    }
+
+    /// [`BroadcastTracker::new`] over an already compiled, possibly shared,
+    /// plan.
+    pub fn over(plan: Arc<CompiledPlan>, op: OpId, length: u64) -> Self {
+        let nodes = plan.num_nodes();
         BroadcastTracker {
             op,
-            source: schedule.source,
             length,
-            pending,
+            plan,
             arrivals: vec![None; nodes],
             wanted: None,
             received: 0,
@@ -115,13 +217,14 @@ impl BroadcastTracker {
     pub fn start(&mut self, now: SimTime) -> Vec<MessageSpec> {
         assert!(self.started_at.is_none(), "broadcast already started");
         self.started_at = Some(now);
-        self.release(self.source)
+        self.release(self.plan.source)
     }
 
     /// Feed one network delivery. If it belongs to this operation, the
     /// arrival is recorded and any messages the receiving node is scheduled
     /// to relay are returned for immediate injection. Deliveries for other
-    /// operations return an empty vec.
+    /// operations, and a copy that reaches the operation's own source,
+    /// return an empty vec.
     ///
     /// # Panics
     /// Panics on duplicate delivery to one node — valid schedules deliver
@@ -140,24 +243,39 @@ impl BroadcastTracker {
         if self.wants(d.node.index()) {
             self.received += 1;
         }
+        // Each node's messages are released once: the source's by `start`,
+        // every other node's on its one delivery.
+        if d.node == self.plan.source {
+            return Vec::new();
+        }
         self.release(d.node)
     }
 
     fn release(&mut self, node: NodeId) -> Vec<MessageSpec> {
-        let Some(routes) = self.pending.remove(&node) else {
-            return Vec::new();
+        let (op, length) = (self.op, self.length);
+        let spec = |s: &PlannedSend, route: Option<Route>| MessageSpec {
+            src: node,
+            route: route.expect("a node's messages are released once"),
+            length,
+            op,
+            tag: s.step,
+            charge_startup: s.charge_startup,
         };
-        routes
-            .into_iter()
-            .map(|(step, route, charge_startup)| MessageSpec {
-                src: node,
-                route,
-                length: self.length,
-                op: self.op,
-                tag: step,
-                charge_startup,
-            })
-            .collect()
+        let group = self.plan.group(node);
+        match Arc::get_mut(&mut self.plan) {
+            // No other operation reads this plan: move the routes out.
+            Some(plan) => plan.sends[group]
+                .iter_mut()
+                .map(|s| {
+                    let route = s.route.take();
+                    spec(s, route)
+                })
+                .collect(),
+            None => self.plan.sends[group]
+                .iter()
+                .map(|s| spec(s, s.route.clone()))
+                .collect(),
+        }
     }
 
     /// Whether every destination has received the payload.
@@ -392,5 +510,104 @@ mod tests {
         assert_eq!(unowned, 1, "the unicast reaches `on` alone");
         assert_eq!(advanced, 2 * 62);
         assert!(ops.is_empty());
+    }
+
+    /// Every node that receives a copy of `spec`.
+    fn receivers(mesh: &Mesh, spec: &MessageSpec) -> Vec<NodeId> {
+        match &spec.route {
+            Route::Fixed(cp) => cp.receivers(mesh),
+            Route::Adaptive { dst } => vec![*dst],
+        }
+    }
+
+    /// A hand-built delivery of one of `op`'s copies to `node`.
+    fn delivery(op: OpId, node: NodeId, src: NodeId) -> Delivery {
+        Delivery {
+            message: wormcast_network::MessageId(0),
+            op,
+            tag: 1,
+            node,
+            src,
+            requested_at: SimTime::ZERO,
+            delivered_at: SimTime::from_us(1.0),
+        }
+    }
+
+    /// Start `tracker` and feed it a delivery for every receiver of every
+    /// spec it releases, breadth first; the released specs, in order.
+    fn release_all(mesh: &Mesh, mut tracker: BroadcastTracker) -> Vec<String> {
+        let mut queue = std::collections::VecDeque::from(tracker.start(SimTime::ZERO));
+        let mut released = Vec::new();
+        while let Some(spec) = queue.pop_front() {
+            for node in receivers(mesh, &spec) {
+                queue.extend(tracker.on_delivery(&delivery(tracker.op(), node, spec.src)));
+            }
+            released.push(format!("{spec:?}"));
+        }
+        assert!(tracker.is_complete());
+        released
+    }
+
+    #[test]
+    fn shared_plan_releases_what_a_fresh_tracker_does() {
+        let mesh = Mesh::cube(4);
+        for alg in Algorithm::ALL {
+            let mut plans = PlanCache::new(alg, &mesh);
+            for src in 0..mesh.num_nodes() as u32 {
+                let schedule = alg.schedule(&mesh, NodeId(src));
+                let fresh = BroadcastTracker::new(&mesh, &schedule, OpId(3), 16);
+                // The cache keeps a handle, so this tracker clones routes
+                // where the fresh one moves them.
+                let shared = plans.tracker(NodeId(src), OpId(3), 16);
+                let want = release_all(&mesh, fresh);
+                assert_eq!(want.len(), schedule.num_messages(), "{alg} from {src}");
+                assert_eq!(release_all(&mesh, shared), want, "{alg} from {src}");
+            }
+        }
+    }
+
+    #[test]
+    fn operations_sharing_a_plan_match_independent_ones() {
+        let mesh = Mesh::cube(4);
+        let latencies = |shared: bool| {
+            let mut net = Network::new(
+                mesh.clone(),
+                NetworkConfig::paper_default(),
+                Box::new(DimensionOrdered),
+            );
+            let schedule = Algorithm::Db.schedule(&mesh, NodeId(21));
+            let plan = Arc::new(CompiledPlan::compile(&mesh, &schedule));
+            let mut ops = Ops::default();
+            for op in 0..2 {
+                let tracker = if shared {
+                    BroadcastTracker::over(Arc::clone(&plan), OpId(op), 16)
+                } else {
+                    BroadcastTracker::new(&mesh, &schedule, OpId(op), 16)
+                };
+                ops.launch(&mut net, SimTime::from_us(op as f64 * 0.5), tracker);
+            }
+            let mut done = Vec::new();
+            while ops.step(&mut net, |_, fed| {
+                if let Fed::Completed(t) = fed {
+                    done.push((t.op(), t.latencies_us()));
+                }
+            }) {}
+            done.sort_by_key(|(op, _)| op.0);
+            done
+        };
+        let shared = latencies(true);
+        assert_eq!(shared.len(), 2);
+        assert_eq!(shared, latencies(false));
+    }
+
+    #[test]
+    fn a_copy_at_the_source_releases_nothing() {
+        let mesh = Mesh::cube(4);
+        let src = NodeId(5);
+        let schedule = Algorithm::Db.schedule(&mesh, src);
+        let mut tracker = BroadcastTracker::new(&mesh, &schedule, OpId(0), 16);
+        assert!(!tracker.start(SimTime::ZERO).is_empty());
+        let follow = tracker.on_delivery(&delivery(OpId(0), src, NodeId(0)));
+        assert!(follow.is_empty(), "the source's messages left at start");
     }
 }

@@ -4,7 +4,8 @@
 //!
 //! * [`executor`] — the only code that executes broadcast operations: one
 //!   [`BroadcastTracker`] type (full broadcast or multicast subset of a
-//!   schedule over any topology; relays fire as their copies arrive) and
+//!   schedule over any topology; relays fire as their copies arrive) over
+//!   a shared [`CompiledPlan`], a per-run [`PlanCache`] of those plans, and
 //!   one delivery loop, [`Ops`] (`launch` / `step`), with
 //!   [`drive`] as its closed-loop form;
 //! * [`single`] — single-source broadcast experiments on an idle network
@@ -40,7 +41,7 @@ pub mod torus;
 pub use contended::{
     run_contended_broadcasts, run_contended_broadcasts_observed, ContendedOutcome,
 };
-pub use executor::{drive, BroadcastTracker, Fed, Ops};
+pub use executor::{drive, BroadcastTracker, CompiledPlan, Fed, Ops, PlanCache};
 pub use faulty::{
     degrade_schedule, run_faulty_broadcast, run_faulty_broadcast_observed, DegradedSchedule,
     FaultRep, FaultyOutcome,

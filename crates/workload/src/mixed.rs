@@ -7,7 +7,7 @@
 //! batch-means method (21 batches, the first discarded) exactly as described
 //! for Figs. 3 and 4.
 
-use crate::executor::{BroadcastTracker, Fed, Ops};
+use crate::executor::{Fed, Ops, PlanCache};
 use crate::patterns::DestPattern;
 use crate::single::{attach_collector, finish_collector, network_for};
 use serde::{Deserialize, Serialize};
@@ -137,6 +137,7 @@ pub fn run_mixed_traffic_observed(
     let mut batch = BatchMeans::new(mc.batch_size, 1);
     let mut unicast_stats = OnlineStats::new();
     let mut ops = Ops::default();
+    let mut plans = PlanCache::new(mc.algorithm, mesh);
     let mut broadcasts_completed = 0u64;
     let mut unicasts_delivered = 0u64;
     let mut next_op = 0u64;
@@ -146,6 +147,7 @@ pub fn run_mixed_traffic_observed(
 
     let inject_arrival = |net: &mut Simulation,
                           ops: &mut Ops,
+                          plans: &mut PlanCache,
                           next_op: &mut u64,
                           at: SimTime,
                           source_rng: &mut SimRng,
@@ -155,12 +157,7 @@ pub fn run_mixed_traffic_observed(
         let op = OpId(*next_op);
         *next_op += 1;
         if kind_rng.chance(mc.broadcast_fraction) {
-            let schedule = mc.algorithm.schedule(mesh, src);
-            ops.launch(
-                net,
-                at,
-                BroadcastTracker::new(mesh, &schedule, op, mc.length),
-            );
+            ops.launch(net, at, plans.tracker(src, op, mc.length));
         } else {
             // Unicast to a destination drawn from the configured pattern.
             let dst = mc.pattern.pick(mesh, src, dest_rng);
@@ -198,6 +195,7 @@ pub fn run_mixed_traffic_observed(
             inject_arrival(
                 &mut net,
                 &mut ops,
+                &mut plans,
                 &mut next_op,
                 next_arrival,
                 &mut source_rng,
