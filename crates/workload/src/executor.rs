@@ -13,13 +13,14 @@
 //! [`BroadcastSchedule`] type.
 //!
 //! A tracker holds only per-operation state: arrival times, counters and a
-//! handle on a [`CompiledPlan`], the schedule's messages grouped by sending
+//! handle on a compiled plan, the schedule's messages grouped by sending
 //! node in one flat array. A schedule depends only on (algorithm, mesh,
-//! source), so the open-loop drivers compile each source's plan once per
-//! run through a [`PlanCache`] and share it, behind an [`Arc`], across every
-//! operation from that source. A tracker that holds its plan's only handle
-//! (the one-shot constructors) moves routes out as it releases them;
-//! otherwise it clones them.
+//! source), so the open-loop drivers take their trackers from a
+//! [`PlanCache`]: operations from one source that are in flight together
+//! share one plan, behind an [`Arc`], and the plan is freed with the last
+//! of them. A tracker that holds its plan's only handle (the one-shot
+//! constructors) moves routes out as it releases them; a tracker over a
+//! cached plan clones them.
 //!
 //! [`Ops`] is the one delivery loop: a table of live operations whose
 //! [`Ops::step`] advances the engine by one event and feeds each delivery to
@@ -29,8 +30,8 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
-use wormcast_broadcast::{Algorithm, BroadcastSchedule, RoutePlan};
+use std::sync::{Arc, Weak};
+use wormcast_broadcast::{Algorithm, BroadcastSchedule, RoutePlan, ScheduledMessage};
 use wormcast_network::{Delivery, MessageSpec, Network, OpId, Route};
 use wormcast_routing::SimTopology;
 use wormcast_sim::SimTime;
@@ -46,47 +47,66 @@ struct PlannedSend {
 }
 
 /// A broadcast schedule compiled for execution: its messages grouped by
-/// sending node in one flat array, step order within a node. Built once
-/// and shared, behind an [`Arc`], by every operation over the schedule.
+/// sending node in one flat array, step order within a node. Shared,
+/// behind an [`Arc`], by the operations in flight over the schedule.
 #[derive(Debug)]
-pub struct CompiledPlan {
+pub(crate) struct CompiledPlan {
     source: NodeId,
     sends: Vec<PlannedSend>,
     /// Node `n` sends `sends[offsets[n]..offsets[n + 1]]`.
     offsets: Vec<u32>,
 }
 
+/// The order of a plan's messages: by sending node, then by step. Sorted
+/// stably, messages of one node and step keep their schedule order.
+fn send_order(m: &ScheduledMessage) -> (NodeId, u32) {
+    (m.plan.src(), m.step)
+}
+
 impl CompiledPlan {
-    /// Compile `schedule` over `topo`.
-    pub fn compile<T: Topology>(topo: &T, schedule: &BroadcastSchedule) -> Self {
+    /// Compile `schedule` over `topo`, cloning its routes.
+    pub(crate) fn compile<T: Topology>(topo: &T, schedule: &BroadcastSchedule) -> Self {
         let msgs = &schedule.messages;
         let mut order: Vec<usize> = (0..msgs.len()).collect();
-        // Stable: messages of one node and step keep their schedule order.
-        order.sort_by_key(|&i| (msgs[i].plan.src(), msgs[i].step));
+        order.sort_by_key(|&i| send_order(&msgs[i]));
+        let sorted = order.into_iter().map(|i| msgs[i].clone());
+        Self::from_sorted(topo, schedule.source, sorted)
+    }
+
+    /// [`CompiledPlan::compile`] for a schedule built for the plan alone:
+    /// its routes move in.
+    pub(crate) fn compile_owned<T: Topology>(topo: &T, schedule: BroadcastSchedule) -> Self {
+        let mut msgs = schedule.messages;
+        msgs.sort_by_key(send_order);
+        Self::from_sorted(topo, schedule.source, msgs.into_iter())
+    }
+
+    /// The plan of a broadcast from `source` whose messages come in
+    /// [`send_order`].
+    fn from_sorted<T: Topology>(
+        topo: &T,
+        source: NodeId,
+        sorted: impl Iterator<Item = ScheduledMessage>,
+    ) -> Self {
         let mut offsets = vec![0u32; topo.num_nodes() + 1];
-        for m in msgs {
-            offsets[m.plan.src().index() + 1] += 1;
-        }
-        for n in 1..offsets.len() {
-            offsets[n] += offsets[n - 1];
-        }
-        let sends = order
-            .into_iter()
-            .map(|i| {
-                let m = &msgs[i];
-                let route = match &m.plan {
-                    RoutePlan::Coded(cp) => Route::Fixed(cp.clone()),
-                    RoutePlan::Adaptive { dst, .. } => Route::Adaptive { dst: *dst },
-                };
+        let sends = sorted
+            .map(|m| {
+                offsets[m.plan.src().index() + 1] += 1;
                 PlannedSend {
                     step: m.step,
-                    route: Some(route),
+                    route: Some(match m.plan {
+                        RoutePlan::Coded(cp) => Route::Fixed(cp),
+                        RoutePlan::Adaptive { dst, .. } => Route::Adaptive { dst },
+                    }),
                     charge_startup: m.charge_startup,
                 }
             })
             .collect();
+        for n in 1..offsets.len() {
+            offsets[n] += offsets[n - 1];
+        }
         CompiledPlan {
-            source: schedule.source,
+            source,
             sends,
             offsets,
         }
@@ -103,15 +123,18 @@ impl CompiledPlan {
     }
 }
 
-/// The compiled plans of one driver call, keyed by source: a schedule
-/// depends only on (algorithm, mesh, source), and one call fixes the
-/// algorithm and the mesh. A pure function of its key, so sharing a plan
-/// cannot change what a run simulates.
+/// The plans of one driver call's operations in flight, keyed by source:
+/// a schedule depends only on (algorithm, mesh, source), and one call fixes
+/// the algorithm and the mesh. Operations from one source that are in
+/// flight together share one plan; the cache holds it weakly, so the plan
+/// is freed with the last of them and the cache never keeps more plans
+/// alive than there are live operations. A pure function of its key, so
+/// sharing a plan cannot change what a run simulates.
 #[derive(Debug)]
 pub struct PlanCache<'m> {
     algorithm: Algorithm,
     mesh: &'m Mesh,
-    plans: Vec<Option<Arc<CompiledPlan>>>,
+    plans: Vec<Weak<CompiledPlan>>,
 }
 
 impl<'m> PlanCache<'m> {
@@ -120,22 +143,22 @@ impl<'m> PlanCache<'m> {
         PlanCache {
             algorithm,
             mesh,
-            plans: vec![None; mesh.num_nodes()],
+            plans: (0..mesh.num_nodes()).map(|_| Weak::new()).collect(),
         }
     }
 
     /// A full broadcast from `source` under operation id `op` with
-    /// `length`-flit messages, over `source`'s plan, compiled on first
-    /// use.
+    /// `length`-flit messages, over the plan of `source`'s operations in
+    /// flight, or a plan compiled afresh if none is.
     pub fn tracker(&mut self, source: NodeId, op: OpId, length: u64) -> BroadcastTracker {
-        let (algorithm, mesh) = (self.algorithm, self.mesh);
-        let plan = self.plans[source.index()].get_or_insert_with(|| {
-            Arc::new(CompiledPlan::compile(
-                mesh,
-                &algorithm.schedule(mesh, source),
-            ))
+        let slot = &mut self.plans[source.index()];
+        let plan = slot.upgrade().unwrap_or_else(|| {
+            let schedule = self.algorithm.schedule(self.mesh, source);
+            let plan = Arc::new(CompiledPlan::compile_owned(self.mesh, schedule));
+            *slot = Arc::downgrade(&plan);
+            plan
         });
-        BroadcastTracker::over(Arc::clone(plan), op, length)
+        BroadcastTracker::over(plan, op, length)
     }
 }
 
@@ -165,7 +188,7 @@ impl BroadcastTracker {
 
     /// [`BroadcastTracker::new`] over an already compiled, possibly shared,
     /// plan.
-    pub fn over(plan: Arc<CompiledPlan>, op: OpId, length: u64) -> Self {
+    pub(crate) fn over(plan: Arc<CompiledPlan>, op: OpId, length: u64) -> Self {
         let nodes = plan.num_nodes();
         BroadcastTracker {
             op,
@@ -263,7 +286,8 @@ impl BroadcastTracker {
         };
         let group = self.plan.group(node);
         match Arc::get_mut(&mut self.plan) {
-            // No other operation reads this plan: move the routes out.
+            // No other handle, strong or weak, reaches this plan: move the
+            // routes out.
             Some(plan) => plan.sends[group]
                 .iter_mut()
                 .map(|s| {
@@ -556,12 +580,15 @@ mod tests {
             for src in 0..mesh.num_nodes() as u32 {
                 let schedule = alg.schedule(&mesh, NodeId(src));
                 let fresh = BroadcastTracker::new(&mesh, &schedule, OpId(3), 16);
-                // The cache keeps a handle, so this tracker clones routes
-                // where the fresh one moves them.
+                // Two operations in flight from one source share a plan, so
+                // these trackers clone routes where the fresh one moves them.
                 let shared = plans.tracker(NodeId(src), OpId(3), 16);
+                let sibling = plans.tracker(NodeId(src), OpId(4), 16);
+                assert!(Arc::ptr_eq(&shared.plan, &sibling.plan));
                 let want = release_all(&mesh, fresh);
                 assert_eq!(want.len(), schedule.num_messages(), "{alg} from {src}");
                 assert_eq!(release_all(&mesh, shared), want, "{alg} from {src}");
+                assert_eq!(release_all(&mesh, sibling).len(), want.len());
             }
         }
     }
@@ -598,6 +625,25 @@ mod tests {
         let shared = latencies(true);
         assert_eq!(shared.len(), 2);
         assert_eq!(shared, latencies(false));
+    }
+
+    #[test]
+    fn a_plan_lives_as_long_as_its_operations() {
+        let mesh = Mesh::cube(4);
+        let mut plans = PlanCache::new(Algorithm::Db, &mesh);
+        let a = plans.tracker(NodeId(3), OpId(0), 16);
+        let b = plans.tracker(NodeId(3), OpId(1), 16);
+        let c = plans.tracker(NodeId(4), OpId(2), 16);
+        assert!(Arc::ptr_eq(&a.plan, &b.plan), "one source, one plan");
+        assert!(!Arc::ptr_eq(&a.plan, &c.plan));
+        drop(a);
+        assert!(plans.plans[3].upgrade().is_some(), "b still runs over it");
+        drop(b);
+        assert!(plans.plans[3].upgrade().is_none(), "freed with b");
+        let schedule = Algorithm::Db.schedule(&mesh, NodeId(3));
+        let fresh = BroadcastTracker::new(&mesh, &schedule, OpId(3), 16);
+        let recompiled = plans.tracker(NodeId(3), OpId(3), 16);
+        assert_eq!(release_all(&mesh, recompiled), release_all(&mesh, fresh));
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //!
 //! * [`executor`] — the only code that executes broadcast operations: one
 //!   [`BroadcastTracker`] type (full broadcast or multicast subset of a
-//!   schedule over any topology; relays fire as their copies arrive) over
-//!   a shared [`CompiledPlan`], a per-run [`PlanCache`] of those plans, and
-//!   one delivery loop, [`Ops`] (`launch` / `step`), with
-//!   [`drive`] as its closed-loop form;
+//!   schedule over any topology; relays fire as their copies arrive), a
+//!   per-run [`PlanCache`] that shares one compiled schedule among the
+//!   operations in flight from one source, and one delivery loop, [`Ops`]
+//!   (`launch` / `step`), with [`drive`] as its closed-loop form;
 //! * [`single`] — single-source broadcast experiments on an idle network
 //!   (the setting of the paper's Figs. 1–2 and Tables 1–2);
 //! * [`contended`] — broadcasts under concurrent broadcast load, the
@@ -41,7 +41,7 @@ pub mod torus;
 pub use contended::{
     run_contended_broadcasts, run_contended_broadcasts_observed, ContendedOutcome,
 };
-pub use executor::{drive, BroadcastTracker, CompiledPlan, Fed, Ops, PlanCache};
+pub use executor::{drive, BroadcastTracker, Fed, Ops, PlanCache};
 pub use faulty::{
     degrade_schedule, run_faulty_broadcast, run_faulty_broadcast_observed, DegradedSchedule,
     FaultRep, FaultyOutcome,
