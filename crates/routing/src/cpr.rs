@@ -89,9 +89,9 @@ impl CodedPath {
     ///
     /// # Panics
     /// Panics if the path is empty (a message to self is not a message).
-    pub fn unicast<T: Topology>(topo: &T, path: Path) -> CodedPath {
+    pub fn unicast<T: Topology>(_topo: &T, path: Path) -> CodedPath {
         assert!(!path.is_empty(), "unicast path must leave the source");
-        let n = path.nodes(topo).len();
+        let n = path.hops.len() + 1;
         let mut deliver = vec![false; n];
         deliver[n - 1] = true;
         CodedPath {
@@ -105,9 +105,9 @@ impl CodedPath {
     ///
     /// # Panics
     /// Panics if the path is empty.
-    pub fn gather_all<T: Topology>(topo: &T, path: Path) -> CodedPath {
+    pub fn gather_all<T: Topology>(_topo: &T, path: Path) -> CodedPath {
         assert!(!path.is_empty(), "gather-all path must leave the source");
-        let n = path.nodes(topo).len();
+        let n = path.hops.len() + 1;
         let mut deliver = vec![true; n];
         deliver[0] = false;
         CodedPath {

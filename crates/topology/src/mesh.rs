@@ -176,12 +176,12 @@ impl Topology for Mesh {
 
     fn neighbor(&self, n: NodeId, dim: usize, sign: Sign) -> Option<NodeId> {
         assert!(dim < self.dims.len(), "dim {dim} out of range");
-        let c = self.coord_of(n);
-        let pos = c.get(dim) as i32 + sign.delta();
-        if pos < 0 || pos >= self.dims[dim] as i32 {
-            None
-        } else {
-            Some(self.node_at(&c.with(dim, pos as u16)))
+        assert!(n.0 < self.num_nodes, "node {n} out of range");
+        let stride = self.strides[dim];
+        let pos = (n.0 / stride) % self.dims[dim] as u32;
+        match sign {
+            Sign::Plus => (pos + 1 < self.dims[dim] as u32).then(|| NodeId(n.0 + stride)),
+            Sign::Minus => (pos > 0).then(|| NodeId(n.0 - stride)),
         }
     }
 
@@ -190,14 +190,13 @@ impl Topology for Mesh {
     }
 
     fn channel_between(&self, from: NodeId, to: NodeId) -> Option<ChannelId> {
-        let cf = self.coord_of(from);
-        let ct = self.coord_of(to);
-        if cf.manhattan(&ct) != 1 {
-            return None;
-        }
-        for d in 0..self.ndims() {
-            if let Some(sign) = Sign::towards(cf.get(d), ct.get(d)) {
-                return self.channel(from, d, sign);
+        assert!(from.0 < self.num_nodes, "node {from} out of range");
+        assert!(to.0 < self.num_nodes, "node {to} out of range");
+        for dim in 0..self.dims.len() {
+            for sign in [Sign::Plus, Sign::Minus] {
+                if self.neighbor(from, dim, sign) == Some(to) {
+                    return self.channel(from, dim, sign);
+                }
             }
         }
         None
@@ -277,6 +276,50 @@ mod tests {
                         let (from, to) = m.channel_endpoints(ch);
                         assert_eq!(from, n);
                         assert_eq!(Some(to), m.neighbor(n, dim, sign));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The stride arithmetic of `neighbor` and `channel_between` against
+    /// the coordinate definition, on 1-wide, 1-D and 4-D shapes too.
+    #[test]
+    fn adjacency_matches_the_coordinate_definition() {
+        let shapes = [
+            Mesh::new(&[1]),
+            Mesh::new(&[6]),
+            Mesh::new(&[4, 3, 2]),
+            Mesh::new(&[2, 1, 3]),
+            Mesh::new(&[3, 2, 2, 2]),
+            Mesh::cube(8),
+        ];
+        for m in &shapes {
+            for n in m.nodes() {
+                let c = m.coord_of(n);
+                for dim in 0..m.ndims() {
+                    for sign in [Sign::Plus, Sign::Minus] {
+                        let pos = c.get(dim) as i32 + sign.delta();
+                        let want = (0..m.dims()[dim] as i32)
+                            .contains(&pos)
+                            .then(|| m.node_at(&c.with(dim, pos as u16)));
+                        assert_eq!(m.neighbor(n, dim, sign), want, "{:?} {c:?}", m.dims());
+                        if let Some(ch) = m.channel(n, dim, sign) {
+                            assert_eq!(m.channel_endpoints(ch), (n, want.unwrap()));
+                        }
+                    }
+                }
+            }
+            if m.num_nodes() > 64 {
+                continue;
+            }
+            for a in m.nodes() {
+                for b in m.nodes() {
+                    let ch = m.channel_between(a, b);
+                    let adjacent = m.coord_of(a).manhattan(&m.coord_of(b)) == 1;
+                    assert_eq!(ch.is_some(), adjacent, "{:?} {a} {b}", m.dims());
+                    if let Some(ch) = ch {
+                        assert_eq!(m.channel_endpoints(ch), (a, b));
                     }
                 }
             }

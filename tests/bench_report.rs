@@ -2,12 +2,14 @@
 //! `results/BENCH_engine.json` (and, when `WORMCAST_BENCH_JSON` points at a
 //! freshly generated report, that file too — the ci.sh bench-smoke path)
 //! must parse as the vendored Criterion schema and contain the
-//! classic-vs-active-set comparison the engine rewrite is judged by.
+//! classic-vs-active-set comparison the engine rewrite is judged by. Every
+//! row of the engine reports and of a freshly generated serve report must
+//! name its host.
 //!
 //! The vendored serde facade cannot deserialize, so this uses a scanner
 //! matched to the report's fixed machine-generated shape: a JSON array with
 //! one flat record per line carrying `id`, `mean_ns`, `min_ns`, `max_ns`,
-//! `samples` and `throughput`.
+//! `samples`, `throughput` and `host`.
 
 use std::path::Path;
 
@@ -84,6 +86,30 @@ fn validate(path: &Path) {
     );
 }
 
+/// Every record must name where it was measured: a `"host"` object with
+/// the core count, the compiler, the git revision and the build profile.
+fn validate_host(path: &Path) {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("{}: unreadable bench report: {e}", path.display()));
+    for line in text.lines().filter(|l| l.contains("\"id\":")) {
+        let host = line
+            .find("\"host\": {")
+            .map(|at| &line[at..])
+            .unwrap_or_else(|| panic!("{}: record without host: {line}", path.display()));
+        let nproc: u64 = field(host, "nproc")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("host nproc is not an integer: {line}"));
+        assert!(nproc >= 1, "host nproc is zero: {line}");
+        for key in ["rustc", "git_rev", "profile"] {
+            let value = field(host, key).unwrap_or_else(|| panic!("host lacks {key}: {line}"));
+            assert!(
+                value.len() > 2 && value.starts_with('"') && value.ends_with('"'),
+                "host {key} is not a non-empty string: {line}"
+            );
+        }
+    }
+}
+
 /// The telemetry-overhead report: the `off` row is the exact unobserved
 /// code path, so with instrumentation compiled in it must stay within
 /// noise of (never meaningfully above) every observed configuration, and
@@ -156,7 +182,9 @@ fn validate_serve(path: &Path) {
 
 #[test]
 fn committed_engine_bench_report_is_valid() {
-    validate(&Path::new(env!("CARGO_MANIFEST_DIR")).join("results/BENCH_engine.json"));
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/BENCH_engine.json");
+    validate(&path);
+    validate_host(&path);
 }
 
 #[test]
@@ -174,6 +202,7 @@ fn env_provided_serve_bench_report_is_valid() {
     // Set by ci.sh's serve bench smoke; absent otherwise.
     if let Ok(path) = std::env::var("WORMCAST_BENCH_SERVE_JSON") {
         validate_serve(Path::new(&path));
+        validate_host(Path::new(&path));
     }
 }
 
@@ -183,5 +212,6 @@ fn env_provided_bench_report_is_valid() {
     // plain `cargo test` run.
     if let Ok(path) = std::env::var("WORMCAST_BENCH_JSON") {
         validate(Path::new(&path));
+        validate_host(Path::new(&path));
     }
 }
