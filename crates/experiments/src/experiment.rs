@@ -33,6 +33,7 @@
 //! ```
 
 use crate::telemetry::LabeledFrame;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use wormcast_telemetry::{Observe, TelemetryFrame, TelemetrySpec};
 use wormcast_workload::{Runner, TelemetryMerge};
 
@@ -140,6 +141,14 @@ impl<C> RunOutput<C> {
 /// stays O(cells) however many replications run, and the result is
 /// bit-identical for any worker count.
 ///
+/// A task that starts after replications `0..r` of its cell have folded
+/// (every task under a sequential runner, and any task under `--jobs N`
+/// that did not run ahead) gets the room the cell's merged event log has
+/// left as its `observe`'s [`Observe::event_room`], so its log stores only
+/// the lines the merge will keep. A task that ran ahead gets no room and
+/// keeps its full budget. The merged log is the same either way, so the
+/// output still does not depend on the worker count.
+///
 /// Returns, in plan order, each cell's accumulator, its key and its merged
 /// frame (`None` without telemetry).
 pub fn grid<'p, 'a, K: Sync, T: Send, A: Default>(
@@ -152,16 +161,42 @@ pub fn grid<'p, 'a, K: Sync, T: Send, A: Default>(
     let obs = obs.into();
     let telemetry = obs.telemetry();
     let mut acc: Vec<(A, TelemetryMerge)> = plan.iter().map(|_| Default::default()).collect();
+    // Per cell: replications folded so far, and the room its merged event
+    // log had left after the last of them (`NO_LOG` while it keeps none).
+    // The fold stores the room before it publishes the count with
+    // `Release`; a task that reads the count with `Acquire` and finds its
+    // own replication next therefore reads that room, which nothing changes
+    // until the task's own frame folds.
+    const NO_LOG: usize = usize::MAX;
+    let progress: Vec<(AtomicUsize, AtomicUsize)> = plan
+        .iter()
+        .map(|_| (AtomicUsize::new(0), AtomicUsize::new(NO_LOG)))
+        .collect();
     obs.runner().run(
         plan.len() * runs,
         |i| {
-            let observe = telemetry.map(|spec| Observe::new(spec, i as u64));
-            task(&plan[i / runs], i % runs, observe)
+            let (c, r) = (i / runs, i % runs);
+            let observe = telemetry.map(|spec| {
+                let o = Observe::new(spec, i as u64);
+                let (folded, room) = &progress[c];
+                if folded.load(Ordering::Acquire) != r {
+                    return o;
+                }
+                match room.load(Ordering::Relaxed) {
+                    NO_LOG => o,
+                    left => o.with_event_room(left),
+                }
+            });
+            task(&plan[c], r, observe)
         },
         |i, (out, frame)| {
-            let (a, merge) = &mut acc[i / runs];
+            let (c, r) = (i / runs, i % runs);
+            let (a, merge) = &mut acc[c];
             fold(a, out);
             merge.absorb(frame);
+            let (folded, room) = &progress[c];
+            room.store(merge.event_room().unwrap_or(NO_LOG), Ordering::Relaxed);
+            folded.store(r + 1, Ordering::Release);
         },
     );
     acc.into_iter()
@@ -216,14 +251,17 @@ mod tests {
         assert!(off.telemetry().is_none());
     }
 
+    use wormcast_telemetry::events::{parse_line, Scalar};
+
     /// A frame holding one event stamped with `observe`'s `rep`.
     fn frame_of(observe: Observe<'_>) -> TelemetryFrame {
         use wormcast_telemetry::{Event, EventKind, EventLog};
         let mut log = EventLog::new(1 << 12);
         log.push(Event::new(0, EventKind::Inject, observe.rep));
-        let mut frame = TelemetryFrame::default();
-        frame.events = Some(log);
-        frame
+        TelemetryFrame {
+            events: Some(log),
+            ..TelemetryFrame::default()
+        }
     }
 
     #[test]
@@ -245,7 +283,17 @@ mod tests {
                 assert_eq!(acc, [k, k + 1, k + 2, k + 3], "jobs={jobs}");
                 // Task c * runs + r stamps rep; frames merge in that order.
                 let log = frame.expect("observed").events.expect("events on");
-                let reps: Vec<u64> = log.iter().map(|e| e.rep).collect();
+                let reps: Vec<u64> = log
+                    .ndjson()
+                    .lines()
+                    .map(|line| {
+                        let fields = parse_line(line).expect("rendered lines parse");
+                        match fields.iter().find(|(k, _)| k == "rep") {
+                            Some((_, Scalar::U64(rep))) => *rep,
+                            other => panic!("no integer rep in {line}: {other:?}"),
+                        }
+                    })
+                    .collect();
                 let want: Vec<u64> = (0..4).map(|r| (c * 4 + r) as u64).collect();
                 assert_eq!(reps, want, "jobs={jobs}");
             }

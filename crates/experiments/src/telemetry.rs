@@ -15,8 +15,11 @@
 use crate::cli::CommonOpts;
 use crate::report::{cannot_write, write_json};
 use serde::Serialize;
+use std::io::Write as _;
+use std::path::Path;
 use wormcast_network::Trace;
-use wormcast_telemetry::{FrameExport, RunManifest, TelemetryFrame};
+use wormcast_telemetry::events::open_ndjson;
+use wormcast_telemetry::{EventLog, FrameExport, RunManifest, TelemetryFrame};
 
 /// A merged per-cell frame plus the cell's label (e.g. `"512/DB"`).
 #[derive(Debug)]
@@ -59,15 +62,29 @@ impl TelemetryReport {
 /// Concatenate every cell's retained events as one NDJSON string, in cell
 /// order; the second element counts events dropped by per-frame budgets.
 pub fn events_ndjson(frames: &[LabeledFrame]) -> (String, u64) {
-    let mut out = String::new();
+    let mut out = String::with_capacity(event_logs(frames).map(EventLog::bytes_used).sum());
     let mut dropped = 0u64;
-    for f in frames {
-        if let Some(log) = &f.frame.events {
-            out.push_str(&log.to_ndjson());
-            dropped += log.dropped();
-        }
+    for log in event_logs(frames) {
+        out.push_str(log.ndjson());
+        dropped += log.dropped();
     }
     (out, dropped)
+}
+
+/// The cells' event logs, in cell order.
+fn event_logs(frames: &[LabeledFrame]) -> impl Iterator<Item = &EventLog> {
+    frames.iter().filter_map(|f| f.frame.events.as_ref())
+}
+
+/// Write every cell's retained events to `path` as one NDJSON stream, in
+/// cell order, straight from the logs' buffers: the same bytes as
+/// [`events_ndjson`] without first concatenating them in memory.
+fn write_events(path: &Path, frames: &[LabeledFrame]) -> std::io::Result<()> {
+    let mut out = open_ndjson(path, false)?;
+    for log in event_logs(frames) {
+        out.write_all(log.ndjson().as_bytes())?;
+    }
+    Ok(())
 }
 
 // The writer itself moved into wormcast-telemetry so the serve layer can
@@ -90,11 +107,7 @@ pub fn write_outputs(
     mut manifest: RunManifest,
     frames: &[LabeledFrame],
 ) -> Result<(), String> {
-    manifest.events_dropped = frames
-        .iter()
-        .filter_map(|f| f.frame.events.as_ref())
-        .map(|log| log.dropped())
-        .sum();
+    manifest.events_dropped = event_logs(frames).map(EventLog::dropped).sum();
     let events_dropped = manifest.events_dropped;
     if let Some(dir) = &opts.output.telemetry {
         let path = dir.join(format!("{name}.telemetry.json"));
@@ -103,13 +116,11 @@ pub fn write_outputs(
         println!("wrote {}", path.display());
     }
     if let Some(path) = &opts.output.events {
-        let (ndjson, dropped) = events_ndjson(frames);
-        debug_assert_eq!(dropped, events_dropped);
-        write_ndjson(path, &ndjson, false).map_err(cannot_write(path))?;
+        write_events(path, frames).map_err(cannot_write(path))?;
         println!("wrote {}", path.display());
-        if dropped > 0 {
+        if events_dropped > 0 {
             eprintln!(
-                "warning: event stream truncated — {dropped} events dropped by the byte budget"
+                "warning: event stream truncated — {events_dropped} events dropped by the byte budget"
             );
         }
     }
@@ -132,7 +143,7 @@ pub fn warn_if_trace_dropped(trace: &Trace, context: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wormcast_telemetry::{Event, EventKind, EventLog};
+    use wormcast_telemetry::{Event, EventKind};
 
     fn frame_with_events(rep: u64, n: usize) -> TelemetryFrame {
         let mut log = EventLog::new(1 << 16);
@@ -141,9 +152,10 @@ mod tests {
             e.msg = Some(i as u64);
             log.push(e);
         }
-        let mut frame = TelemetryFrame::default();
-        frame.events = Some(log);
-        frame
+        TelemetryFrame {
+            events: Some(log),
+            ..TelemetryFrame::default()
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The engine's one event record and its bounded trace.
 //!
 //! [`Event`] is a flat record of small integers describing one observable
-//! engine callback; [`Event::line`] renders it as one NDJSON line and
-//! [`to_ndjson`] renders a sequence of them. Every event consumer keeps the
-//! same record under its own retention policy: the [`Trace`] here is a ring
-//! that keeps the *newest* records (for debugging and for tests that assert
+//! engine callback; [`Event::write_line`] appends it to a string as one
+//! NDJSON line, and [`Event::line`] and [`to_ndjson`] (a sequence of
+//! records) render through it. Every event consumer keeps the same record
+//! under its own retention policy: the [`Trace`] here is a ring that keeps
+//! the *newest* records (for debugging and for tests that assert
 //! *mechanism*, not just outcome), while the telemetry layer's `EventLog`
-//! keeps the *oldest* records that fit a byte budget.
+//! keeps the *oldest* lines that fit a byte budget, already rendered.
 //!
 //! The line schema is fixed and order-stable:
 //!
@@ -21,7 +22,6 @@
 
 use crate::message::MessageId;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 /// What a line records; mirrors the `MetricsSink` callbacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +106,7 @@ impl EventKind {
     }
 }
 
-/// One observable engine event, packed for lazy serialization.
+/// One observable engine event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// Simulation time in picoseconds.
@@ -149,33 +149,47 @@ impl Event {
     /// Render the NDJSON line, **without** the trailing newline.
     pub fn line(&self) -> String {
         let mut s = String::with_capacity(self.line_len());
-        let _ = write!(
-            s,
-            "{{\"t_ps\":{},\"ev\":\"{}\",\"rep\":{}",
-            self.t_ps,
-            self.kind.name(),
-            self.rep
-        );
+        self.write_line(&mut s);
+        s
+    }
+
+    /// Append the NDJSON line, **without** the trailing newline, to `out`:
+    /// the one writer behind [`Event::line`], [`to_ndjson`] and the
+    /// telemetry event log. Writes integers digit by digit, so it formats
+    /// nothing through `core::fmt` and allocates only when `out` grows.
+    pub fn write_line(&self, out: &mut String) {
+        out.push_str("{\"t_ps\":");
+        push_u64(out, self.t_ps);
+        out.push_str(",\"ev\":\"");
+        out.push_str(self.kind.name());
+        out.push_str("\",\"rep\":");
+        push_u64(out, self.rep);
         if let Some(m) = self.msg {
-            let _ = write!(s, ",\"msg\":{m}");
+            out.push_str(",\"msg\":");
+            push_u64(out, m);
         }
         if let Some(n) = self.node {
-            let _ = write!(s, ",\"node\":{n}");
+            out.push_str(",\"node\":");
+            push_u64(out, n as u64);
         }
         if let Some(c) = self.ch {
-            let _ = write!(s, ",\"ch\":{c}");
+            out.push_str(",\"ch\":");
+            push_u64(out, c as u64);
         }
         if let Some(q) = self.q {
-            let _ = write!(s, ",\"q\":{q}");
+            out.push_str(",\"q\":");
+            push_u64(out, q);
         }
         if let Some(f) = self.flits {
-            let _ = write!(s, ",\"flits\":{f}");
+            out.push_str(",\"flits\":");
+            push_u64(out, f);
         }
         if let Some(name) = self.name {
-            let _ = write!(s, ",\"name\":\"{name}\"");
+            out.push_str(",\"name\":\"");
+            out.push_str(name);
+            out.push('"');
         }
-        s.push('}');
-        s
+        out.push('}');
     }
 
     /// Exact byte length of [`Event::line`], computed without allocating.
@@ -205,6 +219,22 @@ impl Event {
     }
 }
 
+/// Append `v` in decimal to `out`.
+#[inline]
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20]; // u64::MAX has 20 digits
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
+}
+
 /// Decimal digit count of `v`.
 #[inline]
 fn digits(v: u64) -> usize {
@@ -220,7 +250,7 @@ fn digits(v: u64) -> usize {
 pub fn to_ndjson<'a>(events: impl IntoIterator<Item = &'a Event>) -> String {
     let mut s = String::new();
     for e in events {
-        s.push_str(&e.line());
+        e.write_line(&mut s);
         s.push('\n');
     }
     s
@@ -326,13 +356,44 @@ mod tests {
         assert_eq!(t.of_message(MessageId(9)).len(), 0);
     }
 
+    /// The line as `core::fmt` renders it: the reference the hand-written
+    /// digits of [`Event::write_line`] must reproduce byte for byte.
+    fn fmt_line(e: &Event) -> String {
+        let mut s = format!(
+            "{{\"t_ps\":{},\"ev\":\"{}\",\"rep\":{}",
+            e.t_ps,
+            e.kind.name(),
+            e.rep
+        );
+        let opt = |k: &str, v: Option<u64>| v.map(|v| format!(",\"{k}\":{v}"));
+        s.extend(opt("msg", e.msg));
+        s.extend(opt("node", e.node.map(u64::from)));
+        s.extend(opt("ch", e.ch.map(u64::from)));
+        s.extend(opt("q", e.q));
+        s.extend(opt("flits", e.flits));
+        s.extend(e.name.map(|n| format!(",\"name\":\"{n}\"")));
+        s.push('}');
+        s
+    }
+
+    /// `line_len` is the exact length of the line, and `write_line` appends
+    /// exactly `fmt_line`'s bytes after whatever `out` already holds.
+    fn check_line(e: &Event) {
+        let want = fmt_line(e);
+        assert_eq!(e.line(), want);
+        assert_eq!(e.line_len(), want.len(), "{want}");
+        let mut out = String::from("prefix\n");
+        e.write_line(&mut out);
+        assert_eq!(out, format!("prefix\n{want}"));
+    }
+
     #[test]
     fn line_len_matches_rendered_length() {
         let mut e = Event::new(0, EventKind::Inject, 0);
-        assert_eq!(e.line().len(), e.line_len(), "{}", e.line());
+        check_line(&e);
         e.msg = Some(10);
         e.node = Some(9);
-        assert_eq!(e.line().len(), e.line_len(), "{}", e.line());
+        check_line(&e);
         let f = Event {
             msg: Some(3),
             node: Some(107),
@@ -341,7 +402,7 @@ mod tests {
             flits: Some(100),
             ..Event::new(1_500_000, EventKind::ChannelWait, 12)
         };
-        assert_eq!(f.line().len(), f.line_len(), "{}", f.line());
+        check_line(&f);
         for kind in [
             EventKind::Inject,
             EventKind::PortGrant,
@@ -366,9 +427,25 @@ mod tests {
             EventKind::SchedulePhase,
         ] {
             let mut e = Event::new(u64::MAX, kind, u64::MAX);
-            assert_eq!(e.line().len(), e.line_len(), "{}", e.line());
+            check_line(&e);
             e.name = Some("engine_arena_msgs_highwater");
-            assert_eq!(e.line().len(), e.line_len(), "{}", e.line());
+            check_line(&e);
+        }
+        // Every digit count, and each power of ten's neighbours.
+        let mut v = 1u64;
+        for _ in 0..20 {
+            for x in [v - 1, v, v + 1, v.saturating_mul(7)] {
+                let e = Event {
+                    msg: Some(x),
+                    node: Some(x as u32),
+                    ch: Some((x >> 32) as u32),
+                    q: Some(x),
+                    flits: Some(x),
+                    ..Event::new(x, EventKind::Deliver, x)
+                };
+                check_line(&e);
+            }
+            v = v.saturating_mul(10);
         }
     }
 }

@@ -2,30 +2,59 @@
 //!
 //! Every `MetricsSink` callback can be captured as one [`Event`] — the
 //! engine's one event record, defined in `wormcast_network::trace` and
-//! re-exported here — and serialized lazily: the [`EventLog`] stores
-//! events in memory as packed structs and only renders JSON when written
-//! out, but it enforces its byte budget *eagerly* by computing the exact
-//! serialized line length arithmetically (digit counting), so a bounded log
-//! never buffers more than it will emit. Once the budget is exhausted,
-//! further events are counted in [`EventLog::dropped`] rather than stored.
-//! The log is the first-fit retention policy over that record: it keeps the
-//! *oldest* events that fit, where the engine's trace ring keeps the
-//! *newest*; both render through the one writer, [`to_ndjson`], whose line
-//! schema `wormcast_network::trace` documents. Because
-//! the vendored serde facade has no deserializer, this module also ships a
-//! minimal flat-object parser ([`parse_line`]) and a whole-file validator
-//! ([`validate_ndjson`]) used by the schema tests and CI.
+//! re-exported here. The [`EventLog`] keeps the lines it retains already
+//! rendered, in one NDJSON string: it enforces its byte budget by computing
+//! each line's exact length arithmetically (digit counting) *before*
+//! rendering, renders only the lines that fit, with
+//! [`Event::write_line`], and counts the rest in [`EventLog::dropped`].
+//! Exporting a log is handing out its buffer. The log is the first-fit
+//! retention policy over that record: it keeps the *oldest* events that
+//! fit, where the engine's trace ring keeps the *newest*; both render
+//! through the one line writer, whose schema `wormcast_network::trace`
+//! documents.
+//!
+//! A replication's log is merged into its cell's log, which has its own
+//! budget. When the room the cell will have left is known up front
+//! ([`EventLog::with_room`]), the replication's log applies both budgets as
+//! events arrive and stores only what the merge will keep; the merged
+//! result is the same either way. Because the vendored serde facade has no
+//! deserializer, this module also ships a minimal flat-object parser
+//! ([`parse_line`]) and a whole-file validator ([`validate_ndjson`]) used
+//! by the schema tests and CI.
 
 use crate::TELEMETRY_EVENT_BUDGET_DEFAULT;
 use std::collections::HashMap;
 pub use wormcast_network::trace::{to_ndjson, Event, EventKind};
 
-/// A byte-budgeted, lazily-serialized event buffer.
+/// A byte-budgeted event buffer holding its retained lines already
+/// rendered, as one NDJSON string.
+///
+/// Retention is first-fit: an event is kept when its line (plus newline)
+/// fits the bytes the log has left, and counted in [`EventLog::dropped`]
+/// otherwise, so a later, shorter line can still be kept after a longer one
+/// was dropped. The cost is computed with [`Event::line_len`] before any
+/// rendering, so a dropped event is never rendered.
+///
+/// A log that will be merged into a cell log with `room` bytes left can be
+/// built [`EventLog::with_room`]: it then applies both first-fit stages as
+/// events arrive, its own budget and then the cell's room, and stores only
+/// the lines the merge will keep. Its merged result is identical to an
+/// unhinted log's.
 #[derive(Debug, Clone)]
 pub struct EventLog {
-    events: Vec<Event>,
+    /// The retained lines, each newline-terminated.
+    ndjson: String,
+    /// Lines in `ndjson`.
+    lines: usize,
+    /// Cost of the shortest retained line (`usize::MAX` when empty).
+    min_cost: usize,
     budget: usize,
-    bytes_used: usize,
+    /// Bytes charged to `budget`: every retained line, plus, with a room
+    /// hint, the lines the room then turned away.
+    admitted: usize,
+    /// The room the destination cell log will have left when this log is
+    /// merged into it, if known when the log was built.
+    room: Option<usize>,
     dropped: u64,
 }
 
@@ -40,33 +69,60 @@ impl EventLog {
     /// (each line's cost includes its trailing newline).
     pub fn new(budget_bytes: usize) -> Self {
         EventLog {
-            events: Vec::new(),
+            ndjson: String::new(),
+            lines: 0,
+            min_cost: usize::MAX,
             budget: budget_bytes,
-            bytes_used: 0,
+            admitted: 0,
+            room: None,
             dropped: 0,
         }
     }
 
-    /// Append `e` if it fits the remaining budget; count it as dropped
-    /// otherwise. Deterministic: depends only on the event sequence.
+    /// An empty log with budget `budget_bytes` that will be merged into a
+    /// log with exactly `room` bytes left (its budget minus its
+    /// [`EventLog::bytes_used`]). It keeps only the lines that merge will
+    /// keep and counts the rest as dropped, so merging it gives the same
+    /// result as merging a [`EventLog::new`] log fed the same events;
+    /// [`EventLog::merge`] asserts the room in debug builds.
+    pub fn with_room(budget_bytes: usize, room: usize) -> Self {
+        EventLog {
+            room: Some(room),
+            ..EventLog::new(budget_bytes)
+        }
+    }
+
+    /// Append `e` if it fits the remaining budget (and the room hint, if
+    /// any); count it as dropped otherwise. Deterministic: depends only on
+    /// the event sequence.
     pub fn push(&mut self, e: Event) {
         let cost = e.line_len() + 1;
-        if self.bytes_used + cost > self.budget {
+        if self.admitted + cost > self.budget {
             self.dropped += 1;
             return;
         }
-        self.bytes_used += cost;
-        self.events.push(e);
+        self.admitted += cost;
+        if self
+            .room
+            .is_some_and(|room| self.ndjson.len() + cost > room)
+        {
+            self.dropped += 1;
+            return;
+        }
+        e.write_line(&mut self.ndjson);
+        self.ndjson.push('\n');
+        self.lines += 1;
+        self.min_cost = self.min_cost.min(cost);
     }
 
     /// Events retained.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.lines
     }
 
     /// Whether no events were retained.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.lines == 0
     }
 
     /// Events rejected by the budget (plus any carried over by merges).
@@ -74,29 +130,53 @@ impl EventLog {
         self.dropped
     }
 
-    /// Exact NDJSON bytes the retained events will serialize to.
+    /// Exact NDJSON bytes of the retained events.
     pub fn bytes_used(&self) -> usize {
-        self.bytes_used
+        self.ndjson.len()
     }
 
-    /// Retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        self.events.iter()
+    /// Bytes of budget left: what a log merged into this one can still add.
+    pub fn room_left(&self) -> usize {
+        self.budget - self.ndjson.len()
     }
 
-    /// Append all of `other`'s retained events (re-checking this log's
-    /// budget) and carry over its drop count.
+    /// Append `other`'s retained lines first-fit against this log's budget,
+    /// counting those that don't fit as dropped, and carry over `other`'s
+    /// drop count. O(1) when nothing fits, one copy when everything does.
     pub fn merge(&mut self, other: &EventLog) {
-        for e in &other.events {
-            self.push(*e);
+        let (room, before) = (self.room_left(), self.ndjson.len());
+        if let Some(hint) = other.room {
+            debug_assert_eq!(room, hint, "log built for a different room");
         }
+        if room < other.min_cost {
+            self.dropped += other.lines as u64;
+        } else if other.ndjson.len() <= room {
+            self.ndjson.push_str(&other.ndjson);
+            self.lines += other.lines;
+            self.min_cost = self.min_cost.min(other.min_cost);
+        } else {
+            for line in other.ndjson.split_inclusive('\n') {
+                if self.ndjson.len() + line.len() > self.budget {
+                    self.dropped += 1;
+                } else {
+                    self.ndjson.push_str(line);
+                    self.lines += 1;
+                    self.min_cost = self.min_cost.min(line.len());
+                }
+            }
+        }
+        self.admitted += self.ndjson.len() - before;
         self.dropped += other.dropped;
     }
 
-    /// Render the whole log as NDJSON (one line per event, each
-    /// newline-terminated).
+    /// The retained lines as NDJSON (each newline-terminated).
+    pub fn ndjson(&self) -> &str {
+        &self.ndjson
+    }
+
+    /// The retained lines as an owned NDJSON string.
     pub fn to_ndjson(&self) -> String {
-        to_ndjson(&self.events)
+        self.ndjson.clone()
     }
 }
 
@@ -110,18 +190,26 @@ impl EventLog {
 /// Propagates directory-creation and write failures.
 pub fn write_ndjson(path: &std::path::Path, ndjson: &str, append: bool) -> std::io::Result<()> {
     use std::io::Write as _;
+    open_ndjson(path, append)?.write_all(ndjson.as_bytes())
+}
+
+/// Open an NDJSON stream at `path` for writing, as [`write_ndjson`] does,
+/// for callers that write it piece by piece.
+///
+/// # Errors
+/// Propagates directory-creation and open failures.
+pub fn open_ndjson(path: &std::path::Path, append: bool) -> std::io::Result<std::fs::File> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)?;
         }
     }
-    let mut f = std::fs::File::options()
+    std::fs::File::options()
         .write(true)
         .create(true)
         .append(append)
         .truncate(!append)
-        .open(path)?;
-    f.write_all(ndjson.as_bytes())
+        .open(path)
 }
 
 /// A scalar value in a parsed NDJSON line.
@@ -379,5 +467,212 @@ mod tests {
             nd.lines().nth(2),
             Some("{\"t_ps\":9,\"ev\":\"schedule_phase\",\"rep\":0,\"q\":4}")
         );
+    }
+
+    /// Inject events at `t_ps = 10^e` for each `e`: each extra power of ten
+    /// adds one byte to the line.
+    fn sized(exps: &[u32]) -> Vec<Event> {
+        exps.iter()
+            .map(|&e| Event::new(10u64.pow(e), EventKind::Inject, 0))
+            .collect()
+    }
+
+    fn cost(e: &Event) -> usize {
+        e.line_len() + 1
+    }
+
+    fn log_of(budget: usize, events: &[Event]) -> EventLog {
+        let mut log = EventLog::new(budget);
+        events.iter().for_each(|&e| log.push(e));
+        log
+    }
+
+    #[test]
+    fn exhausted_merge_drops_everything_in_one_step() {
+        let (short, long) = (sized(&[0]), sized(&[19, 19, 19]));
+        // Two of three long lines fit `other`; one is its own drop.
+        let other = log_of(2 * cost(&long[0]), &long);
+        assert_eq!((other.len(), other.dropped()), (2, 1));
+        // The cell's room is one byte short of `other`'s shortest line.
+        let mut cell = log_of(cost(&short[0]) + cost(&long[0]) - 1, &short);
+        let before = cell.to_ndjson();
+        cell.merge(&other);
+        assert_eq!(cell.to_ndjson(), before);
+        assert_eq!((cell.len(), cell.dropped()), (1, 3));
+        // An empty log only carries its drop count over.
+        cell.merge(&log_of(0, &short));
+        assert_eq!((cell.len(), cell.dropped()), (1, 4));
+    }
+
+    #[test]
+    fn boundary_merge_keeps_later_shorter_lines() {
+        let cell_events = sized(&[0]);
+        let events = sized(&[19, 0, 19, 3]);
+        let other = log_of(1 << 16, &events);
+        let lines: Vec<&str> = other.ndjson().lines().collect();
+        // Room for line 1 plus two bytes: line 0 is longer than the whole
+        // room, line 2 no longer fits after line 1, and line 3 needs three
+        // bytes more than line 1.
+        let budget = cost(&cell_events[0]) + cost(&events[1]) + 2;
+        let mut cell = log_of(budget, &cell_events);
+        assert!(cost(&events[0]) > cell.room_left());
+        cell.merge(&other);
+        let kept: Vec<&str> = cell.ndjson().lines().skip(1).collect();
+        assert_eq!(kept, [lines[1]]);
+        assert_eq!((cell.len(), cell.dropped()), (2, 3));
+        assert_eq!(cell.room_left(), 2);
+        // Everything fits a roomier cell in one copy.
+        let mut roomy = log_of(1 << 16, &cell_events);
+        roomy.merge(&other);
+        assert_eq!(roomy.len(), 5);
+        assert!(roomy.ndjson().ends_with(other.ndjson()));
+    }
+
+    #[test]
+    fn room_hint_keeps_only_what_the_merge_keeps() {
+        let cell_events = sized(&[0]);
+        let events = sized(&[19, 0, 19, 3]);
+        let budget = 1 << 16;
+        let mut plain = log_of(cost(&cell_events[0]) + cost(&events[1]) + 2, &cell_events);
+        let mut hinted = plain.clone();
+        let mut rep = EventLog::with_room(budget, hinted.room_left());
+        events.iter().for_each(|&e| rep.push(e));
+        assert_eq!((rep.len(), rep.dropped()), (1, 3));
+        hinted.merge(&rep);
+        plain.merge(&log_of(budget, &events));
+        assert_eq!(hinted.to_ndjson(), plain.to_ndjson());
+        assert_eq!(
+            (hinted.len(), hinted.dropped()),
+            (plain.len(), plain.dropped())
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "log built for a different room")]
+    fn merging_a_log_built_for_another_room_is_caught() {
+        let mut cell = EventLog::new(100);
+        cell.merge(&EventLog::with_room(100, 99));
+    }
+
+    /// An event drawn from `(t_ps, shape, id)`: `shape` picks the kind and
+    /// its optional fields, so line lengths vary.
+    fn drawn(t_ps: u64, shape: u8, id: u64) -> Event {
+        let e = Event::new(t_ps, EventKind::Inject, 0);
+        let (msg, node) = (Some(id), Some(id as u32));
+        match shape % 4 {
+            0 => Event { msg, node, ..e },
+            1 => Event {
+                kind: EventKind::ChannelWait,
+                msg,
+                ch: Some(id as u32 / 3),
+                q: Some(shape.into()),
+                ..e
+            },
+            2 => Event {
+                kind: EventKind::ChannelRelease,
+                ch: node,
+                ..e
+            },
+            _ => Event {
+                kind: EventKind::Deliver,
+                msg,
+                node,
+                flits: Some(100),
+                ..e
+            },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// A cell merges replication logs in order, as the experiment grid
+        /// does: the first replication's log becomes the cell log, later
+        /// ones merge into it. Logs built with the exact room the cell has
+        /// left at their merge must give the same cell log as logs built
+        /// without it, and both must match first-fit applied twice to the
+        /// rendered lines: per replication under its budget, then per cell.
+        #[test]
+        fn hinted_merges_match_unhinted_and_the_first_fit_model(
+            stream in proptest::collection::vec(
+                (0u64..2_000_000_000_000, 0u8..8, 0u64..100_000, 0u8..6),
+                0usize..160,
+            ),
+            budget in 0usize..4_000,
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            // Split the stream into replications where the last draw is 0.
+            let mut reps: Vec<Vec<Event>> = vec![Vec::new()];
+            for &(t, shape, id, cut) in &stream {
+                if cut == 0 {
+                    reps.push(Vec::new());
+                }
+                reps.last_mut().expect("non-empty").push(drawn(t, shape, id));
+            }
+
+            let mut plain: Option<EventLog> = None;
+            let mut hinted: Option<EventLog> = None;
+            for events in &reps {
+                let mut p = EventLog::new(budget);
+                let mut h = match &hinted {
+                    Some(cell) => EventLog::with_room(budget, cell.room_left()),
+                    None => EventLog::new(budget),
+                };
+                for &e in events {
+                    p.push(e);
+                    h.push(e);
+                }
+                match (&mut plain, &mut hinted) {
+                    (Some(pc), Some(hc)) => {
+                        pc.merge(&p);
+                        hc.merge(&h);
+                    }
+                    _ => {
+                        plain = Some(p);
+                        hinted = Some(h);
+                    }
+                }
+            }
+            let (plain, hinted) = (plain.expect("one rep"), hinted.expect("one rep"));
+            prop_assert_eq!(hinted.to_ndjson(), plain.to_ndjson());
+            prop_assert_eq!(hinted.len(), plain.len());
+            prop_assert_eq!(hinted.dropped(), plain.dropped());
+            prop_assert_eq!(hinted.bytes_used(), plain.bytes_used());
+
+            // The model: first-fit over rendered lines, twice.
+            let first_fit = |lines: &[String], budget: usize| {
+                let mut used = 0;
+                let kept: Vec<String> = lines
+                    .iter()
+                    .filter(|l| {
+                        let fits = used + l.len() <= budget;
+                        used += if fits { l.len() } else { 0 };
+                        fits
+                    })
+                    .cloned()
+                    .collect();
+                let dropped = (lines.len() - kept.len()) as u64;
+                (kept, dropped)
+            };
+            let mut cell: Vec<String> = Vec::new();
+            let mut dropped = 0u64;
+            for (i, events) in reps.iter().enumerate() {
+                let lines: Vec<String> = events.iter().map(|e| e.line() + "\n").collect();
+                let (kept, d) = first_fit(&lines, budget);
+                dropped += d;
+                if i == 0 {
+                    cell = kept;
+                    continue;
+                }
+                let used: usize = cell.iter().map(String::len).sum();
+                let (more, d) = first_fit(&kept, budget - used);
+                dropped += d;
+                cell.extend(more);
+            }
+            prop_assert_eq!(plain.to_ndjson(), cell.concat());
+            prop_assert_eq!(plain.len(), cell.len());
+            prop_assert_eq!(plain.dropped(), dropped);
+        }
     }
 }

@@ -12,7 +12,8 @@
 //! * [`heatmap::ChannelHeatmap`] — per-channel grant counts, busy time and
 //!   max FIFO depth, plus per-node port grants and deliveries;
 //! * [`events::EventLog`] — a byte-budgeted NDJSON event exporter (one line
-//!   per `MetricsSink` callback, lazily serialized) and the flat-JSON
+//!   per `MetricsSink` callback; only the lines that fit the budget are
+//!   rendered, into one buffer the export hands out) and the flat-JSON
 //!   parser/validator used by schema tests and CI;
 //! * [`manifest::RunManifest`] — run provenance (seed, config, versions,
 //!   wall clock) embedded in every telemetry export.
@@ -29,7 +30,11 @@
 //! harness **in replication-index order**. Because histogram and heatmap
 //! merges are integer adds/maxes and event logs concatenate in order, the
 //! merged frame — and its JSON export — is byte-identical for any `--jobs`
-//! count. The only nondeterministic datum in an export is
+//! count. A replication told the room its cell's event log will have left
+//! ([`Observe::event_room`]) stores only what the merge will keep, and the
+//! merge then keeps exactly what it would have kept anyway, so whether a
+//! replication got that hint (which depends on scheduling) does not show
+//! in the output. The only nondeterministic datum in an export is
 //! `RunManifest::wall_ms`, which determinism tests zero before comparing.
 
 #![warn(missing_docs)]
@@ -42,7 +47,6 @@ pub mod profile;
 pub mod registry;
 pub mod span;
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
@@ -97,17 +101,49 @@ pub struct Observe<'a> {
     pub spec: &'a TelemetrySpec,
     /// Replication index, stamped into every event (`rep` field).
     pub rep: u64,
+    /// The bytes the event log this replication's frame merges into will
+    /// have left at that merge, when the caller knows it; see
+    /// [`EventLog::with_room`].
+    pub event_room: Option<usize>,
 }
 
 impl<'a> Observe<'a> {
     /// Observe replication `rep` with `spec`.
     pub fn new(spec: &'a TelemetrySpec, rep: u64) -> Self {
-        Observe { spec, rep }
+        Observe {
+            spec,
+            rep,
+            event_room: None,
+        }
+    }
+
+    /// The same observation, for a frame whose event log will be merged
+    /// into a log with exactly `room` bytes left. The merged result does
+    /// not change; the replication just never stores the lines that merge
+    /// would drop.
+    pub fn with_event_room(self, room: usize) -> Self {
+        Observe {
+            event_room: Some(room),
+            ..self
+        }
     }
 
     /// A collector for a topology with the given channel and node counts.
     pub fn collector(&self, num_channels: usize, num_nodes: usize) -> Collector {
-        Collector::new(self.spec, self.rep, num_channels, num_nodes)
+        let events = self.spec.events.then(|| match self.event_room {
+            Some(room) => EventLog::with_room(TELEMETRY_EVENT_BUDGET_DEFAULT, room),
+            None => EventLog::default(),
+        });
+        let frame = TelemetryFrame {
+            heatmap: Some(ChannelHeatmap::new(num_channels, num_nodes)),
+            events,
+            ..TelemetryFrame::default()
+        };
+        Collector {
+            shared: Arc::new(Mutex::new(frame)),
+            rep: self.rep,
+            profile: self.spec.profile,
+        }
     }
 }
 
@@ -236,8 +272,6 @@ pub struct TelemetryFrame {
     /// when profiling is enabled (empty otherwise; not in `FrameExport` —
     /// profile reports render it separately).
     pub metrics: MetricsRegistry,
-    /// Scratch: in-flight message phase state (not exported, not merged).
-    inflight: HashMap<u64, MsgState>,
 }
 
 impl TelemetryFrame {
@@ -344,16 +378,7 @@ impl Collector {
     /// A collector for one replication over a topology with the given
     /// channel and node counts.
     pub fn new(spec: &TelemetrySpec, rep: u64, num_channels: usize, num_nodes: usize) -> Self {
-        let frame = TelemetryFrame {
-            heatmap: Some(ChannelHeatmap::new(num_channels, num_nodes)),
-            events: spec.events.then(EventLog::default),
-            ..TelemetryFrame::default()
-        };
-        Collector {
-            shared: Arc::new(Mutex::new(frame)),
-            rep,
-            profile: spec.profile,
-        }
+        Observe::new(spec, rep).collector(num_channels, num_nodes)
     }
 
     /// Whether the spec asks for runtime metrics (engine counters) to be
@@ -367,6 +392,7 @@ impl Collector {
         Box::new(CollectorSink {
             shared: Arc::clone(&self.shared),
             rep: self.rep,
+            inflight: Vec::new(),
         })
     }
 
@@ -396,27 +422,38 @@ impl Collector {
 struct CollectorSink {
     shared: Arc<Mutex<TelemetryFrame>>,
     rep: u64,
+    /// Phase state of the messages in flight, indexed by
+    /// [`MessageId::index`] (the engine's arena slot, so the vector stays
+    /// as long as the most messages ever in flight at once).
+    inflight: Vec<Option<MsgState>>,
 }
 
 impl CollectorSink {
     fn event(&self, now: SimTime, kind: EventKind) -> Event {
         Event::new(now.as_ps(), kind, self.rep)
     }
+
+    fn state(&mut self, m: MessageId) -> Option<&mut MsgState> {
+        self.inflight.get_mut(m.index()).and_then(Option::as_mut)
+    }
+
+    fn retire(&mut self, m: MessageId) -> Option<MsgState> {
+        self.inflight.get_mut(m.index()).and_then(Option::take)
+    }
 }
 
 impl MetricsSink for CollectorSink {
     fn on_inject(&mut self, now: SimTime, m: MessageId, src: NodeId) {
-        let mut guard = self.shared.lock().unwrap();
-        let f = &mut *guard;
-        f.inflight.insert(
-            m.0,
-            MsgState {
-                inject_ps: now.as_ps(),
-                grant_ps: now.as_ps(),
-                wait_since: None,
-            },
-        );
-        if let Some(log) = &mut f.events {
+        let slot = m.index();
+        if self.inflight.len() <= slot {
+            self.inflight.resize(slot + 1, None);
+        }
+        self.inflight[slot] = Some(MsgState {
+            inject_ps: now.as_ps(),
+            grant_ps: now.as_ps(),
+            wait_since: None,
+        });
+        if let Some(log) = &mut self.shared.lock().unwrap().events {
             log.push(Event {
                 msg: Some(m.0),
                 node: Some(src.0),
@@ -426,11 +463,13 @@ impl MetricsSink for CollectorSink {
     }
 
     fn on_port_grant(&mut self, now: SimTime, m: MessageId, node: NodeId) {
+        let wait = self.state(m).map(|st| {
+            st.grant_ps = now.as_ps();
+            now.as_ps() - st.inject_ps
+        });
         let mut guard = self.shared.lock().unwrap();
         let f = &mut *guard;
-        if let Some(st) = f.inflight.get_mut(&m.0) {
-            st.grant_ps = now.as_ps();
-            let wait = now.as_ps() - st.inject_ps;
+        if let Some(wait) = wait {
             f.phases.port_wait.record_ps(wait);
         }
         if let Some(h) = &mut f.heatmap {
@@ -446,10 +485,10 @@ impl MetricsSink for CollectorSink {
     }
 
     fn on_startup_done(&mut self, now: SimTime, m: MessageId, node: NodeId) {
+        let startup = self.state(m).map(|st| now.as_ps() - st.grant_ps);
         let mut guard = self.shared.lock().unwrap();
         let f = &mut *guard;
-        if let Some(st) = f.inflight.get(&m.0) {
-            let startup = now.as_ps() - st.grant_ps;
+        if let Some(startup) = startup {
             f.phases.startup.record_ps(startup);
         }
         if let Some(log) = &mut f.events {
@@ -473,11 +512,11 @@ impl MetricsSink for CollectorSink {
     }
 
     fn on_channel_wait(&mut self, now: SimTime, m: MessageId, ch: ChannelId, queue_len: usize) {
-        let mut guard = self.shared.lock().unwrap();
-        let f = &mut *guard;
-        if let Some(st) = f.inflight.get_mut(&m.0) {
+        if let Some(st) = self.state(m) {
             st.wait_since = Some(now.as_ps());
         }
+        let mut guard = self.shared.lock().unwrap();
+        let f = &mut *guard;
         if let Some(h) = &mut f.heatmap {
             h.on_wait(ch.index(), queue_len);
         }
@@ -492,13 +531,11 @@ impl MetricsSink for CollectorSink {
     }
 
     fn on_channel_grant(&mut self, now: SimTime, m: MessageId, ch: ChannelId) {
+        let since = self.state(m).and_then(|st| st.wait_since.take());
         let mut guard = self.shared.lock().unwrap();
         let f = &mut *guard;
-        if let Some(st) = f.inflight.get_mut(&m.0) {
-            if let Some(since) = st.wait_since.take() {
-                let wait = now.as_ps() - since;
-                f.phases.channel_wait.record_ps(wait);
-            }
+        if let Some(since) = since {
+            f.phases.channel_wait.record_ps(now.as_ps() - since);
         }
         if let Some(h) = &mut f.heatmap {
             h.on_grant(ch.index(), now.as_ps());
@@ -527,10 +564,10 @@ impl MetricsSink for CollectorSink {
     }
 
     fn on_deliver(&mut self, now: SimTime, m: MessageId, node: NodeId, flits: u64) {
+        let lat = self.state(m).map(|st| now.as_ps() - st.inject_ps);
         let mut guard = self.shared.lock().unwrap();
         let f = &mut *guard;
-        if let Some(st) = f.inflight.get(&m.0) {
-            let lat = now.as_ps() - st.inject_ps;
+        if let Some(lat) = lat {
             f.phases.delivery.record_ps(lat);
         }
         if let Some(h) = &mut f.heatmap {
@@ -547,10 +584,10 @@ impl MetricsSink for CollectorSink {
     }
 
     fn on_complete(&mut self, now: SimTime, m: MessageId, node: NodeId) {
+        let lat = self.retire(m).map(|st| now.as_ps() - st.inject_ps);
         let mut guard = self.shared.lock().unwrap();
         let f = &mut *guard;
-        if let Some(st) = f.inflight.remove(&m.0) {
-            let lat = now.as_ps() - st.inject_ps;
+        if let Some(lat) = lat {
             f.phases.completion.record_ps(lat);
         }
         if let Some(log) = &mut f.events {
@@ -600,13 +637,13 @@ impl MetricsSink for CollectorSink {
     }
 
     fn on_stalled(&mut self, now: SimTime, m: MessageId, at: NodeId, undelivered: u64) {
+        // A stalled message never completes; clear its slot so the next
+        // message there starts from fresh phase state.
+        self.retire(m);
         let mut guard = self.shared.lock().unwrap();
         let f = &mut *guard;
         f.reliability.stalled += 1;
         f.reliability.undelivered += undelivered;
-        // A stalled message never completes; drop its scratch state so
-        // merged frames don't leak per-message state across operations.
-        f.inflight.remove(&m.0);
         if let Some(log) = &mut f.events {
             log.push(Event {
                 msg: Some(m.0),

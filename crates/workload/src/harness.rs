@@ -178,6 +178,16 @@ impl TelemetryMerge {
         }
     }
 
+    /// The bytes the merged frame's event log has left, if it keeps one:
+    /// exactly the room the next absorbed frame's events will meet.
+    pub fn event_room(&self) -> Option<usize> {
+        self.frame
+            .as_ref()?
+            .events
+            .as_ref()
+            .map(|log| log.room_left())
+    }
+
     /// The merged frame, if any replication produced one.
     pub fn finish(self) -> Option<TelemetryFrame> {
         self.frame
@@ -377,13 +387,14 @@ mod tests {
         let e = Event::new(1, EventKind::Inject, 0);
         let cost = e.line_len() + 1;
         let frame = |budget: usize, pushes: usize| {
-            let mut f = TelemetryFrame::default();
             let mut log = EventLog::new(cost * budget);
             for _ in 0..pushes {
                 log.push(e);
             }
-            f.events = Some(log);
-            f
+            TelemetryFrame {
+                events: Some(log),
+                ..TelemetryFrame::default()
+            }
         };
         // The accumulator adopts the first frame's (ample) budget; the two
         // later replications each drop 1 event over their own tight budget.

@@ -3,8 +3,8 @@
 //! freshly generated report, that file too — the ci.sh bench-smoke path)
 //! must parse as the vendored Criterion schema and contain the
 //! classic-vs-active-set comparison the engine rewrite is judged by. Every
-//! row of the engine reports and of a freshly generated serve report must
-//! name its host.
+//! row of the engine reports, of the committed telemetry report and of a
+//! freshly generated serve report must name its host.
 //!
 //! The vendored serde facade cannot deserialize, so this uses a scanner
 //! matched to the report's fixed machine-generated shape: a JSON array with
@@ -189,7 +189,9 @@ fn committed_engine_bench_report_is_valid() {
 
 #[test]
 fn committed_telemetry_bench_report_is_valid() {
-    validate_telemetry(&Path::new(env!("CARGO_MANIFEST_DIR")).join("results/BENCH_telemetry.json"));
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/BENCH_telemetry.json");
+    validate_telemetry(&path);
+    validate_host(&path);
 }
 
 #[test]
