@@ -185,17 +185,18 @@ fn bench_engine_compare(c: &mut Criterion) {
 /// The scheduling primitive in isolation, under the classic hold model at
 /// the engine's operating point: a steady population of ~512 pending
 /// events (one per node's next hop, roughly), each pop followed by a
-/// reschedule a random flit-to-startup interval ahead (up to 2 µs — inside
-/// the wheel's ring horizon, as engine events are).
+/// reschedule a random interval ahead, inside the wheel's ring horizon as
+/// engine events are.
 ///
-/// Those reschedules almost never land in the tick being drained (8.192-ns
-/// buckets against a 2-µs spread): 0.13% of the wheel's places are ordered
-/// inserts into the current bucket, against 12.0% of the places on
-/// perfbench's `loaded` workload. The `same_tick` variants send 23 of every
-/// 100 reschedules to a uniform instant between the popped event and the
-/// end of its tick instead; about half of those sort before an event
-/// already pending there, so 11.8% of the wheel's places are ordered
-/// inserts, as on `loaded`.
+/// The plain hold spreads reschedules over 2 µs, about 2 pending events per
+/// 8.192-ns bucket, so almost no reschedule lands in the tick being drained
+/// (0.1% of the wheel's places are ordered inserts into the current
+/// bucket). The `crowded` variants spread them over ten buckets, which
+/// gives a place about 49 pending events in its bucket, as on perfbench's
+/// `loaded` workload (about 50). 4.8% of the places are then ordered
+/// inserts, each shifting 16 slots on average, and 1.0% leave a later
+/// bucket to be sorted on its first read (`loaded`: 10.4% and 5 slots,
+/// 1.5%).
 fn bench_wheel_vs_heap(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler_primitive");
     let n = 100_000u64;
@@ -205,40 +206,35 @@ fn bench_wheel_vs_heap(c: &mut Criterion) {
     group.throughput(Throughput::Elements(n));
 
     macro_rules! hold_model {
-        ($q:expr, $same_tick:expr) => {{
+        ($q:expr, $spread:expr) => {{
             let mut q = $q;
             let mut rng = SimRng::new(5);
             for i in 0..population {
-                q.schedule(SimTime::from_ps(rng.next_u64() % 2_000_000), i);
+                q.schedule(SimTime::from_ps(rng.next_u64() % $spread), i);
             }
             let mut acc = 0u64;
             for i in 0..n {
                 let (t, e) = q.pop().expect("population never drains");
                 acc += black_box(e) & 1;
-                let ahead = if $same_tick(i) {
-                    rng.next_u64() % (tick - t.as_ps() % tick)
-                } else {
-                    rng.next_u64() % 2_000_000
-                };
+                let ahead = rng.next_u64() % $spread;
                 q.schedule(t + SimDuration::from_ps(ahead), i);
             }
             black_box(acc)
         }};
     }
-    let never = |_: u64| false;
-    let same_tick = |i: u64| i % 100 < 23;
+    let (plain, crowded) = (2_000_000u64, 10 * tick);
 
     group.bench_function("heap_hold_512", |b| {
-        b.iter(|| hold_model!(EventQueue::new(), never))
+        b.iter(|| hold_model!(EventQueue::new(), plain))
     });
     group.bench_function("wheel_hold_512", |b| {
-        b.iter(|| hold_model!(CalendarWheel::<u64>::new(), never))
+        b.iter(|| hold_model!(CalendarWheel::<u64>::new(), plain))
     });
-    group.bench_function("heap_hold_512_same_tick", |b| {
-        b.iter(|| hold_model!(EventQueue::new(), same_tick))
+    group.bench_function("heap_hold_512_crowded", |b| {
+        b.iter(|| hold_model!(EventQueue::new(), crowded))
     });
-    group.bench_function("wheel_hold_512_same_tick", |b| {
-        b.iter(|| hold_model!(CalendarWheel::<u64>::new(), same_tick))
+    group.bench_function("wheel_hold_512_crowded", |b| {
+        b.iter(|| hold_model!(CalendarWheel::<u64>::new(), crowded))
     });
     group.finish();
 }

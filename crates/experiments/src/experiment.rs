@@ -141,13 +141,14 @@ impl<C> RunOutput<C> {
 /// stays O(cells) however many replications run, and the result is
 /// bit-identical for any worker count.
 ///
-/// A task that starts after replications `0..r` of its cell have folded
-/// (every task under a sequential runner, and any task under `--jobs N`
-/// that did not run ahead) gets the room the cell's merged event log has
-/// left as its `observe`'s [`Observe::event_room`], so its log stores only
-/// the lines the merge will keep. A task that ran ahead gets no room and
-/// keeps its full budget. The merged log is the same either way, so the
-/// output still does not depend on the worker count.
+/// Each cell publishes the room its merged event log has left after every
+/// fold, and a task reads it when it starts as its `observe`'s
+/// [`Observe::event_bound`]. The room only shrinks as later replications
+/// fold, so whatever a task reads, however far it ran ahead of its cell's
+/// folds, bounds the room its own frame will meet; its log then does not
+/// store the lines longer than that, which the merge would drop anyway. The
+/// merged log is the same for any bound, so the output still does not
+/// depend on the worker count.
 ///
 /// Returns, in plan order, each cell's accumulator, its key and its merged
 /// frame (`None` without telemetry).
@@ -161,42 +162,26 @@ pub fn grid<'p, 'a, K: Sync, T: Send, A: Default>(
     let obs = obs.into();
     let telemetry = obs.telemetry();
     let mut acc: Vec<(A, TelemetryMerge)> = plan.iter().map(|_| Default::default()).collect();
-    // Per cell: replications folded so far, and the room its merged event
-    // log had left after the last of them (`NO_LOG` while it keeps none).
-    // The fold stores the room before it publishes the count with
-    // `Release`; a task that reads the count with `Acquire` and finds its
-    // own replication next therefore reads that room, which nothing changes
-    // until the task's own frame folds.
-    const NO_LOG: usize = usize::MAX;
-    let progress: Vec<(AtomicUsize, AtomicUsize)> = plan
-        .iter()
-        .map(|_| (AtomicUsize::new(0), AtomicUsize::new(NO_LOG)))
-        .collect();
+    // Per cell: the room its merged event log had left after the latest
+    // fold (no bound before the first).
+    let rooms: Vec<AtomicUsize> = plan.iter().map(|_| AtomicUsize::new(usize::MAX)).collect();
     obs.runner().run(
         plan.len() * runs,
         |i| {
-            let (c, r) = (i / runs, i % runs);
+            let c = i / runs;
             let observe = telemetry.map(|spec| {
-                let o = Observe::new(spec, i as u64);
-                let (folded, room) = &progress[c];
-                if folded.load(Ordering::Acquire) != r {
-                    return o;
-                }
-                match room.load(Ordering::Relaxed) {
-                    NO_LOG => o,
-                    left => o.with_event_room(left),
-                }
+                Observe::new(spec, i as u64).with_event_bound(rooms[c].load(Ordering::Relaxed))
             });
-            task(&plan[c], r, observe)
+            task(&plan[c], i % runs, observe)
         },
         |i, (out, frame)| {
-            let (c, r) = (i / runs, i % runs);
+            let c = i / runs;
             let (a, merge) = &mut acc[c];
             fold(a, out);
             merge.absorb(frame);
-            let (folded, room) = &progress[c];
-            room.store(merge.event_room().unwrap_or(NO_LOG), Ordering::Relaxed);
-            folded.store(r + 1, Ordering::Release);
+            if let Some(left) = merge.event_room() {
+                rooms[c].store(left, Ordering::Relaxed);
+            }
         },
     );
     acc.into_iter()

@@ -10,7 +10,7 @@ use std::io::Write;
 use std::sync::{Arc, Condvar, Mutex};
 
 use wormcast_simcheck::{measure_request, ScenarioRequest};
-use wormcast_telemetry::{EventKind, MetricId, MetricsRegistry, SeriesKey};
+use wormcast_telemetry::{EventKind, EventLog, MetricId, MetricsRegistry, SeriesKey};
 
 use crate::frame;
 
@@ -349,7 +349,7 @@ fn execute(req: &ScenarioRequest, hash: u64) -> CachedRun {
     with_events.outputs.events = true;
     match measure_request(&with_events) {
         Ok(run) => CachedRun {
-            events_ndjson: run.events.map(|l| l.to_ndjson()).unwrap_or_default(),
+            events_ndjson: run.events.map(EventLog::into_ndjson).unwrap_or_default(),
             frame: frame::result_frame(hash, req.reps, req.shards.max(1), &run.summary),
         },
         Err(e) => CachedRun {

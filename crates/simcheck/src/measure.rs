@@ -301,7 +301,7 @@ mod tests {
         let m = measure_scenario(&s, Some(3)).expect("runs");
         let log = m.events.expect("events requested");
         assert!(!log.is_empty());
-        let nd = log.to_ndjson();
+        let nd = log.into_ndjson();
         let stats = validate_ndjson(&nd).expect("schema-valid NDJSON");
         assert!(stats.lines > 0);
         assert!(nd.lines().all(|l| l.contains("\"rep\":3")));
@@ -318,8 +318,8 @@ mod tests {
         let b = measure_request(&req).expect("runs");
         assert_eq!(a.summary, b.summary);
         assert_eq!(
-            a.events.as_ref().unwrap().to_ndjson(),
-            b.events.as_ref().unwrap().to_ndjson(),
+            a.events.as_ref().unwrap().ndjson(),
+            b.events.as_ref().unwrap().ndjson(),
             "event stream must fold in replication order regardless of jobs"
         );
     }

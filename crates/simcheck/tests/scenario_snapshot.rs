@@ -14,7 +14,7 @@
 //! shifts the physics shows up as a diff too.
 //!
 //! A third file pins the bytes of that event stream: per scenario, the
-//! line count and 64-bit FNV-1a digest of `run.events.to_ndjson()`, so a
+//! line count and 64-bit FNV-1a digest of `run.events.into_ndjson()`, so a
 //! refactor of the event record or its NDJSON writer that shifts a single
 //! byte shows up even when the event count does not move.
 //!
@@ -135,7 +135,7 @@ fn current_event_digests() -> String {
         req.outputs.events = true;
         let line = match measure_request(&req) {
             Ok(run) => {
-                let nd = run.events.map(|log| log.to_ndjson()).unwrap_or_default();
+                let nd = run.events.map(|log| log.into_ndjson()).unwrap_or_default();
                 format!(
                     "{{\"index\":{i},\"lines\":{},\"fnv1a64\":\"{:016x}\"}}",
                     nd.lines().count(),

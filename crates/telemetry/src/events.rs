@@ -14,10 +14,10 @@
 //! documents.
 //!
 //! A replication's log is merged into its cell's log, which has its own
-//! budget. When the room the cell will have left is known up front
-//! ([`EventLog::with_room`]), the replication's log applies both budgets as
-//! events arrive and stores only what the merge will keep; the merged
-//! result is the same either way. Because the vendored serde facade has no
+//! budget. When a bound on the room the cell will have left is known up
+//! front ([`EventLog::with_bound`]), the replication's log does not store
+//! the lines longer than that bound, which the merge could never keep; the
+//! merged result is the same either way. Because the vendored serde facade has no
 //! deserializer, this module also ships a minimal flat-object parser
 //! ([`parse_line`]) and a whole-file validator ([`validate_ndjson`]) used
 //! by the schema tests and CI.
@@ -35,11 +35,11 @@ pub use wormcast_network::trace::{to_ndjson, Event, EventKind};
 /// was dropped. The cost is computed with [`Event::line_len`] before any
 /// rendering, so a dropped event is never rendered.
 ///
-/// A log that will be merged into a cell log with `room` bytes left can be
-/// built [`EventLog::with_room`]: it then applies both first-fit stages as
-/// events arrive, its own budget and then the cell's room, and stores only
-/// the lines the merge will keep. Its merged result is identical to an
-/// unhinted log's.
+/// A log that will be merged into a cell log with at most `bound` bytes
+/// left can be built [`EventLog::with_bound`]: it still charges every line
+/// to its own budget, but does not store a line that costs more than
+/// `bound`, because the merge could not keep it. Its merged result is
+/// identical to an unbounded log's.
 #[derive(Debug, Clone)]
 pub struct EventLog {
     /// The retained lines, each newline-terminated.
@@ -49,12 +49,12 @@ pub struct EventLog {
     /// Cost of the shortest retained line (`usize::MAX` when empty).
     min_cost: usize,
     budget: usize,
-    /// Bytes charged to `budget`: every retained line, plus, with a room
-    /// hint, the lines the room then turned away.
-    admitted: usize,
-    /// The room the destination cell log will have left when this log is
-    /// merged into it, if known when the log was built.
-    room: Option<usize>,
+    /// Bytes charged to `budget`: every retained line, plus the lines
+    /// `bound` then turned away.
+    charged: usize,
+    /// An upper bound on the room the destination log will have left when
+    /// this log is merged into it (`usize::MAX` when unknown).
+    bound: usize,
     dropped: u64,
 }
 
@@ -68,44 +68,38 @@ impl EventLog {
     /// An empty log that will retain at most `budget_bytes` of NDJSON
     /// (each line's cost includes its trailing newline).
     pub fn new(budget_bytes: usize) -> Self {
+        EventLog::with_bound(budget_bytes, usize::MAX)
+    }
+
+    /// An empty log with budget `budget_bytes` that will be merged into a
+    /// log with at most `bound` bytes left, such as the room that log had
+    /// left at any earlier time (its room only shrinks). Lines costing more
+    /// than `bound` are charged to the budget as usual but counted as
+    /// dropped instead of stored, so merging this log gives the same result
+    /// as merging a [`EventLog::new`] log fed the same events.
+    pub fn with_bound(budget_bytes: usize, bound: usize) -> Self {
         EventLog {
             ndjson: String::new(),
             lines: 0,
             min_cost: usize::MAX,
             budget: budget_bytes,
-            admitted: 0,
-            room: None,
+            charged: 0,
+            bound,
             dropped: 0,
         }
     }
 
-    /// An empty log with budget `budget_bytes` that will be merged into a
-    /// log with exactly `room` bytes left (its budget minus its
-    /// [`EventLog::bytes_used`]). It keeps only the lines that merge will
-    /// keep and counts the rest as dropped, so merging it gives the same
-    /// result as merging a [`EventLog::new`] log fed the same events;
-    /// [`EventLog::merge`] asserts the room in debug builds.
-    pub fn with_room(budget_bytes: usize, room: usize) -> Self {
-        EventLog {
-            room: Some(room),
-            ..EventLog::new(budget_bytes)
-        }
-    }
-
-    /// Append `e` if it fits the remaining budget (and the room hint, if
-    /// any); count it as dropped otherwise. Deterministic: depends only on
-    /// the event sequence.
+    /// Append `e` if it fits the remaining budget and the bound; count it
+    /// as dropped otherwise. Deterministic: depends only on the event
+    /// sequence and the bound.
     pub fn push(&mut self, e: Event) {
         let cost = e.line_len() + 1;
-        if self.admitted + cost > self.budget {
+        if self.charged + cost > self.budget {
             self.dropped += 1;
             return;
         }
-        self.admitted += cost;
-        if self
-            .room
-            .is_some_and(|room| self.ndjson.len() + cost > room)
-        {
+        self.charged += cost;
+        if cost > self.bound {
             self.dropped += 1;
             return;
         }
@@ -145,9 +139,6 @@ impl EventLog {
     /// drop count. O(1) when nothing fits, one copy when everything does.
     pub fn merge(&mut self, other: &EventLog) {
         let (room, before) = (self.room_left(), self.ndjson.len());
-        if let Some(hint) = other.room {
-            debug_assert_eq!(room, hint, "log built for a different room");
-        }
         if room < other.min_cost {
             self.dropped += other.lines as u64;
         } else if other.ndjson.len() <= room {
@@ -165,7 +156,7 @@ impl EventLog {
                 }
             }
         }
-        self.admitted += self.ndjson.len() - before;
+        self.charged += self.ndjson.len() - before;
         self.dropped += other.dropped;
     }
 
@@ -174,9 +165,14 @@ impl EventLog {
         &self.ndjson
     }
 
-    /// The retained lines as an owned NDJSON string.
+    /// The retained lines as an owned NDJSON string (a copy).
     pub fn to_ndjson(&self) -> String {
         self.ndjson.clone()
+    }
+
+    /// The retained lines as NDJSON, without copying them.
+    pub fn into_ndjson(self) -> String {
+        self.ndjson
     }
 }
 
@@ -529,30 +525,34 @@ mod tests {
     }
 
     #[test]
-    fn room_hint_keeps_only_what_the_merge_keeps() {
+    fn bounded_logs_merge_like_unbounded_ones() {
         let cell_events = sized(&[0]);
         let events = sized(&[19, 0, 19, 3]);
         let budget = 1 << 16;
-        let mut plain = log_of(cost(&cell_events[0]) + cost(&events[1]) + 2, &cell_events);
-        let mut hinted = plain.clone();
-        let mut rep = EventLog::with_room(budget, hinted.room_left());
-        events.iter().for_each(|&e| rep.push(e));
-        assert_eq!((rep.len(), rep.dropped()), (1, 3));
-        hinted.merge(&rep);
-        plain.merge(&log_of(budget, &events));
-        assert_eq!(hinted.to_ndjson(), plain.to_ndjson());
-        assert_eq!(
-            (hinted.len(), hinted.dropped()),
-            (plain.len(), plain.dropped())
-        );
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "log built for a different room")]
-    fn merging_a_log_built_for_another_room_is_caught() {
-        let mut cell = EventLog::new(100);
-        cell.merge(&EventLog::with_room(100, 99));
+        let plain = {
+            let mut cell = log_of(cost(&cell_events[0]) + cost(&events[1]) + 2, &cell_events);
+            cell.merge(&log_of(budget, &events));
+            cell
+        };
+        // The exact room stores only line 1; a stale bound three bytes
+        // larger also stores line 3, which the merge then drops.
+        for (slack, stored) in [(0, 1), (3, 2)] {
+            let mut cell = log_of(cost(&cell_events[0]) + cost(&events[1]) + 2, &cell_events);
+            let mut rep = EventLog::with_bound(budget, cell.room_left() + slack);
+            events.iter().for_each(|&e| rep.push(e));
+            assert_eq!((rep.len(), rep.dropped()), (stored, 4 - stored as u64));
+            cell.merge(&rep);
+            assert_eq!(cell.to_ndjson(), plain.to_ndjson());
+            assert_eq!((cell.len(), cell.dropped()), (plain.len(), plain.dropped()));
+        }
+        // Lines turned away by the bound still count against the budget:
+        // the 4-digit line no longer fits after the first long line.
+        let mut tight = EventLog::with_bound(cost(&events[0]) + cost(&events[1]), 0);
+        events.iter().for_each(|&e| tight.push(e));
+        let mut loose = EventLog::new(cost(&events[0]) + cost(&events[1]));
+        events.iter().for_each(|&e| loose.push(e));
+        assert_eq!((tight.len(), tight.dropped()), (0, 4));
+        assert_eq!((loose.len(), loose.dropped()), (2, 2));
     }
 
     /// An event drawn from `(t_ps, shape, id)`: `shape` picks the kind and
@@ -589,16 +589,18 @@ mod tests {
 
         /// A cell merges replication logs in order, as the experiment grid
         /// does: the first replication's log becomes the cell log, later
-        /// ones merge into it. Logs built with the exact room the cell has
-        /// left at their merge must give the same cell log as logs built
-        /// without it, and both must match first-fit applied twice to the
+        /// ones merge into it. Logs bounded by the room the cell had left
+        /// after a random earlier fold (as a task that ran ahead of its
+        /// cell's folds reads it) must give the same cell log as unbounded
+        /// logs, and both must match first-fit applied twice to the
         /// rendered lines: per replication under its budget, then per cell.
         #[test]
-        fn hinted_merges_match_unhinted_and_the_first_fit_model(
+        fn bounded_merges_match_unbounded_and_the_first_fit_model(
             stream in proptest::collection::vec(
                 (0u64..2_000_000_000_000, 0u8..8, 0u64..100_000, 0u8..6),
                 0usize..160,
             ),
+            lags in proptest::collection::vec(0usize..4, 160usize..161),
             budget in 0usize..4_000,
         ) {
             use proptest::prelude::prop_assert_eq;
@@ -613,12 +615,12 @@ mod tests {
 
             let mut plain: Option<EventLog> = None;
             let mut hinted: Option<EventLog> = None;
-            for events in &reps {
+            // The cell's room before any fold (no bound) and after each.
+            let mut rooms = vec![usize::MAX];
+            for (events, &lag) in reps.iter().zip(&lags) {
                 let mut p = EventLog::new(budget);
-                let mut h = match &hinted {
-                    Some(cell) => EventLog::with_room(budget, cell.room_left()),
-                    None => EventLog::new(budget),
-                };
+                let bound = rooms[rooms.len() - 1 - lag.min(rooms.len() - 1)];
+                let mut h = EventLog::with_bound(budget, bound);
                 for &e in events {
                     p.push(e);
                     h.push(e);
@@ -633,6 +635,7 @@ mod tests {
                         hinted = Some(h);
                     }
                 }
+                rooms.push(hinted.as_ref().expect("folded").room_left());
             }
             let (plain, hinted) = (plain.expect("one rep"), hinted.expect("one rep"));
             prop_assert_eq!(hinted.to_ndjson(), plain.to_ndjson());

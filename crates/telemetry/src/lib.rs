@@ -30,11 +30,11 @@
 //! harness **in replication-index order**. Because histogram and heatmap
 //! merges are integer adds/maxes and event logs concatenate in order, the
 //! merged frame — and its JSON export — is byte-identical for any `--jobs`
-//! count. A replication told the room its cell's event log will have left
-//! ([`Observe::event_room`]) stores only what the merge will keep, and the
-//! merge then keeps exactly what it would have kept anyway, so whether a
-//! replication got that hint (which depends on scheduling) does not show
-//! in the output. The only nondeterministic datum in an export is
+//! count. A replication given an upper bound on the room its cell's event
+//! log will have left ([`Observe::event_bound`]) does not store the lines
+//! longer than that bound, which the merge would drop anyway, so which
+//! bound a replication got (which depends on scheduling) does not show in
+//! the output. The only nondeterministic datum in an export is
 //! `RunManifest::wall_ms`, which determinism tests zero before comparing.
 
 #![warn(missing_docs)]
@@ -101,10 +101,10 @@ pub struct Observe<'a> {
     pub spec: &'a TelemetrySpec,
     /// Replication index, stamped into every event (`rep` field).
     pub rep: u64,
-    /// The bytes the event log this replication's frame merges into will
-    /// have left at that merge, when the caller knows it; see
-    /// [`EventLog::with_room`].
-    pub event_room: Option<usize>,
+    /// An upper bound on the bytes the event log this replication's frame
+    /// merges into will have left at that merge, when the caller knows
+    /// one; see [`EventLog::with_bound`].
+    pub event_bound: Option<usize>,
 }
 
 impl<'a> Observe<'a> {
@@ -113,26 +113,26 @@ impl<'a> Observe<'a> {
         Observe {
             spec,
             rep,
-            event_room: None,
+            event_bound: None,
         }
     }
 
     /// The same observation, for a frame whose event log will be merged
-    /// into a log with exactly `room` bytes left. The merged result does
-    /// not change; the replication just never stores the lines that merge
-    /// would drop.
-    pub fn with_event_room(self, room: usize) -> Self {
+    /// into a log with at most `bound` bytes left. The merged result does
+    /// not change; the replication just never stores the lines longer than
+    /// `bound`, which that merge would drop.
+    pub fn with_event_bound(self, bound: usize) -> Self {
         Observe {
-            event_room: Some(room),
+            event_bound: Some(bound),
             ..self
         }
     }
 
     /// A collector for a topology with the given channel and node counts.
     pub fn collector(&self, num_channels: usize, num_nodes: usize) -> Collector {
-        let events = self.spec.events.then(|| match self.event_room {
-            Some(room) => EventLog::with_room(TELEMETRY_EVENT_BUDGET_DEFAULT, room),
-            None => EventLog::default(),
+        let events = self.spec.events.then(|| {
+            let bound = self.event_bound.unwrap_or(usize::MAX);
+            EventLog::with_bound(TELEMETRY_EVENT_BUDGET_DEFAULT, bound)
         });
         let frame = TelemetryFrame {
             heatmap: Some(ChannelHeatmap::new(num_channels, num_nodes)),

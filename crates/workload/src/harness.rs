@@ -179,7 +179,8 @@ impl TelemetryMerge {
     }
 
     /// The bytes the merged frame's event log has left, if it keeps one:
-    /// exactly the room the next absorbed frame's events will meet.
+    /// the room the next absorbed frame's events will meet, and an upper
+    /// bound on the room any later frame's will.
     pub fn event_room(&self) -> Option<usize> {
         self.frame
             .as_ref()?
