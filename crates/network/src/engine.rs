@@ -37,12 +37,14 @@
 //!   of the reference [`EventQueue`](wormcast_sim::EventQueue) — proven
 //!   equivalent by the differential tests against [`crate::classic`].
 //! * Message, channel, and port hot state live in struct-of-arrays arenas
-//!   indexed by stable integer ids; nothing is allocated per hop or per
-//!   cycle. The channels a message holds form an intrusive singly-linked
-//!   list threaded through the channel arena (a channel has at most one
-//!   holder, so one `next` slot per channel suffices), and each channel's
-//!   FIFO of blocked headers is threaded through the message arena the same
-//!   way.
+//!   indexed by integer ids; nothing is allocated per hop or per cycle.
+//!   A retired message's arena slot is reused by a later injection, so the
+//!   message arena is as large as the most messages alive at once, not as
+//!   the run's total. The channels a message holds form an intrusive
+//!   singly-linked list threaded through the channel arena (a channel has at
+//!   most one holder, so one `next` slot per channel suffices), and each
+//!   channel's FIFO of blocked headers is threaded through the message arena
+//!   the same way.
 //! * Failed channels sit in a bitmap [`ActiveSet`], not a hash set.
 //!
 //! The pre-overhaul engine is retained as [`crate::classic`] for
@@ -51,7 +53,7 @@
 use crate::config::{NetworkConfig, ReleaseMode};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::message::{Delivery, MessageId, MessageSpec, Route};
-use crate::metrics::{CountersSink, MetricsSink, TraceSink, UtilizationSink};
+use crate::metrics::{CountersSink, MetricsSink, TraceSink};
 use crate::trace::Trace;
 use std::collections::VecDeque;
 use wormcast_routing::{queue_aware_pick, RoutingFunction, SelectPolicy, SimTopology};
@@ -94,11 +96,21 @@ enum Ev {
     StallCheck(u32, u32),
 }
 
-/// Struct-of-arrays message state, indexed by message id. The cold
+/// Struct-of-arrays message state, indexed by arena slot. The cold
 /// [`MessageSpec`] (route, payload description) stays one struct per
 /// message; everything the stepper touches per event is a flat column.
+///
+/// A slot is recycled once nothing can refer to its message any more: at
+/// `Complete` (every `Deliver` of a message fires before its `Complete`),
+/// or, if a watchdog `StallCheck` is still pending then, when that check
+/// fires. The slots of reaped (stalled) messages are never reused, because
+/// their `Deliver` events may still be pending. The `id` column keeps the
+/// external [`MessageId`] dense in injection order whatever slot a message
+/// lands in.
 #[derive(Default)]
 struct MsgArena {
+    /// External id of the slot's message.
+    id: Vec<MessageId>,
     spec: Vec<MessageSpec>,
     requested_at: Vec<SimTime>,
     /// Node the header currently occupies.
@@ -128,27 +140,49 @@ struct MsgArena {
     /// epoch is unchanged for a whole timeout, so a same-cycle link restore
     /// grants the waiter a fresh window instead of a spurious stall.
     progress_epoch: Vec<u32>,
+    /// Retired slots ready for reuse (the last freed is reused first).
+    free: Vec<u32>,
+    /// Messages ever injected: the next external id.
+    injected: u64,
+}
+
+/// Write `x` to slot `i` of `col`, growing the column by one if `i` is a
+/// new slot.
+fn put<X>(col: &mut Vec<X>, i: usize, x: X) {
+    if i < col.len() {
+        col[i] = x;
+    } else {
+        col.push(x);
+    }
 }
 
 impl MsgArena {
+    /// Place a new message in a free slot, or in a new one if none is free.
     fn push(&mut self, requested_at: SimTime, spec: MessageSpec) -> u32 {
-        let id = self.spec.len();
-        assert!(id < NONE as usize, "message arena exhausted");
-        self.spec.push(spec);
-        self.requested_at.push(requested_at);
-        self.cur.push(self.spec[id].src);
-        self.prev.push(None);
-        self.hops_taken.push(0);
-        self.next_fixed.push(0);
-        self.crossing.push(NONE);
-        self.waiting_on.push(NONE);
-        self.held_head.push(NONE);
-        self.held_tail.push(NONE);
-        self.next_waiter.push(NONE);
-        self.done.push(false);
-        self.stall_armed.push(false);
-        self.progress_epoch.push(0);
-        id as u32
+        let i = self.free.pop().map_or(self.spec.len(), |s| s as usize);
+        assert!(i < NONE as usize, "message arena exhausted");
+        put(&mut self.id, i, MessageId(self.injected));
+        self.injected += 1;
+        put(&mut self.cur, i, spec.src);
+        put(&mut self.spec, i, spec);
+        put(&mut self.requested_at, i, requested_at);
+        put(&mut self.prev, i, None);
+        put(&mut self.hops_taken, i, 0);
+        put(&mut self.next_fixed, i, 0);
+        put(&mut self.crossing, i, NONE);
+        put(&mut self.waiting_on, i, NONE);
+        put(&mut self.held_head, i, NONE);
+        put(&mut self.held_tail, i, NONE);
+        put(&mut self.next_waiter, i, NONE);
+        put(&mut self.done, i, false);
+        put(&mut self.stall_armed, i, false);
+        put(&mut self.progress_epoch, i, 0);
+        i as u32
+    }
+
+    /// Slots ever used: the most messages the arena held at once.
+    fn slots(&self) -> usize {
+        self.spec.len()
     }
 }
 
@@ -235,10 +269,10 @@ pub struct Network<T: SimTopology = Mesh> {
     ports: PortArena,
     outbox: VecDeque<Delivery>,
     /// Built-in observers (see [`crate::metrics`]): the engine emits events,
-    /// these sinks aggregate them. Kept as concrete fields so the historical
-    /// accessors (`counters`, `channel_utilization`, `trace`) stay cheap.
+    /// these sinks aggregate them. Kept as concrete fields so the accessors
+    /// (`counters`, `trace`) stay cheap. Channel busy time is not built in:
+    /// telemetry's channel heatmap keeps it for the runs that observe it.
     sink_counters: CountersSink,
-    sink_util: UtilizationSink,
     sink_trace: TraceSink,
     /// User-attached observers.
     extra_sinks: Vec<Box<dyn MetricsSink>>,
@@ -247,7 +281,8 @@ pub struct Network<T: SimTopology = Mesh> {
     /// Channels disabled by fault injection (never granted again).
     failed: ActiveSet,
     /// Per-channel crossing-time multiplier (1 = full speed), driven by
-    /// scheduled bandwidth modulation (`SetSpeed`).
+    /// scheduled bandwidth modulation (`SetSpeed`). Empty, meaning every
+    /// channel at full speed, until the first `SetSpeed` fires.
     speed: Vec<u32>,
     /// Time of the last dispatched event, for the monotone-clock deep check.
     #[cfg(feature = "invariants")]
@@ -264,8 +299,11 @@ pub struct Network<T: SimTopology = Mesh> {
 /// physics→telemetry dependency direction stays one-way.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// High-water mark of the message arena (it only grows, so this is its
-    /// length): total messages ever injected into this network.
+    /// High-water mark of the message arena: the most slots it ever held.
+    /// A slot holds one message from injection until nothing can refer to
+    /// it any more, so this is the most messages alive at once (plus the
+    /// slots of reaped messages, which are never reused). The number of
+    /// messages ever injected is [`Counters::injected`].
     pub arena_msgs_highwater: u64,
     /// Events ever scheduled on the calendar wheel.
     pub wheel_events_scheduled: u64,
@@ -308,12 +346,11 @@ impl<T: SimTopology> Network<T> {
             msgs: MsgArena::default(),
             outbox: VecDeque::new(),
             sink_counters: CountersSink::default(),
-            sink_util: UtilizationSink::new(num_channels),
             sink_trace: TraceSink::default(),
             extra_sinks: Vec::new(),
             watchdog_arms: 0,
             failed: ActiveSet::new(num_channels),
-            speed: vec![1; num_channels],
+            speed: Vec::new(),
             #[cfg(feature = "invariants")]
             iv_last_now: SimTime::ZERO,
             #[cfg(feature = "invariants")]
@@ -341,7 +378,6 @@ impl<T: SimTopology> Network<T> {
     #[inline]
     fn emit(&mut self, f: impl Fn(&mut dyn MetricsSink)) {
         f(&mut self.sink_counters);
-        f(&mut self.sink_util);
         f(&mut self.sink_trace);
         for s in &mut self.extra_sinks {
             f(s.as_mut());
@@ -433,7 +469,7 @@ impl<T: SimTopology> Network<T> {
     pub fn engine_stats(&self) -> EngineStats {
         let c = self.counters();
         EngineStats {
-            arena_msgs_highwater: self.msgs.spec.len() as u64,
+            arena_msgs_highwater: self.msgs.slots() as u64,
             wheel_events_scheduled: self.wheel.scheduled_total(),
             wheel_bucket_scans: self.wheel.bucket_scans(),
             watchdog_arms: self.watchdog_arms,
@@ -465,9 +501,10 @@ impl<T: SimTopology> Network<T> {
         }
         let src = spec.src;
         let m = self.msgs.push(at, spec);
-        self.emit(|s| s.on_inject(at, MessageId(m as u64), src));
+        let id = self.msgs.id[m as usize];
+        self.emit(|s| s.on_inject(at, id, src));
         self.wheel.schedule(at, Ev::Arrive(m));
-        MessageId(m as u64)
+        id
     }
 
     /// Take all deliveries recorded so far.
@@ -631,7 +668,8 @@ impl<T: SimTopology> Network<T> {
         } else {
             wormcast_sim::SimDuration::ZERO
         };
-        self.emit(|s| s.on_port_grant(now, MessageId(m as u64), node));
+        let id = self.msgs.id[m as usize];
+        self.emit(|s| s.on_port_grant(now, id, node));
         self.wheel.schedule(now + ts, Ev::StartupDone(m));
     }
 
@@ -656,7 +694,8 @@ impl<T: SimTopology> Network<T> {
 
     fn on_startup_done(&mut self, now: SimTime, m: u32) {
         let node = self.msgs.cur[m as usize];
-        self.emit(|s| s.on_startup_done(now, MessageId(m as u64), node));
+        let id = self.msgs.id[m as usize];
+        self.emit(|s| s.on_startup_done(now, id, node));
         self.advance_header(now, m);
     }
 
@@ -703,7 +742,8 @@ impl<T: SimTopology> Network<T> {
             let src = self.msgs.spec[i].src;
             self.wheel.schedule(now + body, Ev::PortRelease(src));
         }
-        self.emit(|s| s.on_header_hop(now, MessageId(m as u64), to, ch));
+        let id = self.msgs.id[i];
+        self.emit(|s| s.on_header_hop(now, id, to, ch));
         self.advance_header(now, m);
     }
 
@@ -780,7 +820,8 @@ impl<T: SimTopology> Network<T> {
             });
             if dodging && any_live {
                 let at = self.msgs.cur[i];
-                self.emit(|s| s.on_reroute(now, MessageId(m as u64), at));
+                let id = self.msgs.id[i];
+                self.emit(|s| s.on_reroute(now, id, at));
             }
             if !self.failed.contains(ch.index()) && self.chans.busy[ch.index()] == NONE {
                 self.grant(now, m, ch);
@@ -796,7 +837,8 @@ impl<T: SimTopology> Network<T> {
         {
             if dodging {
                 let at = self.msgs.cur[i];
-                self.emit(|s| s.on_reroute(now, MessageId(m as u64), at));
+                let id = self.msgs.id[i];
+                self.emit(|s| s.on_reroute(now, id, at));
             }
             self.grant(now, m, ch);
             return;
@@ -808,7 +850,8 @@ impl<T: SimTopology> Network<T> {
         let any_live = cands.iter().any(|c| !self.failed.contains(c.index()));
         if dodging && any_live {
             let at = self.msgs.cur[i];
-            self.emit(|s| s.on_reroute(now, MessageId(m as u64), at));
+            let id = self.msgs.id[i];
+            self.emit(|s| s.on_reroute(now, id, at));
         }
         let mut wait_ch = None;
         let mut best_len = u32::MAX;
@@ -830,7 +873,8 @@ impl<T: SimTopology> Network<T> {
         self.push_chan_waiter(ch.index(), m);
         self.msgs.waiting_on[m as usize] = ch.0;
         let queue_len = self.chans.waiters_len[ch.index()] as usize;
-        self.emit(|s| s.on_channel_wait(now, MessageId(m as u64), ch, queue_len));
+        let id = self.msgs.id[m as usize];
+        self.emit(|s| s.on_channel_wait(now, id, ch, queue_len));
         if self.cfg.watchdog != wormcast_sim::SimDuration::ZERO
             && !self.msgs.stall_armed[m as usize]
         {
@@ -856,17 +900,20 @@ impl<T: SimTopology> Network<T> {
         if matches!(self.msgs.spec[i].route, Route::Fixed(_)) {
             self.msgs.next_fixed[i] += 1;
         }
-        self.emit(|s| s.on_channel_grant(now, MessageId(m as u64), ch));
-        let cross = self.cfg.hop_time().times(self.speed[ch.index()] as u64);
+        let id = self.msgs.id[i];
+        self.emit(|s| s.on_channel_grant(now, id, ch));
+        let speed = self.speed.get(ch.index()).copied().unwrap_or(1);
+        let cross = self.cfg.hop_time().times(speed as u64);
         self.wheel.schedule(now + cross, Ev::Header(m));
     }
 
     fn on_deliver(&mut self, now: SimTime, m: u32, node: NodeId) {
         let i = m as usize;
         let flits = self.msgs.spec[i].length;
-        self.emit(|s| s.on_deliver(now, MessageId(m as u64), node, flits));
+        let id = self.msgs.id[i];
+        self.emit(|s| s.on_deliver(now, id, node, flits));
         self.outbox.push_back(Delivery {
-            message: MessageId(m as u64),
+            message: id,
             op: self.msgs.spec[i].op,
             tag: self.msgs.spec[i].tag,
             node,
@@ -899,7 +946,14 @@ impl<T: SimTopology> Network<T> {
         }
         self.msgs.done[i] = true;
         let node = self.msgs.cur[i];
-        self.emit(|s| s.on_complete(now, MessageId(m as u64), node));
+        let id = self.msgs.id[i];
+        self.emit(|s| s.on_complete(now, id, node));
+        // Every `Deliver` of the message has fired: each was scheduled for
+        // no later than this `Complete`, and before it. So only a pending
+        // watchdog probe can still name the slot; if one does, it frees it.
+        if !self.msgs.stall_armed[i] {
+            self.msgs.free.push(m);
+        }
     }
 
     /// Release a channel and hand it to the first waiter, if any.
@@ -958,6 +1012,9 @@ impl<T: SimTopology> Network<T> {
     /// pipeline).
     fn on_set_speed(&mut self, _now: SimTime, ch: ChannelId, factor: u32) {
         debug_assert!(factor >= 1, "speed factor must be at least 1");
+        if self.speed.is_empty() {
+            self.speed = vec![1; self.chans.busy.len()];
+        }
         self.speed[ch.index()] = factor.max(1);
     }
 
@@ -966,11 +1023,19 @@ impl<T: SimTopology> Network<T> {
     /// since — the header hopped, or a channel it was queued on was restored
     /// — the check re-arms with a fresh timeout; an epoch unchanged for a
     /// whole timeout means no progress and the message is reaped.
+    ///
+    /// A probe that finds its message done is the last reference to a
+    /// completed message's slot (a reaped message is never probed again),
+    /// and frees it.
     fn on_stall_check(&mut self, now: SimTime, m: u32, epoch: u32) {
         let i = m as usize;
         self.msgs.stall_armed[i] = false;
-        if self.msgs.done[i] || self.msgs.waiting_on[i] == NONE {
-            return; // finished, or crossing: the next wait re-arms
+        if self.msgs.done[i] {
+            self.msgs.free.push(m);
+            return;
+        }
+        if self.msgs.waiting_on[i] == NONE {
+            return; // crossing: the next wait re-arms
         }
         if self.msgs.progress_epoch[i] != epoch {
             // Progressed (hop or restore) since the arm: fresh timeout.
@@ -1020,14 +1085,8 @@ impl<T: SimTopology> Network<T> {
         }
         self.msgs.done[i] = true;
         let node = self.msgs.cur[i];
-        self.emit(|s| s.on_stalled(now, MessageId(m as u64), node, undelivered));
-    }
-
-    /// Fraction of elapsed simulated time each channel has been occupied.
-    /// Index by [`ChannelId`]; boundary slots that have no physical link are
-    /// always 0.
-    pub fn channel_utilization(&self) -> Vec<f64> {
-        self.sink_util.utilization(self.now())
+        let id = self.msgs.id[i];
+        self.emit(|s| s.on_stalled(now, id, node, undelivered));
     }
 
     /// Current queue length per channel (headers waiting).
@@ -1085,11 +1144,12 @@ impl<T: SimTopology> Network<T> {
     /// Strong structural audit of the arenas, run after every dispatched
     /// event when [`NetworkConfig::check_invariants`] is set (and callable
     /// directly at any event boundary). Panics on the first inconsistency:
-    /// non-monotone clock, counter/arena divergence, broken channel
-    /// ownership (every held or crossing channel must be busy with exactly
-    /// its holder — a bijection under path-holding), channels held by
-    /// retired messages, or corrupt waiter queues. O(messages + channels +
-    /// waiters) per call.
+    /// non-monotone clock, counter/arena divergence, a broken free list or
+    /// id column (a free slot still probed or live, a retired slot leaked,
+    /// two slots with one id), broken channel ownership (every held or
+    /// crossing channel must be busy with exactly its holder — a bijection
+    /// under path-holding), channels held by retired messages, or corrupt
+    /// waiter queues. O(slots · log slots + channels + waiters) per call.
     pub fn deep_check_invariants(&mut self, now: SimTime) {
         assert!(
             now >= self.iv_last_now,
@@ -1099,18 +1159,67 @@ impl<T: SimTopology> Network<T> {
         );
         self.iv_last_now = now;
         let c = self.sink_counters.counters();
+        let slots = self.msgs.slots();
         assert_eq!(
-            c.injected as usize,
-            self.msgs.spec.len(),
+            c.injected, self.msgs.injected,
             "deep check: injected counter diverges from the message arena"
         );
+        // Every injection past the arena's slot count reused a retired
+        // slot, clearing one retirement from the `done` column.
+        assert!(
+            slots as u64 <= c.injected,
+            "deep check: {slots} slots for {} messages",
+            c.injected
+        );
+        let reused = c.injected - slots as u64;
         let done = self.msgs.done.iter().filter(|&&d| d).count() as u64;
         assert_eq!(
-            done,
+            done + reused,
             c.completed + c.stalled,
-            "deep check: retirement accounting ({done} done vs {} completed + {} stalled)",
+            "deep check: retirement accounting ({done} done + {reused} reused vs {} completed + {} stalled)",
             c.completed,
             c.stalled
+        );
+        // Slot ownership: a free slot is retired with no watchdog probe
+        // pending (so no stale probe can reach its next occupant), and a
+        // retired slot off the free list is either awaiting its probe or
+        // reaped, never reused.
+        let mut free = vec![false; slots];
+        for &f in &self.msgs.free {
+            let f = f as usize;
+            assert!(!free[f], "deep check: slot {f} freed twice");
+            free[f] = true;
+            assert!(
+                self.msgs.done[f],
+                "deep check: live message in free slot {f}"
+            );
+            assert!(
+                !self.msgs.stall_armed[f],
+                "deep check: free slot {f} still has a watchdog probe pending"
+            );
+        }
+        let reaped = (0..slots)
+            .filter(|&i| self.msgs.done[i] && !free[i] && !self.msgs.stall_armed[i])
+            .count() as u64;
+        assert_eq!(
+            reaped, c.stalled,
+            "deep check: retired slots neither free nor awaiting a probe ({reaped}) vs stalled ({})",
+            c.stalled
+        );
+        // External ids: the occupied slots hold distinct ids, each already
+        // handed out.
+        let mut ids: Vec<u64> = (0..slots)
+            .filter(|&i| !free[i])
+            .map(|i| self.msgs.id[i].0)
+            .collect();
+        ids.sort_unstable();
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "deep check: two slots hold one message id"
+        );
+        assert!(
+            ids.last().is_none_or(|&id| id < self.msgs.injected),
+            "deep check: a slot holds an id not yet handed out"
         );
         // Channel ownership: every channel a live message is crossing or
         // holding must be busy with exactly that message. Under path-holding
@@ -1118,7 +1227,7 @@ impl<T: SimTopology> Network<T> {
         // has two holders); under facility queueing, channels mid-body-drain
         // are busy without a claim, so coverage is one-sided.
         let mut owned = 0usize;
-        for i in 0..self.msgs.spec.len() {
+        for i in 0..slots {
             if self.msgs.done[i] {
                 assert!(
                     self.msgs.held_head[i] == NONE,
@@ -1185,7 +1294,7 @@ impl<T: SimTopology> Network<T> {
                 );
                 nw += 1;
                 assert!(
-                    nw as usize <= self.msgs.spec.len(),
+                    nw as usize <= slots,
                     "deep check: waiter-list cycle on c{i}"
                 );
                 last = w;
@@ -1201,7 +1310,7 @@ impl<T: SimTopology> Network<T> {
             );
             queued += u64::from(nw);
         }
-        let waiting = (0..self.msgs.spec.len())
+        let waiting = (0..slots)
             .filter(|&i| !self.msgs.done[i] && self.msgs.waiting_on[i] != NONE)
             .count() as u64;
         assert_eq!(

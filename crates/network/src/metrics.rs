@@ -11,8 +11,10 @@
 //! The three observers the engine historically hard-coded are provided here
 //! as sinks: [`CountersSink`] (aggregate throughput), [`UtilizationSink`]
 //! (per-channel occupancy), and [`TraceSink`] (bounded event trace). The
-//! engine keeps one of each built in, preserving the long-standing accessors
-//! `Network::counters` / `channel_utilization` / `trace`; additional custom
+//! arena engine builds in a counters and a trace sink, behind
+//! `Network::counters` / `trace`; channel occupancy is left to the runs that
+//! attach an observer for it (telemetry's channel heatmap), and only the
+//! `classic` oracle still builds in a [`UtilizationSink`]. Additional custom
 //! sinks attach with [`crate::engine::Network::add_sink`].
 //!
 //! [`TraceSink`] records the engine's one event record,

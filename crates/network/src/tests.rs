@@ -1013,26 +1013,330 @@ mod metrics_sinks {
         assert_eq!(p.grants, p.releases, "every grant is eventually released");
         assert!(p.hops > 0);
     }
+}
+
+/// Arena slot reuse: a retired message's slot goes to a later injection,
+/// which must change nothing observable. Every leg runs the open-loop way
+/// (inject each message only when the clock reaches it, so slots retire
+/// and get reused mid-run) against the `classic` oracle, which never
+/// reuses anything.
+mod slot_reuse {
+    use super::*;
+    use crate::{classic, Counters, Event};
+
+    /// Everything a run can be observed to do. The final clock is left
+    /// out: the oracle has no watchdog, so with one on, the arena engine's
+    /// clock ends at its last probe and the oracle's at its last delivery.
+    #[derive(Debug, PartialEq)]
+    struct Record {
+        trace: Vec<Event>,
+        deliveries: Vec<Delivery>,
+        counters: Counters,
+    }
+
+    /// Run `$plan` (sorted by time) on the network `$net`, injecting each
+    /// message just before the clock would pass it. Evaluates to the
+    /// record and the most messages in flight at once.
+    macro_rules! open_loop {
+        ($net:ident, $plan:expr) => {{
+            $net.enable_trace(1 << 20);
+            let plan: &[(SimTime, MessageSpec)] = $plan;
+            let (mut next, mut peak) = (0, 0);
+            loop {
+                let due = plan
+                    .get(next)
+                    .filter(|(at, _)| $net.next_event_time().is_none_or(|t| *at <= t));
+                if let Some((at, spec)) = due {
+                    $net.inject_at(*at, spec.clone());
+                    peak = peak.max($net.in_flight());
+                    next += 1;
+                } else if !$net.step() {
+                    break;
+                }
+            }
+            let record = Record {
+                trace: $net.trace().records().copied().collect(),
+                deliveries: $net.drain_deliveries(),
+                counters: $net.counters(),
+            };
+            (record, peak)
+        }};
+    }
+
+    /// The invariant-checked configuration with watchdog `watchdog`.
+    fn config(watchdog: SimDuration) -> NetworkConfig {
+        NetworkConfig::paper_default()
+            .with_watchdog(watchdog)
+            .with_invariant_checks(true)
+    }
+
+    /// Both engines over `plan` on an 8×8 mesh with west-first adaptive
+    /// routing; asserts they agree and returns the arena engine's record,
+    /// network and in-flight peak.
+    fn against_classic(
+        cfg: NetworkConfig,
+        plan: &[(SimTime, MessageSpec)],
+    ) -> (Record, Network, u64) {
+        let mut oracle = classic::Network::new(Mesh::square(8), cfg, Box::new(WestFirst));
+        let (want, _) = open_loop!(oracle, plan);
+        let mut net = Network::new(Mesh::square(8), cfg, Box::new(WestFirst));
+        let (record, peak) = open_loop!(net, plan);
+        assert_eq!(record, want, "arena engine diverges from classic");
+        if cfg.watchdog == SimDuration::ZERO {
+            assert_eq!(net.now(), oracle.now(), "final clock");
+        }
+        (record, net, peak)
+    }
+
+    /// The external ids are `0..injected` in injection order, whatever slot
+    /// a message occupies: the trace's inject records count up from 0, no
+    /// record names any other id, every delivery names the message the
+    /// plan injected under its id (its op, source and request time), and
+    /// without reaping every id is delivered.
+    fn assert_ids_match(record: &Record, plan: &[(SimTime, MessageSpec)]) {
+        let injected = record.counters.injected;
+        assert_eq!(injected, plan.len() as u64);
+        let traced: Vec<u64> = record
+            .trace
+            .iter()
+            .filter(|e| e.kind == crate::EventKind::Inject)
+            .filter_map(|e| e.msg)
+            .collect();
+        assert_eq!(traced, (0..injected).collect::<Vec<_>>(), "inject ids");
+        assert!(
+            record
+                .trace
+                .iter()
+                .filter_map(|e| e.msg)
+                .all(|m| m < injected),
+            "a traced id was never injected"
+        );
+        let mesh = Mesh::square(8);
+        for d in &record.deliveries {
+            let (at, spec) = &plan[d.message.0 as usize];
+            assert_eq!(
+                (d.op, d.src, d.requested_at),
+                (spec.op, spec.src, *at),
+                "delivery of m{}",
+                d.message.0
+            );
+            let receives = match &spec.route {
+                Route::Fixed(cp) => cp.receivers(&mesh).contains(&d.node),
+                Route::Adaptive { dst } => *dst == d.node,
+            };
+            assert!(receives, "m{} delivered at {}", d.message.0, d.node);
+        }
+        if record.counters.stalled == 0 {
+            let mut delivered: Vec<u64> = record.deliveries.iter().map(|d| d.message.0).collect();
+            delivered.sort_unstable();
+            delivered.dedup();
+            assert_eq!(
+                delivered,
+                (0..injected).collect::<Vec<_>>(),
+                "delivered ids"
+            );
+        }
+    }
+
+    /// A mixed stream on an 8×8 mesh: fixed DOR unicasts, adaptive
+    /// west-first unicasts and multidestination row paths, from a fixed
+    /// LCG, one message every 0.25 µs.
+    fn mixed_plan(count: u64) -> Vec<(SimTime, MessageSpec)> {
+        let mesh = Mesh::square(8);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |n: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % n
+        };
+        let mut plan = Vec::new();
+        for i in 0..count {
+            let src = NodeId(draw(64) as u32);
+            let dst = NodeId(draw(64) as u32);
+            if src == dst {
+                continue;
+            }
+            let route = match i % 3 {
+                0 => Route::Fixed(CodedPath::unicast(&mesh, dor_path(&mesh, src, dst))),
+                1 => Route::Adaptive { dst },
+                _ => {
+                    let row = mesh.coord_of(src).get(1);
+                    let from = mesh.coord_of(src).get(0);
+                    let nodes: Vec<NodeId> = (from..8)
+                        .map(|x| mesh.node_at(&Coord::xy(x, row)))
+                        .collect();
+                    if nodes.len() < 2 {
+                        continue;
+                    }
+                    let path = wormcast_routing::Path::through(&mesh, &nodes);
+                    Route::Fixed(CodedPath::gather_all(&mesh, path))
+                }
+            };
+            let spec = MessageSpec {
+                src,
+                route,
+                length: 16 + draw(200),
+                op: OpId(i),
+                tag: 0,
+                charge_startup: true,
+            };
+            plan.push((SimTime::from_us(i as f64 * 0.25), spec));
+        }
+        plan
+    }
 
     #[test]
-    fn utilization_matches_pre_refactor_accounting() {
-        // One 2-hop unicast under path-holding: each crossed channel is held
-        // from its grant until completion; utilization must reflect that.
-        let mut net = net2d(4);
-        let m = net.mesh().clone();
-        let src = m.node_at(&Coord::xy(0, 0));
-        let dst = m.node_at(&Coord::xy(2, 0));
-        let spec = unicast_spec(&net, src, dst, 100, 0);
-        net.inject_at(SimTime::ZERO, spec);
-        net.run_until_idle();
-        let u = net.channel_utilization();
-        let busy: Vec<f64> = u.iter().copied().filter(|&x| x > 0.0).collect();
-        assert_eq!(busy.len(), 2, "two channels saw traffic: {u:?}");
-        // The first channel is granted at Ts and held until the tail clears
-        // the destination; the run ends at completion time, so occupancy is
-        // (total - Ts) / total.
-        let total = net.now().as_us();
-        let expect = (total - net.config().startup.as_us()) / total;
-        assert!((busy[0] - expect).abs() < 1e-9, "{} vs {expect}", busy[0]);
+    fn arena_holds_only_the_messages_in_flight() {
+        let plan = mixed_plan(600);
+        let (record, net, peak) = against_classic(config(SimDuration::ZERO), &plan);
+        assert_eq!(record.counters.completed, record.counters.injected);
+        let highwater = net.engine_stats().arena_msgs_highwater;
+        assert!(
+            highwater <= peak,
+            "arena high-water {highwater} above the in-flight peak {peak}"
+        );
+        assert!(
+            highwater < record.counters.injected,
+            "slots were reused ({highwater} slots for {} messages)",
+            record.counters.injected
+        );
+        assert_ids_match(&record, &plan);
+    }
+
+    #[test]
+    fn slots_wait_for_their_watchdog_probes() {
+        // A watchdog that never bites but is armed by every wait: many
+        // messages complete with a probe pending, and their slots are
+        // reused only once it fired.
+        let plan = mixed_plan(600);
+        let (record, _, _) = against_classic(config(SimDuration::from_us(50.0)), &plan);
+        assert_eq!(record.counters.stalled, 0);
+        assert_ids_match(&record, &plan);
+    }
+
+    #[test]
+    fn reaped_slots_are_never_reused() {
+        // A watchdog short enough to reap part of the stream. The oracle
+        // has no watchdog, so this leg checks the engine against its own
+        // accounting (and, with the `invariants` feature, the deep checks
+        // and the shadow checker).
+        let cfg = config(SimDuration::from_us(0.5));
+        let mut net = Network::new(Mesh::square(8), cfg, Box::new(WestFirst));
+        #[cfg(feature = "invariants")]
+        let checker = crate::InvariantChecker::new(true);
+        #[cfg(feature = "invariants")]
+        net.add_sink(checker.sink());
+        let plan = mixed_plan(600);
+        let (record, _) = open_loop!(net, &plan);
+        let c = record.counters;
+        assert!(c.stalled > 0, "the watchdog bites");
+        assert_eq!(c.completed + c.stalled, c.injected);
+        assert_eq!(net.in_flight(), 0);
+        assert!(net.engine_stats().arena_msgs_highwater < c.injected);
+        assert_ids_match(&record, &plan);
+        net.force_check_invariants();
+        #[cfg(feature = "invariants")]
+        assert_eq!(checker.finish(0), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_stale_watchdog_probe_never_reaches_the_next_occupant() {
+        // A waits (and arms a 20 µs probe) behind X, then completes long
+        // before its probe fires. B is injected after A completed, and at
+        // the moment A's probe fires B waits behind Y at the same progress
+        // epoch A had (none: both wait at their source). An engine that
+        // handed A's slot to B at A's completion would let the stale probe
+        // reap B; B must instead wait out Y and deliver.
+        let mesh = Mesh::square(8);
+        let at = |x, y| mesh.node_at(&Coord::xy(x, y));
+        let spec = |src, dst, length, op, charge_startup| MessageSpec {
+            src,
+            route: Route::Fixed(CodedPath::unicast(&mesh, dor_path(&mesh, src, dst))),
+            length,
+            op: OpId(op),
+            tag: 0,
+            charge_startup,
+        };
+        let watchdog = SimDuration::from_us(20.0);
+        let plan = [
+            // X holds (1,0)→(2,0) from 1.506 µs to 4.518 µs.
+            (SimTime::ZERO, spec(at(0, 0), at(3, 0), 1000, 0, true)),
+            // A waits on it from 1.6 µs and completes at 4.572 µs.
+            (SimTime::from_us(0.1), spec(at(1, 0), at(2, 0), 16, 1, true)),
+            // B waits on (2,0)→(3,0) from 11.5 µs ...
+            (
+                SimTime::from_us(10.0),
+                spec(at(2, 0), at(3, 0), 16, 2, true),
+            ),
+            // ... held by Y from 10.016 µs to 25.022 µs.
+            (
+                SimTime::from_us(10.01),
+                spec(at(1, 0), at(3, 0), 5000, 3, false),
+            ),
+        ];
+        let (record, net, _) = against_classic(config(watchdog), &plan);
+        let stale_probe = SimTime::from_us(1.6) + watchdog;
+        let a_done = record.deliveries.iter().find(|d| d.op == OpId(1)).unwrap();
+        assert!(
+            a_done.delivered_at < SimTime::from_us(10.0),
+            "A completes before B"
+        );
+        let b = record.deliveries.iter().find(|d| d.op == OpId(2));
+        let b = b.expect("B delivers: the stale probe did not reap it");
+        assert!(
+            b.delivered_at > stale_probe,
+            "B was still waiting at A's probe"
+        );
+        assert_eq!(record.counters.stalled, 0);
+        assert_eq!(record.counters.completed, 4);
+        assert_ids_match(&record, &plan);
+        net.force_check_invariants();
+    }
+
+    #[test]
+    fn a_reaped_slot_keeps_its_pending_deliveries() {
+        // M streams a 3 µs body along (0,0)→(3,0) absorbing at (1,0) and
+        // (2,0), and wedges on the dead link into (3,0). The watchdog reaps
+        // it at 2.512 µs, before either copy has drained (4.506 and
+        // 4.512 µs). N is injected in between; its slot must not be M's,
+        // or M's pending copies would be delivered as N's.
+        let mesh = Mesh::square(8);
+        let at = |x| mesh.node_at(&Coord::xy(x, 0));
+        let nodes = [at(0), at(1), at(2), at(3)];
+        let path = wormcast_routing::Path::through(&mesh, &nodes);
+        let m = MessageSpec {
+            src: at(0),
+            route: Route::Fixed(CodedPath::gather_all(&mesh, path)),
+            length: 1000,
+            op: OpId(0),
+            tag: 0,
+            charge_startup: true,
+        };
+        let n = MessageSpec {
+            src: at(5),
+            route: Route::Fixed(CodedPath::unicast(&mesh, dor_path(&mesh, at(5), at(6)))),
+            length: 16,
+            op: OpId(1),
+            tag: 0,
+            charge_startup: true,
+        };
+        let plan = [(SimTime::ZERO, m), (SimTime::from_us(3.0), n)];
+        let mut net = Network::new(
+            mesh.clone(),
+            config(SimDuration::from_us(1.0)),
+            Box::new(WestFirst),
+        );
+        net.fail_channel(mesh.channel_between(at(2), at(3)).unwrap());
+        let (record, _) = open_loop!(net, &plan);
+        assert_eq!((record.counters.stalled, record.counters.completed), (1, 1));
+        let got: Vec<(u64, NodeId)> = record
+            .deliveries
+            .iter()
+            .map(|d| (d.message.0, d.node))
+            .collect();
+        assert_eq!(got, [(0, at(1)), (0, at(2)), (1, at(6))]);
+        assert_ids_match(&record, &plan);
+        net.force_check_invariants();
     }
 }

@@ -423,8 +423,9 @@ struct CollectorSink {
     shared: Arc<Mutex<TelemetryFrame>>,
     rep: u64,
     /// Phase state of the messages in flight, indexed by
-    /// [`MessageId::index`] (the engine's arena slot, so the vector stays
-    /// as long as the most messages ever in flight at once).
+    /// [`MessageId::index`]. That is the external id, which counts every
+    /// message injected (not the engine's arena slot, which is reused), so
+    /// the vector grows to the number of messages injected.
     inflight: Vec<Option<MsgState>>,
 }
 
@@ -791,5 +792,53 @@ mod tests {
         assert_eq!(f.heatmap.expect("heatmap always on").max_queue_depth(), 2);
         assert!(f.events.is_none());
         assert_eq!(f.phases.completion.count(), 1);
+    }
+
+    #[test]
+    fn utilization_matches_pre_refactor_accounting() {
+        // One 2-hop unicast under path-holding: each crossed channel is
+        // held from its grant until completion, and the heatmap's busy
+        // time must reflect that. The run ends at completion, so the first
+        // channel (granted at Ts) is busy for all but Ts of it, and the
+        // second for one hop less.
+        use wormcast_network::{MessageSpec, Network, NetworkConfig, OpId, Route};
+        use wormcast_routing::{dor_path, CodedPath, DimensionOrdered};
+        use wormcast_topology::{Coord, Mesh, Topology};
+        let mesh = Mesh::square(4);
+        let cfg = NetworkConfig::paper_default();
+        let mut net = Network::new(mesh.clone(), cfg, Box::new(DimensionOrdered));
+        let c = Collector::new(
+            &TelemetrySpec::default(),
+            0,
+            mesh.num_channels(),
+            mesh.num_nodes(),
+        );
+        net.add_sink(c.sink());
+        let src = mesh.node_at(&Coord::xy(0, 0));
+        let dst = mesh.node_at(&Coord::xy(2, 0));
+        let spec = MessageSpec {
+            src,
+            route: Route::Fixed(CodedPath::unicast(&mesh, dor_path(&mesh, src, dst))),
+            length: 100,
+            op: OpId(0),
+            tag: 0,
+            charge_startup: true,
+        };
+        net.inject_at(SimTime::ZERO, spec);
+        net.run_until_idle();
+        let total_ps = net.now().as_ps();
+        drop(net);
+        let heat = c.finish().heatmap.expect("heatmap always on").export();
+        let busy: Vec<f64> = heat.channels.iter().map(|ch| ch.busy_us).collect();
+        let us = |ps: u64| ps as f64 / wormcast_sim::PS_PER_US as f64;
+        let ts = cfg.startup.as_ps();
+        let hop = cfg.hop_time().as_ps();
+        assert_eq!(busy, [us(total_ps - ts), us(total_ps - ts - hop)]);
+        let utilization = busy[0] / us(total_ps);
+        let expect = (us(total_ps) - cfg.startup.as_us()) / us(total_ps);
+        assert!(
+            (utilization - expect).abs() < 1e-9,
+            "{utilization} vs {expect}"
+        );
     }
 }

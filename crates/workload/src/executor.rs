@@ -12,8 +12,10 @@
 //! algorithms, the multicast schemes and the torus ring are all one
 //! [`BroadcastSchedule`] type.
 //!
-//! A tracker holds only per-operation state: arrival times, counters and a
-//! handle on a compiled plan, the schedule's messages grouped by sending
+//! A tracker holds only per-operation state: the arrivals so far (a bit per
+//! node plus the arrival times in delivery order, so an operation in flight
+//! pays for the nodes it reached, not for the mesh), counters and a handle
+//! on a compiled plan, the schedule's messages grouped by sending
 //! node in one flat array. A schedule depends only on (algorithm, mesh,
 //! source), so the open-loop drivers take their trackers from a
 //! [`PlanCache`]: operations from one source that are in flight together
@@ -162,17 +164,33 @@ impl<'m> PlanCache<'m> {
     }
 }
 
+/// A set of nodes, one bit per node.
+type NodeBits = Vec<u64>;
+
+/// The empty set over `nodes` nodes.
+fn node_bits(nodes: usize) -> NodeBits {
+    vec![0; nodes.div_ceil(64)]
+}
+
+/// The word of a [`NodeBits`] that holds `node`, and its bit there.
+fn bit_of(node: usize) -> (usize, u64) {
+    (node / 64, 1 << (node % 64))
+}
+
 /// Tracks one in-flight broadcast operation.
 #[derive(Debug)]
 pub struct BroadcastTracker {
     op: OpId,
     length: u64,
     plan: Arc<CompiledPlan>,
-    /// Arrival time of the payload at each node (None = not yet).
-    arrivals: Vec<Option<SimTime>>,
+    /// The nodes the payload reached so far.
+    reached: NodeBits,
+    /// Each arrival so far, in delivery order: the node, and when.
+    arrived: Vec<NodeId>,
+    arrived_at: Vec<SimTime>,
     /// The destinations whose arrival completes a subset operation
     /// (multicast); `None` means every node but the source.
-    wanted: Option<Vec<bool>>,
+    wanted: Option<NodeBits>,
     received: usize,
     expected: usize,
     started_at: Option<SimTime>,
@@ -194,7 +212,9 @@ impl BroadcastTracker {
             op,
             length,
             plan,
-            arrivals: vec![None; nodes],
+            reached: node_bits(nodes),
+            arrived: Vec::new(),
+            arrived_at: Vec::new(),
             wanted: None,
             received: 0,
             expected: nodes - 1,
@@ -213,11 +233,12 @@ impl BroadcastTracker {
         length: u64,
     ) -> Self {
         let mut tracker = Self::new(topo, schedule, op, length);
-        let mut wanted = vec![false; topo.num_nodes()];
+        let mut wanted = node_bits(topo.num_nodes());
         for d in dests.iter().filter(|&&d| d != schedule.source) {
-            wanted[d.index()] = true;
+            let (w, bit) = bit_of(d.index());
+            wanted[w] |= bit;
         }
-        tracker.expected = wanted.iter().filter(|&&w| w).count();
+        tracker.expected = wanted.iter().map(|w| w.count_ones() as usize).sum();
         tracker.wanted = Some(wanted);
         tracker
     }
@@ -229,7 +250,22 @@ impl BroadcastTracker {
 
     /// Whether `node`'s arrival counts toward completion.
     fn wants(&self, node: usize) -> bool {
-        self.wanted.as_ref().is_none_or(|w| w[node])
+        let (w, bit) = bit_of(node);
+        self.wanted.as_ref().is_none_or(|m| m[w] & bit != 0)
+    }
+
+    /// Word `w` of the set of arrivals that count toward completion.
+    fn counted(&self, w: usize) -> u64 {
+        self.reached[w] & self.wanted.as_ref().map_or(!0, |m| m[w])
+    }
+
+    /// The counted arrivals in delivery order, as latencies (µs) from `t0`.
+    fn counted_latencies(&self, t0: SimTime) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        self.arrived
+            .iter()
+            .zip(&self.arrived_at)
+            .filter(|(node, _)| self.wants(node.index()))
+            .map(move |(&node, t)| (node, t.since(t0).as_us()))
     }
 
     /// Begin the operation at `now`: returns the source's message specs,
@@ -256,13 +292,15 @@ impl BroadcastTracker {
         if d.op != self.op {
             return Vec::new();
         }
-        let slot = &mut self.arrivals[d.node.index()];
+        let (w, bit) = bit_of(d.node.index());
         assert!(
-            slot.is_none(),
+            self.reached[w] & bit == 0,
             "node {} received the broadcast twice",
             d.node
         );
-        *slot = Some(d.delivered_at);
+        self.reached[w] |= bit;
+        self.arrived.push(d.node);
+        self.arrived_at.push(d.delivered_at);
         if self.wants(d.node.index()) {
             self.received += 1;
         }
@@ -330,12 +368,22 @@ impl BroadcastTracker {
         let Some(t0) = self.started_at else {
             return Vec::new();
         };
-        self.arrivals
-            .iter()
-            .enumerate()
-            .filter(|&(node, _)| self.wants(node))
-            .filter_map(|(_, t)| t.map(|t| t.since(t0).as_us()))
-            .collect()
+        // A counted arrival's place in node order is its rank among the
+        // counted bits: those of the words below its own, plus those below
+        // it in its word.
+        let mut below = Vec::with_capacity(self.reached.len());
+        let mut rank = 0;
+        for w in 0..self.reached.len() {
+            below.push(rank);
+            rank += self.counted(w).count_ones() as usize;
+        }
+        debug_assert_eq!(rank, self.received);
+        let mut out = vec![0.0; rank];
+        for (node, us) in self.counted_latencies(t0) {
+            let (w, bit) = bit_of(node.index());
+            out[below[w] + (self.counted(w) & (bit - 1)).count_ones() as usize] = us;
+        }
+        out
     }
 
     /// When the operation started.
@@ -359,7 +407,12 @@ impl BroadcastTracker {
     /// # Panics
     /// Panics if the operation has not completed.
     pub fn network_latency_us(&self) -> f64 {
-        self.latencies_us().into_iter().fold(0.0, f64::max)
+        assert!(self.is_complete(), "broadcast still in flight");
+        self.started_at.map_or(0.0, |t0| {
+            self.counted_latencies(t0)
+                .map(|(_, us)| us)
+                .fold(0.0, f64::max)
+        })
     }
 }
 
@@ -655,5 +708,112 @@ mod tests {
         assert!(!tracker.start(SimTime::ZERO).is_empty());
         let follow = tracker.on_delivery(&delivery(OpId(0), src, NodeId(0)));
         assert!(follow.is_empty(), "the source's messages left at start");
+    }
+
+    /// When the copy to `node` lands in the out-of-order tests: a distinct
+    /// time per node.
+    fn landing(node: NodeId) -> SimTime {
+        SimTime::from_us(1.0 + node.0 as f64 * 0.01)
+    }
+
+    /// Feed `tracker` a copy for each of `nodes`, in that order, each
+    /// landing at its [`landing`] time.
+    fn feed(tracker: &mut BroadcastTracker, nodes: &[NodeId]) {
+        for &node in nodes {
+            let d = Delivery {
+                delivered_at: landing(node),
+                ..delivery(tracker.op(), node, NodeId(0))
+            };
+            tracker.on_delivery(&d);
+        }
+    }
+
+    /// The latencies `nodes` must report, in node order.
+    fn in_node_order(nodes: &[NodeId]) -> Vec<f64> {
+        let mut sorted = nodes.to_vec();
+        sorted.sort();
+        sorted
+            .iter()
+            .map(|&n| landing(n).since(SimTime::ZERO).as_us())
+            .collect()
+    }
+
+    /// Every node of a 216-node mesh (four words of the reached set) but
+    /// `skip`, in a scrambled order.
+    fn scrambled(skip: NodeId) -> Vec<NodeId> {
+        (0..216u32)
+            .map(|i| NodeId(i * 97 % 216))
+            .rev()
+            .filter(|&n| n != skip)
+            .collect()
+    }
+
+    #[test]
+    fn latencies_keep_node_order_under_out_of_order_deliveries() {
+        let mesh = Mesh::cube(6);
+        let src = NodeId(70);
+        let schedule = Algorithm::Db.schedule(&mesh, src);
+        let mut tracker = BroadcastTracker::new(&mesh, &schedule, OpId(0), 16);
+        tracker.start(SimTime::ZERO);
+        let order = scrambled(src);
+        feed(&mut tracker, &order);
+        assert!(tracker.is_complete());
+        let want = in_node_order(&order);
+        assert_eq!(tracker.latencies_us(), want);
+        assert_eq!(tracker.delivered_latencies_us(), want);
+        assert_eq!(
+            tracker.network_latency_us(),
+            want.iter().copied().fold(0.0, f64::max)
+        );
+    }
+
+    #[test]
+    fn multicast_latencies_keep_the_wanted_subset_in_node_order() {
+        let mesh = Mesh::cube(6);
+        let src = NodeId(70);
+        let dests = [NodeId(200), NodeId(5), src, NodeId(64), NodeId(63)];
+        let schedule = wormcast_broadcast::cpr_multicast(&mesh, src, &dests);
+        let mut tracker = BroadcastTracker::multicast(&mesh, &schedule, &dests, OpId(0), 16);
+        tracker.start(SimTime::ZERO);
+        // Backbone copies reach every other node too, interleaved with the
+        // wanted ones; only the wanted arrivals count.
+        feed(&mut tracker, &scrambled(src));
+        assert!(tracker.is_complete());
+        let want = in_node_order(&[NodeId(200), NodeId(5), NodeId(64), NodeId(63)]);
+        assert_eq!(tracker.latencies_us(), want);
+        assert_eq!(tracker.delivered_latencies_us(), want);
+    }
+
+    #[test]
+    fn a_partially_delivered_operation_reports_what_arrived_in_node_order() {
+        let mesh = Mesh::cube(6);
+        let src = NodeId(70);
+        let schedule = Algorithm::Db.schedule(&mesh, src);
+        let mut tracker = BroadcastTracker::new(&mesh, &schedule, OpId(0), 16);
+        tracker.start(SimTime::ZERO);
+        let reached: Vec<NodeId> = scrambled(src).into_iter().step_by(3).collect();
+        feed(&mut tracker, &reached);
+        assert!(!tracker.is_complete(), "a faulted run lost destinations");
+        assert_eq!(tracker.received(), reached.len());
+        assert_eq!(tracker.delivered_latencies_us(), in_node_order(&reached));
+
+        let dests: Vec<NodeId> = (0..216).step_by(5).map(NodeId).collect();
+        let schedule = wormcast_broadcast::cpr_multicast(&mesh, src, &dests);
+        let mut tracker = BroadcastTracker::multicast(&mesh, &schedule, &dests, OpId(0), 16);
+        tracker.start(SimTime::ZERO);
+        feed(&mut tracker, &reached);
+        let wanted: Vec<NodeId> = reached.iter().copied().filter(|n| n.0 % 5 == 0).collect();
+        assert!(!wanted.is_empty() && !tracker.is_complete());
+        assert_eq!(tracker.delivered_latencies_us(), in_node_order(&wanted));
+    }
+
+    #[test]
+    #[should_panic(expected = "received the broadcast twice")]
+    fn a_duplicate_delivery_panics() {
+        let mesh = Mesh::cube(6);
+        let schedule = Algorithm::Db.schedule(&mesh, NodeId(70));
+        let mut tracker = BroadcastTracker::new(&mesh, &schedule, OpId(0), 16);
+        tracker.start(SimTime::ZERO);
+        feed(&mut tracker, &[NodeId(130), NodeId(3), NodeId(130)]);
     }
 }
