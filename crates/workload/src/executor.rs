@@ -15,8 +15,8 @@
 //! A tracker holds only per-operation state: the arrivals so far (a bit per
 //! node plus the arrival times in delivery order, so an operation in flight
 //! pays for the nodes it reached, not for the mesh), counters and a handle
-//! on a compiled plan, the schedule's messages grouped by sending
-//! node in one flat array. A schedule depends only on (algorithm, mesh,
+//! on a compiled plan, the schedule's messages grouped by sending node in
+//! one flat array. A schedule depends only on (algorithm, mesh,
 //! source), so the open-loop drivers take their trackers from a
 //! [`PlanCache`]: operations from one source that are in flight together
 //! share one plan, behind an [`Arc`], and the plan is freed with the last

@@ -3,8 +3,8 @@
 //! freshly generated report, that file too — the ci.sh bench-smoke path)
 //! must parse as the vendored Criterion schema and contain the
 //! classic-vs-active-set comparison the engine rewrite is judged by. Every
-//! row of the engine reports, of the committed telemetry report and of a
-//! freshly generated serve report must name its host.
+//! row of the engine reports, of the committed telemetry, harness and serve
+//! reports and of a freshly generated serve report must name its host.
 //!
 //! The vendored serde facade cannot deserialize, so this uses a scanner
 //! matched to the report's fixed machine-generated shape: a JSON array with
@@ -196,7 +196,42 @@ fn committed_telemetry_bench_report_is_valid() {
 
 #[test]
 fn committed_serve_bench_report_is_valid() {
-    validate_serve(&Path::new(env!("CARGO_MANIFEST_DIR")).join("results/BENCH_serve.json"));
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/BENCH_serve.json");
+    validate_serve(&path);
+    validate_host(&path);
+}
+
+/// The harness report: one row per runner, `jobs1/1` and `jobsN/<workers>`
+/// over the same replications. With more than one worker the parallel
+/// runner must be the faster; with one (a one-core host) the two rows time
+/// the same code and say nothing about parallel speed-up.
+#[test]
+fn committed_harness_bench_report_is_valid() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/BENCH_harness.json");
+    let records = parse_report(&path);
+    let row = |prefix: &str| {
+        records
+            .iter()
+            .find(|r| r.id.starts_with(prefix))
+            .unwrap_or_else(|| panic!("report lacks the {prefix} row"))
+    };
+    let single = row("harness_fig1_replications/jobs1/");
+    let parallel = row("harness_fig1_replications/jobsN/");
+    let workers: usize = parallel
+        .id
+        .rsplit('/')
+        .next()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("{}: no worker count", parallel.id));
+    if workers > 1 {
+        assert!(
+            parallel.mean_ns < single.mean_ns,
+            "{workers} workers no faster than one ({:.0} vs {:.0} ns)",
+            parallel.mean_ns,
+            single.mean_ns
+        );
+    }
+    validate_host(&path);
 }
 
 #[test]
