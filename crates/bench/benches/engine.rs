@@ -8,7 +8,7 @@ use std::hint::black_box;
 use wormcast_broadcast::Algorithm;
 use wormcast_network::{classic, MessageSpec, Network, NetworkConfig, OpId, Route};
 use wormcast_routing::{dor_path, CodedPath, DimensionOrdered, PlanarWestFirst, RoutingFunction};
-use wormcast_sim::{CalendarWheel, EventQueue, SimDuration, SimRng, SimTime};
+use wormcast_sim::{EventQueue, LaneQueue, SimDuration, SimRng, SimTime};
 use wormcast_topology::{Mesh, NodeId, Topology};
 use wormcast_workload::BroadcastTracker;
 
@@ -182,59 +182,98 @@ fn bench_engine_compare(c: &mut Criterion) {
     group.finish();
 }
 
-/// The scheduling primitive in isolation, under the classic hold model at
-/// the engine's operating point: a steady population of ~512 pending
-/// events (one per node's next hop, roughly), each pop followed by a
-/// reschedule a random interval ahead, inside the wheel's ring horizon as
-/// engine events are.
-///
-/// The plain hold spreads reschedules over 2 µs, about 2 pending events per
-/// 8.192-ns bucket, so almost no reschedule lands in the tick being drained
-/// (0.1% of the wheel's places are ordered inserts into the current
-/// bucket). The `crowded` variants spread them over ten buckets, which
-/// gives a place about 49 pending events in its bucket, as on perfbench's
-/// `loaded` workload (about 50). 4.8% of the places are then ordered
-/// inserts, each shifting 16 slots on average, and 1.0% leave a later
-/// bucket to be sorted on its first read (`loaded`: 10.4% and 5 slots,
-/// 1.5%).
-fn bench_wheel_vs_heap(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scheduler_primitive");
-    let n = 100_000u64;
-    let population = 512u64;
-    // The wheel's default bucket width, 2^13 ps.
-    let tick = 1u64 << 13;
-    group.throughput(Throughput::Elements(n));
+/// The next event a hold-model pop schedules: a fixed delay after the
+/// popped event, or an arrival at an absolute time.
+#[derive(Clone, Copy)]
+enum Next {
+    After(SimDuration),
+    At(SimTime),
+}
 
-    macro_rules! hold_model {
-        ($q:expr, $spread:expr) => {{
-            let mut q = $q;
-            let mut rng = SimRng::new(5);
-            for i in 0..population {
-                q.schedule(SimTime::from_ps(rng.next_u64() % $spread), i);
-            }
-            let mut acc = 0u64;
-            for i in 0..n {
-                let (t, e) = q.pop().expect("population never drains");
-                acc += black_box(e) & 1;
-                let ahead = rng.next_u64() % $spread;
-                q.schedule(t + SimDuration::from_ps(ahead), i);
-            }
-            black_box(acc)
-        }};
+/// A future-event list under the hold model.
+trait Hold {
+    fn put(&mut self, next: Next, event: u64);
+    fn take(&mut self) -> (SimTime, u64);
+}
+
+impl Hold for EventQueue<u64> {
+    fn put(&mut self, next: Next, event: u64) {
+        let at = match next {
+            Next::After(d) => self.now() + d,
+            Next::At(at) => at,
+        };
+        self.schedule(at, event);
     }
-    let (plain, crowded) = (2_000_000u64, 10 * tick);
+    fn take(&mut self) -> (SimTime, u64) {
+        self.pop().expect("population never drains")
+    }
+}
 
+impl Hold for LaneQueue<u64> {
+    fn put(&mut self, next: Next, event: u64) {
+        match next {
+            Next::After(d) => self.schedule_after(d, event),
+            Next::At(at) => self.schedule_at(at, event),
+        }
+    }
+    fn take(&mut self) -> (SimTime, u64) {
+        self.pop().expect("population never drains")
+    }
+}
+
+/// The engine's delay mix at the paper's constants: a hop (routing + β,
+/// 6 ns) times one of `speeds` crossing-time factors half the time, a
+/// 32-flit body drain (96 ns) for a delivery, completion or port release,
+/// the start-up latency (1.5 µs), a zero-delay handoff, and one time in
+/// twenty a Poisson arrival (mean gap 1 µs) at an absolute time.
+fn engine_delay(rng: &mut SimRng, now: SimTime, speeds: u64) -> Next {
+    let ns = |n: u64| SimDuration::from_ps(n * 1_000);
+    match rng.index(20) {
+        0..=9 => Next::After(ns(6).times(1 + rng.next_u64() % speeds)),
+        10..=15 => Next::After(ns(96)),
+        16 | 17 => Next::After(ns(1_500)),
+        18 => Next::After(SimDuration::ZERO),
+        _ => Next::At(now + SimDuration::from_us(-(1.0 - rng.unit()).ln())),
+    }
+}
+
+/// 100k pops of a steady population of 512 pending events (one per node's
+/// next event, roughly), each pop followed by one event from
+/// [`engine_delay`].
+fn hold_model(mut q: impl Hold, speeds: u64) -> u64 {
+    let mut rng = SimRng::new(5);
+    for i in 0..512 {
+        q.put(engine_delay(&mut rng, SimTime::ZERO, speeds), i);
+    }
+    let mut acc = 0u64;
+    for i in 0..100_000 {
+        let (t, e) = q.take();
+        acc += black_box(e) & 1;
+        q.put(engine_delay(&mut rng, t, speeds), i);
+    }
+    acc
+}
+
+/// The scheduling primitive in isolation: the delay-lane queue the engine
+/// runs against the binary-heap [`EventQueue`] under the hold model with
+/// the engine's delay mix. The plain rows use full-speed hops (four fixed
+/// delays, each in its lane). The `modulated` rows spread hop times over
+/// twelve crossing-time factors, more distinct delays than the lane table
+/// holds, so part of the load takes the lane queue's heap fallback.
+fn bench_lanes_vs_heap(c: &mut Criterion) {
+    let mut group = c.benchmark_group("scheduler_primitive");
+    group.throughput(Throughput::Elements(100_000));
     group.bench_function("heap_hold_512", |b| {
-        b.iter(|| hold_model!(EventQueue::new(), plain))
+        b.iter(|| black_box(hold_model(EventQueue::new(), 1)))
     });
-    group.bench_function("wheel_hold_512", |b| {
-        b.iter(|| hold_model!(CalendarWheel::<u64>::new(), plain))
+    group.bench_function("lanes_hold_512", |b| {
+        b.iter(|| black_box(hold_model(LaneQueue::new(), 1)))
     });
-    group.bench_function("heap_hold_512_crowded", |b| {
-        b.iter(|| hold_model!(EventQueue::new(), crowded))
+    group.bench_function("heap_hold_512_modulated", |b| {
+        b.iter(|| black_box(hold_model(EventQueue::new(), 12)))
     });
-    group.bench_function("wheel_hold_512_crowded", |b| {
-        b.iter(|| hold_model!(CalendarWheel::<u64>::new(), crowded))
+    group.bench_function("lanes_hold_512_modulated", |b| {
+        b.iter(|| black_box(hold_model(LaneQueue::new(), 12)))
     });
     group.finish();
 }
@@ -245,6 +284,6 @@ criterion_group!(
     bench_routing_functions,
     bench_message_throughput,
     bench_engine_compare,
-    bench_wheel_vs_heap
+    bench_lanes_vs_heap
 );
 criterion_main!(benches);

@@ -21,7 +21,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use wormcast_broadcast::Algorithm;
 use wormcast_network::{MessageSpec, NetworkConfig, OpId, Route};
-use wormcast_routing::{dor_path, CodedPath};
 use wormcast_sim::{LoadRamp, Schedule, SimRng, SimTime};
 use wormcast_telemetry::{Observe, TelemetryFrame};
 use wormcast_topology::{ChannelId, Mesh, NodeId, Topology};
@@ -259,7 +258,7 @@ impl SchedulesParams {
                     at,
                     MessageSpec {
                         src,
-                        route: Route::Fixed(CodedPath::unicast(&mesh, dor_path(&mesh, src, dst))),
+                        route: Route::Dor { dst },
                         length: self.length,
                         op,
                         tag: 0,
@@ -281,7 +280,7 @@ impl SchedulesParams {
                     at,
                     MessageSpec {
                         src,
-                        route: Route::Fixed(CodedPath::unicast(&mesh, dor_path(&mesh, src, dst))),
+                        route: Route::Dor { dst },
                         length: e.length.max(1),
                         op: OpId(500_000 + i as u64),
                         tag: 0,

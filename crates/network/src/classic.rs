@@ -41,7 +41,7 @@ use crate::message::{Delivery, MessageId, MessageSpec, Route};
 use crate::metrics::{CountersSink, MetricsSink, TraceSink, UtilizationSink};
 use crate::trace::Trace;
 use std::collections::VecDeque;
-use wormcast_routing::{queue_aware_pick, RoutingFunction, SelectPolicy, SimTopology};
+use wormcast_routing::{queue_aware_pick, CodedPath, RoutingFunction, SelectPolicy, SimTopology};
 use wormcast_sim::{EventQueue, SimTime};
 use wormcast_topology::{ChannelId, Mesh, NodeId, Sign};
 
@@ -310,10 +310,19 @@ impl<T: SimTopology> Network<T> {
     /// Request injection of `spec` at absolute time `at` (≥ now).
     ///
     /// # Panics
-    /// Panics if the spec is malformed: zero length, an adaptive route to
-    /// self, or a fixed route that does not start at `spec.src`.
-    pub fn inject_at(&mut self, at: SimTime, spec: MessageSpec) -> MessageId {
+    /// Panics if the spec is malformed: zero length, an adaptive or DOR
+    /// route to self, or a fixed route that does not start at `spec.src`.
+    ///
+    /// A [`Route::Dor`] is taken as the fixed unicast over its path
+    /// ([`SimTopology::dor_route`]), so the model below sees only fixed and
+    /// adaptive routes.
+    pub fn inject_at(&mut self, at: SimTime, mut spec: MessageSpec) -> MessageId {
         assert!(spec.length > 0, "messages need at least one flit");
+        if let Route::Dor { dst } = spec.route {
+            assert_ne!(dst, spec.src, "DOR route to self");
+            let path = self.topo.dor_route(spec.src, dst);
+            spec.route = Route::Fixed(CodedPath::unicast(&self.topo, path));
+        }
         let deliver_mask = match &spec.route {
             Route::Fixed(cp) => {
                 assert_eq!(cp.src(), spec.src, "fixed route must start at src");
@@ -323,6 +332,7 @@ impl<T: SimTopology> Network<T> {
                 assert_ne!(*dst, spec.src, "adaptive route to self");
                 Vec::new()
             }
+            Route::Dor { .. } => unreachable!("converted to a fixed path above"),
         };
         let id = MessageId(self.msgs.len() as u64);
         self.msgs.push(Msg {
@@ -503,6 +513,7 @@ impl<T: SimTopology> Network<T> {
                     let fin = msg.cur == *dst;
                     (fin, fin)
                 }
+                Route::Dor { .. } => unreachable!("stored as a fixed path"),
             }
         };
         if is_receiver {
@@ -530,6 +541,7 @@ impl<T: SimTopology> Network<T> {
                     );
                     cands
                 }
+                Route::Dor { .. } => unreachable!("stored as a fixed path"),
             }
         };
         // Fault injection: adaptive messages route around failed channels

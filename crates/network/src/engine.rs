@@ -32,12 +32,17 @@
 //! The hot path is organised around *active sets* so that one simulation
 //! step costs O(active work), independent of mesh size:
 //!
-//! * The future-event list is a [`CalendarWheel`] keyed by the event's
-//!   cycle, with the exact deterministic `(time, insertion-seq)` ordering
-//!   of the reference [`EventQueue`](wormcast_sim::EventQueue) — proven
+//! * The future-event list is a [`LaneQueue`]: one FIFO lane per fixed
+//!   delay the engine charges (start-up, hop × speed, body drain, watchdog,
+//!   zero-delay handoffs) plus a small heap for absolute-time schedules
+//!   (injections ahead of the clock, faults, speed changes, phase marks).
+//!   It pops in the exact deterministic `(time, insertion-seq)` order of
+//!   the reference [`EventQueue`](wormcast_sim::EventQueue) — proven
 //!   equivalent by the differential tests against [`crate::classic`].
 //! * Message, channel, and port hot state live in struct-of-arrays arenas
 //!   indexed by integer ids; nothing is allocated per hop or per cycle.
+//!   A [`Route::Dor`] unicast computes each next channel from the current
+//!   node and its destination, so it allocates nothing per message either.
 //!   A retired message's arena slot is reused by a later injection, so the
 //!   message arena is as large as the most messages alive at once, not as
 //!   the run's total. The channels a message holds form an intrusive
@@ -57,7 +62,7 @@ use crate::metrics::{CountersSink, MetricsSink, TraceSink};
 use crate::trace::Trace;
 use std::collections::VecDeque;
 use wormcast_routing::{queue_aware_pick, RoutingFunction, SelectPolicy, SimTopology};
-use wormcast_sim::{ActiveSet, CalendarWheel, SimTime};
+use wormcast_sim::{ActiveSet, LaneQueue, SimDuration, SimTime};
 use wormcast_topology::{ChannelId, Mesh, NodeId, Sign};
 
 pub use crate::metrics::Counters;
@@ -263,7 +268,7 @@ pub struct Network<T: SimTopology = Mesh> {
     topo: T,
     cfg: NetworkConfig,
     rf: Box<dyn RoutingFunction<T>>,
-    wheel: CalendarWheel<Ev>,
+    events: LaneQueue<Ev>,
     msgs: MsgArena,
     chans: ChanArena,
     ports: PortArena,
@@ -305,9 +310,11 @@ pub struct EngineStats {
     /// slots of reaped messages, which are never reused). The number of
     /// messages ever injected is [`Counters::injected`].
     pub arena_msgs_highwater: u64,
-    /// Events ever scheduled on the calendar wheel.
+    /// Events ever scheduled on the future-event list (the name predates
+    /// the delay lanes).
     pub wheel_events_scheduled: u64,
-    /// Occupancy-bitmap scans performed by wheel pops/peeks.
+    /// Searches for the earliest pending event: one per pop or peek of the
+    /// future-event list.
     pub wheel_bucket_scans: u64,
     /// Stall-watchdog probes scheduled (arms + re-arms).
     pub watchdog_arms: u64,
@@ -342,7 +349,7 @@ impl<T: SimTopology> Network<T> {
             topo,
             cfg,
             rf,
-            wheel: CalendarWheel::new(),
+            events: LaneQueue::new(),
             msgs: MsgArena::default(),
             outbox: VecDeque::new(),
             sink_counters: CountersSink::default(),
@@ -415,8 +422,8 @@ impl<T: SimTopology> Network<T> {
     pub fn schedule_faults(&mut self, plan: &FaultPlan) {
         for e in plan.events() {
             match e.kind {
-                FaultKind::LinkDown(ch) => self.wheel.schedule(e.at, Ev::LinkDown(ch)),
-                FaultKind::LinkUp(ch) => self.wheel.schedule(e.at, Ev::LinkUp(ch)),
+                FaultKind::LinkDown(ch) => self.events.schedule_at(e.at, Ev::LinkDown(ch)),
+                FaultKind::LinkUp(ch) => self.events.schedule_at(e.at, Ev::LinkUp(ch)),
             }
         }
     }
@@ -428,8 +435,8 @@ impl<T: SimTopology> Network<T> {
     /// running.
     pub fn schedule_speed_transitions(&mut self, transitions: &[wormcast_sim::SpeedTransition]) {
         for t in transitions {
-            self.wheel
-                .schedule(t.at, Ev::SetSpeed(ChannelId(t.channel), t.factor));
+            self.events
+                .schedule_at(t.at, Ev::SetSpeed(ChannelId(t.channel), t.factor));
         }
     }
 
@@ -438,7 +445,7 @@ impl<T: SimTopology> Network<T> {
     /// Call before running; event times are absolute.
     pub fn schedule_phase_marks(&mut self, marks: &[(SimTime, u32)]) {
         for &(at, phase) in marks {
-            self.wheel.schedule(at, Ev::PhaseMark(phase));
+            self.events.schedule_at(at, Ev::PhaseMark(phase));
         }
     }
 
@@ -454,7 +461,7 @@ impl<T: SimTopology> Network<T> {
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.wheel.now()
+        self.events.now()
     }
 
     /// Aggregate counters.
@@ -470,8 +477,8 @@ impl<T: SimTopology> Network<T> {
         let c = self.counters();
         EngineStats {
             arena_msgs_highwater: self.msgs.slots() as u64,
-            wheel_events_scheduled: self.wheel.scheduled_total(),
-            wheel_bucket_scans: self.wheel.bucket_scans(),
+            wheel_events_scheduled: self.events.scheduled_total(),
+            wheel_bucket_scans: self.events.scans(),
             watchdog_arms: self.watchdog_arms,
             reroutes: c.reroutes,
             stalls: c.stalled,
@@ -487,8 +494,8 @@ impl<T: SimTopology> Network<T> {
     /// Request injection of `spec` at absolute time `at` (≥ now).
     ///
     /// # Panics
-    /// Panics if the spec is malformed: zero length, an adaptive route to
-    /// self, or a fixed route that does not start at `spec.src`.
+    /// Panics if the spec is malformed: zero length, an adaptive or DOR
+    /// route to self, or a fixed route that does not start at `spec.src`.
     pub fn inject_at(&mut self, at: SimTime, spec: MessageSpec) -> MessageId {
         assert!(spec.length > 0, "messages need at least one flit");
         match &spec.route {
@@ -498,12 +505,15 @@ impl<T: SimTopology> Network<T> {
             Route::Adaptive { dst } => {
                 assert_ne!(*dst, spec.src, "adaptive route to self");
             }
+            Route::Dor { dst } => {
+                assert_ne!(*dst, spec.src, "DOR route to self");
+            }
         }
         let src = spec.src;
         let m = self.msgs.push(at, spec);
         let id = self.msgs.id[m as usize];
         self.emit(|s| s.on_inject(at, id, src));
-        self.wheel.schedule(at, Ev::Arrive(m));
+        self.events.schedule_at(at, Ev::Arrive(m));
         id
     }
 
@@ -539,7 +549,7 @@ impl<T: SimTopology> Network<T> {
     /// Process events with timestamps ≤ `until` (useful for time-sliced
     /// workload drivers).
     pub fn run_until(&mut self, until: SimTime) {
-        while let Some(t) = self.wheel.peek_time() {
+        while let Some(t) = self.events.peek_time() {
             if t > until {
                 break;
             }
@@ -551,12 +561,12 @@ impl<T: SimTopology> Network<T> {
     /// inject externally generated arrivals before simulated time passes
     /// them.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
-        self.wheel.peek_time()
+        self.events.peek_time()
     }
 
     /// Process a single event. Returns false when no events remain.
     pub fn step(&mut self) -> bool {
-        let Some((now, ev)) = self.wheel.pop() else {
+        let Some((now, ev)) = self.events.pop() else {
             return false;
         };
         match ev {
@@ -666,11 +676,11 @@ impl<T: SimTopology> Network<T> {
         let ts = if self.msgs.spec[m as usize].charge_startup {
             self.cfg.startup
         } else {
-            wormcast_sim::SimDuration::ZERO
+            SimDuration::ZERO
         };
         let id = self.msgs.id[m as usize];
         self.emit(|s| s.on_port_grant(now, id, node));
-        self.wheel.schedule(now + ts, Ev::StartupDone(m));
+        self.events.schedule_after(ts, Ev::StartupDone(m));
     }
 
     fn on_arrive(&mut self, now: SimTime, m: u32) {
@@ -733,14 +743,14 @@ impl<T: SimTopology> Network<T> {
                 // The tail finishes crossing one body-time after the header;
                 // then the channel frees regardless of downstream progress
                 // (virtual cut-through buffering).
-                self.wheel.schedule(now + body, Ev::ReleaseOne(ch));
+                self.events.schedule_after(body, Ev::ReleaseOne(ch));
             }
         }
         if first_hop {
             // Tail leaves the source one body-time after the header crossed
             // the first channel; free the injection port then.
             let src = self.msgs.spec[i].src;
-            self.wheel.schedule(now + body, Ev::PortRelease(src));
+            self.events.schedule_after(body, Ev::PortRelease(src));
         }
         let id = self.msgs.id[i];
         self.emit(|s| s.on_header_hop(now, id, to, ch));
@@ -757,33 +767,41 @@ impl<T: SimTopology> Network<T> {
                 let idx = self.msgs.next_fixed[i] as usize; // nodes visited == hops taken
                 (cp.deliver_mask()[idx], idx == cp.path.hops.len())
             }
-            Route::Adaptive { dst } => {
+            Route::Adaptive { dst } | Route::Dor { dst } => {
                 let fin = self.msgs.cur[i] == *dst;
                 (fin, fin)
             }
         };
         if is_receiver {
             let node = self.msgs.cur[i];
-            self.wheel.schedule(now + body, Ev::Deliver(m, node));
+            self.events.schedule_after(body, Ev::Deliver(m, node));
         }
         if is_final {
-            self.wheel.schedule(now + body, Ev::Complete(m));
+            self.events.schedule_after(body, Ev::Complete(m));
             return;
         }
-        // Choose the next channel. Fixed routes have exactly one candidate,
-        // read straight off the coded path — no per-hop allocation.
-        if let Route::Fixed(cp) = &self.msgs.spec[i].route {
-            let ch = cp.path.hops[self.msgs.next_fixed[i] as usize];
-            if !self.failed.contains(ch.index()) && self.chans.busy[ch.index()] == NONE {
-                self.grant(now, m, ch);
-            } else {
-                self.wait_on(now, m, ch);
-            }
-            return;
-        }
-        let Route::Adaptive { dst } = self.msgs.spec[i].route else {
-            unreachable!("fixed handled above");
+        // Choose the next channel. Fixed and DOR routes have exactly one
+        // candidate, read straight off the coded path or computed from the
+        // current node and the destination — no per-hop allocation.
+        let ch = match self.msgs.spec[i].route {
+            Route::Fixed(ref cp) => cp.path.hops[self.msgs.next_fixed[i] as usize],
+            Route::Dor { dst } => self
+                .topo
+                .dor_next(self.msgs.cur[i], dst)
+                .expect("a DOR route short of its destination has a next hop"),
+            Route::Adaptive { dst } => return self.advance_adaptive(now, m, dst),
         };
+        if !self.failed.contains(ch.index()) && self.chans.busy[ch.index()] == NONE {
+            self.grant(now, m, ch);
+        } else {
+            self.wait_on(now, m, ch);
+        }
+    }
+
+    /// Pick the next channel of an adaptive header at the message's current
+    /// node, short of `dst`.
+    fn advance_adaptive(&mut self, now: SimTime, m: u32, dst: NodeId) {
+        let i = m as usize;
         let cands = self.rf.candidates(
             &self.topo,
             self.msgs.spec[i].src,
@@ -875,13 +893,11 @@ impl<T: SimTopology> Network<T> {
         let queue_len = self.chans.waiters_len[ch.index()] as usize;
         let id = self.msgs.id[m as usize];
         self.emit(|s| s.on_channel_wait(now, id, ch, queue_len));
-        if self.cfg.watchdog != wormcast_sim::SimDuration::ZERO
-            && !self.msgs.stall_armed[m as usize]
-        {
+        if self.cfg.watchdog != SimDuration::ZERO && !self.msgs.stall_armed[m as usize] {
             self.msgs.stall_armed[m as usize] = true;
             self.watchdog_arms += 1;
-            self.wheel.schedule(
-                now + self.cfg.watchdog,
+            self.events.schedule_after(
+                self.cfg.watchdog,
                 Ev::StallCheck(m, self.msgs.progress_epoch[m as usize]),
             );
         }
@@ -904,7 +920,7 @@ impl<T: SimTopology> Network<T> {
         self.emit(|s| s.on_channel_grant(now, id, ch));
         let speed = self.speed.get(ch.index()).copied().unwrap_or(1);
         let cross = self.cfg.hop_time().times(speed as u64);
-        self.wheel.schedule(now + cross, Ev::Header(m));
+        self.events.schedule_after(cross, Ev::Header(m));
     }
 
     fn on_deliver(&mut self, now: SimTime, m: u32, node: NodeId) {
@@ -1041,8 +1057,8 @@ impl<T: SimTopology> Network<T> {
             // Progressed (hop or restore) since the arm: fresh timeout.
             self.msgs.stall_armed[i] = true;
             self.watchdog_arms += 1;
-            self.wheel.schedule(
-                now + self.cfg.watchdog,
+            self.events.schedule_after(
+                self.cfg.watchdog,
                 Ev::StallCheck(m, self.msgs.progress_epoch[i]),
             );
             return;
@@ -1066,7 +1082,7 @@ impl<T: SimTopology> Network<T> {
                 let next = self.msgs.next_fixed[i] as usize;
                 cp.deliver_mask()[next + 1..].iter().filter(|&&r| r).count() as u64
             }
-            Route::Adaptive { .. } => 1,
+            Route::Adaptive { .. } | Route::Dor { .. } => 1,
         };
         // Release the held path exactly as completion would.
         let mut ch = self.msgs.held_head[i];

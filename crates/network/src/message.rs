@@ -26,8 +26,21 @@ pub struct OpId(pub u64);
 #[derive(Debug, Clone)]
 pub enum Route {
     /// A precomputed (possibly multidestination) coded path. Used by all DB
-    /// messages, the dissemination steps of AB, and DOR unicast traffic.
+    /// messages and the dissemination steps of AB.
     Fixed(CodedPath),
+    /// Dimension-ordered unicast to a single destination. The engine
+    /// computes each next channel from the current node and `dst`
+    /// ([`SimTopology::dor_next`]), so the route allocates nothing; it
+    /// crosses the same channels, in the same order, as the fixed unicast
+    /// over [`SimTopology::dor_route`]. Used by the DOR unicast traffic of
+    /// the mixed workloads.
+    ///
+    /// [`SimTopology::dor_next`]: wormcast_routing::SimTopology::dor_next
+    /// [`SimTopology::dor_route`]: wormcast_routing::SimTopology::dor_route
+    Dor {
+        /// The single destination.
+        dst: NodeId,
+    },
     /// Hop-by-hop adaptive routing to a single destination using the
     /// network's configured routing function. Used by AB's point-to-point
     /// legs and by unicast traffic in the AB configuration.

@@ -398,6 +398,96 @@ fn self_route_rejected() {
 }
 
 #[test]
+#[should_panic(expected = "DOR route to self")]
+fn dor_self_route_rejected() {
+    let mut net = net2d(4);
+    net.inject_at(
+        SimTime::ZERO,
+        MessageSpec {
+            src: NodeId(5),
+            route: Route::Dor { dst: NodeId(5) },
+            length: 8,
+            op: OpId(0),
+            tag: 0,
+            charge_startup: true,
+        },
+    );
+}
+
+/// A `Route::Dor` unicast behaves as the fixed `dor_path` unicast it
+/// replaces, also through faults: it waits on a dead channel of its route
+/// like a fixed path (no re-route), a restore lets it on, and the watchdog
+/// reaps it with its one destination undelivered.
+#[test]
+fn dor_route_matches_the_fixed_dor_unicast_through_faults() {
+    use crate::fault::{FaultEvent, FaultKind, FaultPlan};
+    let run = |dor: bool| {
+        let cfg = NetworkConfig::paper_default().with_watchdog(SimDuration::from_us(20.0));
+        let mut net = Network::new(Mesh::square(6), cfg, Box::new(DimensionOrdered));
+        net.enable_trace(1 << 20);
+        let m = net.mesh().clone();
+        let link = |a: (u16, u16), b: (u16, u16)| {
+            m.channel_between(
+                m.node_at(&Coord::xy(a.0, a.1)),
+                m.node_at(&Coord::xy(b.0, b.1)),
+            )
+            .unwrap()
+        };
+        let mut plan = FaultPlan::new();
+        for (at_us, kind) in [
+            (0.0, FaultKind::LinkDown(link((2, 1), (3, 1)))),
+            (5.0, FaultKind::LinkDown(link((4, 2), (4, 3)))),
+            (15.0, FaultKind::LinkUp(link((4, 2), (4, 3)))),
+        ] {
+            plan.push(FaultEvent {
+                at: SimTime::from_us(at_us),
+                kind,
+            });
+        }
+        net.schedule_faults(&plan);
+        let mut rng = wormcast_sim::SimRng::new(0xD0E);
+        for k in 0..400u64 {
+            let src = NodeId(rng.index(36) as u32);
+            let dst = loop {
+                let d = NodeId(rng.index(36) as u32);
+                if d != src {
+                    break d;
+                }
+            };
+            let route = if dor {
+                Route::Dor { dst }
+            } else {
+                Route::Fixed(CodedPath::unicast(&m, dor_path(&m, src, dst)))
+            };
+            let spec = MessageSpec {
+                src,
+                route,
+                length: 16,
+                op: OpId(k),
+                tag: 0,
+                charge_startup: true,
+            };
+            net.inject_at(SimTime::from_ps(k * 60_000), spec);
+        }
+        net.run_until_idle();
+        let trace: Vec<_> = net.trace().records().copied().collect();
+        (trace, net.drain_deliveries(), net.counters(), net.now())
+    };
+    let (fixed, dor) = (run(false), run(true));
+    let c = fixed.2;
+    assert!(
+        c.stalled > 0 && c.link_restores == 1,
+        "the faults bite: {c:?}"
+    );
+    assert_eq!(
+        c.undelivered, c.stalled,
+        "each reaped unicast loses one copy"
+    );
+    assert_eq!(c.reroutes, 0);
+    assert!(dor == fixed, "a DOR route differs from its fixed path");
+}
+
+#[test]
 fn startup_can_be_waived() {
     let mut net = net2d(4);
     let m = net.mesh().clone();
@@ -1122,7 +1212,7 @@ mod slot_reuse {
             );
             let receives = match &spec.route {
                 Route::Fixed(cp) => cp.receivers(&mesh).contains(&d.node),
-                Route::Adaptive { dst } => *dst == d.node,
+                Route::Adaptive { dst } | Route::Dor { dst } => *dst == d.node,
             };
             assert!(receives, "m{} delivered at {}", d.message.0, d.node);
         }

@@ -1,11 +1,9 @@
 //! A dense index set over `0..capacity` backed by a bitmap.
 //!
 //! The engine's hot paths need set membership over small dense id spaces
-//! (channels, wheel buckets) with none of the hashing and heap traffic a
+//! (the failed channels) with none of the hashing and heap traffic a
 //! `HashSet` pays per operation: [`ActiveSet`] gives O(1) insert / remove /
-//! contains on one cache line per 512 ids, plus an O(words) ordered scan
-//! (`next_at_or_after`) that the calendar wheel uses to find its next
-//! occupied bucket.
+//! contains on one cache line per 512 ids, plus its members in order.
 
 /// A set of `usize` indices in `0..capacity`, stored one bit per index.
 #[derive(Debug, Clone, Default)]
@@ -72,27 +70,6 @@ impl ActiveSet {
             .is_some_and(|w| w & (1 << (i % 64)) != 0)
     }
 
-    /// The smallest member `>= i`, if any.
-    #[inline]
-    pub fn next_at_or_after(&self, i: usize) -> Option<usize> {
-        let mut w = i / 64;
-        if w >= self.words.len() {
-            return None;
-        }
-        // Mask off bits below `i` in the first word, then scan whole words.
-        let mut word = self.words[w] & (u64::MAX << (i % 64));
-        loop {
-            if word != 0 {
-                return Some(w * 64 + word.trailing_zeros() as usize);
-            }
-            w += 1;
-            if w >= self.words.len() {
-                return None;
-            }
-            word = self.words[w];
-        }
-    }
-
     /// Remove every index.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -147,22 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn next_at_or_after_scans_in_order() {
-        let mut s = ActiveSet::new(300);
-        for i in [3usize, 64, 65, 130, 299] {
-            s.insert(i);
-        }
-        assert_eq!(s.next_at_or_after(0), Some(3));
-        assert_eq!(s.next_at_or_after(3), Some(3));
-        assert_eq!(s.next_at_or_after(4), Some(64));
-        assert_eq!(s.next_at_or_after(65), Some(65));
-        assert_eq!(s.next_at_or_after(66), Some(130));
-        assert_eq!(s.next_at_or_after(131), Some(299));
-        assert_eq!(s.next_at_or_after(300), None);
-        assert_eq!(ActiveSet::new(0).next_at_or_after(0), None);
-    }
-
-    #[test]
     fn iter_yields_sorted_members() {
         let mut s = ActiveSet::new(256);
         let members = [7usize, 8, 63, 64, 128, 255];
@@ -180,6 +141,6 @@ mod tests {
         assert!(s.is_empty() && !s.contains(5));
         s.grow(1000);
         assert!(s.insert(999));
-        assert_eq!(s.next_at_or_after(0), Some(999));
+        assert_eq!(s.iter().collect::<Vec<_>>(), [999]);
     }
 }

@@ -7,9 +7,9 @@
 //! * [`time`] — integer-picosecond simulated time ([`SimTime`], [`SimDuration`]);
 //! * [`queue`] — the future-event list ([`EventQueue`]) with deterministic
 //!   FIFO tie-breaking, so runs are bit-reproducible;
-//! * [`wheel`] — the calendar wheel ([`CalendarWheel`]): the same
-//!   deterministic ordering at O(1) amortized cost, used by the network
-//!   engine's hot path (no cancellation);
+//! * [`lanes`] — the delay-lane event list ([`LaneQueue`]): the same
+//!   deterministic ordering at O(1) cost per event for fixed relative
+//!   delays, used by the network engine's hot path (no cancellation);
 //! * [`active_set`] — bitmap index sets ([`ActiveSet`]) for dense id
 //!   worklists;
 //! * [`rng`] — seeded, labelled random substreams ([`SimRng`]);
@@ -40,16 +40,17 @@
 
 pub mod active_set;
 pub mod dist;
+pub mod lanes;
 pub mod queue;
 pub mod rng;
 pub mod schedule;
 pub mod time;
-pub mod wheel;
 
 pub use active_set::ActiveSet;
 pub use dist::{
     BimodalLength, ChoiceLength, DurationDist, Exponential, Fixed, FixedLength, LengthDist,
 };
+pub use lanes::LaneQueue;
 pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
 pub use schedule::{
@@ -57,4 +58,3 @@ pub use schedule::{
     TraceReplay, MAX_PHASE_MARKS,
 };
 pub use time::{SimDuration, SimTime, PS_PER_MS, PS_PER_US};
-pub use wheel::CalendarWheel;

@@ -47,6 +47,7 @@ pub mod profile;
 pub mod registry;
 pub mod span;
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
@@ -389,11 +390,16 @@ impl Collector {
 
     /// A sink handle to attach with `Network::add_sink`.
     pub fn sink(&self) -> Box<dyn MetricsSink> {
-        Box::new(CollectorSink {
+        Box::new(self.collector_sink())
+    }
+
+    fn collector_sink(&self) -> CollectorSink {
+        CollectorSink {
             shared: Arc::clone(&self.shared),
             rep: self.rep,
-            inflight: Vec::new(),
-        })
+            inflight: VecDeque::new(),
+            first: 0,
+        }
     }
 
     /// Record one per-destination arrival latency (µs) from the driver.
@@ -422,11 +428,14 @@ impl Collector {
 struct CollectorSink {
     shared: Arc<Mutex<TelemetryFrame>>,
     rep: u64,
-    /// Phase state of the messages in flight, indexed by
-    /// [`MessageId::index`]. That is the external id, which counts every
-    /// message injected (not the engine's arena slot, which is reused), so
-    /// the vector grows to the number of messages injected.
-    inflight: Vec<Option<MsgState>>,
+    /// Phase state of the messages in flight: entry `i` belongs to the
+    /// message whose external id is `first + i`. External ids are dense in
+    /// injection order, and the retired prefix is dropped, so the window
+    /// spans the oldest message still in flight to the newest, not every
+    /// message injected.
+    inflight: VecDeque<Option<MsgState>>,
+    /// External id of `inflight[0]`.
+    first: usize,
 }
 
 impl CollectorSink {
@@ -435,25 +444,36 @@ impl CollectorSink {
     }
 
     fn state(&mut self, m: MessageId) -> Option<&mut MsgState> {
-        self.inflight.get_mut(m.index()).and_then(Option::as_mut)
+        let i = m.index().checked_sub(self.first)?;
+        self.inflight.get_mut(i).and_then(Option::as_mut)
     }
 
+    /// Take `m`'s phase state, then drop the retired prefix of the window.
     fn retire(&mut self, m: MessageId) -> Option<MsgState> {
-        self.inflight.get_mut(m.index()).and_then(Option::take)
+        let i = m.index().checked_sub(self.first)?;
+        let st = self.inflight.get_mut(i).and_then(Option::take);
+        while let Some(None) = self.inflight.front() {
+            self.inflight.pop_front();
+            self.first += 1;
+        }
+        st
     }
 }
 
 impl MetricsSink for CollectorSink {
     fn on_inject(&mut self, now: SimTime, m: MessageId, src: NodeId) {
-        let slot = m.index();
-        if self.inflight.len() <= slot {
-            self.inflight.resize(slot + 1, None);
+        // Ids arrive in injection order, so a new id is never below the
+        // window.
+        if let Some(i) = m.index().checked_sub(self.first) {
+            if self.inflight.len() <= i {
+                self.inflight.resize(i + 1, None);
+            }
+            self.inflight[i] = Some(MsgState {
+                inject_ps: now.as_ps(),
+                grant_ps: now.as_ps(),
+                wait_since: None,
+            });
         }
-        self.inflight[slot] = Some(MsgState {
-            inject_ps: now.as_ps(),
-            grant_ps: now.as_ps(),
-            wait_since: None,
-        });
         if let Some(log) = &mut self.shared.lock().unwrap().events {
             log.push(Event {
                 msg: Some(m.0),
@@ -834,5 +854,107 @@ mod tests {
         let ts = cfg.startup.as_ps();
         let hop = cfg.hop_time().as_ps();
         assert_eq!(busy, [us(total_ps - ts), us(total_ps - ts - hop)]);
+    }
+
+    /// Forwards every event to a [`CollectorSink`] and records the most
+    /// phase states its window ever held.
+    struct WindowProbe {
+        inner: CollectorSink,
+        peak: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    macro_rules! forward {
+        ($($name:ident($($arg:ident: $ty:ty),*);)*) => {
+            impl MetricsSink for WindowProbe {
+                $(fn $name(&mut self, $($arg: $ty),*) {
+                    self.inner.$name($($arg),*);
+                    let len = self.inner.inflight.len();
+                    self.peak.fetch_max(len, std::sync::atomic::Ordering::Relaxed);
+                })*
+            }
+        };
+    }
+
+    forward! {
+        on_inject(now: SimTime, m: MessageId, src: NodeId);
+        on_port_grant(now: SimTime, m: MessageId, node: NodeId);
+        on_startup_done(now: SimTime, m: MessageId, node: NodeId);
+        on_header_hop(now: SimTime, m: MessageId, at: NodeId, ch: ChannelId);
+        on_channel_wait(now: SimTime, m: MessageId, ch: ChannelId, queue_len: usize);
+        on_channel_grant(now: SimTime, m: MessageId, ch: ChannelId);
+        on_channel_release(now: SimTime, ch: ChannelId);
+        on_deliver(now: SimTime, m: MessageId, node: NodeId, flits: u64);
+        on_complete(now: SimTime, m: MessageId, node: NodeId);
+        on_link_failed(now: SimTime, ch: ChannelId);
+        on_link_restored(now: SimTime, ch: ChannelId);
+        on_reroute(now: SimTime, m: MessageId, at: NodeId);
+        on_stalled(now: SimTime, m: MessageId, at: NodeId, undelivered: u64);
+        on_schedule_phase(now: SimTime, phase: u32);
+    }
+
+    #[test]
+    fn phase_window_spans_the_messages_in_flight_not_the_run() {
+        // An open-loop mixed stream on an 8×8 mesh: Poisson arrivals, nine
+        // DOR unicasts in ten and one multidestination gather-all path,
+        // each injected as the network reaches its arrival time.
+        use wormcast_network::{MessageSpec, Network, NetworkConfig, OpId, Route};
+        use wormcast_routing::{dor_path, CodedPath, DimensionOrdered};
+        use wormcast_sim::{SimDuration, SimRng};
+        use wormcast_topology::{Mesh, Topology};
+        let mesh = Mesh::square(8);
+        let n = mesh.num_nodes();
+        let mut net = Network::new(
+            mesh.clone(),
+            NetworkConfig::paper_default(),
+            Box::new(DimensionOrdered),
+        );
+        let c = Collector::new(&TelemetrySpec::full(), 0, mesh.num_channels(), n);
+        let peak = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        net.add_sink(Box::new(WindowProbe {
+            inner: c.collector_sink(),
+            peak: Arc::clone(&peak),
+        }));
+        let mut rng = SimRng::new(7);
+        let total = 20_000u64;
+        let mut at = SimTime::ZERO;
+        for k in 0..total {
+            at += SimDuration::from_us(-(1.0 - rng.unit()).ln() * 0.3);
+            net.run_until(at);
+            let src = NodeId(rng.index(n) as u32);
+            let mut dst = NodeId(rng.index(n) as u32);
+            while dst == src {
+                dst = NodeId(rng.index(n) as u32);
+            }
+            let route = if k % 10 == 0 {
+                Route::Fixed(CodedPath::gather_all(&mesh, dor_path(&mesh, src, dst)))
+            } else {
+                Route::Dor { dst }
+            };
+            let spec = MessageSpec {
+                src,
+                route,
+                length: 32,
+                op: OpId(k),
+                tag: 0,
+                charge_startup: true,
+            };
+            net.inject_at(at, spec);
+        }
+        net.run_until_idle();
+        let counters = net.counters();
+        drop(net);
+        let f = c.finish();
+        assert_eq!((counters.injected, counters.completed), (total, total));
+        // Every message's state was still in the window when each of its
+        // phases closed.
+        assert_eq!(f.phases.port_wait.count(), total);
+        assert_eq!(f.phases.startup.count(), total);
+        assert_eq!(f.phases.completion.count(), total);
+        assert_eq!(f.phases.delivery.count(), counters.deliveries);
+        let peak = peak.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(
+            peak > 0 && peak * 100 < total as usize,
+            "the phase window peaked at {peak} of {total} messages injected"
+        );
     }
 }

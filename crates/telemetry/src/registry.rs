@@ -15,7 +15,7 @@
 //!
 //! Each [`MetricId`] declares whether its value is *deterministic* —
 //! invariant across `--jobs` for fixed physics — or execution-dependent
-//! (wall-clock durations, worker counts, calendar-wheel work). Profile
+//! (wall-clock durations, worker counts, event-list work). Profile
 //! reports render execution-dependent series
 //! on `nd_`-marked lines so determinism comparisons can strip them; see
 //! `DESIGN.md` §4.7.
@@ -50,9 +50,10 @@ impl MetricKind {
 pub enum MetricId {
     /// Peak live-message arena occupancy of the engine.
     EngineArenaMsgsHighwater,
-    /// Events ever scheduled on the engine's calendar wheel.
+    /// Events ever scheduled on the engine's future-event list.
     EngineWheelEventsScheduled,
-    /// Calendar-wheel bucket scans (earliest-bucket searches).
+    /// Earliest-event searches of the engine's future-event list (one per
+    /// pop or peek).
     EngineWheelBucketScans,
     /// Delivery-watchdog arms (stall checks scheduled).
     EngineWatchdogArms,
@@ -140,8 +141,9 @@ impl MetricId {
     /// Whether the merged value is invariant across `--jobs` for fixed
     /// physics. Non-deterministic ids are rendered on `nd_` lines in
     /// profile reports and excluded from determinism comparisons; the
-    /// wheel counters count the calendar wheel's own work (bucket scans,
-    /// reschedules), which tracks the executor, not the physics.
+    /// `wheel` counters (named before the delay lanes replaced the calendar
+    /// wheel) count the future-event list's own work (events scheduled,
+    /// pops and peeks), which tracks the executor, not the physics.
     pub fn deterministic(self) -> bool {
         !matches!(
             self,
@@ -164,10 +166,10 @@ impl MetricId {
                 "Peak live-message arena occupancy of the single engine"
             }
             MetricId::EngineWheelEventsScheduled => {
-                "Events scheduled on the engine's calendar wheel"
+                "Events scheduled on the engine's future-event list (delay lanes and heap)"
             }
             MetricId::EngineWheelBucketScans => {
-                "Calendar-wheel earliest-bucket scans (pop/peek searches)"
+                "Earliest-event searches of the engine's future-event list (one per pop or peek)"
             }
             MetricId::EngineWatchdogArms => "Delivery-watchdog stall checks armed",
             MetricId::EngineReroutes => "In-flight adaptive re-routes around faulted channels",

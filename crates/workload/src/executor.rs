@@ -593,7 +593,7 @@ mod tests {
     fn receivers(mesh: &Mesh, spec: &MessageSpec) -> Vec<NodeId> {
         match &spec.route {
             Route::Fixed(cp) => cp.receivers(mesh),
-            Route::Adaptive { dst } => vec![*dst],
+            Route::Adaptive { dst } | Route::Dor { dst } => vec![*dst],
         }
     }
 

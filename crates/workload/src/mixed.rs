@@ -13,7 +13,6 @@ use crate::single::{attach_collector, finish_collector, network_for};
 use serde::{Deserialize, Serialize};
 use wormcast_broadcast::Algorithm;
 use wormcast_network::{MessageSpec, NetworkConfig, OpId, Route, Simulation};
-use wormcast_routing::{dor_path, CodedPath};
 use wormcast_sim::{DurationDist, Exponential, SimRng, SimTime};
 use wormcast_stats::{BatchMeans, OnlineStats};
 use wormcast_telemetry::{Observe, TelemetryFrame};
@@ -116,7 +115,7 @@ pub fn run_mixed_traffic_observed(
     );
     let mut net = network_for(mc.algorithm, mesh.clone(), cfg);
     let collector = attach_collector(&mut net, observe);
-    // Unicasts ride the algorithm's substrate: fixed DOR for the
+    // Unicasts ride the algorithm's substrate: DOR for the
     // dimension-ordered algorithms, the network's adaptive routing function
     // (west-first for AB, queue-aware negative-first for QAB) otherwise.
     let adaptive_unicast = matches!(
@@ -164,7 +163,7 @@ pub fn run_mixed_traffic_observed(
             let route = if adaptive_unicast {
                 Route::Adaptive { dst }
             } else {
-                Route::Fixed(CodedPath::unicast(mesh, dor_path(mesh, src, dst)))
+                Route::Dor { dst }
             };
             net.inject_at(
                 at,

@@ -218,8 +218,60 @@ fn mixed_traffic_is_equivalent() {
     }
 }
 
+/// The allocation-free DOR route: a mixed DB stream whose unicasts are
+/// `Route::Dor` matches the `classic` oracle (which takes each as the fixed
+/// unicast over its path), and matches the same stream with every unicast
+/// a fixed `dor_path` unicast, the route it replaces. Both release modes,
+/// cubic and non-cubic meshes.
+#[test]
+fn dor_route_streams_are_equivalent() {
+    for (shape, seed) in [([4u16, 4, 4], 31u64), ([3, 4, 5], 32)] {
+        let mesh = Mesh::new(&shape);
+        let fixed = random_unicasts(&mesh, Algorithm::Db, 250, 0xD0E ^ seed);
+        let dor: Vec<Injection> = fixed
+            .iter()
+            .map(|inj| {
+                let Route::Fixed(cp) = &inj.spec.route else {
+                    unreachable!("DB unicasts are fixed DOR paths");
+                };
+                let dst = cp.path.dest(&mesh);
+                let spec = MessageSpec {
+                    route: Route::Dor { dst },
+                    ..inj.spec.clone()
+                };
+                Injection { at: inj.at, spec }
+            })
+            .collect();
+        let src = NodeId((seed * 13 % mesh.num_nodes() as u64) as u32);
+        let schedule = Algorithm::Db.schedule(&mesh, src);
+        let tracker = || Some(BroadcastTracker::new(&mesh, &schedule, OpId(0), 32));
+        for mode in MODES {
+            let label = format!("DOR-route mixed DB {mode:?} {shape:?}");
+            assert_equivalent(&label, &mesh, cfg_for(mode), Algorithm::Db, &dor, tracker);
+            let with_paths = drive!(
+                Network,
+                mesh.clone(),
+                cfg_for(mode),
+                Algorithm::Db,
+                &fixed,
+                tracker()
+            );
+            let with_dor = drive!(
+                Network,
+                mesh.clone(),
+                cfg_for(mode),
+                Algorithm::Db,
+                &dor,
+                tracker()
+            );
+            assert!(with_dor == with_paths, "{label}: differs from fixed paths");
+        }
+    }
+}
+
 /// Pure background traffic with no broadcast: deliveries drain on idle
-/// without tracker reinjection, exercising the wheel's long-gap rollover.
+/// without tracker reinjection, so long gaps between arrivals leave the
+/// event list to the absolute-time heap.
 #[test]
 fn unicast_streams_are_equivalent() {
     let mesh = Mesh::cube(4);

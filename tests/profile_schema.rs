@@ -2,7 +2,7 @@
 //!
 //! Contract (documented in DESIGN.md §4.7): the report is hand-rendered so
 //! that every execution-dependent datum (span wall clocks, harness wall
-//! clocks and queue depths, calendar-wheel work) lands on a line whose
+//! clocks and queue depths, event-list work) lands on a line whose
 //! first key starts with `nd_`. Stripping those lines (`strip_nd`, or
 //! `grep -v '"nd_'` in `ci.sh`) yields a byte-comparable skeleton that
 //! must be identical across `--jobs` for fixed physics.
