@@ -21,11 +21,6 @@ impl ActiveSet {
         }
     }
 
-    /// Number of indices the set can hold (rounded up to a whole word).
-    pub fn capacity(&self) -> usize {
-        self.words.len() * 64
-    }
-
     /// Number of indices currently in the set.
     pub fn len(&self) -> usize {
         self.len
@@ -68,20 +63,6 @@ impl ActiveSet {
         self.words
             .get(i / 64)
             .is_some_and(|w| w & (1 << (i % 64)) != 0)
-    }
-
-    /// Remove every index.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-        self.len = 0;
-    }
-
-    /// Grow capacity to at least `capacity` (existing members unchanged).
-    pub fn grow(&mut self, capacity: usize) {
-        let words = capacity.div_ceil(64);
-        if words > self.words.len() {
-            self.words.resize(words, 0);
-        }
     }
 
     /// The members in increasing order.
@@ -131,16 +112,5 @@ mod tests {
             s.insert(i);
         }
         assert_eq!(s.iter().collect::<Vec<_>>(), members);
-    }
-
-    #[test]
-    fn clear_and_grow() {
-        let mut s = ActiveSet::new(10);
-        s.insert(5);
-        s.clear();
-        assert!(s.is_empty() && !s.contains(5));
-        s.grow(1000);
-        assert!(s.insert(999));
-        assert_eq!(s.iter().collect::<Vec<_>>(), [999]);
     }
 }

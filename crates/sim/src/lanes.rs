@@ -118,7 +118,6 @@ pub struct LaneQueue<E> {
     heap: BinaryHeap<Slot<E>>,
     now: SimTime,
     next_seq: u64,
-    len: usize,
     /// Calls to `pop` and `peek_time` (deterministic observability counter;
     /// does not affect event order).
     scans: u64,
@@ -142,7 +141,6 @@ impl<E> LaneQueue<E> {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            len: 0,
             scans: 0,
         }
     }
@@ -151,18 +149,6 @@ impl<E> LaneQueue<E> {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Whether any events remain pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
     }
 
     /// Number of events scheduled so far (fired or pending); a deterministic
@@ -183,7 +169,6 @@ impl<E> LaneQueue<E> {
     fn next_key(&mut self, at: SimTime) -> u128 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.len += 1;
         key(at, seq)
     }
 
@@ -276,7 +261,6 @@ impl<E> LaneQueue<E> {
         } else {
             self.pop_lane(self.least)
         };
-        self.len -= 1;
         let time = time_of(slot.key);
         debug_assert!(time >= self.now, "the clock went backwards");
         self.now = time;
@@ -332,7 +316,6 @@ mod tests {
                 break;
             }
         }
-        assert!(lanes.is_empty());
     }
 
     #[test]
@@ -419,7 +402,6 @@ mod tests {
         q.schedule_after(d(40), "y");
         assert_eq!(q.peek_time(), Some(t(40)));
         assert_eq!(q.peek_time(), Some(t(40)), "peek is idempotent");
-        assert_eq!(q.len(), 2, "peek removes nothing");
         assert_eq!(q.pop(), Some((t(40), "y")));
         assert_eq!(q.peek_time(), Some(t(500)));
         assert_eq!(q.peek_time(), Some(t(500)));
@@ -428,15 +410,12 @@ mod tests {
     }
 
     #[test]
-    fn len_scheduled_total_and_scans_track() {
+    fn scheduled_total_and_scans_track() {
         let mut q = LaneQueue::new();
-        assert_eq!(q.len(), 0);
         q.schedule_after(d(1), ());
         q.schedule_at(t(2), ());
-        assert_eq!(q.len(), 2);
         assert_eq!(q.scheduled_total(), 2);
         q.pop();
-        assert_eq!(q.len(), 1);
         assert_eq!(q.scheduled_total(), 2);
         // Every pop and peek counts, also one that finds nothing.
         q.peek_time();
@@ -532,7 +511,6 @@ mod tests {
             after(&mut heap, &mut lanes, 7 * (k + 1), 100 + k);
         }
         assert_eq!(lanes.heap.len(), 2 * extra as usize);
-        assert_eq!(lanes.len(), 2 * (LANES + extra as usize));
         drain_both(&mut heap, &mut lanes);
     }
 
