@@ -24,8 +24,9 @@
 //! In 2D the plane-relay step collapses into a corner-to-corner leg, keeping
 //! the three-step structure ("only three message passing steps in 2D", §2).
 
+use crate::db::z_column;
 use crate::schedule::{BroadcastSchedule, RoutePlan, ScheduledMessage};
-use wormcast_routing::{CodedPath, Path};
+use wormcast_routing::CodedPath;
 use wormcast_topology::{Coord, Mesh, NodeId, Plane, Topology};
 
 /// How a serpentine's row-to-row turn hops are segmented, which decides
@@ -123,29 +124,12 @@ pub(crate) fn corner_plane_schedule(
     if is3d {
         for corner in [near, far] {
             for to in [zrange - 1, 0] {
-                if to == zs {
-                    continue;
+                if to != zs {
+                    messages.push(ScheduledMessage::step_message(
+                        2,
+                        RoutePlan::Coded(z_column(mesh, &corner, to)),
+                    ));
                 }
-                let zwalk: Vec<u16> = if zs <= to {
-                    (zs..=to).collect()
-                } else {
-                    (to..=zs).rev().collect()
-                };
-                if zwalk.len() < 2 {
-                    continue;
-                }
-                let nodes: Vec<NodeId> = zwalk
-                    .into_iter()
-                    .map(|z| mesh.node_at(&corner.with(2, z)))
-                    .collect();
-                messages.push(ScheduledMessage {
-                    step: 2,
-                    charge_startup: true,
-                    plan: RoutePlan::Coded(CodedPath::gather_all(
-                        mesh,
-                        Path::through(mesh, &nodes),
-                    )),
-                });
             }
         }
     }
@@ -235,44 +219,35 @@ fn push_serpentine(
     let turn_leads = style == SerpentineStyle::NegativeFirst && descending;
     let mut left_to_right = corner.get(0) == 0;
     for (ri, &y) in rows.iter().enumerate() {
-        let mut coords: Vec<Coord> = Vec::with_capacity(w as usize + 1);
-        let xs: Vec<u16> = if left_to_right {
-            (0..w).collect()
-        } else {
-            (0..w).rev().collect()
-        };
+        let x_at = move |i: u16| if left_to_right { i } else { w - 1 - i };
+        left_to_right = !left_to_right;
         // A leading turn hop enters this row from where the previous sweep
         // ended (S,E…E / S,W…W — negative-first legal).
-        if turn_leads && ri > 0 {
-            coords.push(plane.at(xs[0], rows[ri - 1]));
-        }
-        for x in &xs {
-            coords.push(plane.at(*x, y));
-        }
+        let lead = (turn_leads && ri > 0).then(|| plane.at(x_at(0), rows[ri - 1]));
         // The trailing turn hop onto the next row (E…EN / W…WN — west-first
         // legal).
-        if !turn_leads {
-            if let Some(&next_y) = rows.get(ri + 1) {
-                coords.push(plane.at(*xs.last().unwrap(), next_y));
-            }
-        }
+        let trail = rows
+            .get(ri + 1)
+            .filter(|_| !turn_leads)
+            .map(|&next_y| plane.at(x_at(w - 1), next_y));
+        let mut walk = lead
+            .into_iter()
+            .chain((0..w).map(|i| plane.at(x_at(i), y)))
+            .chain(trail);
+        let sender = walk.next().expect("a sweep has a sender");
         if ri == 0 {
-            debug_assert_eq!(coords[0], *corner, "serpentine starts at its corner");
+            debug_assert_eq!(sender, *corner, "serpentine starts at its corner");
         }
-        let nodes: Vec<NodeId> = coords.iter().map(|c| mesh.node_at(c)).collect();
-        let receivers: Vec<NodeId> = coords[1..]
-            .iter()
-            .filter(|c| *c != src_c)
-            .map(|c| mesh.node_at(c))
-            .collect();
-        left_to_right = !left_to_right;
-        if receivers.is_empty() {
+        // A segment whose one other node is the broadcast source delivers
+        // nothing.
+        let mut rest = walk.clone();
+        if rest.next() == Some(*src_c) && rest.next().is_none() {
             continue;
         }
         let plan = RoutePlan::Coded(CodedPath::selective(
             mesh,
-            Path::through(mesh, &nodes),
-            &receivers,
+            mesh.node_at(&sender),
+            walk.map(|c| (mesh.node_at(&c), c != *src_c)),
         ));
         messages.push(if ri == 0 {
             ScheduledMessage::step_message(step, plan)

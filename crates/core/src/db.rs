@@ -27,7 +27,7 @@
 //! paper's 4.
 
 use crate::schedule::{BroadcastSchedule, RoutePlan, ScheduledMessage};
-use wormcast_routing::{CodedPath, Path};
+use wormcast_routing::CodedPath;
 use wormcast_topology::{Coord, Mesh, NodeId, Topology};
 
 /// Build the DB broadcast schedule for `source` on a 2D or 3D `mesh`.
@@ -56,7 +56,6 @@ pub fn db_schedule(mesh: &Mesh, source: NodeId) -> BroadcastSchedule {
             Coord::xy(x, y)
         }
     };
-    let node = |c: &Coord| mesh.node_at(c);
     let mut messages = Vec::new();
 
     // Anchor corners of the source plane: the corner nearest the source and
@@ -81,7 +80,7 @@ pub fn db_schedule(mesh: &Mesh, source: NodeId) -> BroadcastSchedule {
                 charge_startup: true,
                 plan: RoutePlan::Coded(CodedPath::unicast(
                     mesh,
-                    wormcast_routing::dor_path(mesh, source, node(&corner)),
+                    wormcast_routing::dor_path(mesh, source, mesh.node_at(&corner)),
                 )),
             });
         }
@@ -91,22 +90,13 @@ pub fn db_schedule(mesh: &Mesh, source: NodeId) -> BroadcastSchedule {
     // (one per direction from the source plane).
     if is3d {
         for corner in [a0, b0] {
-            for (from, to) in [(zs, zrange - 1), (zs, 0)] {
-                if from == to {
-                    continue;
+            for to in [zrange - 1, 0] {
+                if to != zs {
+                    messages.push(ScheduledMessage::step_message(
+                        2,
+                        RoutePlan::Coded(z_column(mesh, &corner, to)),
+                    ));
                 }
-                let nodes: Vec<NodeId> = z_walk(from, to)
-                    .into_iter()
-                    .map(|z| node(&corner.with(2, z)))
-                    .collect();
-                messages.push(ScheduledMessage {
-                    step: 2,
-                    charge_startup: true,
-                    plan: RoutePlan::Coded(CodedPath::gather_all(
-                        mesh,
-                        Path::through(mesh, &nodes),
-                    )),
-                });
             }
         }
     }
@@ -117,17 +107,13 @@ pub fn db_schedule(mesh: &Mesh, source: NodeId) -> BroadcastSchedule {
     let edge_step = if is3d { 3 } else { 2 };
     for z in 0..zrange {
         for corner in [a0, b0] {
-            let cx = corner.get(0);
-            let ys: Vec<u16> = if corner.get(1) == 0 {
-                (0..h).collect()
-            } else {
-                (0..h).rev().collect()
-            };
+            let (cx, up) = (corner.get(0), corner.get(1) == 0);
+            let y_at = move |i: u16| if up { i } else { h - 1 - i };
             push_line(
                 mesh,
                 &mut messages,
                 edge_step,
-                ys.into_iter().map(|y| at(cx, y, z)).collect(),
+                (0..h).map(|i| at(cx, y_at(i), z)),
                 &src_c,
             );
         }
@@ -145,7 +131,7 @@ pub fn db_schedule(mesh: &Mesh, source: NodeId) -> BroadcastSchedule {
                     mesh,
                     &mut messages,
                     row_step,
-                    (0..mid).map(|x| at(x, y, z)).collect(),
+                    (0..mid).map(|x| at(x, y, z)),
                     &src_c,
                 );
             }
@@ -154,7 +140,7 @@ pub fn db_schedule(mesh: &Mesh, source: NodeId) -> BroadcastSchedule {
                     mesh,
                     &mut messages,
                     row_step,
-                    (mid..w).rev().map(|x| at(x, y, z)).collect(),
+                    (mid..w).rev().map(|x| at(x, y, z)),
                     &src_c,
                 );
             }
@@ -168,46 +154,43 @@ pub fn db_schedule(mesh: &Mesh, source: NodeId) -> BroadcastSchedule {
     }
 }
 
-/// Z positions from `from` to `to` inclusive, in walking order.
-fn z_walk(from: u16, to: u16) -> Vec<u16> {
-    if from <= to {
-        (from..=to).collect()
-    } else {
-        (to..=from).rev().collect()
-    }
+/// The gather-all path along the Z column of `corner` (a node of the source
+/// plane) to plane `to`: the relay that gives every plane on the way its
+/// copy of the corner.
+pub(crate) fn z_column(mesh: &Mesh, corner: &Coord, to: u16) -> CodedPath {
+    let zs = corner.get(2);
+    let walk = (1..=zs.abs_diff(to)).map(|d| {
+        let z = if to > zs { zs + d } else { zs - d };
+        (mesh.node_at(&corner.with(2, z)), true)
+    });
+    // Every node flagged: a selective path that is a gather-all.
+    CodedPath::selective(mesh, mesh.node_at(corner), walk)
 }
 
-/// Add a straight-line gather-all message over `coords` (first element is
-/// the sender), delivering to every interior/final node except `skip` (the
-/// broadcast source, which already holds the payload). Skips the message
-/// entirely if nothing would be delivered.
+/// Add a straight-line gather-all message along `line` (first element is
+/// the sender), delivering to every later node except `skip` (the broadcast
+/// source, which already holds the payload). A line ending at `skip` stops
+/// one node short (keeps channel demand honest when the source sits at the
+/// end of a line); nothing is sent if nothing would be delivered.
 fn push_line(
     mesh: &Mesh,
     messages: &mut Vec<ScheduledMessage>,
     step: u32,
-    coords: Vec<Coord>,
+    line: impl DoubleEndedIterator<Item = Coord> + ExactSizeIterator + Clone,
     skip: &Coord,
 ) {
-    if coords.len() < 2 {
+    let mut len = line.len();
+    if line.clone().next_back() == Some(*skip) {
+        len -= 1;
+    }
+    if len < 2 {
         return;
     }
-    let nodes: Vec<NodeId> = coords.iter().map(|c| mesh.node_at(c)).collect();
-    let receivers: Vec<NodeId> = coords[1..]
-        .iter()
-        .filter(|c| *c != skip)
-        .map(|c| mesh.node_at(c))
-        .collect();
-    if receivers.is_empty() {
-        return;
-    }
-    // Trim the path if trailing nodes do not receive (keeps channel demand
-    // honest when the source sits at the end of a line).
-    let last_rx = *receivers.last().unwrap();
-    let end = nodes.iter().position(|&n| n == last_rx).unwrap();
-    let path = Path::through(mesh, &nodes[..=end]);
+    let mut walk = line.take(len).map(|c| (mesh.node_at(&c), c != *skip));
+    let (sender, _) = walk.next().expect("a line has a sender");
     messages.push(ScheduledMessage::step_message(
         step,
-        RoutePlan::Coded(CodedPath::selective(mesh, path, &receivers)),
+        RoutePlan::Coded(CodedPath::selective(mesh, sender, walk)),
     ));
 }
 

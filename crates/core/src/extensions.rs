@@ -224,12 +224,8 @@ mod tests {
             if cp.receivers(&t).contains(&target) {
                 // Rebuild this ring without delivering to target.
                 let nodes = cp.path.nodes(&t);
-                let receivers: Vec<NodeId> = nodes[1..]
-                    .iter()
-                    .copied()
-                    .filter(|&n| n != target)
-                    .collect();
-                let ring = CodedPath::selective(&t, cp.path.clone(), &receivers);
+                let walk = nodes[1..].iter().map(|&n| (n, n != target));
+                let ring = CodedPath::selective(&t, nodes[0], walk);
                 m.plan = RoutePlan::Coded(ring);
             }
         }

@@ -24,7 +24,7 @@
 
 use crate::schedule::{BroadcastSchedule, RoutePlan, ScheduleError, ScheduledMessage};
 use std::collections::BTreeSet;
-use wormcast_routing::{dor_path, CodedPath, Path};
+use wormcast_routing::{dor_path, CodedPath};
 use wormcast_topology::{Coord, Mesh, NodeId, Topology};
 
 /// Deduplicate, drop the source, and order a destination list.
@@ -122,10 +122,7 @@ pub fn cpr_multicast(mesh: &Mesh, source: NodeId, dests: &[NodeId]) -> Broadcast
     let a_src = anchor(zs);
 
     // Step 1: source -> its own plane's anchor (skip if source is there).
-    let mut anchor_holds_from: std::collections::BTreeMap<u16, u32> = Default::default();
-    if src_c == a_src {
-        anchor_holds_from.insert(zs, 0);
-    } else {
+    if src_c != a_src {
         messages.push(ScheduledMessage::step_message(
             1,
             RoutePlan::Coded(CodedPath::unicast(
@@ -133,44 +130,29 @@ pub fn cpr_multicast(mesh: &Mesh, source: NodeId, dests: &[NodeId]) -> Broadcast
                 dor_path(mesh, source, mesh.node_at(&a_src)),
             )),
         ));
-        anchor_holds_from.insert(zs, 1);
     }
 
     // Step 2: Z-column relay, delivering only at populated planes (and at
     // no others). Two directions from zs.
     let populated: BTreeSet<u16> = by_plane.keys().copied().collect();
-    for (from, to) in [(zs, mesh.dim_size(2) - 1), (zs, 0)] {
-        if from == to {
+    for to in [mesh.dim_size(2) - 1, 0] {
+        // Receivers: anchors of populated planes beyond zs in this
+        // direction; the walk stops at the last of them.
+        let z_at = |d: u16| if to > zs { zs + d } else { zs - d };
+        let Some(last) = (1..=zs.abs_diff(to))
+            .rev()
+            .find(|&d| populated.contains(&z_at(d)))
+        else {
             continue;
-        }
-        let walk: Vec<u16> = if from <= to {
-            (from..=to).collect()
-        } else {
-            (to..=from).rev().collect()
         };
-        // Receivers: anchors of populated planes beyond zs in this direction.
-        let rx: Vec<NodeId> = walk[1..]
-            .iter()
-            .filter(|z| populated.contains(z))
-            .map(|&z| mesh.node_at(&anchor(z)))
-            .collect();
-        if rx.is_empty() {
-            continue;
-        }
-        // Trim the walk at the last receiver.
-        let last_z = mesh.coord_of(*rx.last().unwrap()).get(2);
-        let end = walk.iter().position(|&z| z == last_z).unwrap();
-        let nodes: Vec<NodeId> = walk[..=end]
-            .iter()
-            .map(|&z| mesh.node_at(&anchor(z)))
-            .collect();
+        let walk = (1..=last).map(|d| {
+            let z = z_at(d);
+            (mesh.node_at(&anchor(z)), populated.contains(&z))
+        });
         messages.push(ScheduledMessage::step_message(
             2,
-            RoutePlan::Coded(CodedPath::selective(mesh, Path::through(mesh, &nodes), &rx)),
+            RoutePlan::Coded(CodedPath::selective(mesh, mesh.node_at(&a_src), walk)),
         ));
-        for r in rx {
-            anchor_holds_from.insert(mesh.coord_of(r).get(2), 2);
-        }
     }
 
     // Step 3: per populated plane, the anchor walks each populated row:
@@ -182,23 +164,28 @@ pub fn cpr_multicast(mesh: &Mesh, source: NodeId, dests: &[NodeId]) -> Broadcast
         }
         let astart = anchor(z);
         for (&y, row_dests) in &rows {
-            // Path: (0,0,z) .. (0,y,z) .. (max_x,y,z).
-            let max_x = row_dests.iter().map(|c| c.get(0)).max().unwrap();
-            let mut nodes: Vec<NodeId> = (0..=y)
-                .map(|yy| mesh.node_at(&astart.with(1, yy)))
-                .collect();
-            nodes.extend((1..=max_x).map(|xx| mesh.node_at(&Coord::xyz(xx, y, z))));
-            let rx: Vec<NodeId> = row_dests
-                .iter()
-                .map(|c| mesh.node_at(c))
-                .filter(|&n| n != mesh.node_at(&astart))
-                .collect();
-            if rx.is_empty() {
-                continue;
+            // Path: (0,0,z) .. (0,y,z) .. (max_x,y,z). A row's destinations
+            // come in x order, as `dests` is sorted by node id.
+            let max_x = row_dests.last().expect("a populated row").get(0);
+            if y == 0 && max_x == 0 {
+                continue; // the anchor is the row's only destination
             }
+            // The destinations' x positions, the sending anchor left out.
+            let mut xs = row_dests
+                .iter()
+                .map(|c| c.get(0))
+                .filter(|&x| y > 0 || x > 0)
+                .peekable();
+            let walk = (1..=y)
+                .map(|yy| astart.with(1, yy))
+                .chain((1..=max_x).map(|x| Coord::xyz(x, y, z)))
+                .map(|c| {
+                    let receives = c.get(1) == y && xs.next_if_eq(&c.get(0)).is_some();
+                    (mesh.node_at(&c), receives)
+                });
             messages.push(ScheduledMessage::step_message(
                 3,
-                RoutePlan::Coded(CodedPath::selective(mesh, Path::through(mesh, &nodes), &rx)),
+                RoutePlan::Coded(CodedPath::selective(mesh, mesh.node_at(&astart), walk)),
             ));
         }
     }

@@ -17,6 +17,8 @@
 
 use crate::path::Path;
 use serde::{Deserialize, Serialize};
+use std::ops::Deref;
+use std::sync::Arc;
 use wormcast_topology::{NodeId, Topology};
 
 /// The 2-bit CPR header control field.
@@ -56,9 +58,14 @@ impl ControlField {
 /// A multidestination message: a path plus the per-node delivery behaviour
 /// derived from the control field.
 ///
-/// `deliver[i]` says whether the i-th node of the path (index 0 = source)
-/// absorbs a copy. The source never delivers to itself; the final node always
-/// receives.
+/// `deliver_mask()[i]` says whether the i-th node of the path (index 0 =
+/// source) absorbs a copy. The source never delivers to itself.
+///
+/// A coded path is immutable and shared: the path, the control field and
+/// the delivery mask sit behind one [`Arc`], so `clone` is a reference-count
+/// bump. A schedule, the compiled plans over it and every in-flight message
+/// of every operation running it hold the one record; it reads through
+/// [`Deref`] (`cp.path`, `cp.control`).
 ///
 /// # Examples
 ///
@@ -74,8 +81,12 @@ impl ControlField {
 /// let cp = CodedPath::gather_all(&mesh, Path::through(&mesh, &row));
 /// assert_eq!(cp.num_receivers(), 3); // everyone after the source
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CodedPath {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CodedPath(Arc<CodedRecord>);
+
+/// What a [`CodedPath`] shares.
+#[derive(Debug, PartialEq, Eq)]
+pub struct CodedRecord {
     /// The physical route.
     pub path: Path,
     /// The header control field.
@@ -84,21 +95,59 @@ pub struct CodedPath {
     deliver: Vec<bool>,
 }
 
+impl Deref for CodedPath {
+    type Target = CodedRecord;
+
+    fn deref(&self) -> &CodedRecord {
+        &self.0
+    }
+}
+
+/// The path from `src` along `walk`, the nodes it visits after `src` in
+/// order, with its delivery mask: the source never receives, and each later
+/// node as its flag says. One pass, one channel lookup per hop.
+///
+/// # Panics
+/// Panics if consecutive nodes are not adjacent.
+fn walk_path<T: Topology>(
+    topo: &T,
+    src: NodeId,
+    walk: impl IntoIterator<Item = (NodeId, bool)>,
+) -> (Path, Vec<bool>) {
+    let walk = walk.into_iter();
+    let mut hops = Vec::with_capacity(walk.size_hint().0);
+    let mut deliver = Vec::with_capacity(walk.size_hint().0 + 1);
+    deliver.push(false);
+    let mut at = src;
+    for (node, receives) in walk {
+        hops.push(
+            topo.channel_between(at, node)
+                .unwrap_or_else(|| panic!("nodes {at} and {node} are not adjacent")),
+        );
+        deliver.push(receives);
+        at = node;
+    }
+    (Path { src, hops }, deliver)
+}
+
 impl CodedPath {
+    fn new(path: Path, control: ControlField, deliver: Vec<bool>) -> CodedPath {
+        CodedPath(Arc::new(CodedRecord {
+            path,
+            control,
+            deliver,
+        }))
+    }
+
     /// A `00`-coded unicast: deliver at the final node only.
     ///
     /// # Panics
     /// Panics if the path is empty (a message to self is not a message).
     pub fn unicast<T: Topology>(_topo: &T, path: Path) -> CodedPath {
         assert!(!path.is_empty(), "unicast path must leave the source");
-        let n = path.hops.len() + 1;
-        let mut deliver = vec![false; n];
-        deliver[n - 1] = true;
-        CodedPath {
-            path,
-            control: ControlField::Unicast,
-            deliver,
-        }
+        let mut deliver = vec![false; path.len() + 1];
+        deliver[path.len()] = true;
+        CodedPath::new(path, ControlField::Unicast, deliver)
     }
 
     /// An `11`-coded gather-all: every node after the source receives.
@@ -107,70 +156,47 @@ impl CodedPath {
     /// Panics if the path is empty.
     pub fn gather_all<T: Topology>(_topo: &T, path: Path) -> CodedPath {
         assert!(!path.is_empty(), "gather-all path must leave the source");
-        let n = path.hops.len() + 1;
-        let mut deliver = vec![true; n];
+        let mut deliver = vec![true; path.len() + 1];
         deliver[0] = false;
-        CodedPath {
-            path,
-            control: ControlField::GatherAll,
-            deliver,
-        }
+        CodedPath::new(path, ControlField::GatherAll, deliver)
     }
 
-    /// A `10`-coded corner relay: deliver at the listed `relays` (which must
-    /// be distinct intermediate or final nodes of the path) and at the final
-    /// node.
+    /// A `10`-coded corner relay from `src` along `walk` (the nodes after
+    /// `src`, each flagged whether it is a designated relay): deliver at the
+    /// relays and at the final node.
     ///
     /// # Panics
-    /// Panics if the path is empty, or any relay is the source or not on the
-    /// path.
-    pub fn corner_relay<T: Topology>(topo: &T, path: Path, relays: &[NodeId]) -> CodedPath {
+    /// Panics if `walk` is empty or consecutive nodes are not adjacent.
+    pub fn corner_relay<T: Topology>(
+        topo: &T,
+        src: NodeId,
+        walk: impl IntoIterator<Item = (NodeId, bool)>,
+    ) -> CodedPath {
+        let (path, mut deliver) = walk_path(topo, src, walk);
         assert!(!path.is_empty(), "corner-relay path must leave the source");
-        let nodes = path.nodes(topo);
-        let mut deliver = vec![false; nodes.len()];
-        for relay in relays {
-            let idx = nodes
-                .iter()
-                .position(|n| n == relay)
-                .unwrap_or_else(|| panic!("relay {relay} is not on the path"));
-            assert!(idx != 0, "the source cannot be a relay");
-            deliver[idx] = true;
-        }
         *deliver.last_mut().unwrap() = true;
-        CodedPath {
-            path,
-            control: ControlField::CornerRelay,
-            deliver,
-        }
+        CodedPath::new(path, ControlField::CornerRelay, deliver)
     }
 
-    /// A coded path with an explicit receiver set: deliver at exactly the
-    /// listed nodes (the final node need *not* receive — used when a
-    /// dissemination path runs past a node that already holds the payload,
-    /// e.g. the broadcast source). Encoded on the wire as `11` with per-hop
-    /// skip marks.
+    /// A coded path with an explicit receiver set, from `src` along `walk`
+    /// (the nodes after `src`, each flagged whether it receives): deliver at
+    /// exactly the flagged nodes. The final node need *not* receive — used
+    /// when a dissemination path runs past a node that already holds the
+    /// payload, e.g. the broadcast source. Encoded on the wire as `11` with
+    /// per-hop skip marks.
     ///
     /// # Panics
-    /// Panics if the path is empty, `receivers` is empty, or any receiver is
-    /// the source or not on the path.
-    pub fn selective<T: Topology>(topo: &T, path: Path, receivers: &[NodeId]) -> CodedPath {
+    /// Panics if `walk` is empty, no node is flagged, or consecutive nodes
+    /// are not adjacent.
+    pub fn selective<T: Topology>(
+        topo: &T,
+        src: NodeId,
+        walk: impl IntoIterator<Item = (NodeId, bool)>,
+    ) -> CodedPath {
+        let (path, deliver) = walk_path(topo, src, walk);
         assert!(!path.is_empty(), "selective path must leave the source");
-        assert!(!receivers.is_empty(), "selective path needs receivers");
-        let nodes = path.nodes(topo);
-        let mut deliver = vec![false; nodes.len()];
-        for r in receivers {
-            let idx = nodes
-                .iter()
-                .position(|n| n == r)
-                .unwrap_or_else(|| panic!("receiver {r} is not on the path"));
-            assert!(idx != 0, "the source cannot be a receiver");
-            deliver[idx] = true;
-        }
-        CodedPath {
-            path,
-            control: ControlField::GatherAll,
-            deliver,
-        }
+        assert!(deliver.contains(&true), "selective path needs receivers");
+        CodedPath::new(path, ControlField::GatherAll, deliver)
     }
 
     /// Delivery mask aligned with `path.nodes()`.
@@ -244,52 +270,73 @@ mod tests {
         assert!(rx.contains(&m.node_at(&Coord::xy(3, 1))));
     }
 
+    /// The walk along row 1 after its west end, flagging the columns in
+    /// `rx`.
+    fn row_walk<'a>(m: &'a Mesh, rx: &'a [u16]) -> impl Iterator<Item = (NodeId, bool)> + 'a {
+        (1..4).map(move |x| (m.node_at(&Coord::xy(x, 1)), rx.contains(&x)))
+    }
+
+    fn row_src(m: &Mesh) -> NodeId {
+        m.node_at(&Coord::xy(0, 1))
+    }
+
     #[test]
     fn corner_relay_delivers_at_relays_and_end() {
         let m = Mesh::square(4);
+        let cp = CodedPath::corner_relay(&m, row_src(&m), row_walk(&m, &[2]));
+        assert_eq!(cp.path, row_path(&m));
         let relay = m.node_at(&Coord::xy(2, 1));
-        let cp = CodedPath::corner_relay(&m, row_path(&m), &[relay]);
         assert_eq!(cp.receivers(&m), vec![relay, m.node_at(&Coord::xy(3, 1))]);
     }
 
     #[test]
     fn corner_relay_end_always_receives() {
         let m = Mesh::square(4);
-        let cp = CodedPath::corner_relay(&m, row_path(&m), &[]);
+        let cp = CodedPath::corner_relay(&m, row_src(&m), row_walk(&m, &[]));
         assert_eq!(cp.receivers(&m), vec![m.node_at(&Coord::xy(3, 1))]);
     }
 
     #[test]
-    #[should_panic(expected = "not on the path")]
-    fn relay_off_path_rejected() {
+    #[should_panic(expected = "not adjacent")]
+    fn walk_that_jumps_rejected() {
         let m = Mesh::square(4);
-        let off = m.node_at(&Coord::xy(0, 0));
-        let _ = CodedPath::corner_relay(&m, row_path(&m), &[off]);
-    }
-
-    #[test]
-    #[should_panic(expected = "source cannot be a relay")]
-    fn source_relay_rejected() {
-        let m = Mesh::square(4);
-        let src = m.node_at(&Coord::xy(0, 1));
-        let _ = CodedPath::corner_relay(&m, row_path(&m), &[src]);
+        let far = m.node_at(&Coord::xy(2, 1));
+        let _ = CodedPath::corner_relay(&m, row_src(&m), [(far, true)]);
     }
 
     #[test]
     fn selective_delivers_exactly_listed() {
         let m = Mesh::square(4);
+        let cp = CodedPath::selective(&m, row_src(&m), row_walk(&m, &[1, 2]));
+        assert_eq!(cp.path, row_path(&m));
+        assert_eq!(cp.control, ControlField::GatherAll);
         let rx = [m.node_at(&Coord::xy(1, 1)), m.node_at(&Coord::xy(2, 1))];
-        let cp = CodedPath::selective(&m, row_path(&m), &rx);
         assert_eq!(cp.receivers(&m), rx.to_vec());
         // Final node (3,1) does NOT receive.
-        assert!(!cp.receivers(&m).contains(&m.node_at(&Coord::xy(3, 1))));
+        assert_eq!(cp.deliver_mask(), [false, true, true, false]);
+    }
+
+    #[test]
+    fn selective_flagging_all_is_gather_all() {
+        let m = Mesh::square(4);
+        let cp = CodedPath::selective(&m, row_src(&m), row_walk(&m, &[1, 2, 3]));
+        assert_eq!(cp, CodedPath::gather_all(&m, row_path(&m)));
     }
 
     #[test]
     #[should_panic(expected = "needs receivers")]
     fn selective_empty_receivers_rejected() {
         let m = Mesh::square(4);
-        let _ = CodedPath::selective(&m, row_path(&m), &[]);
+        let _ = CodedPath::selective(&m, row_src(&m), row_walk(&m, &[]));
+    }
+
+    #[test]
+    fn clones_share_one_record() {
+        let m = Mesh::square(4);
+        let cp = CodedPath::gather_all(&m, row_path(&m));
+        let twin = cp.clone();
+        assert!(Arc::ptr_eq(&cp.0, &twin.0));
+        assert_eq!(cp.deliver_mask().as_ptr(), twin.deliver_mask().as_ptr());
     }
 
     #[test]

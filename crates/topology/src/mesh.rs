@@ -210,14 +210,20 @@ impl Topology for Mesh {
     fn channel_between(&self, from: NodeId, to: NodeId) -> Option<ChannelId> {
         assert!(from.0 < self.num_nodes, "node {from} out of range");
         assert!(to.0 < self.num_nodes, "node {to} out of range");
-        for dim in 0..self.dims.len() {
-            for sign in [Sign::Plus, Sign::Minus] {
-                if self.neighbor(from, dim, sign) == Some(to) {
-                    return self.channel(from, dim, sign);
-                }
-            }
-        }
-        None
+        // Neighbours along `dim` lie one stride apart inside one block of
+        // `stride * size` ids; a pair one stride apart across two blocks
+        // wraps off the end of a row. Dimensions wider than one have
+        // distinct strides, so at most one matches.
+        let (lo, hi) = (from.0.min(to.0), from.0.max(to.0));
+        let dim = (0..self.dims.len()).find(|&d| self.dims[d] > 1 && hi - lo == self.strides[d])?;
+        let block = self.strides[dim] * u32::from(self.dims[dim]);
+        let sign = if to.0 > from.0 {
+            Sign::Plus
+        } else {
+            Sign::Minus
+        };
+        (lo / block == hi / block)
+            .then(|| ChannelId(from.0 * self.chans_per_node() + Self::dir_slot(dim, sign)))
     }
 
     fn channel_endpoints(&self, ch: ChannelId) -> (NodeId, NodeId) {
@@ -388,6 +394,38 @@ mod tests {
         let a = m.node_at(&Coord::xyz(0, 0, 0));
         let b = m.node_at(&Coord::xyz(7, 7, 7));
         assert_eq!(m.distance(a, b), 21);
+    }
+
+    /// `channel_between` by probing every direction's neighbour.
+    fn probed_channel_between(m: &Mesh, from: NodeId, to: NodeId) -> Option<ChannelId> {
+        (0..m.ndims())
+            .flat_map(|dim| [(dim, Sign::Plus), (dim, Sign::Minus)])
+            .find(|&(dim, sign)| m.neighbor(from, dim, sign) == Some(to))
+            .and_then(|(dim, sign)| m.channel(from, dim, sign))
+    }
+
+    #[test]
+    fn channel_between_matches_probing() {
+        for dims in [
+            &[4, 3, 2][..],
+            &[5, 5],
+            &[1, 4],
+            &[4, 1, 3],
+            &[3, 4, 1],
+            &[1],
+            &[6],
+        ] {
+            let m = Mesh::new(dims);
+            for from in m.nodes() {
+                for to in m.nodes() {
+                    let want = probed_channel_between(&m, from, to);
+                    assert_eq!(m.channel_between(from, to), want, "{dims:?} {from}->{to}");
+                    if let Some(ch) = want {
+                        assert_eq!(m.channel_endpoints(ch), (from, to));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! source), so the open-loop drivers take their trackers from a
 //! [`PlanCache`]: operations from one source that are in flight together
 //! share one plan, behind an [`Arc`], and the plan is freed with the last
-//! of them. A tracker that holds its plan's only handle (the one-shot
-//! constructors) moves routes out as it releases them; a tracker over a
-//! cached plan clones them.
+//! of them. A released message shares its route with the plan: a coded
+//! path is one immutable record behind an [`Arc`], so sending it is a
+//! reference-count bump, whoever else holds the plan.
 //!
 //! [`Ops`] is the one delivery loop: a table of live operations whose
 //! [`Ops::step`] advances the engine by one event and feeds each delivery to
@@ -43,8 +43,7 @@ use wormcast_topology::{Mesh, NodeId, Topology};
 #[derive(Debug)]
 struct PlannedSend {
     step: u32,
-    /// `None` once a tracker holding the plan's only handle moved it out.
-    route: Option<Route>,
+    route: Route,
     charge_startup: bool,
 }
 
@@ -66,40 +65,24 @@ fn send_order(m: &ScheduledMessage) -> (NodeId, u32) {
 }
 
 impl CompiledPlan {
-    /// Compile `schedule` over `topo`, cloning its routes.
+    /// Compile `schedule` over `topo`. Its coded paths are shared, not
+    /// copied.
     pub(crate) fn compile<T: Topology>(topo: &T, schedule: &BroadcastSchedule) -> Self {
         let msgs = &schedule.messages;
         let mut order: Vec<usize> = (0..msgs.len()).collect();
         order.sort_by_key(|&i| send_order(&msgs[i]));
-        let sorted = order.into_iter().map(|i| msgs[i].clone());
-        Self::from_sorted(topo, schedule.source, sorted)
-    }
-
-    /// [`CompiledPlan::compile`] for a schedule built for the plan alone:
-    /// its routes move in.
-    pub(crate) fn compile_owned<T: Topology>(topo: &T, schedule: BroadcastSchedule) -> Self {
-        let mut msgs = schedule.messages;
-        msgs.sort_by_key(send_order);
-        Self::from_sorted(topo, schedule.source, msgs.into_iter())
-    }
-
-    /// The plan of a broadcast from `source` whose messages come in
-    /// [`send_order`].
-    fn from_sorted<T: Topology>(
-        topo: &T,
-        source: NodeId,
-        sorted: impl Iterator<Item = ScheduledMessage>,
-    ) -> Self {
         let mut offsets = vec![0u32; topo.num_nodes() + 1];
-        let sends = sorted
-            .map(|m| {
+        let sends = order
+            .into_iter()
+            .map(|i| {
+                let m = &msgs[i];
                 offsets[m.plan.src().index() + 1] += 1;
                 PlannedSend {
                     step: m.step,
-                    route: Some(match m.plan {
-                        RoutePlan::Coded(cp) => Route::Fixed(cp),
-                        RoutePlan::Adaptive { dst, .. } => Route::Adaptive { dst },
-                    }),
+                    route: match &m.plan {
+                        RoutePlan::Coded(cp) => Route::Fixed(cp.clone()),
+                        &RoutePlan::Adaptive { dst, .. } => Route::Adaptive { dst },
+                    },
                     charge_startup: m.charge_startup,
                 }
             })
@@ -108,7 +91,7 @@ impl CompiledPlan {
             offsets[n] += offsets[n - 1];
         }
         CompiledPlan {
-            source,
+            source: schedule.source,
             sends,
             offsets,
         }
@@ -156,7 +139,7 @@ impl<'m> PlanCache<'m> {
         let slot = &mut self.plans[source.index()];
         let plan = slot.upgrade().unwrap_or_else(|| {
             let schedule = self.algorithm.schedule(self.mesh, source);
-            let plan = Arc::new(CompiledPlan::compile_owned(self.mesh, schedule));
+            let plan = Arc::new(CompiledPlan::compile(self.mesh, &schedule));
             *slot = Arc::downgrade(&plan);
             plan
         });
@@ -274,9 +257,16 @@ impl BroadcastTracker {
     /// # Panics
     /// Panics if called twice.
     pub fn start(&mut self, now: SimTime) -> Vec<MessageSpec> {
+        let source = self.begin(now);
+        self.sends(source).collect()
+    }
+
+    /// [`BroadcastTracker::start`] without the specs: the node whose
+    /// messages go out now, the source.
+    fn begin(&mut self, now: SimTime) -> NodeId {
         assert!(self.started_at.is_none(), "broadcast already started");
         self.started_at = Some(now);
-        self.release(self.plan.source)
+        self.plan.source
     }
 
     /// Feed one network delivery. If it belongs to this operation, the
@@ -289,8 +279,17 @@ impl BroadcastTracker {
     /// Panics on duplicate delivery to one node — valid schedules deliver
     /// exactly once.
     pub fn on_delivery(&mut self, d: &Delivery) -> Vec<MessageSpec> {
+        match self.record(d) {
+            Some(node) => self.sends(node).collect(),
+            None => Vec::new(),
+        }
+    }
+
+    /// [`BroadcastTracker::on_delivery`] without the specs: the node whose
+    /// messages the delivery releases, if any.
+    fn record(&mut self, d: &Delivery) -> Option<NodeId> {
         if d.op != self.op {
-            return Vec::new();
+            return None;
         }
         let (w, bit) = bit_of(d.node.index());
         assert!(
@@ -306,38 +305,23 @@ impl BroadcastTracker {
         }
         // Each node's messages are released once: the source's by `start`,
         // every other node's on its one delivery.
-        if d.node == self.plan.source {
-            return Vec::new();
-        }
-        self.release(d.node)
+        (d.node != self.plan.source).then_some(d.node)
     }
 
-    fn release(&mut self, node: NodeId) -> Vec<MessageSpec> {
+    /// The specs of the messages `node` sends, each sharing its route with
+    /// the plan.
+    fn sends(&self, node: NodeId) -> impl Iterator<Item = MessageSpec> + '_ {
         let (op, length) = (self.op, self.length);
-        let spec = |s: &PlannedSend, route: Option<Route>| MessageSpec {
-            src: node,
-            route: route.expect("a node's messages are released once"),
-            length,
-            op,
-            tag: s.step,
-            charge_startup: s.charge_startup,
-        };
-        let group = self.plan.group(node);
-        match Arc::get_mut(&mut self.plan) {
-            // No other handle, strong or weak, reaches this plan: move the
-            // routes out.
-            Some(plan) => plan.sends[group]
-                .iter_mut()
-                .map(|s| {
-                    let route = s.route.take();
-                    spec(s, route)
-                })
-                .collect(),
-            None => self.plan.sends[group]
-                .iter()
-                .map(|s| spec(s, s.route.clone()))
-                .collect(),
-        }
+        self.plan.sends[self.plan.group(node)]
+            .iter()
+            .map(move |s| MessageSpec {
+                src: node,
+                route: s.route.clone(),
+                length,
+                op,
+                tag: s.step,
+                charge_startup: s.charge_startup,
+            })
     }
 
     /// Whether every destination has received the payload.
@@ -450,7 +434,8 @@ impl Ops {
         at: SimTime,
         mut tracker: BroadcastTracker,
     ) {
-        for spec in tracker.start(at) {
+        let source = tracker.begin(at);
+        for spec in tracker.sends(source) {
             net.inject_at(at, spec);
         }
         let op = tracker.op();
@@ -477,8 +462,10 @@ impl Ops {
             let fed = match self.live.get_mut(&d.op) {
                 None => Fed::Unowned,
                 Some(tracker) => {
-                    for spec in tracker.on_delivery(d) {
-                        net.inject_at(d.delivered_at, spec);
+                    if let Some(node) = tracker.record(d) {
+                        for spec in tracker.sends(node) {
+                            net.inject_at(d.delivered_at, spec);
+                        }
                     }
                     if tracker.is_complete() {
                         Fed::Completed(self.live.remove(&d.op).expect("live operation"))
@@ -633,8 +620,7 @@ mod tests {
             for src in 0..mesh.num_nodes() as u32 {
                 let schedule = alg.schedule(&mesh, NodeId(src));
                 let fresh = BroadcastTracker::new(&mesh, &schedule, OpId(3), 16);
-                // Two operations in flight from one source share a plan, so
-                // these trackers clone routes where the fresh one moves them.
+                // Two operations in flight from one source share a plan.
                 let shared = plans.tracker(NodeId(src), OpId(3), 16);
                 let sibling = plans.tracker(NodeId(src), OpId(4), 16);
                 assert!(Arc::ptr_eq(&shared.plan, &sibling.plan));
@@ -643,6 +629,23 @@ mod tests {
                 assert_eq!(release_all(&mesh, shared), want, "{alg} from {src}");
                 assert_eq!(release_all(&mesh, sibling).len(), want.len());
             }
+        }
+    }
+
+    #[test]
+    fn operations_over_one_cached_plan_release_one_route() {
+        let mesh = Mesh::cube(4);
+        let mut plans = PlanCache::new(Algorithm::Db, &mesh);
+        let src = NodeId(21);
+        let mut a = plans.tracker(src, OpId(0), 16);
+        let mut b = plans.tracker(src, OpId(1), 16);
+        let (sa, sb) = (a.start(SimTime::ZERO), b.start(SimTime::ZERO));
+        assert_eq!(sa.len(), 2, "both corner legs of an interior source");
+        for (x, y) in sa.iter().zip(&sb) {
+            let (Route::Fixed(x), Route::Fixed(y)) = (&x.route, &y.route) else {
+                panic!("DB's corner legs are coded paths");
+            };
+            assert_eq!(x.deliver_mask().as_ptr(), y.deliver_mask().as_ptr());
         }
     }
 

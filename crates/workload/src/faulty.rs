@@ -37,7 +37,7 @@ use wormcast_broadcast::{Algorithm, BroadcastSchedule, RoutePlan, RoutingKind, S
 use wormcast_network::{FaultPlan, FaultSpec, NetworkConfig, OpId};
 use wormcast_routing::{
     negative_first_path_avoiding, planar_west_first_path_avoiding, west_first_path_avoiding,
-    CodedPath, NegativeFirst, Path, RoutingFunction,
+    CodedPath, NegativeFirst, RoutingFunction,
 };
 use wormcast_sim::{SimDuration, SimRng};
 use wormcast_stats::summarize;
@@ -131,12 +131,11 @@ pub fn degrade_schedule(
         // along the original path, nodes k+1.. sit behind the break.
         let nodes = cp.path.nodes(mesh);
         let mask = cp.deliver_mask();
-        let pre: Vec<NodeId> = (1..=k).filter(|&i| mask[i]).map(|i| nodes[i]).collect();
-        if !pre.is_empty() {
-            let prefix = Path::through(mesh, &nodes[..=k]);
+        if mask[1..=k].contains(&true) {
+            let prefix = (1..=k).map(|i| (nodes[i], mask[i]));
             messages.push(ScheduledMessage {
                 step: m.step,
-                plan: RoutePlan::Coded(CodedPath::selective(mesh, prefix, &pre)),
+                plan: RoutePlan::Coded(CodedPath::selective(mesh, nodes[0], prefix)),
                 charge_startup: m.charge_startup,
             });
         }

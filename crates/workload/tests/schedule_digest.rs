@@ -77,7 +77,7 @@ fn algorithms(mesh: &Mesh) -> Vec<Algorithm> {
 /// shifted by the source so the subsets differ.
 fn dests(mesh: &Mesh, src: NodeId, k: u32) -> Vec<NodeId> {
     mesh.nodes()
-        .filter(|n| (n.0 * 7 + src.0) % k == 0)
+        .filter(|n| (n.0 * 7 + src.0).is_multiple_of(k))
         .collect()
 }
 
