@@ -25,16 +25,21 @@ use wormcast_topology::{Coord, NodeId, Sign, Topology};
 pub fn dor_path<T: Topology>(topo: &T, src: NodeId, dst: NodeId) -> Path {
     let cs = topo.coord_of(src);
     let cd = topo.coord_of(dst);
-    let mut nodes = vec![src];
-    let mut cur = cs;
+    let mut hops = Vec::with_capacity(cs.manhattan(&cd) as usize);
+    let (mut cur, mut at) = (cs, src);
     for dim in 0..topo.ndims() {
         while cur.get(dim) != cd.get(dim) {
             let sign = Sign::towards(cur.get(dim), cd.get(dim)).unwrap();
             cur = cur.with(dim, (cur.get(dim) as i32 + sign.delta()) as u16);
-            nodes.push(topo.node_at(&cur));
+            let next = topo.node_at(&cur);
+            hops.push(
+                topo.channel_between(at, next)
+                    .expect("a DOR step is one hop"),
+            );
+            at = next;
         }
     }
-    Path::through(topo, &nodes)
+    Path { src, hops }
 }
 
 /// Whether a path obeys dimension order: once it has moved in dimension `d`,

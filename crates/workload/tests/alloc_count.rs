@@ -79,7 +79,7 @@ fn a_mixed_stream_stays_under_its_allocation_ceiling() {
         .map(|alg| (alg, mixed_point(alg)))
         .collect();
     let total: u64 = per_alg.iter().map(|&(_, n)| n).sum();
-    // Shared coded paths and one-pass builders: 25,681 calls (DB 9,572,
+    // Shared coded paths and one-pass builders: 25,413 calls (DB 9,304,
     // AB 7,705, QAB 8,404). Copying every route on release and building
     // schedules in several passes took 54,926.
     let ceiling = 30_000;
