@@ -171,16 +171,18 @@ pub(crate) fn corner_plane_schedule(
 }
 
 /// Remap step numbers to be contiguous from 1 (a corner source can make the
-/// first corner leg vanish).
+/// first corner leg vanish). AB's steps are 1–3, so one small array indexed
+/// by step does the renumbering: entry `s` counts the used steps up to `s`.
 fn compress_steps(messages: &mut [ScheduledMessage]) {
-    let used: std::collections::BTreeSet<u32> = messages.iter().map(|m| m.step).collect();
-    let map: std::collections::HashMap<u32, u32> = used
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| (s, i as u32 + 1))
-        .collect();
+    let mut renumber = [0u32; 4];
+    for m in messages.iter() {
+        renumber[m.step as usize] = 1;
+    }
+    for s in 1..renumber.len() {
+        renumber[s] += renumber[s - 1];
+    }
     for m in messages.iter_mut() {
-        m.step = map[&m.step];
+        m.step = renumber[m.step as usize];
     }
 }
 
@@ -266,6 +268,33 @@ pub fn ab_steps(_mesh: &Mesh) -> u32 {
 mod tests {
     use super::*;
     use crate::schedule::RoutePlan;
+
+    #[test]
+    fn compress_steps_closes_gaps_and_keeps_order() {
+        let m = Mesh::square(4);
+        let plan = RoutePlan::Adaptive {
+            src: NodeId(0),
+            dst: NodeId(1),
+        };
+        for (steps, want) in [
+            (vec![2, 3, 3, 2], vec![1, 2, 2, 1]),
+            (vec![3, 1, 3], vec![2, 1, 2]),
+            (vec![1, 2, 3], vec![1, 2, 3]),
+            (vec![3, 3], vec![1, 1]),
+            (vec![], vec![]),
+        ] {
+            let mut msgs: Vec<ScheduledMessage> = steps
+                .iter()
+                .map(|&s| ScheduledMessage::step_message(s, plan.clone()))
+                .collect();
+            compress_steps(&mut msgs);
+            let got: Vec<u32> = msgs.iter().map(|msg| msg.step).collect();
+            assert_eq!(got, want, "steps {steps:?}");
+        }
+        // A corner source drops AB's first step on a real mesh.
+        let s = ab_schedule(&m, NodeId(0));
+        assert_eq!(s.messages.iter().map(|msg| msg.step).min(), Some(1));
+    }
 
     #[test]
     fn covers_cube_from_source_classes() {

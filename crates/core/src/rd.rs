@@ -13,34 +13,40 @@
 
 use crate::schedule::{BroadcastSchedule, RoutePlan, ScheduledMessage};
 use wormcast_routing::{dor_path, CodedPath};
-use wormcast_topology::{Coord, Mesh, NodeId, Topology};
+use wormcast_topology::{Coord, Mesh, NodeId, Topology, MAX_DIMS};
 
-/// Per-dimension half-open ranges describing a sub-box of the mesh.
-#[derive(Debug, Clone)]
+/// Per-dimension half-open ranges `[lo, hi)` describing a sub-box of the
+/// mesh. `Copy`, so halving a box allocates nothing.
+#[derive(Debug, Clone, Copy)]
 struct SubBox {
-    lo: Vec<u16>,
-    hi: Vec<u16>,
+    lo: Coord,
+    hi: Coord,
 }
 
 impl SubBox {
     fn whole(mesh: &Mesh) -> SubBox {
+        let hi = Coord::new(mesh.dims());
         SubBox {
-            lo: vec![0; mesh.ndims()],
-            hi: mesh.dims().to_vec(),
+            lo: Coord::new(&[0; MAX_DIMS][..hi.ndims()]),
+            hi,
         }
     }
 
     fn extent(&self, d: usize) -> u16 {
-        self.hi[d] - self.lo[d]
+        self.hi.get(d) - self.lo.get(d)
     }
 
     fn is_unit(&self) -> bool {
-        self.lo.iter().zip(&self.hi).all(|(&l, &h)| h - l == 1)
+        self.lo
+            .axes()
+            .iter()
+            .zip(self.hi.axes())
+            .all(|(&l, &h)| h - l == 1)
     }
 
     /// The dimension with the largest extent (lowest index on ties).
     fn longest_dim(&self) -> usize {
-        (0..self.lo.len())
+        (0..self.lo.ndims())
             .max_by_key(|&d| (self.extent(d), std::cmp::Reverse(d)))
             .expect("boxes have dimensions")
     }
@@ -64,11 +70,16 @@ fn recurse(mesh: &Mesh, bbox: &SubBox, holder: Coord, step: u32, out: &mut Vec<S
     }
     let d = bbox.longest_dim();
     let ext = bbox.extent(d);
-    let mid = bbox.lo[d] + ext / 2;
+    let mid = bbox.lo.get(d) + ext / 2;
     // Lower half [lo, mid), upper half [mid, hi).
-    let (mut lower, mut upper) = (bbox.clone(), bbox.clone());
-    lower.hi[d] = mid;
-    upper.lo[d] = mid;
+    let lower = SubBox {
+        hi: bbox.hi.with(d, mid),
+        ..*bbox
+    };
+    let upper = SubBox {
+        lo: bbox.lo.with(d, mid),
+        ..*bbox
+    };
     let pos = holder.get(d);
     let (own, other) = if pos < mid {
         (&lower, &upper)
@@ -77,8 +88,8 @@ fn recurse(mesh: &Mesh, bbox: &SubBox, holder: Coord, step: u32, out: &mut Vec<S
     };
     // Partner: same relative position in the other half, clamped for odd
     // extents.
-    let rel = pos - own.lo[d];
-    let partner_pos = other.lo[d] + rel.min(other.extent(d) - 1);
+    let rel = pos - own.lo.get(d);
+    let partner_pos = other.lo.get(d) + rel.min(other.extent(d) - 1);
     let partner = holder.with(d, partner_pos);
     let src = mesh.node_at(&holder);
     let dst = mesh.node_at(&partner);

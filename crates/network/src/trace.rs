@@ -78,8 +78,33 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [EventKind; 21] = [
+        EventKind::Inject,
+        EventKind::PortGrant,
+        EventKind::StartupDone,
+        EventKind::Header,
+        EventKind::ChannelWait,
+        EventKind::ChannelGrant,
+        EventKind::ChannelRelease,
+        EventKind::Deliver,
+        EventKind::Complete,
+        EventKind::LinkDown,
+        EventKind::LinkUp,
+        EventKind::Reroute,
+        EventKind::Stalled,
+        EventKind::InvariantViolation,
+        EventKind::SpanOpen,
+        EventKind::SpanClose,
+        EventKind::MetricSnapshot,
+        EventKind::CacheHit,
+        EventKind::CacheMiss,
+        EventKind::Coalesced,
+        EventKind::SchedulePhase,
+    ];
+
     /// Stable wire name for the `ev` field.
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         match self {
             EventKind::Inject => "inject",
             EventKind::PortGrant => "port_grant",
@@ -130,9 +155,26 @@ pub struct Event {
     pub name: Option<&'static str>,
 }
 
+/// Bytes of the shortest line any event renders to: the shortest kind
+/// name, one-digit `t_ps` and `rep`, and no optional field. Derived from
+/// [`Event::line_len`], so it follows the writer; a log that has less room
+/// than this (plus a newline) can keep no further line.
+pub const MIN_LINE_LEN: usize = {
+    let mut min = usize::MAX;
+    let mut i = 0;
+    while i < EventKind::ALL.len() {
+        let n = Event::new(0, EventKind::ALL[i], 0).line_len();
+        if n < min {
+            min = n;
+        }
+        i += 1;
+    }
+    min
+};
+
 impl Event {
     /// A minimal event with all optional fields absent.
-    pub fn new(t_ps: u64, kind: EventKind, rep: u64) -> Self {
+    pub const fn new(t_ps: u64, kind: EventKind, rep: u64) -> Self {
         Event {
             t_ps,
             kind,
@@ -155,8 +197,11 @@ impl Event {
 
     /// Append the NDJSON line, **without** the trailing newline, to `out`:
     /// the one writer behind [`Event::line`], [`to_ndjson`] and the
-    /// telemetry event log. Writes integers digit by digit, so it formats
-    /// nothing through `core::fmt` and allocates only when `out` grows.
+    /// telemetry event log. Integers are rendered two digits at a time
+    /// from a table of digit pairs; nothing goes through `core::fmt` or
+    /// checks UTF-8 at run time. It allocates only when `out` grows: a
+    /// caller that reserves [`Event::line_len`] first grows it at most
+    /// once per line.
     pub fn write_line(&self, out: &mut String) {
         out.push_str("{\"t_ps\":");
         push_u64(out, self.t_ps);
@@ -193,7 +238,7 @@ impl Event {
     }
 
     /// Exact byte length of [`Event::line`], computed without allocating.
-    pub fn line_len(&self) -> usize {
+    pub const fn line_len(&self) -> usize {
         let mut n = 8 + digits(self.t_ps); // {"t_ps":N
         n += 8 + self.kind.name().len(); // ,"ev":"K"
         n += 7 + digits(self.rep); // ,"rep":N
@@ -219,25 +264,47 @@ impl Event {
     }
 }
 
-/// Append `v` in decimal to `out`.
+/// `"00" "01" … "99"`: the two decimal digits of every value below 100,
+/// 200 bytes checked as UTF-8 once, at compile time.
+const DIGIT_PAIRS: &str = {
+    const BYTES: [u8; 200] = {
+        let mut t = [0u8; 200];
+        let mut i = 0;
+        while i < 100 {
+            t[2 * i] = b'0' + (i / 10) as u8;
+            t[2 * i + 1] = b'0' + (i % 10) as u8;
+            i += 1;
+        }
+        t
+    };
+    match std::str::from_utf8(&BYTES) {
+        Ok(s) => s,
+        Err(_) => panic!("decimal digits are ASCII"),
+    }
+};
+
+/// Append `v` in decimal to `out`, two digits at a time.
 #[inline]
 fn push_u64(out: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20]; // u64::MAX has 20 digits
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+    // The pairs below the leading one, least significant first.
+    let mut low = [0u8; 9]; // u64::MAX: a leading pair and nine more
+    let mut n = 0;
+    while v >= 100 {
+        low[n] = (v % 100) as u8;
+        v /= 100;
+        n += 1;
     }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
+    let lead = 2 * v as usize;
+    out.push_str(&DIGIT_PAIRS[lead + usize::from(v < 10)..lead + 2]);
+    for &pair in low[..n].iter().rev() {
+        let i = 2 * pair as usize;
+        out.push_str(&DIGIT_PAIRS[i..i + 2]);
+    }
 }
 
 /// Decimal digit count of `v`.
 #[inline]
-fn digits(v: u64) -> usize {
+const fn digits(v: u64) -> usize {
     if v == 0 {
         1
     } else {
@@ -387,6 +454,84 @@ mod tests {
         assert_eq!(out, format!("prefix\n{want}"));
     }
 
+    /// `EventKind::ALL` lists every kind once, in declaration order: the
+    /// match fails to compile when a kind is added without an index.
+    #[test]
+    fn all_lists_every_kind_in_order() {
+        let index = |k: EventKind| match k {
+            EventKind::Inject => 0,
+            EventKind::PortGrant => 1,
+            EventKind::StartupDone => 2,
+            EventKind::Header => 3,
+            EventKind::ChannelWait => 4,
+            EventKind::ChannelGrant => 5,
+            EventKind::ChannelRelease => 6,
+            EventKind::Deliver => 7,
+            EventKind::Complete => 8,
+            EventKind::LinkDown => 9,
+            EventKind::LinkUp => 10,
+            EventKind::Reroute => 11,
+            EventKind::Stalled => 12,
+            EventKind::InvariantViolation => 13,
+            EventKind::SpanOpen => 14,
+            EventKind::SpanClose => 15,
+            EventKind::MetricSnapshot => 16,
+            EventKind::CacheHit => 17,
+            EventKind::CacheMiss => 18,
+            EventKind::Coalesced => 19,
+            EventKind::SchedulePhase => 20,
+        };
+        for (i, &k) in EventKind::ALL.iter().enumerate() {
+            assert_eq!(index(k), i, "{k:?}");
+        }
+    }
+
+    /// `push_u64` appends exactly `format!`'s digits.
+    fn check_u64(v: u64) {
+        let mut out = String::from("x");
+        push_u64(&mut out, v);
+        assert_eq!(out, format!("x{v}"));
+        assert_eq!(digits(v), v.to_string().len());
+    }
+
+    #[test]
+    fn push_u64_matches_format() {
+        for v in [0, 9, 10, 99, 100, u64::MAX, u64::MAX - 1] {
+            check_u64(v);
+        }
+        // Each power of ten and its neighbours: every digit count, and
+        // every carry into a new pair.
+        let mut p = 1u64;
+        for _ in 0..20 {
+            for v in [p - 1, p, p + 1] {
+                check_u64(v);
+            }
+            p = p.saturating_mul(10);
+        }
+        // Random values at every magnitude.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..10_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            check_u64(x);
+            check_u64(x >> (x % 64));
+        }
+    }
+
+    #[test]
+    fn min_line_len_is_the_shortest_rendered_line() {
+        let shortest = EventKind::ALL
+            .iter()
+            .map(|&k| Event::new(0, k, 0).line().len())
+            .min();
+        assert_eq!(Some(MIN_LINE_LEN), shortest);
+        assert_eq!(
+            MIN_LINE_LEN,
+            "{\"t_ps\":0,\"ev\":\"inject\",\"rep\":0}".len()
+        );
+    }
+
     #[test]
     fn line_len_matches_rendered_length() {
         let mut e = Event::new(0, EventKind::Inject, 0);
@@ -403,32 +548,19 @@ mod tests {
             ..Event::new(1_500_000, EventKind::ChannelWait, 12)
         };
         check_line(&f);
-        for kind in [
-            EventKind::Inject,
-            EventKind::PortGrant,
-            EventKind::StartupDone,
-            EventKind::Header,
-            EventKind::ChannelWait,
-            EventKind::ChannelGrant,
-            EventKind::ChannelRelease,
-            EventKind::Deliver,
-            EventKind::Complete,
-            EventKind::LinkDown,
-            EventKind::LinkUp,
-            EventKind::Reroute,
-            EventKind::Stalled,
-            EventKind::InvariantViolation,
-            EventKind::SpanOpen,
-            EventKind::SpanClose,
-            EventKind::MetricSnapshot,
-            EventKind::CacheHit,
-            EventKind::CacheMiss,
-            EventKind::Coalesced,
-            EventKind::SchedulePhase,
-        ] {
+        for kind in EventKind::ALL {
             let mut e = Event::new(u64::MAX, kind, u64::MAX);
             check_line(&e);
             e.name = Some("engine_arena_msgs_highwater");
+            check_line(&e);
+            let e = Event {
+                msg: Some(99),
+                node: Some(u32::MAX),
+                ch: Some(10),
+                q: Some(0),
+                flits: Some(100),
+                ..Event::new(9, kind, 100)
+            };
             check_line(&e);
         }
         // Every digit count, and each power of ten's neighbours.

@@ -3,15 +3,18 @@
 //! Every `MetricsSink` callback can be captured as one [`Event`] — the
 //! engine's one event record, defined in `wormcast_network::trace` and
 //! re-exported here. The [`EventLog`] keeps the lines it retains already
-//! rendered, in one NDJSON string: it enforces its byte budget by computing
-//! each line's exact length arithmetically (digit counting) *before*
-//! rendering, renders only the lines that fit, with
-//! [`Event::write_line`], and counts the rest in [`EventLog::dropped`].
-//! Exporting a log is handing out its buffer. The log is the first-fit
-//! retention policy over that record: it keeps the *oldest* events that
-//! fit, where the engine's trace ring keeps the *newest*; both render
-//! through the one line writer, whose schema `wormcast_network::trace`
-//! documents.
+//! rendered, in one NDJSON string. A sink hands it a closure that
+//! builds the event ([`EventLog::push_with`]): when the log's budget or
+//! bound has no room left for even the shortest line any event renders to
+//! ([`MIN_LINE_LEN`]), it counts the drop in O(1) and builds nothing.
+//! Otherwise it computes the line's exact length arithmetically (digit
+//! counting), renders only the lines that fit, with [`Event::write_line`],
+//! into room reserved once per line, and counts the rest in
+//! [`EventLog::dropped`]. Exporting a log is handing out its buffer. The
+//! log is the first-fit retention policy over that record: it keeps the
+//! *oldest* events that fit, where the engine's trace ring keeps the
+//! *newest*; both render through the one line writer, whose schema
+//! `wormcast_network::trace` documents.
 //!
 //! A replication's log is merged into its cell's log, which has its own
 //! budget. When a bound on the room the cell will have left is known up
@@ -24,7 +27,10 @@
 
 use crate::TELEMETRY_EVENT_BUDGET_DEFAULT;
 use std::collections::HashMap;
-pub use wormcast_network::trace::{to_ndjson, Event, EventKind};
+pub use wormcast_network::trace::{to_ndjson, Event, EventKind, MIN_LINE_LEN};
+
+/// Cost of the shortest line any event renders to, newline included.
+const MIN_COST: usize = MIN_LINE_LEN + 1;
 
 /// A byte-budgeted event buffer holding its retained lines already
 /// rendered, as one NDJSON string.
@@ -33,7 +39,9 @@ pub use wormcast_network::trace::{to_ndjson, Event, EventKind};
 /// fits the bytes the log has left, and counted in [`EventLog::dropped`]
 /// otherwise, so a later, shorter line can still be kept after a longer one
 /// was dropped. The cost is computed with [`Event::line_len`] before any
-/// rendering, so a dropped event is never rendered.
+/// rendering, so a dropped event is never rendered, and
+/// [`EventLog::push_with`] does not even build an event that no line could
+/// fit.
 ///
 /// A log that will be merged into a cell log with at most `bound` bytes
 /// left can be built [`EventLog::with_bound`]: it still charges every line
@@ -103,10 +111,39 @@ impl EventLog {
             self.dropped += 1;
             return;
         }
+        self.reserve(cost);
         e.write_line(&mut self.ndjson);
         self.ndjson.push('\n');
         self.lines += 1;
         self.min_cost = self.min_cost.min(cost);
+    }
+
+    /// Make room for a `cost`-byte line. The buffer grows to the next power
+    /// of two, but never past the budget, which no retained byte exceeds:
+    /// Rust's own amortised growth doubles from the first line's length
+    /// instead, and so overshoots a power-of-two budget by up to 2×.
+    fn reserve(&mut self, cost: usize) {
+        let len = self.ndjson.len();
+        if self.ndjson.capacity() - len < cost {
+            let want = (len + cost).next_power_of_two().min(self.budget);
+            self.ndjson.reserve_exact(want - len);
+        }
+    }
+
+    /// [`EventLog::push`] the event `build` makes, without calling `build`
+    /// when no line could be kept: when the budget left or the bound is
+    /// below the shortest line any event renders to, the event only counts
+    /// as dropped, in O(1). Retained lines, their bytes and the drop count
+    /// are those of `push(build())`. Only the budget charged for lines the
+    /// bound turns away can differ, and only once the bound turns every
+    /// line away, when the charge no longer decides anything.
+    #[inline]
+    pub fn push_with(&mut self, build: impl FnOnce() -> Event) {
+        if self.charged + MIN_COST > self.budget || MIN_COST > self.bound {
+            self.dropped += 1;
+        } else {
+            self.push(build());
+        }
     }
 
     /// Events retained.
@@ -584,6 +621,44 @@ mod tests {
         }
     }
 
+    #[test]
+    fn lazy_push_builds_nothing_without_room() {
+        let e = Event::new(1, EventKind::Inject, 0);
+        let mut built = 0;
+        // A budget one byte short of the shortest line, and a spent one.
+        let mut short = EventLog::new(MIN_COST - 1);
+        let mut spent = EventLog::new(cost(&e) + MIN_COST - 1);
+        spent.push(e);
+        // A bound below the shortest line, with budget to spare.
+        let mut bounded = EventLog::with_bound(1 << 16, MIN_COST - 1);
+        for log in [&mut short, &mut spent, &mut bounded] {
+            log.push_with(|| {
+                built += 1;
+                e
+            });
+        }
+        assert_eq!(built, 0);
+        assert_eq!((short.len(), short.dropped()), (0, 1));
+        assert_eq!((spent.len(), spent.dropped()), (1, 1));
+        assert_eq!((bounded.len(), bounded.dropped()), (0, 1));
+        // With exactly the shortest line's room, in the bound or in the
+        // budget left, the event is built and kept.
+        let shortest = Event::new(0, EventKind::Inject, 0);
+        assert_eq!(cost(&shortest), MIN_COST);
+        let mut bound_fits = EventLog::with_bound(1 << 16, MIN_COST);
+        let mut budget_fits = EventLog::new(cost(&e) + MIN_COST);
+        budget_fits.push(e);
+        for log in [&mut bound_fits, &mut budget_fits] {
+            let before = log.len();
+            log.push_with(|| {
+                built += 1;
+                shortest
+            });
+            assert_eq!((log.len(), log.dropped()), (before + 1, 0));
+        }
+        assert_eq!(built, 2);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
@@ -676,6 +751,63 @@ mod tests {
             prop_assert_eq!(plain.to_ndjson(), cell.concat());
             prop_assert_eq!(plain.len(), cell.len());
             prop_assert_eq!(plain.dropped(), dropped);
+        }
+
+        /// `push_with` keeps, renders and drops exactly what `push` does,
+        /// under any budget and bound: bounds below the shortest line,
+        /// budgets spent before the stream starts, and a merge in the
+        /// middle of the stream that may leave the budget overcharged.
+        #[test]
+        fn lazy_push_matches_eager_push(
+            stream in proptest::collection::vec(
+                (0u64..2_000_000_000_000, 0u8..8, 0u64..100_000),
+                0usize..200,
+            ),
+            spent in proptest::collection::vec(
+                (0u64..2_000_000_000_000, 0u8..8, 0u64..100_000),
+                0usize..8,
+            ),
+            other in proptest::collection::vec(
+                (0u64..2_000_000_000_000, 0u8..8, 0u64..100_000),
+                0usize..16,
+            ),
+            budget in proptest::strategy::Strategy::prop_map(
+                (0u8..2, 0usize..2 * MIN_COST, 0usize..6_000),
+                |(pick, small, any)| if pick == 0 { small } else { any },
+            ),
+            bound in proptest::strategy::Strategy::prop_map(
+                (0u8..3, 0usize..2 * MIN_COST, 0usize..6_000),
+                |(pick, small, any)| [small, any, usize::MAX][pick as usize],
+            ),
+            cut in 0usize..200,
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            // Shapes 6 and 7 are bare events of any kind, down to the
+            // shortest line.
+            let ev = |&(t, shape, id): &(u64, u8, u64)| match shape {
+                6 | 7 => Event::new(t % 1_000, EventKind::ALL[id as usize % 21], 0),
+                _ => drawn(t, shape, id),
+            };
+            let mut eager = EventLog::with_bound(budget, bound);
+            let mut lazy = EventLog::with_bound(budget, bound);
+            for e in spent.iter().map(ev) {
+                eager.push(e);
+                lazy.push(e);
+            }
+            let mut merged = EventLog::new(budget);
+            other.iter().map(ev).for_each(|e| merged.push(e));
+            for (i, e) in stream.iter().map(ev).enumerate() {
+                if i == cut {
+                    eager.merge(&merged);
+                    lazy.merge(&merged);
+                }
+                eager.push(e);
+                lazy.push_with(|| e);
+            }
+            prop_assert_eq!(lazy.ndjson(), eager.ndjson());
+            prop_assert_eq!(lazy.len(), eager.len());
+            prop_assert_eq!(lazy.dropped(), eager.dropped());
+            prop_assert_eq!(lazy.room_left(), eager.room_left());
         }
     }
 }

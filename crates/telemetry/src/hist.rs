@@ -66,6 +66,9 @@ fn bucket_hi(idx: usize) -> u64 {
 /// merging in any order (or any grouping) yields bit-identical state.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
+    /// Per-bucket counts: `NUM_BUCKETS` long once anything is recorded or
+    /// merged in, empty before, so a histogram nothing reaches allocates
+    /// nothing.
     counts: Vec<u64>,
     total: u64,
     sum_ps: u128,
@@ -77,7 +80,7 @@ pub struct LatencyHistogram {
 impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
-            counts: vec![0; NUM_BUCKETS],
+            counts: Vec::new(),
             total: 0,
             sum_ps: 0,
             sum_sq_ps: 0,
@@ -96,6 +99,9 @@ impl LatencyHistogram {
     /// Record a raw picosecond latency.
     #[inline]
     pub fn record_ps(&mut self, ps: u64) {
+        if self.counts.is_empty() {
+            self.counts = vec![0; NUM_BUCKETS];
+        }
         self.counts[bucket_index(ps)] += 1;
         self.total += 1;
         self.sum_ps += ps as u128;
@@ -129,8 +135,12 @@ impl LatencyHistogram {
     /// Absorb another histogram. Exact: integer adds only, so the result is
     /// independent of merge order and grouping.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        if self.counts.is_empty() {
+            self.counts.clone_from(&other.counts);
+        } else {
+            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.total += other.total;
         self.sum_ps += other.sum_ps;
@@ -353,6 +363,30 @@ mod tests {
         assert_eq!(ab_c.min_ps, c_ba.min_ps);
         assert_eq!(ab_c.max_ps, c_ba.max_ps);
         assert_eq!(ab_c.total, c_ba.total);
+    }
+
+    #[test]
+    fn empty_histograms_allocate_nothing_and_merge_as_zeros() {
+        let empty = LatencyHistogram::new();
+        assert_eq!(empty.counts.capacity(), 0);
+        let mut h = LatencyHistogram::new();
+        h.record_ps(1_000);
+        let mut into_empty = LatencyHistogram::new();
+        into_empty.merge(&h);
+        let mut from_empty = h.clone();
+        from_empty.merge(&empty);
+        for m in [&into_empty, &from_empty] {
+            assert_eq!(m.counts, h.counts);
+            assert_eq!(
+                (m.total, m.sum_ps, m.min_ps, m.max_ps),
+                (1, 1_000, 1_000, 1_000)
+            );
+        }
+        let mut both = LatencyHistogram::new();
+        both.merge(&empty);
+        assert_eq!(both.counts.capacity(), 0);
+        assert_eq!(both.export().count, 0);
+        assert!(both.export().buckets.is_empty());
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //!   replications is exact and order-independent;
 //! * a phase-decomposing sink (built from [`Collector`]) recording, per
 //!   message: injection→port-grant wait, start-up latency, per-hop channel
-//!   wait, delivery latency and completion latency;
+//!   wait, delivery latency and completion latency. The sink owns what it
+//!   records and hands it back to the collector when the network drops
+//!   it, so no callback takes a lock;
 //! * [`heatmap::ChannelHeatmap`] — per-channel grant counts, busy time and
 //!   max FIFO depth, plus per-node port grants and deliveries;
 //! * [`events::EventLog`] — a byte-budgeted NDJSON event exporter (one line
-//!   per `MetricsSink` callback; only the lines that fit the budget are
+//!   per `MetricsSink` callback; an event no line could fit is counted
+//!   without being built, and only the lines that fit the budget are
 //!   rendered, into one buffer the export hands out) and the flat-JSON
 //!   parser/validator used by schema tests and CI;
 //! * [`manifest::RunManifest`] — run provenance (seed, config, versions,
@@ -48,7 +51,7 @@ pub mod registry;
 pub mod span;
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use serde::Serialize;
 use wormcast_network::message::MessageId;
@@ -364,10 +367,16 @@ pub struct FrameExport {
 /// it.
 ///
 /// `Network::add_sink` consumes a `Box<dyn MetricsSink>` with no way to get
-/// it back, so the collector keeps the frame behind an `Arc<Mutex<..>>` and
-/// hands the network a lightweight handle ([`Collector::sink`]). After the
-/// run, [`Collector::finish`] recovers the frame. Within one replication
-/// everything is single-threaded, so the mutex is uncontended.
+/// it back, so the collector hands the network a sink
+/// ([`Collector::sink`]) that owns the part of the frame the engine feeds:
+/// the phase histograms, the heatmap, the reliability counters and the
+/// event log. The sink updates them without locking anything. When the
+/// network drops the sink, it hands that part back into the collector's
+/// frame, which sits behind an `Arc<Mutex<..>>` the sink touches only then.
+/// Driver-side records ([`Collector::record_arrival_us`],
+/// [`Collector::record_op_cv`]) go straight to the collector's frame, so
+/// they may come while the sink is attached. After the network is
+/// dropped, [`Collector::finish`] returns the union.
 #[derive(Debug)]
 pub struct Collector {
     shared: Arc<Mutex<TelemetryFrame>>,
@@ -388,15 +397,25 @@ impl Collector {
         self.profile
     }
 
-    /// A sink handle to attach with `Network::add_sink`.
+    /// A sink to attach with `Network::add_sink`. It takes the frame's
+    /// heatmap and event log until it is dropped, so a collector feeds one
+    /// sink at a time.
     pub fn sink(&self) -> Box<dyn MetricsSink> {
         Box::new(self.collector_sink())
     }
 
     fn collector_sink(&self) -> CollectorSink {
+        let (heatmap, events) = {
+            let mut f = lock(&self.shared);
+            (f.heatmap.take(), f.events.take())
+        };
         CollectorSink {
             shared: Arc::clone(&self.shared),
             rep: self.rep,
+            phases: PhaseHistograms::default(),
+            heatmap,
+            reliability: ReliabilityCounters::default(),
+            events,
             inflight: VecDeque::new(),
             first: 0,
         }
@@ -404,30 +423,42 @@ impl Collector {
 
     /// Record one per-destination arrival latency (µs) from the driver.
     pub fn record_arrival_us(&self, us: f64) {
-        self.shared.lock().unwrap().record_arrival_us(us);
+        lock(&self.shared).record_arrival_us(us);
     }
 
     /// Record one operation's per-destination CV from the driver.
     pub fn record_op_cv(&self, cv: f64) {
-        self.shared.lock().unwrap().record_op_cv(cv);
+        lock(&self.shared).record_op_cv(cv);
     }
 
-    /// Recover the collected frame. If the network (and thus the sink
-    /// handle) is already dropped this is free; otherwise the frame is
-    /// taken out from under the still-attached handle, which then observes
-    /// into a discarded frame.
+    /// Recover the collected frame: the driver's records and everything
+    /// the sink saw. Call it after the network (and so the sink) is
+    /// dropped; a sink still attached keeps its part, and the frame comes
+    /// back with the driver's records only.
     pub fn finish(self) -> TelemetryFrame {
         match Arc::try_unwrap(self.shared) {
-            Ok(m) => m.into_inner().unwrap(),
-            Err(arc) => std::mem::take(&mut *arc.lock().unwrap()),
+            Ok(m) => m.into_inner().unwrap_or_else(PoisonError::into_inner),
+            Err(arc) => std::mem::take(&mut *lock(&arc)),
         }
     }
 }
 
-/// The `MetricsSink` handle a [`Collector`] attaches to a network.
+/// Lock a collector's frame. A panic elsewhere poisons nothing a frame
+/// relies on (every update is a plain add), so a poisoned lock is used as
+/// is; a sink dropped during unwinding then does not panic again.
+fn lock(shared: &Mutex<TelemetryFrame>) -> MutexGuard<'_, TelemetryFrame> {
+    shared.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The `MetricsSink` a [`Collector`] attaches to a network. It owns the
+/// engine-fed part of the frame and hands it back when dropped.
 struct CollectorSink {
     shared: Arc<Mutex<TelemetryFrame>>,
     rep: u64,
+    phases: PhaseHistograms,
+    heatmap: Option<ChannelHeatmap>,
+    reliability: ReliabilityCounters,
+    events: Option<EventLog>,
     /// Phase state of the messages in flight: entry `i` belongs to the
     /// message whose external id is `first + i`. External ids are dense in
     /// injection order, and the retired prefix is dropped, so the window
@@ -438,11 +469,25 @@ struct CollectorSink {
     first: usize,
 }
 
-impl CollectorSink {
-    fn event(&self, now: SimTime, kind: EventKind) -> Event {
-        Event::new(now.as_ps(), kind, self.rep)
+impl Drop for CollectorSink {
+    fn drop(&mut self) {
+        let mut f = lock(&self.shared);
+        // The frame's own histograms are empty (unallocated) unless an
+        // earlier sink handed some back: swapping moves this sink's in
+        // without a copy, and the merge adds back anything the frame held.
+        std::mem::swap(&mut f.phases, &mut self.phases);
+        f.phases.merge(&self.phases);
+        f.reliability.merge(&self.reliability);
+        if f.heatmap.is_none() {
+            f.heatmap = self.heatmap.take();
+        }
+        if f.events.is_none() {
+            f.events = self.events.take();
+        }
     }
+}
 
+impl CollectorSink {
     fn state(&mut self, m: MessageId) -> Option<&mut MsgState> {
         let i = m.index().checked_sub(self.first)?;
         self.inflight.get_mut(i).and_then(Option::as_mut)
@@ -458,6 +503,17 @@ impl CollectorSink {
         }
         st
     }
+
+    /// Log the event `build` makes from the one every event starts from
+    /// (`now`, `kind`, this replication). Builds nothing when the log is
+    /// off or has no room for any line.
+    #[inline]
+    fn log(&mut self, now: SimTime, kind: EventKind, build: impl FnOnce(Event) -> Event) {
+        if let Some(log) = &mut self.events {
+            let rep = self.rep;
+            log.push_with(|| build(Event::new(now.as_ps(), kind, rep)));
+        }
+    }
 }
 
 impl MetricsSink for CollectorSink {
@@ -465,22 +521,24 @@ impl MetricsSink for CollectorSink {
         // Ids arrive in injection order, so a new id is never below the
         // window.
         if let Some(i) = m.index().checked_sub(self.first) {
-            if self.inflight.len() <= i {
-                self.inflight.resize(i + 1, None);
-            }
-            self.inflight[i] = Some(MsgState {
+            let st = Some(MsgState {
                 inject_ps: now.as_ps(),
                 grant_ps: now.as_ps(),
                 wait_since: None,
             });
+            if i < self.inflight.len() {
+                self.inflight[i] = st;
+            } else {
+                // Ids are dense, so a new id is normally the next slot.
+                self.inflight.resize(i, None);
+                self.inflight.push_back(st);
+            }
         }
-        if let Some(log) = &mut self.shared.lock().unwrap().events {
-            log.push(Event {
-                msg: Some(m.0),
-                node: Some(src.0),
-                ..self.event(now, EventKind::Inject)
-            });
-        }
+        self.log(now, EventKind::Inject, |e| Event {
+            msg: Some(m.0),
+            node: Some(src.0),
+            ..e
+        });
     }
 
     fn on_port_grant(&mut self, now: SimTime, m: MessageId, node: NodeId) {
@@ -488,200 +546,148 @@ impl MetricsSink for CollectorSink {
             st.grant_ps = now.as_ps();
             now.as_ps() - st.inject_ps
         });
-        let mut guard = self.shared.lock().unwrap();
-        let f = &mut *guard;
         if let Some(wait) = wait {
-            f.phases.port_wait.record_ps(wait);
+            self.phases.port_wait.record_ps(wait);
         }
-        if let Some(h) = &mut f.heatmap {
+        if let Some(h) = &mut self.heatmap {
             h.on_port_grant(node.index());
         }
-        if let Some(log) = &mut f.events {
-            log.push(Event {
-                msg: Some(m.0),
-                node: Some(node.0),
-                ..self.event(now, EventKind::PortGrant)
-            });
-        }
+        self.log(now, EventKind::PortGrant, |e| Event {
+            msg: Some(m.0),
+            node: Some(node.0),
+            ..e
+        });
     }
 
     fn on_startup_done(&mut self, now: SimTime, m: MessageId, node: NodeId) {
-        let startup = self.state(m).map(|st| now.as_ps() - st.grant_ps);
-        let mut guard = self.shared.lock().unwrap();
-        let f = &mut *guard;
-        if let Some(startup) = startup {
-            f.phases.startup.record_ps(startup);
+        if let Some(startup) = self.state(m).map(|st| now.as_ps() - st.grant_ps) {
+            self.phases.startup.record_ps(startup);
         }
-        if let Some(log) = &mut f.events {
-            log.push(Event {
-                msg: Some(m.0),
-                node: Some(node.0),
-                ..self.event(now, EventKind::StartupDone)
-            });
-        }
+        self.log(now, EventKind::StartupDone, |e| Event {
+            msg: Some(m.0),
+            node: Some(node.0),
+            ..e
+        });
     }
 
     fn on_header_hop(&mut self, now: SimTime, m: MessageId, at: NodeId, ch: ChannelId) {
-        if let Some(log) = &mut self.shared.lock().unwrap().events {
-            log.push(Event {
-                msg: Some(m.0),
-                node: Some(at.0),
-                ch: Some(ch.0),
-                ..self.event(now, EventKind::Header)
-            });
-        }
+        self.log(now, EventKind::Header, |e| Event {
+            msg: Some(m.0),
+            node: Some(at.0),
+            ch: Some(ch.0),
+            ..e
+        });
     }
 
     fn on_channel_wait(&mut self, now: SimTime, m: MessageId, ch: ChannelId, queue_len: usize) {
         if let Some(st) = self.state(m) {
             st.wait_since = Some(now.as_ps());
         }
-        let mut guard = self.shared.lock().unwrap();
-        let f = &mut *guard;
-        if let Some(h) = &mut f.heatmap {
+        if let Some(h) = &mut self.heatmap {
             h.on_wait(ch.index(), queue_len);
         }
-        if let Some(log) = &mut f.events {
-            log.push(Event {
-                msg: Some(m.0),
-                ch: Some(ch.0),
-                q: Some(queue_len as u64),
-                ..self.event(now, EventKind::ChannelWait)
-            });
-        }
+        self.log(now, EventKind::ChannelWait, |e| Event {
+            msg: Some(m.0),
+            ch: Some(ch.0),
+            q: Some(queue_len as u64),
+            ..e
+        });
     }
 
     fn on_channel_grant(&mut self, now: SimTime, m: MessageId, ch: ChannelId) {
-        let since = self.state(m).and_then(|st| st.wait_since.take());
-        let mut guard = self.shared.lock().unwrap();
-        let f = &mut *guard;
-        if let Some(since) = since {
-            f.phases.channel_wait.record_ps(now.as_ps() - since);
+        if let Some(since) = self.state(m).and_then(|st| st.wait_since.take()) {
+            self.phases.channel_wait.record_ps(now.as_ps() - since);
         }
-        if let Some(h) = &mut f.heatmap {
+        if let Some(h) = &mut self.heatmap {
             h.on_grant(ch.index(), now.as_ps());
         }
-        if let Some(log) = &mut f.events {
-            log.push(Event {
-                msg: Some(m.0),
-                ch: Some(ch.0),
-                ..self.event(now, EventKind::ChannelGrant)
-            });
-        }
+        self.log(now, EventKind::ChannelGrant, |e| Event {
+            msg: Some(m.0),
+            ch: Some(ch.0),
+            ..e
+        });
     }
 
     fn on_channel_release(&mut self, now: SimTime, ch: ChannelId) {
-        let mut guard = self.shared.lock().unwrap();
-        let f = &mut *guard;
-        if let Some(h) = &mut f.heatmap {
+        if let Some(h) = &mut self.heatmap {
             h.on_release(ch.index(), now.as_ps());
         }
-        if let Some(log) = &mut f.events {
-            log.push(Event {
-                ch: Some(ch.0),
-                ..self.event(now, EventKind::ChannelRelease)
-            });
-        }
+        self.log(now, EventKind::ChannelRelease, |e| Event {
+            ch: Some(ch.0),
+            ..e
+        });
     }
 
     fn on_deliver(&mut self, now: SimTime, m: MessageId, node: NodeId, flits: u64) {
-        let lat = self.state(m).map(|st| now.as_ps() - st.inject_ps);
-        let mut guard = self.shared.lock().unwrap();
-        let f = &mut *guard;
-        if let Some(lat) = lat {
-            f.phases.delivery.record_ps(lat);
+        if let Some(lat) = self.state(m).map(|st| now.as_ps() - st.inject_ps) {
+            self.phases.delivery.record_ps(lat);
         }
-        if let Some(h) = &mut f.heatmap {
+        if let Some(h) = &mut self.heatmap {
             h.on_deliver(node.index());
         }
-        if let Some(log) = &mut f.events {
-            log.push(Event {
-                msg: Some(m.0),
-                node: Some(node.0),
-                flits: Some(flits),
-                ..self.event(now, EventKind::Deliver)
-            });
-        }
+        self.log(now, EventKind::Deliver, |e| Event {
+            msg: Some(m.0),
+            node: Some(node.0),
+            flits: Some(flits),
+            ..e
+        });
     }
 
     fn on_complete(&mut self, now: SimTime, m: MessageId, node: NodeId) {
-        let lat = self.retire(m).map(|st| now.as_ps() - st.inject_ps);
-        let mut guard = self.shared.lock().unwrap();
-        let f = &mut *guard;
-        if let Some(lat) = lat {
-            f.phases.completion.record_ps(lat);
+        if let Some(lat) = self.retire(m).map(|st| now.as_ps() - st.inject_ps) {
+            self.phases.completion.record_ps(lat);
         }
-        if let Some(log) = &mut f.events {
-            log.push(Event {
-                msg: Some(m.0),
-                node: Some(node.0),
-                ..self.event(now, EventKind::Complete)
-            });
-        }
+        self.log(now, EventKind::Complete, |e| Event {
+            msg: Some(m.0),
+            node: Some(node.0),
+            ..e
+        });
     }
 
     fn on_link_failed(&mut self, now: SimTime, ch: ChannelId) {
-        let mut guard = self.shared.lock().unwrap();
-        let f = &mut *guard;
-        f.reliability.link_failures += 1;
-        if let Some(log) = &mut f.events {
-            log.push(Event {
-                ch: Some(ch.0),
-                ..self.event(now, EventKind::LinkDown)
-            });
-        }
+        self.reliability.link_failures += 1;
+        self.log(now, EventKind::LinkDown, |e| Event {
+            ch: Some(ch.0),
+            ..e
+        });
     }
 
     fn on_link_restored(&mut self, now: SimTime, ch: ChannelId) {
-        let mut guard = self.shared.lock().unwrap();
-        let f = &mut *guard;
-        f.reliability.link_restores += 1;
-        if let Some(log) = &mut f.events {
-            log.push(Event {
-                ch: Some(ch.0),
-                ..self.event(now, EventKind::LinkUp)
-            });
-        }
+        self.reliability.link_restores += 1;
+        self.log(now, EventKind::LinkUp, |e| Event {
+            ch: Some(ch.0),
+            ..e
+        });
     }
 
     fn on_reroute(&mut self, now: SimTime, m: MessageId, at: NodeId) {
-        let mut guard = self.shared.lock().unwrap();
-        let f = &mut *guard;
-        f.reliability.reroutes += 1;
-        if let Some(log) = &mut f.events {
-            log.push(Event {
-                msg: Some(m.0),
-                node: Some(at.0),
-                ..self.event(now, EventKind::Reroute)
-            });
-        }
+        self.reliability.reroutes += 1;
+        self.log(now, EventKind::Reroute, |e| Event {
+            msg: Some(m.0),
+            node: Some(at.0),
+            ..e
+        });
     }
 
     fn on_stalled(&mut self, now: SimTime, m: MessageId, at: NodeId, undelivered: u64) {
         // A stalled message never completes; clear its slot so the next
         // message there starts from fresh phase state.
         self.retire(m);
-        let mut guard = self.shared.lock().unwrap();
-        let f = &mut *guard;
-        f.reliability.stalled += 1;
-        f.reliability.undelivered += undelivered;
-        if let Some(log) = &mut f.events {
-            log.push(Event {
-                msg: Some(m.0),
-                node: Some(at.0),
-                q: Some(undelivered),
-                ..self.event(now, EventKind::Stalled)
-            });
-        }
+        self.reliability.stalled += 1;
+        self.reliability.undelivered += undelivered;
+        self.log(now, EventKind::Stalled, |e| Event {
+            msg: Some(m.0),
+            node: Some(at.0),
+            q: Some(undelivered),
+            ..e
+        });
     }
 
     fn on_schedule_phase(&mut self, now: SimTime, phase: u32) {
-        if let Some(log) = &mut self.shared.lock().unwrap().events {
-            log.push(Event {
-                q: Some(phase as u64),
-                ..self.event(now, EventKind::SchedulePhase)
-            });
-        }
+        self.log(now, EventKind::SchedulePhase, |e| Event {
+            q: Some(phase as u64),
+            ..e
+        });
     }
 }
 
@@ -728,15 +734,29 @@ mod tests {
     }
 
     #[test]
-    fn finish_recovers_frame_even_with_live_sink() {
-        let spec = TelemetrySpec::default();
-        let collector = Collector::new(&spec, 0, 4, 2);
+    fn finish_returns_driver_records_and_everything_the_dropped_sink_saw() {
+        let spec = TelemetrySpec::full();
+        let collector = Collector::new(&spec, 3, 4, 2);
         let mut sink = collector.sink();
         drive(sink.as_mut());
-        // Sink still alive: finish() must still return the data.
-        let frame = collector.finish();
-        assert_eq!(frame.phases.completion.count(), 1);
+        // Driver-side records made while the sink is attached.
+        collector.record_arrival_us(2.0);
+        collector.record_op_cv(0.25);
+        sink.on_link_failed(SimTime::from_ps(4_000), ChannelId(0));
         drop(sink);
+        let frame = collector.finish();
+        assert_eq!(frame.arrivals.count(), 1);
+        assert_eq!((frame.op_cv.count, frame.op_cv.mean()), (1, 0.25));
+        assert_eq!(frame.phases.port_wait.count(), 1);
+        assert_eq!(frame.phases.completion.count(), 1);
+        assert_eq!(frame.reliability.link_failures, 1);
+        let heat = frame.heatmap.as_ref().expect("heatmap handed back");
+        assert_eq!(heat.max_queue_depth(), 2);
+        let log = frame.events.as_ref().expect("event log handed back");
+        assert_eq!(log.len(), 10);
+        assert!(log
+            .ndjson()
+            .ends_with("{\"t_ps\":4000,\"ev\":\"link_down\",\"rep\":3,\"ch\":0}\n"));
     }
 
     #[test]

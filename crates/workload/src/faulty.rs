@@ -320,15 +320,13 @@ pub fn run_faulty_broadcast_observed(
         mean_delivered_latency_us: s.mean(),
         max_delivered_latency_us: if s.count() == 0 { 0.0 } else { s.max() },
     };
-    if let Some(col) = &collector {
+    let frame = finish_collector(net, collector).map(|mut f| {
         for &l in &lats {
-            col.record_arrival_us(l);
+            f.record_arrival_us(l);
         }
         if s.count() > 1 {
-            col.record_op_cv(s.cv());
+            f.record_op_cv(s.cv());
         }
-    }
-    let frame = finish_collector(net, collector).map(|mut f| {
         // Plan-time detours are invisible to the engine sink; fold them in
         // so the frame's reroute count matches the outcome's.
         f.reliability.reroutes += degraded.reroutes;

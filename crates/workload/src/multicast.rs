@@ -132,13 +132,14 @@ pub fn run_single_multicast_observed(
         cv: s.cv(),
         overhead_copies: extra.len(),
     };
-    if let Some(c) = &collector {
+    let frame = finish_collector(net, collector).map(|mut f| {
         for &l in &lats {
-            c.record_arrival_us(l);
+            f.record_arrival_us(l);
         }
-        c.record_op_cv(s.cv());
-    }
-    (outcome, finish_collector(net, collector))
+        f.record_op_cv(s.cv());
+        f
+    });
+    (outcome, frame)
 }
 
 /// Pick `m` distinct uniform destinations (≠ source).
