@@ -51,7 +51,7 @@ pub mod registry;
 pub mod span;
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
 use wormcast_network::message::MessageId;
@@ -372,7 +372,8 @@ pub struct FrameExport {
 /// the phase histograms, the heatmap, the reliability counters and the
 /// event log. The sink updates them without locking anything. When the
 /// network drops the sink, it hands that part back into the collector's
-/// frame, which sits behind an `Arc<Mutex<..>>` the sink touches only then.
+/// frame, which sits behind an `Arc<Mutex<..>>` locked only then and when
+/// the sink is made.
 /// Driver-side records ([`Collector::record_arrival_us`],
 /// [`Collector::record_op_cv`]) go straight to the collector's frame, so
 /// they may come while the sink is attached. After the network is
@@ -398,24 +399,22 @@ impl Collector {
     }
 
     /// A sink to attach with `Network::add_sink`. It takes the frame's
-    /// heatmap and event log until it is dropped, so a collector feeds one
-    /// sink at a time.
+    /// engine-fed part until it is dropped, so a collector feeds one sink
+    /// at a time.
     pub fn sink(&self) -> Box<dyn MetricsSink> {
         Box::new(self.collector_sink())
     }
 
     fn collector_sink(&self) -> CollectorSink {
-        let (heatmap, events) = {
-            let mut f = lock(&self.shared);
-            (f.heatmap.take(), f.events.take())
-        };
+        let mut f = self.shared.lock().unwrap();
         CollectorSink {
             shared: Arc::clone(&self.shared),
             rep: self.rep,
-            phases: PhaseHistograms::default(),
-            heatmap,
-            reliability: ReliabilityCounters::default(),
-            events,
+            // Taking the histograms is free: an unused one owns no buckets.
+            phases: std::mem::take(&mut f.phases),
+            heatmap: f.heatmap.take(),
+            reliability: f.reliability,
+            events: f.events.take(),
             inflight: VecDeque::new(),
             first: 0,
         }
@@ -423,12 +422,12 @@ impl Collector {
 
     /// Record one per-destination arrival latency (µs) from the driver.
     pub fn record_arrival_us(&self, us: f64) {
-        lock(&self.shared).record_arrival_us(us);
+        self.shared.lock().unwrap().record_arrival_us(us);
     }
 
     /// Record one operation's per-destination CV from the driver.
     pub fn record_op_cv(&self, cv: f64) {
-        lock(&self.shared).record_op_cv(cv);
+        self.shared.lock().unwrap().record_op_cv(cv);
     }
 
     /// Recover the collected frame: the driver's records and everything
@@ -437,17 +436,10 @@ impl Collector {
     /// back with the driver's records only.
     pub fn finish(self) -> TelemetryFrame {
         match Arc::try_unwrap(self.shared) {
-            Ok(m) => m.into_inner().unwrap_or_else(PoisonError::into_inner),
-            Err(arc) => std::mem::take(&mut *lock(&arc)),
+            Ok(m) => m.into_inner().unwrap(),
+            Err(arc) => std::mem::take(&mut *arc.lock().unwrap()),
         }
     }
-}
-
-/// Lock a collector's frame. A panic elsewhere poisons nothing a frame
-/// relies on (every update is a plain add), so a poisoned lock is used as
-/// is; a sink dropped during unwinding then does not panic again.
-fn lock(shared: &Mutex<TelemetryFrame>) -> MutexGuard<'_, TelemetryFrame> {
-    shared.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The `MetricsSink` a [`Collector`] attaches to a network. It owns the
@@ -471,19 +463,11 @@ struct CollectorSink {
 
 impl Drop for CollectorSink {
     fn drop(&mut self) {
-        let mut f = lock(&self.shared);
-        // The frame's own histograms are empty (unallocated) unless an
-        // earlier sink handed some back: swapping moves this sink's in
-        // without a copy, and the merge adds back anything the frame held.
-        std::mem::swap(&mut f.phases, &mut self.phases);
-        f.phases.merge(&self.phases);
-        f.reliability.merge(&self.reliability);
-        if f.heatmap.is_none() {
-            f.heatmap = self.heatmap.take();
-        }
-        if f.events.is_none() {
-            f.events = self.events.take();
-        }
+        let mut f = self.shared.lock().unwrap();
+        f.phases = std::mem::take(&mut self.phases);
+        f.heatmap = self.heatmap.take();
+        f.reliability = self.reliability;
+        f.events = self.events.take();
     }
 }
 
