@@ -134,6 +134,18 @@ WORMCAST_SATURATION_FILE="$TDIR/sat-j1/saturation.json" \
 echo "==> QAB differential leg"
 run cargo test "${OFFLINE[@]}" -q -p wormcast-workload --test differential
 
+# Plan representation gate: the paper algorithms build their fixed
+# messages as run paths (straight runs whose hops the engine computes).
+# Every schedule must still expand to exactly the coded paths it was built
+# from before (the schedule digest pins every message, a run path as its
+# expansion; run_paths checks each run path against a reference), and a
+# small mixed stream must stay under its allocation ceiling. The workspace
+# test run above already executes these in debug; re-running them by name
+# keeps the gate explicit and fails with a readable label.
+echo "==> plan representation"
+run cargo test "${OFFLINE[@]}" -q -p wormcast-workload --test schedule_digest --test alloc_count
+run cargo test "${OFFLINE[@]}" -q -p wormcast-broadcast --test run_paths
+
 # Simcheck smoke: a time-boxed fuzzing campaign through the differential
 # oracle and the invariant checker. Fixed seed, ~200 scenarios (or 60 s,
 # whichever bites first), zero findings required; two runs must agree byte

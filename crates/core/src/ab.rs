@@ -26,8 +26,8 @@
 
 use crate::db::z_column;
 use crate::schedule::{BroadcastSchedule, RoutePlan, ScheduledMessage};
-use wormcast_routing::CodedPath;
-use wormcast_topology::{Coord, Mesh, NodeId, Plane, Topology};
+use wormcast_routing::{Run, RunPath};
+use wormcast_topology::{Coord, Mesh, NodeId, Plane, Sign, Topology};
 
 /// How a serpentine's row-to-row turn hops are segmented, which decides
 /// which turn model the coded segments conform to.
@@ -127,7 +127,7 @@ pub(crate) fn corner_plane_schedule(
                 if to != zs {
                     messages.push(ScheduledMessage::step_message(
                         2,
-                        RoutePlan::Coded(z_column(mesh, &corner, to)),
+                        RoutePlan::Runs(z_column(mesh, &corner, to)),
                     ));
                 }
             }
@@ -219,38 +219,43 @@ fn push_serpentine(
     let w = mesh.dim_size(0);
     let descending = rows.len() > 1 && rows[1] < rows[0];
     let turn_leads = style == SerpentineStyle::NegativeFirst && descending;
+    let source = mesh.node_at(src_c);
     let mut left_to_right = corner.get(0) == 0;
     for (ri, &y) in rows.iter().enumerate() {
-        let x_at = move |i: u16| if left_to_right { i } else { w - 1 - i };
+        let (x0, sweep) = if left_to_right {
+            (0, Sign::Plus)
+        } else {
+            (w - 1, Sign::Minus)
+        };
         left_to_right = !left_to_right;
+        let row = Run::new(0, sweep, w - 1);
+        // The turn hop between two rows of the half-plane; an empty run
+        // where a segment has none.
+        let turn = |from: u16, to: u16| Run::new(1, Sign::towards(from, to).unwrap(), 1);
+        let no_turn = Run::new(1, Sign::Plus, 0);
         // A leading turn hop enters this row from where the previous sweep
         // ended (S,E…E / S,W…W — negative-first legal).
-        let lead = (turn_leads && ri > 0).then(|| plane.at(x_at(0), rows[ri - 1]));
+        let lead = match ri.checked_sub(1) {
+            Some(prev) if turn_leads => turn(rows[prev], y),
+            _ => no_turn,
+        };
         // The trailing turn hop onto the next row (E…EN / W…WN — west-first
         // legal).
-        let trail = rows
-            .get(ri + 1)
-            .filter(|_| !turn_leads)
-            .map(|&next_y| plane.at(x_at(w - 1), next_y));
-        let mut walk = lead
-            .into_iter()
-            .chain((0..w).map(|i| plane.at(x_at(i), y)))
-            .chain(trail);
-        let sender = walk.next().expect("a sweep has a sender");
+        let trail = match rows.get(ri + 1) {
+            Some(&next_y) if !turn_leads => turn(y, next_y),
+            _ => no_turn,
+        };
+        let sender = plane.at(x0, if lead.is_empty() { y } else { rows[ri - 1] });
         if ri == 0 {
             debug_assert_eq!(sender, *corner, "serpentine starts at its corner");
         }
         // A segment whose one other node is the broadcast source delivers
         // nothing.
-        let mut rest = walk.clone();
-        if rest.next() == Some(*src_c) && rest.next().is_none() {
+        let runs = [lead, row, trail];
+        let Some(path) = RunPath::gather_all(mesh, mesh.node_at(&sender), &runs, source) else {
             continue;
-        }
-        let plan = RoutePlan::Coded(CodedPath::selective(
-            mesh,
-            mesh.node_at(&sender),
-            walk.map(|c| (mesh.node_at(&c), c != *src_c)),
-        ));
+        };
+        let plan = RoutePlan::Runs(path);
         messages.push(if ri == 0 {
             ScheduledMessage::step_message(step, plan)
         } else {
@@ -366,7 +371,7 @@ mod tests {
         for msg in &s.messages {
             match (msg.step, &msg.plan) {
                 (1, RoutePlan::Adaptive { .. }) => {}
-                (2 | 3, RoutePlan::Coded(_)) => {}
+                (2 | 3, RoutePlan::Runs(_)) => {}
                 other => panic!("unexpected plan shape: step {}", other.0),
             }
         }
@@ -384,19 +389,16 @@ mod tests {
             .messages
             .iter()
             .filter(|msg| msg.step == 3)
-            .map(|msg| match &msg.plan {
-                RoutePlan::Coded(cp) => cp.path.len(),
-                _ => 0,
-            })
+            .map(|msg| msg.plan.hops(&m))
             .sum();
         assert!(ab_step3 >= 8 * (16 * 16 - 4), "serpentines walk the planes");
         // Each individual segment stays west-first conformable (one row + a
         // turn hop).
         for msg in ab.messages.iter().filter(|m2| m2.step == 3) {
-            let RoutePlan::Coded(cp) = &msg.plan else {
+            let RoutePlan::Runs(rp) = &msg.plan else {
                 panic!()
             };
-            assert!(cp.path.len() <= 17, "segment = row + turn hop");
+            assert!(rp.len() <= 17, "segment = row + turn hop");
         }
         // DB's longest path is a corner leg (<= (W-1)+(H-1) hops) or a
         // column/edge line -- never a half-plane walk.

@@ -27,8 +27,8 @@
 //! paper's 4.
 
 use crate::schedule::{BroadcastSchedule, RoutePlan, ScheduledMessage};
-use wormcast_routing::CodedPath;
-use wormcast_topology::{Coord, Mesh, NodeId, Topology};
+use wormcast_routing::{Run, RunPath};
+use wormcast_topology::{Coord, Mesh, NodeId, Sign, Topology};
 
 /// Build the DB broadcast schedule for `source` on a 2D or 3D `mesh`.
 ///
@@ -78,10 +78,7 @@ pub fn db_schedule(mesh: &Mesh, source: NodeId) -> BroadcastSchedule {
             messages.push(ScheduledMessage {
                 step: 1,
                 charge_startup: true,
-                plan: RoutePlan::Coded(CodedPath::unicast(
-                    mesh,
-                    wormcast_routing::dor_path(mesh, source, mesh.node_at(&corner)),
-                )),
+                plan: RoutePlan::Runs(RunPath::dor(mesh, source, mesh.node_at(&corner))),
             });
         }
     }
@@ -94,7 +91,7 @@ pub fn db_schedule(mesh: &Mesh, source: NodeId) -> BroadcastSchedule {
                 if to != zs {
                     messages.push(ScheduledMessage::step_message(
                         2,
-                        RoutePlan::Coded(z_column(mesh, &corner, to)),
+                        RoutePlan::Runs(z_column(mesh, &corner, to)),
                     ));
                 }
             }
@@ -108,12 +105,17 @@ pub fn db_schedule(mesh: &Mesh, source: NodeId) -> BroadcastSchedule {
     for z in 0..zrange {
         for corner in [a0, b0] {
             let (cx, up) = (corner.get(0), corner.get(1) == 0);
-            let y_at = move |i: u16| if up { i } else { h - 1 - i };
+            let (y0, sign) = if up {
+                (0, Sign::Plus)
+            } else {
+                (h - 1, Sign::Minus)
+            };
             push_line(
                 mesh,
                 &mut messages,
                 edge_step,
-                (0..h).map(|i| at(cx, y_at(i), z)),
+                &at(cx, y0, z),
+                Run::new(1, sign, h - 1),
                 &src_c,
             );
         }
@@ -131,7 +133,8 @@ pub fn db_schedule(mesh: &Mesh, source: NodeId) -> BroadcastSchedule {
                     mesh,
                     &mut messages,
                     row_step,
-                    (0..mid).map(|x| at(x, y, z)),
+                    &at(0, y, z),
+                    Run::new(0, Sign::Plus, mid - 1),
                     &src_c,
                 );
             }
@@ -140,7 +143,8 @@ pub fn db_schedule(mesh: &Mesh, source: NodeId) -> BroadcastSchedule {
                     mesh,
                     &mut messages,
                     row_step,
-                    (mid..w).rev().map(|x| at(x, y, z)),
+                    &at(w - 1, y, z),
+                    Run::new(0, Sign::Minus, w - 1 - mid),
                     &src_c,
                 );
             }
@@ -157,18 +161,17 @@ pub fn db_schedule(mesh: &Mesh, source: NodeId) -> BroadcastSchedule {
 /// The gather-all path along the Z column of `corner` (a node of the source
 /// plane) to plane `to`: the relay that gives every plane on the way its
 /// copy of the corner.
-pub(crate) fn z_column(mesh: &Mesh, corner: &Coord, to: u16) -> CodedPath {
+pub(crate) fn z_column(mesh: &Mesh, corner: &Coord, to: u16) -> RunPath {
     let zs = corner.get(2);
-    let walk = (1..=zs.abs_diff(to)).map(|d| {
-        let z = if to > zs { zs + d } else { zs - d };
-        (mesh.node_at(&corner.with(2, z)), true)
-    });
-    // Every node flagged: a selective path that is a gather-all.
-    CodedPath::selective(mesh, mesh.node_at(corner), walk)
+    let sign = Sign::towards(zs, to).expect("a Z column leaves its plane");
+    let sender = mesh.node_at(corner);
+    // Skipping the sender skips nobody: every node on the way receives.
+    RunPath::gather_all(mesh, sender, &[Run::new(2, sign, zs.abs_diff(to))], sender)
+        .expect("a Z column has receivers")
 }
 
-/// Add a straight-line gather-all message along `line` (first element is
-/// the sender), delivering to every later node except `skip` (the broadcast
+/// Add a straight-line gather-all message from `start` (the sender) along
+/// `line`, delivering to every later node except `skip` (the broadcast
 /// source, which already holds the payload). A line ending at `skip` stops
 /// one node short (keeps channel demand honest when the source sits at the
 /// end of a line); nothing is sent if nothing would be delivered.
@@ -176,22 +179,22 @@ fn push_line(
     mesh: &Mesh,
     messages: &mut Vec<ScheduledMessage>,
     step: u32,
-    line: impl DoubleEndedIterator<Item = Coord> + ExactSizeIterator + Clone,
+    start: &Coord,
+    line: Run,
     skip: &Coord,
 ) {
-    let mut len = line.len();
-    if line.clone().next_back() == Some(*skip) {
-        len -= 1;
+    let run = if line.end(start) == Some(*skip) {
+        Run::new(
+            line.dim(),
+            line.sign(),
+            (line.len() as u16).saturating_sub(1),
+        )
+    } else {
+        line
+    };
+    if let Some(path) = RunPath::gather_all(mesh, mesh.node_at(start), &[run], mesh.node_at(skip)) {
+        messages.push(ScheduledMessage::step_message(step, RoutePlan::Runs(path)));
     }
-    if len < 2 {
-        return;
-    }
-    let mut walk = line.take(len).map(|c| (mesh.node_at(&c), c != *skip));
-    let (sender, _) = walk.next().expect("a line has a sender");
-    messages.push(ScheduledMessage::step_message(
-        step,
-        RoutePlan::Coded(CodedPath::selective(mesh, sender, walk)),
-    ));
 }
 
 /// DB's step count: 4 in 3D, 3 in 2D — independent of network size, the
@@ -275,9 +278,7 @@ mod tests {
         let m = Mesh::cube(8);
         let s = db_schedule(&m, NodeId(100));
         for msg in &s.messages {
-            let RoutePlan::Coded(cp) = &msg.plan else {
-                panic!("DB uses fixed paths");
-            };
+            let cp = msg.plan.coded(&m).expect("DB uses fixed paths");
             if msg.step == 1 {
                 // Corner legs are DOR L-shaped paths.
                 assert!(wormcast_routing::is_dor_legal(&m, &cp.path));
@@ -313,10 +314,10 @@ mod tests {
         let s = db_schedule(&m, NodeId(77));
         let mut by_step = vec![0usize; 5];
         for msg in &s.messages {
-            let RoutePlan::Coded(cp) = &msg.plan else {
+            let RoutePlan::Runs(rp) = &msg.plan else {
                 unreachable!()
             };
-            by_step[msg.step as usize] += cp.num_receivers();
+            by_step[msg.step as usize] += rp.num_receivers();
         }
         let total: usize = by_step.iter().sum();
         assert_eq!(total, m.num_nodes() - 1);

@@ -32,7 +32,7 @@
 
 use crate::schedule::{BroadcastSchedule, RoutePlan, ScheduledMessage};
 use std::collections::BTreeSet;
-use wormcast_routing::{dor_path, CodedPath};
+use wormcast_routing::RunPath;
 use wormcast_topology::{Coord, Mesh, NodeId, Topology};
 
 #[derive(Debug, Clone)]
@@ -166,7 +166,7 @@ fn split_step(
                 let dst = mesh.node_at(&mirror);
                 out.push(ScheduledMessage::step_message(
                     step,
-                    RoutePlan::Coded(CodedPath::unicast(mesh, dor_path(mesh, src, dst))),
+                    RoutePlan::Runs(RunPath::dor(mesh, src, dst)),
                 ));
                 next.push((mirror, sub));
             }
@@ -202,9 +202,10 @@ fn base_z_halve(
         let mirror = holder.with(2, other.lo[2] + rel.min(other.extent(2) - 1));
         out.push(ScheduledMessage::step_message(
             step,
-            RoutePlan::Coded(CodedPath::unicast(
+            RoutePlan::Runs(RunPath::dor(
                 mesh,
-                dor_path(mesh, mesh.node_at(&holder), mesh.node_at(&mirror)),
+                mesh.node_at(&holder),
+                mesh.node_at(&mirror),
             )),
         ));
         next.push((holder, own));
@@ -233,9 +234,10 @@ fn base_z_adjacent(
                 let mirror = holder.with(2, z);
                 out.push(ScheduledMessage::step_message(
                     step,
-                    RoutePlan::Coded(CodedPath::unicast(
+                    RoutePlan::Runs(RunPath::dor(
                         mesh,
-                        dor_path(mesh, mesh.node_at(&holder), mesh.node_at(&mirror)),
+                        mesh.node_at(&holder),
+                        mesh.node_at(&mirror),
                     )),
                 ));
                 next.push((mirror, plane));
@@ -263,10 +265,7 @@ fn base_dominate(
                 }
                 out.push(ScheduledMessage::step_message(
                     step,
-                    RoutePlan::Coded(CodedPath::unicast(
-                        mesh,
-                        dor_path(mesh, mesh.node_at(&holder), mesh.node_at(&c)),
-                    )),
+                    RoutePlan::Runs(RunPath::dor(mesh, mesh.node_at(&holder), mesh.node_at(&c))),
                 ));
             }
         }
@@ -397,9 +396,7 @@ mod tests {
         let m = Mesh::cube(8);
         let s = edn_schedule(&m, NodeId(99));
         for msg in &s.messages {
-            let RoutePlan::Coded(cp) = &msg.plan else {
-                panic!("EDN uses fixed paths");
-            };
+            let cp = msg.plan.coded(&m).expect("EDN uses fixed paths");
             assert_eq!(cp.num_receivers(), 1, "EDN is unicast-based");
             assert!(wormcast_routing::is_dor_legal(&m, &cp.path));
         }

@@ -101,7 +101,9 @@ mod tests {
     fn coded(m: &ScheduledMessage) -> &CodedPath {
         match &m.plan {
             RoutePlan::Coded(cp) => cp,
-            RoutePlan::Adaptive { .. } => panic!("extension schedules are coded"),
+            RoutePlan::Runs(_) | RoutePlan::Adaptive { .. } => {
+                panic!("extension schedules are coded paths")
+            }
         }
     }
 

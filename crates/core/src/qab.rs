@@ -113,7 +113,7 @@ mod tests {
         let m = Mesh::square(8);
         let s = qab_schedule(&m, m.node_at(&Coord::xy(3, 4)));
         for msg in &s.messages {
-            let RoutePlan::Coded(cp) = &msg.plan else {
+            let Some(cp) = msg.plan.coded(&m) else {
                 continue;
             };
             let mut seen_positive = false;

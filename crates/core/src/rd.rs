@@ -12,7 +12,7 @@
 //! the paper).
 
 use crate::schedule::{BroadcastSchedule, RoutePlan, ScheduledMessage};
-use wormcast_routing::{dor_path, CodedPath};
+use wormcast_routing::RunPath;
 use wormcast_topology::{Coord, Mesh, NodeId, Topology, MAX_DIMS};
 
 /// Per-dimension half-open ranges `[lo, hi)` describing a sub-box of the
@@ -95,7 +95,7 @@ fn recurse(mesh: &Mesh, bbox: &SubBox, holder: Coord, step: u32, out: &mut Vec<S
     let dst = mesh.node_at(&partner);
     out.push(ScheduledMessage::step_message(
         step,
-        RoutePlan::Coded(CodedPath::unicast(mesh, dor_path(mesh, src, dst))),
+        RoutePlan::Runs(RunPath::dor(mesh, src, dst)),
     ));
     recurse(mesh, own, holder, step + 1, out);
     recurse(mesh, other, partner, step + 1, out);
@@ -148,9 +148,7 @@ mod tests {
         let m = Mesh::cube(8);
         let s = rd_schedule(&m, NodeId(77));
         for msg in &s.messages {
-            let RoutePlan::Coded(cp) = &msg.plan else {
-                panic!("RD uses fixed paths");
-            };
+            let cp = msg.plan.coded(&m).expect("RD uses fixed paths");
             let nodes = cp.path.nodes(&m);
             let a = m.coord_of(nodes[0]);
             let b = m.coord_of(*nodes.last().unwrap());

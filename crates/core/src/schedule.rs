@@ -11,15 +11,20 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use wormcast_routing::CodedPath;
+use wormcast_routing::{CodedPath, RunPath};
 use wormcast_sim::SimDuration;
 use wormcast_topology::{NodeId, Topology};
 
 /// The routing plan of one scheduled message.
 #[derive(Debug, Clone)]
 pub enum RoutePlan {
-    /// A precomputed (possibly multidestination) coded path.
+    /// A precomputed (possibly multidestination) coded path: multicast
+    /// subsets, fault detours, torus and generalized-hypercube paths.
     Coded(CodedPath),
+    /// An axis-aligned coded path as straight runs, its hops computed from
+    /// the mesh: every line, Z column, serpentine segment and DOR leg of
+    /// DB, AB, QAB, RD and EDN.
+    Runs(RunPath),
     /// An adaptively routed point-to-point leg (AB's corner legs).
     Adaptive {
         /// Source node.
@@ -34,7 +39,18 @@ impl RoutePlan {
     pub fn src(&self) -> NodeId {
         match self {
             RoutePlan::Coded(cp) => cp.src(),
+            RoutePlan::Runs(rp) => rp.src(),
             RoutePlan::Adaptive { src, .. } => *src,
+        }
+    }
+
+    /// The coded path the message travels, a run path expanded: `None` for
+    /// an adaptive leg, whose path the network picks.
+    pub fn coded<T: Topology>(&self, topo: &T) -> Option<CodedPath> {
+        match self {
+            RoutePlan::Coded(cp) => Some(cp.clone()),
+            RoutePlan::Runs(rp) => Some(rp.coded(topo)),
+            RoutePlan::Adaptive { .. } => None,
         }
     }
 
@@ -42,6 +58,7 @@ impl RoutePlan {
     pub fn receivers<T: Topology>(&self, topo: &T) -> Vec<NodeId> {
         match self {
             RoutePlan::Coded(cp) => cp.receivers(topo),
+            RoutePlan::Runs(rp) => rp.coded(topo).receivers(topo),
             RoutePlan::Adaptive { dst, .. } => vec![*dst],
         }
     }
@@ -51,6 +68,7 @@ impl RoutePlan {
     pub fn hops<T: Topology>(&self, topo: &T) -> usize {
         match self {
             RoutePlan::Coded(cp) => cp.path.len(),
+            RoutePlan::Runs(rp) => rp.len(),
             RoutePlan::Adaptive { src, dst } => topo.distance(*src, *dst) as usize,
         }
     }

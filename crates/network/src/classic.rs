@@ -314,14 +314,19 @@ impl<T: SimTopology> Network<T> {
     /// route to self, or a fixed route that does not start at `spec.src`.
     ///
     /// A [`Route::Dor`] is taken as the fixed unicast over its path
-    /// ([`SimTopology::dor_route`]), so the model below sees only fixed and
-    /// adaptive routes.
+    /// ([`SimTopology::dor_route`]) and a [`Route::Runs`] as the coded path
+    /// it expands to, so the model below sees only fixed and adaptive
+    /// routes.
     pub fn inject_at(&mut self, at: SimTime, mut spec: MessageSpec) -> MessageId {
         assert!(spec.length > 0, "messages need at least one flit");
-        if let Route::Dor { dst } = spec.route {
-            assert_ne!(dst, spec.src, "DOR route to self");
-            let path = self.topo.dor_route(spec.src, dst);
-            spec.route = Route::Fixed(CodedPath::unicast(&self.topo, path));
+        match spec.route {
+            Route::Dor { dst } => {
+                assert_ne!(dst, spec.src, "DOR route to self");
+                let path = self.topo.dor_route(spec.src, dst);
+                spec.route = Route::Fixed(CodedPath::unicast(&self.topo, path));
+            }
+            Route::Runs(rp) => spec.route = Route::Fixed(rp.coded(&self.topo)),
+            Route::Fixed(_) | Route::Adaptive { .. } => {}
         }
         let deliver_mask = match &spec.route {
             Route::Fixed(cp) => {
@@ -332,7 +337,7 @@ impl<T: SimTopology> Network<T> {
                 assert_ne!(*dst, spec.src, "adaptive route to self");
                 Vec::new()
             }
-            Route::Dor { .. } => unreachable!("converted to a fixed path above"),
+            Route::Dor { .. } | Route::Runs(_) => unreachable!("converted to a fixed path above"),
         };
         let id = MessageId(self.msgs.len() as u64);
         self.msgs.push(Msg {
@@ -513,7 +518,7 @@ impl<T: SimTopology> Network<T> {
                     let fin = msg.cur == *dst;
                     (fin, fin)
                 }
-                Route::Dor { .. } => unreachable!("stored as a fixed path"),
+                Route::Dor { .. } | Route::Runs(_) => unreachable!("stored as a fixed path"),
             }
         };
         if is_receiver {
@@ -541,7 +546,7 @@ impl<T: SimTopology> Network<T> {
                     );
                     cands
                 }
-                Route::Dor { .. } => unreachable!("stored as a fixed path"),
+                Route::Dor { .. } | Route::Runs(_) => unreachable!("stored as a fixed path"),
             }
         };
         // Fault injection: adaptive messages route around failed channels

@@ -41,8 +41,16 @@
 //!   equivalent by the differential tests against [`crate::classic`].
 //! * Message, channel, and port hot state live in struct-of-arrays arenas
 //!   indexed by integer ids; nothing is allocated per hop or per cycle.
-//!   A [`Route::Dor`] unicast computes each next channel from the current
-//!   node and its destination, so it allocates nothing per message either.
+//!   Routes come in three fixed forms. A [`Route::Runs`] (every line, Z
+//!   column, serpentine segment and DOR leg of DB, AB, QAB, RD and EDN) is
+//!   a `Copy` value: the header's next channel is one stride from the
+//!   current node along the run its hop count falls in
+//!   ([`SimTopology::step_channel`]). A [`Route::Dor`] unicast (the mixed
+//!   workloads' DOR traffic) computes each next channel from the current
+//!   node and its destination. Neither allocates anything per message. A
+//!   [`Route::Fixed`] (multicast subsets, fault detours, torus and GHC
+//!   paths) reads its hops and mask off a shared
+//!   [`CodedPath`](wormcast_routing::CodedPath) record.
 //!   A retired message's arena slot is reused by a later injection, so the
 //!   message arena is as large as the most messages alive at once, not as
 //!   the run's total. The channels a message holds form an intrusive
@@ -124,7 +132,7 @@ struct MsgArena {
     prev: Vec<Option<(usize, Sign)>>,
     /// Number of channels crossed so far.
     hops_taken: Vec<u32>,
-    /// Index of the next hop for fixed routes.
+    /// Index of the next hop for fixed and run routes.
     next_fixed: Vec<u32>,
     /// Raw id of the channel the header is currently crossing, or `NONE`.
     crossing: Vec<u32>,
@@ -502,6 +510,9 @@ impl<T: SimTopology> Network<T> {
             Route::Fixed(cp) => {
                 assert_eq!(cp.src(), spec.src, "fixed route must start at src");
             }
+            Route::Runs(rp) => {
+                assert_eq!(rp.src(), spec.src, "run route must start at src");
+            }
             Route::Adaptive { dst } => {
                 assert_ne!(*dst, spec.src, "adaptive route to self");
             }
@@ -526,7 +537,10 @@ impl<T: SimTopology> Network<T> {
     /// buffer — the allocation-free form of [`Network::drain_deliveries`]
     /// for drivers that poll every step.
     pub fn drain_deliveries_into(&mut self, out: &mut Vec<Delivery>) {
-        out.extend(self.outbox.drain(..));
+        let (front, back) = self.outbox.as_slices();
+        out.extend_from_slice(front);
+        out.extend_from_slice(back);
+        self.outbox.clear();
     }
 
     /// Process events until a delivery is produced or no events remain.
@@ -767,6 +781,10 @@ impl<T: SimTopology> Network<T> {
                 let idx = self.msgs.next_fixed[i] as usize; // nodes visited == hops taken
                 (cp.deliver_mask()[idx], idx == cp.path.hops.len())
             }
+            Route::Runs(rp) => {
+                let idx = self.msgs.next_fixed[i] as usize;
+                (rp.receives(idx), idx == rp.len())
+            }
             Route::Adaptive { dst } | Route::Dor { dst } => {
                 let fin = self.msgs.cur[i] == *dst;
                 (fin, fin)
@@ -780,11 +798,16 @@ impl<T: SimTopology> Network<T> {
             self.events.schedule_after(body, Ev::Complete(m));
             return;
         }
-        // Choose the next channel. Fixed and DOR routes have exactly one
-        // candidate, read straight off the coded path or computed from the
-        // current node and the destination — no per-hop allocation.
+        // Choose the next channel. Fixed, run and DOR routes have exactly
+        // one candidate, read straight off the coded path or computed from
+        // the current node and the run it is on or the destination — no
+        // per-hop allocation.
         let ch = match self.msgs.spec[i].route {
             Route::Fixed(ref cp) => cp.path.hops[self.msgs.next_fixed[i] as usize],
+            Route::Runs(ref rp) => {
+                let (dim, sign) = rp.direction(self.msgs.next_fixed[i] as usize);
+                self.topo.step_channel(self.msgs.cur[i], dim, sign)
+            }
             Route::Dor { dst } => self
                 .topo
                 .dor_next(self.msgs.cur[i], dst)
@@ -913,7 +936,7 @@ impl<T: SimTopology> Network<T> {
         self.chans.busy[ch.index()] = m;
         self.msgs.crossing[i] = ch.0;
         self.msgs.waiting_on[i] = NONE;
-        if matches!(self.msgs.spec[i].route, Route::Fixed(_)) {
+        if matches!(self.msgs.spec[i].route, Route::Fixed(_) | Route::Runs(_)) {
             self.msgs.next_fixed[i] += 1;
         }
         let id = self.msgs.id[i];
@@ -1082,6 +1105,7 @@ impl<T: SimTopology> Network<T> {
                 let next = self.msgs.next_fixed[i] as usize;
                 cp.deliver_mask()[next + 1..].iter().filter(|&&r| r).count() as u64
             }
+            Route::Runs(rp) => rp.receivers_after(self.msgs.next_fixed[i] as usize),
             Route::Adaptive { .. } | Route::Dor { .. } => 1,
         };
         // Release the held path exactly as completion would.

@@ -1,7 +1,7 @@
 //! Message specifications and delivery records.
 
 use serde::{Deserialize, Serialize};
-use wormcast_routing::CodedPath;
+use wormcast_routing::{CodedPath, RunPath};
 use wormcast_sim::SimTime;
 use wormcast_topology::NodeId;
 
@@ -25,9 +25,20 @@ pub struct OpId(pub u64);
 /// How a message finds its way to its destination(s).
 #[derive(Debug, Clone)]
 pub enum Route {
-    /// A precomputed (possibly multidestination) coded path. Used by all DB
-    /// messages and the dissemination steps of AB.
+    /// A precomputed (possibly multidestination) coded path. Used by
+    /// multicast subsets, fault detours and the torus and generalized
+    /// hypercube broadcasts.
     Fixed(CodedPath),
+    /// A coded path of straight runs. The engine computes each next channel
+    /// from the current node and the run the header is on
+    /// ([`SimTopology::step_channel`]), so the route is a `Copy` value that
+    /// shares nothing; it crosses the same channels and delivers at the same
+    /// nodes as the fixed route over [`RunPath::coded`]. Used by every
+    /// line, Z column, serpentine segment and DOR leg of DB, AB, QAB, RD
+    /// and EDN.
+    ///
+    /// [`SimTopology::step_channel`]: wormcast_routing::SimTopology::step_channel
+    Runs(RunPath),
     /// Dimension-ordered unicast to a single destination. The engine
     /// computes each next channel from the current node and `dst`
     /// ([`SimTopology::dor_next`]), so the route allocates nothing; it

@@ -487,6 +487,108 @@ fn dor_route_matches_the_fixed_dor_unicast_through_faults() {
     assert!(dor == fixed, "a DOR route differs from its fixed path");
 }
 
+/// A `Route::Runs` message behaves as the fixed route over the coded path
+/// it expands to, also through faults: it waits on a dead channel of its
+/// route, a restore lets it on, and the watchdog reaps it with the
+/// receivers past its header undelivered, as its mask would count them.
+#[test]
+fn run_routes_match_their_coded_paths_through_faults() {
+    use crate::fault::{FaultEvent, FaultKind, FaultPlan};
+    use wormcast_routing::{Run, RunPath};
+    use wormcast_topology::Sign;
+    let m = Mesh::square(6);
+    // Random gather-all paths of one or two straight runs (each passing
+    // over a random node, on the path or not) and DOR legs.
+    let mut rng = wormcast_sim::SimRng::new(0x5eed);
+    let mut paths = Vec::new();
+    while paths.len() < 400 {
+        let src = NodeId(rng.index(36) as u32);
+        let other = NodeId(rng.index(36) as u32);
+        if rng.chance(0.25) {
+            if other != src {
+                paths.push(RunPath::dor(&m, src, other));
+            }
+            continue;
+        }
+        let mut at = m.coord_of(src);
+        let mut runs = Vec::new();
+        let first = rng.index(2);
+        for dim in [first, 1 - first].into_iter().take(1 + rng.index(2)) {
+            let sign = if rng.chance(0.5) {
+                Sign::Plus
+            } else {
+                Sign::Minus
+            };
+            let room = match sign {
+                Sign::Plus => 5 - at.get(dim),
+                Sign::Minus => at.get(dim),
+            };
+            let len = rng.index(usize::from(room) + 1) as u16;
+            at = at.with(
+                dim,
+                (i32::from(at.get(dim)) + sign.delta() * i32::from(len)) as u16,
+            );
+            runs.push(Run::new(dim, sign, len));
+        }
+        paths.extend(RunPath::gather_all(&m, src, &runs, other));
+    }
+    let run = |as_runs: bool| {
+        let cfg = NetworkConfig::paper_default().with_watchdog(SimDuration::from_us(20.0));
+        let mut net = Network::new(m.clone(), cfg, Box::new(DimensionOrdered));
+        net.enable_trace(1 << 20);
+        let link = |a: (u16, u16), b: (u16, u16)| {
+            m.channel_between(
+                m.node_at(&Coord::xy(a.0, a.1)),
+                m.node_at(&Coord::xy(b.0, b.1)),
+            )
+            .unwrap()
+        };
+        let mut plan = FaultPlan::new();
+        for (at_us, kind) in [
+            (0.0, FaultKind::LinkDown(link((2, 1), (3, 1)))),
+            (0.0, FaultKind::LinkDown(link((1, 4), (1, 3)))),
+            (5.0, FaultKind::LinkDown(link((4, 2), (4, 3)))),
+            (15.0, FaultKind::LinkUp(link((4, 2), (4, 3)))),
+        ] {
+            plan.push(FaultEvent {
+                at: SimTime::from_us(at_us),
+                kind,
+            });
+        }
+        net.schedule_faults(&plan);
+        for (k, rp) in paths.iter().enumerate() {
+            let route = if as_runs {
+                Route::Runs(*rp)
+            } else {
+                Route::Fixed(rp.coded(&m))
+            };
+            let spec = MessageSpec {
+                src: rp.src(),
+                route,
+                length: 16,
+                op: OpId(k as u64),
+                tag: 0,
+                charge_startup: true,
+            };
+            net.inject_at(SimTime::from_ps(k as u64 * 60_000), spec);
+        }
+        net.run_until_idle();
+        let trace: Vec<_> = net.trace().records().copied().collect();
+        (trace, net.drain_deliveries(), net.counters(), net.now())
+    };
+    let (fixed, runs) = (run(false), run(true));
+    let c = fixed.2;
+    assert!(
+        c.stalled > 0 && c.link_restores == 1,
+        "the faults bite: {c:?}"
+    );
+    assert!(
+        c.undelivered > c.stalled,
+        "some reaped paths lose several copies: {c:?}"
+    );
+    assert!(runs == fixed, "a run route differs from its coded path");
+}
+
 #[test]
 fn startup_can_be_waived() {
     let mut net = net2d(4);
@@ -1212,6 +1314,7 @@ mod slot_reuse {
             );
             let receives = match &spec.route {
                 Route::Fixed(cp) => cp.receivers(&mesh).contains(&d.node),
+                Route::Runs(rp) => rp.coded(&mesh).receivers(&mesh).contains(&d.node),
                 Route::Adaptive { dst } | Route::Dor { dst } => *dst == d.node,
             };
             assert!(receives, "m{} delivered at {}", d.message.0, d.node);

@@ -8,6 +8,8 @@
 //!   friends) and Chiu's odd-even model, the substrate of AB;
 //! * [`cpr`] — coded-path routing: multidestination paths whose header
 //!   control field makes intermediate routers absorb-and-forward;
+//! * [`runs`] — run paths: the axis-aligned coded paths as at most three
+//!   straight runs and a receiver rule, walked by stride;
 //! * [`path`] — the concrete [`Path`] type and its invariants.
 //!
 //! Deterministic algorithms are exposed both as path *constructors* (for
@@ -21,12 +23,14 @@ pub mod cpr;
 pub mod dor;
 pub mod path;
 pub mod qab;
+pub mod runs;
 pub mod turn;
 
 pub use cpr::{CodedPath, ControlField};
 pub use dor::{dor_path, hop_dim_sign, is_dor_legal};
 pub use path::Path;
 pub use qab::{negative_first_path_avoiding, queue_aware_pick, QueueAdaptive, SelectPolicy};
+pub use runs::{Run, RunPath, RunRule, MAX_RUNS};
 pub use turn::{
     is_planar_west_first_legal, is_west_first_legal, planar_west_first_path_avoiding,
     west_first_path, west_first_path_avoiding, DimensionOrdered, NegativeFirst, OddEven,
@@ -129,6 +133,11 @@ pub trait SimTopology: Topology {
     /// torus the one [`TorusDor`] picks.
     fn dor_next(&self, cur: NodeId, dst: NodeId) -> Option<ChannelId>;
 
+    /// The channel leaving `cur` along `dim` toward `sign`, computed from
+    /// the ids alone: one stride of a straight run ([`RunPath`]), whose
+    /// caller knows the channel exists.
+    fn step_channel(&self, cur: NodeId, dim: usize, sign: Sign) -> ChannelId;
+
     /// The whole dimension-ordered route from `src` to `dst`, walked one
     /// [`SimTopology::dor_next`] at a time.
     fn dor_route(&self, src: NodeId, dst: NodeId) -> Path {
@@ -151,6 +160,10 @@ impl SimTopology for Mesh {
     fn dor_next(&self, cur: NodeId, dst: NodeId) -> Option<ChannelId> {
         self.dor_channel(cur, dst)
     }
+
+    fn step_channel(&self, cur: NodeId, dim: usize, sign: Sign) -> ChannelId {
+        Mesh::step_channel(self, cur, dim, sign)
+    }
 }
 
 impl SimTopology for Torus {
@@ -161,6 +174,10 @@ impl SimTopology for Torus {
 
     fn dor_next(&self, cur: NodeId, dst: NodeId) -> Option<ChannelId> {
         torus_dor_channel(self, cur, dst)
+    }
+
+    fn step_channel(&self, cur: NodeId, dim: usize, sign: Sign) -> ChannelId {
+        self.channel(cur, dim, sign)
     }
 }
 

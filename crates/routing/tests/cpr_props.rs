@@ -62,8 +62,8 @@ fn check_exactly_once(mesh: &Mesh, src_raw: u32) {
     let s = db_schedule(mesh, source);
     let mut hits = vec![0u32; mesh.num_nodes()];
     for m in &s.messages {
-        // DB is built entirely from coded paths; AB is the only adaptive user.
-        prop_assert!(matches!(m.plan, RoutePlan::Coded(_)));
+        // DB is built entirely from run paths; AB is the only adaptive user.
+        prop_assert!(matches!(m.plan, RoutePlan::Runs(_)));
         for r in m.plan.receivers(mesh) {
             hits[r.0 as usize] += 1;
         }

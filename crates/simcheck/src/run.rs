@@ -385,6 +385,7 @@ pub(crate) fn mesh_workload(s: &Scenario, mesh: &Mesh) -> (Vec<Injection>, Vec<B
 fn receivers_of<T: Topology>(topo: &T, spec: &MessageSpec) -> Vec<NodeId> {
     match &spec.route {
         Route::Fixed(cp) => cp.receivers(topo),
+        Route::Runs(rp) => rp.coded(topo).receivers(topo),
         Route::Adaptive { dst } | Route::Dor { dst } => vec![*dst],
     }
 }

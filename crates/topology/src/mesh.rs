@@ -97,9 +97,19 @@ impl Mesh {
     /// if that neighbour exists.
     pub fn channel(&self, from: NodeId, dim: usize, sign: Sign) -> Option<ChannelId> {
         self.neighbor(from, dim, sign)?;
-        Some(ChannelId(
-            from.0 * self.chans_per_node() + Self::dir_slot(dim, sign),
-        ))
+        Some(self.step_channel(from, dim, sign))
+    }
+
+    /// The directed channel leaving `from` along `dim` toward `sign`, by
+    /// arithmetic alone: for a caller that knows the neighbour exists, such
+    /// as a walk along a straight run that stays inside the mesh.
+    #[inline]
+    pub fn step_channel(&self, from: NodeId, dim: usize, sign: Sign) -> ChannelId {
+        debug_assert!(
+            self.neighbor(from, dim, sign).is_some(),
+            "no channel leaves {from} along {dim} {sign:?}"
+        );
+        ChannelId(from.0 * self.chans_per_node() + Self::dir_slot(dim, sign))
     }
 
     /// Decompose a channel id into (source node, dimension, sign).
@@ -126,9 +136,7 @@ impl Mesh {
             let (a, b) = ((cur.0 / stride) % size, (dst.0 / stride) % size);
             if a != b {
                 let sign = if a < b { Sign::Plus } else { Sign::Minus };
-                return Some(ChannelId(
-                    cur.0 * self.chans_per_node() + Self::dir_slot(dim, sign),
-                ));
+                return Some(self.step_channel(cur, dim, sign));
             }
         }
         None
@@ -222,8 +230,7 @@ impl Topology for Mesh {
         } else {
             Sign::Minus
         };
-        (lo / block == hi / block)
-            .then(|| ChannelId(from.0 * self.chans_per_node() + Self::dir_slot(dim, sign)))
+        (lo / block == hi / block).then(|| self.step_channel(from, dim, sign))
     }
 
     fn channel_endpoints(&self, ch: ChannelId) -> (NodeId, NodeId) {

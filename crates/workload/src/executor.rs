@@ -20,9 +20,10 @@
 //! source), so the open-loop drivers take their trackers from a
 //! [`PlanCache`]: operations from one source that are in flight together
 //! share one plan, behind an [`Arc`], and the plan is freed with the last
-//! of them. A released message shares its route with the plan: a coded
-//! path is one immutable record behind an [`Arc`], so sending it is a
-//! reference-count bump, whoever else holds the plan.
+//! of them. A released message copies its route from the plan: a run
+//! path is a few bytes that share nothing, and a coded path is one
+//! immutable record behind an [`Arc`], so sending it is a reference-count
+//! bump, whoever else holds the plan.
 //!
 //! [`Ops`] is the one delivery loop: a table of live operations whose
 //! [`Ops::step`] advances the engine by one event and feeds each delivery to
@@ -31,6 +32,7 @@
 //! closed-loop form for a single operation.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::{Arc, Weak};
 use wormcast_broadcast::{Algorithm, BroadcastSchedule, RoutePlan, ScheduledMessage};
@@ -65,8 +67,8 @@ fn send_order(m: &ScheduledMessage) -> (NodeId, u32) {
 }
 
 impl CompiledPlan {
-    /// Compile `schedule` over `topo`. Its coded paths are shared, not
-    /// copied.
+    /// Compile `schedule` over `topo`, one route per planned message: its
+    /// coded paths are shared, not copied, and its run paths copied.
     pub(crate) fn compile<T: Topology>(topo: &T, schedule: &BroadcastSchedule) -> Self {
         let msgs = &schedule.messages;
         let mut order: Vec<usize> = (0..msgs.len()).collect();
@@ -81,6 +83,7 @@ impl CompiledPlan {
                     step: m.step,
                     route: match &m.plan {
                         RoutePlan::Coded(cp) => Route::Fixed(cp.clone()),
+                        RoutePlan::Runs(rp) => Route::Runs(*rp),
                         &RoutePlan::Adaptive { dst, .. } => Route::Adaptive { dst },
                     },
                     charge_startup: m.charge_startup,
@@ -412,12 +415,36 @@ pub enum Fed {
     Completed(BroadcastTracker),
 }
 
+/// Hashes an [`OpId`] with one multiplication by an odd constant. Ids are
+/// dense counters, so the product's low bits (the bucket) are a permutation
+/// of the id's own, and its high bits (the tag byte) are well mixed; no
+/// caller chooses the ids, so there is nothing for SipHash to defend.
+#[derive(Debug, Default)]
+struct OpIdHasher(u64);
+
+impl Hasher for OpIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 << 8 | u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
 /// The live-operation table: the one loop that executes broadcast
 /// operations, open loop (many overlapping operations plus unicast
 /// background) or closed loop ([`drive`]).
 #[derive(Debug, Default)]
 pub struct Ops {
-    live: HashMap<OpId, BroadcastTracker>,
+    /// Never iterated, so the hasher cannot move any output.
+    live: HashMap<OpId, BroadcastTracker, BuildHasherDefault<OpIdHasher>>,
     /// Reused delivery buffer: drained into, never reallocated per step.
     deliveries: Vec<Delivery>,
 }
@@ -580,6 +607,7 @@ mod tests {
     fn receivers(mesh: &Mesh, spec: &MessageSpec) -> Vec<NodeId> {
         match &spec.route {
             Route::Fixed(cp) => cp.receivers(mesh),
+            Route::Runs(rp) => rp.coded(mesh).receivers(mesh),
             Route::Adaptive { dst } | Route::Dor { dst } => vec![*dst],
         }
     }
@@ -641,11 +669,14 @@ mod tests {
         let mut b = plans.tracker(src, OpId(1), 16);
         let (sa, sb) = (a.start(SimTime::ZERO), b.start(SimTime::ZERO));
         assert_eq!(sa.len(), 2, "both corner legs of an interior source");
-        for (x, y) in sa.iter().zip(&sb) {
-            let (Route::Fixed(x), Route::Fixed(y)) = (&x.route, &y.route) else {
-                panic!("DB's corner legs are coded paths");
+        let plan = &a.plan.sends[a.plan.group(src)];
+        for ((x, y), planned) in sa.iter().zip(&sb).zip(plan) {
+            let (Route::Runs(x), Route::Runs(y), Route::Runs(p)) =
+                (&x.route, &y.route, &planned.route)
+            else {
+                panic!("DB's corner legs are run paths");
             };
-            assert_eq!(x.deliver_mask().as_ptr(), y.deliver_mask().as_ptr());
+            assert!(x == p && y == p, "each a copy of the plan's route");
         }
     }
 

@@ -91,23 +91,24 @@ pub fn degrade_schedule(
     let mut unreachable = Vec::new();
     let mut reroutes = 0u64;
     for m in &schedule.messages {
-        let RoutePlan::Coded(cp) = &m.plan else {
-            // QAB: an adaptive leg whose minimal negative-first candidate
-            // DAG is entirely live is left to the engine's queue-aware
-            // steering (it cannot be trapped — every greedy choice stays
-            // inside a live DAG). A leg whose DAG touches a dead link is
-            // re-planned here as a negative-first-legal detour around the
-            // dead set, replacing AB's fixed west-first staircases; with no
-            // legal live route the destination is counted up front.
-            // AB's own adaptive corner legs keep the historical behaviour:
-            // dodge in-flight, watchdog reaps dead ends.
-            if queue_adaptive {
-                let RoutePlan::Adaptive { src, dst } = &m.plan else {
-                    unreachable!("coded handled above");
-                };
-                if adaptive_dag_hits_dead(mesh, *src, *dst, &dead) {
+        // A run path is checked, and degraded, as the coded path it
+        // expands to; one that avoids every dead hop passes through as is.
+        let cp = match &m.plan {
+            RoutePlan::Coded(cp) => cp.clone(),
+            RoutePlan::Runs(rp) => rp.coded(mesh),
+            &RoutePlan::Adaptive { src, dst } => {
+                // QAB: an adaptive leg whose minimal negative-first candidate
+                // DAG is entirely live is left to the engine's queue-aware
+                // steering (it cannot be trapped — every greedy choice stays
+                // inside a live DAG). A leg whose DAG touches a dead link is
+                // re-planned here as a negative-first-legal detour around the
+                // dead set, replacing AB's fixed west-first staircases; with no
+                // legal live route the destination is counted up front.
+                // AB's own adaptive corner legs keep the historical behaviour:
+                // dodge in-flight, watchdog reaps dead ends.
+                if queue_adaptive && adaptive_dag_hits_dead(mesh, src, dst, &dead) {
                     let is_dead = |c: ChannelId| dead[c.index()];
-                    if let Some(p) = negative_first_path_avoiding(mesh, *src, *dst, &is_dead) {
+                    if let Some(p) = negative_first_path_avoiding(mesh, src, dst, &is_dead) {
                         reroutes += 1;
                         messages.push(ScheduledMessage {
                             step: m.step,
@@ -115,13 +116,13 @@ pub fn degrade_schedule(
                             charge_startup: m.charge_startup,
                         });
                     } else {
-                        unreachable.push(*dst);
+                        unreachable.push(dst);
                     }
                     continue;
                 }
+                messages.push(m.clone());
+                continue;
             }
-            messages.push(m.clone());
-            continue;
         };
         let Some(k) = cp.path.hops.iter().position(|c| dead[c.index()]) else {
             messages.push(m.clone());
@@ -549,7 +550,7 @@ mod tests {
         let d = degrade_schedule(&mesh, Algorithm::Rd, &schedule, &[dead]);
         // Every degraded path must now avoid the dead channel.
         for m in &d.schedule.messages {
-            if let RoutePlan::Coded(cp) = &m.plan {
+            if let Some(cp) = m.plan.coded(&mesh) {
                 assert!(cp.path.hops.iter().all(|&c| c != dead));
             }
         }
@@ -571,14 +572,11 @@ mod tests {
         let dead = schedule
             .messages
             .iter()
-            .find_map(|m| match &m.plan {
-                RoutePlan::Coded(cp) => cp.path.hops.first().copied(),
-                _ => None,
-            })
+            .find_map(|m| m.plan.coded(&mesh)?.path.hops.first().copied())
             .expect("AB schedules coded gather paths");
         let d = degrade_schedule(&mesh, Algorithm::Ab, &schedule, &[dead]);
         for m in &d.schedule.messages {
-            if let RoutePlan::Coded(cp) = &m.plan {
+            if let Some(cp) = m.plan.coded(&mesh) {
                 assert!(cp.path.hops.iter().all(|&c| c != dead));
             }
         }
@@ -623,7 +621,7 @@ mod tests {
             "the leg away from the fault stays adaptive"
         );
         for m in &d.schedule.messages {
-            if let RoutePlan::Coded(cp) = &m.plan {
+            if let Some(cp) = m.plan.coded(&mesh) {
                 assert!(cp.path.hops.iter().all(|&c| c != dead));
             }
         }

@@ -79,10 +79,13 @@ fn a_mixed_stream_stays_under_its_allocation_ceiling() {
         .map(|alg| (alg, mixed_point(alg)))
         .collect();
     let total: u64 = per_alg.iter().map(|&(_, n)| n).sum();
-    // Shared coded paths and one-pass builders: 25,413 calls (DB 9,304,
-    // AB 7,705, QAB 8,404). Copying every route on release and building
-    // schedules in several passes took 54,926.
-    let ceiling = 30_000;
+    // Run paths (the paper algorithms' lines, columns, serpentine segments
+    // and DOR legs as straight runs, no hop list or mask per message):
+    // 10,230 calls (DB 1,333, AB 4,099, QAB 4,798). Shared coded paths and
+    // one-pass builders took 25,053 (DB 9,304, AB 7,525, QAB 8,224);
+    // copying every route on release and building schedules in several
+    // passes, 54,926.
+    let ceiling = 10_230;
     assert!(
         total <= ceiling,
         "{total} allocation calls ({per_alg:?}), ceiling {ceiling}"

@@ -2,7 +2,8 @@
 //!
 //! One FNV-1a digest per mesh folds, message by message and in schedule
 //! order, the step, the start-up charge, the route (a coded path's control
-//! field, source, hops and delivery mask; an adaptive leg's endpoints) of:
+//! field, source, hops and delivery mask, a run path's those of the coded
+//! path it expands to; an adaptive leg's endpoints) of:
 //! every algorithm from every source, the three multicast schemes over
 //! fixed destination subsets, and the plan-time fault degradation
 //! ([`degrade_schedule`]: truncated prefixes and detour unicasts) under a
@@ -10,7 +11,7 @@
 //! their physics leaves every digest unchanged.
 
 use wormcast_broadcast::{Algorithm, BroadcastSchedule, RoutePlan};
-use wormcast_routing::ControlField;
+use wormcast_routing::{CodedPath, ControlField};
 use wormcast_topology::{ChannelId, Mesh, NodeId, Topology};
 use wormcast_workload::{degrade_schedule, MulticastScheme};
 
@@ -32,7 +33,24 @@ impl Fnv {
         self.bytes(&v.to_le_bytes());
     }
 
-    fn schedule(&mut self, s: &BroadcastSchedule) {
+    fn coded(&mut self, cp: &CodedPath) {
+        let control = match cp.control {
+            ControlField::Unicast => 0,
+            ControlField::CornerRelay => 1,
+            ControlField::GatherAll => 2,
+        };
+        self.u64(control);
+        self.u64(cp.path.src.0.into());
+        self.u64(cp.path.hops.len() as u64);
+        for ch in &cp.path.hops {
+            self.u64(ch.0.into());
+        }
+        let mask: Vec<u8> = cp.deliver_mask().iter().map(|&d| d.into()).collect();
+        self.bytes(&mask);
+    }
+
+    /// A run path digests as the coded path it expands to.
+    fn schedule(&mut self, mesh: &Mesh, s: &BroadcastSchedule) {
         self.bytes(s.algorithm.as_bytes());
         self.u64(s.source.0.into());
         self.u64(s.messages.len() as u64);
@@ -40,21 +58,8 @@ impl Fnv {
             self.u64(m.step.into());
             self.u64(m.charge_startup.into());
             match &m.plan {
-                RoutePlan::Coded(cp) => {
-                    let control = match cp.control {
-                        ControlField::Unicast => 0,
-                        ControlField::CornerRelay => 1,
-                        ControlField::GatherAll => 2,
-                    };
-                    self.u64(control);
-                    self.u64(cp.path.src.0.into());
-                    self.u64(cp.path.hops.len() as u64);
-                    for ch in &cp.path.hops {
-                        self.u64(ch.0.into());
-                    }
-                    let mask: Vec<u8> = cp.deliver_mask().iter().map(|&d| d.into()).collect();
-                    self.bytes(&mask);
-                }
+                RoutePlan::Coded(cp) => self.coded(cp),
+                RoutePlan::Runs(rp) => self.coded(&rp.coded(mesh)),
                 RoutePlan::Adaptive { src, dst } => {
                     self.u64(3);
                     self.u64(src.0.into());
@@ -95,9 +100,9 @@ fn digest(mesh: &Mesh) -> u64 {
     for alg in algorithms(mesh) {
         for src in mesh.nodes() {
             let s = alg.schedule(mesh, src);
-            h.schedule(&s);
+            h.schedule(mesh, &s);
             let degraded = degrade_schedule(mesh, alg, &s, &dead);
-            h.schedule(&degraded.schedule);
+            h.schedule(mesh, &degraded.schedule);
             h.u64(degraded.reroutes);
             for n in &degraded.unreachable {
                 h.u64(n.0.into());
@@ -112,7 +117,7 @@ fn digest(mesh: &Mesh) -> u64 {
     for &scheme in schemes {
         for src in mesh.nodes() {
             for k in [3, 11] {
-                h.schedule(&scheme.schedule(mesh, src, &dests(mesh, src, k)));
+                h.schedule(mesh, &scheme.schedule(mesh, src, &dests(mesh, src, k)));
             }
         }
     }
