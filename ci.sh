@@ -126,25 +126,30 @@ done
 WORMCAST_SATURATION_FILE="$TDIR/sat-j1/saturation.json" \
     run cargo test "${OFFLINE[@]}" -q -p wormcast --test saturation_schema
 
-# QAB differential leg: bit-compare the arena engine against the classic
-# oracle on QAB's queue-aware substrate (single broadcasts, mixed traffic,
-# unicast streams, multicast contention), both release disciplines. The
-# workspace test run above already executes this suite in debug; re-running
-# it by name here keeps the gate explicit and fails with a readable label.
-echo "==> QAB differential leg"
+# Arena-vs-classic differential: bit-compare the arena engine against the
+# classic oracle on all five algorithms and all three routing substrates
+# (fixed DOR, west-first adaptive, QAB's queue-aware negative-first):
+# single broadcasts, mixed traffic, unicast streams, DOR run-path streams
+# and multicast contention, both release disciplines. The workspace test
+# run above already executes this suite in debug; re-running it by name
+# here keeps the gate explicit and fails with a readable label.
+echo "==> arena-vs-classic differential"
 run cargo test "${OFFLINE[@]}" -q -p wormcast-workload --test differential
 
 # Plan representation gate: the paper algorithms build their fixed
 # messages as run paths (straight runs whose hops the engine computes).
 # Every schedule must still expand to exactly the coded paths it was built
 # from before (the schedule digest pins every message, a run path as its
-# expansion; run_paths checks each run path against a reference), and a
-# small mixed stream must stay under its allocation ceiling. The workspace
-# test run above already executes these in debug; re-running them by name
-# keeps the gate explicit and fails with a readable label.
+# expansion; run_paths checks each run path against a reference), a small
+# mixed stream must stay under its allocation ceiling, and a DOR unicast as
+# a run path must behave as the fixed DOR unicast through link faults, a
+# restore and the watchdog. The workspace test run above already executes
+# these in debug; re-running them by name keeps the gate explicit and fails
+# with a readable label.
 echo "==> plan representation"
 run cargo test "${OFFLINE[@]}" -q -p wormcast-workload --test schedule_digest --test alloc_count
 run cargo test "${OFFLINE[@]}" -q -p wormcast-broadcast --test run_paths
+run cargo test "${OFFLINE[@]}" -q -p wormcast-network dor_
 
 # Simcheck smoke: a time-boxed fuzzing campaign through the differential
 # oracle and the invariant checker. Fixed seed, ~200 scenarios (or 60 s,

@@ -21,6 +21,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use wormcast_broadcast::Algorithm;
 use wormcast_network::{MessageSpec, NetworkConfig, OpId, Route};
+use wormcast_routing::RunPath;
 use wormcast_sim::{LoadRamp, Schedule, SimRng, SimTime};
 use wormcast_telemetry::{Observe, TelemetryFrame};
 use wormcast_topology::{ChannelId, Mesh, NodeId, Topology};
@@ -258,7 +259,7 @@ impl SchedulesParams {
                     at,
                     MessageSpec {
                         src,
-                        route: Route::Dor { dst },
+                        route: Route::Runs(RunPath::dor(&mesh, src, dst)),
                         length: self.length,
                         op,
                         tag: 0,
@@ -280,7 +281,7 @@ impl SchedulesParams {
                     at,
                     MessageSpec {
                         src,
-                        route: Route::Dor { dst },
+                        route: Route::Runs(RunPath::dor(&mesh, src, dst)),
                         length: e.length.max(1),
                         op: OpId(500_000 + i as u64),
                         tag: 0,

@@ -41,7 +41,7 @@ use crate::message::{Delivery, MessageId, MessageSpec, Route};
 use crate::metrics::{CountersSink, MetricsSink, TraceSink, UtilizationSink};
 use crate::trace::Trace;
 use std::collections::VecDeque;
-use wormcast_routing::{queue_aware_pick, CodedPath, RoutingFunction, SelectPolicy, SimTopology};
+use wormcast_routing::{queue_aware_pick, RoutingFunction, SelectPolicy, SimTopology};
 use wormcast_sim::{EventQueue, SimTime};
 use wormcast_topology::{ChannelId, Mesh, NodeId, Sign};
 
@@ -310,23 +310,15 @@ impl<T: SimTopology> Network<T> {
     /// Request injection of `spec` at absolute time `at` (≥ now).
     ///
     /// # Panics
-    /// Panics if the spec is malformed: zero length, an adaptive or DOR
-    /// route to self, or a fixed route that does not start at `spec.src`.
+    /// Panics if the spec is malformed: zero length, an adaptive route to
+    /// self, or a fixed or run route that does not start at `spec.src`.
     ///
-    /// A [`Route::Dor`] is taken as the fixed unicast over its path
-    /// ([`SimTopology::dor_route`]) and a [`Route::Runs`] as the coded path
-    /// it expands to, so the model below sees only fixed and adaptive
-    /// routes.
+    /// A [`Route::Runs`] is taken as the coded path it expands to, so the
+    /// model below sees only fixed and adaptive routes.
     pub fn inject_at(&mut self, at: SimTime, mut spec: MessageSpec) -> MessageId {
         assert!(spec.length > 0, "messages need at least one flit");
-        match spec.route {
-            Route::Dor { dst } => {
-                assert_ne!(dst, spec.src, "DOR route to self");
-                let path = self.topo.dor_route(spec.src, dst);
-                spec.route = Route::Fixed(CodedPath::unicast(&self.topo, path));
-            }
-            Route::Runs(rp) => spec.route = Route::Fixed(rp.coded(&self.topo)),
-            Route::Fixed(_) | Route::Adaptive { .. } => {}
+        if let Route::Runs(rp) = spec.route {
+            spec.route = Route::Fixed(rp.coded(&self.topo));
         }
         let deliver_mask = match &spec.route {
             Route::Fixed(cp) => {
@@ -337,7 +329,7 @@ impl<T: SimTopology> Network<T> {
                 assert_ne!(*dst, spec.src, "adaptive route to self");
                 Vec::new()
             }
-            Route::Dor { .. } | Route::Runs(_) => unreachable!("converted to a fixed path above"),
+            Route::Runs(_) => unreachable!("converted to a fixed path above"),
         };
         let id = MessageId(self.msgs.len() as u64);
         self.msgs.push(Msg {
@@ -518,7 +510,7 @@ impl<T: SimTopology> Network<T> {
                     let fin = msg.cur == *dst;
                     (fin, fin)
                 }
-                Route::Dor { .. } | Route::Runs(_) => unreachable!("stored as a fixed path"),
+                Route::Runs(_) => unreachable!("stored as a fixed path"),
             }
         };
         if is_receiver {
@@ -546,7 +538,7 @@ impl<T: SimTopology> Network<T> {
                     );
                     cands
                 }
-                Route::Dor { .. } | Route::Runs(_) => unreachable!("stored as a fixed path"),
+                Route::Runs(_) => unreachable!("stored as a fixed path"),
             }
         };
         // Fault injection: adaptive messages route around failed channels

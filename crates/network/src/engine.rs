@@ -41,16 +41,14 @@
 //!   equivalent by the differential tests against [`crate::classic`].
 //! * Message, channel, and port hot state live in struct-of-arrays arenas
 //!   indexed by integer ids; nothing is allocated per hop or per cycle.
-//!   Routes come in three fixed forms. A [`Route::Runs`] (every line, Z
-//!   column, serpentine segment and DOR leg of DB, AB, QAB, RD and EDN) is
-//!   a `Copy` value: the header's next channel is one stride from the
-//!   current node along the run its hop count falls in
-//!   ([`SimTopology::step_channel`]). A [`Route::Dor`] unicast (the mixed
-//!   workloads' DOR traffic) computes each next channel from the current
-//!   node and its destination. Neither allocates anything per message. A
-//!   [`Route::Fixed`] (multicast subsets, fault detours, torus and GHC
-//!   paths) reads its hops and mask off a shared
-//!   [`CodedPath`](wormcast_routing::CodedPath) record.
+//!   Routes come in two fixed forms. A [`Route::Runs`] (every line, Z
+//!   column, serpentine segment and DOR leg of DB, AB, QAB, RD and EDN,
+//!   and every DOR unicast of the mixed workloads) is a `Copy` value that
+//!   allocates nothing per message: the header's next channel is one
+//!   stride from the current node along the run its hop count falls in
+//!   ([`SimTopology::step_channel`]). A [`Route::Fixed`] (multicast
+//!   subsets, fault detours, torus and GHC paths) reads its hops and mask
+//!   off a shared [`CodedPath`](wormcast_routing::CodedPath) record.
 //!   A retired message's arena slot is reused by a later injection, so the
 //!   message arena is as large as the most messages alive at once, not as
 //!   the run's total. The channels a message holds form an intrusive
@@ -502,8 +500,8 @@ impl<T: SimTopology> Network<T> {
     /// Request injection of `spec` at absolute time `at` (≥ now).
     ///
     /// # Panics
-    /// Panics if the spec is malformed: zero length, an adaptive or DOR
-    /// route to self, or a fixed route that does not start at `spec.src`.
+    /// Panics if the spec is malformed: zero length, an adaptive route to
+    /// self, or a fixed or run route that does not start at `spec.src`.
     pub fn inject_at(&mut self, at: SimTime, spec: MessageSpec) -> MessageId {
         assert!(spec.length > 0, "messages need at least one flit");
         match &spec.route {
@@ -515,9 +513,6 @@ impl<T: SimTopology> Network<T> {
             }
             Route::Adaptive { dst } => {
                 assert_ne!(*dst, spec.src, "adaptive route to self");
-            }
-            Route::Dor { dst } => {
-                assert_ne!(*dst, spec.src, "DOR route to self");
             }
         }
         let src = spec.src;
@@ -785,7 +780,7 @@ impl<T: SimTopology> Network<T> {
                 let idx = self.msgs.next_fixed[i] as usize;
                 (rp.receives(idx), idx == rp.len())
             }
-            Route::Adaptive { dst } | Route::Dor { dst } => {
+            Route::Adaptive { dst } => {
                 let fin = self.msgs.cur[i] == *dst;
                 (fin, fin)
             }
@@ -798,20 +793,15 @@ impl<T: SimTopology> Network<T> {
             self.events.schedule_after(body, Ev::Complete(m));
             return;
         }
-        // Choose the next channel. Fixed, run and DOR routes have exactly
-        // one candidate, read straight off the coded path or computed from
-        // the current node and the run it is on or the destination — no
-        // per-hop allocation.
+        // Choose the next channel. Fixed and run routes have exactly one
+        // candidate, read straight off the coded path or computed from the
+        // current node and the run it is on — no per-hop allocation.
         let ch = match self.msgs.spec[i].route {
             Route::Fixed(ref cp) => cp.path.hops[self.msgs.next_fixed[i] as usize],
             Route::Runs(ref rp) => {
                 let (dim, sign) = rp.direction(self.msgs.next_fixed[i] as usize);
                 self.topo.step_channel(self.msgs.cur[i], dim, sign)
             }
-            Route::Dor { dst } => self
-                .topo
-                .dor_next(self.msgs.cur[i], dst)
-                .expect("a DOR route short of its destination has a next hop"),
             Route::Adaptive { dst } => return self.advance_adaptive(now, m, dst),
         };
         if !self.failed.contains(ch.index()) && self.chans.busy[ch.index()] == NONE {
@@ -1106,7 +1096,7 @@ impl<T: SimTopology> Network<T> {
                 cp.deliver_mask()[next + 1..].iter().filter(|&&r| r).count() as u64
             }
             Route::Runs(rp) => rp.receivers_after(self.msgs.next_fixed[i] as usize),
-            Route::Adaptive { .. } | Route::Dor { .. } => 1,
+            Route::Adaptive { .. } => 1,
         };
         // Release the held path exactly as completion would.
         let mut ch = self.msgs.held_head[i];

@@ -35,23 +35,11 @@ pub enum Route {
     /// shares nothing; it crosses the same channels and delivers at the same
     /// nodes as the fixed route over [`RunPath::coded`]. Used by every
     /// line, Z column, serpentine segment and DOR leg of DB, AB, QAB, RD
-    /// and EDN.
+    /// and EDN, and by the DOR unicast traffic of the mixed workloads
+    /// ([`RunPath::dor`]).
     ///
     /// [`SimTopology::step_channel`]: wormcast_routing::SimTopology::step_channel
     Runs(RunPath),
-    /// Dimension-ordered unicast to a single destination. The engine
-    /// computes each next channel from the current node and `dst`
-    /// ([`SimTopology::dor_next`]), so the route allocates nothing; it
-    /// crosses the same channels, in the same order, as the fixed unicast
-    /// over [`SimTopology::dor_route`]. Used by the DOR unicast traffic of
-    /// the mixed workloads.
-    ///
-    /// [`SimTopology::dor_next`]: wormcast_routing::SimTopology::dor_next
-    /// [`SimTopology::dor_route`]: wormcast_routing::SimTopology::dor_route
-    Dor {
-        /// The single destination.
-        dst: NodeId,
-    },
     /// Hop-by-hop adaptive routing to a single destination using the
     /// network's configured routing function. Used by AB's point-to-point
     /// legs and by unicast traffic in the AB configuration.

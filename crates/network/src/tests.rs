@@ -397,30 +397,14 @@ fn self_route_rejected() {
     );
 }
 
+/// A DOR unicast as a run path (`RunPath::dor`) behaves as the fixed
+/// `dor_path` unicast, also through faults: it waits on a dead channel of
+/// its route like a fixed path (no re-route), a restore lets it on, and the
+/// watchdog reaps it with its one destination undelivered.
 #[test]
-#[should_panic(expected = "DOR route to self")]
-fn dor_self_route_rejected() {
-    let mut net = net2d(4);
-    net.inject_at(
-        SimTime::ZERO,
-        MessageSpec {
-            src: NodeId(5),
-            route: Route::Dor { dst: NodeId(5) },
-            length: 8,
-            op: OpId(0),
-            tag: 0,
-            charge_startup: true,
-        },
-    );
-}
-
-/// A `Route::Dor` unicast behaves as the fixed `dor_path` unicast it
-/// replaces, also through faults: it waits on a dead channel of its route
-/// like a fixed path (no re-route), a restore lets it on, and the watchdog
-/// reaps it with its one destination undelivered.
-#[test]
-fn dor_route_matches_the_fixed_dor_unicast_through_faults() {
+fn dor_run_path_matches_the_fixed_dor_unicast_through_faults() {
     use crate::fault::{FaultEvent, FaultKind, FaultPlan};
+    use wormcast_routing::RunPath;
     let run = |dor: bool| {
         let cfg = NetworkConfig::paper_default().with_watchdog(SimDuration::from_us(20.0));
         let mut net = Network::new(Mesh::square(6), cfg, Box::new(DimensionOrdered));
@@ -455,7 +439,7 @@ fn dor_route_matches_the_fixed_dor_unicast_through_faults() {
                 }
             };
             let route = if dor {
-                Route::Dor { dst }
+                Route::Runs(RunPath::dor(&m, src, dst))
             } else {
                 Route::Fixed(CodedPath::unicast(&m, dor_path(&m, src, dst)))
             };
@@ -484,7 +468,7 @@ fn dor_route_matches_the_fixed_dor_unicast_through_faults() {
         "each reaped unicast loses one copy"
     );
     assert_eq!(c.reroutes, 0);
-    assert!(dor == fixed, "a DOR route differs from its fixed path");
+    assert!(dor == fixed, "a DOR run path differs from its fixed path");
 }
 
 /// A `Route::Runs` message behaves as the fixed route over the coded path
@@ -1315,7 +1299,7 @@ mod slot_reuse {
             let receives = match &spec.route {
                 Route::Fixed(cp) => cp.receivers(&mesh).contains(&d.node),
                 Route::Runs(rp) => rp.coded(&mesh).receivers(&mesh).contains(&d.node),
-                Route::Adaptive { dst } | Route::Dor { dst } => *dst == d.node,
+                Route::Adaptive { dst } => *dst == d.node,
             };
             assert!(receives, "m{} delivered at {}", d.message.0, d.node);
         }

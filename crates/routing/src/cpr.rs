@@ -27,7 +27,8 @@ pub enum ControlField {
     /// `00`: plain unicast — deliver at the final node only.
     Unicast,
     /// `10`: deliver at designated relay (corner) nodes and the final node,
-    /// forwarding concurrently. Used by AB's first and second steps.
+    /// forwarding concurrently. No path built here carries it: AB's corner
+    /// legs route adaptively.
     CornerRelay,
     /// `11`: deliver at every node along the path. Used by the dissemination
     /// steps of DB and AB.
@@ -161,23 +162,6 @@ impl CodedPath {
         CodedPath::new(path, ControlField::GatherAll, deliver)
     }
 
-    /// A `10`-coded corner relay from `src` along `walk` (the nodes after
-    /// `src`, each flagged whether it is a designated relay): deliver at the
-    /// relays and at the final node.
-    ///
-    /// # Panics
-    /// Panics if `walk` is empty or consecutive nodes are not adjacent.
-    pub fn corner_relay<T: Topology>(
-        topo: &T,
-        src: NodeId,
-        walk: impl IntoIterator<Item = (NodeId, bool)>,
-    ) -> CodedPath {
-        let (path, mut deliver) = walk_path(topo, src, walk);
-        assert!(!path.is_empty(), "corner-relay path must leave the source");
-        *deliver.last_mut().unwrap() = true;
-        CodedPath::new(path, ControlField::CornerRelay, deliver)
-    }
-
     /// A coded path with an explicit receiver set, from `src` along `walk`
     /// (the nodes after `src`, each flagged whether it receives): deliver at
     /// exactly the flagged nodes. The final node need *not* receive — used
@@ -281,27 +265,11 @@ mod tests {
     }
 
     #[test]
-    fn corner_relay_delivers_at_relays_and_end() {
-        let m = Mesh::square(4);
-        let cp = CodedPath::corner_relay(&m, row_src(&m), row_walk(&m, &[2]));
-        assert_eq!(cp.path, row_path(&m));
-        let relay = m.node_at(&Coord::xy(2, 1));
-        assert_eq!(cp.receivers(&m), vec![relay, m.node_at(&Coord::xy(3, 1))]);
-    }
-
-    #[test]
-    fn corner_relay_end_always_receives() {
-        let m = Mesh::square(4);
-        let cp = CodedPath::corner_relay(&m, row_src(&m), row_walk(&m, &[]));
-        assert_eq!(cp.receivers(&m), vec![m.node_at(&Coord::xy(3, 1))]);
-    }
-
-    #[test]
     #[should_panic(expected = "not adjacent")]
     fn walk_that_jumps_rejected() {
         let m = Mesh::square(4);
         let far = m.node_at(&Coord::xy(2, 1));
-        let _ = CodedPath::corner_relay(&m, row_src(&m), [(far, true)]);
+        let _ = CodedPath::selective(&m, row_src(&m), [(far, true)]);
     }
 
     #[test]

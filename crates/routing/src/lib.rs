@@ -79,38 +79,6 @@ mod torus_dor_tests {
     }
 
     #[test]
-    fn dor_route_walks_the_torus_dor_hops() {
-        let t = Torus::new(&[5, 4, 3]);
-        for s in 0..60u32 {
-            for d in 0..60u32 {
-                let (src, dst) = (NodeId(s), NodeId(d));
-                let route = t.dor_route(src, dst);
-                assert_eq!(route.len() as u32, t.distance(src, dst), "{s}->{d}");
-                let mut cur = src;
-                for &ch in &route.hops {
-                    assert_eq!(TorusDor.candidates(&t, src, cur, None, dst), [ch]);
-                    cur = t.channel_endpoints(ch).1;
-                }
-                assert_eq!(cur, dst);
-            }
-        }
-    }
-
-    #[test]
-    fn mesh_dor_route_is_dor_path() {
-        for mesh in [Mesh::new(&[4, 3, 5]), Mesh::new(&[7]), Mesh::square(6)] {
-            for src in mesh.nodes() {
-                for dst in mesh.nodes() {
-                    let expect = dor_path(&mesh, src, dst);
-                    assert_eq!(mesh.dor_route(src, dst), expect, "{src}->{dst}");
-                    let first = expect.hops.first().copied();
-                    assert_eq!(mesh.dor_next(src, dst), first);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn empty_at_destination() {
         let t = Torus::kary_ncube(4, 3);
         let rf = TorusDor;
@@ -128,37 +96,16 @@ pub trait SimTopology: Topology {
     /// The (dimension, sign) of a directed channel's hop.
     fn hop_direction(&self, ch: ChannelId) -> (usize, Sign);
 
-    /// The next channel of the dimension-ordered route from `cur` to `dst`,
-    /// or `None` at `dst`: on a mesh the next hop of [`dor_path`], on a
-    /// torus the one [`TorusDor`] picks.
-    fn dor_next(&self, cur: NodeId, dst: NodeId) -> Option<ChannelId>;
-
     /// The channel leaving `cur` along `dim` toward `sign`, computed from
     /// the ids alone: one stride of a straight run ([`RunPath`]), whose
     /// caller knows the channel exists.
     fn step_channel(&self, cur: NodeId, dim: usize, sign: Sign) -> ChannelId;
-
-    /// The whole dimension-ordered route from `src` to `dst`, walked one
-    /// [`SimTopology::dor_next`] at a time.
-    fn dor_route(&self, src: NodeId, dst: NodeId) -> Path {
-        let mut hops = Vec::new();
-        let mut cur = src;
-        while let Some(ch) = self.dor_next(cur, dst) {
-            hops.push(ch);
-            cur = self.channel_endpoints(ch).1;
-        }
-        Path { src, hops }
-    }
 }
 
 impl SimTopology for Mesh {
     fn hop_direction(&self, ch: ChannelId) -> (usize, Sign) {
         let (_, dim, sign) = self.channel_parts(ch);
         (dim, sign)
-    }
-
-    fn dor_next(&self, cur: NodeId, dst: NodeId) -> Option<ChannelId> {
-        self.dor_channel(cur, dst)
     }
 
     fn step_channel(&self, cur: NodeId, dim: usize, sign: Sign) -> ChannelId {
@@ -170,10 +117,6 @@ impl SimTopology for Torus {
     fn hop_direction(&self, ch: ChannelId) -> (usize, Sign) {
         let (_, dim, sign) = self.channel_parts(ch);
         (dim, sign)
-    }
-
-    fn dor_next(&self, cur: NodeId, dst: NodeId) -> Option<ChannelId> {
-        torus_dor_channel(self, cur, dst)
     }
 
     fn step_channel(&self, cur: NodeId, dim: usize, sign: Sign) -> ChannelId {
@@ -220,24 +163,6 @@ pub trait RoutingFunction<T: SimTopology = Mesh>: Send + Sync {
     }
 }
 
-/// [`TorusDor`]'s one candidate at `cur`, or `None` at `dst`.
-fn torus_dor_channel(topo: &Torus, cur: NodeId, dst: NodeId) -> Option<ChannelId> {
-    let cc = topo.coord_of(cur);
-    let cd = topo.coord_of(dst);
-    for dim in 0..topo.ndims() {
-        let (a, b) = (cc.get(dim) as i32, cd.get(dim) as i32);
-        if a == b {
-            continue;
-        }
-        let k = topo.dim_size(dim) as i32;
-        let fwd = (b - a).rem_euclid(k); // hops going Plus
-        let bwd = (a - b).rem_euclid(k); // hops going Minus
-        let sign = if fwd <= bwd { Sign::Plus } else { Sign::Minus };
-        return Some(topo.channel(cur, dim, sign));
-    }
-    None
-}
-
 /// Shortest-way dimension-ordered routing on the torus: corrects dimensions
 /// in increasing order, taking the wrap direction when it is strictly
 /// shorter (ties go to `Plus` for determinism).
@@ -259,7 +184,20 @@ impl RoutingFunction<Torus> for TorusDor {
         _prev: Option<(usize, Sign)>,
         dst: NodeId,
     ) -> Vec<ChannelId> {
-        torus_dor_channel(topo, cur, dst).into_iter().collect()
+        let cc = topo.coord_of(cur);
+        let cd = topo.coord_of(dst);
+        for dim in 0..topo.ndims() {
+            let (a, b) = (cc.get(dim) as i32, cd.get(dim) as i32);
+            if a == b {
+                continue;
+            }
+            let k = topo.dim_size(dim) as i32;
+            let fwd = (b - a).rem_euclid(k); // hops going Plus
+            let bwd = (a - b).rem_euclid(k); // hops going Minus
+            let sign = if fwd <= bwd { Sign::Plus } else { Sign::Minus };
+            return vec![topo.channel(cur, dim, sign)];
+        }
+        Vec::new()
     }
 
     fn name(&self) -> &'static str {

@@ -530,6 +530,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "must leave the source")]
+    fn a_dor_path_to_self_is_rejected() {
+        let m = Mesh::square(4);
+        let _ = RunPath::dor(&m, NodeId(5), NodeId(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3 dimensions")]
+    fn a_dor_path_over_four_dimensions_is_rejected() {
+        let m = Mesh::new(&[2, 2, 2, 2]);
+        let _ = RunPath::dor(&m, NodeId(0), NodeId(15));
+    }
+
+    #[test]
     fn a_run_path_is_small() {
         assert!(std::mem::size_of::<RunPath>() <= 24);
     }

@@ -386,7 +386,7 @@ fn receivers_of<T: Topology>(topo: &T, spec: &MessageSpec) -> Vec<NodeId> {
     match &spec.route {
         Route::Fixed(cp) => cp.receivers(topo),
         Route::Runs(rp) => rp.coded(topo).receivers(topo),
-        Route::Adaptive { dst } | Route::Dor { dst } => vec![*dst],
+        Route::Adaptive { dst } => vec![*dst],
     }
 }
 

@@ -902,7 +902,7 @@ mod tests {
         // DOR unicasts in ten and one multidestination gather-all path,
         // each injected as the network reaches its arrival time.
         use wormcast_network::{MessageSpec, Network, NetworkConfig, OpId, Route};
-        use wormcast_routing::{dor_path, CodedPath, DimensionOrdered};
+        use wormcast_routing::{dor_path, CodedPath, DimensionOrdered, RunPath};
         use wormcast_sim::{SimDuration, SimRng};
         use wormcast_topology::{Mesh, Topology};
         let mesh = Mesh::square(8);
@@ -932,7 +932,7 @@ mod tests {
             let route = if k % 10 == 0 {
                 Route::Fixed(CodedPath::gather_all(&mesh, dor_path(&mesh, src, dst)))
             } else {
-                Route::Dor { dst }
+                Route::Runs(RunPath::dor(&mesh, src, dst))
             };
             let spec = MessageSpec {
                 src,

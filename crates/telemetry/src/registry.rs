@@ -323,12 +323,6 @@ impl MetricsRegistry {
         self.hists.entry(key).or_default().record(v);
     }
 
-    /// Merge a whole histogram into a series (exact, order-independent).
-    pub fn observe_hist(&mut self, key: SeriesKey, h: &Log2Hist) {
-        debug_assert_eq!(key.id.kind(), MetricKind::Histogram, "{}", key.id.name());
-        self.hists.entry(key).or_default().merge(h);
-    }
-
     /// A counter's value (0 when never incremented).
     pub fn counter(&self, key: SeriesKey) -> u64 {
         self.counters.get(&key).copied().unwrap_or(0)

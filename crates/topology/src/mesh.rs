@@ -126,22 +126,6 @@ impl Mesh {
         (node, dim, sign)
     }
 
-    /// The first channel of the dimension-ordered route from `cur` to
-    /// `dst`: one hop toward `dst` in the lowest dimension where the two
-    /// differ, or `None` if they are the same node. Read off the strides,
-    /// without building coordinates.
-    pub fn dor_channel(&self, cur: NodeId, dst: NodeId) -> Option<ChannelId> {
-        for (dim, (&stride, &size)) in self.strides.iter().zip(&self.dims).enumerate() {
-            let size = u32::from(size);
-            let (a, b) = ((cur.0 / stride) % size, (dst.0 / stride) % size);
-            if a != b {
-                let sign = if a < b { Sign::Plus } else { Sign::Minus };
-                return Some(self.step_channel(cur, dim, sign));
-            }
-        }
-        None
-    }
-
     /// Whether `ch` denotes a physically present link (edge nodes have id
     /// slots for links that fall off the mesh boundary).
     pub fn channel_exists(&self, ch: ChannelId) -> bool {

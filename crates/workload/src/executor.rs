@@ -608,7 +608,7 @@ mod tests {
         match &spec.route {
             Route::Fixed(cp) => cp.receivers(mesh),
             Route::Runs(rp) => rp.coded(mesh).receivers(mesh),
-            Route::Adaptive { dst } | Route::Dor { dst } => vec![*dst],
+            Route::Adaptive { dst } => vec![*dst],
         }
     }
 

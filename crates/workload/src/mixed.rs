@@ -13,6 +13,7 @@ use crate::single::{attach_collector, finish_collector, network_for};
 use serde::{Deserialize, Serialize};
 use wormcast_broadcast::Algorithm;
 use wormcast_network::{MessageSpec, NetworkConfig, OpId, Route, Simulation};
+use wormcast_routing::RunPath;
 use wormcast_sim::{DurationDist, Exponential, SimRng, SimTime};
 use wormcast_stats::{BatchMeans, OnlineStats};
 use wormcast_telemetry::{Observe, TelemetryFrame};
@@ -89,6 +90,13 @@ pub struct MixedOutcome {
 }
 
 /// Run the mixed unicast/broadcast workload at one load point.
+///
+/// # Panics
+/// Panics if the broadcast fraction is not a probability, or if a DOR
+/// unicast's source and destination differ in more than
+/// [`MAX_RUNS`](wormcast_routing::MAX_RUNS) = 3 dimensions, which only a
+/// mesh of four or more dimensions allows: DOR unicasts ride
+/// [`RunPath::dor`].
 pub fn run_mixed_traffic(mesh: &Mesh, cfg: NetworkConfig, mc: &MixedConfig) -> MixedOutcome {
     run_mixed_traffic_observed(mesh, cfg, mc, &SimRng::new(mc.seed), None).0
 }
@@ -102,6 +110,9 @@ pub fn run_mixed_traffic(mesh: &Mesh, cfg: NetworkConfig, mc: &MixedConfig) -> M
 /// mixed stream (unicasts included), and each completed broadcast
 /// operation's end-to-end latency is fed to the frame's `arrivals`
 /// histogram (in µs, matching the frame's unit convention).
+///
+/// # Panics
+/// As [`run_mixed_traffic`].
 pub fn run_mixed_traffic_observed(
     mesh: &Mesh,
     cfg: NetworkConfig,
@@ -163,7 +174,7 @@ pub fn run_mixed_traffic_observed(
             let route = if adaptive_unicast {
                 Route::Adaptive { dst }
             } else {
-                Route::Dor { dst }
+                Route::Runs(RunPath::dor(mesh, src, dst))
             };
             net.inject_at(
                 at,

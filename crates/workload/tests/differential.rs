@@ -15,7 +15,7 @@ use wormcast_broadcast::Algorithm;
 use wormcast_network::{
     classic, Delivery, Event, MessageSpec, Network, NetworkConfig, OpId, ReleaseMode, Route,
 };
-use wormcast_routing::{dor_path, CodedPath};
+use wormcast_routing::{dor_path, CodedPath, RunPath};
 use wormcast_sim::{SimRng, SimTime};
 use wormcast_topology::{Mesh, NodeId, Topology};
 use wormcast_workload::{
@@ -218,13 +218,13 @@ fn mixed_traffic_is_equivalent() {
     }
 }
 
-/// The allocation-free DOR route: a mixed DB stream whose unicasts are
-/// `Route::Dor` matches the `classic` oracle (which takes each as the fixed
-/// unicast over its path), and matches the same stream with every unicast
-/// a fixed `dor_path` unicast, the route it replaces. Both release modes,
-/// cubic and non-cubic meshes.
+/// The DOR unicast as a run path: a mixed DB stream whose unicasts are
+/// `Route::Runs` over [`RunPath::dor`] (as the mixed workloads send them)
+/// matches the `classic` oracle (which takes each as the coded path it
+/// expands to), and matches the same stream with every unicast a fixed
+/// `dor_path` unicast. Both release modes, cubic and non-cubic meshes.
 #[test]
-fn dor_route_streams_are_equivalent() {
+fn dor_run_path_streams_are_equivalent() {
     for (shape, seed) in [([4u16, 4, 4], 31u64), ([3, 4, 5], 32)] {
         let mesh = Mesh::new(&shape);
         let fixed = random_unicasts(&mesh, Algorithm::Db, 250, 0xD0E ^ seed);
@@ -236,7 +236,7 @@ fn dor_route_streams_are_equivalent() {
                 };
                 let dst = cp.path.dest(&mesh);
                 let spec = MessageSpec {
-                    route: Route::Dor { dst },
+                    route: Route::Runs(RunPath::dor(&mesh, inj.spec.src, dst)),
                     ..inj.spec.clone()
                 };
                 Injection { at: inj.at, spec }
@@ -246,7 +246,7 @@ fn dor_route_streams_are_equivalent() {
         let schedule = Algorithm::Db.schedule(&mesh, src);
         let tracker = || Some(BroadcastTracker::new(&mesh, &schedule, OpId(0), 32));
         for mode in MODES {
-            let label = format!("DOR-route mixed DB {mode:?} {shape:?}");
+            let label = format!("DOR run path mixed DB {mode:?} {shape:?}");
             assert_equivalent(&label, &mesh, cfg_for(mode), Algorithm::Db, &dor, tracker);
             let with_paths = drive!(
                 Network,
