@@ -64,6 +64,32 @@ echo "==> validating NDJSON event stream schema"
 WORMCAST_EVENTS_FILE="$TDIR/events-fig1.ndjson" \
     run cargo test "${OFFLINE[@]}" -q -p wormcast --test telemetry_schema
 
+# Event-log memory gate: the full Fig. 1 sweep writing its event stream
+# (102 MB of NDJSON) must peak at or below 64 MiB resident. The logs keep
+# compact records and each cell's NDJSON is rendered only while it is
+# written; logs that held their lines rendered peaked at about 112 MiB.
+echo "==> event-log memory gate"
+run python3 - ./target/release/wormcast "$TDIR/mem" <<'EOF'
+import os
+import sys
+
+exe, out = sys.argv[1], sys.argv[2]
+argv = [exe, "fig1", "--events", out + "/events.ndjson", "--jobs", "1", "--out", out]
+pid = os.fork()
+if pid == 0:
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, 1)
+    os.dup2(null, 2)
+    os.execv(exe, argv)
+_, status, usage = os.wait4(pid, 0)
+peak_mib = usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+print(f"wormcast fig1 --events --jobs 1: peak RSS {peak_mib:.1f} MiB (limit 64)")
+if os.waitstatus_to_exitcode(status) != 0:
+    sys.exit("ci: wormcast fig1 --events failed")
+if peak_mib > 64:
+    sys.exit(f"ci: event-log memory gate: {peak_mib:.1f} MiB > 64 MiB")
+EOF
+
 # Trace dump smoke: the engine's trace ring renders through the same event
 # writer as the stream above, so its dump must pass the same validator.
 echo "==> validating trace dump schema"

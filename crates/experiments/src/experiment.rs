@@ -269,7 +269,7 @@ mod tests {
                 // Task c * runs + r stamps rep; frames merge in that order.
                 let log = frame.expect("observed").events.expect("events on");
                 let reps: Vec<u64> = log
-                    .ndjson()
+                    .to_ndjson()
                     .lines()
                     .map(|line| {
                         let fields = parse_line(line).expect("rendered lines parse");

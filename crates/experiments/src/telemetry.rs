@@ -59,15 +59,17 @@ impl TelemetryReport {
     }
 }
 
-/// Concatenate every cell's retained events as one NDJSON string, in cell
-/// order; the second element counts events dropped by per-frame budgets.
+/// Render every cell's retained events as one NDJSON string, in cell
+/// order, into a string reserved once at its exact length; the second
+/// element counts events dropped by per-frame budgets.
 pub fn events_ndjson(frames: &[LabeledFrame]) -> (String, u64) {
-    let mut out = String::with_capacity(event_logs(frames).map(EventLog::bytes_used).sum());
+    let mut out = Vec::with_capacity(event_logs(frames).map(EventLog::bytes_used).sum());
     let mut dropped = 0u64;
     for log in event_logs(frames) {
-        out.push_str(log.ndjson());
+        log.append_ndjson(&mut out);
         dropped += log.dropped();
     }
+    let out = String::from_utf8(out).expect("lines are ASCII plus UTF-8 names");
     (out, dropped)
 }
 
@@ -77,12 +79,15 @@ fn event_logs(frames: &[LabeledFrame]) -> impl Iterator<Item = &EventLog> {
 }
 
 /// Write every cell's retained events to `path` as one NDJSON stream, in
-/// cell order, straight from the logs' buffers: the same bytes as
-/// [`events_ndjson`] without first concatenating them in memory.
+/// cell order: the same bytes as [`events_ndjson`], rendered one cell at a
+/// time into one reused buffer instead of concatenated in memory.
 fn write_events(path: &Path, frames: &[LabeledFrame]) -> std::io::Result<()> {
     let mut out = open_ndjson(path, false)?;
+    let mut buf = Vec::new();
     for log in event_logs(frames) {
-        out.write_all(log.ndjson().as_bytes())?;
+        buf.clear();
+        log.append_ndjson(&mut buf);
+        out.write_all(&buf)?;
     }
     Ok(())
 }
@@ -170,6 +175,29 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"rep\":0"));
         assert!(lines[2].contains("\"rep\":1"));
+    }
+
+    /// A tiny Fig. 1 run's event logs keep compact records: at most a
+    /// quarter of the NDJSON they render to. Both totals are pinned, so a
+    /// change to the record layout or to what is retained shows here.
+    #[test]
+    fn fig1_event_logs_store_a_fraction_of_their_ndjson() {
+        use crate::experiment::Experiment;
+        use crate::fig1::Fig1Params;
+        use wormcast_telemetry::TelemetrySpec;
+        use wormcast_workload::Runner;
+        let p = Fig1Params {
+            sides: vec![4, 8],
+            runs: 2,
+            ..Fig1Params::default()
+        };
+        let spec = TelemetrySpec::full();
+        let (_, frames) = p.run((&Runner::sequential(), Some(&spec))).into_parts();
+        let stored: usize = event_logs(&frames).map(EventLog::record_bytes).sum();
+        let rendered: usize = event_logs(&frames).map(EventLog::bytes_used).sum();
+        assert_eq!(rendered, events_ndjson(&frames).0.len());
+        assert!(4 * stored <= rendered, "{stored} B stored for {rendered} B");
+        assert_eq!((stored, rendered), (342_717, 2_151_836));
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The engine's one event record and its bounded trace.
 //!
 //! [`Event`] is a flat record of small integers describing one observable
-//! engine callback; [`Event::write_line`] appends it to a string as one
-//! NDJSON line, and [`Event::line`] and [`to_ndjson`] (a sequence of
-//! records) render through it. Every event consumer keeps the same record
-//! under its own retention policy: the [`Trace`] here is a ring that keeps
-//! the *newest* records (for debugging and for tests that assert
-//! *mechanism*, not just outcome), while the telemetry layer's `EventLog`
-//! keeps the *oldest* lines that fit a byte budget, already rendered.
+//! engine callback; [`Event::write_line`] appends it to a byte buffer as
+//! one NDJSON line, and [`Event::line`], [`write_lines`] and [`to_ndjson`]
+//! (a sequence of records) render through it. Every event consumer keeps
+//! the same record under its own retention policy: the [`Trace`] here is a
+//! ring that keeps the *newest* records (for debugging and for tests that
+//! assert *mechanism*, not just outcome), while the telemetry layer's
+//! `EventLog` keeps the *oldest* events whose lines fit a byte budget, as
+//! compact records, and renders their lines only when it is exported.
 //!
 //! The line schema is fixed and order-stable:
 //!
@@ -190,51 +191,64 @@ impl Event {
 
     /// Render the NDJSON line, **without** the trailing newline.
     pub fn line(&self) -> String {
-        let mut s = String::with_capacity(self.line_len());
-        self.write_line(&mut s);
-        s
+        let mut v = Vec::with_capacity(self.line_len());
+        self.write_line(&mut v);
+        String::from_utf8(v).expect("a line is ASCII plus a UTF-8 name")
     }
 
     /// Append the NDJSON line, **without** the trailing newline, to `out`:
     /// the one writer behind [`Event::line`], [`to_ndjson`] and the
-    /// telemetry event log. Integers are rendered two digits at a time
-    /// from a table of digit pairs; nothing goes through `core::fmt` or
-    /// checks UTF-8 at run time. It allocates only when `out` grows: a
-    /// caller that reserves [`Event::line_len`] first grows it at most
-    /// once per line.
-    pub fn write_line(&self, out: &mut String) {
-        out.push_str("{\"t_ps\":");
-        push_u64(out, self.t_ps);
-        out.push_str(",\"ev\":\"");
-        out.push_str(self.kind.name());
-        out.push_str("\",\"rep\":");
-        push_u64(out, self.rep);
+    /// telemetry event log's export. The line is assembled in a buffer on
+    /// the stack, integers two digits at a time from a table of digit
+    /// pairs, with no `core::fmt`, and lands in `out` with one copy (two
+    /// more for a `name`). It allocates only when `out` grows: a caller
+    /// that reserves [`Event::line_len`] first never grows it.
+    pub fn write_line(&self, out: &mut Vec<u8>) {
+        self.render(&mut LineBuf::new(), out);
+    }
+
+    /// [`Event::write_line`] through `b`, which it overwrites.
+    #[inline]
+    fn render(&self, b: &mut LineBuf, out: &mut Vec<u8>) {
+        b.len = 0;
+        b.put(b"{\"t_ps\":");
+        b.put_u64(self.t_ps);
+        b.put(b",\"ev\":\"");
+        b.put(self.kind.name().as_bytes());
+        b.put(b"\",\"rep\":");
+        b.put_u64(self.rep);
         if let Some(m) = self.msg {
-            out.push_str(",\"msg\":");
-            push_u64(out, m);
+            b.put(b",\"msg\":");
+            b.put_u64(m);
         }
         if let Some(n) = self.node {
-            out.push_str(",\"node\":");
-            push_u64(out, n as u64);
+            b.put(b",\"node\":");
+            b.put_u64(n as u64);
         }
         if let Some(c) = self.ch {
-            out.push_str(",\"ch\":");
-            push_u64(out, c as u64);
+            b.put(b",\"ch\":");
+            b.put_u64(c as u64);
         }
         if let Some(q) = self.q {
-            out.push_str(",\"q\":");
-            push_u64(out, q);
+            b.put(b",\"q\":");
+            b.put_u64(q);
         }
         if let Some(f) = self.flits {
-            out.push_str(",\"flits\":");
-            push_u64(out, f);
+            b.put(b",\"flits\":");
+            b.put_u64(f);
         }
-        if let Some(name) = self.name {
-            out.push_str(",\"name\":\"");
-            out.push_str(name);
-            out.push('"');
+        match self.name {
+            None => {
+                b.put(b"}");
+                out.extend_from_slice(b.as_bytes());
+            }
+            Some(name) => {
+                b.put(b",\"name\":\"");
+                out.extend_from_slice(b.as_bytes());
+                out.extend_from_slice(name.as_bytes());
+                out.extend_from_slice(b"\"}");
+            }
         }
-        out.push('}');
     }
 
     /// Exact byte length of [`Event::line`], computed without allocating.
@@ -264,41 +278,66 @@ impl Event {
     }
 }
 
-/// `"00" "01" … "99"`: the two decimal digits of every value below 100,
-/// 200 bytes checked as UTF-8 once, at compile time.
-const DIGIT_PAIRS: &str = {
-    const BYTES: [u8; 200] = {
-        let mut t = [0u8; 200];
-        let mut i = 0;
-        while i < 100 {
-            t[2 * i] = b'0' + (i / 10) as u8;
-            t[2 * i + 1] = b'0' + (i % 10) as u8;
-            i += 1;
-        }
-        t
-    };
-    match std::str::from_utf8(&BYTES) {
-        Ok(s) => s,
-        Err(_) => panic!("decimal digits are ASCII"),
+/// `"00" "01" … "99"`: the two decimal digits of every value below 100.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
     }
+    t
 };
 
-/// Append `v` in decimal to `out`, two digits at a time.
-#[inline]
-fn push_u64(out: &mut String, mut v: u64) {
-    // The pairs below the leading one, least significant first.
-    let mut low = [0u8; 9]; // u64::MAX: a leading pair and nine more
-    let mut n = 0;
-    while v >= 100 {
-        low[n] = (v % 100) as u8;
-        v /= 100;
-        n += 1;
+/// Bytes of the longest line without its `name` value: every key, a
+/// 19-byte kind name and 20-digit integers.
+const LINE_CAP: usize = 8 + 20 + 7 + 19 + 8 + 20 + 7 + 20 + 8 + 10 + 6 + 10 + 5 + 20 + 9 + 20 + 9;
+
+/// A line being assembled on the stack.
+struct LineBuf {
+    bytes: [u8; LINE_CAP],
+    len: usize,
+}
+
+impl LineBuf {
+    #[inline]
+    fn new() -> Self {
+        LineBuf {
+            bytes: [0; LINE_CAP],
+            len: 0,
+        }
     }
-    let lead = 2 * v as usize;
-    out.push_str(&DIGIT_PAIRS[lead + usize::from(v < 10)..lead + 2]);
-    for &pair in low[..n].iter().rev() {
-        let i = 2 * pair as usize;
-        out.push_str(&DIGIT_PAIRS[i..i + 2]);
+
+    #[inline]
+    fn put(&mut self, s: &[u8]) {
+        self.bytes[self.len..self.len + s.len()].copy_from_slice(s);
+        self.len += s.len();
+    }
+
+    /// Append `v` in decimal, two digits at a time from the right.
+    #[inline]
+    fn put_u64(&mut self, mut v: u64) {
+        let end = self.len + digits(v);
+        let mut i = end;
+        while v >= 100 {
+            let p = 2 * (v % 100) as usize;
+            v /= 100;
+            i -= 2;
+            self.bytes[i..i + 2].copy_from_slice(&DIGIT_PAIRS[p..p + 2]);
+        }
+        if v >= 10 {
+            let p = 2 * v as usize;
+            self.bytes[i - 2..i].copy_from_slice(&DIGIT_PAIRS[p..p + 2]);
+        } else {
+            self.bytes[i - 1] = b'0' + v as u8;
+        }
+        self.len = end;
+    }
+
+    #[inline]
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
     }
 }
 
@@ -312,15 +351,22 @@ const fn digits(v: u64) -> usize {
     }
 }
 
+/// Append `events` to `out` as NDJSON, one newline-terminated line per
+/// event, through [`Event::write_line`]'s writer and one line buffer.
+pub fn write_lines(events: impl IntoIterator<Item = Event>, out: &mut Vec<u8>) {
+    let mut b = LineBuf::new();
+    for e in events {
+        e.render(&mut b, out);
+        out.push(b'\n');
+    }
+}
+
 /// Render `events` as NDJSON, one newline-terminated line per event — the
 /// one writer behind the trace dump and every event log.
 pub fn to_ndjson<'a>(events: impl IntoIterator<Item = &'a Event>) -> String {
-    let mut s = String::new();
-    for e in events {
-        e.write_line(&mut s);
-        s.push('\n');
-    }
-    s
+    let mut v = Vec::new();
+    write_lines(events.into_iter().copied(), &mut v);
+    String::from_utf8(v).expect("lines are ASCII plus UTF-8 names")
 }
 
 /// A bounded ring buffer of events that keeps the newest; disabled
@@ -449,9 +495,9 @@ mod tests {
         let want = fmt_line(e);
         assert_eq!(e.line(), want);
         assert_eq!(e.line_len(), want.len(), "{want}");
-        let mut out = String::from("prefix\n");
+        let mut out = b"prefix\n".to_vec();
         e.write_line(&mut out);
-        assert_eq!(out, format!("prefix\n{want}"));
+        assert_eq!(out, format!("prefix\n{want}").into_bytes());
     }
 
     /// `EventKind::ALL` lists every kind once, in declaration order: the
@@ -486,16 +532,17 @@ mod tests {
         }
     }
 
-    /// `push_u64` appends exactly `format!`'s digits.
+    /// `put_u64` appends exactly `format!`'s digits.
     fn check_u64(v: u64) {
-        let mut out = String::from("x");
-        push_u64(&mut out, v);
-        assert_eq!(out, format!("x{v}"));
+        let mut b = LineBuf::new();
+        b.put(b"x");
+        b.put_u64(v);
+        assert_eq!(b.as_bytes(), format!("x{v}").as_bytes());
         assert_eq!(digits(v), v.to_string().len());
     }
 
     #[test]
-    fn push_u64_matches_format() {
+    fn put_u64_matches_format() {
         for v in [0, 9, 10, 99, 100, u64::MAX, u64::MAX - 1] {
             check_u64(v);
         }
@@ -549,6 +596,23 @@ mod tests {
         };
         check_line(&f);
         for kind in EventKind::ALL {
+            // The widest line, up to its name's value, fits the line
+            // buffer (exactly, for the longest kind name).
+            let widest = Event {
+                msg: Some(u64::MAX),
+                node: Some(u32::MAX),
+                ch: Some(u32::MAX),
+                q: Some(u64::MAX),
+                flits: Some(u64::MAX),
+                ..Event::new(u64::MAX, kind, u64::MAX)
+            };
+            check_line(&widest);
+            let named = Event {
+                name: Some(""),
+                ..widest
+            };
+            check_line(&named);
+            assert!(named.line_len() - "\"}".len() <= LINE_CAP);
             let mut e = Event::new(u64::MAX, kind, u64::MAX);
             check_line(&e);
             e.name = Some("engine_arena_msgs_highwater");

@@ -318,8 +318,8 @@ mod tests {
         let b = measure_request(&req).expect("runs");
         assert_eq!(a.summary, b.summary);
         assert_eq!(
-            a.events.as_ref().unwrap().ndjson(),
-            b.events.as_ref().unwrap().ndjson(),
+            a.events.as_ref().unwrap().to_ndjson(),
+            b.events.as_ref().unwrap().to_ndjson(),
             "event stream must fold in replication order regardless of jobs"
         );
     }

@@ -17,7 +17,7 @@ use wormcast_network::{
 };
 #[cfg(feature = "invariants")]
 use wormcast_network::{InvariantChecker, MessageId};
-use wormcast_routing::{dor_path, CodedPath, TorusDor};
+use wormcast_routing::{dor_path, CodedPath, RunPath, TorusDor, MAX_RUNS};
 use wormcast_sim::{SimRng, SimTime, SpeedTransition};
 use wormcast_topology::{ChannelId, Mesh, NodeId, Topology, Torus};
 use wormcast_workload::{random_destinations, routing_for, BroadcastTracker};
@@ -255,7 +255,7 @@ fn unicast_plan(s: &Scenario, mesh: &Mesh, alg: Algorithm, n: u32, max_len: u64)
             let route = if adaptive {
                 Route::Adaptive { dst }
             } else {
-                Route::Fixed(CodedPath::unicast(mesh, dor_path(mesh, src, dst)))
+                dor_route(mesh, src, dst)
             };
             Injection {
                 at: SimTime::from_us(at_us),
@@ -270,6 +270,18 @@ fn unicast_plan(s: &Scenario, mesh: &Mesh, alg: Algorithm, n: u32, max_len: u64)
             }
         })
         .collect()
+}
+
+/// The dimension-ordered unicast from `src` to `dst` as a run path. The
+/// scenario grammar makes meshes of two or three dimensions, but a request
+/// may name more, and a run path corrects at most [`MAX_RUNS`] of them:
+/// such meshes keep the fixed coded path.
+fn dor_route(mesh: &Mesh, src: NodeId, dst: NodeId) -> Route {
+    if mesh.ndims() <= MAX_RUNS {
+        Route::Runs(RunPath::dor(mesh, src, dst))
+    } else {
+        Route::Fixed(CodedPath::unicast(mesh, dor_path(mesh, src, dst)))
+    }
 }
 
 /// Materialize the schedule's trace-replay dimension as extra offered
@@ -295,7 +307,7 @@ fn replay_plan(s: &Scenario, mesh: &Mesh) -> Vec<Injection> {
                 at: SimTime::from_us(e.at_us),
                 spec: MessageSpec {
                     src,
-                    route: Route::Fixed(CodedPath::unicast(mesh, dor_path(mesh, src, dst))),
+                    route: dor_route(mesh, src, dst),
                     length: e.length.max(1),
                     op: OpId(500_000 + i as u64),
                     tag: 0,
@@ -585,6 +597,28 @@ fn execute_torus(s: &Scenario, dims: &[u16], opts: RunOptions) -> Outcome {
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+
+    /// Up to three dimensions a DOR unicast is a run path that expands to
+    /// the DOR coded path; a four-dimensional mesh keeps the coded path,
+    /// which a run path cannot hold when all four dimensions differ.
+    #[test]
+    fn dor_unicasts_are_run_paths_up_to_three_dimensions() {
+        for dims in [vec![5, 3], vec![4, 3, 2]] {
+            let mesh = Mesh::new(&dims);
+            let (src, dst) = (NodeId(0), NodeId(mesh.num_nodes() as u32 - 1));
+            let Route::Runs(rp) = dor_route(&mesh, src, dst) else {
+                panic!("{dims:?}: DOR unicast is not a run path");
+            };
+            let want = CodedPath::unicast(&mesh, dor_path(&mesh, src, dst));
+            assert_eq!(rp.coded(&mesh), want, "{dims:?}");
+        }
+        let mesh = Mesh::new(&[2, 2, 2, 2]);
+        let (src, dst) = (NodeId(0), NodeId(15));
+        let Route::Fixed(cp) = dor_route(&mesh, src, dst) else {
+            panic!("4-D DOR unicast is not a coded path");
+        };
+        assert_eq!(cp, CodedPath::unicast(&mesh, dor_path(&mesh, src, dst)));
+    }
 
     #[test]
     fn first_scenarios_are_clean() {

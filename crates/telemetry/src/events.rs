@@ -2,19 +2,20 @@
 //!
 //! Every `MetricsSink` callback can be captured as one [`Event`] — the
 //! engine's one event record, defined in `wormcast_network::trace` and
-//! re-exported here. The [`EventLog`] keeps the lines it retains already
-//! rendered, in one NDJSON string. A sink hands it a closure that
-//! builds the event ([`EventLog::push_with`]): when the log's budget or
-//! bound has no room left for even the shortest line any event renders to
-//! ([`MIN_LINE_LEN`]), it counts the drop in O(1) and builds nothing.
-//! Otherwise it computes the line's exact length arithmetically (digit
-//! counting), renders only the lines that fit, with [`Event::write_line`],
-//! into room reserved once per line, and counts the rest in
-//! [`EventLog::dropped`]. Exporting a log is handing out its buffer. The
-//! log is the first-fit retention policy over that record: it keeps the
-//! *oldest* events that fit, where the engine's trace ring keeps the
-//! *newest*; both render through the one line writer, whose schema
-//! `wormcast_network::trace` documents.
+//! re-exported here. The [`EventLog`] keeps the events it retains as
+//! compact byte records (a kind byte, a presence-mask byte and LEB128
+//! varints, about a sixth of the rendered line) and renders NDJSON once,
+//! at export, through the one line writer, [`Event::write_line`], whose
+//! schema `wormcast_network::trace` documents. Retention is still decided
+//! in rendered bytes: the line's exact length is computed arithmetically
+//! (digit counting, [`Event::line_len`]) and a log keeps an event only
+//! while its lines fit the log's byte budget, counting the rest in
+//! [`EventLog::dropped`]. A sink hands the log a closure that builds the
+//! event and a floor under the cost of every line it can still log
+//! ([`EventLog::push_with`]): when the log's room is below the floor, it
+//! counts the drop in O(1) and builds nothing. The log is the first-fit
+//! retention policy over that record: it keeps the *oldest* events that
+//! fit, where the engine's trace ring keeps the *newest*.
 //!
 //! A replication's log is merged into its cell's log, which has its own
 //! budget. When a bound on the room the cell will have left is known up
@@ -27,21 +28,37 @@
 
 use crate::TELEMETRY_EVENT_BUDGET_DEFAULT;
 use std::collections::HashMap;
+use wormcast_network::trace::write_lines;
 pub use wormcast_network::trace::{to_ndjson, Event, EventKind, MIN_LINE_LEN};
 
-/// Cost of the shortest line any event renders to, newline included.
-const MIN_COST: usize = MIN_LINE_LEN + 1;
+/// Presence-mask bits of a record's optional fields, in line order.
+const MSG: u8 = 1;
+const NODE: u8 = 2;
+const CH: u8 = 4;
+const Q: u8 = 8;
+const FLITS: u8 = 16;
+const NAME: u8 = 32;
 
-/// A byte-budgeted event buffer holding its retained lines already
-/// rendered, as one NDJSON string.
+/// Bytes of the longest record: kind, mask and seven varints of at most
+/// ten bytes each.
+const MAX_RECORD: usize = 2 + 7 * 10;
+
+/// A byte-budgeted event buffer holding its retained events as compact
+/// records and rendering them as NDJSON on export.
 ///
-/// Retention is first-fit: an event is kept when its line (plus newline)
-/// fits the bytes the log has left, and counted in [`EventLog::dropped`]
-/// otherwise, so a later, shorter line can still be kept after a longer one
-/// was dropped. The cost is computed with [`Event::line_len`] before any
-/// rendering, so a dropped event is never rendered, and
+/// Retention is first-fit in rendered bytes: an event is kept when its line
+/// (plus newline) fits the bytes the log has left, and counted in
+/// [`EventLog::dropped`] otherwise, so a later, shorter line can still be
+/// kept after a longer one was dropped. The cost is computed with
+/// [`Event::line_len`], so no line is rendered before export, and
 /// [`EventLog::push_with`] does not even build an event that no line could
-/// fit.
+/// fit. [`EventLog::bytes_used`] and [`EventLog::room_left`] count the
+/// NDJSON the log renders to, not the records it stores.
+///
+/// A record is the event's kind (its index in [`EventKind::ALL`]), a mask
+/// of the optional fields present, then `t_ps`, `rep` and each present
+/// field as an LEB128 varint; a `name` is stored as its index in the log's
+/// table of names, which [`EventLog::merge`] remaps.
 ///
 /// A log that will be merged into a cell log with at most `bound` bytes
 /// left can be built [`EventLog::with_bound`]: it still charges every line
@@ -50,10 +67,14 @@ const MIN_COST: usize = MIN_LINE_LEN + 1;
 /// identical to an unbounded log's.
 #[derive(Debug, Clone)]
 pub struct EventLog {
-    /// The retained lines, each newline-terminated.
-    ndjson: String,
-    /// Lines in `ndjson`.
+    /// The retained events' records, back to back.
+    records: Vec<u8>,
+    /// The names the records refer to, by index.
+    names: Vec<&'static str>,
+    /// Events in `records`.
     lines: usize,
+    /// NDJSON bytes the retained events render to, newlines included.
+    bytes: usize,
     /// Cost of the shortest retained line (`usize::MAX` when empty).
     min_cost: usize,
     budget: usize,
@@ -87,8 +108,10 @@ impl EventLog {
     /// as merging a [`EventLog::new`] log fed the same events.
     pub fn with_bound(budget_bytes: usize, bound: usize) -> Self {
         EventLog {
-            ndjson: String::new(),
+            records: Vec::new(),
+            names: Vec::new(),
             lines: 0,
+            bytes: 0,
             min_cost: usize::MAX,
             budget: budget_bytes,
             charged: 0,
@@ -111,35 +134,64 @@ impl EventLog {
             self.dropped += 1;
             return;
         }
-        self.reserve(cost);
-        e.write_line(&mut self.ndjson);
-        self.ndjson.push('\n');
+        self.keep(&e, cost);
+    }
+
+    /// Store `e`, whose line costs `cost`, as one more retained event.
+    fn keep(&mut self, e: &Event, cost: usize) {
+        let mut rec = [0u8; MAX_RECORD];
+        rec[0] = e.kind as u8;
+        let mut n = 2;
+        let mut mask = 0;
+        put_varint(&mut rec, &mut n, e.t_ps);
+        put_varint(&mut rec, &mut n, e.rep);
+        let name = e.name.map(|s| self.name_index(s));
+        let fields = [
+            (MSG, e.msg),
+            (NODE, e.node.map(u64::from)),
+            (CH, e.ch.map(u64::from)),
+            (Q, e.q),
+            (FLITS, e.flits),
+            (NAME, name),
+        ];
+        for (bit, v) in fields {
+            if let Some(v) = v {
+                mask |= bit;
+                put_varint(&mut rec, &mut n, v);
+            }
+        }
+        rec[1] = mask;
+        self.records.extend_from_slice(&rec[..n]);
         self.lines += 1;
+        self.bytes += cost;
         self.min_cost = self.min_cost.min(cost);
     }
 
-    /// Make room for a `cost`-byte line. The buffer grows to the next power
-    /// of two, but never past the budget, which no retained byte exceeds:
-    /// Rust's own amortised growth doubles from the first line's length
-    /// instead, and so overshoots a power-of-two budget by up to 2×.
-    fn reserve(&mut self, cost: usize) {
-        let len = self.ndjson.len();
-        if self.ndjson.capacity() - len < cost {
-            let want = (len + cost).next_power_of_two().min(self.budget);
-            self.ndjson.reserve_exact(want - len);
-        }
+    /// The index of `name` in this log's table, added when missing.
+    fn name_index(&mut self, name: &'static str) -> u64 {
+        let i = match self.names.iter().position(|&n| n == name) {
+            Some(i) => i,
+            None => {
+                self.names.push(name);
+                self.names.len() - 1
+            }
+        };
+        i as u64
     }
 
     /// [`EventLog::push`] the event `build` makes, without calling `build`
-    /// when no line could be kept: when the budget left or the bound is
-    /// below the shortest line any event renders to, the event only counts
-    /// as dropped, in O(1). Retained lines, their bytes and the drop count
-    /// are those of `push(build())`. Only the budget charged for lines the
-    /// bound turns away can differ, and only once the bound turns every
-    /// line away, when the charge no longer decides anything.
+    /// when no line could be kept. `floor` is at most the cost (line plus
+    /// newline) of this event's line and of every line pushed after it.
+    /// When the budget left is below `floor`, this line cannot fit; when
+    /// the bound is, neither this line nor any later pushed one can be
+    /// stored, so what the budget is charged for them no longer decides
+    /// anything. Either way the event only counts as dropped, in O(1).
+    /// Retained lines, their bytes and the drop count are those of
+    /// `push(build())`; only the budget charged for lines the bound turns
+    /// away can differ.
     #[inline]
-    pub fn push_with(&mut self, build: impl FnOnce() -> Event) {
-        if self.charged + MIN_COST > self.budget || MIN_COST > self.bound {
+    pub fn push_with(&mut self, floor: usize, build: impl FnOnce() -> Event) {
+        if self.charged + floor > self.budget || floor > self.bound {
             self.dropped += 1;
         } else {
             self.push(build());
@@ -163,53 +215,139 @@ impl EventLog {
 
     /// Exact NDJSON bytes of the retained events.
     pub fn bytes_used(&self) -> usize {
-        self.ndjson.len()
+        self.bytes
+    }
+
+    /// Bytes of the records that hold the retained events: what the log
+    /// keeps in memory in place of [`EventLog::bytes_used`].
+    pub fn record_bytes(&self) -> usize {
+        self.records.len()
     }
 
     /// Bytes of budget left: what a log merged into this one can still add.
     pub fn room_left(&self) -> usize {
-        self.budget - self.ndjson.len()
+        self.budget - self.bytes
     }
 
-    /// Append `other`'s retained lines first-fit against this log's budget,
-    /// counting those that don't fit as dropped, and carry over `other`'s
-    /// drop count. O(1) when nothing fits, one copy when everything does.
+    /// Append `other`'s retained events first-fit against this log's
+    /// budget, counting those that don't fit as dropped, and carry over
+    /// `other`'s drop count. O(1) when nothing fits; one copy of the
+    /// records when everything does and `other`'s names keep their indices
+    /// here; otherwise one pass over `other`'s events.
     pub fn merge(&mut self, other: &EventLog) {
-        let (room, before) = (self.room_left(), self.ndjson.len());
+        let (room, before) = (self.room_left(), self.bytes);
         if room < other.min_cost {
             self.dropped += other.lines as u64;
-        } else if other.ndjson.len() <= room {
-            self.ndjson.push_str(&other.ndjson);
+        } else if other.bytes <= room && self.names.starts_with(&other.names) {
+            self.records.extend_from_slice(&other.records);
             self.lines += other.lines;
+            self.bytes += other.bytes;
             self.min_cost = self.min_cost.min(other.min_cost);
         } else {
-            for line in other.ndjson.split_inclusive('\n') {
-                if self.ndjson.len() + line.len() > self.budget {
+            for e in other.events() {
+                let cost = e.line_len() + 1;
+                if self.bytes + cost > self.budget {
                     self.dropped += 1;
                 } else {
-                    self.ndjson.push_str(line);
-                    self.lines += 1;
-                    self.min_cost = self.min_cost.min(line.len());
+                    self.keep(&e, cost);
                 }
             }
         }
-        self.charged += self.ndjson.len() - before;
+        self.charged += self.bytes - before;
         self.dropped += other.dropped;
     }
 
-    /// The retained lines as NDJSON (each newline-terminated).
-    pub fn ndjson(&self) -> &str {
-        &self.ndjson
+    /// The retained events, oldest first, decoded from their records.
+    fn events(&self) -> impl Iterator<Item = Event> + '_ {
+        Records {
+            bytes: &self.records,
+            names: &self.names,
+        }
     }
 
-    /// The retained lines as an owned NDJSON string (a copy).
+    /// Append the retained events to `out` as NDJSON, each line
+    /// newline-terminated, growing `out` at most once.
+    pub fn append_ndjson(&self, out: &mut Vec<u8>) {
+        out.reserve(self.bytes);
+        write_lines(self.events(), out);
+    }
+
+    /// The retained events rendered as NDJSON (each line
+    /// newline-terminated), into a string of exactly
+    /// [`EventLog::bytes_used`] bytes.
     pub fn to_ndjson(&self) -> String {
-        self.ndjson.clone()
+        let mut out = Vec::new();
+        self.append_ndjson(&mut out);
+        String::from_utf8(out).expect("lines are ASCII plus UTF-8 names")
     }
 
-    /// The retained lines as NDJSON, without copying them.
+    /// [`EventLog::to_ndjson`], consuming the log.
     pub fn into_ndjson(self) -> String {
-        self.ndjson
+        self.to_ndjson()
+    }
+}
+
+/// Append `v` as an LEB128 varint at `buf[*n..]`.
+#[inline]
+fn put_varint(buf: &mut [u8], n: &mut usize, mut v: u64) {
+    while v >= 0x80 {
+        buf[*n] = v as u8 | 0x80;
+        v >>= 7;
+        *n += 1;
+    }
+    buf[*n] = v as u8;
+    *n += 1;
+}
+
+/// The events a log's records decode to: a cursor over the records not
+/// yet read and the log's names.
+struct Records<'a> {
+    bytes: &'a [u8],
+    names: &'a [&'static str],
+}
+
+impl Records<'_> {
+    /// Read the LEB128 varint at the cursor.
+    #[inline]
+    fn varint(&mut self) -> u64 {
+        let mut v = 0;
+        for (i, &b) in self.bytes.iter().enumerate() {
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b < 0x80 {
+                self.bytes = &self.bytes[i + 1..];
+                return v;
+            }
+        }
+        unreachable!("a record ends inside its last varint")
+    }
+
+    /// The field `bit` of `mask`, if present.
+    #[inline]
+    fn field(&mut self, mask: u8, bit: u8) -> Option<u64> {
+        (mask & bit != 0).then(|| self.varint())
+    }
+}
+
+impl Iterator for Records<'_> {
+    type Item = Event;
+
+    #[inline]
+    fn next(&mut self) -> Option<Event> {
+        let (&[kind, mask], rest) = self.bytes.split_first_chunk()?;
+        self.bytes = rest;
+        let t_ps = self.varint();
+        let rep = self.varint();
+        Some(Event {
+            t_ps,
+            kind: EventKind::ALL[usize::from(kind)],
+            rep,
+            msg: self.field(mask, MSG),
+            node: self.field(mask, NODE).map(|v| v as u32),
+            ch: self.field(mask, CH).map(|v| v as u32),
+            q: self.field(mask, Q),
+            flits: self.field(mask, FLITS),
+            name: self.field(mask, NAME).map(|i| self.names[i as usize]),
+        })
     }
 }
 
@@ -542,7 +680,8 @@ mod tests {
         let cell_events = sized(&[0]);
         let events = sized(&[19, 0, 19, 3]);
         let other = log_of(1 << 16, &events);
-        let lines: Vec<&str> = other.ndjson().lines().collect();
+        let other_nd = other.to_ndjson();
+        let lines: Vec<&str> = other_nd.lines().collect();
         // Room for line 1 plus two bytes: line 0 is longer than the whole
         // room, line 2 no longer fits after line 1, and line 3 needs three
         // bytes more than line 1.
@@ -550,7 +689,8 @@ mod tests {
         let mut cell = log_of(budget, &cell_events);
         assert!(cost(&events[0]) > cell.room_left());
         cell.merge(&other);
-        let kept: Vec<&str> = cell.ndjson().lines().skip(1).collect();
+        let cell_nd = cell.to_ndjson();
+        let kept: Vec<&str> = cell_nd.lines().skip(1).collect();
         assert_eq!(kept, [lines[1]]);
         assert_eq!((cell.len(), cell.dropped()), (2, 3));
         assert_eq!(cell.room_left(), 2);
@@ -558,7 +698,7 @@ mod tests {
         let mut roomy = log_of(1 << 16, &cell_events);
         roomy.merge(&other);
         assert_eq!(roomy.len(), 5);
-        assert!(roomy.ndjson().ends_with(other.ndjson()));
+        assert!(roomy.to_ndjson().ends_with(&other_nd));
     }
 
     #[test]
@@ -621,6 +761,10 @@ mod tests {
         }
     }
 
+    /// Cost of the shortest line any event renders to: a floor for any
+    /// stream.
+    const MIN_COST: usize = MIN_LINE_LEN + 1;
+
     #[test]
     fn lazy_push_builds_nothing_without_room() {
         let e = Event::new(1, EventKind::Inject, 0);
@@ -632,7 +776,7 @@ mod tests {
         // A bound below the shortest line, with budget to spare.
         let mut bounded = EventLog::with_bound(1 << 16, MIN_COST - 1);
         for log in [&mut short, &mut spent, &mut bounded] {
-            log.push_with(|| {
+            log.push_with(MIN_COST, || {
                 built += 1;
                 e
             });
@@ -641,8 +785,16 @@ mod tests {
         assert_eq!((short.len(), short.dropped()), (0, 1));
         assert_eq!((spent.len(), spent.dropped()), (1, 1));
         assert_eq!((bounded.len(), bounded.dropped()), (0, 1));
-        // With exactly the shortest line's room, in the bound or in the
-        // budget left, the event is built and kept.
+        // A tighter floor refuses a longer line in the same room.
+        let long = Event::new(1_000_000, EventKind::ChannelRelease, 0);
+        let mut tight = EventLog::with_bound(1 << 16, cost(&long) - 1);
+        tight.push_with(cost(&long), || {
+            built += 1;
+            long
+        });
+        assert_eq!((built, tight.len(), tight.dropped()), (0, 0, 1));
+        // With exactly the floor's room, in the bound or in the budget
+        // left, the event is built and kept.
         let shortest = Event::new(0, EventKind::Inject, 0);
         assert_eq!(cost(&shortest), MIN_COST);
         let mut bound_fits = EventLog::with_bound(1 << 16, MIN_COST);
@@ -650,7 +802,7 @@ mod tests {
         budget_fits.push(e);
         for log in [&mut bound_fits, &mut budget_fits] {
             let before = log.len();
-            log.push_with(|| {
+            log.push_with(MIN_COST, || {
                 built += 1;
                 shortest
             });
@@ -659,8 +811,72 @@ mod tests {
         assert_eq!(built, 2);
     }
 
+    /// A value picked by the low two bits of `sel`: 0, `u32::MAX`,
+    /// `u64::MAX`, or `x` shifted right by the next six bits.
+    fn pick(sel: u64, x: u64) -> u64 {
+        match sel & 3 {
+            0 => 0,
+            1 => u32::MAX.into(),
+            2 => u64::MAX,
+            _ => x >> (sel >> 2 & 63),
+        }
+    }
+
+    /// An event of kind `EventKind::ALL[kind]` whose optional fields are
+    /// the set bits of `mask` (in line order), with values picked from
+    /// `sel` and `x`.
+    fn coded(kind: u8, mask: u8, sel: u64, x: u64) -> Event {
+        const NAMES: [&str; 4] = ["", "a", "span", "engine_arena_msgs_highwater"];
+        let at = |i: u32| pick(sel.rotate_right(8 * i), x.rotate_left(9 * i));
+        let narrow = |v: u64| v.min(u32::MAX.into()) as u32;
+        let has = |bit: u8| mask & bit != 0;
+        Event {
+            t_ps: at(0),
+            kind: EventKind::ALL[usize::from(kind)],
+            rep: at(1),
+            msg: has(MSG).then(|| at(2)),
+            node: has(NODE).then(|| narrow(at(3))),
+            ch: has(CH).then(|| narrow(at(4))),
+            q: has(Q).then(|| at(5)),
+            flits: has(FLITS).then(|| at(6)),
+            name: has(NAME).then(|| NAMES[(sel >> 60) as usize % NAMES.len()]),
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Every kind with every combination of optional fields, at 0,
+        /// `u32::MAX`, `u64::MAX` and values between, and with names:
+        /// the records decode to the events pushed, the log renders what
+        /// the line writer renders for them, and `bytes_used` is the
+        /// rendered length. Two logs whose name tables disagree merge into
+        /// the log of the whole stream.
+        #[test]
+        fn records_round_trip_every_kind_and_field(
+            stream in proptest::collection::vec(
+                (0u8..21, 0u8..64, 0u64..u64::MAX, 0u64..u64::MAX),
+                0usize..48,
+            ),
+            cut in 0usize..48,
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            let events: Vec<Event> =
+                stream.iter().map(|&(k, mask, sel, x)| coded(k, mask, sel, x)).collect();
+            let log = log_of(usize::MAX, &events);
+            prop_assert_eq!(log.events().collect::<Vec<_>>(), events.clone());
+            let nd = log.to_ndjson();
+            prop_assert_eq!(&nd, &to_ndjson(&events));
+            prop_assert_eq!(log.bytes_used(), nd.len());
+            prop_assert_eq!(log.len(), events.len());
+            // The tail's names are indexed in its own order, not the head's.
+            let (head, tail) = events.split_at(cut.min(events.len()));
+            let mut merged = log_of(usize::MAX, head);
+            merged.merge(&log_of(usize::MAX, tail));
+            prop_assert_eq!(merged.events().collect::<Vec<_>>(), events.clone());
+            prop_assert_eq!(merged.to_ndjson(), nd);
+            prop_assert_eq!(merged.bytes_used(), log.bytes_used());
+        }
 
         /// A cell merges replication logs in order, as the experiment grid
         /// does: the first replication's log becomes the cell log, later
@@ -754,9 +970,10 @@ mod tests {
         }
 
         /// `push_with` keeps, renders and drops exactly what `push` does,
-        /// under any budget and bound: bounds below the shortest line,
+        /// under any budget and bound (bounds below the shortest line,
         /// budgets spent before the stream starts, and a merge in the
-        /// middle of the stream that may leave the budget overcharged.
+        /// middle of the stream that may leave the budget overcharged),
+        /// given any floor at most the cost of every line from its own on.
         #[test]
         fn lazy_push_matches_eager_push(
             stream in proptest::collection::vec(
@@ -780,6 +997,7 @@ mod tests {
                 |(pick, small, any)| [small, any, usize::MAX][pick as usize],
             ),
             cut in 0usize..200,
+            slack in proptest::collection::vec(0usize..24, 200usize..201),
         ) {
             use proptest::prelude::prop_assert_eq;
             // Shapes 6 and 7 are bare events of any kind, down to the
@@ -796,15 +1014,21 @@ mod tests {
             }
             let mut merged = EventLog::new(budget);
             other.iter().map(ev).for_each(|e| merged.push(e));
-            for (i, e) in stream.iter().map(ev).enumerate() {
+            let events: Vec<Event> = stream.iter().map(ev).collect();
+            // The cheapest line from each event on, less some slack.
+            let mut floors: Vec<usize> = events.iter().map(cost).collect();
+            for i in (1..floors.len()).rev() {
+                floors[i - 1] = floors[i - 1].min(floors[i]);
+            }
+            for (i, &e) in events.iter().enumerate() {
                 if i == cut {
                     eager.merge(&merged);
                     lazy.merge(&merged);
                 }
                 eager.push(e);
-                lazy.push_with(|| e);
+                lazy.push_with(floors[i].saturating_sub(slack[i]), || e);
             }
-            prop_assert_eq!(lazy.ndjson(), eager.ndjson());
+            prop_assert_eq!(lazy.to_ndjson(), eager.to_ndjson());
             prop_assert_eq!(lazy.len(), eager.len());
             prop_assert_eq!(lazy.dropped(), eager.dropped());
             prop_assert_eq!(lazy.room_left(), eager.room_left());

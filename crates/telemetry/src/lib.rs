@@ -15,9 +15,9 @@
 //!   max FIFO depth, plus per-node port grants and deliveries;
 //! * [`events::EventLog`] — a byte-budgeted NDJSON event exporter (one line
 //!   per `MetricsSink` callback; an event no line could fit is counted
-//!   without being built, and only the lines that fit the budget are
-//!   rendered, into one buffer the export hands out) and the flat-JSON
-//!   parser/validator used by schema tests and CI;
+//!   without being built, the events whose lines fit the budget are kept
+//!   as compact records, and their NDJSON is rendered once, at export)
+//!   and the flat-JSON parser/validator used by schema tests and CI;
 //! * [`manifest::RunManifest`] — run provenance (seed, config, versions,
 //!   wall clock) embedded in every telemetry export.
 //!
@@ -417,6 +417,7 @@ impl Collector {
             events: f.events.take(),
             inflight: VecDeque::new(),
             first: 0,
+            clock: 0,
         }
     }
 
@@ -459,6 +460,9 @@ struct CollectorSink {
     inflight: VecDeque<Option<MsgState>>,
     /// External id of `inflight[0]`.
     first: usize,
+    /// Time of the latest callback other than an injection: the engine's
+    /// clock, in picoseconds.
+    clock: u64,
 }
 
 impl Drop for CollectorSink {
@@ -490,14 +494,39 @@ impl CollectorSink {
 
     /// Log the event `build` makes from the one every event starts from
     /// (`now`, `kind`, this replication). Builds nothing when the log is
-    /// off or has no room for any line.
+    /// off, or when its room is below the shortest line this sink can log
+    /// from now on ([`line_floor`] at the engine's clock).
     #[inline]
     fn log(&mut self, now: SimTime, kind: EventKind, build: impl FnOnce(Event) -> Event) {
         if let Some(log) = &mut self.events {
+            let now = now.as_ps();
+            // An injection is reported when it is requested, stamped with
+            // the time it will happen, which may lie ahead of the clock;
+            // every other callback comes at the engine's clock.
+            let floor_t = if kind == EventKind::Inject {
+                now.min(self.clock)
+            } else {
+                self.clock = now;
+                now
+            };
             let rep = self.rep;
-            log.push_with(|| build(Event::new(now.as_ps(), kind, rep)));
+            log.push_with(line_floor(floor_t, rep), || {
+                build(Event::new(now, kind, rep))
+            });
         }
     }
+}
+
+/// The cost (newline included) of the shortest line a [`CollectorSink`]
+/// logs at time `t_ps` or later in replication `rep`: a `link_up` on a
+/// one-digit channel. The engine's clock never runs backwards, so once
+/// the room left is below it, no later line fits either.
+fn line_floor(t_ps: u64, rep: u64) -> usize {
+    let shortest = Event {
+        ch: Some(0),
+        ..Event::new(t_ps, EventKind::LinkUp, rep)
+    };
+    shortest.line_len() + 1
 }
 
 impl MetricsSink for CollectorSink {
@@ -692,6 +721,38 @@ mod tests {
         sink.on_complete(SimTime::from_ps(3_000), m, NodeId(1));
     }
 
+    /// Every callback, at one time with the shortest ids, logs a line no
+    /// shorter than [`line_floor`], and the shortest of them is exactly as
+    /// long: the floor the sink refuses events against is tight.
+    #[test]
+    fn line_floor_is_the_shortest_line_a_sink_logs() {
+        let (t, rep) = (SimTime::from_ps(1_234_567), 7);
+        let spec = TelemetrySpec::full();
+        let collector = Collector::new(&spec, rep, 4, 2);
+        let mut sink = collector.sink();
+        let (m, n, c) = (MessageId(0), NodeId(0), ChannelId(0));
+        sink.on_inject(t, m, n);
+        sink.on_port_grant(t, m, n);
+        sink.on_startup_done(t, m, n);
+        sink.on_header_hop(t, m, n, c);
+        sink.on_channel_wait(t, m, c, 0);
+        sink.on_channel_grant(t, m, c);
+        sink.on_channel_release(t, c);
+        sink.on_deliver(t, m, n, 0);
+        sink.on_complete(t, m, n);
+        sink.on_link_failed(t, c);
+        sink.on_link_restored(t, c);
+        sink.on_reroute(t, m, n);
+        sink.on_stalled(t, m, n, 0);
+        sink.on_schedule_phase(t, 0);
+        drop(sink);
+        let log = collector.finish().events.expect("events on");
+        let nd = log.to_ndjson();
+        let costs: Vec<usize> = nd.lines().map(|l| l.len() + 1).collect();
+        assert_eq!(costs.len(), 14);
+        assert_eq!(costs.iter().min(), Some(&line_floor(t.as_ps(), rep)));
+    }
+
     #[test]
     fn collector_decomposes_phases() {
         let spec = TelemetrySpec::full();
@@ -739,7 +800,7 @@ mod tests {
         let log = frame.events.as_ref().expect("event log handed back");
         assert_eq!(log.len(), 10);
         assert!(log
-            .ndjson()
+            .to_ndjson()
             .ends_with("{\"t_ps\":4000,\"ev\":\"link_down\",\"rep\":3,\"ch\":0}\n"));
     }
 
