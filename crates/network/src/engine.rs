@@ -39,8 +39,19 @@
 //!   It pops in the exact deterministic `(time, insertion-seq)` order of
 //!   the reference [`EventQueue`](wormcast_sim::EventQueue) — proven
 //!   equivalent by the differential tests against [`crate::classic`].
-//! * Message, channel, and port hot state live in struct-of-arrays arenas
-//!   indexed by integer ids; nothing is allocated per hop or per cycle.
+//! * A message lives in two records indexed by its arena slot. Its hot
+//!   record (route, current node, crossing/waiting channel, held-path ends,
+//!   queue link, progress epoch, hop count, last direction and flags) is
+//!   one 64-byte cache line, which is all a header hop touches besides the
+//!   channel arena and the message id; its cold record (id, request time,
+//!   source, length, op, tag) is read at injection, port grant, delivery
+//!   and completion. One hop counter serves as both the hops crossed and
+//!   the index of a fixed or run route's next hop: wherever it is read,
+//!   the header has crossed every channel it was granted. Crossing a
+//!   channel yields its far end, dimension and sign from the node the
+//!   header is at ([`SimTopology::cross`]), by multiplication on a mesh.
+//!   Channel and port state live in struct-of-arrays arenas indexed by
+//!   integer ids; nothing is allocated per hop or per cycle.
 //!   Routes come in two fixed forms. A [`Route::Runs`] (every line, Z
 //!   column, serpentine segment and DOR leg of DB, AB, QAB, RD and EDN,
 //!   and every DOR unicast of the mixed workloads) is a `Copy` value that
@@ -63,7 +74,7 @@
 
 use crate::config::{NetworkConfig, ReleaseMode};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::message::{Delivery, MessageId, MessageSpec, Route};
+use crate::message::{Delivery, MessageId, MessageSpec, OpId, Route};
 use crate::metrics::{CountersSink, MetricsSink, TraceSink};
 use crate::trace::Trace;
 use std::collections::VecDeque;
@@ -107,93 +118,197 @@ enum Ev {
     StallCheck(u32, u32),
 }
 
-/// Struct-of-arrays message state, indexed by arena slot. The cold
-/// [`MessageSpec`] (route, payload description) stays one struct per
-/// message; everything the stepper touches per event is a flat column.
+/// `Hot::prev` of a header still at its source: no hop brought it there.
+const NO_PREV: u8 = u8::MAX;
+
+/// What one header hop reads and writes of a message, in one cache line:
+/// the route, where the header is and what it crosses, waits on and holds,
+/// and the watchdog's view of its progress.
+#[repr(align(64))]
+struct Hot {
+    route: Route,
+    /// Node the header currently occupies.
+    cur: NodeId,
+    /// Raw id of the channel the header is currently crossing, or `NONE`.
+    crossing: u32,
+    /// Raw id of the channel whose queue the header waits in, or `NONE`.
+    waiting_on: u32,
+    /// First / last channel of the held path (acquisition order), or
+    /// `NONE`; links live in [`ChanArena::held_next`].
+    held_head: u32,
+    held_tail: u32,
+    /// Next message in whatever FIFO (channel or port) this one waits in.
+    next_waiter: u32,
+    /// Progress epoch: bumped on every header hop and whenever a channel
+    /// this message waits on is restored. The watchdog reaps only if the
+    /// epoch is unchanged for a whole timeout, so a same-cycle link restore
+    /// grants the waiter a fresh window instead of a spurious stall.
+    progress_epoch: u32,
+    /// Channels crossed so far, which is also the index of the next hop of
+    /// a fixed or run route and of the node the header is at: whenever it
+    /// is read, the header has crossed every channel it was granted.
+    hops: u32,
+    /// Direction of the hop that brought the header to `cur`, packed as
+    /// `2·dim + (1 if Minus)`, or [`NO_PREV`].
+    prev: u8,
+    done: bool,
+    /// Whether a `StallCheck` event is already pending for this message
+    /// (at most one outstanding check per message).
+    stall_armed: bool,
+}
+
+const _: () = assert!(
+    std::mem::size_of::<Hot>() == 64,
+    "a message's hot state is one cache line"
+);
+
+impl Hot {
+    /// The direction of the last hop, as routing functions take it.
+    fn prev(&self) -> Option<(usize, Sign)> {
+        (self.prev != NO_PREV).then(|| {
+            let sign = if self.prev & 1 == 0 {
+                Sign::Plus
+            } else {
+                Sign::Minus
+            };
+            ((self.prev >> 1) as usize, sign)
+        })
+    }
+}
+
+/// What a message keeps for injection, port grant, delivery and
+/// completion.
+struct Cold {
+    /// External id of the slot's message.
+    id: MessageId,
+    requested_at: SimTime,
+    src: NodeId,
+    length: u64,
+    op: OpId,
+    tag: u32,
+    charge_startup: bool,
+}
+
+/// log2 of the hot records per [`HotSlots`] chunk (256 KiB of them).
+const HOT_CHUNK_BITS: u32 = 12;
+const HOT_CHUNK: usize = 1 << HOT_CHUNK_BITS;
+
+/// The hot records, indexed by slot, in chunks of [`HOT_CHUNK`] that never
+/// move. A `Vec` of cache-line-aligned records would grow by allocating,
+/// copying and freeing, because the system allocator's `realloc` keeps only
+/// 16-byte alignment: for a moment it would hold the records twice (8 MiB
+/// extra at 131,072 live messages).
+#[derive(Default)]
+struct HotSlots {
+    chunks: Vec<Vec<Hot>>,
+    len: usize,
+}
+
+impl HotSlots {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, h: Hot) {
+        if self.len.is_multiple_of(HOT_CHUNK) {
+            self.chunks.push(Vec::with_capacity(HOT_CHUNK));
+        }
+        self.chunks[self.len >> HOT_CHUNK_BITS].push(h);
+        self.len += 1;
+    }
+
+    #[cfg(feature = "invariants")]
+    fn iter(&self) -> impl Iterator<Item = &Hot> {
+        self.chunks.iter().flatten()
+    }
+}
+
+impl std::ops::Index<usize> for HotSlots {
+    type Output = Hot;
+
+    #[inline]
+    fn index(&self, i: usize) -> &Hot {
+        &self.chunks[i >> HOT_CHUNK_BITS][i & (HOT_CHUNK - 1)]
+    }
+}
+
+impl std::ops::IndexMut<usize> for HotSlots {
+    #[inline]
+    fn index_mut(&mut self, i: usize) -> &mut Hot {
+        &mut self.chunks[i >> HOT_CHUNK_BITS][i & (HOT_CHUNK - 1)]
+    }
+}
+
+/// Message state, indexed by arena slot: a [`Hot`] record per slot for the
+/// stepper and a [`Cold`] one for the rest of the spec.
 ///
 /// A slot is recycled once nothing can refer to its message any more: at
 /// `Complete` (every `Deliver` of a message fires before its `Complete`),
 /// or, if a watchdog `StallCheck` is still pending then, when that check
 /// fires. The slots of reaped (stalled) messages are never reused, because
-/// their `Deliver` events may still be pending. The `id` column keeps the
+/// their `Deliver` events may still be pending. `Cold::id` keeps the
 /// external [`MessageId`] dense in injection order whatever slot a message
 /// lands in.
 #[derive(Default)]
 struct MsgArena {
-    /// External id of the slot's message.
-    id: Vec<MessageId>,
-    spec: Vec<MessageSpec>,
-    requested_at: Vec<SimTime>,
-    /// Node the header currently occupies.
-    cur: Vec<NodeId>,
-    /// Direction of the hop that brought the header to `cur`.
-    prev: Vec<Option<(usize, Sign)>>,
-    /// Number of channels crossed so far.
-    hops_taken: Vec<u32>,
-    /// Index of the next hop for fixed and run routes.
-    next_fixed: Vec<u32>,
-    /// Raw id of the channel the header is currently crossing, or `NONE`.
-    crossing: Vec<u32>,
-    /// Raw id of the channel whose queue the header waits in, or `NONE`.
-    waiting_on: Vec<u32>,
-    /// First / last channel of the held path (acquisition order), or
-    /// `NONE`; links live in [`ChanArena::held_next`].
-    held_head: Vec<u32>,
-    held_tail: Vec<u32>,
-    /// Next message in whatever FIFO (channel or port) this one waits in.
-    next_waiter: Vec<u32>,
-    done: Vec<bool>,
-    /// Whether a `StallCheck` event is already pending for this message
-    /// (at most one outstanding check per message).
-    stall_armed: Vec<bool>,
-    /// Progress epoch: bumped on every header hop and whenever a channel
-    /// this message waits on is restored. The watchdog reaps only if the
-    /// epoch is unchanged for a whole timeout, so a same-cycle link restore
-    /// grants the waiter a fresh window instead of a spurious stall.
-    progress_epoch: Vec<u32>,
+    hot: HotSlots,
+    cold: Vec<Cold>,
     /// Retired slots ready for reuse (the last freed is reused first).
     free: Vec<u32>,
     /// Messages ever injected: the next external id.
     injected: u64,
 }
 
-/// Write `x` to slot `i` of `col`, growing the column by one if `i` is a
-/// new slot.
-fn put<X>(col: &mut Vec<X>, i: usize, x: X) {
-    if i < col.len() {
-        col[i] = x;
-    } else {
-        col.push(x);
-    }
-}
-
 impl MsgArena {
     /// Place a new message in a free slot, or in a new one if none is free.
     fn push(&mut self, requested_at: SimTime, spec: MessageSpec) -> u32 {
-        let i = self.free.pop().map_or(self.spec.len(), |s| s as usize);
+        let i = self.free.pop().map_or(self.hot.len(), |s| s as usize);
         assert!(i < NONE as usize, "message arena exhausted");
-        put(&mut self.id, i, MessageId(self.injected));
+        let MessageSpec {
+            src,
+            route,
+            length,
+            op,
+            tag,
+            charge_startup,
+        } = spec;
+        let hot = Hot {
+            route,
+            cur: src,
+            crossing: NONE,
+            waiting_on: NONE,
+            held_head: NONE,
+            held_tail: NONE,
+            next_waiter: NONE,
+            progress_epoch: 0,
+            hops: 0,
+            prev: NO_PREV,
+            done: false,
+            stall_armed: false,
+        };
+        let cold = Cold {
+            id: MessageId(self.injected),
+            requested_at,
+            src,
+            length,
+            op,
+            tag,
+            charge_startup,
+        };
         self.injected += 1;
-        put(&mut self.cur, i, spec.src);
-        put(&mut self.spec, i, spec);
-        put(&mut self.requested_at, i, requested_at);
-        put(&mut self.prev, i, None);
-        put(&mut self.hops_taken, i, 0);
-        put(&mut self.next_fixed, i, 0);
-        put(&mut self.crossing, i, NONE);
-        put(&mut self.waiting_on, i, NONE);
-        put(&mut self.held_head, i, NONE);
-        put(&mut self.held_tail, i, NONE);
-        put(&mut self.next_waiter, i, NONE);
-        put(&mut self.done, i, false);
-        put(&mut self.stall_armed, i, false);
-        put(&mut self.progress_epoch, i, 0);
+        if i < self.hot.len() {
+            self.hot[i] = hot;
+            self.cold[i] = cold;
+        } else {
+            self.hot.push(hot);
+            self.cold.push(cold);
+        }
         i as u32
     }
 
     /// Slots ever used: the most messages the arena held at once.
     fn slots(&self) -> usize {
-        self.spec.len()
+        self.hot.len()
     }
 }
 
@@ -387,11 +502,14 @@ impl<T: SimTopology> Network<T> {
         self.sink_trace.trace()
     }
 
-    /// Fan one observation event out to the built-in and attached sinks.
+    /// Fan one observation event out to the built-in and attached sinks
+    /// (the trace sink only while it records).
     #[inline]
     fn emit(&mut self, f: impl Fn(&mut dyn MetricsSink)) {
         f(&mut self.sink_counters);
-        f(&mut self.sink_trace);
+        if self.sink_trace.is_enabled() {
+            f(&mut self.sink_trace);
+        }
         for s in &mut self.extra_sinks {
             f(s.as_mut());
         }
@@ -517,7 +635,7 @@ impl<T: SimTopology> Network<T> {
         }
         let src = spec.src;
         let m = self.msgs.push(at, spec);
-        let id = self.msgs.id[m as usize];
+        let id = self.msgs.cold[m as usize].id;
         self.emit(|s| s.on_inject(at, id, src));
         self.events.schedule_at(at, Ev::Arrive(m));
         id
@@ -532,6 +650,9 @@ impl<T: SimTopology> Network<T> {
     /// buffer — the allocation-free form of [`Network::drain_deliveries`]
     /// for drivers that poll every step.
     pub fn drain_deliveries_into(&mut self, out: &mut Vec<Delivery>) {
+        if self.outbox.is_empty() {
+            return;
+        }
         let (front, back) = self.outbox.as_slices();
         out.extend_from_slice(front);
         out.extend_from_slice(back);
@@ -601,12 +722,12 @@ impl<T: SimTopology> Network<T> {
 
     /// Append `m` to channel `ch`'s FIFO of blocked headers.
     fn push_chan_waiter(&mut self, ch: usize, m: u32) {
-        self.msgs.next_waiter[m as usize] = NONE;
+        self.msgs.hot[m as usize].next_waiter = NONE;
         let tail = self.chans.waiter_tail[ch];
         if tail == NONE {
             self.chans.waiter_head[ch] = m;
         } else {
-            self.msgs.next_waiter[tail as usize] = m;
+            self.msgs.hot[tail as usize].next_waiter = m;
         }
         self.chans.waiter_tail[ch] = m;
         self.chans.waiters_len[ch] += 1;
@@ -618,17 +739,17 @@ impl<T: SimTopology> Network<T> {
         let mut prev = NONE;
         let mut cur = self.chans.waiter_head[ch];
         while cur != NONE {
-            let next = self.msgs.next_waiter[cur as usize];
+            let next = self.msgs.hot[cur as usize].next_waiter;
             if cur == m {
                 if prev == NONE {
                     self.chans.waiter_head[ch] = next;
                 } else {
-                    self.msgs.next_waiter[prev as usize] = next;
+                    self.msgs.hot[prev as usize].next_waiter = next;
                 }
                 if next == NONE {
                     self.chans.waiter_tail[ch] = prev;
                 }
-                self.msgs.next_waiter[m as usize] = NONE;
+                self.msgs.hot[m as usize].next_waiter = NONE;
                 self.chans.waiters_len[ch] -= 1;
                 return;
             }
@@ -644,7 +765,7 @@ impl<T: SimTopology> Network<T> {
         if head == NONE {
             return None;
         }
-        let next = self.msgs.next_waiter[head as usize];
+        let next = self.msgs.hot[head as usize].next_waiter;
         self.chans.waiter_head[ch] = next;
         if next == NONE {
             self.chans.waiter_tail[ch] = NONE;
@@ -655,12 +776,12 @@ impl<T: SimTopology> Network<T> {
 
     /// Append `m` to node `node`'s injection-port FIFO.
     fn push_port_waiter(&mut self, node: usize, m: u32) {
-        self.msgs.next_waiter[m as usize] = NONE;
+        self.msgs.hot[m as usize].next_waiter = NONE;
         let tail = self.ports.waiter_tail[node];
         if tail == NONE {
             self.ports.waiter_head[node] = m;
         } else {
-            self.msgs.next_waiter[tail as usize] = m;
+            self.msgs.hot[tail as usize].next_waiter = m;
         }
         self.ports.waiter_tail[node] = m;
     }
@@ -671,7 +792,7 @@ impl<T: SimTopology> Network<T> {
         if head == NONE {
             return None;
         }
-        let next = self.msgs.next_waiter[head as usize];
+        let next = self.msgs.hot[head as usize].next_waiter;
         self.ports.waiter_head[node] = next;
         if next == NONE {
             self.ports.waiter_tail[node] = NONE;
@@ -682,18 +803,18 @@ impl<T: SimTopology> Network<T> {
     /// Charge start-up latency (if the spec asks for it) and schedule the
     /// first header hop.
     fn start_after_grant(&mut self, now: SimTime, m: u32, node: NodeId) {
-        let ts = if self.msgs.spec[m as usize].charge_startup {
+        let ts = if self.msgs.cold[m as usize].charge_startup {
             self.cfg.startup
         } else {
             SimDuration::ZERO
         };
-        let id = self.msgs.id[m as usize];
+        let id = self.msgs.cold[m as usize].id;
         self.emit(|s| s.on_port_grant(now, id, node));
         self.events.schedule_after(ts, Ev::StartupDone(m));
     }
 
     fn on_arrive(&mut self, now: SimTime, m: u32) {
-        let src = self.msgs.spec[m as usize].src;
+        let src = self.msgs.cold[m as usize].src;
         if self.ports.free[src.index()] > 0 {
             self.ports.free[src.index()] -= 1;
             self.start_after_grant(now, m, src);
@@ -712,56 +833,58 @@ impl<T: SimTopology> Network<T> {
     }
 
     fn on_startup_done(&mut self, now: SimTime, m: u32) {
-        let node = self.msgs.cur[m as usize];
-        let id = self.msgs.id[m as usize];
+        let node = self.msgs.hot[m as usize].cur;
+        let id = self.msgs.cold[m as usize].id;
         self.emit(|s| s.on_startup_done(now, id, node));
         self.advance_header(now, m);
     }
 
+    /// The time the body takes to drain behind the header of slot `i`'s
+    /// message (L·β).
+    fn body_time(&self, i: usize) -> SimDuration {
+        self.cfg.body_time(self.msgs.cold[i].length)
+    }
+
     fn on_header(&mut self, now: SimTime, m: u32) {
         let i = m as usize;
-        let ch_raw = self.msgs.crossing[i];
+        let h = &mut self.msgs.hot[i];
+        let ch_raw = h.crossing;
         debug_assert!(ch_raw != NONE, "Header event without a crossing channel");
-        self.msgs.crossing[i] = NONE;
+        h.crossing = NONE;
         let ch = ChannelId(ch_raw);
-        let (from, to) = self.topo.channel_endpoints(ch);
-        debug_assert_eq!(
-            from, self.msgs.cur[i],
-            "header crossed a channel it was not at"
-        );
-        let (dim, sign) = self.topo.hop_direction(ch);
-        self.msgs.cur[i] = to;
-        self.msgs.prev[i] = Some((dim, sign));
-        let first_hop = self.msgs.hops_taken[i] == 0;
-        self.msgs.hops_taken[i] += 1;
-        self.msgs.progress_epoch[i] = self.msgs.progress_epoch[i].wrapping_add(1);
-        let body = self.cfg.body_time(self.msgs.spec[i].length);
+        let (to, dim, sign) = self.topo.cross(h.cur, ch);
+        h.cur = to;
+        h.prev = (dim as u8) << 1 | (sign == Sign::Minus) as u8;
+        let first_hop = h.hops == 0;
+        h.hops += 1;
+        h.progress_epoch = h.progress_epoch.wrapping_add(1);
         match self.cfg.release {
             ReleaseMode::PathHolding => {
                 // Append to the held-path list in acquisition order.
-                let tail = self.msgs.held_tail[i];
-                if tail == NONE {
-                    self.msgs.held_head[i] = ch_raw;
+                if h.held_tail == NONE {
+                    h.held_head = ch_raw;
                 } else {
-                    self.chans.held_next[tail as usize] = ch_raw;
+                    self.chans.held_next[h.held_tail as usize] = ch_raw;
                 }
-                self.msgs.held_tail[i] = ch_raw;
+                h.held_tail = ch_raw;
                 self.chans.held_next[ch.index()] = NONE;
             }
             ReleaseMode::AfterTailCrossing => {
                 // The tail finishes crossing one body-time after the header;
                 // then the channel frees regardless of downstream progress
                 // (virtual cut-through buffering).
-                self.events.schedule_after(body, Ev::ReleaseOne(ch));
+                self.events
+                    .schedule_after(self.body_time(i), Ev::ReleaseOne(ch));
             }
         }
         if first_hop {
             // Tail leaves the source one body-time after the header crossed
             // the first channel; free the injection port then.
-            let src = self.msgs.spec[i].src;
-            self.events.schedule_after(body, Ev::PortRelease(src));
+            let src = self.msgs.cold[i].src;
+            self.events
+                .schedule_after(self.body_time(i), Ev::PortRelease(src));
         }
-        let id = self.msgs.id[i];
+        let id = self.msgs.cold[i].id;
         self.emit(|s| s.on_header_hop(now, id, to, ch));
         self.advance_header(now, m);
     }
@@ -770,37 +893,37 @@ impl<T: SimTopology> Network<T> {
     /// receiver, complete if final, otherwise contend for the next channel.
     fn advance_header(&mut self, now: SimTime, m: u32) {
         let i = m as usize;
-        let body = self.cfg.body_time(self.msgs.spec[i].length);
-        let (is_receiver, is_final) = match &self.msgs.spec[i].route {
-            Route::Fixed(cp) => {
-                let idx = self.msgs.next_fixed[i] as usize; // nodes visited == hops taken
-                (cp.deliver_mask()[idx], idx == cp.path.hops.len())
-            }
-            Route::Runs(rp) => {
-                let idx = self.msgs.next_fixed[i] as usize;
-                (rp.receives(idx), idx == rp.len())
-            }
+        let h = &self.msgs.hot[i];
+        // Nodes visited after the source == hops taken.
+        let idx = h.hops as usize;
+        let (is_receiver, is_final) = match &h.route {
+            Route::Fixed(cp) => (cp.deliver_mask()[idx], idx == cp.path.hops.len()),
+            Route::Runs(rp) => (rp.receives(idx), idx == rp.len()),
             Route::Adaptive { dst } => {
-                let fin = self.msgs.cur[i] == *dst;
+                let fin = h.cur == *dst;
                 (fin, fin)
             }
         };
-        if is_receiver {
-            let node = self.msgs.cur[i];
-            self.events.schedule_after(body, Ev::Deliver(m, node));
-        }
-        if is_final {
-            self.events.schedule_after(body, Ev::Complete(m));
-            return;
+        if is_receiver || is_final {
+            let node = h.cur;
+            let body = self.body_time(i);
+            if is_receiver {
+                self.events.schedule_after(body, Ev::Deliver(m, node));
+            }
+            if is_final {
+                self.events.schedule_after(body, Ev::Complete(m));
+                return;
+            }
         }
         // Choose the next channel. Fixed and run routes have exactly one
         // candidate, read straight off the coded path or computed from the
         // current node and the run it is on — no per-hop allocation.
-        let ch = match self.msgs.spec[i].route {
-            Route::Fixed(ref cp) => cp.path.hops[self.msgs.next_fixed[i] as usize],
+        let h = &self.msgs.hot[i];
+        let ch = match h.route {
+            Route::Fixed(ref cp) => cp.path.hops[idx],
             Route::Runs(ref rp) => {
-                let (dim, sign) = rp.direction(self.msgs.next_fixed[i] as usize);
-                self.topo.step_channel(self.msgs.cur[i], dim, sign)
+                let (dim, sign) = rp.direction(idx);
+                self.topo.step_channel(h.cur, dim, sign)
             }
             Route::Adaptive { dst } => return self.advance_adaptive(now, m, dst),
         };
@@ -817,15 +940,15 @@ impl<T: SimTopology> Network<T> {
         let i = m as usize;
         let cands = self.rf.candidates(
             &self.topo,
-            self.msgs.spec[i].src,
-            self.msgs.cur[i],
-            self.msgs.prev[i],
+            self.msgs.cold[i].src,
+            self.msgs.hot[i].cur,
+            self.msgs.hot[i].prev(),
             dst,
         );
         assert!(
             !cands.is_empty(),
             "routing function dead-ended at {} toward {}",
-            self.msgs.cur[i],
+            self.msgs.hot[i].cur,
             dst
         );
         // A header that steers onto a live candidate while at least one
@@ -850,8 +973,8 @@ impl<T: SimTopology> Network<T> {
                 }
             });
             if dodging && any_live {
-                let at = self.msgs.cur[i];
-                let id = self.msgs.id[i];
+                let at = self.msgs.hot[i].cur;
+                let id = self.msgs.cold[i].id;
                 self.emit(|s| s.on_reroute(now, id, at));
             }
             if !self.failed.contains(ch.index()) && self.chans.busy[ch.index()] == NONE {
@@ -867,8 +990,8 @@ impl<T: SimTopology> Network<T> {
             .find(|&&c| !self.failed.contains(c.index()) && self.chans.busy[c.index()] == NONE)
         {
             if dodging {
-                let at = self.msgs.cur[i];
-                let id = self.msgs.id[i];
+                let at = self.msgs.hot[i].cur;
+                let id = self.msgs.cold[i].id;
                 self.emit(|s| s.on_reroute(now, id, at));
             }
             self.grant(now, m, ch);
@@ -880,8 +1003,8 @@ impl<T: SimTopology> Network<T> {
         // link. First minimal wins, preserving preference-order ties.
         let any_live = cands.iter().any(|c| !self.failed.contains(c.index()));
         if dodging && any_live {
-            let at = self.msgs.cur[i];
-            let id = self.msgs.id[i];
+            let at = self.msgs.hot[i].cur;
+            let id = self.msgs.cold[i].id;
             self.emit(|s| s.on_reroute(now, id, at));
         }
         let mut wait_ch = None;
@@ -902,16 +1025,16 @@ impl<T: SimTopology> Network<T> {
     /// Queue `m` on busy (or dead) channel `ch`.
     fn wait_on(&mut self, now: SimTime, m: u32, ch: ChannelId) {
         self.push_chan_waiter(ch.index(), m);
-        self.msgs.waiting_on[m as usize] = ch.0;
+        self.msgs.hot[m as usize].waiting_on = ch.0;
         let queue_len = self.chans.waiters_len[ch.index()] as usize;
-        let id = self.msgs.id[m as usize];
+        let id = self.msgs.cold[m as usize].id;
         self.emit(|s| s.on_channel_wait(now, id, ch, queue_len));
-        if self.cfg.watchdog != SimDuration::ZERO && !self.msgs.stall_armed[m as usize] {
-            self.msgs.stall_armed[m as usize] = true;
+        if self.cfg.watchdog != SimDuration::ZERO && !self.msgs.hot[m as usize].stall_armed {
+            self.msgs.hot[m as usize].stall_armed = true;
             self.watchdog_arms += 1;
             self.events.schedule_after(
                 self.cfg.watchdog,
-                Ev::StallCheck(m, self.msgs.progress_epoch[m as usize]),
+                Ev::StallCheck(m, self.msgs.hot[m as usize].progress_epoch),
             );
         }
     }
@@ -924,12 +1047,9 @@ impl<T: SimTopology> Network<T> {
             "granting a busy channel"
         );
         self.chans.busy[ch.index()] = m;
-        self.msgs.crossing[i] = ch.0;
-        self.msgs.waiting_on[i] = NONE;
-        if matches!(self.msgs.spec[i].route, Route::Fixed(_) | Route::Runs(_)) {
-            self.msgs.next_fixed[i] += 1;
-        }
-        let id = self.msgs.id[i];
+        self.msgs.hot[i].crossing = ch.0;
+        self.msgs.hot[i].waiting_on = NONE;
+        let id = self.msgs.cold[i].id;
         self.emit(|s| s.on_channel_grant(now, id, ch));
         let speed = self.speed.get(ch.index()).copied().unwrap_or(1);
         let cross = self.cfg.hop_time().times(speed as u64);
@@ -938,25 +1058,25 @@ impl<T: SimTopology> Network<T> {
 
     fn on_deliver(&mut self, now: SimTime, m: u32, node: NodeId) {
         let i = m as usize;
-        let flits = self.msgs.spec[i].length;
-        let id = self.msgs.id[i];
+        let flits = self.msgs.cold[i].length;
+        let id = self.msgs.cold[i].id;
         self.emit(|s| s.on_deliver(now, id, node, flits));
         self.outbox.push_back(Delivery {
             message: id,
-            op: self.msgs.spec[i].op,
-            tag: self.msgs.spec[i].tag,
+            op: self.msgs.cold[i].op,
+            tag: self.msgs.cold[i].tag,
             node,
-            src: self.msgs.spec[i].src,
-            requested_at: self.msgs.requested_at[i],
+            src: self.msgs.cold[i].src,
+            requested_at: self.msgs.cold[i].requested_at,
             delivered_at: now,
         });
     }
 
     fn on_complete(&mut self, now: SimTime, m: u32) {
         let i = m as usize;
-        let mut ch = self.msgs.held_head[i];
-        self.msgs.held_head[i] = NONE;
-        self.msgs.held_tail[i] = NONE;
+        let mut ch = self.msgs.hot[i].held_head;
+        self.msgs.hot[i].held_head = NONE;
+        self.msgs.hot[i].held_tail = NONE;
         if self.cfg.release == ReleaseMode::PathHolding {
             // Zero-hop routes are rejected at construction, so a completing
             // message always holds at least its first channel here.
@@ -973,14 +1093,14 @@ impl<T: SimTopology> Network<T> {
             self.release(now, ChannelId(ch));
             ch = next;
         }
-        self.msgs.done[i] = true;
-        let node = self.msgs.cur[i];
-        let id = self.msgs.id[i];
+        self.msgs.hot[i].done = true;
+        let node = self.msgs.hot[i].cur;
+        let id = self.msgs.cold[i].id;
         self.emit(|s| s.on_complete(now, id, node));
         // Every `Deliver` of the message has fired: each was scheduled for
         // no later than this `Complete`, and before it. So only a pending
         // watchdog probe can still name the slot; if one does, it frees it.
-        if !self.msgs.stall_armed[i] {
+        if !self.msgs.hot[i].stall_armed {
             self.msgs.free.push(m);
         }
     }
@@ -1023,9 +1143,9 @@ impl<T: SimTopology> Network<T> {
             self.emit(|s| s.on_link_restored(now, ch));
             let mut w = self.chans.waiter_head[ch.index()];
             while w != NONE {
-                self.msgs.progress_epoch[w as usize] =
-                    self.msgs.progress_epoch[w as usize].wrapping_add(1);
-                w = self.msgs.next_waiter[w as usize];
+                self.msgs.hot[w as usize].progress_epoch =
+                    self.msgs.hot[w as usize].progress_epoch.wrapping_add(1);
+                w = self.msgs.hot[w as usize].next_waiter;
             }
             if self.chans.busy[ch.index()] == NONE {
                 if let Some(m) = self.pop_chan_waiter(ch.index()) {
@@ -1058,21 +1178,21 @@ impl<T: SimTopology> Network<T> {
     /// and frees it.
     fn on_stall_check(&mut self, now: SimTime, m: u32, epoch: u32) {
         let i = m as usize;
-        self.msgs.stall_armed[i] = false;
-        if self.msgs.done[i] {
+        self.msgs.hot[i].stall_armed = false;
+        if self.msgs.hot[i].done {
             self.msgs.free.push(m);
             return;
         }
-        if self.msgs.waiting_on[i] == NONE {
+        if self.msgs.hot[i].waiting_on == NONE {
             return; // crossing: the next wait re-arms
         }
-        if self.msgs.progress_epoch[i] != epoch {
+        if self.msgs.hot[i].progress_epoch != epoch {
             // Progressed (hop or restore) since the arm: fresh timeout.
-            self.msgs.stall_armed[i] = true;
+            self.msgs.hot[i].stall_armed = true;
             self.watchdog_arms += 1;
             self.events.schedule_after(
                 self.cfg.watchdog,
-                Ev::StallCheck(m, self.msgs.progress_epoch[i]),
+                Ev::StallCheck(m, self.msgs.hot[i].progress_epoch),
             );
             return;
         }
@@ -1086,36 +1206,36 @@ impl<T: SimTopology> Network<T> {
     /// them before the stall).
     fn kill_stalled(&mut self, now: SimTime, m: u32) {
         let i = m as usize;
-        let waiting = self.msgs.waiting_on[i];
+        let waiting = self.msgs.hot[i].waiting_on;
         debug_assert!(waiting != NONE, "reaping a message that is not waiting");
         self.remove_chan_waiter(waiting as usize, m);
-        self.msgs.waiting_on[i] = NONE;
-        let undelivered = match &self.msgs.spec[i].route {
+        self.msgs.hot[i].waiting_on = NONE;
+        let undelivered = match &self.msgs.hot[i].route {
             Route::Fixed(cp) => {
-                let next = self.msgs.next_fixed[i] as usize;
+                let next = self.msgs.hot[i].hops as usize;
                 cp.deliver_mask()[next + 1..].iter().filter(|&&r| r).count() as u64
             }
-            Route::Runs(rp) => rp.receivers_after(self.msgs.next_fixed[i] as usize),
+            Route::Runs(rp) => rp.receivers_after(self.msgs.hot[i].hops as usize),
             Route::Adaptive { .. } => 1,
         };
         // Release the held path exactly as completion would.
-        let mut ch = self.msgs.held_head[i];
-        self.msgs.held_head[i] = NONE;
-        self.msgs.held_tail[i] = NONE;
+        let mut ch = self.msgs.hot[i].held_head;
+        self.msgs.hot[i].held_head = NONE;
+        self.msgs.hot[i].held_tail = NONE;
         while ch != NONE {
             let next = self.chans.held_next[ch as usize];
             self.release(now, ChannelId(ch));
             ch = next;
         }
-        if self.msgs.hops_taken[i] == 0 {
+        if self.msgs.hot[i].hops == 0 {
             // The tail never left the source, so no PortRelease is pending;
             // free the injection port here.
-            let src = self.msgs.spec[i].src;
+            let src = self.msgs.cold[i].src;
             self.on_port_release(now, src);
         }
-        self.msgs.done[i] = true;
-        let node = self.msgs.cur[i];
-        let id = self.msgs.id[i];
+        self.msgs.hot[i].done = true;
+        let node = self.msgs.hot[i].cur;
+        let id = self.msgs.cold[i].id;
         self.emit(|s| s.on_stalled(now, id, node, undelivered));
     }
 
@@ -1143,17 +1263,17 @@ impl<T: SimTopology> Network<T> {
             let holder = self.chans.busy[i];
             if holder != NONE {
                 assert!(
-                    !self.msgs.done[holder as usize],
+                    !self.msgs.hot[holder as usize].done,
                     "channel c{i} held by completed message"
                 );
             }
             let mut w = self.chans.waiter_head[i];
             while w != NONE {
                 assert_eq!(
-                    self.msgs.waiting_on[w as usize], i as u32,
+                    self.msgs.hot[w as usize].waiting_on, i as u32,
                     "waiter/channel bookkeeping mismatch"
                 );
-                w = self.msgs.next_waiter[w as usize];
+                w = self.msgs.hot[w as usize].next_waiter;
             }
         }
     }
@@ -1175,11 +1295,12 @@ impl<T: SimTopology> Network<T> {
     /// event when [`NetworkConfig::check_invariants`] is set (and callable
     /// directly at any event boundary). Panics on the first inconsistency:
     /// non-monotone clock, counter/arena divergence, a broken free list or
-    /// id column (a free slot still probed or live, a retired slot leaked,
-    /// two slots with one id), broken channel ownership (every held or
-    /// crossing channel must be busy with exactly its holder — a bijection
-    /// under path-holding), channels held by retired messages, or corrupt
-    /// waiter queues. O(slots · log slots + channels + waiters) per call.
+    /// message ids (a free slot still probed or live, a retired slot
+    /// leaked, two slots with one id), broken channel ownership (every held
+    /// or crossing channel must be busy with exactly its holder — a
+    /// bijection under path-holding, where a held path is as long as the
+    /// hop count), channels held by retired messages, or corrupt waiter
+    /// queues. O(slots · log slots + channels + waiters) per call.
     pub fn deep_check_invariants(&mut self, now: SimTime) {
         assert!(
             now >= self.iv_last_now,
@@ -1195,14 +1316,19 @@ impl<T: SimTopology> Network<T> {
             "deep check: injected counter diverges from the message arena"
         );
         // Every injection past the arena's slot count reused a retired
-        // slot, clearing one retirement from the `done` column.
+        // slot, clearing one retirement's `done` flag.
         assert!(
             slots as u64 <= c.injected,
             "deep check: {slots} slots for {} messages",
             c.injected
         );
+        assert_eq!(
+            self.msgs.cold.len(),
+            slots,
+            "deep check: hot and cold records disagree on the slot count"
+        );
         let reused = c.injected - slots as u64;
-        let done = self.msgs.done.iter().filter(|&&d| d).count() as u64;
+        let done = self.msgs.hot.iter().filter(|h| h.done).count() as u64;
         assert_eq!(
             done + reused,
             c.completed + c.stalled,
@@ -1220,16 +1346,16 @@ impl<T: SimTopology> Network<T> {
             assert!(!free[f], "deep check: slot {f} freed twice");
             free[f] = true;
             assert!(
-                self.msgs.done[f],
+                self.msgs.hot[f].done,
                 "deep check: live message in free slot {f}"
             );
             assert!(
-                !self.msgs.stall_armed[f],
+                !self.msgs.hot[f].stall_armed,
                 "deep check: free slot {f} still has a watchdog probe pending"
             );
         }
         let reaped = (0..slots)
-            .filter(|&i| self.msgs.done[i] && !free[i] && !self.msgs.stall_armed[i])
+            .filter(|&i| self.msgs.hot[i].done && !free[i] && !self.msgs.hot[i].stall_armed)
             .count() as u64;
         assert_eq!(
             reaped, c.stalled,
@@ -1240,7 +1366,7 @@ impl<T: SimTopology> Network<T> {
         // handed out.
         let mut ids: Vec<u64> = (0..slots)
             .filter(|&i| !free[i])
-            .map(|i| self.msgs.id[i].0)
+            .map(|i| self.msgs.cold[i].id.0)
             .collect();
         ids.sort_unstable();
         assert!(
@@ -1256,35 +1382,46 @@ impl<T: SimTopology> Network<T> {
         // the claims cover the busy set exactly (a bijection, so no channel
         // has two holders); under facility queueing, channels mid-body-drain
         // are busy without a claim, so coverage is one-sided.
+        // Under path-holding a live message also holds every channel its
+        // header crossed, so its held path is exactly `hops` long.
         let mut owned = 0usize;
-        for i in 0..slots {
-            if self.msgs.done[i] {
+        for (i, h) in self.msgs.hot.iter().enumerate() {
+            if h.done {
                 assert!(
-                    self.msgs.held_head[i] == NONE,
+                    h.held_head == NONE,
                     "deep check: retired message m{i} still has a held path"
                 );
                 continue;
             }
-            let crossing = self.msgs.crossing[i];
-            if crossing != NONE {
+            if h.crossing != NONE {
                 assert_eq!(
-                    self.chans.busy[crossing as usize], i as u32,
-                    "deep check: m{i} crossing c{crossing} it does not own"
+                    self.chans.busy[h.crossing as usize], i as u32,
+                    "deep check: m{i} crossing c{} it does not own",
+                    h.crossing
                 );
                 owned += 1;
             }
-            let mut ch = self.msgs.held_head[i];
+            let mut held = 0u32;
+            let mut ch = h.held_head;
             while ch != NONE {
                 assert_eq!(
                     self.chans.busy[ch as usize], i as u32,
                     "deep check: m{i} holds c{ch} it does not own"
                 );
                 owned += 1;
+                held += 1;
                 assert!(
                     owned <= self.chans.busy.len(),
                     "deep check: held-path cycle at m{i}"
                 );
                 ch = self.chans.held_next[ch as usize];
+            }
+            if self.cfg.release == ReleaseMode::PathHolding {
+                assert_eq!(
+                    held, h.hops,
+                    "deep check: m{i} holds {held} channels after {} hops",
+                    h.hops
+                );
             }
         }
         let busy = self.chans.busy.iter().filter(|&&b| b != NONE).count();
@@ -1306,7 +1443,7 @@ impl<T: SimTopology> Network<T> {
             let h = self.chans.busy[i];
             if h != NONE {
                 assert!(
-                    !self.msgs.done[h as usize],
+                    !self.msgs.hot[h as usize].done,
                     "deep check: channel c{i} held by retired message m{h}"
                 );
             }
@@ -1315,11 +1452,11 @@ impl<T: SimTopology> Network<T> {
             let mut w = self.chans.waiter_head[i];
             while w != NONE {
                 assert_eq!(
-                    self.msgs.waiting_on[w as usize], i as u32,
+                    self.msgs.hot[w as usize].waiting_on, i as u32,
                     "deep check: waiter m{w} on c{i} records a different channel"
                 );
                 assert!(
-                    !self.msgs.done[w as usize],
+                    !self.msgs.hot[w as usize].done,
                     "deep check: retired message m{w} still queued on c{i}"
                 );
                 nw += 1;
@@ -1328,7 +1465,7 @@ impl<T: SimTopology> Network<T> {
                     "deep check: waiter-list cycle on c{i}"
                 );
                 last = w;
-                w = self.msgs.next_waiter[w as usize];
+                w = self.msgs.hot[w as usize].next_waiter;
             }
             assert_eq!(
                 nw, self.chans.waiters_len[i],
@@ -1340,8 +1477,8 @@ impl<T: SimTopology> Network<T> {
             );
             queued += u64::from(nw);
         }
-        let waiting = (0..slots)
-            .filter(|&i| !self.msgs.done[i] && self.msgs.waiting_on[i] != NONE)
+        let waiting = (self.msgs.hot.iter())
+            .filter(|h| !h.done && h.waiting_on != NONE)
             .count() as u64;
         assert_eq!(
             queued, waiting,

@@ -185,6 +185,12 @@ impl TraceSink {
         &self.trace
     }
 
+    /// Whether recording is on: a disabled sink ignores every callback,
+    /// so an emitter may skip it.
+    pub fn is_enabled(&self) -> bool {
+        self.trace.is_enabled()
+    }
+
     /// Record one event, stamped `rep: 0` (the trace describes a single
     /// run). Checks `is_enabled` first, so a disabled trace builds nothing.
     fn push(

@@ -100,6 +100,18 @@ pub trait SimTopology: Topology {
     /// the ids alone: one stride of a straight run ([`RunPath`]), whose
     /// caller knows the channel exists.
     fn step_channel(&self, cur: NodeId, dim: usize, sign: Sign) -> ChannelId;
+
+    /// The far end, dimension and sign of channel `ch`, which leaves
+    /// `from`: what a header learns by crossing it. The default decodes the
+    /// channel id ([`Topology::channel_endpoints`] and
+    /// [`hop_direction`](Self::hop_direction)); a topology that can start
+    /// from `from` instead overrides it.
+    fn cross(&self, from: NodeId, ch: ChannelId) -> (NodeId, usize, Sign) {
+        let (at, to) = self.channel_endpoints(ch);
+        debug_assert_eq!(at, from, "channel {ch} does not leave {from}");
+        let (dim, sign) = self.hop_direction(ch);
+        (to, dim, sign)
+    }
 }
 
 impl SimTopology for Mesh {
@@ -110,6 +122,11 @@ impl SimTopology for Mesh {
 
     fn step_channel(&self, cur: NodeId, dim: usize, sign: Sign) -> ChannelId {
         Mesh::step_channel(self, cur, dim, sign)
+    }
+
+    #[inline]
+    fn cross(&self, from: NodeId, ch: ChannelId) -> (NodeId, usize, Sign) {
+        Mesh::cross(self, from, ch)
     }
 }
 

@@ -112,6 +112,32 @@ impl Mesh {
         ChannelId(from.0 * self.chans_per_node() + Self::dir_slot(dim, sign))
     }
 
+    /// The far end, dimension and sign of channel `ch`, which leaves
+    /// `from`: [`channel_endpoints`](Topology::channel_endpoints) and
+    /// [`channel_parts`](Self::channel_parts) by multiplication and one
+    /// stride instead of division, for a caller that knows where the
+    /// channel starts, such as a header crossing it.
+    #[inline]
+    pub fn cross(&self, from: NodeId, ch: ChannelId) -> (NodeId, usize, Sign) {
+        let slot = ch.0.wrapping_sub(from.0 * self.chans_per_node());
+        debug_assert!(
+            slot < self.chans_per_node(),
+            "channel {ch} does not leave {from}"
+        );
+        let dim = (slot >> 1) as usize;
+        let stride = self.strides[dim];
+        let (to, sign) = if slot & 1 == 0 {
+            (from.0 + stride, Sign::Plus)
+        } else {
+            (from.0 - stride, Sign::Minus)
+        };
+        debug_assert!(
+            self.neighbor(from, dim, sign) == Some(NodeId(to)),
+            "channel {ch} falls off the mesh boundary"
+        );
+        (NodeId(to), dim, sign)
+    }
+
     /// Decompose a channel id into (source node, dimension, sign).
     pub fn channel_parts(&self, ch: ChannelId) -> (NodeId, usize, Sign) {
         let per = self.chans_per_node();

@@ -47,7 +47,9 @@ pub use faulty::{
     FaultRep, FaultyOutcome,
 };
 pub use harness::{take_probe, BroadcastRep, RepContext, RunProbe, Runner, TelemetryMerge};
-pub use mixed::{run_mixed_traffic, run_mixed_traffic_observed, MixedConfig, MixedOutcome};
+pub use mixed::{
+    run_mixed_traffic, run_mixed_traffic_observed, run_mixed_traffic_on, MixedConfig, MixedOutcome,
+};
 pub use multicast::{
     random_destinations, run_single_multicast, run_single_multicast_observed, MulticastOutcome,
     MulticastScheme,

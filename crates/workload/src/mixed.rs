@@ -16,7 +16,7 @@ use wormcast_network::{MessageSpec, NetworkConfig, OpId, Route, Simulation};
 use wormcast_routing::RunPath;
 use wormcast_sim::{DurationDist, Exponential, SimRng, SimTime};
 use wormcast_stats::{BatchMeans, OnlineStats};
-use wormcast_telemetry::{Observe, TelemetryFrame};
+use wormcast_telemetry::{Collector, Observe, TelemetryFrame};
 use wormcast_topology::{Mesh, NodeId, Topology};
 
 /// Configuration of one mixed-traffic simulation point.
@@ -120,12 +120,36 @@ pub fn run_mixed_traffic_observed(
     root: &SimRng,
     observe: Option<Observe<'_>>,
 ) -> (MixedOutcome, Option<TelemetryFrame>) {
+    let mut net = network_for(mc.algorithm, mesh.clone(), cfg);
+    let collector = attach_collector(&mut net, observe);
+    let outcome = mixed_stream(&mut net, mesh, mc, root, collector.as_ref());
+    (outcome, finish_collector(net, collector))
+}
+
+/// [`run_mixed_traffic`] on a network the caller built for `mc.algorithm`
+/// with [`network_for`], and keeps: its counters and
+/// [`engine_stats`](wormcast_network::Network::engine_stats) describe the
+/// stream afterwards.
+///
+/// # Panics
+/// As [`run_mixed_traffic`].
+pub fn run_mixed_traffic_on(net: &mut Simulation, mesh: &Mesh, mc: &MixedConfig) -> MixedOutcome {
+    mixed_stream(net, mesh, mc, &SimRng::new(mc.seed), None)
+}
+
+/// The mixed stream drawn from `root` on `net`, feeding completed
+/// broadcasts' latencies to `collector` when there is one.
+fn mixed_stream(
+    net: &mut Simulation,
+    mesh: &Mesh,
+    mc: &MixedConfig,
+    root: &SimRng,
+    collector: Option<&Collector>,
+) -> MixedOutcome {
     assert!(
         (0.0..=1.0).contains(&mc.broadcast_fraction),
         "broadcast fraction must be a probability"
     );
-    let mut net = network_for(mc.algorithm, mesh.clone(), cfg);
-    let collector = attach_collector(&mut net, observe);
     // Unicasts ride the algorithm's substrate: DOR for the
     // dimension-ordered algorithms, the network's adaptive routing function
     // (west-first for AB, queue-aware negative-first for QAB) otherwise.
@@ -203,7 +227,7 @@ pub fn run_mixed_traffic_observed(
             && net.next_event_time().is_none_or(|h| next_arrival <= h)
         {
             inject_arrival(
-                &mut net,
+                net,
                 &mut ops,
                 &mut plans,
                 &mut next_op,
@@ -214,14 +238,14 @@ pub fn run_mixed_traffic_observed(
             );
             next_arrival += interarrival.sample(&mut arrivals_rng);
         }
-        let stepped = ops.step(&mut net, |d, fed| match fed {
+        let stepped = ops.step(net, |d, fed| match fed {
             Fed::Completed(tracker) => {
                 let t0 = tracker
                     .started_at()
                     .expect("launched operations have started");
                 let latency = d.delivered_at.since(t0);
                 batch.push(latency.as_ms());
-                if let Some(c) = &collector {
+                if let Some(c) = collector {
                     c.record_arrival_us(latency.as_us());
                 }
                 broadcasts_completed += 1;
@@ -259,7 +283,7 @@ pub fn run_mixed_traffic_observed(
         }
     };
     let sim_ms = net.now().as_ms().max(1e-9);
-    let outcome = MixedOutcome {
+    MixedOutcome {
         load_per_node_per_ms: mc.load_per_node_per_ms,
         mean_latency_ms: mean,
         ci_half_width_ms: hw,
@@ -268,8 +292,7 @@ pub fn run_mixed_traffic_observed(
         saturated,
         broadcasts_completed,
         unicasts_delivered,
-    };
-    (outcome, finish_collector(net, collector))
+    }
 }
 
 #[cfg(test)]

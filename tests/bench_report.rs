@@ -3,8 +3,9 @@
 //! freshly generated report, that file too — the ci.sh bench-smoke path)
 //! must parse as the vendored Criterion schema and contain the
 //! classic-vs-active-set comparison the engine rewrite is judged by. Every
-//! row of the engine reports, of the committed telemetry, harness and serve
-//! reports and of a freshly generated serve report must name its host.
+//! row of the engine reports, of the committed telemetry, harness, serve and
+//! selector reports and of a freshly generated serve report must name its
+//! host.
 //!
 //! The vendored serde facade cannot deserialize, so this uses a scanner
 //! matched to the report's fixed machine-generated shape: a JSON array with
@@ -231,6 +232,58 @@ fn committed_harness_bench_report_is_valid() {
             single.mean_ns
         );
     }
+    validate_host(&path);
+}
+
+/// The selector report written by `scripts/bench_selectors.py`: one row
+/// per selector of `wormcast all` and mode (`quick`, `full`), each with
+/// its wall time and peak RSS measured in its own process, and each full
+/// run's output identical to the committed result. A record of where the
+/// end-to-end time goes, so nothing here bounds a time.
+#[test]
+fn committed_selector_report_is_valid() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/BENCH_selectors.json");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{}: unreadable selector report: {e}", path.display()));
+    let number = |line: &str, key: &str| -> f64 {
+        field(line, key)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("{key} is not a number: {line}"))
+    };
+    let mut ids = Vec::new();
+    for line in text.lines().filter(|l| l.contains("\"id\":")) {
+        let string = |key: &str| {
+            field(line, key)
+                .and_then(|v| v.strip_prefix('"')?.strip_suffix('"'))
+                .unwrap_or_else(|| panic!("{key} is not a string: {line}"))
+                .to_string()
+        };
+        let (id, selector, mode) = (string("id"), string("selector"), string("mode"));
+        assert_eq!(id, format!("selectors/{selector}/{mode}"), "{line}");
+        assert!(number(line, "jobs") >= 1.0, "{line}");
+        assert!(number(line, "runs") >= 1.0, "{line}");
+        let (wall, fastest) = (number(line, "wall_s"), number(line, "wall_s_min"));
+        assert!(0.0 < fastest && fastest <= wall, "{line}");
+        assert!(number(line, "peak_rss_mib") > 0.0, "{line}");
+        assert!(number(line, "rss_floor_mib") > 0.0, "{line}");
+        let matches = field(line, "matches_committed");
+        match mode.as_str() {
+            "quick" => assert_eq!(matches, None, "{line}"),
+            "full" => assert_eq!(matches, Some("true"), "{line}"),
+            _ => panic!("unknown mode: {line}"),
+        }
+        ids.push(id);
+    }
+    let want: Vec<String> = ["quick", "full"]
+        .iter()
+        .flat_map(|mode| {
+            wormcast_experiments::suite::SUITE
+                .iter()
+                .filter(|s| s.in_all)
+                .map(move |s| format!("selectors/{}/{mode}", s.name))
+        })
+        .collect();
+    assert_eq!(ids, want, "one row per selector of `wormcast all` and mode");
     validate_host(&path);
 }
 
