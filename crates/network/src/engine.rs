@@ -193,11 +193,12 @@ struct Cold {
 const HOT_CHUNK_BITS: u32 = 12;
 const HOT_CHUNK: usize = 1 << HOT_CHUNK_BITS;
 
-/// The hot records, indexed by slot, in chunks of [`HOT_CHUNK`] that never
-/// move. A `Vec` of cache-line-aligned records would grow by allocating,
-/// copying and freeing, because the system allocator's `realloc` keeps only
-/// 16-byte alignment: for a moment it would hold the records twice (8 MiB
-/// extra at 131,072 live messages).
+/// The hot records, indexed by slot, in chunks of at most [`HOT_CHUNK`]
+/// that stop moving once full. A `Vec` of cache-line-aligned records grows
+/// by allocating, copying and freeing, because the system allocator's
+/// `realloc` keeps only 16-byte alignment: one `Vec` of them would for a
+/// moment hold every record twice (8 MiB extra at 131,072 live messages),
+/// where a chunk copies at most its own 256 KiB.
 #[derive(Default)]
 struct HotSlots {
     chunks: Vec<Vec<Hot>>,
@@ -211,7 +212,9 @@ impl HotSlots {
 
     fn push(&mut self, h: Hot) {
         if self.len.is_multiple_of(HOT_CHUNK) {
-            self.chunks.push(Vec::with_capacity(HOT_CHUNK));
+            // Grown by doubling, it stops at exactly HOT_CHUNK, and a small
+            // network keeps a small chunk.
+            self.chunks.push(Vec::new());
         }
         self.chunks[self.len >> HOT_CHUNK_BITS].push(h);
         self.len += 1;

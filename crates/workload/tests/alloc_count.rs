@@ -80,14 +80,14 @@ fn a_mixed_stream_stays_under_its_allocation_ceiling() {
         .collect();
     let total: u64 = per_alg.iter().map(|&(_, n)| n).sum();
     // Hot and cold message records in place of 15 message columns, the hot
-    // ones in fixed chunks that never reallocate: 10,018 calls (DB 1,253,
-    // AB 4,033, QAB 4,732). Run paths (the paper algorithms' lines,
+    // ones in chunks of at most 4,096: 10,031 calls (DB 1,258, AB 4,037,
+    // QAB 4,736). Run paths (the paper algorithms' lines,
     // columns, serpentine segments and DOR legs as straight runs, no hop
     // list or mask per message) took 10,230 (DB 1,333, AB 4,099, QAB
     // 4,798). Shared coded paths and one-pass builders took 25,053 (DB
     // 9,304, AB 7,525, QAB 8,224); copying every route on release and
     // building schedules in several passes, 54,926.
-    let ceiling = 10_018;
+    let ceiling = 10_031;
     assert!(
         total <= ceiling,
         "{total} allocation calls ({per_alg:?}), ceiling {ceiling}"
