@@ -6,12 +6,13 @@
 Builds the workspace (release, offline: the build ci.sh reproduces the
 results with) unless --no-build, then runs each selector that `wormcast all`
 runs as its own process, first with --quick and then at full size, --runs
-times each, writing the outputs to a scratch directory. Wall time and peak RSS of each process come from
-`os.wait4`. A forked child's peak RSS counts the launcher's pages until it
-execs, so every record also carries `rss_floor_mib`, this script's own peak
-before the runs: a selector that reads at the floor peaked at or below it.
-A full-size run whose JSON output differs from the committed
-results/<selector>.json is reported, and the script exits 1.
+times each, writing the outputs to a temporary directory. Wall time and
+peak RSS of each process come from `os.wait4`. A forked child's peak RSS
+counts the launcher's pages until it execs, so every record also carries
+`rss_floor_mib`, this script's own peak before the runs: a selector that
+reads at the floor peaked at or below it. A full-size run whose JSON output
+differs from the committed results/<selector>.json is reported, and the
+script exits 1.
 
 Writes a JSON array with one record per selector and mode, each stamped
 with the host it was measured on (core count, rustc, git revision with
@@ -26,10 +27,10 @@ repository root, the directory above this file.
 
 import argparse
 import filecmp
-import resource
 import json
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -92,9 +93,9 @@ def run_once(argv):
     return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024
 
 
-def measure(selector, mode, jobs, runs, scratch):
+def measure(selector, mode, jobs, runs, tmp):
     """One record: `runs` runs of `selector` in `mode`."""
-    out_dir = os.path.join(scratch, f"{selector}-{mode}")
+    out_dir = os.path.join(tmp, f"{selector}-{mode}")
     argv = [EXE, selector, "--jobs", str(jobs), "--out", out_dir]
     if mode == "quick":
         argv.append("--quick")
@@ -151,10 +152,10 @@ def main():
     stamp = host()
     floor = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     records = []
-    with tempfile.TemporaryDirectory(prefix="bench_selectors.") as scratch:
+    with tempfile.TemporaryDirectory(prefix="bench_selectors.") as tmp:
         for mode in MODES:
             for selector in all_selectors():
-                r = measure(selector, mode, args.jobs, args.runs, scratch)
+                r = measure(selector, mode, args.jobs, args.runs, tmp)
                 r["rss_floor_mib"] = floor
                 records.append(r)
                 print(
