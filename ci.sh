@@ -152,15 +152,23 @@ done
 WORMCAST_SATURATION_FILE="$TDIR/sat-j1/saturation.json" \
     run cargo test "${OFFLINE[@]}" -q -p wormcast --test saturation_schema
 
-# Arena-vs-classic differential: bit-compare the arena engine against the
-# classic oracle on all five algorithms and all three routing substrates
-# (fixed DOR, west-first adaptive, QAB's queue-aware negative-first):
-# single broadcasts, mixed traffic, unicast streams, DOR run-path streams
-# and multicast contention, both release disciplines. The workspace test
-# run above already executes this suite in debug; re-running it by name
-# here keeps the gate explicit and fails with a readable label.
+# Arena-vs-classic differential: every leg that drives the arena engine and
+# the classic oracle through the one engine trait (`wormcast_network::Engine`)
+# and bit-compares their run records. The workload crate's leg table covers
+# all five algorithms and all three routing substrates (fixed DOR, west-first
+# adaptive, QAB's queue-aware negative-first): single broadcasts, mixed
+# traffic, unicast streams, DOR run-path streams and multicast contention,
+# both release disciplines. slot_reuse runs open-loop streams through slot
+# reuse and the watchdog, schedule_semantics runs fault, speed and phase
+# schedules, and the pin tests hold the arena run records of every leg and
+# of simcheck's first 32 scenarios of seed 2005 to recorded digests. The
+# workspace test run above already executes these in debug; re-running them
+# by name here keeps the gate explicit and fails with a readable label.
 echo "==> arena-vs-classic differential"
 run cargo test "${OFFLINE[@]}" -q -p wormcast-workload --test differential
+run cargo test "${OFFLINE[@]}" -q -p wormcast-network --lib slot_reuse
+run cargo test "${OFFLINE[@]}" -q -p wormcast-network --test schedule_semantics
+run cargo test "${OFFLINE[@]}" -q -p wormcast-simcheck --lib arena_run_records_are_pinned
 
 # Plan representation gate: the paper algorithms build their fixed
 # messages as run paths (straight runs whose hops the engine computes).

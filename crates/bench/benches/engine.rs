@@ -6,7 +6,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use wormcast_broadcast::Algorithm;
-use wormcast_network::{classic, MessageSpec, Network, NetworkConfig, OpId, Route};
+use wormcast_network::{
+    classic, open_loop, Engine, MessageSpec, Network, NetworkConfig, OpId, Route,
+};
 use wormcast_routing::{dor_path, CodedPath, DimensionOrdered, PlanarWestFirst, RoutingFunction};
 use wormcast_sim::{EventQueue, LaneQueue, SimDuration, SimRng, SimTime};
 use wormcast_topology::{Mesh, NodeId, Topology};
@@ -147,10 +149,16 @@ fn mixed_plan(
     plan
 }
 
+/// Run `plan` open loop on `net` to idle; the number of deliveries.
+fn drain(mut net: impl Engine, plan: &[(SimTime, MessageSpec)]) -> usize {
+    black_box(open_loop(&mut net, plan).0.len())
+}
+
 /// The tentpole comparison: the retired heap-driven stepper (kept verbatim
 /// as `classic`) against the active-set engine on identical 8×8×8 mixed
-/// traffic at the paper's 0.03 msgs/node/ms operating point. The reported
-/// ratio of the two means is the rewrite's speedup.
+/// traffic at the paper's 0.03 msgs/node/ms operating point, each driven
+/// through the one open-loop driver. The reported ratio of the two means is
+/// the rewrite's speedup.
 fn bench_engine_compare(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_compare");
     group.sample_size(wormcast_bench::SAMPLE_SIZE);
@@ -158,26 +166,18 @@ fn bench_engine_compare(c: &mut Criterion) {
     let plan = mixed_plan(&mesh, 0.03, 25.0);
     group.throughput(Throughput::Elements(plan.len() as u64));
 
-    macro_rules! drain {
-        ($net_ty:ty, $plan:expr) => {{
-            let mut net = <$net_ty>::new(
-                mesh.clone(),
-                NetworkConfig::paper_default(),
-                Box::new(DimensionOrdered),
-            );
-            for (at, spec) in $plan {
-                net.inject_at(*at, spec.clone());
-            }
-            net.run_until_idle();
-            black_box(net.counters().deliveries)
-        }};
-    }
-
+    let cfg = NetworkConfig::paper_default();
     group.bench_function("mixed_8x8x8_0.03_classic_heap", |b| {
-        b.iter(|| drain!(classic::Network, &plan))
+        b.iter(|| {
+            let net = classic::Network::new(mesh.clone(), cfg, Box::new(DimensionOrdered));
+            drain(net, &plan)
+        })
     });
     group.bench_function("mixed_8x8x8_0.03_active_set", |b| {
-        b.iter(|| drain!(Network, &plan))
+        b.iter(|| {
+            let net = Network::new(mesh.clone(), cfg, Box::new(DimensionOrdered));
+            drain(net, &plan)
+        })
     });
     group.finish();
 }

@@ -103,11 +103,11 @@ fn profile_one(
     let collector = attach_collector(&mut net, observe);
     let mut ops = Ops::default();
     let tracker = BroadcastTracker::new(mesh, &schedule, OpId(0), params.length);
-    ops.launch(&mut net, SimTime::ZERO, tracker);
+    ops.launch(&mut *net, SimTime::ZERO, tracker);
     let mut step_of: HashMap<NodeId, u32> = HashMap::new();
     let mut finished = None;
     while finished.is_none() {
-        let stepped = ops.step(&mut net, |d, fed| {
+        let stepped = ops.step(&mut *net, |d, fed| {
             step_of.insert(d.node, d.tag);
             if let Fed::Completed(t) = fed {
                 finished = Some(t);

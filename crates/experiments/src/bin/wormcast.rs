@@ -122,7 +122,7 @@ fn dump_trace(opts: &CommonOpts, path: &std::path::Path) -> Result<(), String> {
     net.enable_trace(65_536);
     profiler.phase("run");
     let tracker = drive(
-        &mut net,
+        &mut *net,
         BroadcastTracker::new(&mesh, &schedule, OpId(0), length),
     );
     assert!(tracker.is_complete(), "broadcast completes");

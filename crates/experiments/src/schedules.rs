@@ -241,7 +241,7 @@ impl SchedulesParams {
             let op = OpId(next_op);
             offered[self.bin_of(at)] += 1;
             if kind_rng.chance(self.broadcast_fraction) {
-                ops.launch(&mut net, at, plans.tracker(src, op, self.length));
+                ops.launch(&mut *net, at, plans.tracker(src, op, self.length));
             } else {
                 let mut dst = NodeId(dest_rng.index(nodes) as u32);
                 if let Some(h) = &self.schedule.hotspot {
@@ -293,7 +293,7 @@ impl SchedulesParams {
 
         // A broadcast counts as delivered once, when its last destination
         // receives; its arrival latency feeds the frame.
-        while ops.step(&mut net, |d, fed| match fed {
+        while ops.step(&mut *net, |d, fed| match fed {
             Fed::Completed(tracker) => {
                 delivered[self.bin_of(d.delivered_at)] += 1;
                 if let Some(c) = &collector {

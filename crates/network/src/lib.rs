@@ -11,6 +11,7 @@
 #[doc(hidden)]
 pub mod classic;
 pub mod config;
+pub mod drive;
 pub mod engine;
 pub mod fault;
 #[cfg(feature = "invariants")]
@@ -21,6 +22,7 @@ pub mod simulation;
 pub mod trace;
 
 pub use config::{ConfigError, NetworkConfig, NetworkConfigBuilder, ReleaseMode};
+pub use drive::{open_loop, Engine, RunRecord};
 pub use engine::{EngineStats, Network};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec};
 #[cfg(feature = "invariants")]

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use wormcast_routing::{CodedPath, RunPath};
 use wormcast_sim::SimTime;
-use wormcast_topology::NodeId;
+use wormcast_topology::{NodeId, Topology};
 
 /// Identifies a message inside one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -47,6 +47,19 @@ pub enum Route {
         /// The single destination.
         dst: NodeId,
     },
+}
+
+impl Route {
+    /// Every node that receives a copy of a message on this route, in path
+    /// order: a fixed or run route's delivering nodes, an adaptive route's
+    /// destination.
+    pub fn receivers<T: Topology>(&self, topo: &T) -> Vec<NodeId> {
+        match self {
+            Route::Fixed(cp) => cp.receivers(topo),
+            Route::Runs(rp) => rp.coded(topo).receivers(topo),
+            Route::Adaptive { dst } => vec![*dst],
+        }
+    }
 }
 
 /// A request to send one message.

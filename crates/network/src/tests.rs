@@ -397,40 +397,53 @@ fn self_route_rejected() {
     );
 }
 
+/// A scheduled link transition: when (µs), the link's ends, and whether it
+/// goes down (or up).
+type LinkFault = (f64, (u16, u16), (u16, u16), bool);
+
+/// Run `specs`, one every 60 ns, on a 6×6 DOR mesh with a 20 µs watchdog,
+/// under `faults`: the run's record.
+fn faulted_run(
+    faults: &[LinkFault],
+    specs: impl IntoIterator<Item = MessageSpec>,
+) -> crate::RunRecord {
+    use crate::fault::{FaultEvent, FaultKind, FaultPlan};
+    let m = Mesh::square(6);
+    let cfg = NetworkConfig::paper_default().with_watchdog(SimDuration::from_us(20.0));
+    let mut net = Network::new(m.clone(), cfg, Box::new(DimensionOrdered));
+    net.enable_trace(1 << 20);
+    let mut plan = FaultPlan::new();
+    for &(at_us, a, b, down) in faults {
+        let at = |(x, y)| m.node_at(&Coord::xy(x, y));
+        let ch = m.channel_between(at(a), at(b)).unwrap();
+        let kind = if down {
+            FaultKind::LinkDown(ch)
+        } else {
+            FaultKind::LinkUp(ch)
+        };
+        let at = SimTime::from_us(at_us);
+        plan.push(FaultEvent { at, kind });
+    }
+    net.schedule_faults(&plan);
+    let timed: Vec<_> = (0u64..)
+        .zip(specs)
+        .map(|(k, spec)| (SimTime::from_ps(k * 60_000), spec))
+        .collect();
+    let (deliveries, _) = crate::open_loop(&mut net, &timed);
+    crate::RunRecord::of(&net, deliveries)
+}
+
 /// A DOR unicast as a run path (`RunPath::dor`) behaves as the fixed
 /// `dor_path` unicast, also through faults: it waits on a dead channel of
 /// its route like a fixed path (no re-route), a restore lets it on, and the
 /// watchdog reaps it with its one destination undelivered.
 #[test]
 fn dor_run_path_matches_the_fixed_dor_unicast_through_faults() {
-    use crate::fault::{FaultEvent, FaultKind, FaultPlan};
     use wormcast_routing::RunPath;
+    let m = Mesh::square(6);
     let run = |dor: bool| {
-        let cfg = NetworkConfig::paper_default().with_watchdog(SimDuration::from_us(20.0));
-        let mut net = Network::new(Mesh::square(6), cfg, Box::new(DimensionOrdered));
-        net.enable_trace(1 << 20);
-        let m = net.mesh().clone();
-        let link = |a: (u16, u16), b: (u16, u16)| {
-            m.channel_between(
-                m.node_at(&Coord::xy(a.0, a.1)),
-                m.node_at(&Coord::xy(b.0, b.1)),
-            )
-            .unwrap()
-        };
-        let mut plan = FaultPlan::new();
-        for (at_us, kind) in [
-            (0.0, FaultKind::LinkDown(link((2, 1), (3, 1)))),
-            (5.0, FaultKind::LinkDown(link((4, 2), (4, 3)))),
-            (15.0, FaultKind::LinkUp(link((4, 2), (4, 3)))),
-        ] {
-            plan.push(FaultEvent {
-                at: SimTime::from_us(at_us),
-                kind,
-            });
-        }
-        net.schedule_faults(&plan);
         let mut rng = wormcast_sim::SimRng::new(0xD0E);
-        for k in 0..400u64 {
+        let specs = (0..400u64).map(|k| {
             let src = NodeId(rng.index(36) as u32);
             let dst = loop {
                 let d = NodeId(rng.index(36) as u32);
@@ -443,22 +456,24 @@ fn dor_run_path_matches_the_fixed_dor_unicast_through_faults() {
             } else {
                 Route::Fixed(CodedPath::unicast(&m, dor_path(&m, src, dst)))
             };
-            let spec = MessageSpec {
+            MessageSpec {
                 src,
                 route,
                 length: 16,
                 op: OpId(k),
                 tag: 0,
                 charge_startup: true,
-            };
-            net.inject_at(SimTime::from_ps(k * 60_000), spec);
-        }
-        net.run_until_idle();
-        let trace: Vec<_> = net.trace().records().copied().collect();
-        (trace, net.drain_deliveries(), net.counters(), net.now())
+            }
+        });
+        let faults = [
+            (0.0, (2, 1), (3, 1), true),
+            (5.0, (4, 2), (4, 3), true),
+            (15.0, (4, 2), (4, 3), false),
+        ];
+        faulted_run(&faults, specs)
     };
     let (fixed, dor) = (run(false), run(true));
-    let c = fixed.2;
+    let c = fixed.counters;
     assert!(
         c.stalled > 0 && c.link_restores == 1,
         "the faults bite: {c:?}"
@@ -477,7 +492,6 @@ fn dor_run_path_matches_the_fixed_dor_unicast_through_faults() {
 /// receivers past its header undelivered, as its mask would count them.
 #[test]
 fn run_routes_match_their_coded_paths_through_faults() {
-    use crate::fault::{FaultEvent, FaultKind, FaultPlan};
     use wormcast_routing::{Run, RunPath};
     use wormcast_topology::Sign;
     let m = Mesh::square(6);
@@ -517,51 +531,28 @@ fn run_routes_match_their_coded_paths_through_faults() {
         paths.extend(RunPath::gather_all(&m, src, &runs, other));
     }
     let run = |as_runs: bool| {
-        let cfg = NetworkConfig::paper_default().with_watchdog(SimDuration::from_us(20.0));
-        let mut net = Network::new(m.clone(), cfg, Box::new(DimensionOrdered));
-        net.enable_trace(1 << 20);
-        let link = |a: (u16, u16), b: (u16, u16)| {
-            m.channel_between(
-                m.node_at(&Coord::xy(a.0, a.1)),
-                m.node_at(&Coord::xy(b.0, b.1)),
-            )
-            .unwrap()
-        };
-        let mut plan = FaultPlan::new();
-        for (at_us, kind) in [
-            (0.0, FaultKind::LinkDown(link((2, 1), (3, 1)))),
-            (0.0, FaultKind::LinkDown(link((1, 4), (1, 3)))),
-            (5.0, FaultKind::LinkDown(link((4, 2), (4, 3)))),
-            (15.0, FaultKind::LinkUp(link((4, 2), (4, 3)))),
-        ] {
-            plan.push(FaultEvent {
-                at: SimTime::from_us(at_us),
-                kind,
-            });
-        }
-        net.schedule_faults(&plan);
-        for (k, rp) in paths.iter().enumerate() {
-            let route = if as_runs {
+        let specs = (0..).zip(&paths).map(|(k, rp)| MessageSpec {
+            src: rp.src(),
+            route: if as_runs {
                 Route::Runs(*rp)
             } else {
                 Route::Fixed(rp.coded(&m))
-            };
-            let spec = MessageSpec {
-                src: rp.src(),
-                route,
-                length: 16,
-                op: OpId(k as u64),
-                tag: 0,
-                charge_startup: true,
-            };
-            net.inject_at(SimTime::from_ps(k as u64 * 60_000), spec);
-        }
-        net.run_until_idle();
-        let trace: Vec<_> = net.trace().records().copied().collect();
-        (trace, net.drain_deliveries(), net.counters(), net.now())
+            },
+            length: 16,
+            op: OpId(k),
+            tag: 0,
+            charge_startup: true,
+        });
+        let faults = [
+            (0.0, (2, 1), (3, 1), true),
+            (0.0, (1, 4), (1, 3), true),
+            (5.0, (4, 2), (4, 3), true),
+            (15.0, (4, 2), (4, 3), false),
+        ];
+        faulted_run(&faults, specs)
     };
     let (fixed, runs) = (run(false), run(true));
-    let c = fixed.2;
+    let c = fixed.counters;
     assert!(
         c.stalled > 0 && c.link_restores == 1,
         "the faults bite: {c:?}"
@@ -1198,45 +1189,14 @@ mod metrics_sinks {
 /// reuses anything.
 mod slot_reuse {
     use super::*;
-    use crate::{classic, Counters, Event};
+    use crate::{classic, open_loop, Engine, RunRecord};
 
-    /// Everything a run can be observed to do. The final clock is left
-    /// out: the oracle has no watchdog, so with one on, the arena engine's
-    /// clock ends at its last probe and the oracle's at its last delivery.
-    #[derive(Debug, PartialEq)]
-    struct Record {
-        trace: Vec<Event>,
-        deliveries: Vec<Delivery>,
-        counters: Counters,
-    }
-
-    /// Run `$plan` (sorted by time) on the network `$net`, injecting each
-    /// message just before the clock would pass it. Evaluates to the
-    /// record and the most messages in flight at once.
-    macro_rules! open_loop {
-        ($net:ident, $plan:expr) => {{
-            $net.enable_trace(1 << 20);
-            let plan: &[(SimTime, MessageSpec)] = $plan;
-            let (mut next, mut peak) = (0, 0);
-            loop {
-                let due = plan
-                    .get(next)
-                    .filter(|(at, _)| $net.next_event_time().is_none_or(|t| *at <= t));
-                if let Some((at, spec)) = due {
-                    $net.inject_at(*at, spec.clone());
-                    peak = peak.max($net.in_flight());
-                    next += 1;
-                } else if !$net.step() {
-                    break;
-                }
-            }
-            let record = Record {
-                trace: $net.trace().records().copied().collect(),
-                deliveries: $net.drain_deliveries(),
-                counters: $net.counters(),
-            };
-            (record, peak)
-        }};
+    /// Run `plan` (sorted by time) open loop on `net` under a trace: the
+    /// run's record and the most messages in flight at once.
+    fn traced(net: &mut impl Engine, plan: &[(SimTime, MessageSpec)]) -> (RunRecord, u64) {
+        net.enable_trace(1 << 20);
+        let (deliveries, peak) = open_loop(net, plan);
+        (RunRecord::of(net, deliveries), peak)
     }
 
     /// The invariant-checked configuration with watchdog `watchdog`.
@@ -1248,18 +1208,23 @@ mod slot_reuse {
 
     /// Both engines over `plan` on an 8×8 mesh with west-first adaptive
     /// routing; asserts they agree and returns the arena engine's record,
-    /// network and in-flight peak.
+    /// network and in-flight peak. The oracle has no watchdog, so with one
+    /// on the final clocks are left out.
     fn against_classic(
         cfg: NetworkConfig,
         plan: &[(SimTime, MessageSpec)],
-    ) -> (Record, Network, u64) {
+    ) -> (RunRecord, Network, u64) {
         let mut oracle = classic::Network::new(Mesh::square(8), cfg, Box::new(WestFirst));
-        let (want, _) = open_loop!(oracle, plan);
+        let (want, _) = traced(&mut oracle, plan);
         let mut net = Network::new(Mesh::square(8), cfg, Box::new(WestFirst));
-        let (record, peak) = open_loop!(net, plan);
-        assert_eq!(record, want, "arena engine diverges from classic");
-        if cfg.watchdog == SimDuration::ZERO {
-            assert_eq!(net.now(), oracle.now(), "final clock");
+        let (record, peak) = traced(&mut net, plan);
+        let (record, want) = if cfg.watchdog == SimDuration::ZERO {
+            (record, want)
+        } else {
+            (record.without_clock(), want.without_clock())
+        };
+        if let Some(d) = record.first_divergence(&want) {
+            panic!("arena engine diverges from classic: {d}");
         }
         (record, net, peak)
     }
@@ -1269,7 +1234,7 @@ mod slot_reuse {
     /// record names any other id, every delivery names the message the
     /// plan injected under its id (its op, source and request time), and
     /// without reaping every id is delivered.
-    fn assert_ids_match(record: &Record, plan: &[(SimTime, MessageSpec)]) {
+    fn assert_ids_match(record: &RunRecord, plan: &[(SimTime, MessageSpec)]) {
         let injected = record.counters.injected;
         assert_eq!(injected, plan.len() as u64);
         let traced: Vec<u64> = record
@@ -1296,12 +1261,12 @@ mod slot_reuse {
                 "delivery of m{}",
                 d.message.0
             );
-            let receives = match &spec.route {
-                Route::Fixed(cp) => cp.receivers(&mesh).contains(&d.node),
-                Route::Runs(rp) => rp.coded(&mesh).receivers(&mesh).contains(&d.node),
-                Route::Adaptive { dst } => *dst == d.node,
-            };
-            assert!(receives, "m{} delivered at {}", d.message.0, d.node);
+            assert!(
+                spec.route.receivers(&mesh).contains(&d.node),
+                "m{} delivered at {}",
+                d.message.0,
+                d.node
+            );
         }
         if record.counters.stalled == 0 {
             let mut delivered: Vec<u64> = record.deliveries.iter().map(|d| d.message.0).collect();
@@ -1405,7 +1370,7 @@ mod slot_reuse {
         #[cfg(feature = "invariants")]
         net.add_sink(checker.sink());
         let plan = mixed_plan(600);
-        let (record, _) = open_loop!(net, &plan);
+        let (record, _) = traced(&mut net, &plan);
         let c = record.counters;
         assert!(c.stalled > 0, "the watchdog bites");
         assert_eq!(c.completed + c.stalled, c.injected);
@@ -1505,7 +1470,7 @@ mod slot_reuse {
             Box::new(WestFirst),
         );
         net.fail_channel(mesh.channel_between(at(2), at(3)).unwrap());
-        let (record, _) = open_loop!(net, &plan);
+        let (record, _) = traced(&mut net, &plan);
         assert_eq!((record.counters.stalled, record.counters.completed), (1, 1));
         let got: Vec<(u64, NodeId)> = record
             .deliveries

@@ -10,10 +10,9 @@
 //!   phase boundaries produce identical traces, deliveries, and counters in
 //!   the arena engine and the classic oracle.
 
-use wormcast_network::classic;
 use wormcast_network::{
-    Event, FaultEvent, FaultKind, FaultPlan, MessageSpec, Network, NetworkConfig, OpId,
-    ReleaseMode, Route,
+    classic, open_loop, Engine, FaultEvent, FaultKind, FaultPlan, MessageSpec, Network,
+    NetworkConfig, OpId, ReleaseMode, Route, RunRecord,
 };
 use wormcast_routing::{dor_path, CodedPath, DimensionOrdered};
 use wormcast_sim::{SimTime, SpeedTransition};
@@ -30,6 +29,14 @@ fn unicast(mesh: &Mesh, src: (u16, u16), dst: (u16, u16), length: u64, op: u64) 
         tag: 0,
         charge_startup: false,
     }
+}
+
+/// Run `plan` (sorted by time) open loop on `net` under a trace: the run's
+/// record.
+fn record(net: &mut impl Engine, plan: &[(SimTime, MessageSpec)]) -> RunRecord {
+    net.enable_trace(65536);
+    let (deliveries, _) = open_loop(net, plan);
+    RunRecord::of(net, deliveries)
 }
 
 /// A restore on the same cycle as the watchdog probe, while the channel is
@@ -74,38 +81,26 @@ fn same_cycle_restore_does_not_trip_watchdog() {
     });
 
     let victim = unicast(&mesh, (0, 0), (1, 0), 10, 1);
+    let traffic = [(SimTime::ZERO, blocker), (SimTime::from_us(0.2), victim)];
 
     let mut arena = Network::new(mesh.clone(), cfg, Box::new(DimensionOrdered));
-    arena.enable_trace(4096);
     arena.schedule_faults(&plan);
-    arena.inject_at(SimTime::ZERO, blocker.clone());
-    arena.inject_at(SimTime::from_us(0.2), victim.clone());
-    arena.run_until_idle();
+    // The oracle has no watchdog at all, so bit-equality here proves the
+    // watchdog made no spurious decision anywhere on this schedule. Final
+    // clocks are left out: the arena's re-armed probe fires once more
+    // (harmlessly, after completion) at 0.8 µs.
+    let mut oracle = classic::Network::new(mesh, cfg, Box::new(DimensionOrdered));
+    oracle.schedule_faults(&plan);
+    let got = record(&mut arena, &traffic).without_clock();
+    let want = record(&mut oracle, &traffic).without_clock();
+    assert_eq!(got.first_divergence(&want), None);
 
-    let c = arena.counters();
+    let c = got.counters;
     assert_eq!(c.stalled, 0, "same-cycle restore must not reap the waiter");
     assert_eq!(c.completed, 2);
     assert_eq!(c.deliveries, 2);
     assert_eq!(c.link_failures, 1);
     assert_eq!(c.link_restores, 1);
-
-    // The oracle has no watchdog at all, so bit-equality here proves the
-    // watchdog made no spurious decision anywhere on this schedule.
-    let mut oracle = classic::Network::new(mesh, cfg, Box::new(DimensionOrdered));
-    oracle.enable_trace(4096);
-    oracle.schedule_faults(&plan);
-    oracle.inject_at(SimTime::ZERO, blocker);
-    oracle.inject_at(SimTime::from_us(0.2), victim);
-    oracle.run_until_idle();
-
-    assert_eq!(arena.drain_deliveries(), oracle.drain_deliveries());
-    assert_eq!(arena.counters(), oracle.counters());
-    let at: Vec<Event> = arena.trace().records().copied().collect();
-    let ot: Vec<Event> = oracle.trace().records().copied().collect();
-    assert_eq!(at, ot, "trace divergence between arena and oracle");
-    // Final clocks are NOT compared: the arena's re-armed probe fires once
-    // more (harmlessly, after completion) at 0.8 µs; the oracle has no
-    // watchdog events at all.
 }
 
 /// A restore one cycle *too late* (after the probe) still reaps: the fix
@@ -155,17 +150,18 @@ fn late_restore_still_reaps_the_waiter() {
 }
 
 /// Scheduled bandwidth transitions and phase marks produce bit-equal
-/// physics in all three engines.
+/// physics in the arena engine and the oracle.
 #[test]
 fn speed_transitions_and_phase_marks_match_across_engines() {
     let mesh = Mesh::square(4);
     let cfg = NetworkConfig::paper_default();
-    let specs: Vec<MessageSpec> = vec![
+    let traffic = [
         unicast(&mesh, (0, 0), (3, 2), 64, 0),
         unicast(&mesh, (1, 0), (3, 3), 32, 1),
         unicast(&mesh, (0, 3), (2, 0), 48, 2),
         unicast(&mesh, (3, 1), (0, 2), 16, 3),
-    ];
+    ]
+    .map(|spec| (SimTime::ZERO, spec));
     // Slow every other physical channel 4x partway through, restore later.
     let mut transitions = Vec::new();
     for ch in mesh.channels().step_by(2) {
@@ -183,29 +179,14 @@ fn speed_transitions_and_phase_marks_match_across_engines() {
     let marks = [(SimTime::from_us(1.6), 1u32), (SimTime::from_us(2.4), 2u32)];
 
     let mut arena = Network::new(mesh.clone(), cfg, Box::new(DimensionOrdered));
-    arena.enable_trace(65536);
     arena.schedule_speed_transitions(&transitions);
     arena.schedule_phase_marks(&marks);
-    for s in &specs {
-        arena.inject_at(SimTime::ZERO, s.clone());
-    }
-    arena.run_until_idle();
-
     let mut oracle = classic::Network::new(mesh.clone(), cfg, Box::new(DimensionOrdered));
-    oracle.enable_trace(65536);
     oracle.schedule_speed_transitions(&transitions);
     oracle.schedule_phase_marks(&marks);
-    for s in &specs {
-        oracle.inject_at(SimTime::ZERO, s.clone());
-    }
-    oracle.run_until_idle();
-
-    assert_eq!(arena.drain_deliveries(), oracle.drain_deliveries());
-    assert_eq!(arena.counters(), oracle.counters());
-    let at: Vec<Event> = arena.trace().records().copied().collect();
-    let ot: Vec<Event> = oracle.trace().records().copied().collect();
-    assert_eq!(at, ot, "trace divergence between arena and oracle");
-    assert_eq!(arena.now(), oracle.now());
+    let got = record(&mut arena, &traffic);
+    let want = record(&mut oracle, &traffic);
+    assert_eq!(got.first_divergence(&want), None);
 }
 
 /// The slowdown is observable: the same workload takes strictly longer when

@@ -18,7 +18,7 @@ use wormcast_sim::SimTime;
 use wormcast_stats::summarize;
 use wormcast_telemetry::{Event, EventLog};
 use wormcast_topology::{Mesh, NodeId, Topology, Torus};
-use wormcast_workload::{routing_for, BroadcastTracker, Ops, Runner};
+use wormcast_workload::{routing_for, run_to_idle, BroadcastTracker, Runner};
 
 use crate::run::{base_cfg, fault_plan, mesh_workload, ring_tracker, Injection, TRACE_CAP};
 use crate::scenario::{Scenario, TopoSpec, WorkloadSpec};
@@ -150,15 +150,7 @@ fn run_single<T: SimTopology>(
     if events_rep.is_some() {
         net.enable_trace(TRACE_CAP);
     }
-    for inj in injections {
-        net.inject_at(inj.at, inj.spec.clone());
-    }
-    let mut ops = Ops::default();
-    for t in trackers {
-        ops.launch(net, SimTime::ZERO, t);
-    }
-    let mut deliveries = Vec::new();
-    while ops.step(net, |d, _| deliveries.push(*d)) {}
+    let (deliveries, _) = run_to_idle(net, injections, trackers);
     let events = events_rep.map(|rep| events_from(net.trace().records(), rep));
     Ok(measurement(&deliveries, net.now(), events))
 }

@@ -12,15 +12,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use wormcast_broadcast::{torus_ring_broadcast, Algorithm};
 use wormcast_network::{
-    classic, Counters, Delivery, Event, FaultPlan, FaultSpec, MessageSpec, Network, NetworkConfig,
-    OpId, Route,
+    classic, Engine, FaultPlan, FaultSpec, MessageSpec, Network, NetworkConfig, OpId, Route,
+    RunRecord,
 };
 #[cfg(feature = "invariants")]
-use wormcast_network::{InvariantChecker, MessageId};
-use wormcast_routing::{dor_path, CodedPath, RunPath, TorusDor, MAX_RUNS};
+use wormcast_network::{Counters, Delivery, InvariantChecker, MessageId, Trace};
+use wormcast_routing::{dor_path, CodedPath, RunPath, SimTopology, TorusDor, MAX_RUNS};
 use wormcast_sim::{SimRng, SimTime, SpeedTransition};
 use wormcast_topology::{ChannelId, Mesh, NodeId, Topology, Torus};
-use wormcast_workload::{random_destinations, routing_for, BroadcastTracker};
+use wormcast_workload::{random_destinations, routing_for, run_to_idle, BroadcastTracker};
 
 use crate::scenario::{Family, Scenario, TopoSpec, WorkloadSpec};
 
@@ -65,22 +65,8 @@ impl Outcome {
     }
 }
 
-/// One pre-scheduled background injection.
-#[derive(Debug, Clone)]
-pub(crate) struct Injection {
-    pub(crate) at: SimTime,
-    pub(crate) spec: MessageSpec,
-}
-
-/// Everything an engine run can be observed to do.
-struct RunRecord {
-    trace: Vec<Event>,
-    deliveries: Vec<Delivery>,
-    counters: Counters,
-    final_now: SimTime,
-    in_flight: u64,
-    ops_done: bool,
-}
+/// One pre-scheduled background injection: when, and what.
+pub(crate) type Injection = (SimTime, MessageSpec);
 
 /// The torus ring broadcast from `source` as an operation tracker.
 pub(crate) fn ring_tracker(torus: &Torus, source: NodeId, length: u64) -> BroadcastTracker {
@@ -88,47 +74,101 @@ pub(crate) fn ring_tracker(torus: &Torus, source: NodeId, length: u64) -> Broadc
     BroadcastTracker::new(torus, &schedule, OpId(0), length)
 }
 
-/// Drive an engine until idle: pre-fail dead channels are applied by the
-/// caller; injections land at their scheduled times; trackers release relay
-/// messages as their copies arrive. `$on_inject` sees every message id the
-/// engine hands back (used to register invariant expectations).
-///
-/// A macro rather than `wormcast_workload::Ops`, because it must also drive
-/// the `classic` oracle, which is a different (and deliberately frozen)
-/// engine type.
-macro_rules! drive {
-    ($net:expr, $injections:expr, $trackers:expr, $on_inject:expr) => {{
-        let net = $net;
-        net.enable_trace(TRACE_CAP);
-        for inj in $injections.iter() {
-            let id = net.inject_at(inj.at, inj.spec.clone());
-            $on_inject(id, &inj.spec);
+/// Run a prepared workload on `net` to idle under a trace: its run record,
+/// and whether every operation completed.
+fn record(
+    net: &mut impl Engine,
+    injections: &[Injection],
+    trackers: Vec<BroadcastTracker>,
+) -> (RunRecord, bool) {
+    net.enable_trace(TRACE_CAP);
+    let (deliveries, live) = run_to_idle(net, injections, trackers);
+    (RunRecord::of(net, deliveries), live == 0)
+}
+
+/// The arena engine with the invariant checker's exactly-once expectation
+/// registered for each message as it is injected, before it can deliver.
+#[cfg(feature = "invariants")]
+struct Expecting<'a, T: SimTopology> {
+    net: &'a mut Network<T>,
+    checker: &'a InvariantChecker,
+}
+
+#[cfg(feature = "invariants")]
+impl<T: SimTopology> Engine for Expecting<'_, T> {
+    fn inject_at(&mut self, at: SimTime, spec: MessageSpec) -> MessageId {
+        let (receivers, length) = (spec.route.receivers(self.net.topology()), spec.length);
+        let id = self.net.inject_at(at, spec);
+        self.checker.expect_exactly_once(id, receivers, length);
+        id
+    }
+    fn step(&mut self) -> bool {
+        self.net.step()
+    }
+    fn drain_deliveries_into(&mut self, out: &mut Vec<Delivery>) {
+        self.net.drain_deliveries_into(out);
+    }
+    fn next_event_time(&mut self) -> Option<SimTime> {
+        self.net.next_event_time()
+    }
+    fn now(&self) -> SimTime {
+        self.net.now()
+    }
+    fn in_flight(&self) -> u64 {
+        self.net.in_flight()
+    }
+    fn enable_trace(&mut self, capacity: usize) {
+        self.net.enable_trace(capacity);
+    }
+    fn trace(&self) -> &Trace {
+        self.net.trace()
+    }
+    fn counters(&self) -> Counters {
+        self.net.counters()
+    }
+}
+
+/// Run a prepared workload on the arena engine `net` under the invariant
+/// checker, when built in, with the sabotage hook armed if `opts` asks:
+/// the run's record and the violations found. A run that `must_complete`
+/// and left an operation or a message unfinished is a violation too.
+fn checked_run<T: SimTopology>(
+    s: &Scenario,
+    net: &mut Network<T>,
+    opts: RunOptions,
+    (injections, trackers): (Vec<Injection>, Vec<BroadcastTracker>),
+    must_complete: bool,
+) -> (RunRecord, Vec<String>) {
+    #[cfg(feature = "invariants")]
+    let ((rec, done), mut violations) = {
+        let checker = InvariantChecker::new(s.watchdog_us > 0.0);
+        net.add_sink(checker.sink());
+        if opts.sabotage {
+            net.sabotage_skip_next_release();
         }
-        for t in $trackers.iter_mut() {
-            for spec in t.start(SimTime::ZERO) {
-                let id = net.inject_at(SimTime::ZERO, spec.clone());
-                $on_inject(id, &spec);
-            }
-        }
-        let mut deliveries = Vec::new();
-        while let Some(del) = net.next_delivery() {
-            for t in $trackers.iter_mut() {
-                for spec in t.on_delivery(&del) {
-                    let id = net.inject_at(del.delivered_at, spec.clone());
-                    $on_inject(id, &spec);
-                }
-            }
-            deliveries.push(del);
-        }
-        RunRecord {
-            trace: net.trace().records().copied().collect(),
-            deliveries,
-            counters: net.counters(),
-            final_now: net.now(),
-            in_flight: net.in_flight(),
-            ops_done: $trackers.iter().all(|t| t.is_complete()),
-        }
-    }};
+        let run = record(
+            &mut Expecting {
+                net,
+                checker: &checker,
+            },
+            &injections,
+            trackers,
+        );
+        let violations = checker.finish(run.0.in_flight);
+        (run, violations)
+    };
+    #[cfg(not(feature = "invariants"))]
+    let ((rec, done), mut violations) = {
+        let _ = (s, opts);
+        (record(net, &injections, trackers), Vec::new())
+    };
+    if must_complete && !(done && rec.in_flight == 0) {
+        violations.push(format!(
+            "fault-free scenario did not complete: in_flight={}, operations done={done}",
+            rec.in_flight
+        ));
+    }
+    (rec, violations)
 }
 
 /// Run `scenario` with default options.
@@ -149,7 +189,7 @@ pub fn run_scenario_with(scenario: &Scenario, opts: RunOptions) -> Outcome {
             panic: None,
         };
     }
-    match catch_unwind(AssertUnwindSafe(|| execute(scenario, opts))) {
+    match catch_unwind(AssertUnwindSafe(|| execute(scenario, opts).0)) {
         Ok(outcome) => outcome,
         Err(payload) => Outcome {
             family,
@@ -173,7 +213,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn execute(s: &Scenario, opts: RunOptions) -> Outcome {
+/// Run `s`: what the checks found, and the arena engine's run record.
+fn execute(s: &Scenario, opts: RunOptions) -> (Outcome, RunRecord) {
     match &s.topo {
         TopoSpec::Mesh(dims) => execute_mesh(s, dims, opts),
         TopoSpec::Torus(dims) => execute_torus(s, dims, opts),
@@ -257,17 +298,15 @@ fn unicast_plan(s: &Scenario, mesh: &Mesh, alg: Algorithm, n: u32, max_len: u64)
             } else {
                 dor_route(mesh, src, dst)
             };
-            Injection {
-                at: SimTime::from_us(at_us),
-                spec: MessageSpec {
-                    src,
-                    route,
-                    length: 1 + rng.index(max_len as usize) as u64,
-                    op: OpId(1000 + i as u64),
-                    tag: 0,
-                    charge_startup: rng.chance(0.5),
-                },
-            }
+            let spec = MessageSpec {
+                src,
+                route,
+                length: 1 + rng.index(max_len as usize) as u64,
+                op: OpId(1000 + i as u64),
+                tag: 0,
+                charge_startup: rng.chance(0.5),
+            };
+            (SimTime::from_us(at_us), spec)
         })
         .collect()
 }
@@ -303,17 +342,15 @@ fn replay_plan(s: &Scenario, mesh: &Mesh) -> Vec<Injection> {
             if src == dst {
                 return None;
             }
-            Some(Injection {
-                at: SimTime::from_us(e.at_us),
-                spec: MessageSpec {
-                    src,
-                    route: dor_route(mesh, src, dst),
-                    length: e.length.max(1),
-                    op: OpId(500_000 + i as u64),
-                    tag: 0,
-                    charge_startup: true,
-                },
-            })
+            let spec = MessageSpec {
+                src,
+                route: dor_route(mesh, src, dst),
+                length: e.length.max(1),
+                op: OpId(500_000 + i as u64),
+                tag: 0,
+                charge_startup: true,
+            };
+            Some((SimTime::from_us(e.at_us), spec))
         })
         .collect()
 }
@@ -392,89 +429,17 @@ pub(crate) fn mesh_workload(s: &Scenario, mesh: &Mesh) -> (Vec<Injection>, Vec<B
     (injections, trackers)
 }
 
-/// Receivers a spec's route must deliver to — the exactly-once expectation.
-#[cfg(feature = "invariants")]
-fn receivers_of<T: Topology>(topo: &T, spec: &MessageSpec) -> Vec<NodeId> {
-    match &spec.route {
-        Route::Fixed(cp) => cp.receivers(topo),
-        Route::Runs(rp) => rp.coded(topo).receivers(topo),
-        Route::Adaptive { dst } => vec![*dst],
-    }
-}
-
-/// Bit-compare the classic oracle's run record `a` with the active-set
-/// engine's `b`; returns a description of the first divergence found.
-fn compare(a: &RunRecord, b: &RunRecord) -> Option<String> {
-    let (la, lb) = ("classic", "active-set");
-    for (i, (x, y)) in a.trace.iter().zip(b.trace.iter()).enumerate() {
-        if x != y {
-            let lo = i.saturating_sub(3);
-            return Some(format!(
-                "trace diverges at record {i}:\n  {la}: {:?}\n  {lb}: {:?}\n  {la} context: {:?}\n  {lb} context: {:?}",
-                x,
-                y,
-                &a.trace[lo..(i + 2).min(a.trace.len())],
-                &b.trace[lo..(i + 2).min(b.trace.len())]
-            ));
-        }
-    }
-    if a.trace.len() != b.trace.len() {
-        return Some(format!(
-            "trace lengths differ: {la} {} vs {lb} {}",
-            a.trace.len(),
-            b.trace.len()
-        ));
-    }
-    if a.deliveries != b.deliveries {
-        return Some(format!(
-            "delivery sequences differ ({} vs {} deliveries)",
-            a.deliveries.len(),
-            b.deliveries.len()
-        ));
-    }
-    if a.counters != b.counters {
-        return Some(format!(
-            "counters differ:\n  {la}: {:?}\n  {lb}: {:?}",
-            a.counters, b.counters
-        ));
-    }
-    if a.final_now != b.final_now {
-        return Some(format!(
-            "final clocks differ: {la} {:?} vs {lb} {:?}",
-            a.final_now, b.final_now
-        ));
-    }
-    if a.in_flight != b.in_flight {
-        return Some(format!(
-            "in-flight counts differ: {la} {} vs {lb} {}",
-            a.in_flight, b.in_flight
-        ));
-    }
-    None
-}
-
-fn execute_mesh(s: &Scenario, dims: &[u16], opts: RunOptions) -> Outcome {
+fn execute_mesh(s: &Scenario, dims: &[u16], opts: RunOptions) -> (Outcome, RunRecord) {
     let mesh = Mesh::new(dims);
     let alg = s.workload.algorithm();
     let family = s.family();
     let cfg = base_cfg(s, alg);
     let plan = fault_plan(s, &mesh);
-
-    // Active-set engine, with the event-level checker attached when built in.
     let (transitions, marks) = schedule_artifacts(s, &mesh);
 
+    // Active-set engine, with the event-level checker attached when built in.
     let arena_cfg = cfg.with_invariant_checks(cfg!(feature = "invariants"));
     let mut net = Network::new(mesh.clone(), arena_cfg, routing_for(alg, &mesh));
-    #[cfg(feature = "invariants")]
-    let checker = InvariantChecker::new(s.watchdog_us > 0.0);
-    #[cfg(feature = "invariants")]
-    net.add_sink(checker.sink());
-    #[cfg(feature = "invariants")]
-    if opts.sabotage {
-        net.sabotage_skip_next_release();
-    }
-    #[cfg(not(feature = "invariants"))]
-    let _ = opts;
     match family {
         // Fail-stop faults are applied identically to both engines.
         Family::Differential => {
@@ -487,26 +452,8 @@ fn execute_mesh(s: &Scenario, dims: &[u16], opts: RunOptions) -> Outcome {
     }
     net.schedule_speed_transitions(&transitions);
     net.schedule_phase_marks(&marks);
-    #[cfg(feature = "invariants")]
-    let on_inject = |id: MessageId, spec: &MessageSpec| {
-        checker.expect_exactly_once(id, receivers_of(&mesh, spec), spec.length);
-    };
-    #[cfg(not(feature = "invariants"))]
-    let on_inject = |_id, _spec: &MessageSpec| {};
-    let (injections, mut trackers) = mesh_workload(s, &mesh);
-    let arena_rec = drive!(&mut net, injections, trackers, on_inject);
-
-    #[cfg(feature = "invariants")]
-    let mut violations = checker.finish(arena_rec.in_flight);
-    #[cfg(not(feature = "invariants"))]
-    let mut violations: Vec<String> = Vec::new();
-    let completed = arena_rec.ops_done && arena_rec.in_flight == 0;
-    if !s.has_faults() && !completed {
-        violations.push(format!(
-            "fault-free scenario did not complete: in_flight={}, operations done={}",
-            arena_rec.in_flight, arena_rec.ops_done
-        ));
-    }
+    let workload = mesh_workload(s, &mesh);
+    let (arena, violations) = checked_run(s, &mut net, opts, workload, !s.has_faults());
 
     let mismatch = match family {
         Family::InvariantOnly => None,
@@ -517,73 +464,37 @@ fn execute_mesh(s: &Scenario, dims: &[u16], opts: RunOptions) -> Outcome {
             }
             cnet.schedule_speed_transitions(&transitions);
             cnet.schedule_phase_marks(&marks);
-            let (cinjections, mut ctrackers) = mesh_workload(s, &mesh);
-            let classic_rec = drive!(&mut cnet, cinjections, ctrackers, |_, _: &MessageSpec| {});
-            compare(&classic_rec, &arena_rec)
+            let (injections, trackers) = mesh_workload(s, &mesh);
+            let (oracle, _) = record(&mut cnet, &injections, trackers);
+            arena.first_divergence(&oracle)
         }
     };
-
-    Outcome {
-        family,
-        skipped: false,
-        violations,
-        mismatch,
-        panic: None,
-    }
+    (outcome(family, violations, mismatch), arena)
 }
 
-fn execute_torus(s: &Scenario, dims: &[u16], opts: RunOptions) -> Outcome {
+fn execute_torus(s: &Scenario, dims: &[u16], opts: RunOptions) -> (Outcome, RunRecord) {
     let torus = Torus::new(dims);
     let WorkloadSpec::TorusRing { src, length } = s.workload else {
         unreachable!("mesh workload on a torus scenario");
     };
     let src = NodeId(src % torus.num_nodes() as u32);
-    let family = s.family();
     let cfg = base_cfg(s, Algorithm::Db);
 
     let arena_cfg = cfg.with_invariant_checks(cfg!(feature = "invariants"));
     let mut net: Network<Torus> = Network::new(torus.clone(), arena_cfg, Box::new(TorusDor));
-    #[cfg(feature = "invariants")]
-    let checker = InvariantChecker::new(false);
-    #[cfg(feature = "invariants")]
-    net.add_sink(checker.sink());
-    #[cfg(feature = "invariants")]
-    if opts.sabotage {
-        net.sabotage_skip_next_release();
-    }
-    #[cfg(not(feature = "invariants"))]
-    let _ = opts;
-    #[cfg(feature = "invariants")]
-    let on_inject = |id: MessageId, spec: &MessageSpec| {
-        checker.expect_exactly_once(id, receivers_of(&torus, spec), spec.length);
-    };
-    #[cfg(not(feature = "invariants"))]
-    let on_inject = |_id, _spec: &MessageSpec| {};
-    let mut trackers = [ring_tracker(&torus, src, length)];
-    let arena_rec = drive!(&mut net, Vec::<Injection>::new(), trackers, on_inject);
-
-    #[cfg(feature = "invariants")]
-    let mut violations = checker.finish(arena_rec.in_flight);
-    #[cfg(not(feature = "invariants"))]
-    let mut violations: Vec<String> = Vec::new();
-    if !(arena_rec.ops_done && arena_rec.in_flight == 0) {
-        violations.push(format!(
-            "fault-free torus scenario did not complete: in_flight={}, operations done={}",
-            arena_rec.in_flight, arena_rec.ops_done
-        ));
-    }
+    let workload = (Vec::new(), vec![ring_tracker(&torus, src, length)]);
+    // A torus scenario runs without faults, so it must complete.
+    let (arena, violations) = checked_run(s, &mut net, opts, workload, true);
 
     let mut cnet: classic::Network<Torus> =
         classic::Network::new(torus.clone(), cfg, Box::new(TorusDor));
-    let mut ctrackers = [ring_tracker(&torus, src, length)];
-    let classic_rec = drive!(
-        &mut cnet,
-        Vec::<Injection>::new(),
-        ctrackers,
-        |_, _: &MessageSpec| {}
-    );
-    let mismatch = compare(&classic_rec, &arena_rec);
+    let (oracle, _) = record(&mut cnet, &[], vec![ring_tracker(&torus, src, length)]);
+    let mismatch = arena.first_divergence(&oracle);
+    (outcome(s.family(), violations, mismatch), arena)
+}
 
+/// The outcome of a run that finished without a panic.
+fn outcome(family: Family, violations: Vec<String>, mismatch: Option<String>) -> Outcome {
     Outcome {
         family,
         skipped: false,
@@ -620,6 +531,67 @@ mod tests {
         assert_eq!(cp, CodedPath::unicast(&mesh, dor_path(&mesh, src, dst)));
     }
 
+    /// The digest ([`RunRecord::digest`]) of the arena engine's run record
+    /// for each of `Scenario::generate(2005, 0..32)`, recorded from the
+    /// engine-specific drive loops this one loop replaced.
+    const PINS: [u64; 32] = [
+        0x7f3c_2d45_0f95_f8f9,
+        0xb735_957b_e409_253e,
+        0x5ca4_e70d_14e0_9964,
+        0x371b_6b82_a524_fb80,
+        0xa50a_100e_088c_34d6,
+        0x8e03_f820_0952_5697,
+        0x529d_610c_38c3_f47b,
+        0xcbf9_81b1_8a72_5c61,
+        0xb449_294c_410d_ea10,
+        0x2856_5c91_b47f_8295,
+        0xf2aa_49be_352d_359a,
+        0x9875_9cab_73e5_96d4,
+        0x6807_f6cc_e61a_a46e,
+        0xa0ba_f0ef_b0c4_4e60,
+        0x746e_4fc5_e0be_7c85,
+        0x67cc_819b_cdf4_e7b9,
+        0xcd57_565b_34e0_19c0,
+        0x9845_8031_2086_1a12,
+        0x539b_20a9_044b_ba19,
+        0x3536_0ebf_f5c7_1582,
+        0x44ea_98d9_5d63_f4b8,
+        0x5400_92ef_8ebc_267d,
+        0x9a9b_fe2a_cc18_e272,
+        0xfa45_8ff2_4f34_2c51,
+        0xd69d_9c0b_639b_46e2,
+        0xe045_ddcc_f9fa_011a,
+        0x8611_a49e_5eaf_616e,
+        0x85ca_431f_875b_721a,
+        0xaa23_17bc_403b_4be0,
+        0xd988_32e4_cc4c_f5af,
+        0xb071_f2de_01fb_1c27,
+        0xf1f0_4ae4_5b9a_39f7,
+    ];
+
+    #[test]
+    fn arena_run_records_are_pinned() {
+        let moved: Vec<String> = PINS
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &pin)| {
+                let s = Scenario::generate(2005, i as u64);
+                let (outcome, record) = execute(&s, RunOptions::default());
+                assert!(outcome.is_clean(), "scenario {i} not clean: {outcome:?}");
+                let digest = record.digest();
+                (digest != pin).then(|| {
+                    format!(
+                        "scenario {i}: {digest:#018x}, injected {}, delivered {} ({:?})",
+                        record.counters.injected,
+                        record.deliveries.len(),
+                        s.workload
+                    )
+                })
+            })
+            .collect();
+        assert!(moved.is_empty(), "pins moved:\n{}", moved.join("\n"));
+    }
+
     #[test]
     fn first_scenarios_are_clean() {
         for i in 0..12 {
@@ -636,6 +608,28 @@ mod tests {
         let b = run_scenario(&s);
         assert_eq!(a.is_clean(), b.is_clean());
         assert_eq!(a.violations, b.violations);
+    }
+
+    /// `Expecting` registers every message it injects, background and
+    /// relay alike: registering any of them again is a violation.
+    #[cfg(feature = "invariants")]
+    #[test]
+    fn every_injected_message_is_expected() {
+        let s = Scenario::generate(2005, 16);
+        let mesh = Mesh::new(s.topo.dims());
+        let rf = routing_for(Algorithm::Db, &mesh);
+        let mut net = Network::new(mesh.clone(), base_cfg(&s, Algorithm::Db), rf);
+        let checker = InvariantChecker::new(false);
+        let (injections, trackers) = mesh_workload(&s, &mesh);
+        let net = &mut Expecting {
+            net: &mut net,
+            checker: &checker,
+        };
+        let injected = record(net, &injections, trackers).0.counters.injected;
+        for m in 0..injected {
+            checker.expect_exactly_once(MessageId(m), [], 1);
+        }
+        assert_eq!(checker.violations().len() as u64, injected);
     }
 
     #[cfg(feature = "invariants")]

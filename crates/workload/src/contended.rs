@@ -116,11 +116,11 @@ pub fn run_contended_broadcasts_observed(
             let src = NodeId(src_rng.index(mesh.num_nodes()) as u32);
             let op = OpId(launched);
             launched += 1;
-            ops.launch(&mut net, next_launch, plans.tracker(src, op, length));
+            ops.launch(&mut *net, next_launch, plans.tracker(src, op, length));
             next_launch += inter.sample(&mut arr_rng);
             continue;
         }
-        let stepped = ops.step(&mut net, |_, fed| {
+        let stepped = ops.step(&mut *net, |_, fed| {
             let Fed::Completed(tracker) = fed else {
                 return;
             };

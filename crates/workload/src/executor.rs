@@ -29,15 +29,16 @@
 //! [`Ops::step`] advances the engine by one event and feeds each delivery to
 //! its own operation, injecting that operation's follow-ups at the delivery
 //! time, in delivery order, with no engine step in between. [`drive`] is its
-//! closed-loop form for a single operation.
+//! closed-loop form for a single operation, and [`run_to_idle`] runs a
+//! prepared workload to the end. All three take any [`Engine`], so the
+//! arena engine and the `classic` oracle run through the same loop.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::{Arc, Weak};
 use wormcast_broadcast::{Algorithm, BroadcastSchedule, RoutePlan, ScheduledMessage};
-use wormcast_network::{Delivery, MessageSpec, Network, OpId, Route};
-use wormcast_routing::SimTopology;
+use wormcast_network::{Delivery, Engine, MessageSpec, OpId, Route};
 use wormcast_sim::SimTime;
 use wormcast_topology::{Mesh, NodeId, Topology};
 
@@ -455,12 +456,7 @@ impl Ops {
     ///
     /// # Panics
     /// Panics if an operation with the same id is already live.
-    pub fn launch<T: SimTopology>(
-        &mut self,
-        net: &mut Network<T>,
-        at: SimTime,
-        mut tracker: BroadcastTracker,
-    ) {
+    pub fn launch(&mut self, net: &mut impl Engine, at: SimTime, mut tracker: BroadcastTracker) {
         let source = tracker.begin(at);
         for spec in tracker.sends(source) {
             net.inject_at(at, spec);
@@ -475,11 +471,7 @@ impl Ops {
     /// delivery time before the next delivery is looked at — and then to
     /// `on`, together with what it meant ([`Fed`]). Returns false, having
     /// done nothing, when the engine is idle.
-    pub fn step<T: SimTopology>(
-        &mut self,
-        net: &mut Network<T>,
-        mut on: impl FnMut(&Delivery, Fed),
-    ) -> bool {
+    pub fn step(&mut self, net: &mut impl Engine, mut on: impl FnMut(&Delivery, Fed)) -> bool {
         if !net.step() {
             return false;
         }
@@ -520,7 +512,7 @@ impl Ops {
 /// Execute one operation closed loop: start it at the network's current
 /// time and step until it completes or the network idles (a stalled or
 /// faulted run), then hand the tracker back.
-pub fn drive<T: SimTopology>(net: &mut Network<T>, tracker: BroadcastTracker) -> BroadcastTracker {
+pub fn drive(net: &mut impl Engine, tracker: BroadcastTracker) -> BroadcastTracker {
     let op = tracker.op();
     let at = net.now();
     let mut ops = Ops::default();
@@ -538,11 +530,32 @@ pub fn drive<T: SimTopology>(net: &mut Network<T>, tracker: BroadcastTracker) ->
         .expect("an operation is live until it completes")
 }
 
+/// Run a prepared workload on `net` until it idles: every message of
+/// `injections` is injected at its time first, then every tracker is
+/// launched at time zero, then [`Ops::step`] runs to the end. Returns
+/// every delivery in order and the operations that never completed.
+pub fn run_to_idle(
+    net: &mut impl Engine,
+    injections: &[(SimTime, MessageSpec)],
+    trackers: impl IntoIterator<Item = BroadcastTracker>,
+) -> (Vec<Delivery>, usize) {
+    for (at, spec) in injections {
+        net.inject_at(*at, spec.clone());
+    }
+    let mut ops = Ops::default();
+    for t in trackers {
+        ops.launch(net, SimTime::ZERO, t);
+    }
+    let mut deliveries = Vec::new();
+    while ops.step(net, |d, _| deliveries.push(*d)) {}
+    (deliveries, ops.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use wormcast_broadcast::Algorithm;
-    use wormcast_network::NetworkConfig;
+    use wormcast_network::{Network, NetworkConfig};
     use wormcast_routing::DimensionOrdered;
     use wormcast_topology::Mesh;
 
@@ -603,15 +616,6 @@ mod tests {
         assert!(ops.is_empty());
     }
 
-    /// Every node that receives a copy of `spec`.
-    fn receivers(mesh: &Mesh, spec: &MessageSpec) -> Vec<NodeId> {
-        match &spec.route {
-            Route::Fixed(cp) => cp.receivers(mesh),
-            Route::Runs(rp) => rp.coded(mesh).receivers(mesh),
-            Route::Adaptive { dst } => vec![*dst],
-        }
-    }
-
     /// A hand-built delivery of one of `op`'s copies to `node`.
     fn delivery(op: OpId, node: NodeId, src: NodeId) -> Delivery {
         Delivery {
@@ -631,7 +635,7 @@ mod tests {
         let mut queue = std::collections::VecDeque::from(tracker.start(SimTime::ZERO));
         let mut released = Vec::new();
         while let Some(spec) = queue.pop_front() {
-            for node in receivers(mesh, &spec) {
+            for node in spec.route.receivers(mesh) {
                 queue.extend(tracker.on_delivery(&delivery(tracker.op(), node, spec.src)));
             }
             released.push(format!("{spec:?}"));

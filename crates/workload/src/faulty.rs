@@ -300,7 +300,7 @@ pub fn run_faulty_broadcast_observed(
     // Stops early when stalls are reaped: the remaining destinations stay
     // unreached.
     let tracker = drive(
-        &mut net,
+        &mut *net,
         BroadcastTracker::new(mesh, &degraded.schedule, OpId(0), length),
     );
     // Drain tails (and any remaining watchdog checks) for final accounting.

@@ -41,7 +41,7 @@ pub mod torus;
 pub use contended::{
     run_contended_broadcasts, run_contended_broadcasts_observed, ContendedOutcome,
 };
-pub use executor::{drive, BroadcastTracker, Fed, Ops, PlanCache};
+pub use executor::{drive, run_to_idle, BroadcastTracker, Fed, Ops, PlanCache};
 pub use faulty::{
     degrade_schedule, run_faulty_broadcast, run_faulty_broadcast_observed, DegradedSchedule,
     FaultRep, FaultyOutcome,

@@ -191,7 +191,7 @@ fn mixed_stream(
         let op = OpId(*next_op);
         *next_op += 1;
         if kind_rng.chance(mc.broadcast_fraction) {
-            ops.launch(net, at, plans.tracker(src, op, mc.length));
+            ops.launch(&mut **net, at, plans.tracker(src, op, mc.length));
         } else {
             // Unicast to a destination drawn from the configured pattern.
             let dst = mc.pattern.pick(mesh, src, dest_rng);
@@ -238,7 +238,7 @@ fn mixed_stream(
             );
             next_arrival += interarrival.sample(&mut arrivals_rng);
         }
-        let stepped = ops.step(net, |d, fed| match fed {
+        let stepped = ops.step(&mut **net, |d, fed| match fed {
             Fed::Completed(tracker) => {
                 let t0 = tracker
                     .started_at()

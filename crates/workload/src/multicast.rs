@@ -109,13 +109,13 @@ pub fn run_single_multicast_observed(
     let tracker = BroadcastTracker::multicast(mesh, &schedule, dests, OpId(0), length);
     let mut done = tracker.is_complete();
     let mut ops = Ops::default();
-    ops.launch(&mut net, SimTime::ZERO, tracker);
+    ops.launch(&mut *net, SimTime::ZERO, tracker);
     // Destination latencies in delivery order: the CV is a Welford
     // statistic, so the order it is fed in is part of the result.
     let want: HashSet<NodeId> = dests.iter().copied().filter(|&d| d != source).collect();
     let mut lats = Vec::new();
     while !done {
-        let stepped = ops.step(&mut net, |d, fed| {
+        let stepped = ops.step(&mut *net, |d, fed| {
             if want.contains(&d.node) {
                 lats.push(d.delivered_at.since(SimTime::ZERO).as_us());
             }

@@ -125,7 +125,7 @@ pub fn run_single_broadcast_observed(
     let mut net = network_for(alg, mesh.clone(), cfg);
     let collector = attach_collector(&mut net, observe);
     let tracker = drive(
-        &mut net,
+        &mut *net,
         BroadcastTracker::new(mesh, &schedule, OpId(0), length),
     );
     assert!(

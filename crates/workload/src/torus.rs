@@ -53,7 +53,7 @@ pub fn run_torus_broadcast(
     let mut net: Simulation<Torus> =
         Simulation::over(torus.clone(), cfg, Box::new(wormcast_routing::TorusDor));
     let tracker = drive(
-        &mut net,
+        &mut *net,
         BroadcastTracker::new(torus, &schedule, OpId(0), length),
     );
     assert!(
